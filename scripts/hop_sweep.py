@@ -49,7 +49,7 @@ def main() -> int:
             bundle.vocab)
         t0 = time.perf_counter()
         result = train(model, tr, va)
-        rep = evaluate_report(model, te, workers=4)
+        rep = evaluate_report(model, te)
         rows.append({"hops": hops, "epochs": result.epochs_run,
                      "seconds": round(time.perf_counter() - t0, 1),
                      "ppl": round(rep.ppl, 3),

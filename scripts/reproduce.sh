@@ -28,7 +28,7 @@ kgchat train --bundle "$OUT/corpus" --out "$OUT/seq2seq" \
 for MODEL in qadpt seq2seq; do
     echo "== evaluating $MODEL =="
     kgchat eval --bundle "$OUT/corpus" --checkpoint "$OUT/$MODEL/model.ckpt" \
-        --out "$OUT/$MODEL/eval" --split test --workers 4
+        --out "$OUT/$MODEL/eval" --split test
     for MODE in all last1 last2; do
         echo "== perturbing $MODEL ($MODE) =="
         kgchat perturb --bundle "$OUT/corpus" \

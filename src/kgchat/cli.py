@@ -82,7 +82,6 @@ CONFIG_KEYS = {
     "split": (str, "test", "bundle split for eval/perturb"),
     "mode": (str, "last1", "perturbation protocol: all, last1, last2"),
     "metrics": (str, "", "comma list of scalars to keep; empty keeps all"),
-    "workers": (int, 1, "parallel turn evaluation"),
     "n_people": (int, 30, "synthetic: people"),
     "n_places": (int, 12, "synthetic: places"),
     "n_jobs": (int, 8, "synthetic: occupations"),
@@ -310,7 +309,7 @@ def cmd_eval(args, cfg) -> int:
                              f"choose from {', '.join(METRIC_NAMES)}")
     model, examples = _load_examples(args, cfg)
     report = evaluate_report(model, examples, max_len=cfg["max_decode_len"],
-                             workers=cfg["workers"], config=cfg)
+                             config=cfg)
     rows = report.metric_rows()
     if selected:
         rows = [r for r in rows if r[0] in selected]

@@ -527,41 +527,67 @@ def save_bundle(bundle: Bundle, out_dir) -> None:
         json.dump(bundle.meta, fh, indent=1)
 
 
-def load_bundle(in_dir) -> Bundle:
-    src = Path(in_dir)
-    turns = []
-    with open(src / "turns.jsonl", encoding="utf-8") as fh:
+# A malformed bundle row fails in json, in a missing key, or in the
+# constructor it feeds; each becomes a DataError naming file and line.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _parse_failure(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _from_json(raw: bytes, build):
+    obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    return build(obj)
+
+
+def _load_json(path: Path, build):
+    try:
+        return _from_json(path.read_bytes(), build)
+    except _PARSE_ERRORS as exc:
+        raise DataError(f"{path.name}: {_parse_failure(exc)}") from None
+
+
+def _load_jsonl(path: Path, build) -> list:
+    rows = []
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"turns.jsonl: line {lineno}: {exc}") from None
-            turns.append(DialogueTurn(
-                dialogue_id=obj["dialogue_id"], turn=obj["turn"],
-                speaker=obj["speaker"],
-                scene_entities=tuple(obj["scene_entities"]),
-                message=tuple(obj["message"]), response=tuple(obj["response"])))
-    with open(src / "vocab.json", encoding="utf-8") as fh:
-        vocab = Vocabulary.from_dict(json.load(fh))
+                rows.append(_from_json(raw, build))
+            except _PARSE_ERRORS as exc:
+                raise DataError(f"{path.name}: line {lineno}: "
+                                f"{_parse_failure(exc)}") from None
+    return rows
+
+
+def _turn_row(obj: dict) -> DialogueTurn:
+    return DialogueTurn(
+        dialogue_id=obj["dialogue_id"], turn=obj["turn"],
+        speaker=obj["speaker"], scene_entities=tuple(obj["scene_entities"]),
+        message=tuple(obj["message"]), response=tuple(obj["response"]))
+
+
+def _subgraph_row(obj: dict) -> tuple:
+    return obj["turn_id"], KnowledgeGraph(
+        [Triple(*t) for t in obj["triples"]],
+        extra_entities=obj.get("entities", ()))
+
+
+def load_bundle(in_dir) -> Bundle:
+    src = Path(in_dir)
+    turns = _load_jsonl(src / "turns.jsonl", _turn_row)
+    vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv")
-    subgraphs = {}
-    with open(src / "subgraphs.jsonl", encoding="utf-8") as fh:
-        for raw in fh:
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            subgraphs[obj["turn_id"]] = KnowledgeGraph(
-                [Triple(*t) for t in obj["triples"]],
-                extra_entities=obj.get("entities", ()))
-    with open(src / "splits.json", encoding="utf-8") as fh:
-        splits = SplitAssignment.from_dict(json.load(fh))
+    subgraphs = dict(_load_jsonl(src / "subgraphs.jsonl", _subgraph_row))
+    splits = _load_json(src / "splits.json", SplitAssignment.from_dict)
     meta = {}
     meta_path = src / "meta.json"
     if meta_path.exists():
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = _load_json(meta_path, dict)
     return Bundle(turns=turns, vocab=vocab, graph=graph, subgraphs=subgraphs,
                   splits=splits, meta=meta)
 

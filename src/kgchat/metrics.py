@@ -312,8 +312,11 @@ def accurate_change_rate(entities: Iterable[str],
     contained; for tail edits the caller passes the replaced tails per
     turn. Turns whose original output had no entity are excluded; None
     when none remain."""
-    flags = _accuracy_flags(entities, original_seqs, perturbed_seqs,
-                            hypotheses, mode, targets)
+    return _flag_rate(_accuracy_flags(entities, original_seqs, perturbed_seqs,
+                                      hypotheses, mode, targets))
+
+
+def _flag_rate(flags: list):
     scored = [f for f in flags if f is not None]
     if not scored:
         return None
@@ -483,11 +486,11 @@ def recompute_scalars(report: EvalReport) -> dict:
 
 
 def evaluate_report(model: QadptModel, examples, max_len: int | None = None,
-                    workers: int = 1, config: dict | None = None) -> EvalReport:
+                    config: dict | None = None) -> EvalReport:
     """Run teacher-forced and free-running passes and score everything."""
     if not examples:
         raise MetricError("no turns to evaluate")
-    records = evaluate_turns(model, examples, max_len=max_len, workers=workers)
+    records = evaluate_turns(model, examples, max_len=max_len)
     vocab = model.vocab
     id_to_token = vocab.id_to_token
     turns = []
@@ -596,10 +599,9 @@ def perturbation_report(entities: Iterable[str], runs, mode: str,
         hyps = [r.hypothesis for r in live]
         targets = [r.removed_tails for r in live] if mode != "all" else None
         rate = change_rate(originals, perturbed)
-        acc = accurate_change_rate(entities, originals, perturbed, hyps,
-                                   mode, targets)
         flags = _accuracy_flags(entities, originals, perturbed, hyps, mode,
                                 targets)
+        acc = _flag_rate(flags)
     turns = []
     it = iter(flags)
     for r in runs:

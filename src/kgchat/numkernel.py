@@ -146,11 +146,6 @@ class GruCellParams:
             f"{prefix}.w_h": self.w_h, f"{prefix}.u_h": self.u_h, f"{prefix}.b_h": self.b_h,
         }
 
-    @classmethod
-    def from_named(cls, params: Mapping, prefix: str) -> "GruCellParams":
-        keys = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-        return cls(**{k: params[f"{prefix}.{k}"] for k in keys})
-
 
 def _gru_forward(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
     """Single GRU step. Returns the new state and the cache needed for
@@ -269,17 +264,6 @@ class Tape:
 
         return self._push(va + vb, (a, b), bwd, "add")
 
-    def sub(self, a: int, b: int) -> int:
-        va, vb = self.value(a), self.value(b)
-        if va.shape != vb.shape:
-            raise KernelError("sub: shape mismatch")
-
-        def bwd(g, acc):
-            acc[a] += g
-            acc[b] -= g
-
-        return self._push(va - vb, (a, b), bwd, "sub")
-
     def mul(self, a: int, b: int) -> int:
         va, vb = self.value(a), self.value(b)
         if va.shape != vb.shape:
@@ -300,19 +284,6 @@ class Tape:
 
         return self._push(va * c, (a,), bwd, "scale")
 
-    def smul(self, vec: int, scalar: int) -> int:
-        """Vector times a scalar node."""
-        vv, vs = self.value(vec), self.value(scalar)
-        if vs.size != 1:
-            raise KernelError("smul: second operand must be scalar")
-        s = float(vs)
-
-        def bwd(g, acc):
-            acc[vec] += g * s
-            acc[scalar] += np.sum(g * vv)
-
-        return self._push(vv * s, (vec, scalar), bwd, "smul")
-
     def matvec(self, w: int, x: int) -> int:
         vw, vx = self.value(w), self.value(x)
         if vw.ndim != 2 or vx.ndim != 1 or vw.shape[1] != vx.shape[0]:
@@ -323,22 +294,6 @@ class Tape:
             acc[x] += vw.T @ g
 
         return self._push(vw @ vx, (w, x), bwd, "matvec")
-
-    def sigmoid(self, a: int) -> int:
-        y = sigmoid(self.value(a))
-
-        def bwd(g, acc):
-            acc[a] += g * y * (1.0 - y)
-
-        return self._push(y, (a,), bwd, "sigmoid")
-
-    def tanh(self, a: int) -> int:
-        y = np.tanh(self.value(a))
-
-        def bwd(g, acc):
-            acc[a] += g * (1.0 - y * y)
-
-        return self._push(y, (a,), bwd, "tanh")
 
     def softmax(self, a: int) -> int:
         y = softmax(self.value(a))
@@ -533,15 +488,6 @@ def kg_hop(v: np.ndarray, rhat: np.ndarray, adj) -> np.ndarray:
     contrib = v[adj.head] * rhat[adj.head, adj.rel] * adj.weight
     np.add.at(out, adj.tail, contrib)
     return out
-
-
-def mask_renorm(r: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Forward of mask_renorm_rows outside the tape."""
-    masked = r * mask
-    denom = masked.sum(axis=1, keepdims=True)
-    if np.any(denom <= 0.0):
-        raise KernelError("mask_renorm: a row lost all its mass")
-    return masked / denom
 
 
 # ---------------------------------------------------------------------------

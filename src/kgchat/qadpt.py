@@ -31,8 +31,8 @@ import numpy as np
 from . import numkernel
 from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Bundle,
                      DataError, DialogueTurn, Vocabulary)
-from .kgraph import (AdjacencyTensor, KnowledgeGraph, Triple, build_adjacency,
-                     perturb_all, perturb_last1, perturb_last2)
+from .kgraph import (SELF_LOOP, AdjacencyTensor, KnowledgeGraph, Triple,
+                     build_adjacency, perturb_all, perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
 
 logger = logging.getLogger(__name__)
@@ -344,29 +344,42 @@ class _TurnState:
                     t.reshape(k, (1, n)), self._ones_row), (n,))
         return g, k, rhat
 
-    def decoder_step(self, prev_id: int) -> tuple:
-        """step() plus the assembled DecoderStep record."""
-        a, b, c = self.step(prev_id)
+    def output(self, nodes: tuple) -> np.ndarray:
+        """o_t, the full-vocabulary output distribution of one step.
+
+        qadpt splits the generic softmax's KB mass g[0] over the walk
+        result k; seq2seq scatters its flat softmax into the vocabulary.
+        """
         t = self.fw.tape
         vocab = self.vocab
         o = np.zeros(vocab.size)
         if self.fw.model.kind == "seq2seq":
-            probs = t.value(a)
-            o[self.out_ids] = probs
-            n_gen = 2 + len(vocab.generic)
-            step = DecoderStep(hidden=t.value(self.h).copy(),
-                               generic=probs[:n_gen].copy(),
-                               controller=float(probs[n_gen:].sum()),
-                               entity=probs[n_gen:].copy(),
-                               combined=o, path_matrix=None)
-            return (a, b, c), step
-        g, k, rhat = t.value(a), t.value(b), t.value(c)
-        o[vocab.generic_output_ids[1:]] = g[1:]
-        o[vocab.entity_base:] = g[0] * k
-        step = DecoderStep(hidden=t.value(self.h).copy(), generic=g[1:].copy(),
-                           controller=float(g[0]), entity=k.copy(),
-                           combined=o, path_matrix=rhat.copy())
-        return (a, b, c), step
+            o[self.out_ids] = t.value(nodes[0])
+            return o
+        g, k, _ = nodes
+        gval = t.value(g)
+        o[vocab.generic_output_ids[1:]] = gval[1:]
+        o[vocab.entity_base:] = gval[0] * t.value(k)
+        return o
+
+    def decoder_step(self, prev_id: int) -> tuple:
+        """step() plus the assembled DecoderStep record."""
+        nodes = self.step(prev_id)
+        t = self.fw.tape
+        hidden = t.value(self.h).copy()
+        combined = self.output(nodes)
+        if self.fw.model.kind == "seq2seq":
+            probs = t.value(nodes[0])
+            n_gen = 2 + len(self.vocab.generic)
+            return nodes, DecoderStep(
+                hidden=hidden, generic=probs[:n_gen].copy(),
+                controller=float(probs[n_gen:].sum()),
+                entity=probs[n_gen:].copy(), combined=combined,
+                path_matrix=None)
+        g, k, rhat = (t.value(n) for n in nodes)
+        return nodes, DecoderStep(
+            hidden=hidden, generic=g[1:].copy(), controller=float(g[0]),
+            entity=k.copy(), combined=combined, path_matrix=rhat.copy())
 
     def target_prob_node(self, nodes: tuple, target_id: int) -> tuple:
         """Node for o_t(y_t) plus whether the entity target was
@@ -404,22 +417,8 @@ def _turn_loss_nodes(state: _TurnState, hyper: Hyperparams) -> tuple:
             if hyper.teacher_forcing:
                 prev = ex.dec_in_ids[i + 1]
             else:
-                prev = int(np.argmax(_combined_node_values(state, nodes)))
+                prev = int(np.argmax(state.output(nodes)))
     return nll, unreachable
-
-
-def _combined_node_values(state: _TurnState, nodes: tuple) -> np.ndarray:
-    t = state.fw.tape
-    vocab = state.vocab
-    o = np.zeros(vocab.size)
-    if state.fw.model.kind == "seq2seq":
-        o[state.out_ids] = t.value(nodes[0])
-        return o
-    g, k, _ = nodes
-    gval = t.value(g)
-    o[vocab.generic_output_ids[1:]] = gval[1:]
-    o[vocab.entity_base:] = gval[0] * t.value(k)
-    return o
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
@@ -476,7 +475,7 @@ def teacher_force(model: QadptModel, example: Example) -> TeacherResult:
         if unreach:
             unreachable += 1
         probs.append(float(fw.tape.value(p)))
-        argmax.append(int(np.argmax(_combined_node_values(state, nodes))))
+        argmax.append(int(np.argmax(state.output(nodes))))
     return TeacherResult(turn_id=example.turn_id,
                          target_ids=example.target_ids,
                          gold_probs=tuple(probs), argmax_ids=tuple(argmax),
@@ -492,14 +491,10 @@ class DecodeResult:
 
 
 def greedy_decode(model: QadptModel, example: Example,
-                  max_len: int | None = None, sample: bool = False,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
-    """Free-running decoding from the example's message and subgraph.
-    Greedy argmax by default; with sample=True, draws from o_t using the
-    given generator. Ties resolve to the lowest token id."""
+                  max_len: int | None = None) -> DecodeResult:
+    """Greedy free-running decoding from the example's message and
+    subgraph. Ties resolve to the lowest token id."""
     max_len = max_len or model.hyper.max_decode_len
-    if sample and rng is None:
-        raise ModelError("sampling needs a random generator")
     fw = _Forward(model)
     state = fw.bind(example)
     out_ids = []
@@ -508,11 +503,7 @@ def greedy_decode(model: QadptModel, example: Example,
     ended = False
     for _ in range(max_len):
         _, step = state.decoder_step(prev)
-        o = step.combined
-        if sample:
-            prev = int(rng.choice(len(o), p=o / o.sum()))
-        else:
-            prev = int(np.argmax(o))
+        prev = int(np.argmax(step.combined))
         steps.append(step)
         if prev == EOS_ID:
             ended = True
@@ -856,23 +847,19 @@ def _decode_paths(model: QadptModel, example: Example,
 
 
 def evaluate_turns(model: QadptModel, examples: Sequence[Example],
-                   max_len: int | None = None, workers: int = 1) -> list:
+                   max_len: int | None = None) -> list:
     """Teacher-forced and free-running records for each turn."""
-    def one(ex: Example) -> TurnRecord:
+    records = []
+    for ex in examples:
         tf = teacher_force(model, ex)
         dec = greedy_decode(model, ex, max_len=max_len)
-        return TurnRecord(
+        records.append(TurnRecord(
             turn_id=ex.turn_id, target_ids=ex.target_ids,
             target_tokens=ex.target_tokens, gold_probs=tf.gold_probs,
             argmax_ids=tf.argmax_ids, unreachable=tf.unreachable,
             generated_ids=dec.token_ids, generated_tokens=dec.tokens,
-            paths=_decode_paths(model, ex, dec))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, examples))
-    return [one(ex) for ex in examples]
+            paths=_decode_paths(model, ex, dec)))
+    return records
 
 
 @dataclass
@@ -952,7 +939,12 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
         perturb = perturb_last1 if mode == "last1" else perturb_last2
         perturbations = []
         for i, ex in enumerate(examples):
-            paths = [p for p in paths_per_turn[i] if len(p) >= need]
+            # a self-loop step does not move, so the real steps around
+            # it still chain once it is dropped; it is not in the graph
+            # and cannot be edited
+            real = [tuple(t for t in p if t.relation != SELF_LOOP)
+                    for p in paths_per_turn[i]]
+            paths = [p for p in real if len(p) >= need]
             if not paths:
                 perturbations.append((ex, None))
                 continue

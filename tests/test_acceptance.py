@@ -279,8 +279,8 @@ def pipeline():
     return SimpleNamespace(
         bundle=bundle, test=te, qadpt=qadpt, seq2seq=seq2seq,
         qadpt_seconds=qadpt_seconds,
-        report_q=evaluate_report(qadpt, te, workers=4),
-        report_s=evaluate_report(seq2seq, te, workers=4))
+        report_q=evaluate_report(qadpt, te),
+        report_s=evaluate_report(seq2seq, te))
 
 
 def test_criterion_6_synthetic_end_to_end(pipeline):

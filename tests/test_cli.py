@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +235,64 @@ def test_corrupt_checkpoint_exits_3(ws, bundle_dir):
     assert code == 3
 
 
+def _drop_speaker_on_line_2(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    row = json.loads(lines[1])
+    del row["speaker"]
+    lines[1] = json.dumps(row) + "\n"
+    return "".join(lines)
+
+
+def _corrupt_line_3(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[2] = '{"turn_id": \n'
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name, corrupt, where", [
+    ("turns.jsonl", _drop_speaker_on_line_2,
+     "turns.jsonl: line 2: missing key 'speaker'"),
+    ("subgraphs.jsonl", _corrupt_line_3, "subgraphs.jsonl: line 3:"),
+    ("vocab.json", lambda text: text[:len(text) // 2], "vocab.json:"),
+    ("splits.json", lambda text: '{"train": []}', "splits.json: missing key"),
+], ids=("turns", "subgraphs", "vocab", "splits"))
+def test_malformed_bundle_exits_3(ws, bundle_dir, name, corrupt, where):
+    bad = ws / f"bad_{name}"
+    shutil.copytree(bundle_dir, bad)
+    path = bad / name
+    path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", "stats", "--bundle", str(bad)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert where in proc.stderr
+
+
+def test_reproduce_script_invocations_parse():
+    script = Path(__file__).parents[1] / "scripts" / "reproduce.sh"
+    text = script.read_text().replace("\\\n", " ")
+    shell_vars = {"OUT": "runs/repro", "SEED": "7", "MODEL": "qadpt",
+                  "MODE": "last1"}
+    calls = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("kgchat "):
+            line = re.sub(r"\$\{?(\w+)\}?",
+                          lambda m: shell_vars[m.group(1)], line)
+            calls.append(shlex.split(line)[1:])
+    assert [argv[0] for argv in calls] == ["synth", "stats", "train", "train",
+                                           "eval", "perturb"]
+    parser = cli.build_parser()
+    for argv in calls:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"reproduce.sh runs an invalid command: kgchat "
+                        f"{shlex.join(argv)}")
+
+
 def test_train_determinism_bit_identical_checkpoints(ws, bundle_dir):
     outs = []
     for name in ("da", "db"):
@@ -251,8 +312,7 @@ def test_eval_determinism_bit_identical_reports(ws, bundle_dir, run_dir):
     for name in ("ea", "eb"):
         out = ws / name
         assert cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
-                         str(run_dir / "model.ckpt"), "--out", str(out),
-                         "--workers", "2"]) == 0
+                         str(run_dir / "model.ckpt"), "--out", str(out)]) == 0
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
 

@@ -400,13 +400,6 @@ def test_evaluate_report_f1_identity_from_counts():
         assert t.f1 == 2 * t.precision * t.recall / (t.precision + t.recall)
 
 
-def test_evaluate_report_workers_match():
-    model, exs = _tiny_model_and_examples()
-    a = evaluate_report(model, exs, workers=1)
-    b = evaluate_report(model, exs, workers=3)
-    assert a.to_dict() == b.to_dict()
-
-
 def test_evaluate_report_csv(tmp_path):
     model, exs = _tiny_model_and_examples()
     report = evaluate_report(model, exs)

@@ -5,13 +5,13 @@ import pytest
 from oracles import (brute_force_best_path, decoder_steps, dense_transition,
                      path_sum_oracle, random_subgraph, renorm_rows)
 
-from kgchat import numkernel
+from kgchat import numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
                            Vocabulary)
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple, build_adjacency
 from kgchat.numkernel import KernelError
 from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
-                          ModelError, QadptModel, batch_loss,
+                          InferredPath, ModelError, QadptModel, batch_loss,
                           build_source_vector, expected_param_shapes,
                           greedy_decode, infer_path, init_params,
                           load_checkpoint, make_example, param_grads,
@@ -337,6 +337,24 @@ def test_loss_matches_teacher_forced_probs():
     assert float(tape.value(loss)) == pytest.approx(np.mean(nll), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, post_renorm", [("qadpt", False),
+                                              ("qadpt", True),
+                                              ("seq2seq", False)])
+def test_teacher_force_reads_the_decoder_step_output(kind, post_renorm):
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    words = v.generic + v.entities
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        model = model_for(v, kind=kind, post_renorm=post_renorm, seed=seed)
+        msg, resp = (" ".join(rng.choice(words, size=3)) for _ in range(2))
+        ex = make_example(turn(msg, resp), random_subgraph(v, rng, 5), v)
+        tf = teacher_force(model, ex)
+        steps = decoder_steps(model, ex, ex.dec_in_ids)
+        for i, (step, target) in enumerate(zip(steps, ex.target_ids)):
+            assert tf.argmax_ids[i] == int(np.argmax(step.combined))
+            assert tf.gold_probs[i] == step.combined[target]
+
+
 def test_loss_uniform_seq2seq_is_log_vocab():
     # 93 generic words + 2 + 5 entities = single softmax of width 100
     generic = tuple(f"w{i:02d}" for i in range(93))
@@ -429,17 +447,6 @@ def test_greedy_decode_deterministic():
     b = greedy_decode(model, ex)
     assert a.token_ids == b.token_ids
     assert a.tokens == b.tokens
-
-
-def test_sampled_decode_seeded():
-    v = toy_vocab()
-    model = model_for(v)
-    ex = example_for(v, "a lives", "yes", [Triple("a", "q", "b")])
-    a = greedy_decode(model, ex, sample=True, rng=np.random.default_rng(4))
-    b = greedy_decode(model, ex, sample=True, rng=np.random.default_rng(4))
-    assert a.token_ids == b.token_ids
-    with pytest.raises(ModelError, match="generator"):
-        greedy_decode(model, ex, sample=True)
 
 
 def test_decode_never_emits_structural_symbols():
@@ -700,17 +707,13 @@ def test_checkpoint_rejects_truncation(tmp_path):
 # Evaluation records and perturbation runs
 
 
-def test_evaluate_turns_fields_and_workers():
+def test_evaluate_turns_fields():
     v = toy_vocab()
     model = model_for(v)
     exs = [example_for(v, "a lives", "b yes", [Triple("a", "q", "b")]),
            example_for(v, "in b", "yes", [Triple("b", "r", "c")])]
     seq = evaluate_turns(model, exs)
-    par = evaluate_turns(model, exs, workers=2)
-    assert [r.turn_id for r in seq] == [r.turn_id for r in par]
-    for a, b in zip(seq, par):
-        assert a.generated_ids == b.generated_ids
-        assert a.gold_probs == b.gold_probs
+    assert [r.turn_id for r in seq] == [ex.turn_id for ex in exs]
     r = seq[0]
     assert len(r.gold_probs) == len(r.target_ids) == len(r.argmax_ids)
     for p in r.paths:
@@ -752,6 +755,20 @@ def test_perturb_last1_skips_turns_without_paths():
     runs = perturb_and_decode(model, exs, "last1", seed=0)
     assert all(r.skipped for r in runs)
     assert all(r.original_tokens == r.perturbed_tokens for r in runs)
+
+
+def test_perturb_last2_skips_interior_self_loops(monkeypatch):
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    model = model_for(v)
+    real = (Triple("a", "q", "b"), Triple("b", "r", "c"))
+    ex = example_for(v, "a lives", "c", list(real), extra=v.entities)
+    # the walk idles at b before its last step, so p[-2] is a self-loop
+    path = InferredPath(start="a", triples=(real[0], Triple("b", SELF_LOOP, "b"),
+                                            real[1]), probability=0.5)
+    monkeypatch.setattr(qadpt, "_decode_paths", lambda *args: (path,))
+    (run,) = perturb_and_decode(model, [ex], "last2", seed=0)
+    assert not run.skipped
+    assert tuple(old for old, _ in run.edits) == real
 
 
 def test_perturb_deterministic():
