@@ -34,7 +34,8 @@ from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      load_dialogues_jsonl, load_lexicon, save_bundle,
                      tokenize)
 from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
-from .metrics import (MetricError, evaluate_report, perturbation_report)
+from .metrics import (METRIC_NAMES, MetricError, evaluate_report,
+                      perturbation_report)
 from .numkernel import KernelError
 from .qadpt import (CheckpointError, Hyperparams, ModelError, QadptModel,
                     _decode_paths, greedy_decode, load_checkpoint,
@@ -89,13 +90,6 @@ CONFIG_KEYS = {
     "turns_per_dialogue": (int, 5, "synthetic: dialogue length"),
     "chitchat_rate": (float, 0.1, "synthetic: ungrounded turn share"),
 }
-
-METRIC_NAMES = (
-    "ppl", "kw_acc", "kw_acc_soft", "kw_generic_precision",
-    "kw_generic_recall", "kw_generic_f1", "generated_kw_precision",
-    "generated_kw_recall", "generated_kw_f1", "bleu2", "distinct_1",
-    "distinct_2", "distinct_3", "distinct_4", "unreachable_targets",
-)
 
 
 def _coerce(key: str, raw: str):
@@ -310,40 +304,14 @@ def cmd_eval(args, cfg) -> int:
     model, examples = _load_examples(args, cfg)
     report = evaluate_report(model, examples, max_len=cfg["max_decode_len"],
                              config=cfg)
-    rows = report.metric_rows()
-    if selected:
-        rows = [r for r in rows if r[0] in selected]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    blob = report.to_dict()
-    if selected:
-        m = blob["metrics"]
-        keep = {}
-        for scalar in ("ppl", "kw_acc", "kw_acc_soft", "bleu2",
-                       "unreachable_targets"):
-            if scalar in selected:
-                keep[scalar] = m[scalar]
-        for group in ("kw_generic", "generated_kw"):
-            if any(s.startswith(group) for s in selected):
-                keep[group] = m[group]
-        orders = {s.split("_")[1] for s in selected
-                  if s.startswith("distinct_")}
-        if orders:
-            keep["distinct"] = {n: v for n, v in m["distinct"].items()
-                                if n in orders}
-        blob["metrics"] = keep
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=1)
-        fh.write("\n")
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in rows:
-            writer.writerow([name, "" if value is None else value])
+    report.save(out / "report.json", selected)
+    report.save_csv(out / "metrics.csv", selected)
     _write_config(cfg, args, out)
     print(f"evaluated {report.n_turns} {cfg['split']} turns with "
           f"{model.kind}")
-    _print_table(rows)
+    _print_table(report.metric_rows(selected))
     print(f"report written to {out / 'report.json'}")
     return 0
 

@@ -423,24 +423,12 @@ class Bundle:
     splits: SplitAssignment
     meta: dict = field(default_factory=dict)
 
-    @cached_property
-    def by_id(self) -> dict:
-        return {t.turn_id: t for t in self.turns}
-
     def split_turns(self, name: str) -> list:
         wanted = set(getattr(self.splits, name))
         return [t for t in self.turns if t.dialogue_id in wanted]
 
     def subgraph_for(self, turn) -> KnowledgeGraph:
         return self.subgraphs[turn.turn_id]
-
-    def sources_for(self, turn) -> list:
-        """Entities the reasoning walk may start from: message entities
-        plus scene entities, restricted to the turn's subgraph."""
-        sub = self.subgraph_for(turn)
-        msg, _ = turn.entity_tokens(self.vocab)
-        cand = list(msg) + [e for e in turn.scene_entities if e in self.graph.entities]
-        return sorted({e for e in cand if e in sub.entities})
 
 
 def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
@@ -583,6 +571,9 @@ def load_bundle(in_dir) -> Bundle:
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv")
     subgraphs = dict(_load_jsonl(src / "subgraphs.jsonl", _subgraph_row))
+    for t in turns:
+        if t.turn_id not in subgraphs:
+            raise DataError(f"subgraphs.jsonl: no row for turn {t.turn_id!r}")
     splits = _load_json(src / "splits.json", SplitAssignment.from_dict)
     meta = {}
     meta_path = src / "meta.json"

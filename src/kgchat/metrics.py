@@ -34,17 +34,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qadpt import QadptModel, evaluate_turns
+from .qadpt import QadptModel, _decode_paths, greedy_decode, teacher_force
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
     "kw_generic_prf", "generated_kw_prf", "bleu2_sentence", "perplexity",
     "distinct_n", "change_rate", "accurate_change_rate", "TurnEval",
     "EvalReport", "evaluate_report", "PerturbTurnEval", "PerturbReport",
-    "perturbation_report", "load_report", "recompute_scalars",
+    "perturbation_report", "load_report", "recompute_scalars", "METRIC_NAMES",
 ]
 
 PROB_FLOOR = 1e-12
+
+# The scalar table of an EvalReport, in report order. A grouped name
+# "<group>_<part>" reads `part` of the report's `group` metric.
+METRIC_NAMES = (
+    "ppl", "kw_acc", "kw_acc_soft", "kw_generic_precision",
+    "kw_generic_recall", "kw_generic_f1", "generated_kw_precision",
+    "generated_kw_recall", "generated_kw_f1", "bleu2", "distinct_1",
+    "distinct_2", "distinct_3", "distinct_4", "unreachable_targets",
+)
 
 
 class MetricError(ValueError):
@@ -370,6 +379,22 @@ class TurnEval:
         )
 
 
+def _scalar_fields(m: dict) -> dict:
+    """EvalReport's typed scalar fields from a report's metrics dict."""
+    return dict(
+        ppl=float(m["ppl"]), kw_acc=m["kw_acc"], kw_acc_soft=m["kw_acc_soft"],
+        kw_generic=PRF(tp=m["kw_generic"]["tp"], fp=m["kw_generic"]["fp"],
+                       fn=m["kw_generic"]["fn"]),
+        generated_kw=TokenPRF(
+            p_num=m["generated_kw"]["p_num"],
+            p_den=m["generated_kw"]["p_den"],
+            r_num=m["generated_kw"]["r_num"],
+            r_den=m["generated_kw"]["r_den"]),
+        bleu2=float(m["bleu2"]),
+        distinct={int(n): v for n, v in m["distinct"].items()},
+        unreachable_targets=int(m["unreachable_targets"]))
+
+
 @dataclass
 class EvalReport:
     kind: str
@@ -386,71 +411,67 @@ class EvalReport:
     turns: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
-    def metric_rows(self) -> list:
-        rows = [
-            ("ppl", self.ppl),
-            ("kw_acc", self.kw_acc),
-            ("kw_acc_soft", self.kw_acc_soft),
-            ("kw_generic_precision", self.kw_generic.precision),
-            ("kw_generic_recall", self.kw_generic.recall),
-            ("kw_generic_f1", self.kw_generic.f1),
-            ("generated_kw_precision", self.generated_kw.precision),
-            ("generated_kw_recall", self.generated_kw.recall),
-            ("generated_kw_f1", self.generated_kw.f1),
-            ("bleu2", self.bleu2),
-        ]
-        rows += [(f"distinct_{n}", self.distinct[n]) for n in sorted(self.distinct)]
-        rows.append(("unreachable_targets", self.unreachable_targets))
-        return rows
+    def _metrics(self) -> dict:
+        return {
+            "ppl": self.ppl,
+            "kw_acc": self.kw_acc,
+            "kw_acc_soft": self.kw_acc_soft,
+            "kw_generic": self.kw_generic.to_dict(),
+            "generated_kw": self.generated_kw.to_dict(),
+            "bleu2": self.bleu2,
+            "distinct": {str(n): v for n, v in self.distinct.items()},
+            "unreachable_targets": self.unreachable_targets,
+        }
 
-    def to_dict(self) -> dict:
+    def metric_rows(self, only=None) -> list:
+        """(name, value) pairs in METRIC_NAMES order; when `only` names
+        any metrics, just those."""
+        flat = {}
+        for key, value in self._metrics().items():
+            if isinstance(value, dict):
+                flat.update((f"{key}_{part}", v) for part, v in value.items())
+            else:
+                flat[key] = value
+        return [(name, flat[name]) for name in METRIC_NAMES
+                if not only or name in only]
+
+    def to_dict(self, only=None) -> dict:
+        """The JSON form. When `only` names any metrics, the metrics dict
+        keeps what they read: the whole group of a PRF score, just the
+        named distinct-n orders."""
+        metrics = self._metrics()
+        if only:
+            metrics = {k: v for k, v in metrics.items() if k in only or (
+                isinstance(v, dict) and any(n.startswith(k + "_") for n in only))}
+            if "distinct" in metrics:
+                metrics["distinct"] = {n: v for n, v in metrics["distinct"].items()
+                                       if f"distinct_{n}" in only}
         return {
             "kind": self.kind,
             "entities": list(self.entities),
             "n_turns": self.n_turns,
-            "metrics": {
-                "ppl": self.ppl,
-                "kw_acc": self.kw_acc,
-                "kw_acc_soft": self.kw_acc_soft,
-                "kw_generic": self.kw_generic.to_dict(),
-                "generated_kw": self.generated_kw.to_dict(),
-                "bleu2": self.bleu2,
-                "distinct": {str(n): v for n, v in self.distinct.items()},
-                "unreachable_targets": self.unreachable_targets,
-            },
+            "metrics": metrics,
             "turns": [t.to_dict() for t in self.turns],
             "config": self.config,
         }
 
-    def save(self, path) -> None:
+    def save(self, path, only=None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(self.to_dict(only), fh, indent=1)
             fh.write("\n")
 
-    def save_csv(self, path) -> None:
+    def save_csv(self, path, only=None) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            for name, value in self.metric_rows():
+            for name, value in self.metric_rows(only):
                 writer.writerow([name, "" if value is None else value])
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        m = d["metrics"]
         return cls(
             kind=d["kind"], entities=tuple(d["entities"]),
-            n_turns=int(d["n_turns"]), ppl=float(m["ppl"]),
-            kw_acc=m["kw_acc"], kw_acc_soft=m["kw_acc_soft"],
-            kw_generic=PRF(tp=m["kw_generic"]["tp"], fp=m["kw_generic"]["fp"],
-                           fn=m["kw_generic"]["fn"]),
-            generated_kw=TokenPRF(
-                p_num=m["generated_kw"]["p_num"],
-                p_den=m["generated_kw"]["p_den"],
-                r_num=m["generated_kw"]["r_num"],
-                r_den=m["generated_kw"]["r_den"]),
-            bleu2=float(m["bleu2"]),
-            distinct={int(n): v for n, v in m["distinct"].items()},
-            unreachable_targets=int(m["unreachable_targets"]),
+            n_turns=int(d["n_turns"]), **_scalar_fields(d["metrics"]),
             turns=[TurnEval.from_dict(t) for t in d["turns"]],
             config=dict(d.get("config", {})),
         )
@@ -464,8 +485,10 @@ def load_report(path) -> EvalReport:
 def recompute_scalars(report: EvalReport) -> dict:
     """Re-derive every scalar from the per-turn records alone. Used to
     prove a stored report replays."""
-    turns = report.turns
-    ents = report.entities
+    return _scalars(report.entities, report.turns)
+
+
+def _scalars(ents, turns) -> dict:
     targets = [t.target_full for t in turns]
     argmax = [t.argmax_tokens for t in turns]
     gens = [t.generated for t in turns]
@@ -490,46 +513,30 @@ def evaluate_report(model: QadptModel, examples, max_len: int | None = None,
     """Run teacher-forced and free-running passes and score everything."""
     if not examples:
         raise MetricError("no turns to evaluate")
-    records = evaluate_turns(model, examples, max_len=max_len)
-    vocab = model.vocab
-    id_to_token = vocab.id_to_token
+    id_to_token = model.vocab.id_to_token
     turns = []
-    for rec in records:
-        reference = tuple(rec.target_tokens)
+    for ex in examples:
+        tf = teacher_force(model, ex)
+        dec = greedy_decode(model, ex, max_len=max_len)
+        reference = tuple(ex.target_tokens)
         turns.append(TurnEval(
-            turn_id=rec.turn_id,
+            turn_id=ex.turn_id,
             reference=reference,
-            generated=tuple(rec.generated_tokens),
-            target_full=tuple(id_to_token[i] for i in rec.target_ids),
-            argmax_tokens=tuple(id_to_token[i] for i in rec.argmax_ids),
-            gold_probs=tuple(rec.gold_probs),
-            unreachable=rec.unreachable,
+            generated=tuple(dec.tokens),
+            target_full=tuple(id_to_token[i] for i in ex.target_ids),
+            argmax_tokens=tuple(id_to_token[i] for i in tf.argmax_ids),
+            gold_probs=tuple(tf.gold_probs),
+            unreachable=tf.unreachable,
             paths=tuple((p.start, tuple(tuple(t) for t in p.triples),
-                         p.probability) for p in rec.paths),
-            bleu2=bleu2_sentence(rec.generated_tokens, reference),
+                         p.probability)
+                        for p in _decode_paths(model, ex, dec)),
+            bleu2=bleu2_sentence(dec.tokens, reference),
         ))
-    report = EvalReport(
-        kind=model.kind, entities=vocab.entities, n_turns=len(turns),
-        ppl=0.0, kw_acc=None, kw_acc_soft=None,
-        kw_generic=PRF(0, 0, 0), generated_kw=TokenPRF(0, 0, 0, 0),
-        bleu2=0.0, distinct={}, unreachable_targets=0, turns=turns,
+    entities = model.vocab.entities
+    return EvalReport(
+        kind=model.kind, entities=entities, n_turns=len(turns),
+        **_scalar_fields(_scalars(entities, turns)), turns=turns,
         config=dict(config or {}))
-    scalars = recompute_scalars(report)
-    report.ppl = scalars["ppl"]
-    report.kw_acc = scalars["kw_acc"]
-    report.kw_acc_soft = scalars["kw_acc_soft"]
-    report.kw_generic = PRF(tp=scalars["kw_generic"]["tp"],
-                            fp=scalars["kw_generic"]["fp"],
-                            fn=scalars["kw_generic"]["fn"])
-    report.generated_kw = TokenPRF(
-        p_num=scalars["generated_kw"]["p_num"],
-        p_den=scalars["generated_kw"]["p_den"],
-        r_num=scalars["generated_kw"]["r_num"],
-        r_den=scalars["generated_kw"]["r_den"])
-    report.bleu2 = scalars["bleu2"]
-    report.distinct = {int(n): v for n, v in scalars["distinct"].items()}
-    report.unreachable_targets = scalars["unreachable_targets"]
-    return report
 
 
 # ---------------------------------------------------------------------------

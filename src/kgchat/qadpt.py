@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 import time
@@ -579,6 +580,21 @@ def infer_path(adj: AdjacencyTensor, rhat: np.ndarray, s: np.ndarray,
                         probability=prob)
 
 
+def _decode_paths(model: QadptModel, example: Example,
+                  decode: DecodeResult) -> tuple:
+    if model.kind != "qadpt":
+        return ()
+    paths = []
+    vocab = model.vocab
+    for tid, step in zip(decode.token_ids, decode.steps):
+        if vocab.is_entity_id(tid):
+            paths.append(infer_path(example.adj, step.path_matrix,
+                                    example.source_vec,
+                                    vocab.id_to_token[tid],
+                                    model.hyper.n_hops))
+    return tuple(paths)
+
+
 # ---------------------------------------------------------------------------
 # Training
 
@@ -746,6 +762,18 @@ def save_checkpoint(model: QadptModel, path) -> None:
     os.replace(tmp, path)
 
 
+def _valid_manifest_entry(entry) -> bool:
+    """A tensor name, a list of non-negative int dims, a non-negative int
+    payload offset. The payload digest does not cover the header, so
+    nothing else vouches for these."""
+    def natural(x):
+        return type(x) is int and x >= 0
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(natural(d) for d in entry["shape"])
+            and natural(entry.get("offset")))
+
+
 def load_checkpoint(path) -> QadptModel:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -763,6 +791,9 @@ def load_checkpoint(path) -> QadptModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header at offset {m + 8}: "
                               f"{exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header at offset {m + 8} is not a "
+                              f"JSON object")
     payload = blob[head_end:]
     for key in ("hyper", "vocab", "manifest", "sha256", "payload_bytes"):
         if key not in header:
@@ -780,11 +811,17 @@ def load_checkpoint(path) -> QadptModel:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (TypeError, ModelError, DataError) as exc:
         raise CheckpointError(f"{path}: bad header contents: {exc}") from None
+    if not isinstance(header["manifest"], list):
+        raise CheckpointError(f"{path}: bad manifest in the header at offset "
+                              f"{m + 8}: not a list")
     params = {}
     for entry in header["manifest"]:
+        if not _valid_manifest_entry(entry):
+            raise CheckpointError(f"{path}: bad manifest entry in the header "
+                                  f"at offset {m + 8}: {entry!r}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
+        count = math.prod(shape)   # exact: np.prod wraps at 2**64
+        start = entry["offset"]
         end = start + count * 8
         if end > len(payload):
             raise CheckpointError(f"{path}: tensor {entry['name']!r} runs past "
@@ -799,67 +836,7 @@ def load_checkpoint(path) -> QadptModel:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation orchestration: per-turn records that the metric functions
-# consume, and the perturb-and-redecode protocol.
-
-
-@dataclass
-class TurnRecord:
-    turn_id: str
-    target_ids: tuple
-    target_tokens: tuple
-    gold_probs: tuple
-    argmax_ids: tuple
-    unreachable: int
-    generated_ids: tuple
-    generated_tokens: tuple
-    paths: tuple               # InferredPath per emitted entity token
-
-    def to_dict(self) -> dict:
-        return {
-            "turn_id": self.turn_id,
-            "target_ids": list(self.target_ids),
-            "target_tokens": list(self.target_tokens),
-            "gold_probs": list(self.gold_probs),
-            "argmax_ids": list(self.argmax_ids),
-            "unreachable": self.unreachable,
-            "generated_ids": list(self.generated_ids),
-            "generated_tokens": list(self.generated_tokens),
-            "paths": [{"start": p.start,
-                       "triples": [list(t) for t in p.triples],
-                       "probability": p.probability} for p in self.paths],
-        }
-
-
-def _decode_paths(model: QadptModel, example: Example,
-                  decode: DecodeResult) -> tuple:
-    if model.kind != "qadpt":
-        return ()
-    paths = []
-    vocab = model.vocab
-    for tid, step in zip(decode.token_ids, decode.steps):
-        if vocab.is_entity_id(tid):
-            paths.append(infer_path(example.adj, step.path_matrix,
-                                    example.source_vec,
-                                    vocab.id_to_token[tid],
-                                    model.hyper.n_hops))
-    return tuple(paths)
-
-
-def evaluate_turns(model: QadptModel, examples: Sequence[Example],
-                   max_len: int | None = None) -> list:
-    """Teacher-forced and free-running records for each turn."""
-    records = []
-    for ex in examples:
-        tf = teacher_force(model, ex)
-        dec = greedy_decode(model, ex, max_len=max_len)
-        records.append(TurnRecord(
-            turn_id=ex.turn_id, target_ids=ex.target_ids,
-            target_tokens=ex.target_tokens, gold_probs=tf.gold_probs,
-            argmax_ids=tf.argmax_ids, unreachable=tf.unreachable,
-            generated_ids=dec.token_ids, generated_tokens=dec.tokens,
-            paths=_decode_paths(model, ex, dec)))
-    return records
+# Perturb and re-decode
 
 
 @dataclass

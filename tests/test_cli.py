@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import shutil
@@ -9,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_qadpt import _rewrite_header
+
 from kgchat import cli
 from kgchat.corpus import Vocabulary, load_bundle
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
+from kgchat.metrics import evaluate_report
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
-                          load_checkpoint, save_checkpoint)
+                          load_checkpoint, make_examples, save_checkpoint)
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,6 +136,28 @@ def test_eval_metric_selection(ws, bundle_dir, run_dir):
         ["kw_generic_f1", "bleu2", "distinct_2"]
 
 
+@pytest.mark.parametrize("selection", ["", "bleu2,distinct_2,kw_generic_f1"],
+                         ids=("all", "selected"))
+def test_eval_files_are_the_report_writers_output(ws, bundle_dir, run_dir,
+                                                   selection):
+    out = ws / f"eval_files_{bool(selection)}"
+    assert cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out", str(out),
+                     "--metrics", selection]) == 0
+    cfg = json.loads((out / "config.json").read_text())["config"]
+    bundle = load_bundle(bundle_dir)
+    report = evaluate_report(load_checkpoint(run_dir / "model.ckpt"),
+                             make_examples(bundle, bundle.split_turns("test")),
+                             max_len=cfg["max_decode_len"], config=cfg)
+    only = [m for m in selection.split(",") if m]
+    report.save(out / "direct.json", only)
+    report.save_csv(out / "direct.csv", only)
+    assert (out / "report.json").read_bytes() == \
+        (out / "direct.json").read_bytes()
+    assert (out / "metrics.csv").read_bytes() == \
+        (out / "direct.csv").read_bytes()
+
+
 def test_eval_unknown_metric_is_usage_error(ws, bundle_dir, run_dir):
     code = cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
                      str(run_dir / "model.ckpt"), "--out", str(ws / "x"),
@@ -235,6 +261,19 @@ def test_corrupt_checkpoint_exits_3(ws, bundle_dir):
     assert code == 3
 
 
+def test_bad_checkpoint_manifest_exits_3(ws, bundle_dir, run_dir):
+    bad = ws / "bad_manifest.ckpt"
+    shutil.copy(run_dir / "model.ckpt", bad)
+    _rewrite_header(bad, lambda h: h["manifest"][0].update(offset=-8))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", "eval", "--bundle",
+         str(bundle_dir), "--checkpoint", str(bad), "--out", str(ws / "r2")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad manifest entry" in proc.stderr
+
+
 def _drop_speaker_on_line_2(text: str) -> str:
     lines = text.splitlines(keepends=True)
     row = json.loads(lines[1])
@@ -249,15 +288,21 @@ def _corrupt_line_3(text: str) -> str:
     return "".join(lines)
 
 
+def _drop_line_1(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[1:])
+
+
 @pytest.mark.parametrize("name, corrupt, where", [
     ("turns.jsonl", _drop_speaker_on_line_2,
      "turns.jsonl: line 2: missing key 'speaker'"),
     ("subgraphs.jsonl", _corrupt_line_3, "subgraphs.jsonl: line 3:"),
+    ("subgraphs.jsonl", _drop_line_1,
+     "subgraphs.jsonl: no row for turn 'syn00000#0'"),
     ("vocab.json", lambda text: text[:len(text) // 2], "vocab.json:"),
     ("splits.json", lambda text: '{"train": []}', "splits.json: missing key"),
-], ids=("turns", "subgraphs", "vocab", "splits"))
-def test_malformed_bundle_exits_3(ws, bundle_dir, name, corrupt, where):
-    bad = ws / f"bad_{name}"
+], ids=("turns", "subgraphs", "subgraph_missing", "vocab", "splits"))
+def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
+    bad = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bad)
     path = bad / name
     path.write_text(corrupt(path.read_text(encoding="utf-8")),
@@ -291,6 +336,19 @@ def test_reproduce_script_invocations_parse():
         except SystemExit:
             pytest.fail(f"reproduce.sh runs an invalid command: kgchat "
                         f"{shlex.join(argv)}")
+
+
+def test_hop_sweep_script_smoke():
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hop_sweep.py"), "--hops", "1",
+         "--people", "4", "--turns", "100", "--hidden", "4", "--epochs", "1"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines()
+            if line.startswith("hops=")]
+    assert len(rows) == 1 and rows[0].startswith("hops=1 ")
 
 
 def test_train_determinism_bit_identical_checkpoints(ws, bundle_dir):

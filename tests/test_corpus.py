@@ -387,12 +387,6 @@ def test_ingest_alias_folds_to_canonical():
     assert bundle.turns[0].message == ("where", "does", "Ava", "live", "?")
 
 
-def test_sources_for_uses_message_and_scene():
-    bundle = ingest(_raw_corpus(), _chain_graph())
-    t1 = bundle.turns[1]  # message mentions Ava, scene has Ava
-    assert bundle.sources_for(t1) == ["Ava"]
-
-
 def test_bundle_round_trip(tmp_path):
     bundle = ingest(_raw_corpus(), _chain_graph(), lexicon={"miss A": "Ava"},
                     split_seed=3)

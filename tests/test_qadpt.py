@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from kgchat import numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
                            Vocabulary)
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple, build_adjacency
+from kgchat.metrics import evaluate_report
 from kgchat.numkernel import KernelError
 from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
                           InferredPath, ModelError, QadptModel, batch_loss,
@@ -16,8 +19,7 @@ from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
                           greedy_decode, infer_path, init_params,
                           load_checkpoint, make_example, param_grads,
                           perturb_and_decode, save_checkpoint, seq2seq_output_ids,
-                          teacher_force, train, evaluate_turns,
-                          validation_perplexity)
+                          teacher_force, train, validation_perplexity)
 
 RELATIONS = ("q", "r")
 
@@ -680,6 +682,13 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_non_object_header(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(qadpt.CHECKPOINT_MAGIC + struct.pack("<Q", 1) + b"5")
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     v = toy_vocab()
     model = model_for(v)
@@ -703,23 +712,70 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def _rewrite_header(path, edit) -> None:
+    """Apply `edit` to the JSON header of a saved checkpoint; the payload
+    and its digest stay valid."""
+    blob = path.read_bytes()
+    m = len(qadpt.CHECKPOINT_MAGIC)
+    (head_len,) = struct.unpack("<Q", blob[m:m + 8])
+    header = json.loads(blob[m + 8:m + 8 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:m] + struct.pack("<Q", len(head)) + head +
+                     blob[m + 8 + head_len:])
+
+
+BAD_MANIFESTS = {
+    "no_offset": lambda h: h["manifest"][0].pop("offset"),
+    "no_shape": lambda h: h["manifest"][0].pop("shape"),
+    "no_name": lambda h: h["manifest"][0].pop("name"),
+    "negative_offset": lambda h: h["manifest"][0].update(offset=-8),
+    "float_offset": lambda h: h["manifest"][0].update(offset=8.0),
+    "string_shape": lambda h: h["manifest"][0].update(shape="ab"),
+    "negative_dim": lambda h: h["manifest"][0].update(shape=[-1, 2]),
+    "overflowing_shape": lambda h: h["manifest"][0].update(shape=[2**32, 2**32]),
+    "not_a_list": lambda h: h.update(manifest=5),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_MANIFESTS.values(),
+                         ids=BAD_MANIFESTS.keys())
+def test_checkpoint_rejects_bad_manifest(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="(bad manifest|runs past).*offset"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation records and perturbation runs
 
 
-def test_evaluate_turns_fields():
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_evaluate_report_turns_match_direct_calls(kind):
     v = toy_vocab()
-    model = model_for(v)
+    model = model_for(v, kind=kind)
+    if kind == "qadpt":
+        model.params["phi_b"][0] = 5.0   # emit entities, so paths exist
     exs = [example_for(v, "a lives", "b yes", [Triple("a", "q", "b")]),
            example_for(v, "in b", "yes", [Triple("b", "r", "c")])]
-    seq = evaluate_turns(model, exs)
-    assert [r.turn_id for r in seq] == [ex.turn_id for ex in exs]
-    r = seq[0]
-    assert len(r.gold_probs) == len(r.target_ids) == len(r.argmax_ids)
-    for p in r.paths:
-        assert p.triples is not None
-    d = r.to_dict()
-    assert d["turn_id"] == r.turn_id and "paths" in d
+    report = evaluate_report(model, exs, max_len=4)
+    assert [t.turn_id for t in report.turns] == [ex.turn_id for ex in exs]
+    for t, ex in zip(report.turns, exs):
+        tf = teacher_force(model, ex)
+        dec = greedy_decode(model, ex, max_len=4)
+        paths = qadpt._decode_paths(model, ex, dec)
+        assert t.argmax_tokens == tuple(v.id_to_token[i] for i in tf.argmax_ids)
+        assert t.gold_probs == tuple(tf.gold_probs)
+        assert t.unreachable == tf.unreachable
+        assert t.generated == tuple(dec.tokens)
+        assert t.paths == tuple((p.start, tuple(tuple(x) for x in p.triples),
+                                 p.probability) for p in paths)
+    if kind == "qadpt":
+        assert any(t.paths for t in report.turns)
+    else:
+        assert not any(t.paths for t in report.turns)
 
 
 def test_perturb_seq2seq_outputs_never_change():
