@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
-                     SyntheticConfig, compare_stats, corpus_stats,
+                     SPLIT_NAMES, SyntheticConfig, compare_stats, corpus_stats,
                      detokenize, generate_synthetic, ingest, load_bundle,
                      load_dialogues_jsonl, load_lexicon, save_bundle,
                      tokenize)
@@ -284,6 +284,9 @@ def cmd_train(args, cfg) -> int:
 
 
 def _load_examples(args, cfg):
+    if cfg["split"] not in SPLIT_NAMES:
+        raise UsageError(f"unknown split {cfg['split']!r}; "
+                         f"choose from {', '.join(SPLIT_NAMES)}")
     bundle = load_bundle(args.bundle)
     model = load_checkpoint(args.checkpoint)
     if model.vocab != bundle.vocab:

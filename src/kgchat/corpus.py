@@ -345,6 +345,9 @@ def save_dialogues_jsonl(turns: Iterable[RawTurn], path) -> None:
 # Splits: 85/5/10 over whole dialogues, balanced on dominant speakers.
 
 
+SPLIT_NAMES = ("train", "valid", "test")
+
+
 @dataclass(frozen=True)
 class SplitAssignment:
     train: tuple
@@ -353,7 +356,7 @@ class SplitAssignment:
     seed: int
 
     def split_of(self, dialogue_id: str) -> str:
-        for name in ("train", "valid", "test"):
+        for name in SPLIT_NAMES:
             if dialogue_id in getattr(self, name):
                 return name
         raise DataError(f"dialogue {dialogue_id!r} not in any split")
@@ -424,6 +427,9 @@ class Bundle:
     meta: dict = field(default_factory=dict)
 
     def split_turns(self, name: str) -> list:
+        if name not in SPLIT_NAMES:
+            raise DataError(f"unknown split {name!r}; "
+                            f"choose from {', '.join(SPLIT_NAMES)}")
         wanted = set(getattr(self.splits, name))
         return [t for t in self.turns if t.dialogue_id in wanted]
 
@@ -459,14 +465,12 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
     if dropped_scene:
         logger.warning("ingest: dropped %d scene entities not in the graph", dropped_scene)
 
-    subgraphs = {}
-    for t in turns:
-        msg_ents = [tok for tok in t.message if tok in entity_set]
-        resp_ents = [tok for tok in t.response if tok in entity_set]
-        sources = set(msg_ents) | set(t.scene_entities)
-        targets = set(resp_ents)
-        subgraphs[t.turn_id] = kgraph.sample_subgraph(graph, sources, targets,
-                                                      k=subgraph_k)
+    requests = [({tok for tok in t.message if tok in entity_set}
+                 | set(t.scene_entities),
+                 {tok for tok in t.response if tok in entity_set})
+                for t in turns]
+    subgraphs = dict(zip((t.turn_id for t in turns),
+                         kgraph.sample_subgraphs(graph, requests, k=subgraph_k)))
 
     by_dialogue: dict[str, list] = {}
     for t in turns:

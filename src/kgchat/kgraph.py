@@ -2,7 +2,8 @@
 
 Directed labeled triples, TSV persistence, deterministic k-shortest
 loopless paths (bidirectional traversal over the stored directed
-edges), per-turn subgraph sampling, triple-level graph edit distance,
+edges), per-turn subgraph sampling (one path search per distinct entity
+pair for a whole corpus), triple-level graph edit distance,
 the normalized adjacency tensor that the reasoning decoder walks, and
 the three graph perturbation protocols used to probe whether a trained
 model actually reads its graph.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -49,9 +51,12 @@ class _Arc(NamedTuple):
 class KnowledgeGraph:
     """Immutable set of triples plus the entity/relation vocabularies
     they induce. `extra_entities` keeps nodes that currently have no
-    edges (isolated sources, entities orphaned by a perturbation)."""
+    edges (isolated sources, entities orphaned by a perturbation).
+    The traversal adjacency the path searches walk is built on first use
+    and kept with the graph; an edit makes a new graph, never a stale
+    adjacency."""
 
-    __slots__ = ("triples", "entities", "relations")
+    __slots__ = ("triples", "entities", "relations", "_traversal")
 
     def __init__(self, triples: Iterable[Triple] = (),
                  extra_entities: Iterable[str] = (),
@@ -68,6 +73,7 @@ class KnowledgeGraph:
                            | frozenset(extra_entities))
         object.__setattr__(self, "relations",
                            frozenset(t.relation for t in ts) | frozenset(extra_relations))
+        object.__setattr__(self, "_traversal", None)
 
     def __setattr__(self, *_):
         raise AttributeError("KnowledgeGraph is immutable")
@@ -123,57 +129,58 @@ def save_triples_tsv(graph: KnowledgeGraph, path) -> None:
 
 
 def _traversal_adjacency(graph: KnowledgeGraph) -> dict:
-    adj: dict[str, list[_Arc]] = {}
-    for t in graph.triples:
-        adj.setdefault(t.head, []).append(_Arc(t.relation, t.tail, 0, t))
-        if t.tail != t.head:
-            adj.setdefault(t.tail, []).append(_Arc(t.relation, t.head, 1, t))
-    return {node: tuple(sorted(arcs)) for node, arcs in adj.items()}
-
-
-def _path_key(arcs: Sequence[_Arc]) -> tuple:
-    return tuple((a.relation, a.neighbor, a.flag) for a in arcs)
+    """Node -> its arcs in (relation, neighbor, flag) order; built once
+    per graph."""
+    if graph._traversal is None:
+        adj: dict[str, list[_Arc]] = {}
+        for t in graph.triples:
+            adj.setdefault(t.head, []).append(_Arc(t.relation, t.tail, 0, t))
+            if t.tail != t.head:
+                adj.setdefault(t.tail, []).append(_Arc(t.relation, t.head, 1, t))
+        object.__setattr__(graph, "_traversal",
+                           {node: tuple(sorted(arcs)) for node, arcs in adj.items()})
+    return graph._traversal
 
 
 def _best_path(adj, source, target, banned_arcs, banned_nodes):
-    """Uniform-cost search minimizing (length, lexicographic path key).
-    Returns a tuple of arcs, or None when target is unreachable."""
-    heap = [(0, (), source, ())]
-    seen = set()
-    while heap:
-        _, _, node, arcs = heapq.heappop(heap)
-        if node == target:
-            return arcs
-        if node in seen:
-            continue
-        seen.add(node)
+    """The path minimizing (length, lexicographic path key), avoiding
+    banned nodes and banned (node, arc) steps. Returns a tuple of arcs,
+    or None when target is unreachable.
+
+    Breadth-first, each node's arcs taken in key order: nodes then
+    leave the queue in (length, key) order of their paths, so the first
+    arc that reaches a node ends that node's best path. Each node is
+    entered once and remembers the step that reached it."""
+    if source == target:
+        return ()
+    via = {source: None}
+    queue = deque((source,))
+    while queue:
+        node = queue.popleft()
         for arc in adj.get(node, ()):
-            if arc.neighbor in seen or arc.neighbor in banned_nodes:
+            nxt = arc.neighbor
+            if nxt in via or nxt in banned_nodes:
                 continue
-            if (node, arc) in banned_arcs:
+            if banned_arcs and (node, arc) in banned_arcs:
                 continue
-            nxt = arcs + (arc,)
-            heapq.heappush(heap, (len(nxt), _path_key(nxt), arc.neighbor, nxt))
+            via[nxt] = (node, arc)
+            if nxt == target:
+                path = []
+                while nxt != source:
+                    nxt, arc = via[nxt]
+                    path.append(arc)
+                return tuple(reversed(path))
+            queue.append(nxt)
     return None
 
 
-def k_shortest_paths(graph: KnowledgeGraph, source: str, target: str,
-                     k: int) -> list[list[Triple]]:
-    """Yen-style enumeration of the k shortest loopless paths between two
-    entities, treating every stored triple as walkable in both
-    directions with unit weight. Paths are reported as sequences of the
-    stored triples. Parallel triples between the same endpoints yield
-    distinct paths. source == target yields one empty path.
-    """
-    if k < 1:
-        raise GraphError("k must be >= 1")
-    for e in (source, target):
-        if e not in graph.entities:
-            raise GraphError(f"unknown entity {e!r}")
-    if source == target:
-        return [[]]
+def _yen(adj, source, target, k):
+    """Yen (1971): the k shortest loopless source -> target paths over a
+    traversal adjacency, as arc tuples ordered by (length, key).
 
-    adj = _traversal_adjacency(graph)
+    Arc tuples compare as their keys: two paths from one source that
+    agree on their first i arcs stand on the same node, so arcs that tie
+    on (relation, neighbor, flag) there carry the same triple too."""
     first = _best_path(adj, source, target, frozenset(), frozenset())
     if first is None:
         return []
@@ -198,12 +205,38 @@ def k_shortest_paths(graph: KnowledgeGraph, source: str, target: str,
             cand = root + spur
             if cand not in known:
                 known.add(cand)
-                heapq.heappush(candidates, (len(cand), _path_key(cand), cand))
+                heapq.heappush(candidates, (len(cand), cand))
         if not candidates:
             break
-        _, _, best = heapq.heappop(candidates)
-        accepted.append(best)
-    return [[a.triple for a in path] for path in accepted]
+        accepted.append(heapq.heappop(candidates)[1])
+    return accepted
+
+
+def _check_entities(graph: KnowledgeGraph, entities: Iterable[str]) -> None:
+    for e in entities:
+        if e not in graph.entities:
+            raise GraphError(f"unknown entity {e!r}")
+
+
+def k_shortest_paths(graph: KnowledgeGraph, source: str, target: str,
+                     k: int) -> list[list[Triple]]:
+    """Yen-style enumeration of the k shortest loopless paths between two
+    entities, treating every stored triple as walkable in both
+    directions with unit weight. Paths are reported as sequences of the
+    stored triples. Parallel triples between the same endpoints yield
+    distinct paths. source == target yields one empty path.
+
+    The search walks the graph's traversal adjacency, which is built on
+    the first call for a graph and reused by every later one; per-turn
+    sampling (`sample_subgraphs`) calls this once per distinct pair.
+    """
+    if k < 1:
+        raise GraphError("k must be >= 1")
+    _check_entities(graph, (source, target))
+    if source == target:
+        return [[]]
+    return [[a.triple for a in path]
+            for path in _yen(_traversal_adjacency(graph), source, target, k)]
 
 
 def shortest_path_lengths(graph: KnowledgeGraph,
@@ -213,10 +246,8 @@ def shortest_path_lengths(graph: KnowledgeGraph,
     to None. One BFS per distinct source."""
     adj = _traversal_adjacency(graph)
     pairs = sorted(set(pairs))
-    for s, t in pairs:
-        for e in (s, t):
-            if e not in graph.entities:
-                raise GraphError(f"unknown entity {e!r}")
+    for pair in pairs:
+        _check_entities(graph, pair)
     by_source: dict[str, dict[str, int]] = {}
     out = {}
     for s, t in pairs:
@@ -240,12 +271,12 @@ def sample_subgraph(graph: KnowledgeGraph, sources: Iterable[str],
                     targets: Iterable[str], k: int = 5) -> KnowledgeGraph:
     """Union of the triples on the top-k shortest paths over every
     (source, target) pair. A pair with source == target contributes its
-    endpoint as an isolated node so the turn can still ground on it."""
+    endpoint as an isolated node so the turn can still ground on it.
+    To sample many turns over one graph, `sample_subgraphs` searches
+    each distinct pair once."""
     sources = sorted(set(sources))
     targets = sorted(set(targets))
-    for e in sources + targets:
-        if e not in graph.entities:
-            raise GraphError(f"unknown entity {e!r}")
+    _check_entities(graph, sources + targets)
     triples: set[Triple] = set()
     isolated: set[str] = set()
     for s in sources:
@@ -256,6 +287,34 @@ def sample_subgraph(graph: KnowledgeGraph, sources: Iterable[str],
             for path in k_shortest_paths(graph, s, t, k):
                 triples.update(path)
     return KnowledgeGraph(triples, extra_entities=isolated)
+
+
+def sample_subgraphs(graph: KnowledgeGraph,
+                     requests: Iterable[tuple[Iterable[str], Iterable[str]]],
+                     k: int = 5) -> list[KnowledgeGraph]:
+    """`sample_subgraph(graph, sources, targets, k)` for each
+    (sources, targets) request, in order: one turn's subgraph per
+    request. Yen runs once per distinct (source, target) pair, on the
+    graph's traversal adjacency built once, and the pair's triples serve
+    every request that names it. The per-pair results live only for
+    this call."""
+    by_pair: dict[tuple[str, str], KnowledgeGraph] = {}
+    out = []
+    for sources, targets in requests:
+        sources = sorted(set(sources))
+        targets = sorted(set(targets))
+        _check_entities(graph, sources + targets)
+        triples: set[Triple] = set()
+        entities: set[str] = set()
+        for s in sources:
+            for t in targets:
+                sub = by_pair.get((s, t))
+                if sub is None:
+                    sub = by_pair[(s, t)] = sample_subgraph(graph, (s,), (t,), k)
+                triples |= sub.triples
+                entities |= sub.entities
+        out.append(KnowledgeGraph(triples, extra_entities=entities))
+    return out
 
 
 def graph_edit_distance(a: KnowledgeGraph, b: KnowledgeGraph) -> int:

@@ -30,10 +30,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import _load_json
 from .qadpt import QadptModel, _decode_paths, greedy_decode, teacher_force
 
 __all__ = [
@@ -379,6 +381,12 @@ class TurnEval:
         )
 
 
+# The keys of a report's metrics dict; `_scalars` computes each of them.
+_SCALAR_KEYS = frozenset({"ppl", "kw_acc", "kw_acc_soft", "kw_generic",
+                          "generated_kw", "bleu2", "distinct",
+                          "unreachable_targets"})
+
+
 def _scalar_fields(m: dict) -> dict:
     """EvalReport's typed scalar fields from a report's metrics dict."""
     return dict(
@@ -469,17 +477,27 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """The report `to_dict` wrote. Scalars a filtered (`only`) form
+        left out are rederived from the per-turn records."""
+        entities = tuple(d["entities"])
+        turns = [TurnEval.from_dict(t) for t in d["turns"]]
+        metrics = dict(d["metrics"])
+        distinct = dict(metrics.get("distinct", {}))
+        if not metrics.keys() >= _SCALAR_KEYS or len(distinct) < 4:
+            derived = _scalars(entities, turns)
+            metrics = {**derived, **metrics,
+                       "distinct": {**derived["distinct"], **distinct}}
         return cls(
-            kind=d["kind"], entities=tuple(d["entities"]),
-            n_turns=int(d["n_turns"]), **_scalar_fields(d["metrics"]),
-            turns=[TurnEval.from_dict(t) for t in d["turns"]],
+            kind=d["kind"], entities=entities, n_turns=int(d["n_turns"]),
+            **_scalar_fields(metrics), turns=turns,
             config=dict(d.get("config", {})),
         )
 
 
 def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))
+    """Read a report.json. A file that is not JSON, or lacks a field the
+    report needs, raises DataError naming the file."""
+    return _load_json(Path(path), EvalReport.from_dict)
 
 
 def recompute_scalars(report: EvalReport) -> dict:

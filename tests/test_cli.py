@@ -15,7 +15,7 @@ from test_qadpt import _rewrite_header
 from kgchat import cli
 from kgchat.corpus import Vocabulary, load_bundle
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
-from kgchat.metrics import evaluate_report
+from kgchat.metrics import evaluate_report, load_report, recompute_scalars
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
                           load_checkpoint, make_examples, save_checkpoint)
 
@@ -134,6 +134,8 @@ def test_eval_metric_selection(ws, bundle_dir, run_dir):
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == \
         ["kw_generic_f1", "bleu2", "distinct_2"]
+    back = load_report(out / "report.json")
+    assert back._metrics() == recompute_scalars(back)
 
 
 @pytest.mark.parametrize("selection", ["", "bleu2,distinct_2,kw_generic_f1"],
@@ -205,6 +207,21 @@ def test_perturb_bad_mode_is_usage_error(ws, bundle_dir, run_dir):
                      str(run_dir / "model.ckpt"), "--out", str(ws / "z"),
                      "--mode", "sideways"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, split", [("eval", "bogus"),
+                                            ("eval", "seed"),
+                                            ("perturb", "bogus")])
+def test_unknown_split_exits_2(ws, bundle_dir, run_dir, command, split):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", command, "--bundle",
+         str(bundle_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+         "--out", str(ws / f"split_{command}_{split}"), "--split", split],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"unknown split {split!r}; choose from train, valid, test" \
+        in proc.stderr
 
 
 def test_config_file_and_override_precedence(ws, bundle_dir):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -598,3 +599,34 @@ def test_synthetic_subgraph_contains_oracle_path():
         sub = bundle.subgraphs[turn_id]
         for trip in path:
             assert trip in sub.triples, (turn_id, trip)
+
+
+# SHA-256 of every file save_bundle writes for one toy synthetic world,
+# taken with the per-turn subgraph sampler that batched sampling
+# replaced; ingest must reproduce them byte for byte.
+TOY_BUNDLE_SHA256 = {
+    "turns.jsonl": "dcb76c6d20bd1e8ae9c23877d5ce1edeb63e556349fcff54b0080a5237039001",
+    "vocab.json": "25794775551a83aede36aca231b57ef53931c302719e3a3e485f5af70bc6e203",
+    "graph.tsv": "048ebbd52c738e19562b16f9d3efad64b124fa13c936d50f890aa98666dede38",
+    "subgraphs.jsonl": "64e38f5063ad1c674fb37b9282204ed4de7b1537559af9228aa46fd84f62793e",
+    "splits.json": "592c653eb3ec999c54bcda6eb2f46ce8aea4120b4d05ad21d83485486114503a",
+    "meta.json": "5fca6acb2b5edda3d21f42072a913d3368986f432040eb8e28ca1c26e50c388a",
+}
+
+
+def test_toy_bundle_bytes_are_pinned(tmp_path):
+    cfg = SyntheticConfig(n_people=8, n_places=4, n_jobs=3, n_turns=200)
+    syn = generate_synthetic(cfg, seed=5)
+    save_bundle(ingest(syn.raw_turns, syn.graph, syn.lexicon), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TOY_BUNDLE_SHA256}
+    assert got == TOY_BUNDLE_SHA256
+
+
+def test_split_turns_rejects_unknown_split():
+    syn = generate_synthetic(SyntheticConfig(n_turns=120), seed=1)
+    bundle = ingest(syn.raw_turns, syn.graph, syn.lexicon)
+    assert bundle.split_turns("valid")
+    for name in ("bogus", "seed"):
+        with pytest.raises(DataError, match="train, valid, test"):
+            bundle.split_turns(name)

@@ -2,6 +2,7 @@
 against an independent brute-force enumeration of all simple paths, and
 the perturbation protocols are audited edit by edit."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgchat import kgraph
 from kgchat.kgraph import (
     SELF_LOOP,
     AdjacencyTensor,
@@ -23,6 +25,7 @@ from kgchat.kgraph import (
     perturb_last1,
     perturb_last2,
     sample_subgraph,
+    sample_subgraphs,
     save_triples_tsv,
 )
 
@@ -213,6 +216,115 @@ def test_sample_subgraph_respects_k():
     g = KnowledgeGraph([T("a", "r1", "b"), T("a", "r2", "b")])
     sub = sample_subgraph(g, ["a"], ["b"], k=1)
     assert sub.triples == {T("a", "r1", "b")}
+
+
+def reference_best_path(adj, source, target, banned_arcs, banned_nodes):
+    """The uniform-cost search `_best_path` replaced: a heap of whole
+    paths, each pushed with its full (relation, neighbor, flag) key."""
+    heap = [(0, (), source, ())]
+    seen = set()
+    while heap:
+        _, _, node, arcs = heapq.heappop(heap)
+        if node == target:
+            return arcs
+        if node in seen:
+            continue
+        seen.add(node)
+        for arc in adj.get(node, ()):
+            if arc.neighbor in seen or arc.neighbor in banned_nodes:
+                continue
+            if (node, arc) in banned_arcs:
+                continue
+            nxt = arcs + (arc,)
+            key = tuple((a.relation, a.neighbor, a.flag) for a in nxt)
+            heapq.heappush(heap, (len(nxt), key, arc.neighbor, nxt))
+    return None
+
+
+def graph_with_parallels_and_loop(rng, n_entities, n_triples):
+    """A random graph plus a parallel triple beside its first one, a
+    self-loop, and one entity with no edges."""
+    g = random_graph(rng, n_entities, n_triples, n_relations=3)
+    first = min(g.triples)
+    extra = {T(first.head, "r9", first.tail), T(first.tail, "r0", first.tail)}
+    return KnowledgeGraph(g.triples | extra,
+                          extra_entities=g.entities | {"lonely"})
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_best_path_matches_the_heap_search_it_replaced(seed):
+    rng = np.random.default_rng(seed)
+    g = graph_with_parallels_and_loop(rng, 7, int(rng.integers(4, 14)))
+    adj = kgraph._traversal_adjacency(g)
+    ents = sorted(g.entities)
+    steps = [(node, arc) for node in sorted(adj) for arc in adj[node]]
+    for _ in range(20):
+        src, dst = (str(e) for e in rng.choice(ents, size=2))
+        banned_nodes = {str(e) for e in rng.choice(ents, size=2)} - {src}
+        picks = rng.random(len(steps)) < 0.2
+        banned_arcs = {s for s, pick in zip(steps, picks) if pick}
+        assert kgraph._best_path(adj, src, dst, banned_arcs, banned_nodes) \
+            == reference_best_path(adj, src, dst, banned_arcs, banned_nodes)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sample_subgraphs_is_the_union_of_per_pair_paths(seed):
+    # random multi-entity turns over a graph with parallel triples, a
+    # self-loop and an unreachable entity; self pairs, unreachable pairs
+    # and repeated pairs all occur
+    rng = np.random.default_rng(seed)
+    g = graph_with_parallels_and_loop(rng, 8, int(rng.integers(5, 14)))
+    ents = sorted(g.entities)
+    first = min(g.triples)
+
+    def pick():
+        return [str(e) for e in rng.choice(ents, size=int(rng.integers(0, 4)),
+                                           replace=False)]
+
+    requests = [(pick(), pick()) for _ in range(10)]
+    requests += [([first.head, "lonely"], [first.tail, first.head]),
+                 (["lonely"], ["lonely", ents[0]])]
+    requests += requests[:4]
+    for k in (1, 3, 5):
+        got = sample_subgraphs(g, requests, k)
+        assert len(got) == len(requests)
+        for (sources, targets), sub in zip(requests, got):
+            triples, isolated = set(), set()
+            for s in set(sources):
+                for t in set(targets):
+                    if s == t:
+                        isolated.add(s)
+                        continue
+                    for path in k_shortest_paths(g, s, t, k):
+                        triples.update(path)
+            assert sub == KnowledgeGraph(triples, extra_entities=isolated)
+            assert sub == sample_subgraph(g, sources, targets, k)
+
+
+def test_sample_subgraphs_searches_each_distinct_pair_once(monkeypatch):
+    g = KnowledgeGraph([T("a", "r", "b"), T("b", "r", "c"), T("a", "s", "c")])
+    searched = []
+    real = kgraph.k_shortest_paths
+
+    def counting(graph, source, target, k):
+        searched.append((source, target))
+        return real(graph, source, target, k)
+
+    monkeypatch.setattr(kgraph, "k_shortest_paths", counting)
+    requests = [(["a"], ["c"]), (["a", "b"], ["c"]), (["a"], ["c", "a"]),
+                (["b"], ["c"])]
+    subs = sample_subgraphs(g, requests, k=2)
+    assert sorted(searched) == [("a", "c"), ("b", "c")]
+    assert subs[2].triples == subs[0].triples
+    assert subs[2].entities == subs[0].entities | {"a"}
+    assert subs[3].triples == {T("b", "r", "c"), T("a", "r", "b"),
+                               T("a", "s", "c")}
+
+
+def test_sample_subgraphs_rejects_unknown_entities():
+    g = KnowledgeGraph([T("a", "r", "b")])
+    with pytest.raises(GraphError, match="nope"):
+        sample_subgraphs(g, [(["a"], ["b"]), (["nope"], [])])
 
 
 def test_ged_is_symmetric_difference():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgchat.corpus import DialogueTurn, Vocabulary
+from kgchat.corpus import DataError, DialogueTurn, Vocabulary
 from kgchat.kgraph import KnowledgeGraph, Triple
 from kgchat.metrics import (EvalReport, MetricError, PRF, TokenPRF,
                             accurate_change_rate, bleu2_sentence, change_rate,
@@ -385,6 +386,49 @@ def test_evaluate_report_round_trip(tmp_path):
     assert fresh["generated_kw"] == report.generated_kw.to_dict()
     assert fresh["bleu2"] == pytest.approx(report.bleu2)
     assert fresh["distinct"] == {str(n): v for n, v in report.distinct.items()}
+
+
+@pytest.mark.parametrize("only", [["bleu2"], ["ppl", "distinct_3"],
+                                  ["kw_generic_f1", "unreachable_targets"]])
+def test_filtered_report_loads_with_rederived_scalars(tmp_path, only):
+    model, exs = _tiny_model_and_examples()
+    report = evaluate_report(model, exs)
+    path = tmp_path / "report.json"
+    report.save(path, only)
+    back = load_report(path)
+    assert back._metrics() == recompute_scalars(back)
+    assert back.metric_rows() == report.metric_rows()
+    assert back.to_dict(only) == report.to_dict(only)
+
+
+def _drop(key):
+    def edit(text):
+        blob = json.loads(text)
+        del blob[key]
+        return json.dumps(blob)
+    return edit
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (lambda text: text[:len(text) // 2], "report.json: "),
+    (lambda text: "not json at all", "report.json: "),
+    (lambda text: "[1, 2]", "report.json: expected a JSON object"),
+    (_drop("turns"), "report.json: missing key 'turns'"),
+    (_drop("entities"), "report.json: missing key 'entities'"),
+    (_drop("kind"), "report.json: missing key 'kind'"),
+    (lambda text: text.replace('"gold_probs"', '"gold"'),
+     "report.json: missing key 'gold_probs'"),
+], ids=("truncated", "not_json", "not_object", "no_turns", "no_entities",
+        "no_kind", "bad_turn"))
+def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
+    model, exs = _tiny_model_and_examples()
+    path = tmp_path / "report.json"
+    evaluate_report(model, exs).save(path, ["bleu2"])
+    path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_report(path)
+    assert str(info.value).startswith(where)
 
 
 def test_evaluate_report_f1_identity_from_counts():
