@@ -29,10 +29,10 @@ import sys
 from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
-                     SPLIT_NAMES, SyntheticConfig, compare_stats, corpus_stats,
-                     detokenize, generate_synthetic, ingest, load_bundle,
-                     load_dialogues_jsonl, load_lexicon, save_bundle,
-                     tokenize)
+                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
+                     compare_stats, corpus_stats, detokenize,
+                     generate_synthetic, ingest, load_bundle,
+                     load_dialogues_jsonl, load_lexicon, save_bundle, tokenize)
 from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
 from .metrics import (METRIC_NAMES, MetricError, evaluate_report,
                       perturbation_report)
@@ -74,7 +74,7 @@ CONFIG_KEYS = {
     "teacher_forcing": (bool, True, "feed gold prefixes while training"),
     "fine_tune": (bool, False, "second phase on entity-bearing turns"),
     "post_renorm": (bool, False,
-                    "binary walk weights, renormalize after each hop"),
+                    "binary walk weights, renormalize once after the walk"),
     "seed": (int, 0, "training / perturbation seed"),
     "tokenize": (str, "word", "tokenizer mode: word or char"),
     "min_count": (int, 1, "vocabulary frequency cutoff"),
@@ -283,6 +283,13 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
+def _decode_cap(cfg) -> int:
+    cap = cfg["max_decode_len"]
+    if cap < 1:
+        raise UsageError(f"max_decode_len must be >= 1, got {cap}")
+    return cap
+
+
 def _load_examples(args, cfg):
     if cfg["split"] not in SPLIT_NAMES:
         raise UsageError(f"unknown split {cfg['split']!r}; "
@@ -304,9 +311,9 @@ def cmd_eval(args, cfg) -> int:
         if name not in METRIC_NAMES:
             raise UsageError(f"unknown metric {name!r}; "
                              f"choose from {', '.join(METRIC_NAMES)}")
+    max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)
-    report = evaluate_report(model, examples, max_len=cfg["max_decode_len"],
-                             config=cfg)
+    report = evaluate_report(model, examples, max_len=max_len, config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "report.json", selected)
@@ -322,9 +329,10 @@ def cmd_eval(args, cfg) -> int:
 def cmd_perturb(args, cfg) -> int:
     if cfg["mode"] not in ("all", "last1", "last2"):
         raise UsageError(f"unknown perturbation mode {cfg['mode']!r}")
+    max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)
     runs = perturb_and_decode(model, examples, cfg["mode"], seed=cfg["seed"],
-                              max_len=cfg["max_decode_len"])
+                              max_len=max_len)
     report = perturbation_report(model.vocab.entities, runs, cfg["mode"],
                                  config=cfg)
     out = Path(args.out)
@@ -353,6 +361,7 @@ CHAT_USAGE = ("commands: /swap HEAD RELATION OLD_TAIL NEW_TAIL, "
 
 
 def cmd_chat(args, cfg) -> int:
+    max_len = _decode_cap(cfg)
     model = load_checkpoint(args.checkpoint)
     mode = cfg["tokenize"]
     if args.kg:
@@ -368,7 +377,7 @@ def cmd_chat(args, cfg) -> int:
     if stray:
         raise DataError(f"graph does not match the checkpoint vocabulary; "
                         f"unknown symbols include {sorted(stray)[:5]}")
-    lex = {e: e for e in graph.entities}
+    lex = LexiconMatcher({e: e for e in graph.entities})
     print(f"{model.kind} loaded; {len(graph.triples)} triples. {CHAT_USAGE}")
     turn_no = 0
     while True:
@@ -404,7 +413,7 @@ def cmd_chat(args, cfg) -> int:
             triples.add(Triple(head, rel, new_tail))
             graph = KnowledgeGraph(triples,
                                    extra_entities=graph.entities | {new_tail})
-            lex = {e: e for e in graph.entities}
+            lex = LexiconMatcher({e: e for e in graph.entities})
             print(f"swapped: {head} -{rel}-> {new_tail}")
             continue
         if line.startswith("/"):
@@ -416,7 +425,7 @@ def cmd_chat(args, cfg) -> int:
                             response=())
         turn_no += 1
         ex = make_example(turn, graph, model.vocab)
-        dec = greedy_decode(model, ex, max_len=cfg["max_decode_len"])
+        dec = greedy_decode(model, ex, max_len=max_len)
         print(detokenize(dec.tokens, mode) or "(empty reply)")
         for path in _decode_paths(model, ex, dec):
             hops = " ".join(f"-{t.relation}-> {t.tail}" for t in path.triples)

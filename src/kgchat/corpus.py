@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -52,7 +54,10 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
-class _Matcher:
+class LexiconMatcher:
+    """An alias lexicon indexed for longest-match lookup. Build it once
+    and pass it to tokenize in place of the plain mapping."""
+
     def __init__(self, lexicon: Mapping[str, str]):
         self.lexicon = dict(lexicon)
         by_first: dict[str, list[str]] = {}
@@ -78,11 +83,13 @@ class _Matcher:
 
 
 def tokenize(text: str, mode: str = "word",
-             lexicon: Mapping[str, str] | None = None) -> list[str]:
+             lexicon: Mapping[str, str] | LexiconMatcher | None = None
+             ) -> list[str]:
     """Split text into generic tokens and canonical entity tokens."""
     if mode not in ("word", "char"):
         raise DataError(f"unknown tokenization mode {mode!r}")
-    matcher = _Matcher(lexicon or {})
+    matcher = (lexicon if isinstance(lexicon, LexiconMatcher)
+               else LexiconMatcher(lexicon or {}))
     tokens: list[str] = []
     pos = 0
     n = len(text)
@@ -450,6 +457,7 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
         if surface in lex and lex[surface] != canonical:
             raise DataError(f"alias surface {surface!r} collides with an entity name")
         lex[surface] = canonical
+    matcher = LexiconMatcher(lex)
     entity_set = set(graph.entities)
 
     turns = []
@@ -460,8 +468,8 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
         turns.append(DialogueTurn(
             dialogue_id=rt.dialogue_id, turn=rt.turn, speaker=rt.speaker,
             scene_entities=scene,
-            message=tuple(tokenize(rt.message, mode, lex)),
-            response=tuple(tokenize(rt.response, mode, lex))))
+            message=tuple(tokenize(rt.message, mode, matcher)),
+            response=tuple(tokenize(rt.response, mode, matcher))))
     if dropped_scene:
         logger.warning("ingest: dropped %d scene entities not in the graph", dropped_scene)
 
@@ -533,6 +541,22 @@ def _from_json(raw: bytes, build):
     if not isinstance(obj, dict):
         raise DataError("expected a JSON object")
     return build(obj)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write through a temp file beside `path`: a clean exit moves it
+    over `path` with os.replace, a failed write removes it and leaves
+    `path` as it was. Readers never see a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_json(path: Path, build):

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import _load_json
+from .corpus import _load_json, atomic_open
 from .qadpt import QadptModel, _decode_paths, greedy_decode, teacher_force
 
 __all__ = [
@@ -464,12 +464,12 @@ class EvalReport:
         }
 
     def save(self, path, only=None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(only), fh, indent=1)
             fh.write("\n")
 
     def save_csv(self, path, only=None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
             for name, value in self.metric_rows(only):
@@ -605,7 +605,7 @@ class PerturbReport:
                 "config": self.config}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
 

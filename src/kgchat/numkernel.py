@@ -22,10 +22,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "row_softmax",
-    "GruCellParams",
-    "gru_step",
     "Tape",
-    "Gradients",
     "FiniteDiffReport",
     "finite_diff_check",
     "AdamState",
@@ -33,11 +30,6 @@ __all__ = [
     "clip_global_norm",
     "init_uniform",
 ]
-
-# Gradients are plain dicts: one array per named parameter, shapes
-# congruent with the parameters they belong to.
-Gradients = dict
-
 
 class KernelError(ValueError):
     """Shape mismatch, non-finite value, or tape misuse."""
@@ -86,65 +78,6 @@ def row_softmax(logits) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # GRU cell
-
-
-@dataclass(frozen=True)
-class GruCellParams:
-    """One GRU cell: gate matrices over the input (w_*), over the state
-    (u_*), and biases (b_*)."""
-
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
-
-    def validate(self) -> None:
-        h, d = self.w_z.shape
-        for name in ("w_z", "w_r", "w_h"):
-            if getattr(self, name).shape != (h, d):
-                raise KernelError(f"{name} shape mismatch")
-        for name in ("u_z", "u_r", "u_h"):
-            if getattr(self, name).shape != (h, h):
-                raise KernelError(f"{name} shape mismatch")
-        for name in ("b_z", "b_r", "b_h"):
-            if getattr(self, name).shape != (h,):
-                raise KernelError(f"{name} shape mismatch")
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_z.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_z.shape[0]
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int,
-               scale: float = 0.08) -> "GruCellParams":
-        """Weights uniform in (-scale, scale), biases zero."""
-        def w(rows, cols):
-            return init_uniform(rng, (rows, cols), scale)
-
-        return cls(
-            w_z=w(hidden_dim, input_dim), u_z=w(hidden_dim, hidden_dim),
-            b_z=np.zeros(hidden_dim),
-            w_r=w(hidden_dim, input_dim), u_r=w(hidden_dim, hidden_dim),
-            b_r=np.zeros(hidden_dim),
-            w_h=w(hidden_dim, input_dim), u_h=w(hidden_dim, hidden_dim),
-            b_h=np.zeros(hidden_dim),
-        )
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_z": self.w_z, f"{prefix}.u_z": self.u_z, f"{prefix}.b_z": self.b_z,
-            f"{prefix}.w_r": self.w_r, f"{prefix}.u_r": self.u_r, f"{prefix}.b_r": self.b_r,
-            f"{prefix}.w_h": self.w_h, f"{prefix}.u_h": self.u_h, f"{prefix}.b_h": self.b_h,
-        }
 
 
 def _gru_forward(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
@@ -196,20 +129,6 @@ def _gru_backward(g, cache):
     return dx, dh, dw_z, du_z, db_z, dw_r, du_r, db_r, dw_h, du_h, db_h
 
 
-def gru_step(params: GruCellParams, x, h) -> np.ndarray:
-    """Apply one GRU step outside the tape (no gradient bookkeeping)."""
-    params.validate()
-    x = as_tensor(x, "gru input")
-    h = as_tensor(h, "gru state")
-    if x.shape != (params.input_dim,) or h.shape != (params.hidden_dim,):
-        raise KernelError("gru_step input/state dims do not match params")
-    out, _ = _gru_forward(x, h, params.w_z, params.u_z, params.b_z,
-                          params.w_r, params.u_r, params.b_r,
-                          params.w_h, params.u_h, params.b_h)
-    _require_finite(out, "gru_step output")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gradient tape
 #
@@ -249,7 +168,7 @@ class Tape:
 
     def leaf(self, values) -> int:
         """Record an input tensor (parameter or constant)."""
-        return self._push(as_tensor(values, "leaf"), (), None, "leaf")
+        return self._push(values, (), None, "leaf")
 
     # -- elementwise and linear ops
 
@@ -352,25 +271,6 @@ class Tape:
 
         return self._push(np.log(clipped), (a,), bwd, "log_floor")
 
-    def sum(self, a: int) -> int:
-        va = self.value(a)
-
-        def bwd(g, acc):
-            acc[a] += float(g)
-
-        return self._push(np.float64(va.sum()), (a,), bwd, "sum")
-
-    def dot(self, a: int, b: int) -> int:
-        va, vb = self.value(a), self.value(b)
-        if va.shape != vb.shape or va.ndim != 1:
-            raise KernelError("dot: need two vectors of one shape")
-
-        def bwd(g, acc):
-            acc[a] += float(g) * vb
-            acc[b] += float(g) * va
-
-        return self._push(np.float64(va @ vb), (a, b), bwd, "dot")
-
     def add_n(self, nodes) -> int:
         nodes = tuple(nodes)
         if not nodes:
@@ -394,10 +294,16 @@ class Tape:
     def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int,
             w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int) -> int:
         ids = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
-        vx, vh = self.value(x), self.value(h)
-        out, cache = _gru_forward(vx, vh, self.value(w_z), self.value(u_z), self.value(b_z),
-                                  self.value(w_r), self.value(u_r), self.value(b_r),
-                                  self.value(w_h), self.value(u_h), self.value(b_h))
+        vals = [self.value(n) for n in ids]
+        vx, vh = vals[0], vals[1]
+        if vx.ndim != 1 or vh.ndim != 1:
+            raise KernelError("gru: input and state must be vectors")
+        n, d = vh.shape[0], vx.shape[0]
+        if any(v.shape != want for v, want in
+               zip(vals[2:], ((n, d), (n, n), (n,)) * 3)):
+            raise KernelError("gru: weight shapes do not match the input "
+                              "and state dims")
+        out, cache = _gru_forward(*vals)
 
         def bwd(g, acc):
             dx, dh, dw_z, du_z, db_z, dw_r, du_r, db_r, dw_h, du_h, db_h = \

@@ -20,18 +20,16 @@ import hashlib
 import json
 import logging
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import numkernel
 from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Bundle,
-                     DataError, DialogueTurn, Vocabulary)
+                     DataError, DialogueTurn, Vocabulary, atomic_open)
 from .kgraph import (SELF_LOOP, AdjacencyTensor, KnowledgeGraph, Triple,
                      build_adjacency, perturb_all, perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
@@ -116,24 +114,13 @@ def expected_param_shapes(hyper: Hyperparams, vocab: Vocabulary) -> dict:
 
 
 def init_params(hyper: Hyperparams, vocab: Vocabulary, seed: int) -> dict:
-    """Fresh parameters; weights uniform(-0.08, 0.08), biases zero. Draw
-    order is fixed (embed, encoder, decoder, output, reasoning) so a
-    seed pins every value."""
+    """Fresh parameters; weight matrices uniform(-0.08, 0.08), bias
+    vectors zero. Draws follow expected_param_shapes' order (embed,
+    encoder, decoder, output, reasoning), so a seed pins every value."""
     rng = np.random.default_rng(seed)
-    params = {"embed": numkernel.init_uniform(rng, (vocab.size, hyper.embed_dim))}
-    for prefix in ("enc", "dec"):
-        cell = numkernel.GruCellParams.create(rng, hyper.embed_dim, hyper.hidden_dim)
-        params.update(cell.named(prefix))
-    shapes = expected_param_shapes(hyper, vocab)
-    if hyper.kind == "qadpt":
-        params["phi_w"] = numkernel.init_uniform(rng, shapes["phi_w"])
-        params["phi_b"] = np.zeros(shapes["phi_b"])
-        params["theta_w"] = numkernel.init_uniform(rng, shapes["theta_w"])
-        params["theta_b"] = np.zeros(shapes["theta_b"])
-    else:
-        params["out_w"] = numkernel.init_uniform(rng, shapes["out_w"])
-        params["out_b"] = np.zeros(shapes["out_b"])
-    return params
+    return {name: np.zeros(shape) if len(shape) == 1
+            else numkernel.init_uniform(rng, shape)
+            for name, shape in expected_param_shapes(hyper, vocab).items()}
 
 
 class QadptModel:
@@ -401,25 +388,22 @@ class _TurnState:
         return t.pick(g, pos), False
 
 
-def _turn_loss_nodes(state: _TurnState, hyper: Hyperparams) -> tuple:
-    """Per-token negative log likelihood nodes for one turn."""
-    t = state.fw.tape
-    nll = []
-    unreachable = 0
+def _target_steps(state: _TurnState, teacher_forcing: bool):
+    """Walk one turn's targets, yielding per position the step nodes,
+    the node for o_t(y_t) and whether the target was unreachable. The
+    next input is the gold token, or this step's argmax when free
+    running."""
     ex = state.ex
     prev = ex.dec_in_ids[0]
     for i, target in enumerate(ex.target_ids):
         nodes = state.step(prev)
-        p, unreach = state.target_prob_node(nodes, target)
-        if unreach:
-            unreachable += 1
-        nll.append(t.scale(t.log_floor(p, hyper.prob_floor), -1.0))
+        p, unreachable = state.target_prob_node(nodes, target)
+        yield nodes, p, unreachable
         if i + 1 < len(ex.target_ids):
-            if hyper.teacher_forcing:
+            if teacher_forcing:
                 prev = ex.dec_in_ids[i + 1]
             else:
                 prev = int(np.argmax(state.output(nodes)))
-    return nll, unreachable
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
@@ -430,16 +414,17 @@ def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     """
     if not examples:
         raise ModelError("empty batch")
+    hyper = model.hyper
     fw = _Forward(model)
-    all_nll = []
+    t = fw.tape
+    nll = []
     unreachable = 0
     for ex in examples:
-        state = fw.bind(ex)
-        nll, u = _turn_loss_nodes(state, model.hyper)
-        all_nll.extend(nll)
-        unreachable += u
-    loss = fw.tape.scale(fw.tape.add_n(all_nll), 1.0 / len(all_nll))
-    return fw.tape, loss, len(all_nll), unreachable
+        for _, p, unreach in _target_steps(fw.bind(ex), hyper.teacher_forcing):
+            unreachable += unreach
+            nll.append(t.scale(t.log_floor(p, hyper.prob_floor), -1.0))
+    loss = t.scale(t.add_n(nll), 1.0 / len(nll))
+    return t, loss, len(nll), unreachable
 
 
 def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
@@ -470,11 +455,8 @@ def teacher_force(model: QadptModel, example: Example) -> TeacherResult:
     probs = []
     argmax = []
     unreachable = 0
-    for prev, target in zip(example.dec_in_ids, example.target_ids):
-        nodes = state.step(prev)
-        p, unreach = state.target_prob_node(nodes, target)
-        if unreach:
-            unreachable += 1
+    for nodes, p, unreach in _target_steps(state, teacher_forcing=True):
+        unreachable += unreach
         probs.append(float(fw.tape.value(p)))
         argmax.append(int(np.argmax(state.output(nodes))))
     return TeacherResult(turn_id=example.turn_id,
@@ -494,8 +476,12 @@ class DecodeResult:
 def greedy_decode(model: QadptModel, example: Example,
                   max_len: int | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
-    subgraph. Ties resolve to the lowest token id."""
-    max_len = max_len or model.hyper.max_decode_len
+    subgraph. Ties resolve to the lowest token id. max_len defaults to
+    the model's max_decode_len."""
+    if max_len is None:
+        max_len = model.hyper.max_decode_len
+    elif max_len < 1:
+        raise ModelError(f"decode cap must be >= 1, got {max_len}")
     fw = _Forward(model)
     state = fw.bind(example)
     out_ids = []
@@ -752,14 +738,11 @@ def save_checkpoint(model: QadptModel, path) -> None:
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     head = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
         fh.write(payload)
-    os.replace(tmp, path)
 
 
 def _valid_manifest_entry(entry) -> bool:

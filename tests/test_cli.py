@@ -224,6 +224,21 @@ def test_unknown_split_exits_2(ws, bundle_dir, run_dir, command, split):
         in proc.stderr
 
 
+@pytest.mark.parametrize("command, cap", [("eval", "0"), ("eval", "-3"),
+                                          ("perturb", "0"), ("chat", "-1")])
+def test_decode_cap_below_one_exits_2(ws, bundle_dir, run_dir, capsys,
+                                      command, cap):
+    out = ws / f"cap_{command}_{cap}"
+    argv = [command, "--bundle", str(bundle_dir), "--checkpoint",
+            str(run_dir / "model.ckpt"), "--max_decode_len", cap]
+    if command != "chat":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"usage error: max_decode_len must be >= 1, got {cap}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_and_override_precedence(ws, bundle_dir):
     cfg_file = ws / "train.cfg"
     cfg_file.write_text("# comment\nhidden = 20\nepochs=2\npatience = 5\n")

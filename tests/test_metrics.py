@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from kgchat.corpus import DataError, DialogueTurn, Vocabulary
 from kgchat.kgraph import KnowledgeGraph, Triple
-from kgchat.metrics import (EvalReport, MetricError, PRF, TokenPRF,
-                            accurate_change_rate, bleu2_sentence, change_rate,
+from kgchat.metrics import (EvalReport, MetricError, PRF, PerturbReport,
+                            TokenPRF, accurate_change_rate, bleu2_sentence,
+                            change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
                             kw_acc, kw_acc_soft, kw_generic_prf, load_report,
                             perplexity, perturbation_report, recompute_scalars)
@@ -453,6 +454,47 @@ def test_evaluate_report_csv(tmp_path):
     assert lines[0] == "metric,value"
     names = [l.split(",")[0] for l in lines[1:]]
     assert "kw_acc" in names and "bleu2" in names and "distinct_4" in names
+
+
+def _rows_then_disk_full(only=None):
+    yield ("ppl", 1.0)
+    raise OSError("disk full")
+
+
+def _break_json(report):
+    report.config = {"unencodable": object()}   # json.dump fails after turns
+
+
+def _break_csv(report):
+    report.metric_rows = _rows_then_disk_full
+
+
+def _eval_report():
+    model, exs = _tiny_model_and_examples()
+    return evaluate_report(model, exs)
+
+
+def _perturb_report():
+    return perturbation_report(
+        ENTS, [_pt("t0", ("T",), ("T2",), {"T2"}, {"T"})], "last1")
+
+
+@pytest.mark.parametrize("name, make, save, break_report", [
+    ("report.json", _eval_report, EvalReport.save, _break_json),
+    ("metrics.csv", _eval_report, EvalReport.save_csv, _break_csv),
+    ("perturb.json", _perturb_report, PerturbReport.save, _break_json),
+], ids=("report_json", "metrics_csv", "perturb_json"))
+def test_failed_save_keeps_previous_file(tmp_path, name, make, save,
+                                         break_report):
+    report = make()
+    path = tmp_path / name
+    save(report, path)
+    before = path.read_bytes()
+    break_report(report)
+    with pytest.raises((TypeError, OSError)):
+        save(report, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_evaluate_report_bleu_scaled_by_100():

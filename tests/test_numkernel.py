@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgchat import metrics
 from kgchat import numkernel as nk
 
 
@@ -63,44 +64,58 @@ def test_row_softmax_rows_sum_to_one():
 # GRU cell
 
 
-def _fields(p):
-    return {k.split(".")[-1]: v for k, v in p.named("g").items()}
+GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+
+def gru_params(r, input_dim, hidden_dim, scale=0.5):
+    shapes = {"w": (hidden_dim, input_dim), "u": (hidden_dim, hidden_dim),
+              "b": (hidden_dim,)}
+    return {f: nk.init_uniform(r, shapes[f[0]], scale) for f in GRU_FIELDS}
+
+
+def tape_gru(params, xs, h0):
+    """Final state of a GRU run over xs, recorded on a fresh tape."""
+    t = nk.Tape()
+    weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+    h = t.leaf(h0)
+    for x in xs:
+        h = t.gru(t.leaf(x), h, *weights)
+    return t.value(h)
 
 
 def test_gru_zero_params_zero_state_fixed_point():
-    p = nk.GruCellParams.create(rng(), 3, 4)
-    zeroed = nk.GruCellParams(**{k: np.zeros_like(v) for k, v in _fields(p).items()})
-    out = nk.gru_step(zeroed, np.zeros(3), np.zeros(4))
+    zeroed = {f: np.zeros_like(v) for f, v in gru_params(rng(), 3, 4).items()}
+    out = tape_gru(zeroed, [np.zeros(3)], np.zeros(4))
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
 def test_gru_carry_gate_keeps_state():
     # Large negative write-gate bias forces z ~ 0, so h' ~ h.
-    p = nk.GruCellParams.create(rng(1), 3, 4)
-    p = nk.GruCellParams(**{**_fields(p), "b_z": np.full(4, -40.0)})
+    p = {**gru_params(rng(1), 3, 4), "b_z": np.full(4, -40.0)}
     h = rng(2).normal(size=4)
-    out = nk.gru_step(p, rng(3).normal(size=3), h)
+    out = tape_gru(p, [rng(3).normal(size=3)], h)
     np.testing.assert_allclose(out, h, atol=1e-6)
 
 
 def scalar_gru(params, xs, h0):
     """Independent scalar-by-scalar GRU recurrence for dims <= 3."""
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (params[f] for f in GRU_FIELDS)
     h = list(h0)
     n = len(h)
     d = len(xs[0])
     for x in xs:
         z, r = [], []
         for i in range(n):
-            az = sum(params.w_z[i][j] * x[j] for j in range(d)) \
-                + sum(params.u_z[i][j] * h[j] for j in range(n)) + params.b_z[i]
-            ar = sum(params.w_r[i][j] * x[j] for j in range(d)) \
-                + sum(params.u_r[i][j] * h[j] for j in range(n)) + params.b_r[i]
+            az = sum(w_z[i][j] * x[j] for j in range(d)) \
+                + sum(u_z[i][j] * h[j] for j in range(n)) + b_z[i]
+            ar = sum(w_r[i][j] * x[j] for j in range(d)) \
+                + sum(u_r[i][j] * h[j] for j in range(n)) + b_r[i]
             z.append(1.0 / (1.0 + math.exp(-az)))
             r.append(1.0 / (1.0 + math.exp(-ar)))
         new = []
         for i in range(n):
-            ah = sum(params.w_h[i][j] * x[j] for j in range(d)) \
-                + sum(params.u_h[i][j] * r[j] * h[j] for j in range(n)) + params.b_h[i]
+            ah = sum(w_h[i][j] * x[j] for j in range(d)) \
+                + sum(u_h[i][j] * r[j] * h[j] for j in range(n)) + b_h[i]
             htil = math.tanh(ah)
             new.append((1.0 - z[i]) * h[i] + z[i] * htil)
         h = new
@@ -108,40 +123,60 @@ def scalar_gru(params, xs, h0):
 
 
 def test_gru_matches_scalar_recurrence():
-    p = nk.GruCellParams.create(rng(7), 2, 3)
-    xs = [rng(8).normal(size=2), rng(9).normal(size=2), rng(10).normal(size=2)]
-    h = np.zeros(3)
-    for x in xs:
-        h = nk.gru_step(p, x, h)
-    expected = scalar_gru(p, [x.tolist() for x in xs], [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(h, expected, atol=1e-12)
+    for seed in range(5):
+        r = rng(seed)
+        p = gru_params(r, 2, 3)
+        xs = [r.normal(size=2) for _ in range(3)]
+        h0 = r.normal(size=3)
+        expected = scalar_gru(p, [x.tolist() for x in xs], h0.tolist())
+        np.testing.assert_allclose(tape_gru(p, xs, h0), expected, atol=1e-12)
 
 
-def test_gru_step_rejects_bad_dims():
-    p = nk.GruCellParams.create(rng(), 3, 4)
-    with pytest.raises(nk.KernelError):
-        nk.gru_step(p, np.zeros(2), np.zeros(4))
+def test_tape_gru_rejects_bad_dims():
+    bad_inputs = [(np.zeros(2), np.zeros(4)),        # input dim
+                  (np.zeros(3), np.zeros(5)),        # state dim
+                  (np.zeros((1, 3)), np.zeros(4))]   # input not a vector
+    for x, h in bad_inputs:
+        with pytest.raises(nk.KernelError, match="gru"):
+            tape_gru(gru_params(rng(), 3, 4), [x], h)
+    for field, shape in (("w_r", (4, 2)), ("u_h", (4, 3)), ("b_z", (3,))):
+        p = {**gru_params(rng(), 3, 4), field: np.zeros(shape)}
+        with pytest.raises(nk.KernelError, match="gru"):
+            tape_gru(p, [np.zeros(3)], np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
 # tape
 
 
-def test_tape_sum_gradient_is_ones():
+def total(t, node):
+    """Scalar sum of a node's entries, built from the ops the models
+    record (reshape, pick, add_n)."""
+    n = t.value(node).size
+    flat = t.reshape(node, (n,))
+    return t.add_n(t.pick(flat, i) for i in range(n))
+
+
+def test_tape_add_n_of_picks_gradient_is_ones():
     t = nk.Tape()
     a = t.leaf(rng().normal(size=6))
-    s = t.sum(a)
-    g = t.backward(s)
+    g = t.backward(total(t, a))
     np.testing.assert_array_equal(g[a], np.ones(6))
 
 
-def test_tape_dot_with_self_doubles():
+def test_tape_mul_with_self_doubles():
     t = nk.Tape()
     p = rng(3).normal(size=5)
     a = t.leaf(p)
-    d = t.dot(a, a)
-    g = t.backward(d)
+    g = t.backward(total(t, t.mul(a, a)))
     np.testing.assert_allclose(g[a], 2 * p, atol=1e-14)
+
+
+def test_tape_leaf_rejects_non_finite():
+    t = nk.Tape()
+    with pytest.raises(nk.KernelError, match="non-finite values in leaf"):
+        t.leaf([1.0, float("inf")])
+    assert len(t) == 0
 
 
 def test_tape_rejects_foreign_node():
@@ -190,8 +225,7 @@ def _composed_loss(params):
     a 3-step GRU chain, projection, softmax, pick, log."""
     t = nk.Tape()
     nodes = {name: t.leaf(value) for name, value in params.items()}
-    gru_ids = tuple(nodes[k] for k in ("w_z", "u_z", "b_z", "w_r", "u_r",
-                                        "b_r", "w_h", "u_h", "b_h"))
+    gru_ids = tuple(nodes[k] for k in GRU_FIELDS)
     h = t.scale(nodes["b_z"], 0.0)  # zero state of hidden size
     for row in (0, 2, 1):
         x = t.lookup_row(nodes["embed"], row)
@@ -226,7 +260,7 @@ def test_mask_renorm_rows_forward_and_grad():
     out = t.mask_renorm_rows(r, mask)
     np.testing.assert_allclose(t.value(out)[0], [0.2 / 0.7, 0.0, 0.5 / 0.7], atol=1e-15)
     np.testing.assert_allclose(t.value(out)[1], [0.25, 0.25, 0.5], atol=1e-15)
-    loss = t.sum(t.mul(out, out))
+    loss = total(t, t.mul(out, out))
     g = t.backward(loss)
     assert g[r].shape == (2, 3)
     assert g[r][0][1] == 0.0  # masked column gets no gradient
@@ -256,7 +290,7 @@ def test_finite_diff_check_quadratic_is_tight():
     def build(params):
         t = nk.Tape()
         a = t.leaf(params["p"])
-        return t, t.dot(a, a), {"p": a}
+        return t, total(t, t.mul(a, a)), {"p": a}
 
     report = nk.finite_diff_check(build, {"p": rng(5).normal(size=4)})
     assert report.passed
@@ -272,7 +306,7 @@ def test_finite_diff_check_catches_wrong_gradient():
     def build(params):
         t = LyingTape()
         a = t.leaf(params["p"])
-        return t, t.dot(a, a), {"p": a}
+        return t, total(t, t.mul(a, a)), {"p": a}
 
     report = nk.finite_diff_check(build, {"p": np.ones(3)})
     assert not report.passed
@@ -346,3 +380,9 @@ def test_init_uniform_range_and_determinism():
     b = nk.init_uniform(np.random.default_rng(11), (100,), 0.08)
     np.testing.assert_array_equal(a, b)
     assert np.all(np.abs(a) < 0.08)
+
+
+@pytest.mark.parametrize("module", [nk, metrics], ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing

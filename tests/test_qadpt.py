@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -98,6 +99,29 @@ def test_init_deterministic():
     c = init_params(hy, v, seed=6)
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+# SHA-256 over (name, shape, <f8 bytes) of every tensor in name order,
+# for the toy vocabulary at hidden 8 / embed 6; computed when
+# init_params still drew the GRU cells through a separate cell class.
+INIT_DIGESTS = {
+    ("qadpt", 0): "33255e81f4e008ffe13d7cecd465f4571095699abec3e8fe33663d7bbeb8961a",
+    ("qadpt", 1): "f8253ab9ee907dd5d4b1945bbe1d7e7c58fe672c62bd014eb54527e22f422761",
+    ("seq2seq", 0): "f7d748f8b435661431c4d52318835d19ce18f118302353f7907761e83590eb2b",
+    ("seq2seq", 1): "4ebdbbe196c61e1ea9374d7f9d857072114534cba7fbf3e95dd4333454e2bd9e",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(INIT_DIGESTS))
+def test_init_params_are_pinned(kind, seed):
+    params = init_params(Hyperparams(kind=kind, hidden_dim=8, embed_dim=6),
+                         toy_vocab(), seed)
+    h = hashlib.sha256()
+    for name in sorted(params):
+        arr = params[name]
+        h.update(f"{name}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert h.hexdigest() == INIT_DIGESTS[kind, seed]
 
 
 def test_model_rejects_bad_params():
@@ -439,6 +463,15 @@ def test_greedy_decode_max_len_one():
     dec = greedy_decode(model, ex, max_len=1)
     assert len(dec.steps) == 1
     assert len(dec.token_ids) <= 1
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_greedy_decode_rejects_cap_below_one(max_len):
+    v = toy_vocab()
+    model = model_for(v)
+    ex = example_for(v, "a lives", "yes", [Triple("a", "q", "b")])
+    with pytest.raises(ModelError, match="decode cap"):
+        greedy_decode(model, ex, max_len=max_len)
 
 
 def test_greedy_decode_deterministic():
