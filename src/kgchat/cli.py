@@ -12,11 +12,15 @@ One binary, seven subcommands:
 
 Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Unknown
-keys are rejected. Every command writes the fully resolved config next
-to its artifacts so runs are self-describing.
+keys are rejected, and so are out-of-range model settings such as
+--hidden 0. Every command that writes artifacts writes the fully
+resolved config beside them as config.json, so runs are
+self-describing. config.json, model.ckpt, report.json, metrics.csv,
+perturb.json and diff.log are written through a temp file, so a failed
+write leaves the previous file in place.
 
-Exit codes: 0 success, 2 usage error, 3 data/model error, 4 numeric
-failure.
+Exit codes: 0 success, 2 usage error (flag, config key or value), 3
+data/model error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
-                     compare_stats, corpus_stats, detokenize,
+                     atomic_open, compare_stats, corpus_stats, detokenize,
                      generate_synthetic, ingest, load_bundle,
                      load_dialogues_jsonl, load_lexicon, save_bundle, tokenize)
 from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
@@ -71,10 +75,7 @@ CONFIG_KEYS = {
     "clip_norm": (float, 5.0, "global gradient norm ceiling"),
     "prob_floor": (float, 1e-12, "probability floor inside the loss"),
     "max_decode_len": (int, 40, "free-running decode cap"),
-    "teacher_forcing": (bool, True, "feed gold prefixes while training"),
     "fine_tune": (bool, False, "second phase on entity-bearing turns"),
-    "post_renorm": (bool, False,
-                    "binary walk weights, renormalize once after the walk"),
     "seed": (int, 0, "training / perturbation seed"),
     "tokenize": (str, "word", "tokenizer mode: word or char"),
     "min_count": (int, 1, "vocabulary frequency cutoff"),
@@ -135,14 +136,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def hyper_from_config(cfg: dict) -> Hyperparams:
-    return Hyperparams(
-        kind=cfg["model"], hidden_dim=cfg["hidden"],
-        embed_dim=cfg["embed"] or None, n_hops=cfg["hops"], lr=cfg["lr"],
-        batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
-        patience=cfg["patience"], clip_norm=cfg["clip_norm"],
-        prob_floor=cfg["prob_floor"], max_decode_len=cfg["max_decode_len"],
-        teacher_forcing=cfg["teacher_forcing"], fine_tune=cfg["fine_tune"],
-        post_renorm=cfg["post_renorm"], seed=cfg["seed"])
+    try:
+        return Hyperparams(
+            kind=cfg["model"], hidden_dim=cfg["hidden"],
+            embed_dim=cfg["embed"] or None, n_hops=cfg["hops"], lr=cfg["lr"],
+            batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
+            patience=cfg["patience"], clip_norm=cfg["clip_norm"],
+            prob_floor=cfg["prob_floor"], max_decode_len=cfg["max_decode_len"],
+            fine_tune=cfg["fine_tune"], seed=cfg["seed"])
+    except ModelError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_config(cfg: dict, args: argparse.Namespace, out_dir: Path) -> None:
@@ -151,9 +154,21 @@ def _write_config(cfg: dict, args: argparse.Namespace, out_dir: Path) -> None:
                         if k.endswith(("dialogues", "kg", "lexicon", "bundle",
                                        "checkpoint", "out")) and v}}
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+
+
+def _write_diff_log(turns, path: Path) -> None:
+    """One line per perturbation turn: id, verdict, original reply and
+    perturbed reply, tab-separated."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        for t in turns:
+            tag = "skipped" if t.skipped else (
+                "accurate" if t.accurate else
+                ("changed" if t.changed else "unchanged"))
+            fh.write(f"{t.turn_id}\t{tag}\t{' '.join(t.original)}\t"
+                     f"{' '.join(t.perturbed)}\n")
 
 
 def _print_table(rows) -> None:
@@ -262,8 +277,8 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    bundle = load_bundle(args.bundle)
     hyper = hyper_from_config(cfg)
+    bundle = load_bundle(args.bundle)
     model = QadptModel(hyper, bundle.vocab)
     train_ex = make_examples(bundle, bundle.split_turns("train"))
     val_ex = make_examples(bundle, bundle.split_turns("valid"))
@@ -338,13 +353,7 @@ def cmd_perturb(args, cfg) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "perturb.json")
-    with open(out / "diff.log", "w", encoding="utf-8") as fh:
-        for t in report.turns:
-            tag = "skipped" if t.skipped else (
-                "accurate" if t.accurate else
-                ("changed" if t.changed else "unchanged"))
-            fh.write(f"{t.turn_id}\t{tag}\t{' '.join(t.original)}\t"
-                     f"{' '.join(t.perturbed)}\n")
+    _write_diff_log(report.turns, out / "diff.log")
     _write_config(cfg, args, out)
     print(f"perturbation mode {cfg['mode']}: {report.n_turns} turns scored, "
           f"{report.n_skipped} skipped")

@@ -63,9 +63,7 @@ class Hyperparams:
     clip_norm: float = 5.0
     prob_floor: float = 1e-12
     max_decode_len: int = 40
-    teacher_forcing: bool = True
     fine_tune: bool = False
-    post_renorm: bool = False
     kind: str = "qadpt"
     seed: int = 0
 
@@ -152,9 +150,6 @@ class QadptModel:
     def copy_params(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def adjacency(self, subgraph: KnowledgeGraph) -> AdjacencyTensor:
-        return build_adjacency(subgraph, self.vocab.entities, self.vocab.relations)
-
 
 def build_source_vector(vocab: Vocabulary, sources: Iterable[str],
                         k_entities: Iterable[str]) -> np.ndarray:
@@ -189,12 +184,20 @@ class Example:
     has_entity: bool
 
 
+def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
+                sources: Iterable[str]) -> dict:
+    """The Example fields that follow from a turn's subgraph: the graph,
+    its adjacency tensor and the walk's start vector."""
+    return {"subgraph": subgraph,
+            "adj": build_adjacency(subgraph, vocab.entities, vocab.relations),
+            "source_vec": build_source_vector(vocab, sources,
+                                              subgraph.entities)}
+
+
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
                  vocab: Vocabulary) -> Example:
-    adj = build_adjacency(subgraph, vocab.entities, vocab.relations)
     msg_ents, _ = turn.entity_tokens(vocab)
     raw_sources = tuple(sorted(set(msg_ents) | set(turn.scene_entities)))
-    s = build_source_vector(vocab, raw_sources, subgraph.entities)
     enc_ids = vocab.tokens_to_ids(turn.scene_entities) + \
         vocab.tokens_to_ids(turn.message)
     if not enc_ids:
@@ -206,11 +209,9 @@ def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
         dec_in_ids=(BOS_ID,) + target_ids[:-1],
         target_ids=target_ids,
         target_tokens=tuple(turn.response),
-        subgraph=subgraph,
-        adj=adj,
-        source_vec=s,
         raw_sources=raw_sources,
         has_entity=turn.has_entities(vocab),
+        **_bind_graph(vocab, subgraph, raw_sources),
     )
 
 
@@ -224,14 +225,10 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 # ---------------------------------------------------------------------------
 # Forward pass
 #
-# _Forward wraps one tape with the parameters recorded on it once. Turn
-# state (adjacency, source vector) is bound per example. Training calls
+# _Forward wraps one tape with the parameters recorded on it once; a
+# _TurnState over it holds one example's decoder state. Training calls
 # backward() on the assembled loss; evaluation and decoding just read
 # node values off the same graph construction.
-
-
-def _binary_adjacency(adj: AdjacencyTensor) -> AdjacencyTensor:
-    return dataclasses.replace(adj, weight=np.ones_like(adj.weight))
 
 
 class _Forward:
@@ -254,9 +251,6 @@ class _Forward:
             h = t.gru(x, h, *self._enc)
         return h
 
-    def bind(self, example: Example) -> "_TurnState":
-        return _TurnState(self, example)
-
 
 # seq2seq emits from one flat softmax over [EOS, UNK] + generic + entities
 def seq2seq_output_ids(vocab: Vocabulary) -> np.ndarray:
@@ -269,7 +263,6 @@ def seq2seq_output_ids(vocab: Vocabulary) -> np.ndarray:
 @dataclass
 class DecoderStep:
     """Everything one decode step produced, as plain arrays."""
-    hidden: np.ndarray
     generic: np.ndarray          # distribution over emittable generic symbols
     controller: float            # mass routed to the entity branch
     entity: np.ndarray           # entity distribution (k for qadpt)
@@ -288,14 +281,9 @@ class _TurnState:
         self.vocab = model.vocab
         t = fw.tape
         if model.kind == "qadpt":
-            self.adj = example.adj
-            self.hop_adj = (_binary_adjacency(example.adj)
-                            if model.hyper.post_renorm else example.adj)
             self.mask = t.leaf(example.adj.active)
             self.s = t.leaf(example.source_vec)
             self.s_total = float(example.source_vec.sum())
-            if model.hyper.post_renorm:
-                self._ones_row = t.leaf(np.ones((1, self.vocab.n_entities)))
         else:
             self.out_ids = seq2seq_output_ids(self.vocab)
             self.out_pos = {int(v): i for i, v in enumerate(self.out_ids)}
@@ -317,19 +305,11 @@ class _TurnState:
         n_rel = len(self.vocab.relations) + 1
         theta = t.add(t.matvec(pn["theta_w"], self.h), pn["theta_b"])
         r = t.row_softmax(t.reshape(theta, (n, n_rel)))
-        if self.hyper.post_renorm:
-            rhat = r
-        else:
-            rhat = t.mask_renorm_rows(r, self.mask)
+        rhat = t.mask_renorm_rows(r, self.mask)
         k = self.s
         if self.s_total > 0.0:
             for _ in range(self.hyper.n_hops):
-                k = t.kg_hop(k, rhat, self.hop_adj)
-            if self.hyper.post_renorm:
-                # unmasked rows lose mass at heads lacking a chosen
-                # relation, so the walk result is renormalized here
-                k = t.reshape(t.mask_renorm_rows(
-                    t.reshape(k, (1, n)), self._ones_row), (n,))
+                k = t.kg_hop(k, rhat, self.ex.adj)
         return g, k, rhat
 
     def output(self, nodes: tuple) -> np.ndarray:
@@ -354,19 +334,18 @@ class _TurnState:
         """step() plus the assembled DecoderStep record."""
         nodes = self.step(prev_id)
         t = self.fw.tape
-        hidden = t.value(self.h).copy()
         combined = self.output(nodes)
         if self.fw.model.kind == "seq2seq":
             probs = t.value(nodes[0])
             n_gen = 2 + len(self.vocab.generic)
             return nodes, DecoderStep(
-                hidden=hidden, generic=probs[:n_gen].copy(),
+                generic=probs[:n_gen].copy(),
                 controller=float(probs[n_gen:].sum()),
                 entity=probs[n_gen:].copy(), combined=combined,
                 path_matrix=None)
         g, k, rhat = (t.value(n) for n in nodes)
         return nodes, DecoderStep(
-            hidden=hidden, generic=g[1:].copy(), controller=float(g[0]),
+            generic=g[1:].copy(), controller=float(g[0]),
             entity=k.copy(), combined=combined, path_matrix=rhat.copy())
 
     def target_prob_node(self, nodes: tuple, target_id: int) -> tuple:
@@ -388,22 +367,14 @@ class _TurnState:
         return t.pick(g, pos), False
 
 
-def _target_steps(state: _TurnState, teacher_forcing: bool):
-    """Walk one turn's targets, yielding per position the step nodes,
-    the node for o_t(y_t) and whether the target was unreachable. The
-    next input is the gold token, or this step's argmax when free
-    running."""
-    ex = state.ex
-    prev = ex.dec_in_ids[0]
-    for i, target in enumerate(ex.target_ids):
+def _target_steps(state: _TurnState):
+    """Walk one turn's targets with the gold prefix as decoder input,
+    yielding per position the step nodes, the node for o_t(y_t) and
+    whether the target was unreachable."""
+    for prev, target in zip(state.ex.dec_in_ids, state.ex.target_ids):
         nodes = state.step(prev)
         p, unreachable = state.target_prob_node(nodes, target)
         yield nodes, p, unreachable
-        if i + 1 < len(ex.target_ids):
-            if teacher_forcing:
-                prev = ex.dec_in_ids[i + 1]
-            else:
-                prev = int(np.argmax(state.output(nodes)))
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
@@ -420,7 +391,7 @@ def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     nll = []
     unreachable = 0
     for ex in examples:
-        for _, p, unreach in _target_steps(fw.bind(ex), hyper.teacher_forcing):
+        for _, p, unreach in _target_steps(_TurnState(fw, ex)):
             unreachable += unreach
             nll.append(t.scale(t.log_floor(p, hyper.prob_floor), -1.0))
     loss = t.scale(t.add_n(nll), 1.0 / len(nll))
@@ -451,11 +422,11 @@ class TeacherResult:
 
 def teacher_force(model: QadptModel, example: Example) -> TeacherResult:
     fw = _Forward(model)
-    state = fw.bind(example)
+    state = _TurnState(fw, example)
     probs = []
     argmax = []
     unreachable = 0
-    for nodes, p, unreach in _target_steps(state, teacher_forcing=True):
+    for nodes, p, unreach in _target_steps(state):
         unreachable += unreach
         probs.append(float(fw.tape.value(p)))
         argmax.append(int(np.argmax(state.output(nodes))))
@@ -482,8 +453,7 @@ def greedy_decode(model: QadptModel, example: Example,
         max_len = model.hyper.max_decode_len
     elif max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
-    fw = _Forward(model)
-    state = fw.bind(example)
+    state = _TurnState(_Forward(model), example)
     out_ids = []
     steps = []
     prev = BOS_ID
@@ -789,8 +759,18 @@ def load_checkpoint(path) -> QadptModel:
     if digest != header["sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch at offset "
                               f"{head_end}")
+    fields = header["hyper"]
+    if isinstance(fields, dict):
+        # older headers carry two retired keys: teacher_forcing only
+        # steered training, and post_renorm=true names a walk this
+        # forward pass no longer has
+        fields = {k: v for k, v in fields.items() if k != "teacher_forcing"}
+        if fields.pop("post_renorm", False) is not False:
+            raise CheckpointError(
+                f"{path}: header hyper 'post_renorm' is not false; the "
+                f"post-renormalized walk it was trained for is not supported")
     try:
-        hyper = Hyperparams(**header["hyper"])
+        hyper = Hyperparams(**fields)
         vocab = Vocabulary.from_dict(header["vocab"])
     except (TypeError, ModelError, DataError) as exc:
         raise CheckpointError(f"{path}: bad header contents: {exc}") from None
@@ -918,11 +898,8 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                 perturbed_tokens=dec.tokens, hypothesis=frozenset(),
                 removed_tails=frozenset(), edits=(), skipped=True))
             continue
-        new_graph = res.graph
-        adj = model.adjacency(new_graph)
-        s = build_source_vector(model.vocab, ex.raw_sources, new_graph.entities)
-        new_ex = dataclasses.replace(ex, subgraph=new_graph, adj=adj,
-                                     source_vec=s)
+        new_ex = dataclasses.replace(
+            ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
         dec2 = greedy_decode(model, new_ex, max_len=max_len)
         results.append(PerturbedTurn(
             turn_id=ex.turn_id, original_tokens=dec.tokens,

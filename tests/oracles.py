@@ -114,9 +114,8 @@ def random_subgraph(vocab, rng, n_triples=4):
 
 def decoder_steps(model, ex, prev_ids):
     """Raw decoder steps for a fixed previous-token sequence."""
-    from kgchat.qadpt import _Forward
-    fw = _Forward(model)
-    state = fw.bind(ex)
+    from kgchat.qadpt import _Forward, _TurnState
+    state = _TurnState(_Forward(model), ex)
     return [state.decoder_step(p)[1] for p in prev_ids]
 
 

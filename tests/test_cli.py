@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +17,8 @@ from test_qadpt import _rewrite_header
 from kgchat import cli
 from kgchat.corpus import Vocabulary, load_bundle
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
-from kgchat.metrics import evaluate_report, load_report, recompute_scalars
+from kgchat.metrics import (PerturbTurnEval, evaluate_report, load_report,
+                            recompute_scalars)
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
                           load_checkpoint, make_examples, save_checkpoint)
 
@@ -254,11 +257,86 @@ def test_config_file_and_override_precedence(ws, bundle_dir):
 
 
 def test_unknown_config_key_exits_2(ws, bundle_dir):
-    cfg_file = ws / "bad.cfg"
-    cfg_file.write_text("no_such_key=1\n")
-    assert cli.main(["train", "--bundle", str(bundle_dir),
-                     "--out", str(ws / "never"),
-                     "--config", str(cfg_file)]) == 2
+    # the two retired walk knobs are unknown keys like any other
+    for key in ("no_such_key", "post_renorm", "teacher_forcing"):
+        cfg_file = ws / f"bad_{key}.cfg"
+        cfg_file.write_text(f"{key}=1\n")
+        assert cli.main(["train", "--bundle", str(bundle_dir),
+                         "--out", str(ws / "never"),
+                         "--config", str(cfg_file)]) == 2
+    assert not (ws / "never").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "0"), ("--embed", "-1"), ("--hops", "0"),
+    ("--max_decode_len", "0"), ("--lr", "0"), ("--batch_size", "0")])
+def test_out_of_range_hyperparameter_exits_2(ws, capsys, flag, value):
+    # the bundle does not exist: hyperparameters are checked before it
+    # is read, so the usage error is what surfaces
+    out = ws / f"never_{flag[2:]}"
+    assert cli.main(["train", "--bundle", str(ws / "no_such_bundle"),
+                     "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# keys that configure the corpus pipeline and run control, not the model
+PIPELINE_KEYS = {"tokenize", "min_count", "subgraph_k", "split_seed", "split",
+                 "mode", "metrics", "n_people", "n_places", "n_jobs",
+                 "n_turns", "turns_per_dialogue", "chitchat_rate"}
+
+
+def test_each_hyperparams_field_has_exactly_one_config_key():
+    base = {key: meta[1] for key, meta in cli.CONFIG_KEYS.items()}
+    base["embed"] = base["hidden"]   # so that moving hidden moves one field
+    default = cli.hyper_from_config(base)
+    owners = {}
+    for key, (kind, _, _) in cli.CONFIG_KEYS.items():
+        if kind is bool:
+            value = not base[key]
+        elif key == "model":
+            value = "seq2seq"
+        elif kind is str:
+            value = base[key] + "_other"
+        else:
+            value = base[key] * 2 + 1 if kind is int else base[key] * 2
+        hyper = cli.hyper_from_config({**base, key: value})
+        moved = [f.name for f in dataclasses.fields(hyper)
+                 if getattr(hyper, f.name) != getattr(default, f.name)]
+        if key in PIPELINE_KEYS:
+            assert moved == [], key
+            continue
+        assert len(moved) == 1, (key, moved)
+        assert getattr(hyper, moved[0]) == value, key
+        owners.setdefault(moved[0], []).append(key)
+    assert sorted(owners) == sorted(f.name for f in
+                                    dataclasses.fields(Hyperparams))
+    assert all(len(keys) == 1 for keys in owners.values()), owners
+
+
+@pytest.mark.parametrize("name", ["config.json", "diff.log"])
+def test_failed_write_keeps_previous_file(tmp_path, name):
+    turn = PerturbTurnEval(turn_id="t0", original=("a", "b"),
+                           perturbed=("a", "c"), hypothesis=(), targets=(),
+                           skipped=False, changed=True, accurate=False)
+    if name == "config.json":
+        args = argparse.Namespace(command="eval", out=str(tmp_path))
+        write = lambda cfg: cli._write_config(cfg, args, tmp_path)
+        good, bad = {"seed": 1}, {"seed": 1, "unencodable": object()}
+    else:
+        write = lambda turns: cli._write_diff_log(turns, tmp_path / name)
+        # the second line fails after a first, different line was written
+        good = [turn]
+        bad = [dataclasses.replace(turn, turn_id="t1"),
+               dataclasses.replace(turn, perturbed=("a", 7))]
+    write(good)
+    before = (tmp_path / name).read_bytes()
+    with pytest.raises(TypeError):
+        write(bad)
+    assert (tmp_path / name).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_malformed_config_line_exits_2(ws, bundle_dir):

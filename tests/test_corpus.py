@@ -297,6 +297,15 @@ def test_dialogues_jsonl_bad_json(tmp_path):
         load_dialogues_jsonl(path)
 
 
+def test_dialogues_jsonl_requires_scene_entities(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    row = {"dialogue_id": "d", "turn": 0, "speaker": "s", "message": "m",
+           "response": "r"}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"missing keys \['scene_entities'\]"):
+        load_dialogues_jsonl(path)
+
+
 def test_dialogues_jsonl_bad_types(tmp_path):
     path = tmp_path / "bad.jsonl"
     row = {"dialogue_id": "d", "turn": "0", "speaker": "s",
