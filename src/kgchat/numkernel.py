@@ -36,7 +36,7 @@ class KernelError(ValueError):
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise KernelError(f"non-finite values in {what}")
 
 
@@ -48,23 +48,26 @@ def as_tensor(values, what: str = "tensor") -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|: exp only ever sees
+    -|x|, as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
+    below."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(logits) -> np.ndarray:
-    """Softmax over a 1-d vector, stabilized by max subtraction."""
+    """Softmax over a 1-d vector."""
     x = as_tensor(logits, "softmax input")
     if x.ndim != 1 or x.size == 0:
         raise KernelError("softmax expects a non-empty vector")
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    return _softmax_last(x)
 
 
 def row_softmax(logits) -> np.ndarray:
@@ -72,8 +75,7 @@ def row_softmax(logits) -> np.ndarray:
     x = as_tensor(logits, "row_softmax input")
     if x.ndim != 2 or x.shape[1] == 0:
         raise KernelError("row_softmax expects a 2-d array with columns")
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_last(x)
 
 
 # ---------------------------------------------------------------------------
@@ -81,61 +83,74 @@ def row_softmax(logits) -> np.ndarray:
 
 
 def _gru_forward(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
-    """Single GRU step. Returns the new state and the cache needed for
-    the analytic backward pass.
+    """One GRU step over a batch: x is (B, d) and h is (B, n), one row
+    per sequence. Returns the new state and the cache needed for the
+    analytic backward pass.
 
     Convention: z is the write gate. h' = (1 - z) * h + z * h_tilde,
     so z -> 0 carries the old state through unchanged.
     """
-    z = sigmoid(w_z @ x + u_z @ h + b_z)
-    r = sigmoid(w_r @ x + u_r @ h + b_r)
+    z = sigmoid(x @ w_z.T + h @ u_z.T + b_z)
+    r = sigmoid(x @ w_r.T + h @ u_r.T + b_r)
     rh = r * h
-    htil = np.tanh(w_h @ x + u_h @ rh + b_h)
+    htil = np.tanh(x @ w_h.T + rh @ u_h.T + b_h)
     out = (1.0 - z) * h + z * htil
     cache = (x, h, z, r, rh, htil, w_z, u_z, w_r, u_r, w_h, u_h)
     return out, cache
 
 
 def _gru_backward(g, cache):
-    """Gradients for one GRU step, same order as _gru_forward's inputs."""
+    """Gradients for one batched GRU step, same order as _gru_forward's
+    inputs; weight gradients are summed over the batch."""
     x, h, z, r, rh, htil, w_z, u_z, w_r, u_r, w_h, u_h = cache
     dz = g * (htil - h)
     dhtil = g * z
     dh = g * (1.0 - z)
 
     dah = dhtil * (1.0 - htil * htil)
-    dw_h = np.outer(dah, x)
-    du_h = np.outer(dah, rh)
-    db_h = dah
-    dx = w_h.T @ dah
-    drh = u_h.T @ dah
+    dw_h = dah.T @ x
+    du_h = dah.T @ rh
+    db_h = dah.sum(axis=0)
+    dx = dah @ w_h
+    drh = dah @ u_h
     dr = drh * h
     dh = dh + drh * r
 
     dar = dr * r * (1.0 - r)
-    dw_r = np.outer(dar, x)
-    du_r = np.outer(dar, h)
-    db_r = dar
-    dx = dx + w_r.T @ dar
-    dh = dh + u_r.T @ dar
+    dw_r = dar.T @ x
+    du_r = dar.T @ h
+    db_r = dar.sum(axis=0)
+    dx = dx + dar @ w_r
+    dh = dh + dar @ u_r
 
     daz = dz * z * (1.0 - z)
-    dw_z = np.outer(daz, x)
-    du_z = np.outer(daz, h)
-    db_z = daz
-    dx = dx + w_z.T @ daz
-    dh = dh + u_z.T @ daz
+    dw_z = daz.T @ x
+    du_z = daz.T @ h
+    db_z = daz.sum(axis=0)
+    dx = dx + daz @ w_z
+    dh = dh + daz @ u_z
 
     return dx, dh, dw_z, du_z, db_z, dw_r, du_r, db_r, dw_h, du_h, db_h
+
+
+def _scatter_add(shape, flat_index, values) -> np.ndarray:
+    """Zeros of `shape` with each value added at its flat index.
+    np.bincount sums each bin in entry order, so the result is
+    reproducible bit for bit."""
+    return np.bincount(flat_index.reshape(-1), weights=values.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # Gradient tape
 #
 # Reverse accumulation over an explicit list of recorded ops. Nodes are
-# integer ids into parallel lists; every op validates its operands and
-# checks its output for NaN/Inf, so the recorded program is auditable
-# step by step. No operator overloading: callers name each op.
+# integer ids into parallel lists; every op validates its operands, and
+# an op whose output can turn NaN or Inf for finite operands checks it,
+# so the recorded program is auditable step by step. No operator
+# overloading: callers name each op. A backprop closure maps the node's
+# gradient to one gradient per parent (None where none flows), each of
+# its parent's shape.
 
 
 class Tape:
@@ -156,9 +171,10 @@ class Tape:
             raise KernelError(f"node {node!r} was not recorded on this tape")
         return int(node)
 
-    def _push(self, value, parents, backprop, what) -> int:
+    def _push(self, value, parents, backprop, check=None) -> int:
         arr = np.asarray(value, dtype=np.float64)
-        _require_finite(arr, what)
+        if check is not None:
+            _require_finite(arr, check)
         self._values.append(arr)
         self._parents.append(tuple(parents))
         self._backprops.append(backprop)
@@ -173,13 +189,14 @@ class Tape:
     # -- elementwise and linear ops
 
     def add(self, a: int, b: int) -> int:
+        """a + b; b may also be one row broadcast over a batch a (a bias)."""
         va, vb = self.value(a), self.value(b)
-        if va.shape != vb.shape:
+        rows = va.ndim == 2 and vb.shape == va.shape[1:]
+        if va.shape != vb.shape and not rows:
             raise KernelError("add: shape mismatch")
 
-        def bwd(g, acc):
-            acc[a] += g
-            acc[b] += g
+        def bwd(g):
+            return g, (g.sum(axis=0) if rows else g)
 
         return self._push(va + vb, (a, b), bwd, "add")
 
@@ -188,9 +205,8 @@ class Tape:
         if va.shape != vb.shape:
             raise KernelError("mul: shape mismatch")
 
-        def bwd(g, acc):
-            acc[a] += g * vb
-            acc[b] += g * va
+        def bwd(g):
+            return g * vb, g * va
 
         return self._push(va * vb, (a, b), bwd, "mul")
 
@@ -198,57 +214,66 @@ class Tape:
         va = self.value(a)
         c = float(c)
 
-        def bwd(g, acc):
-            acc[a] += g * c
+        def bwd(g):
+            return (g * c,)
 
         return self._push(va * c, (a,), bwd, "scale")
 
     def matvec(self, w: int, x: int) -> int:
+        """w @ x for a vector x (n,); for a batch x (B, n), w times each
+        row, as x @ w.T."""
         vw, vx = self.value(w), self.value(x)
-        if vw.ndim != 2 or vx.ndim != 1 or vw.shape[1] != vx.shape[0]:
-            raise KernelError("matvec: need (m,n) @ (n,)")
+        if vw.ndim != 2 or vx.ndim not in (1, 2) or vx.shape[-1] != vw.shape[1]:
+            raise KernelError("matvec: need (m,n) @ (n,) or rows (B,n)")
 
-        def bwd(g, acc):
-            acc[w] += np.outer(g, vx)
-            acc[x] += vw.T @ g
+        def bwd(g):
+            return np.atleast_2d(g).T @ np.atleast_2d(vx), g @ vw
 
-        return self._push(vw @ vx, (w, x), bwd, "matvec")
+        return self._push(vx @ vw.T, (w, x), bwd, "matvec")
+
+    def _softmax(self, a: int, what: str) -> int:
+        va = self.value(a)
+        if va.ndim not in (1, 2) or va.shape[-1] == 0:
+            raise KernelError(f"{what}: expects a non-empty vector or rows")
+        y = _softmax_last(va)
+
+        def bwd(g):
+            return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+
+        return self._push(y, (a,), bwd)
 
     def softmax(self, a: int) -> int:
-        y = softmax(self.value(a))
-
-        def bwd(g, acc):
-            acc[a] += y * (g - float(g @ y))
-
-        return self._push(y, (a,), bwd, "softmax")
+        """Softmax of a vector, or of each row of a batch."""
+        return self._softmax(a, "softmax")
 
     def row_softmax(self, a: int) -> int:
-        y = row_softmax(self.value(a))
+        """Softmax over each row of a 2-d array (the relation choices)."""
+        if self.value(a).ndim != 2:
+            raise KernelError("row_softmax expects a 2-d array with columns")
+        return self._softmax(a, "row_softmax")
 
-        def bwd(g, acc):
-            acc[a] += y * (g - np.sum(g * y, axis=1, keepdims=True))
-
-        return self._push(y, (a,), bwd, "row_softmax")
-
-    def lookup_row(self, m: int, index: int) -> int:
+    def lookup_row(self, m: int, index) -> int:
+        """Row `index` of matrix m; an index array gives one row per entry."""
         vm = self.value(m)
-        if vm.ndim != 2 or not 0 <= index < vm.shape[0]:
+        idx = np.asarray(index)
+        if vm.ndim != 2 or idx.ndim > 1 or idx.dtype.kind not in "iu" or \
+                idx.size and not 0 <= idx.min() <= idx.max() < vm.shape[0]:
             raise KernelError("lookup_row: bad matrix or row index")
-        idx = int(index)
+        rows = idx.reshape(-1, 1)
 
-        def bwd(g, acc):
-            acc[m][idx] += g
+        def bwd(g):
+            flat = rows * vm.shape[1] + np.arange(vm.shape[1])
+            return (_scatter_add(vm.shape, flat, g),)
 
-        return self._push(vm[idx].copy(), (m,), bwd, "lookup_row")
+        return self._push(np.take(vm, idx, axis=0), (m,), bwd)
 
     def reshape(self, a: int, shape) -> int:
         va = self.value(a)
-        out = va.reshape(shape).copy()
 
-        def bwd(g, acc):
-            acc[a] += g.reshape(va.shape)
+        def bwd(g):
+            return (g.reshape(va.shape),)
 
-        return self._push(out, (a,), bwd, "reshape")
+        return self._push(va.reshape(shape), (a,), bwd)
 
     def pick(self, v: int, index: int) -> int:
         vv = self.value(v)
@@ -256,18 +281,47 @@ class Tape:
             raise KernelError("pick: bad vector or index")
         idx = int(index)
 
-        def bwd(g, acc):
-            acc[v][idx] += float(g)
+        def bwd(g):
+            out = np.zeros_like(vv)
+            out[idx] = g
+            return (out,)
 
-        return self._push(np.float64(vv[idx]), (v,), bwd, "pick")
+        return self._push(np.float64(vv[idx]), (v,), bwd)
+
+    def gather(self, a: int, index) -> int:
+        """a[index] for a tuple of integer index arrays, one per axis."""
+        va = self.value(a)
+        if len(index) != va.ndim:
+            raise KernelError("gather: need one index array per axis")
+        try:
+            flat = np.ravel_multi_index(tuple(index), va.shape)
+        except (TypeError, ValueError):
+            raise KernelError("gather: bad or out-of-range index") from None
+
+        def bwd(g):
+            return (_scatter_add(va.shape, flat, g),)
+
+        return self._push(va.reshape(-1)[flat], (a,), bwd)
+
+    def stack(self, nodes) -> int:
+        """Same-shape nodes stacked along a new first axis."""
+        nodes = tuple(nodes)
+        vals = [self.value(n) for n in nodes]
+        if not vals or any(v.shape != vals[0].shape for v in vals):
+            raise KernelError("stack: need one or more same-shape operands")
+
+        def bwd(g):
+            return tuple(g)
+
+        return self._push(np.stack(vals), nodes, bwd)
 
     def log_floor(self, a: int, floor: float = 1e-12) -> int:
         """log(max(a, floor)); zero gradient below the floor."""
         va = self.value(a)
         clipped = np.maximum(va, floor)
 
-        def bwd(g, acc):
-            acc[a] += g * (va > floor) / clipped
+        def bwd(g):
+            return (g * (va > floor) / clipped,)
 
         return self._push(np.log(clipped), (a,), bwd, "log_floor")
 
@@ -280,47 +334,67 @@ class Tape:
         if any(v.shape != shape for v in vals):
             raise KernelError("add_n: shape mismatch")
 
-        def bwd(g, acc):
-            for n in nodes:
-                acc[n] += g
+        def bwd(g):
+            return (g,) * len(nodes)
 
         total = vals[0].copy()
         for v in vals[1:]:
             total += v
         return self._push(total, nodes, bwd, "add_n")
 
+    def mean(self, a: int) -> int:
+        """Mean of all entries, as a scalar node."""
+        va = self.value(a)
+        if va.size == 0:
+            raise KernelError("mean: empty operand")
+
+        def bwd(g):
+            return (np.full(va.shape, g / va.size),)
+
+        return self._push(va.mean(), (a,), bwd, "mean")
+
     # -- fused model ops
 
     def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int,
-            w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int) -> int:
+            w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int,
+            active=None) -> int:
+        """One GRU step for a vector input and state, or for a batch of
+        B rows of each. `active`, a constant (B,) bool mask, passes the
+        state of inactive rows through unchanged."""
         ids = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
         vals = [self.value(n) for n in ids]
         vx, vh = vals[0], vals[1]
-        if vx.ndim != 1 or vh.ndim != 1:
-            raise KernelError("gru: input and state must be vectors")
-        n, d = vh.shape[0], vx.shape[0]
+        if vx.ndim != vh.ndim or vx.ndim not in (1, 2) or \
+                vx.shape[:-1] != vh.shape[:-1]:
+            raise KernelError("gru: input and state must be vectors, or "
+                              "batches with the same number of rows")
+        n, d = vh.shape[-1], vx.shape[-1]
         if any(v.shape != want for v, want in
                zip(vals[2:], ((n, d), (n, n), (n,)) * 3)):
             raise KernelError("gru: weight shapes do not match the input "
                               "and state dims")
-        out, cache = _gru_forward(*vals)
+        keep = None
+        if active is not None:
+            active = np.asarray(active)
+            if vx.ndim != 2 or active.dtype != bool or \
+                    active.shape != vx.shape[:1]:
+                raise KernelError("gru: active mask needs one bool per "
+                                  "batch row")
+            keep = active[:, None]
+        h2 = np.atleast_2d(vh)
+        out, cache = _gru_forward(np.atleast_2d(vx), h2, *vals[2:])
+        if keep is not None:
+            out = np.where(keep, out, h2)
 
-        def bwd(g, acc):
-            dx, dh, dw_z, du_z, db_z, dw_r, du_r, db_r, dw_h, du_h, db_h = \
-                _gru_backward(g, cache)
-            acc[x] += dx
-            acc[h] += dh
-            acc[w_z] += dw_z
-            acc[u_z] += du_z
-            acc[b_z] += db_z
-            acc[w_r] += dw_r
-            acc[u_r] += du_r
-            acc[b_r] += db_r
-            acc[w_h] += dw_h
-            acc[u_h] += du_h
-            acc[b_h] += db_h
+        def bwd(g):
+            g = np.atleast_2d(g)
+            dx, dh, *dw = _gru_backward(
+                g if keep is None else np.where(keep, g, 0.0), cache)
+            if keep is not None:
+                dh = dh + np.where(keep, 0.0, g)
+            return (dx.reshape(vx.shape), dh.reshape(vh.shape), *dw)
 
-        return self._push(out, ids, bwd, "gru")
+        return self._push(out.reshape(vh.shape), ids, bwd, "gru")
 
     def mask_renorm_rows(self, r: int, mask: int) -> int:
         """Zero masked-out columns of each row and renormalize the rest.
@@ -337,9 +411,9 @@ class Tape:
             raise KernelError("mask_renorm_rows: a row lost all its mass")
         out = masked / denom
 
-        def bwd(g, acc):
+        def bwd(g):
             inner = np.sum(g * masked, axis=1, keepdims=True)
-            acc[r] += vm * (g / denom - inner / (denom * denom))
+            return vm * (g / denom - inner / (denom * denom)), None
 
         return self._push(out, (r, mask), bwd, "mask_renorm_rows")
 
@@ -349,37 +423,98 @@ class Tape:
         times the edge's normalized tail weight.
 
         `adj` is an AdjacencyTensor-like object with int arrays head,
-        rel, tail and a float array weight; it is a constant.
+        rel, tail and a float array weight; it is a constant. A batch of
+        graphs is one block-diagonal adjacency over the stacked rows.
         """
         vv, vr = self.value(v), self.value(rhat)
         if vv.ndim != 1 or vr.ndim != 2 or vr.shape[0] != vv.shape[0]:
             raise KernelError("kg_hop: shape mismatch")
         out = kg_hop(vv, vr, adj)
 
-        def bwd(g, acc):
+        def bwd(g):
             gt = g[adj.tail]
-            np.add.at(acc[v], adj.head, vr[adj.head, adj.rel] * adj.weight * gt)
-            flat = np.zeros(vr.size)
-            np.add.at(flat, adj.head * vr.shape[1] + adj.rel,
-                      vv[adj.head] * adj.weight * gt)
-            acc[rhat] += flat.reshape(vr.shape)
+            return (_scatter_add(vv.shape, adj.head,
+                                 vr[adj.head, adj.rel] * adj.weight * gt),
+                    _scatter_add(vr.shape, adj.head * vr.shape[1] + adj.rel,
+                                 vv[adj.head] * adj.weight * gt))
 
         return self._push(out, (v, rhat), bwd, "kg_hop")
+
+    def mix_output(self, g: int, cols, width: int, k: int | None = None) -> int:
+        """Scatter a batch of distributions g (B, m) into output rows of
+        `width` columns.
+
+        Without k, column j of g lands in output column cols[j]. With a
+        walk result k (B rows of entities, flattened or not), column 0 of
+        g is a gate: g[:, 1:] land in cols and g[:, 0] * k fills the last
+        k-width columns.
+        """
+        vg = self.value(g)
+        vk = None if k is None else self.value(k)
+        cols = np.asarray(cols, dtype=np.int64)
+        if vg.ndim != 2:
+            raise KernelError("mix_output: g must be (B, m) rows")
+        gen = vg if vk is None else vg[:, 1:]
+        if gen.shape[1] != cols.size:
+            raise KernelError("mix_output: need one column per generic "
+                              "entry")
+        out = np.zeros((vg.shape[0], width))
+        out[:, cols] = gen
+        if vk is None:
+            return self._push(out, (g,), lambda gr: (gr[:, cols],))
+        if vk.size % vg.shape[0]:
+            raise KernelError("mix_output: walk result does not split into "
+                              "one row per batch row")
+        kk = vk.reshape(vg.shape[0], -1)
+        lo = width - kk.shape[1]
+        out[:, lo:] = vg[:, :1] * kk
+
+        def bwd(gr):
+            tail = gr[:, lo:]
+            gate = np.sum(tail * kk, axis=1, keepdims=True)
+            return (np.concatenate([gate, gr[:, cols]], axis=1),
+                    (tail * vg[:, :1]).reshape(vk.shape))
+
+        return self._push(out, (g, k), bwd, "mix_output")
 
     # -- reverse pass
 
     def backward(self, loss: int) -> list:
-        """Accumulate d(loss)/d(node) for every node; returns the list of
-        gradients indexed by node id."""
+        """d(loss)/d(node) for every node, as a list indexed by node id.
+
+        Gradients are allocated only for nodes the loss reaches; every
+        other node reads zeros. Interior gradients may share memory; a
+        leaf's gradient is an array of its own, checked finite, so a
+        caller may scale it in place.
+        """
         loss = self._node(loss)
         if self._values[loss].size != 1:
             raise KernelError("backward: loss must be a scalar node")
-        grads = [np.zeros_like(v) for v in self._values]
+        grads: list = [None] * len(self._values)
         grads[loss] = np.ones_like(self._values[loss])
+        owned = set()        # nodes whose gradient array is theirs alone
         for node in range(loss, -1, -1):
+            g = grads[node]
             bp = self._backprops[node]
-            if bp is not None and np.any(grads[node]):
-                bp(grads[node], grads)
+            if g is None or bp is None:
+                continue
+            for parent, pg in zip(self._parents[node], bp(g)):
+                if pg is None:
+                    continue
+                cur = grads[parent]
+                if cur is None:
+                    grads[parent] = pg
+                elif parent in owned:
+                    cur += pg
+                else:
+                    grads[parent] = cur + pg
+                    owned.add(parent)
+        for node, g in enumerate(grads):
+            if g is None:
+                grads[node] = np.zeros_like(self._values[node])
+            elif self._backprops[node] is None:
+                if node not in owned:
+                    grads[node] = g.copy()
                 _require_finite(grads[node], "gradient")
         return grads
 
@@ -387,13 +522,11 @@ class Tape:
 def kg_hop(v: np.ndarray, rhat: np.ndarray, adj) -> np.ndarray:
     """Forward of one reasoning hop (shared by tape and inference).
 
-    Accumulation order is the adjacency's fixed edge order, which keeps
-    results bit-reproducible.
+    Each tail accumulates in the adjacency's fixed edge order, which
+    keeps results bit-reproducible.
     """
-    out = np.zeros_like(v)
     contrib = v[adj.head] * rhat[adj.head, adj.rel] * adj.weight
-    np.add.at(out, adj.tail, contrib)
-    return out
+    return _scatter_add(v.shape, adj.tail, contrib)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ graph changes the reply with frozen parameters.
 
 Everything runs on the recorded-op tape from numkernel, training and
 inference alike, so there is exactly one implementation of the forward
-pass. Checkpoints are a small binary format: magic, JSON header, raw
-little-endian float64 payload (see save_checkpoint).
+pass: training runs a whole batch as padded (B, H) rows, inference runs
+the same step with a batch of one. Checkpoints are a small binary
+format: magic, JSON header, raw little-endian float64 payload (see
+save_checkpoint).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,10 +77,18 @@ class Hyperparams:
             raise ModelError("dims must be >= 1")
         if self.n_hops < 1:
             raise ModelError("hop count must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
-            raise ModelError("bad training configuration")
-        if self.lr <= 0 or self.clip_norm <= 0 or self.prob_floor <= 0:
-            raise ModelError("lr, clip_norm and prob_floor must be positive")
+        if self.batch_size < 1:
+            raise ModelError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ModelError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ModelError(f"patience must be >= 0, got {self.patience}")
+        if self.lr <= 0 or self.clip_norm <= 0:
+            raise ModelError("lr and clip_norm must be positive")
+        # a floor at or above 1 clamps every -log o_t(y_t) to a constant
+        if not 0 < self.prob_floor < 1:
+            raise ModelError(f"prob_floor must be in (0, 1), got "
+                             f"{self.prob_floor}")
         if self.max_decode_len < 1:
             raise ModelError("max_decode_len must be >= 1")
         if self.kind not in KINDS:
@@ -226,9 +237,10 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 # Forward pass
 #
 # _Forward wraps one tape with the parameters recorded on it once; a
-# _TurnState over it holds one example's decoder state. Training calls
-# backward() on the assembled loss; evaluation and decoding just read
-# node values off the same graph construction.
+# _TurnState over it holds the decoder state of a batch of turns, run
+# as (B, ...) rows. Training calls backward() on the assembled loss;
+# evaluation and decoding run the same state with one turn and read
+# node values off it.
 
 
 class _Forward:
@@ -239,20 +251,10 @@ class _Forward:
                    for name, arr in sorted(model.params.items())}
         self._enc = tuple(self.pn[f"enc.{f}"] for f in GRU_FIELDS)
         self._dec = tuple(self.pn[f"dec.{f}"] for f in GRU_FIELDS)
-        self._h0 = self.tape.leaf(np.zeros(model.hyper.hidden_dim))
-
-    def encode(self, token_ids: Sequence[int]) -> int:
-        if not token_ids:
-            raise ModelError("encoder input is empty")
-        t = self.tape
-        h = self._h0
-        for tid in token_ids:
-            x = t.lookup_row(self.pn["embed"], int(tid))
-            h = t.gru(x, h, *self._enc)
-        return h
 
 
-# seq2seq emits from one flat softmax over [EOS, UNK] + generic + entities
+# seq2seq emits from one flat softmax over [EOS, UNK] + generic + entities;
+# these are also the only ids either model's output puts mass on
 def seq2seq_output_ids(vocab: Vocabulary) -> np.ndarray:
     ids = [EOS_ID, UNK_ID]
     ids.extend(range(len(SPECIALS), len(SPECIALS) + len(vocab.generic)))
@@ -270,132 +272,162 @@ class DecoderStep:
     path_matrix: np.ndarray | None   # renormalized relation choices, or None
 
 
-class _TurnState:
-    """Per-example decoder state over a shared _Forward."""
+def _padded(rows: Sequence[Sequence[int]]) -> tuple:
+    """(B, T) ids right-padded with PAD_ID, and each row's length."""
+    lengths = np.array([len(r) for r in rows])
+    ids = np.full((len(rows), int(lengths.max())), PAD_ID, dtype=np.int64)
+    for i, r in enumerate(rows):
+        ids[i, :len(r)] = r
+    return ids, lengths
 
-    def __init__(self, fw: _Forward, example: Example):
+
+def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace:
+    """One adjacency over B graphs of n entities each, stacked: graph b's
+    heads and tails move to rows b*n .. b*n + n - 1, its edges keep
+    their order."""
+    offsets = np.repeat(np.arange(len(adjs)) * n, [a.head.size for a in adjs])
+
+    def cat(field):
+        return np.concatenate([getattr(a, field) for a in adjs])
+
+    return SimpleNamespace(head=cat("head") + offsets, rel=cat("rel"),
+                           tail=cat("tail") + offsets, weight=cat("weight"))
+
+
+class _TurnState:
+    """Decoder state of a batch of turns over a shared _Forward.
+
+    Every op runs on B rows at once. Encoder and decoder inputs are
+    right-padded to the longest turn; the encoder carries a finished
+    row's state through unchanged, and decoder rows past their turn's
+    end are computed but never read.
+    """
+
+    def __init__(self, fw: _Forward, examples: Sequence[Example]):
+        if not examples:
+            raise ModelError("empty batch")
         self.fw = fw
-        self.ex = example
         model = fw.model
         self.hyper = model.hyper
         self.vocab = model.vocab
         t = fw.tape
+        self.dec_in, self.lengths = _padded([ex.dec_in_ids for ex in examples])
+        self.targets, _ = _padded([ex.target_ids for ex in examples])
+        self.out_ids = seq2seq_output_ids(self.vocab)
+        real = np.arange(self.targets.shape[1]) < self.lengths[:, None]
+        bad = real & ~np.isin(self.targets, self.out_ids)
+        if bad.any():
+            raise ModelError(f"target id {self.targets[bad][0]} is not "
+                             f"emittable")
         if model.kind == "qadpt":
-            self.mask = t.leaf(example.adj.active)
-            self.s = t.leaf(example.source_vec)
-            self.s_total = float(example.source_vec.sum())
-        else:
-            self.out_ids = seq2seq_output_ids(self.vocab)
-            self.out_pos = {int(v): i for i, v in enumerate(self.out_ids)}
-        self.h = fw.encode(example.enc_ids)
+            adjs = [ex.adj for ex in examples]
+            self.adj = _block_adjacency(adjs, self.vocab.n_entities)
+            self.mask = t.leaf(np.concatenate([a.active for a in adjs]))
+            s = np.concatenate([ex.source_vec for ex in examples])
+            self.s = t.leaf(s)
+            self.s_total = float(s.sum())
+        self.h = self._encode([ex.enc_ids for ex in examples])
 
-    # one decoder step; returns node handles for the loss and a
-    # DecoderStep of concrete values for everything else
-    def step(self, prev_id: int) -> tuple:
+    def _encode(self, rows) -> int:
+        ids, lengths = _padded(rows)
+        if lengths.min() == 0:
+            raise ModelError("encoder input is empty")
+        t = self.fw.tape
+        h = t.leaf(np.zeros((len(rows), self.hyper.hidden_dim)))
+        for i in range(ids.shape[1]):
+            active = lengths > i
+            x = t.lookup_row(self.fw.pn["embed"], ids[:, i])
+            h = t.gru(x, h, *self.fw._enc,
+                      active=None if active.all() else active)
+        return h
+
+    def step(self, prev_ids: np.ndarray) -> tuple:
+        """One decoder step of every row from its previous token id.
+
+        Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
+        full-vocabulary output distribution. qadpt's generic softmax g
+        splits its KB mass g[:, 0] over the walk result k; seq2seq's
+        flat softmax g is scattered into the vocabulary, and its k and
+        rhat are None.
+        """
         t = self.fw.tape
         pn = self.fw.pn
-        x = t.lookup_row(pn["embed"], int(prev_id))
+        vocab = self.vocab
+        x = t.lookup_row(pn["embed"], prev_ids)
         self.h = t.gru(x, self.h, *self.fw._dec)
         if self.fw.model.kind == "seq2seq":
             logits = t.add(t.matvec(pn["out_w"], self.h), pn["out_b"])
             probs = t.softmax(logits)
-            return probs, None, None
+            o = t.mix_output(probs, self.out_ids, vocab.size)
+            return o, probs, None, None
         g = t.softmax(t.add(t.matvec(pn["phi_w"], self.h), pn["phi_b"]))
-        n = self.vocab.n_entities
-        n_rel = len(self.vocab.relations) + 1
+        n_rel = len(vocab.relations) + 1
         theta = t.add(t.matvec(pn["theta_w"], self.h), pn["theta_b"])
-        r = t.row_softmax(t.reshape(theta, (n, n_rel)))
+        r = t.row_softmax(t.reshape(theta, (-1, n_rel)))
         rhat = t.mask_renorm_rows(r, self.mask)
         k = self.s
         if self.s_total > 0.0:
             for _ in range(self.hyper.n_hops):
-                k = t.kg_hop(k, rhat, self.ex.adj)
-        return g, k, rhat
+                k = t.kg_hop(k, rhat, self.adj)
+        o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k)
+        return o, g, k, rhat
 
-    def output(self, nodes: tuple) -> np.ndarray:
-        """o_t, the full-vocabulary output distribution of one step.
-
-        qadpt splits the generic softmax's KB mass g[0] over the walk
-        result k; seq2seq scatters its flat softmax into the vocabulary.
-        """
-        t = self.fw.tape
-        vocab = self.vocab
-        o = np.zeros(vocab.size)
+    def unreachable(self, pos: int, nodes: tuple) -> np.ndarray:
+        """Per row, whether its target at `pos` is an entity the walk
+        result gives no mass."""
         if self.fw.model.kind == "seq2seq":
-            o[self.out_ids] = t.value(nodes[0])
-            return o
-        g, k, _ = nodes
-        gval = t.value(g)
-        o[vocab.generic_output_ids[1:]] = gval[1:]
-        o[vocab.entity_base:] = gval[0] * t.value(k)
-        return o
+            return np.zeros(len(self.lengths), dtype=bool)
+        base = self.vocab.entity_base
+        y = self.targets[:, pos]
+        entity = (pos < self.lengths) & (y >= base)
+        k = self.fw.tape.value(nodes[2]).reshape(len(y), -1)
+        kpos = k[np.arange(len(y)), np.where(entity, y - base, 0)]
+        return entity & (kpos <= 0.0)
 
     def decoder_step(self, prev_id: int) -> tuple:
-        """step() plus the assembled DecoderStep record."""
-        nodes = self.step(prev_id)
+        """step() of a one-turn state plus its DecoderStep record."""
+        nodes = self.step(np.array([prev_id]))
         t = self.fw.tape
-        combined = self.output(nodes)
+        combined = t.value(nodes[0])[0].copy()
+        g = t.value(nodes[1])[0]
         if self.fw.model.kind == "seq2seq":
-            probs = t.value(nodes[0])
             n_gen = 2 + len(self.vocab.generic)
             return nodes, DecoderStep(
-                generic=probs[:n_gen].copy(),
-                controller=float(probs[n_gen:].sum()),
-                entity=probs[n_gen:].copy(), combined=combined,
-                path_matrix=None)
-        g, k, rhat = (t.value(n) for n in nodes)
+                generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
+                entity=g[n_gen:].copy(), combined=combined, path_matrix=None)
         return nodes, DecoderStep(
             generic=g[1:].copy(), controller=float(g[0]),
-            entity=k.copy(), combined=combined, path_matrix=rhat.copy())
-
-    def target_prob_node(self, nodes: tuple, target_id: int) -> tuple:
-        """Node for o_t(y_t) plus whether the entity target was
-        unreachable under the current walk."""
-        t = self.fw.tape
-        vocab = self.vocab
-        if self.fw.model.kind == "seq2seq":
-            probs, _, _ = nodes
-            return t.pick(probs, self.out_pos[int(target_id)]), False
-        g, k, _ = nodes
-        if vocab.is_entity_id(target_id):
-            pos = vocab.entity_position(target_id)
-            unreachable = bool(t.value(k)[pos] <= 0.0)
-            return t.mul(t.pick(g, 0), t.pick(k, pos)), unreachable
-        pos = vocab.generic_block_index.get(int(target_id))
-        if pos is None:
-            raise ModelError(f"target id {target_id} is not emittable")
-        return t.pick(g, pos), False
+            entity=t.value(nodes[2]).copy(), combined=combined,
+            path_matrix=t.value(nodes[3]).copy())
 
 
 def _target_steps(state: _TurnState):
-    """Walk one turn's targets with the gold prefix as decoder input,
-    yielding per position the step nodes, the node for o_t(y_t) and
-    whether the target was unreachable."""
-    for prev, target in zip(state.ex.dec_in_ids, state.ex.target_ids):
-        nodes = state.step(prev)
-        p, unreachable = state.target_prob_node(nodes, target)
-        yield nodes, p, unreachable
+    """Walk the batch's targets with the gold prefix as decoder input,
+    yielding per position the step nodes and which rows hold an
+    unreachable entity target there."""
+    for pos in range(state.dec_in.shape[1]):
+        nodes = state.step(state.dec_in[:, pos])
+        yield nodes, state.unreachable(pos, nodes)
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     """(tape, loss node, token count, unreachable count) for one batch.
 
     The loss is the mean over target tokens of -log o_t(y_t) with the
-    configured probability floor.
+    configured probability floor. The batch runs as one padded forward
+    pass; only real target positions enter the loss.
     """
-    if not examples:
-        raise ModelError("empty batch")
-    hyper = model.hyper
-    fw = _Forward(model)
-    t = fw.tape
-    nll = []
+    state = _TurnState(_Forward(model), examples)
+    t = state.fw.tape
+    outputs = []
     unreachable = 0
-    for ex in examples:
-        for _, p, unreach in _target_steps(_TurnState(fw, ex)):
-            unreachable += unreach
-            nll.append(t.scale(t.log_floor(p, hyper.prob_floor), -1.0))
-    loss = t.scale(t.add_n(nll), 1.0 / len(nll))
-    return t, loss, len(nll), unreachable
+    for nodes, unreach in _target_steps(state):
+        outputs.append(nodes[0])
+        unreachable += int(unreach.sum())
+    rows, pos = np.nonzero(np.arange(len(outputs)) < state.lengths[:, None])
+    gold = t.gather(t.stack(outputs), (pos, rows, state.targets[rows, pos]))
+    loss = t.scale(t.mean(t.log_floor(gold, model.hyper.prob_floor)), -1.0)
+    return t, loss, len(rows), unreachable
 
 
 def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
@@ -421,15 +453,16 @@ class TeacherResult:
 
 
 def teacher_force(model: QadptModel, example: Example) -> TeacherResult:
-    fw = _Forward(model)
-    state = _TurnState(fw, example)
+    state = _TurnState(_Forward(model), [example])
     probs = []
     argmax = []
     unreachable = 0
-    for nodes, p, unreach in _target_steps(state):
-        unreachable += unreach
-        probs.append(float(fw.tape.value(p)))
-        argmax.append(int(np.argmax(state.output(nodes))))
+    for (nodes, unreach), target in zip(_target_steps(state),
+                                        example.target_ids):
+        o = state.fw.tape.value(nodes[0])[0]
+        probs.append(float(o[target]))
+        argmax.append(int(np.argmax(o)))
+        unreachable += int(unreach[0])
     return TeacherResult(turn_id=example.turn_id,
                          target_ids=example.target_ids,
                          gold_probs=tuple(probs), argmax_ids=tuple(argmax),
@@ -453,7 +486,7 @@ def greedy_decode(model: QadptModel, example: Example,
         max_len = model.hyper.max_decode_len
     elif max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
-    state = _TurnState(_Forward(model), example)
+    state = _TurnState(_Forward(model), [example])
     out_ids = []
     steps = []
     prev = BOS_ID
@@ -596,6 +629,7 @@ def _run_phase(model: QadptModel, phase: str, train_ex, val_ex, state,
         total_tokens = 0
         norms = []
         epoch_unreachable = 0
+        tape_nodes = 0
         for lo in range(0, len(order), hyper.batch_size):
             batch = [train_ex[int(i)] for i in order[lo:lo + hyper.batch_size]]
             try:
@@ -609,6 +643,7 @@ def _run_phase(model: QadptModel, phase: str, train_ex, val_ex, state,
             numkernel.adam_update(model.params, grads, state, hyper.lr)
             total_nll += float(tape.value(loss)) * n_tok
             total_tokens += n_tok
+            tape_nodes += len(tape)
             epoch_unreachable += unreach
         train_loss = total_nll / total_tokens
         val_ppl = validation_perplexity(model, val_ex)
@@ -618,6 +653,7 @@ def _run_phase(model: QadptModel, phase: str, train_ex, val_ex, state,
             "val_loss": float(np.log(val_ppl)), "val_ppl": val_ppl,
             "grad_norm": float(np.mean(norms)),
             "unreachable_targets": epoch_unreachable,
+            "train_tokens": total_tokens, "tape_nodes": tape_nodes,
             "seconds": time.monotonic() - t0,
         }
         history.append(record)

@@ -7,7 +7,10 @@ from collections import defaultdict
 
 import numpy as np
 
+from kgchat.corpus import DialogueTurn, Vocabulary
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
+from kgchat.qadpt import (Hyperparams, QadptModel, batch_loss, make_example,
+                          param_grads)
 
 
 def renorm_rows(r, mask):
@@ -115,7 +118,7 @@ def random_subgraph(vocab, rng, n_triples=4):
 def decoder_steps(model, ex, prev_ids):
     """Raw decoder steps for a fixed previous-token sequence."""
     from kgchat.qadpt import _Forward, _TurnState
-    state = _TurnState(_Forward(model), ex)
+    state = _TurnState(_Forward(model), [ex])
     return [state.decoder_step(p)[1] for p in prev_ids]
 
 
@@ -132,3 +135,65 @@ def walk_to_triples(vocab, adj, start, steps):
                               vocab.entities[t]))
         here = t
     return vocab.entities[start], tuple(triples)
+
+
+# ---------------------------------------------------------------------------
+# Differential loss checks: seeded toy batches and the batch_loss
+# results pinned for them (tests/data/batch_loss_parent.npz)
+
+PIN_KINDS = ("qadpt", "seq2seq")
+PIN_SEEDS = (0, 1, 2)
+
+
+def toy_batch(kind, seed):
+    """(model, examples): a small seeded model and a batch of turns of
+    ragged encoder and decoder lengths over random subgraphs, with one
+    turn on an empty subgraph and one whose entity target no walk
+    reaches, in seeded order."""
+    vocab = Vocabulary(generic=("lives", "in", "yes", "where", "is"),
+                       entities=("a", "b", "c", "d", "e"),
+                       relations=("q", "r"))
+    rng = np.random.default_rng(seed)
+    words = vocab.generic + vocab.entities
+
+    def example(i, msg, resp, graph):
+        turn = DialogueTurn(dialogue_id=f"pin{seed}", turn=i, speaker="s",
+                            scene_entities=(), message=tuple(msg),
+                            response=tuple(resp))
+        return make_example(turn, graph, vocab)
+
+    def words_of(lo, hi):
+        return [words[int(j)] for j in rng.integers(len(words),
+                                                    size=rng.integers(lo, hi))]
+
+    n = 5 + seed
+    examples = [example(i, words_of(1, 7), words_of(0, 6),
+                        random_subgraph(vocab, rng, 5)) for i in range(n)]
+    examples.append(example(n, ["where", "a"], ["b", "yes"],
+                            KnowledgeGraph([])))
+    examples.append(example(n + 1, ["a", "lives"], ["e", "yes"],
+                            KnowledgeGraph([Triple("a", "q", "b")],
+                                           extra_entities=["e"])))
+    model = QadptModel(Hyperparams(kind=kind, hidden_dim=6, embed_dim=5,
+                                   n_hops=3, seed=seed), vocab)
+    return model, [examples[int(i)] for i in rng.permutation(len(examples))]
+
+
+def loss_and_grads(model, examples):
+    """batch_loss's mean loss, token and unreachable counts, and the
+    gradient of every parameter, keyed by name."""
+    tape, loss, n_tok, unreachable = batch_loss(model, examples)
+    grads = param_grads(model, tape, loss)
+    return {"loss": float(tape.value(loss)), "n_tok": n_tok,
+            "unreachable": unreachable,
+            **{f"grad/{name}": g for name, g in grads.items()}}
+
+
+def write_batch_loss_pin(path):
+    """Save loss_and_grads of every toy batch as `kind/seed/field`."""
+    arrays = {}
+    for kind in PIN_KINDS:
+        for seed in PIN_SEEDS:
+            for field, value in loss_and_grads(*toy_batch(kind, seed)).items():
+                arrays[f"{kind}/{seed}/{field}"] = np.asarray(value)
+    np.savez_compressed(path, **arrays)

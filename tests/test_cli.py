@@ -242,6 +242,39 @@ def test_decode_cap_below_one_exits_2(ws, bundle_dir, run_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"),
+                                         ("--prob_floor", "1"),
+                                         ("--prob_floor", "2")])
+def test_train_flags_that_cannot_train_exit_2(ws, capsys, flag, value):
+    # the bundle does not exist: the flag is refused before it is read
+    out = ws / f"notrain_{flag[2:]}_{value}"
+    assert cli.main(["train", "--bundle", str(ws / "no_bundle"),
+                     "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert ("max_epochs" if flag == "--epochs" else "prob_floor") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("max_epochs", 0),
+                                          ("prob_floor", 1.0),
+                                          ("prob_floor", 2.0)])
+def test_checkpoint_hyper_that_cannot_train_exits_3(ws, bundle_dir, run_dir,
+                                                    field, value):
+    ckpt = ws / f"hyper_{field}_{value}.ckpt"
+    shutil.copyfile(run_dir / "model.ckpt", ckpt)
+    _rewrite_header(ckpt, lambda h: h["hyper"].update({field: value}))
+    out = ws / f"hyper_eval_{field}_{value}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", "eval", "--bundle",
+         str(bundle_dir), "--checkpoint", str(ckpt), "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+    assert not out.exists()
+
+
 def test_config_file_and_override_precedence(ws, bundle_dir):
     cfg_file = ws / "train.cfg"
     cfg_file.write_text("# comment\nhidden = 20\nepochs=2\npatience = 5\n")

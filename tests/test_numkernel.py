@@ -3,6 +3,7 @@ recurrence, tape gradients against central finite differences, and the
 Adam update rule."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,6 +144,39 @@ def test_tape_gru_rejects_bad_dims():
         p = {**gru_params(rng(), 3, 4), field: np.zeros(shape)}
         with pytest.raises(nk.KernelError, match="gru"):
             tape_gru(p, [np.zeros(3)], np.zeros(4))
+    # batches: rows must agree, and an active mask needs one bool per row
+    t = nk.Tape()
+    weights = [t.leaf(v) for v in gru_params(rng(), 3, 4).values()]
+    with pytest.raises(nk.KernelError, match="gru"):
+        t.gru(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 4))), *weights)
+    x, h = t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 4)))
+    for active in (np.ones(3, bool), np.ones((2, 1), bool), np.ones(2)):
+        with pytest.raises(nk.KernelError, match="gru"):
+            t.gru(x, h, *weights, active=active)
+    with pytest.raises(nk.KernelError, match="gru"):
+        t.gru(t.leaf(np.zeros(3)), t.leaf(np.zeros(4)), *weights,
+              active=np.ones(1, bool))
+
+
+def test_batched_gru_rows_match_vector_steps():
+    """Each row of a batched step is that row's vector step; a row the
+    active mask leaves out keeps its state, and its gradient passes
+    straight through to the old state."""
+    r = rng(4)
+    p = gru_params(r, 3, 4)
+    xs, hs = r.normal(size=(3, 3)), r.normal(size=(3, 4))
+    active = np.array([True, False, True])
+    t = nk.Tape()
+    weights = [t.leaf(p[f]) for f in GRU_FIELDS]
+    x, h = t.leaf(xs), t.leaf(hs)
+    out = t.gru(x, h, *weights, active=active)
+    got = t.value(out)
+    for i in range(3):
+        want = tape_gru(p, [xs[i]], hs[i]) if active[i] else hs[i]
+        np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=1e-15)
+    grads = t.backward(total(t, out))
+    np.testing.assert_array_equal(grads[h][1], np.ones(4))
+    np.testing.assert_array_equal(grads[x][1], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +184,8 @@ def test_tape_gru_rejects_bad_dims():
 
 
 def total(t, node):
-    """Scalar sum of a node's entries, built from the ops the models
-    record (reshape, pick, add_n)."""
+    """Scalar sum of a node's entries, built from reshape, pick and
+    add_n."""
     n = t.value(node).size
     flat = t.reshape(node, (n,))
     return t.add_n(t.pick(flat, i) for i in range(n))
@@ -280,6 +314,62 @@ def test_mask_renorm_rows_rejects_empty_row():
     mask = t.leaf([[0.0, 0.0]])
     with pytest.raises(nk.KernelError):
         t.mask_renorm_rows(r, mask)
+
+
+# ---------------------------------------------------------------------------
+# kg_hop: np.bincount against the np.add.at form it replaced
+
+
+def add_at_hop(v, rhat, adj, g):
+    """One hop and its backward written with np.add.at: the forward
+    output, then the gradients for v and rhat given the output's
+    gradient g."""
+    out = np.zeros_like(v)
+    np.add.at(out, adj.tail, v[adj.head] * rhat[adj.head, adj.rel] * adj.weight)
+    gt = g[adj.tail]
+    dv = np.zeros_like(v)
+    np.add.at(dv, adj.head, rhat[adj.head, adj.rel] * adj.weight * gt)
+    flat = np.zeros(rhat.size)
+    np.add.at(flat, adj.head * rhat.shape[1] + adj.rel,
+              v[adj.head] * adj.weight * gt)
+    return out, dv, flat.reshape(rhat.shape)
+
+
+@st.composite
+def hop_cases(draw):
+    """Random adjacencies: repeated heads and tails, self-loops, zero
+    weights and zero mass all allowed."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 4))
+    e = draw(st.integers(0, 30))
+    ints = st.lists(st.integers(0, n - 1), min_size=e, max_size=e)
+    weights = st.lists(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]) |
+                       st.floats(0, 1), min_size=e, max_size=e)
+    adj = SimpleNamespace(
+        head=np.array(draw(ints), dtype=np.int64),
+        rel=np.array(draw(st.lists(st.integers(0, m - 1), min_size=e,
+                                   max_size=e)), dtype=np.int64),
+        tail=np.array(draw(ints), dtype=np.int64),
+        weight=np.array(draw(weights), dtype=np.float64))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = r.random(n) * (r.random(n) < 0.7)
+    rhat = r.random((n, m)) * (r.random((n, m)) < 0.8)
+    return v, rhat, adj, r.normal(size=n)
+
+
+@given(hop_cases())
+@settings(max_examples=300, deadline=None)
+def test_kg_hop_bincount_bit_equals_add_at(case):
+    v, rhat, adj, c = case
+    t = nk.Tape()
+    vn, rn = t.leaf(v), t.leaf(rhat)
+    hop = t.kg_hop(vn, rn, adj)
+    grads = t.backward(t.mean(t.mul(hop, t.leaf(c))))
+    out, dv, drhat = add_at_hop(v, rhat, adj, grads[hop])
+    for got, want in ((nk.kg_hop(v, rhat, adj), out), (t.value(hop), out),
+                      (grads[vn], dv), (grads[rn], drhat)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,30 @@
+"""Model tests: parameter plumbing, decode-step invariants against the
+walk oracles, the loss, gradients, decoding, path inference, training
+and checkpoints.
+
+tests/data/batch_loss_parent.npz pins batch_loss on the toy batches of
+`oracles.toy_batch` to the per-example loss it replaced: the loss, the
+token and unreachable counts and every parameter gradient, as computed
+by commit cb18b93. It was written by running, from the tests directory,
+
+    PYTHONPATH=<checkout of cb18b93>/src:. python3 -c \\
+        "import oracles; oracles.write_batch_loss_pin('data/batch_loss_parent.npz')"
+
+with this oracles.py.
+"""
+
 import hashlib
 import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (brute_force_best_path, decoder_steps, dense_transition,
-                     path_sum_oracle, random_subgraph, renorm_rows)
+from oracles import (PIN_KINDS, PIN_SEEDS, brute_force_best_path,
+                     decoder_steps, dense_transition, loss_and_grads,
+                     path_sum_oracle, random_subgraph, renorm_rows, toy_batch)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
@@ -72,6 +89,11 @@ def test_hyperparams_validation():
         Hyperparams(kind="transformer")
     with pytest.raises(ModelError):
         Hyperparams(lr=0.0)
+    # no epoch trains nothing; a floor at or above 1 clamps every loss term
+    for field, value in (("max_epochs", 0), ("prob_floor", 0.0),
+                         ("prob_floor", 1.0), ("prob_floor", 2.0)):
+        with pytest.raises(ModelError, match=field):
+            Hyperparams(**{field: value})
 
 
 def test_param_shapes_qadpt():
@@ -386,6 +408,54 @@ def test_loss_counts_unreachable_targets():
     assert float(tape.value(loss)) > np.log(1e10) / n_tok
 
 
+PIN = Path(__file__).parent / "data" / "batch_loss_parent.npz"
+COUNTS = ("n_tok", "unreachable")
+
+
+def assert_close(got, want, field):
+    """Equal at rtol 1e-10. Entries that cancel to zero, such as the
+    relation-softmax bias gradients summing to nothing over a row, keep
+    a rounding residue of ~1e-17 whose sign depends on summation order;
+    they are judged against 1e-10 of the tensor's largest entry."""
+    want = np.asarray(want)
+    scale = float(np.max(np.abs(want))) if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale,
+                               err_msg=field)
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+@pytest.mark.parametrize("kind", PIN_KINDS)
+def test_batch_loss_matches_the_pinned_per_example_loss(kind, seed):
+    prefix = f"{kind}/{seed}/"
+    with np.load(PIN) as pin:
+        want = {k[len(prefix):]: pin[k] for k in pin.files
+                if k.startswith(prefix)}
+    got = loss_and_grads(*toy_batch(kind, seed))
+    assert set(got) == set(want)
+    for field in COUNTS:
+        assert got[field] == int(want[field]), field
+    assert (got["unreachable"] > 0) == (kind == "qadpt")
+    for field in sorted(set(got) - set(COUNTS)):
+        assert_close(got[field], want[field], field)
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+@pytest.mark.parametrize("kind", PIN_KINDS)
+def test_batch_loss_is_invariant_to_batching_and_order(kind, seed):
+    """The batch's summed loss and gradients are the sums over its turns
+    run one at a time, and do not depend on the turns' order."""
+    model, exs = toy_batch(kind, seed)
+    singles = [loss_and_grads(model, [ex]) for ex in exs]
+    order = np.random.default_rng(seed).permutation(len(exs))
+    for batch in (exs, [exs[int(i)] for i in order]):
+        got = loss_and_grads(model, batch)
+        for field in COUNTS:
+            assert got[field] == sum(s[field] for s in singles)
+        for field in sorted(set(got) - set(COUNTS)):
+            want = sum(s[field] * s["n_tok"] for s in singles)
+            assert_close(got[field] * got["n_tok"], want, field)
+
+
 # ---------------------------------------------------------------------------
 # Gradient check on the full model
 
@@ -644,7 +714,18 @@ def test_training_writes_jsonl_log(tmp_path):
     assert len(lines) == len(result.history)
     rec = _json.loads(lines[0])
     assert {"phase", "epoch", "train_loss", "val_ppl",
-            "grad_norm", "unreachable_targets"} <= set(rec)
+            "grad_norm", "unreachable_targets", "train_tokens",
+            "tape_nodes"} <= set(rec)
+    # the first epoch's counters, recounted from its seeded batch order
+    order = np.random.default_rng(model.hyper.seed).permutation(len(tr))
+    size = model.hyper.batch_size
+    batches = [[tr[int(i)] for i in order[lo:lo + size]]
+               for lo in range(0, len(tr), size)]
+    assert rec["train_tokens"] == sum(len(e.target_ids) for e in tr)
+    assert rec["tape_nodes"] == sum(len(batch_loss(model, b)[0])
+                                    for b in batches)
+    assert all(h["train_tokens"] == rec["train_tokens"]
+               for h in result.history)
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +828,17 @@ def test_checkpoint_rejects_bad_manifest(tmp_path, edit):
     save_checkpoint(model_for(toy_vocab()), path)
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match="(bad manifest|runs past).*offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("max_epochs", 0),
+                                          ("prob_floor", 1.0),
+                                          ("prob_floor", 2.0)])
+def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    _rewrite_header(path, lambda h: h["hyper"].update({field: value}))
+    with pytest.raises(CheckpointError, match=field):
         load_checkpoint(path)
 
 
