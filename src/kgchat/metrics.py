@@ -36,14 +36,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import _load_json, atomic_open
-from .qadpt import QadptModel, _decode_paths, greedy_decode, teacher_force
+from .qadpt import (QadptModel, _decode_paths, encode, greedy_decode,
+                    teacher_force)
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
     "kw_generic_prf", "generated_kw_prf", "bleu2_sentence", "perplexity",
     "distinct_n", "change_rate", "accurate_change_rate", "TurnEval",
     "EvalReport", "evaluate_report", "PerturbTurnEval", "PerturbReport",
-    "perturbation_report", "load_report", "recompute_scalars", "METRIC_NAMES",
+    "perturbation_report", "load_report", "load_perturb_report",
+    "recompute_scalars", "METRIC_NAMES",
 ]
 
 PROB_FLOOR = 1e-12
@@ -528,14 +530,16 @@ def _scalars(ents, turns) -> dict:
 
 def evaluate_report(model: QadptModel, examples, max_len: int | None = None,
                     config: dict | None = None) -> EvalReport:
-    """Run teacher-forced and free-running passes and score everything."""
+    """Run teacher-forced and free-running passes and score everything.
+    Each turn is encoded once, for both passes."""
     if not examples:
         raise MetricError("no turns to evaluate")
     id_to_token = model.vocab.id_to_token
     turns = []
     for ex in examples:
-        tf = teacher_force(model, ex)
-        dec = greedy_decode(model, ex, max_len=max_len)
+        enc = encode(model, ex)
+        tf = teacher_force(model, ex, encoded=enc)
+        dec = greedy_decode(model, ex, max_len=max_len, encoded=enc)
         reference = tuple(ex.target_tokens)
         turns.append(TurnEval(
             turn_id=ex.turn_id,
@@ -579,6 +583,19 @@ class PerturbTurnEval:
                 "targets": list(self.targets), "skipped": self.skipped,
                 "changed": self.changed, "accurate": self.accurate}
 
+    @classmethod
+    def from_dict(cls, d) -> "PerturbTurnEval":
+        if not isinstance(d, dict):
+            raise TypeError("a turn record is not a JSON object")
+        return cls(turn_id=_typed(d, "turn_id", str),
+                   original=_strings(d, "original"),
+                   perturbed=_strings(d, "perturbed"),
+                   hypothesis=_strings(d, "hypothesis"),
+                   targets=_strings(d, "targets"),
+                   skipped=_typed(d, "skipped", bool),
+                   changed=_typed(d, "changed", bool, optional=True),
+                   accurate=_typed(d, "accurate", bool, optional=True))
+
 
 @dataclass
 class PerturbReport:
@@ -608,6 +625,56 @@ class PerturbReport:
         with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PerturbReport":
+        """The report `to_dict` wrote, every field type-checked."""
+        mode = _typed(d, "mode", str)
+        if mode not in ("all", "last1", "last2"):
+            raise ValueError(f"unknown perturbation mode {mode!r}")
+        turns = [PerturbTurnEval.from_dict(t) for t in _typed(d, "turns", list)]
+        report = cls(
+            mode=mode, n_turns=_typed(d, "n_turns", int),
+            n_skipped=_typed(d, "n_skipped", int),
+            change_rate=_typed(d, "change_rate", float, optional=True),
+            accurate_change_rate=_typed(d, "accurate_change_rate", float,
+                                        optional=True),
+            turns=turns, config=_typed(d, "config", dict))
+        if report.n_turns + report.n_skipped != len(turns):
+            raise ValueError(f"n_turns {report.n_turns} + n_skipped "
+                             f"{report.n_skipped} != {len(turns)} turn records")
+        return report
+
+
+_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a number", list: "a list", dict: "an object"}
+
+
+def _typed(d: dict, key: str, kind: type, optional: bool = False):
+    """d[key], which must hold a JSON value of `kind` (or null when
+    optional). An integer passes as a number; a boolean is not one."""
+    value = d[key]
+    if value is None and optional:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        null = "null or " if optional else ""
+        raise TypeError(f"{key!r} is not {null}{_JSON_TYPES[kind]}")
+    return value
+
+
+def _strings(d: dict, key: str) -> tuple:
+    value = _typed(d, key, list)
+    if not all(type(v) is str for v in value):
+        raise TypeError(f"{key!r} is not a list of strings")
+    return tuple(value)
+
+
+def load_perturb_report(path) -> PerturbReport:
+    """Read a perturb.json. A file that is not JSON, lacks a field or
+    holds one of the wrong type raises DataError naming the file."""
+    return _load_json(Path(path), PerturbReport.from_dict)
 
 
 def perturbation_report(entities: Iterable[str], runs, mode: str,

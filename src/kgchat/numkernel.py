@@ -36,7 +36,9 @@ class KernelError(ValueError):
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    # count_nonzero: the same test as isfinite(arr).all(), with less
+    # per-call overhead on the small arrays every op checks
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise KernelError(f"non-finite values in {what}")
 
 
@@ -50,10 +52,10 @@ def as_tensor(values, what: str = "tensor") -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, stable for large |x|: exp only ever sees
     -|x|, as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
-    below."""
+    below (one division, numerator chosen per entry)."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
@@ -154,17 +156,26 @@ def _scatter_add(shape, flat_index, values) -> np.ndarray:
 
 
 class Tape:
-    def __init__(self):
+    """A list of op results, one node per op call.
+
+    A recording tape (the default) also keeps each node's parents and
+    backprop closure for `backward`. A tape built with record=False runs
+    the same op code, with the same operand and finiteness checks, and
+    keeps values only: inference uses it, and its `backward` raises.
+    """
+
+    def __init__(self, record: bool = True):
         self._values: list[np.ndarray] = []
-        self._parents: list[tuple] = []
-        self._backprops: list = []
+        self._parents: list[tuple] | None = [] if record else None
+        self._backprops: list | None = [] if record else None
 
     def __len__(self) -> int:
         return len(self._values)
 
     def value(self, node: int) -> np.ndarray:
-        self._node(node)
-        return self._values[node]
+        if type(node) is int and 0 <= node < len(self._values):
+            return self._values[node]
+        return self._values[self._node(node)]
 
     def _node(self, node) -> int:
         if not isinstance(node, (int, np.integer)) or not 0 <= node < len(self._values):
@@ -172,19 +183,25 @@ class Tape:
         return int(node)
 
     def _push(self, value, parents, backprop, check=None) -> int:
-        arr = np.asarray(value, dtype=np.float64)
+        if type(value) is np.ndarray and value.dtype == np.float64:
+            arr = value
+        else:
+            arr = np.asarray(value, dtype=np.float64)
         if check is not None:
             _require_finite(arr, check)
         self._values.append(arr)
-        self._parents.append(tuple(parents))
-        self._backprops.append(backprop)
+        if self._parents is not None:
+            self._parents.append(tuple(parents))
+            self._backprops.append(backprop)
         return len(self._values) - 1
 
     # -- leaves
 
-    def leaf(self, values) -> int:
-        """Record an input tensor (parameter or constant)."""
-        return self._push(values, (), None, "leaf")
+    def leaf(self, values, check: bool = True) -> int:
+        """Record an input tensor (parameter or constant). check=False
+        skips the finiteness check, for a tensor its owner has already
+        checked (QadptModel checks its parameters once)."""
+        return self._push(values, (), None, "leaf" if check else None)
 
     # -- elementwise and linear ops
 
@@ -487,6 +504,9 @@ class Tape:
         leaf's gradient is an array of its own, checked finite, so a
         caller may scale it in place.
         """
+        if self._backprops is None:
+            raise KernelError("backward: this tape does not record "
+                              "gradients (built with record=False)")
         loss = self._node(loss)
         if self._values[loss].size != 1:
             raise KernelError("backward: loss must be a scalar node")

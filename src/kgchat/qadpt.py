@@ -7,12 +7,12 @@ subgraph N steps from the entities mentioned in the input. The walk's
 per-head relation choices come from the decoder state, so editing the
 graph changes the reply with frozen parameters.
 
-Everything runs on the recorded-op tape from numkernel, training and
-inference alike, so there is exactly one implementation of the forward
-pass: training runs a whole batch as padded (B, H) rows, inference runs
-the same step with a batch of one. Checkpoints are a small binary
-format: magic, JSON header, raw little-endian float64 payload (see
-save_checkpoint).
+Everything runs on the op tape from numkernel, training and inference
+alike, so there is exactly one implementation of the forward pass:
+training runs a whole batch as padded (B, H) rows on a recording tape,
+inference runs the same step with a batch of one on a tape that keeps
+values only. Checkpoints are a small binary format: magic, JSON header,
+raw little-endian float64 payload (see save_checkpoint).
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ class QadptModel:
             arr = np.asarray(params[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ModelError(f"param {name}: shape {arr.shape}, want {shape}")
+            # checked once here: the forward pass records parameters
+            # unchecked, and adam_update re-checks each one it changes
+            if not np.isfinite(arr).all():
+                raise ModelError(f"param {name}: non-finite values")
             self.params[name] = arr
 
     @property
@@ -239,15 +243,16 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 # _Forward wraps one tape with the parameters recorded on it once; a
 # _TurnState over it holds the decoder state of a batch of turns, run
 # as (B, ...) rows. Training calls backward() on the assembled loss;
-# evaluation and decoding run the same state with one turn and read
-# node values off it.
+# evaluation and decoding run the same state with one turn on a
+# non-recording tape and read node values off it.
 
 
 class _Forward:
-    def __init__(self, model: QadptModel, tape: Tape | None = None):
+    def __init__(self, model: QadptModel, record: bool = True):
         self.model = model
-        self.tape = tape or Tape()
-        self.pn = {name: self.tape.leaf(arr)
+        self.tape = Tape(record=record)
+        # QadptModel checked every parameter finite
+        self.pn = {name: self.tape.leaf(arr, check=False)
                    for name, arr in sorted(model.params.items())}
         self._enc = tuple(self.pn[f"enc.{f}"] for f in GRU_FIELDS)
         self._dec = tuple(self.pn[f"dec.{f}"] for f in GRU_FIELDS)
@@ -294,16 +299,44 @@ def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace
                            tail=cat("tail") + offsets, weight=cat("weight"))
 
 
+def _encode(fw: _Forward, rows) -> int:
+    """The node of the encoder's final state, (B, hidden), for B rows of
+    input ids. Rows are right-padded to the longest; a finished row's
+    state is carried through unchanged."""
+    ids, lengths = _padded(rows)
+    if lengths.min() == 0:
+        raise ModelError("encoder input is empty")
+    t = fw.tape
+    h = t.leaf(np.zeros((len(rows), fw.model.hyper.hidden_dim)))
+    for i in range(ids.shape[1]):
+        active = lengths > i
+        x = t.lookup_row(fw.pn["embed"], ids[:, i])
+        h = t.gru(x, h, *fw._enc, active=None if active.all() else active)
+    return h
+
+
+def encode(model: QadptModel, example: Example) -> np.ndarray:
+    """The encoder's final state for one turn, a (hidden_dim,) vector.
+
+    It depends on the turn's input ids alone, not on its graph.
+    teacher_force and greedy_decode take it as `encoded` in place of
+    encoding the turn again.
+    """
+    fw = _Forward(model, record=False)
+    return fw.tape.value(_encode(fw, [example.enc_ids]))[0]
+
+
 class _TurnState:
     """Decoder state of a batch of turns over a shared _Forward.
 
-    Every op runs on B rows at once. Encoder and decoder inputs are
-    right-padded to the longest turn; the encoder carries a finished
-    row's state through unchanged, and decoder rows past their turn's
-    end are computed but never read.
+    Every op runs on B rows at once. Decoder inputs are right-padded to
+    the longest turn; rows past their turn's end are computed but never
+    read. `encoded`, the (B, hidden) encoder states of the turns, is
+    recorded as a leaf instead of running the encoder.
     """
 
-    def __init__(self, fw: _Forward, examples: Sequence[Example]):
+    def __init__(self, fw: _Forward, examples: Sequence[Example],
+                 encoded: np.ndarray | None = None):
         if not examples:
             raise ModelError("empty batch")
         self.fw = fw
@@ -326,20 +359,10 @@ class _TurnState:
             s = np.concatenate([ex.source_vec for ex in examples])
             self.s = t.leaf(s)
             self.s_total = float(s.sum())
-        self.h = self._encode([ex.enc_ids for ex in examples])
-
-    def _encode(self, rows) -> int:
-        ids, lengths = _padded(rows)
-        if lengths.min() == 0:
-            raise ModelError("encoder input is empty")
-        t = self.fw.tape
-        h = t.leaf(np.zeros((len(rows), self.hyper.hidden_dim)))
-        for i in range(ids.shape[1]):
-            active = lengths > i
-            x = t.lookup_row(self.fw.pn["embed"], ids[:, i])
-            h = t.gru(x, h, *self.fw._enc,
-                      active=None if active.all() else active)
-        return h
+        if encoded is None:
+            self.h = _encode(fw, [ex.enc_ids for ex in examples])
+        else:
+            self.h = t.leaf(encoded)
 
     def step(self, prev_ids: np.ndarray) -> tuple:
         """One decoder step of every row from its previous token id.
@@ -452,8 +475,24 @@ class TeacherResult:
     unreachable: int
 
 
-def teacher_force(model: QadptModel, example: Example) -> TeacherResult:
-    state = _TurnState(_Forward(model), [example])
+def _one_state(model: QadptModel, example: Example, encoded) -> _TurnState:
+    """A one-turn state on a non-recording tape; `encoded` is the turn's
+    encode() vector, or None to encode it here."""
+    if encoded is not None:
+        want = (model.hyper.hidden_dim,)
+        if np.shape(encoded) != want:
+            raise ModelError(f"encoder state has shape {np.shape(encoded)}, "
+                             f"want {want}")
+        encoded = np.reshape(encoded, (1, -1))
+    return _TurnState(_Forward(model, record=False), [example], encoded)
+
+
+def teacher_force(model: QadptModel, example: Example,
+                  encoded: np.ndarray | None = None) -> TeacherResult:
+    """Per target position, the probability of the gold token and the
+    argmax, with the gold prefix as decoder input. `encoded` is the
+    turn's encode() vector, when the caller already has it."""
+    state = _one_state(model, example, encoded)
     probs = []
     argmax = []
     unreachable = 0
@@ -478,15 +517,17 @@ class DecodeResult:
 
 
 def greedy_decode(model: QadptModel, example: Example,
-                  max_len: int | None = None) -> DecodeResult:
+                  max_len: int | None = None,
+                  encoded: np.ndarray | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
     subgraph. Ties resolve to the lowest token id. max_len defaults to
-    the model's max_decode_len."""
+    the model's max_decode_len. `encoded` is the turn's encode() vector,
+    when the caller already has it."""
     if max_len is None:
         max_len = model.hyper.max_decode_len
     elif max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
-    state = _TurnState(_Forward(model), [example])
+    state = _one_state(model, example, encoded)
     out_ids = []
     steps = []
     prev = BOS_ID
@@ -895,10 +936,13 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     if mode not in ("all", "last1", "last2"):
         raise ModelError(f"unknown perturbation mode {mode!r}")
     pool = sorted(pool) if pool is not None else list(model.vocab.entities)
+    # an edit changes the graph, not the message: the re-decode reuses
+    # the turn's encoder state
+    encoded = [encode(model, ex) for ex in examples]
     originals = []
     paths_per_turn = []
-    for ex in examples:
-        dec = greedy_decode(model, ex, max_len=max_len)
+    for ex, enc in zip(examples, encoded):
+        dec = greedy_decode(model, ex, max_len=max_len, encoded=enc)
         originals.append(dec)
         if model.kind == "qadpt":
             paths_per_turn.append(
@@ -927,7 +971,7 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
             perturbations.append(
                 (ex, perturb(ex.subgraph, paths, _child_seed(seed, i), pool)))
 
-    for (ex, res), dec in zip(perturbations, originals):
+    for (ex, res), dec, enc in zip(perturbations, originals, encoded):
         if res is None or (mode != "all" and not res.edits):
             results.append(PerturbedTurn(
                 turn_id=ex.turn_id, original_tokens=dec.tokens,
@@ -936,7 +980,7 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
             continue
         new_ex = dataclasses.replace(
             ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
-        dec2 = greedy_decode(model, new_ex, max_len=max_len)
+        dec2 = greedy_decode(model, new_ex, max_len=max_len, encoded=enc)
         results.append(PerturbedTurn(
             turn_id=ex.turn_id, original_tokens=dec.tokens,
             perturbed_tokens=dec2.tokens, hypothesis=res.hypothesis,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_qadpt import _rewrite_header
+from test_qadpt import _poison_payload, _rewrite_header
 
 from kgchat import cli
 from kgchat.corpus import Vocabulary, load_bundle
@@ -415,6 +415,26 @@ def test_bad_checkpoint_manifest_exits_3(ws, bundle_dir, run_dir):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "bad manifest entry" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb", "chat"])
+def test_non_finite_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
+    """A NaN weight under a valid digest is refused at load time as a
+    data error, before anything is decoded or written."""
+    bad = ws / f"nan_{command}.ckpt"
+    shutil.copy(run_dir / "model.ckpt", bad)
+    _poison_payload(bad, "dec.w_h", float("nan"))
+    out = ws / f"nan_{command}_out"
+    argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(bad)]
+    if command != "chat":
+        argv += ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "kgchat.cli", *argv],
+                          input="where does anna live\n", capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "param dec.w_h: non-finite" in proc.stderr
+    assert not out.exists()
 
 
 def _drop_speaker_on_line_2(text: str) -> str:

@@ -12,8 +12,9 @@ from kgchat.metrics import (EvalReport, MetricError, PRF, PerturbReport,
                             TokenPRF, accurate_change_rate, bleu2_sentence,
                             change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
-                            kw_acc, kw_acc_soft, kw_generic_prf, load_report,
-                            perplexity, perturbation_report, recompute_scalars)
+                            kw_acc, kw_acc_soft, kw_generic_prf,
+                            load_perturb_report, load_report, perplexity,
+                            perturbation_report, recompute_scalars)
 from kgchat.qadpt import (Hyperparams, PerturbedTurn, QadptModel, make_example,
                           perturb_and_decode)
 
@@ -563,3 +564,77 @@ def test_perturbation_report_from_real_run():
         if t.accurate:
             assert t.changed
     assert rep.n_turns + rep.n_skipped == len(exs)
+
+
+
+def _hand_perturb_report():
+    """A last1 report with a skipped turn and an unscored (None) flag."""
+    runs = [_pt("t0", ("T", "yes"), ("T2", "yes"), {"T2"}, {"T"}),
+            _pt("t1", ("yes",), ("no",), {"T2"}, {"D"}),
+            _pt("t2", ("x",), ("x",), skipped=True)]
+    return perturbation_report(ENTS, runs, "last1", config={"seed": 3})
+
+
+@pytest.mark.parametrize("mode", ["all", "last1", "last2"])
+def test_perturb_report_round_trip(tmp_path, mode):
+    model, exs = _tiny_model_and_examples()
+    runs = perturb_and_decode(model, exs, mode, seed=5)
+    for rep in (perturbation_report(model.vocab.entities, runs, mode,
+                                    config={"mode": mode, "seed": 5}),
+                _hand_perturb_report()):
+        path = tmp_path / "perturb.json"
+        rep.save(path)
+        back = load_perturb_report(path)
+        assert back == rep
+        assert back.to_dict() == rep.to_dict()
+
+
+def _edit(change):
+    def edit(text):
+        blob = json.loads(text)
+        change(blob)
+        return json.dumps(blob)
+    return edit
+
+
+def _set_turn(key, value):
+    return _edit(lambda b: b["turns"][0].update({key: value}))
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (lambda text: text[:len(text) // 2], "perturb.json: "),
+    (lambda text: "not json at all", "perturb.json: "),
+    (lambda text: "[1, 2]", "perturb.json: expected a JSON object"),
+    (_drop("turns"), "perturb.json: missing key 'turns'"),
+    (_drop("mode"), "perturb.json: missing key 'mode'"),
+    (_edit(lambda b: b.update(mode=5)), "'mode' is not a string"),
+    (_edit(lambda b: b.update(mode="swap")), "unknown perturbation mode"),
+    (_edit(lambda b: b.update(n_turns="2")), "'n_turns' is not an integer"),
+    (_edit(lambda b: b.update(n_skipped=True)),
+     "'n_skipped' is not an integer"),
+    (_edit(lambda b: b.update(n_skipped=5)), "n_skipped 5 != 3 turn records"),
+    (_edit(lambda b: b.update(change_rate="0.5")),
+     "'change_rate' is not null or a number"),
+    (_edit(lambda b: b.update(config=[])), "'config' is not an object"),
+    (_edit(lambda b: b["turns"].insert(0, 5)),
+     "a turn record is not a JSON object"),
+    (_edit(lambda b: b["turns"][0].pop("accurate")),
+     "perturb.json: missing key 'accurate'"),
+    (_set_turn("skipped", "no"), "'skipped' is not a boolean"),
+    (_set_turn("changed", 1), "'changed' is not null or a boolean"),
+    (_set_turn("original", ["T", 2]), "'original' is not a list of strings"),
+    (_set_turn("turn_id", None), "'turn_id' is not a string"),
+], ids=("truncated", "not_json", "not_object", "no_turns", "no_mode",
+        "mode_type", "mode_value", "n_turns_type", "n_skipped_bool",
+        "counts", "rate_type", "config_type", "turn_not_object",
+        "turn_missing_key", "skipped_type", "changed_type", "tokens_type",
+        "turn_id_type"))
+def test_malformed_perturb_report_raises_data_error(tmp_path, corrupt, where):
+    path = tmp_path / "perturb.json"
+    _hand_perturb_report().save(path)
+    path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_perturb_report(path)
+    assert str(info.value).startswith("perturb.json: ")
+    assert where in str(info.value)

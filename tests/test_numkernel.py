@@ -56,6 +56,22 @@ def test_softmax_shift_invariance(logits, shift):
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
+def two_branch_sigmoid(x):
+    """sigmoid as it was first written: both branches, one picked."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) |
+                st.floats(-40, 40), min_size=1, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_sigmoid_bit_equals_two_branch_form(xs):
+    x = np.array(xs)
+    got = nk.sigmoid(x)
+    assert got.tobytes() == two_branch_sigmoid(x).tobytes()
+    assert np.all((got >= 0) & (got <= 1) | np.isnan(x))
+
+
 def test_row_softmax_rows_sum_to_one():
     out = nk.row_softmax(rng().normal(size=(5, 7)))
     np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
@@ -314,6 +330,147 @@ def test_mask_renorm_rows_rejects_empty_row():
     mask = t.leaf([[0.0, 0.0]])
     with pytest.raises(nk.KernelError):
         t.mask_renorm_rows(r, mask)
+
+
+# ---------------------------------------------------------------------------
+# The value-only tape against the recording tape
+
+
+def op_calls(r, scale=1.0):
+    """Calls of every public Tape op on random operands: op name -> list
+    of (operand arrays, call(tape, *operand nodes)). Where an op takes a
+    vector or a batch, or has an optional operand, each form is a call."""
+    n, d, b = 4, 3, 2
+    v, w = scale * r.normal(size=n), scale * r.normal(size=n)
+    rows, mat = scale * r.normal(size=(b, n)), scale * r.normal(size=(d, n))
+    pos = r.random(n) + 0.05
+    mask = (r.random((n, d)) < 0.6).astype(float)
+    mask[:, 0] = 1.0
+    adj = SimpleNamespace(head=np.array([0, 1, 1, 3, 2]),
+                          rel=np.array([0, 2, 1, 0, 1]),
+                          tail=np.array([1, 2, 0, 3, 2]), weight=r.random(5))
+    gru = [0.5 * r.normal(size=s) for s in ((n, d), (n, n), (n,)) * 3]
+    gates = nk.row_softmax(r.normal(size=(b, 3)))
+    return {
+        "leaf": [((), lambda t: t.leaf(v)),
+                 ((), lambda t: t.leaf(rows, check=False))],
+        "add": [((v, w), lambda t, a, c: t.add(a, c)),
+                ((rows, v), lambda t, a, c: t.add(a, c))],
+        "mul": [((v, w), lambda t, a, c: t.mul(a, c))],
+        "scale": [((v,), lambda t, a: t.scale(a, -1.5))],
+        "matvec": [((mat, v), lambda t, a, c: t.matvec(a, c)),
+                   ((mat, rows), lambda t, a, c: t.matvec(a, c))],
+        "softmax": [((v,), lambda t, a: t.softmax(a)),
+                    ((rows,), lambda t, a: t.softmax(a))],
+        "row_softmax": [((mat,), lambda t, a: t.row_softmax(a))],
+        "lookup_row": [((mat,), lambda t, a: t.lookup_row(a, 1)),
+                       ((mat,), lambda t, a: t.lookup_row(a, np.array([2, 0, 2])))],
+        "reshape": [((mat,), lambda t, a: t.reshape(a, (-1,)))],
+        "pick": [((v,), lambda t, a: t.pick(a, 2))],
+        "gather": [((mat,), lambda t, a: t.gather(a, (np.array([0, 2]),
+                                                       np.array([3, 1]))))],
+        "stack": [((v, w), lambda t, a, c: t.stack([a, c, a]))],
+        "log_floor": [((pos - 0.3,), lambda t, a: t.log_floor(a, 0.1))],
+        "add_n": [((v, w), lambda t, a, c: t.add_n([a, c, a]))],
+        "mean": [((mat,), lambda t, a: t.mean(a))],
+        "gru": [((scale * r.normal(size=d), v, *gru),
+                 lambda t, *nodes: t.gru(*nodes)),
+                ((scale * r.normal(size=(b, d)), rows, *gru),
+                 lambda t, *nodes: t.gru(*nodes, active=np.array([True, False])))],
+        "mask_renorm_rows": [((r.random((n, d)) + 0.05, mask),
+                              lambda t, a, c: t.mask_renorm_rows(a, c))],
+        "kg_hop": [((pos, r.random((n, d))),
+                    lambda t, a, c: t.kg_hop(a, c, adj))],
+        "mix_output": [((gates,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
+                       ((gates, r.random(2 * b)),
+                        lambda t, g, k: t.mix_output(g, [3, 1], 7, k))],
+    }
+
+
+def public_ops():
+    """The names bench/tracing.py wraps as ops: every public callable of
+    Tape except backward and value."""
+    return {name for name, fn in vars(nk.Tape).items()
+            if not name.startswith("_") and callable(fn)} - {"backward", "value"}
+
+
+def run_op(tape, operands, call):
+    nodes = [tape.leaf(x) for x in operands]
+    return call(tape, *nodes)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 40.0]))
+@settings(max_examples=60, deadline=None)
+def test_value_only_tape_bit_equals_recording_tape(seed, scale):
+    for name, calls in op_calls(rng(seed), scale).items():
+        for operands, call in calls:
+            rec, val = nk.Tape(), nk.Tape(record=False)
+            a, b = run_op(rec, operands, call), run_op(val, operands, call)
+            assert a == b and len(rec) == len(val)
+            want, got = rec.value(a), val.value(b)
+            assert got.dtype == want.dtype == np.float64, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+def test_every_public_tape_op_records_exactly_one_node(record):
+    """The traced benchmark counts one tape node per op call (its
+    decode_nodes and nodes_per_token rely on it)."""
+    cases = op_calls(rng(5))
+    assert set(cases) == public_ops()
+    for name, calls in cases.items():
+        for operands, call in calls:
+            t = nk.Tape(record=record)
+            nodes = [t.leaf(x) for x in operands]
+            before = len(t)
+            out = call(t, *nodes)
+            assert len(t) == before + 1, name
+            assert out == before, name
+
+
+def test_value_only_tape_has_no_backward():
+    t = nk.Tape(record=False)
+    loss = t.mean(t.leaf([1.0, 2.0]))
+    assert float(t.value(loss)) == 1.5
+    with pytest.raises(nk.KernelError, match="backward"):
+        t.backward(loss)
+
+
+def test_value_only_tape_checks_leaves_and_results():
+    t = nk.Tape(record=False)
+    with pytest.raises(nk.KernelError, match="non-finite values in leaf"):
+        t.leaf([1.0, float("nan")])
+    a = t.leaf([1e308])
+    with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
+                                                   match="non-finite"):
+        t.scale(a, 1e10)
+    with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
+                                                   match="non-finite"):
+        t.add(a, a)
+    assert len(t) == 1
+
+
+def test_leaf_check_false_records_without_the_check():
+    for record in (True, False):
+        t = nk.Tape(record=record)
+        node = t.leaf(np.array([np.inf]), check=False)
+        assert np.isinf(t.value(node)).all()
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+def test_tape_rejects_foreign_and_out_of_range_nodes(record):
+    t = nk.Tape(record=record)
+    a = t.leaf([1.0, 2.0])
+    np.testing.assert_array_equal(t.value(np.int64(a)), [1.0, 2.0])
+    for bad in (-1, 1, 5, 1.0, "0", None):
+        with pytest.raises(nk.KernelError, match="not recorded"):
+            t.value(bad)
+    with pytest.raises(nk.KernelError, match="not recorded"):
+        t.add(a, 3)          # an id only a longer tape has
+    with pytest.raises(nk.KernelError, match="not recorded"):
+        t.stack([a, -1])
+    assert len(t) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ by commit cb18b93. It was written by running, from the tests directory,
 with this oracles.py.
 """
 
+import dataclasses
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -29,12 +31,13 @@ from oracles import (PIN_KINDS, PIN_SEEDS, brute_force_best_path,
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
                            Vocabulary, load_bundle)
-from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple, build_adjacency
+from kgchat.kgraph import (SELF_LOOP, KnowledgeGraph, Triple, build_adjacency,
+                           perturb_all)
 from kgchat.metrics import evaluate_report
 from kgchat.numkernel import KernelError
 from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
                           InferredPath, ModelError, QadptModel, batch_loss,
-                          build_source_vector, expected_param_shapes,
+                          build_source_vector, encode, expected_param_shapes,
                           greedy_decode, infer_path, init_params,
                           load_checkpoint, make_example, make_examples,
                           param_grads, perturb_and_decode, save_checkpoint,
@@ -160,6 +163,18 @@ def test_model_rejects_bad_params():
     bad["phi_b"] = np.zeros(99)
     with pytest.raises(ModelError, match="shape"):
         QadptModel(hy, v, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_params(value):
+    """Parameters are checked once, here; the forward pass records them
+    without a check."""
+    v = toy_vocab()
+    hy = Hyperparams(hidden_dim=8, embed_dim=6)
+    params = init_params(hy, v, seed=0)
+    params["dec.u_r"][1, 2] = value
+    with pytest.raises(ModelError, match=r"param dec\.u_r: non-finite"):
+        QadptModel(hy, v, params)
 
 
 def test_seq2seq_output_id_layout():
@@ -808,6 +823,35 @@ def _rewrite_header(path, edit) -> None:
                      blob[m + 8 + head_len:])
 
 
+def _poison_payload(path, name, value) -> None:
+    """Write `value` over the first entry of tensor `name` in a saved
+    checkpoint and re-seal the payload digest, so only the value is
+    wrong."""
+    blob = bytearray(path.read_bytes())
+    m = len(qadpt.CHECKPOINT_MAGIC)
+    (head_len,) = struct.unpack("<Q", blob[m:m + 8])
+    start = m + 8 + head_len
+    header = json.loads(blob[m + 8:start])
+    offset = start + next(e["offset"] for e in header["manifest"]
+                          if e["name"] == name)
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+    digest = hashlib.sha256(blob[start:]).hexdigest()
+    _rewrite_header(path, lambda h: h.update(sha256=digest))
+
+
+@pytest.mark.parametrize("name, value", [("theta_w", float("nan")),
+                                         ("embed", float("inf")),
+                                         ("dec.b_h", float("-inf"))])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, name, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    _poison_payload(path, name, value)
+    with pytest.raises(CheckpointError,
+                       match=f"param {re.escape(name)}: non-finite"):
+        load_checkpoint(path)
+
+
 BAD_MANIFESTS = {
     "no_offset": lambda h: h["manifest"][0].pop("offset"),
     "no_shape": lambda h: h["manifest"][0].pop("shape"),
@@ -906,6 +950,96 @@ def test_evaluate_report_turns_match_direct_calls(kind):
         assert any(t.paths for t in report.turns)
     else:
         assert not any(t.paths for t in report.turns)
+
+
+def assert_same_decode(got, want):
+    """Tokens and every DecoderStep array equal bit for bit."""
+    assert got.token_ids == want.token_ids
+    assert got.ended_with_eos == want.ended_with_eos
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert a.controller == b.controller
+        for field in ("generic", "entity", "combined", "path_matrix"):
+            x, y = getattr(a, field), getattr(b, field)
+            if y is None:
+                assert x is None
+                continue
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+def _encoder_examples(v, seed):
+    r = np.random.default_rng(seed)
+    chats = [("a lives in", "b yes"), ("in b c", "c"), ("yes", "lives in a"),
+             ("d lives", "e in")]
+    return [make_example(turn(msg, resp, scene=("a",) * (i % 2), did=f"d{i}"),
+                         random_subgraph(v, r), v)
+            for i, (msg, resp) in enumerate(chats)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_handed_in_encoder_state_is_bit_identical(kind, seed):
+    """teacher_force and greedy_decode given encode()'s state match the
+    calls that encode the turn themselves, on the turn's graph and on an
+    edited one; perturb_and_decode's re-decodes match self-encoding
+    decodes of the edited turns."""
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    model = model_for(v, kind=kind, seed=seed)
+    if kind == "qadpt":
+        model.params["phi_b"][0] = 2.0   # emit entities, so paths exist
+    exs = _encoder_examples(v, seed)
+    edited = [dataclasses.replace(ex, **qadpt._bind_graph(v, res.graph,
+                                                          ex.raw_sources))
+              for ex, res in zip(exs, perturb_all([e.subgraph for e in exs],
+                                                  seed))]
+    for ex, new in zip(exs, edited):
+        enc = encode(model, ex)
+        assert enc.shape == (model.hyper.hidden_dim,)
+        assert teacher_force(model, ex, encoded=enc) == teacher_force(model, ex)
+        assert_same_decode(greedy_decode(model, ex, max_len=6, encoded=enc),
+                           greedy_decode(model, ex, max_len=6))
+        assert_same_decode(greedy_decode(model, new, max_len=6, encoded=enc),
+                           greedy_decode(model, new, max_len=6))
+    runs = perturb_and_decode(model, exs, "all", seed=seed, max_len=6)
+    for run, ex, new in zip(runs, exs, edited):
+        assert run.original_tokens == greedy_decode(model, ex, max_len=6).tokens
+        assert run.perturbed_tokens == \
+            greedy_decode(model, new, max_len=6).tokens
+
+
+def test_each_turn_is_encoded_once_per_call(monkeypatch):
+    """evaluate_report shares one encoder pass between teacher forcing
+    and decoding; perturb_and_decode shares it between the decode and
+    the re-decode on the edited graph."""
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    model = model_for(v)
+    exs = _encoder_examples(v, 0)
+    batches = []
+    real = qadpt._encode
+    monkeypatch.setattr(qadpt, "_encode",
+                        lambda fw, rows: batches.append(len(rows)) or
+                        real(fw, rows))
+    evaluate_report(model, exs, max_len=6)
+    assert batches == [1] * len(exs)
+    batches.clear()
+    runs = perturb_and_decode(model, exs, "all", seed=0, max_len=6)
+    assert not any(r.skipped for r in runs)
+    assert batches == [1] * len(exs)
+
+
+def test_handed_in_encoder_state_is_checked():
+    v = toy_vocab()
+    model = model_for(v)
+    ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
+    h = model.hyper.hidden_dim
+    for bad in (np.zeros(h + 1), np.zeros((1, h)), np.zeros(()),
+                [0.0] * (h - 1)):
+        with pytest.raises(ModelError, match="encoder state has shape"):
+            teacher_force(model, ex, encoded=bad)
+        with pytest.raises(ModelError, match="encoder state has shape"):
+            greedy_decode(model, ex, encoded=bad)
+    with pytest.raises(KernelError, match="non-finite values in leaf"):
+        greedy_decode(model, ex, encoded=np.full(h, np.nan))
 
 
 def test_perturb_seq2seq_outputs_never_change():
