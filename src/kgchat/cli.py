@@ -154,9 +154,25 @@ def _write_config(cfg: dict, args: argparse.Namespace, out_dir: Path) -> None:
                         if k.endswith(("dialogues", "kg", "lexicon", "bundle",
                                        "checkpoint", "out")) and v}}
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
+    _write_json(record, out_dir / "config.json")
+
+
+def _write_json(obj, path: Path) -> None:
+    """`obj` as indented JSON and a closing newline, written atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
+
+
+def _write_path_hist(hist: dict, unreachable: int, path: Path) -> None:
+    """The shortest-path histogram as CSV rows (hops, pairs), then the
+    unreachable pair count."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hops", "pairs"])
+        for hops in sorted(hist):
+            writer.writerow([hops, hist[hops]])
+        writer.writerow(["unreachable", unreachable])
 
 
 def _write_diff_log(turns, path: Path) -> None:
@@ -223,16 +239,9 @@ def cmd_stats(args, cfg) -> int:
         blob = dataclasses.asdict(st)
         blob["path_length_hist"] = {str(k): v
                                     for k, v in st.path_length_hist.items()}
-        with open(out / "stats.json", "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, indent=1)
-            fh.write("\n")
-        with open(out / "path_hist.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hops", "pairs"])
-            for hops in sorted(st.path_length_hist):
-                writer.writerow([hops, st.path_length_hist[hops]])
-            writer.writerow(["unreachable", st.unreachable_pairs])
+        _write_json(blob, out / "stats.json")
+        _write_path_hist(st.path_length_hist, st.unreachable_pairs,
+                         out / "path_hist.csv")
         _write_config(cfg, args, out)
         print(f"stats written to {out}")
     bad = 0
@@ -260,13 +269,10 @@ def cmd_synth(args, cfg) -> int:
                     min_count=cfg["min_count"], subgraph_k=cfg["subgraph_k"])
     out = Path(args.out)
     save_bundle(bundle, out)
-    with open(out / "oracle_paths.json", "w", encoding="utf-8") as fh:
-        json.dump({tid: [list(t) for t in path]
-                   for tid, path in syn.oracle_paths.items()}, fh, indent=1)
-        fh.write("\n")
-    with open(out / "expected.json", "w", encoding="utf-8") as fh:
-        json.dump(syn.expected, fh, indent=1)
-        fh.write("\n")
+    _write_json({tid: [list(t) for t in path]
+                 for tid, path in syn.oracle_paths.items()},
+                out / "oracle_paths.json")
+    _write_json(syn.expected, out / "expected.json")
     _write_config(cfg, args, out)
     print(f"synthetic corpus: {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns, "

@@ -231,6 +231,21 @@ class Vocabulary:
         return np.asarray(ids, dtype=np.int64)
 
     @cached_property
+    def seq2seq_output_ids(self) -> np.ndarray:
+        """Vocabulary ids of seq2seq's flat softmax, [EOS, UNK] + generic
+        words + entities: the only ids either model's output puts mass
+        on."""
+        ids = [EOS_ID, UNK_ID]
+        ids.extend(range(len(SPECIALS), len(SPECIALS) + len(self.generic)))
+        ids.extend(range(self.entity_base, self.entity_base + self.n_entities))
+        return np.asarray(ids, dtype=np.int64)
+
+    @cached_property
+    def emittable_ids(self) -> frozenset:
+        """seq2seq_output_ids as a set, for membership tests."""
+        return frozenset(self.seq2seq_output_ids.tolist())
+
+    @cached_property
     def generic_block_index(self) -> dict:
         """Vocabulary id -> position in the generic softmax block."""
         return {int(vid): i for i, vid in enumerate(self.generic_output_ids)}

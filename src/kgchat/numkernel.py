@@ -1,8 +1,10 @@
 """Minimal float64 numeric kernel.
 
-Everything the dialogue models need and nothing more: stabilized
-softmax, a GRU cell, a recorded-op reverse-accumulation gradient tape,
-a central finite-difference checker, and Adam with global-norm
+Everything the dialogue models need and nothing more: a recorded-op
+reverse-accumulation gradient tape whose ops are exactly the ones the
+models record, each on (B, ...) rows (a stabilized softmax, a fused
+linear layer, a GRU cell, the graph hop and the output mixture among
+them), a central finite-difference checker, and Adam with global-norm
 clipping. All kernels are deterministic pure functions over float64
 arrays. Any op that produces NaN or Inf raises KernelError instead of
 letting the value propagate.
@@ -18,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "KernelError",
-    "as_tensor",
     "sigmoid",
-    "softmax",
-    "row_softmax",
     "Tape",
     "FiniteDiffReport",
     "finite_diff_check",
@@ -42,13 +41,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise KernelError(f"non-finite values in {what}")
 
 
-def as_tensor(values, what: str = "tensor") -> np.ndarray:
-    """Coerce to a float64 ndarray and reject NaN/Inf."""
-    arr = np.asarray(values, dtype=np.float64)
-    _require_finite(arr, what)
-    return arr
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, stable for large |x|: exp only ever sees
     -|x|, as 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
@@ -56,28 +48,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(logits) -> np.ndarray:
-    """Softmax over a 1-d vector."""
-    x = as_tensor(logits, "softmax input")
-    if x.ndim != 1 or x.size == 0:
-        raise KernelError("softmax expects a non-empty vector")
-    return _softmax_last(x)
-
-
-def row_softmax(logits) -> np.ndarray:
-    """Softmax over each row of a 2-d array."""
-    x = as_tensor(logits, "row_softmax input")
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise KernelError("row_softmax expects a 2-d array with columns")
-    return _softmax_last(x)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +117,15 @@ def _scatter_add(shape, flat_index, values) -> np.ndarray:
 # Gradient tape
 #
 # Reverse accumulation over an explicit list of recorded ops. Nodes are
-# integer ids into parallel lists; every op validates its operands, and
-# an op whose output can turn NaN or Inf for finite operands checks it,
-# so the recorded program is auditable step by step. No operator
-# overloading: callers name each op. A backprop closure maps the node's
-# gradient to one gradient per parent (None where none flows), each of
-# its parent's shape.
+# integer ids into parallel lists. The op set is the one the models
+# record, and each op takes the one shape the models send it: (B, ...)
+# rows, one per turn of a batch (B=1 at inference); kg_hop's walk mass
+# is the B graphs' entities flattened into one (B*E,) vector. Every op
+# validates its operands, and an op whose output can turn NaN or Inf
+# for finite operands checks it, so the recorded program is auditable
+# step by step. No operator overloading: callers name each op. A
+# backprop closure maps the node's gradient to one gradient per parent
+# (None where none flows), each of its parent's shape.
 
 
 class Tape:
@@ -205,28 +178,6 @@ class Tape:
 
     # -- elementwise and linear ops
 
-    def add(self, a: int, b: int) -> int:
-        """a + b; b may also be one row broadcast over a batch a (a bias)."""
-        va, vb = self.value(a), self.value(b)
-        rows = va.ndim == 2 and vb.shape == va.shape[1:]
-        if va.shape != vb.shape and not rows:
-            raise KernelError("add: shape mismatch")
-
-        def bwd(g):
-            return g, (g.sum(axis=0) if rows else g)
-
-        return self._push(va + vb, (a, b), bwd, "add")
-
-    def mul(self, a: int, b: int) -> int:
-        va, vb = self.value(a), self.value(b)
-        if va.shape != vb.shape:
-            raise KernelError("mul: shape mismatch")
-
-        def bwd(g):
-            return g * vb, g * va
-
-        return self._push(va * vb, (a, b), bwd, "mul")
-
     def scale(self, a: int, c: float) -> int:
         va = self.value(a)
         c = float(c)
@@ -236,47 +187,51 @@ class Tape:
 
         return self._push(va * c, (a,), bwd, "scale")
 
-    def matvec(self, w: int, x: int) -> int:
-        """w @ x for a vector x (n,); for a batch x (B, n), w times each
-        row, as x @ w.T."""
-        vw, vx = self.value(w), self.value(x)
-        if vw.ndim != 2 or vx.ndim not in (1, 2) or vx.shape[-1] != vw.shape[1]:
-            raise KernelError("matvec: need (m,n) @ (n,) or rows (B,n)")
+    def linear(self, w: int, x: int, b: int) -> int:
+        """x @ w.T + b: a (m, n) weight times each of the (B, n) rows x,
+        plus the (m,) bias b on every row."""
+        vw, vx, vb = self.value(w), self.value(x), self.value(b)
+        if vw.ndim != 2 or vx.ndim != 2 or vx.shape[1] != vw.shape[1] or \
+                vb.shape != vw.shape[:1]:
+            raise KernelError("linear: need weight (m, n), rows (B, n) and "
+                              "bias (m,)")
 
         def bwd(g):
-            return np.atleast_2d(g).T @ np.atleast_2d(vx), g @ vw
+            return g.T @ vx, g @ vw, g.sum(axis=0)
 
-        return self._push(vx @ vw.T, (w, x), bwd, "matvec")
+        return self._push(vx @ vw.T + vb, (w, x, b), bwd, "linear")
 
     def _softmax(self, a: int, what: str) -> int:
+        """Softmax over each row, stabilized by max subtraction."""
         va = self.value(a)
-        if va.ndim not in (1, 2) or va.shape[-1] == 0:
-            raise KernelError(f"{what}: expects a non-empty vector or rows")
-        y = _softmax_last(va)
+        if va.ndim != 2 or va.shape[1] == 0:
+            raise KernelError(f"{what}: expects (B, m) rows with m > 0")
+        e = np.exp(va - va.max(axis=1, keepdims=True))
+        y = e / e.sum(axis=1, keepdims=True)
 
         def bwd(g):
-            return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+            return (y * (g - np.sum(g * y, axis=1, keepdims=True)),)
 
         return self._push(y, (a,), bwd)
 
     def softmax(self, a: int) -> int:
-        """Softmax of a vector, or of each row of a batch."""
+        """Softmax over each row (a generic or seq2seq head)."""
         return self._softmax(a, "softmax")
 
     def row_softmax(self, a: int) -> int:
-        """Softmax over each row of a 2-d array (the relation choices)."""
-        if self.value(a).ndim != 2:
-            raise KernelError("row_softmax expects a 2-d array with columns")
+        """Softmax over each row (the relation choices). The same op as
+        softmax under its own name, so a profile keeps the relation
+        softmax apart from the heads."""
         return self._softmax(a, "row_softmax")
 
     def lookup_row(self, m: int, index) -> int:
-        """Row `index` of matrix m; an index array gives one row per entry."""
+        """Rows of matrix m, one per entry of a 1-d integer index array."""
         vm = self.value(m)
         idx = np.asarray(index)
-        if vm.ndim != 2 or idx.ndim > 1 or idx.dtype.kind not in "iu" or \
+        if vm.ndim != 2 or idx.ndim != 1 or idx.dtype.kind not in "iu" or \
                 idx.size and not 0 <= idx.min() <= idx.max() < vm.shape[0]:
             raise KernelError("lookup_row: bad matrix or row index")
-        rows = idx.reshape(-1, 1)
+        rows = idx[:, None]
 
         def bwd(g):
             flat = rows * vm.shape[1] + np.arange(vm.shape[1])
@@ -291,19 +246,6 @@ class Tape:
             return (g.reshape(va.shape),)
 
         return self._push(va.reshape(shape), (a,), bwd)
-
-    def pick(self, v: int, index: int) -> int:
-        vv = self.value(v)
-        if vv.ndim != 1 or not 0 <= index < vv.shape[0]:
-            raise KernelError("pick: bad vector or index")
-        idx = int(index)
-
-        def bwd(g):
-            out = np.zeros_like(vv)
-            out[idx] = g
-            return (out,)
-
-        return self._push(np.float64(vv[idx]), (v,), bwd)
 
     def gather(self, a: int, index) -> int:
         """a[index] for a tuple of integer index arrays, one per axis."""
@@ -342,23 +284,6 @@ class Tape:
 
         return self._push(np.log(clipped), (a,), bwd, "log_floor")
 
-    def add_n(self, nodes) -> int:
-        nodes = tuple(nodes)
-        if not nodes:
-            raise KernelError("add_n: empty operand list")
-        vals = [self.value(n) for n in nodes]
-        shape = vals[0].shape
-        if any(v.shape != shape for v in vals):
-            raise KernelError("add_n: shape mismatch")
-
-        def bwd(g):
-            return (g,) * len(nodes)
-
-        total = vals[0].copy()
-        for v in vals[1:]:
-            total += v
-        return self._push(total, nodes, bwd, "add_n")
-
     def mean(self, a: int) -> int:
         """Mean of all entries, as a scalar node."""
         va = self.value(a)
@@ -375,17 +300,16 @@ class Tape:
     def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int,
             w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int,
             active=None) -> int:
-        """One GRU step for a vector input and state, or for a batch of
-        B rows of each. `active`, a constant (B,) bool mask, passes the
-        state of inactive rows through unchanged."""
+        """One GRU step for B rows of input (B, d) and state (B, n).
+        `active`, a constant (B,) bool mask, passes the state of
+        inactive rows through unchanged."""
         ids = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
         vals = [self.value(n) for n in ids]
         vx, vh = vals[0], vals[1]
-        if vx.ndim != vh.ndim or vx.ndim not in (1, 2) or \
-                vx.shape[:-1] != vh.shape[:-1]:
-            raise KernelError("gru: input and state must be vectors, or "
-                              "batches with the same number of rows")
-        n, d = vh.shape[-1], vx.shape[-1]
+        if vx.ndim != 2 or vh.ndim != 2 or vx.shape[0] != vh.shape[0]:
+            raise KernelError("gru: input and state must be (B, .) rows "
+                              "with the same B")
+        n, d = vh.shape[1], vx.shape[1]
         if any(v.shape != want for v, want in
                zip(vals[2:], ((n, d), (n, n), (n,)) * 3)):
             raise KernelError("gru: weight shapes do not match the input "
@@ -393,25 +317,22 @@ class Tape:
         keep = None
         if active is not None:
             active = np.asarray(active)
-            if vx.ndim != 2 or active.dtype != bool or \
-                    active.shape != vx.shape[:1]:
+            if active.dtype != bool or active.shape != vx.shape[:1]:
                 raise KernelError("gru: active mask needs one bool per "
                                   "batch row")
             keep = active[:, None]
-        h2 = np.atleast_2d(vh)
-        out, cache = _gru_forward(np.atleast_2d(vx), h2, *vals[2:])
+        out, cache = _gru_forward(vx, vh, *vals[2:])
         if keep is not None:
-            out = np.where(keep, out, h2)
+            out = np.where(keep, out, vh)
 
         def bwd(g):
-            g = np.atleast_2d(g)
             dx, dh, *dw = _gru_backward(
                 g if keep is None else np.where(keep, g, 0.0), cache)
             if keep is not None:
                 dh = dh + np.where(keep, 0.0, g)
-            return (dx.reshape(vx.shape), dh.reshape(vh.shape), *dw)
+            return (dx, dh, *dw)
 
-        return self._push(out.reshape(vh.shape), ids, bwd, "gru")
+        return self._push(out, ids, bwd, "gru")
 
     def mask_renorm_rows(self, r: int, mask: int) -> int:
         """Zero masked-out columns of each row and renormalize the rest.

@@ -31,8 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import numkernel
-from .corpus import (BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID, Bundle,
-                     DataError, DialogueTurn, Vocabulary, atomic_open)
+from .corpus import (BOS_ID, EOS_ID, PAD_ID, Bundle, DataError,
+                     DialogueTurn, Vocabulary, atomic_open)
 from .kgraph import (SELF_LOOP, AdjacencyTensor, KnowledgeGraph, Triple,
                      build_adjacency, perturb_all, perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
@@ -218,6 +218,11 @@ def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
     if not enc_ids:
         enc_ids = [PAD_ID]
     target_ids = tuple(vocab.tokens_to_ids(turn.response)) + (EOS_ID,)
+    if not vocab.emittable_ids.issuperset(target_ids):
+        token = next(tok for tok, i in zip(turn.response, target_ids)
+                     if i not in vocab.emittable_ids)
+        raise ModelError(f"turn {turn.turn_id}: response token {token!r} "
+                         f"is a symbol no model emits")
     return Example(
         turn_id=turn.turn_id,
         enc_ids=tuple(enc_ids),
@@ -256,15 +261,6 @@ class _Forward:
                    for name, arr in sorted(model.params.items())}
         self._enc = tuple(self.pn[f"enc.{f}"] for f in GRU_FIELDS)
         self._dec = tuple(self.pn[f"dec.{f}"] for f in GRU_FIELDS)
-
-
-# seq2seq emits from one flat softmax over [EOS, UNK] + generic + entities;
-# these are also the only ids either model's output puts mass on
-def seq2seq_output_ids(vocab: Vocabulary) -> np.ndarray:
-    ids = [EOS_ID, UNK_ID]
-    ids.extend(range(len(SPECIALS), len(SPECIALS) + len(vocab.generic)))
-    ids.extend(range(vocab.entity_base, vocab.entity_base + vocab.n_entities))
-    return np.asarray(ids, dtype=np.int64)
 
 
 @dataclass
@@ -346,12 +342,6 @@ class _TurnState:
         t = fw.tape
         self.dec_in, self.lengths = _padded([ex.dec_in_ids for ex in examples])
         self.targets, _ = _padded([ex.target_ids for ex in examples])
-        self.out_ids = seq2seq_output_ids(self.vocab)
-        real = np.arange(self.targets.shape[1]) < self.lengths[:, None]
-        bad = real & ~np.isin(self.targets, self.out_ids)
-        if bad.any():
-            raise ModelError(f"target id {self.targets[bad][0]} is not "
-                             f"emittable")
         if model.kind == "qadpt":
             adjs = [ex.adj for ex in examples]
             self.adj = _block_adjacency(adjs, self.vocab.n_entities)
@@ -379,13 +369,12 @@ class _TurnState:
         x = t.lookup_row(pn["embed"], prev_ids)
         self.h = t.gru(x, self.h, *self.fw._dec)
         if self.fw.model.kind == "seq2seq":
-            logits = t.add(t.matvec(pn["out_w"], self.h), pn["out_b"])
-            probs = t.softmax(logits)
-            o = t.mix_output(probs, self.out_ids, vocab.size)
+            probs = t.softmax(t.linear(pn["out_w"], self.h, pn["out_b"]))
+            o = t.mix_output(probs, vocab.seq2seq_output_ids, vocab.size)
             return o, probs, None, None
-        g = t.softmax(t.add(t.matvec(pn["phi_w"], self.h), pn["phi_b"]))
+        g = t.softmax(t.linear(pn["phi_w"], self.h, pn["phi_b"]))
         n_rel = len(vocab.relations) + 1
-        theta = t.add(t.matvec(pn["theta_w"], self.h), pn["theta_b"])
+        theta = t.linear(pn["theta_w"], self.h, pn["theta_b"])
         r = t.row_softmax(t.reshape(theta, (-1, n_rel)))
         rhat = t.mask_renorm_rows(r, self.mask)
         k = self.s

@@ -349,7 +349,9 @@ def test_each_hyperparams_field_has_exactly_one_config_key():
     assert all(len(keys) == 1 for keys in owners.values()), owners
 
 
-@pytest.mark.parametrize("name", ["config.json", "diff.log"])
+@pytest.mark.parametrize("name", ["config.json", "diff.log", "stats.json",
+                                  "path_hist.csv", "oracle_paths.json",
+                                  "expected.json"])
 def test_failed_write_keeps_previous_file(tmp_path, name):
     turn = PerturbTurnEval(turn_id="t0", original=("a", "b"),
                            perturbed=("a", "c"), hypothesis=(), targets=(),
@@ -358,12 +360,21 @@ def test_failed_write_keeps_previous_file(tmp_path, name):
         args = argparse.Namespace(command="eval", out=str(tmp_path))
         write = lambda cfg: cli._write_config(cfg, args, tmp_path)
         good, bad = {"seed": 1}, {"seed": 1, "unencodable": object()}
-    else:
+    elif name == "diff.log":
         write = lambda turns: cli._write_diff_log(turns, tmp_path / name)
         # the second line fails after a first, different line was written
         good = [turn]
         bad = [dataclasses.replace(turn, turn_id="t1"),
                dataclasses.replace(turn, perturbed=("a", 7))]
+    elif name == "path_hist.csv":
+        write = lambda hist: cli._write_path_hist(hist, 2, tmp_path / name)
+        # sorting the hop counts fails after the header row was written
+        good, bad = {1: 5, 2: 3}, {1: 5, "2": 3}
+    else:
+        # stats writes stats.json, synth oracle_paths.json and
+        # expected.json, each through _write_json
+        write = lambda obj: cli._write_json(obj, tmp_path / name)
+        good, bad = {"t0": [1, 2]}, {"t1": [1, 2], "t2": object()}
     write(good)
     before = (tmp_path / name).read_bytes()
     with pytest.raises(TypeError):
@@ -476,6 +487,26 @@ def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert where in proc.stderr
+
+
+def test_train_on_unemittable_response_exits_3(tmp_path, bundle_dir):
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    first = json.loads((bad / "splits.json").read_text())["train"][0]
+    path = bad / "turns.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    row = next(r for r in rows if r["dialogue_id"] == first)
+    row["response"].insert(1, "<kb>")
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", "train", "--bundle", str(bad),
+         "--out", str(out), "--epochs", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"turn {first}#{row['turn']}: response token '<kb>'" in proc.stderr
+    assert not out.exists()
 
 
 def test_reproduce_script_invocations_parse():

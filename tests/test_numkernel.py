@@ -22,36 +22,42 @@ def rng(seed=0):
 # softmax
 
 
+def softmax_row(logits):
+    """Tape.softmax of one (1, m) row of logits, as an (m,) array."""
+    t = nk.Tape()
+    return t.value(t.softmax(t.leaf([logits])))[0]
+
+
 def test_softmax_uniform_on_equal_logits():
-    out = nk.softmax([2.0, 2.0, 2.0, 2.0])
+    out = softmax_row([2.0, 2.0, 2.0, 2.0])
     np.testing.assert_allclose(out, np.full(4, 0.25), atol=1e-15)
 
 
 def test_softmax_sums_to_one_and_is_ordered():
-    out = nk.softmax([1.0, 3.0, 2.0])
+    out = softmax_row([1.0, 3.0, 2.0])
     assert abs(out.sum() - 1.0) < 1e-12
     assert out[1] > out[2] > out[0]
 
 
 def test_softmax_survives_huge_logits():
-    out = nk.softmax([1e9, 1e9 - 1.0, 0.0])
+    out = softmax_row([1e9, 1e9 - 1.0, 0.0])
     assert np.all(np.isfinite(out))
     assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_softmax_rejects_non_finite():
-    with pytest.raises(nk.KernelError):
-        nk.softmax([1.0, float("nan")])
-    with pytest.raises(nk.KernelError):
-        nk.softmax([])
+    with pytest.raises(nk.KernelError, match="non-finite"):
+        softmax_row([1.0, float("nan")])       # refused as a leaf
+    with pytest.raises(nk.KernelError, match="softmax"):
+        softmax_row([])
 
 
 @given(st.lists(st.floats(-80, 80), min_size=1, max_size=12),
        st.floats(-50, 50))
 @settings(max_examples=200, deadline=None)
 def test_softmax_shift_invariance(logits, shift):
-    base = nk.softmax(logits)
-    shifted = nk.softmax([x + shift for x in logits])
+    base = softmax_row(logits)
+    shifted = softmax_row([x + shift for x in logits])
     assert abs(base.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
@@ -73,7 +79,8 @@ def test_sigmoid_bit_equals_two_branch_form(xs):
 
 
 def test_row_softmax_rows_sum_to_one():
-    out = nk.row_softmax(rng().normal(size=(5, 7)))
+    t = nk.Tape()
+    out = t.value(t.row_softmax(t.leaf(rng().normal(size=(5, 7)))))
     np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
 
 
@@ -91,13 +98,14 @@ def gru_params(r, input_dim, hidden_dim, scale=0.5):
 
 
 def tape_gru(params, xs, h0):
-    """Final state of a GRU run over xs, recorded on a fresh tape."""
+    """Final state of a GRU run over the vectors xs from the vector h0,
+    recorded on a fresh tape as (1, .) rows."""
     t = nk.Tape()
     weights = [t.leaf(params[f]) for f in GRU_FIELDS]
-    h = t.leaf(h0)
+    h = t.leaf([h0])
     for x in xs:
-        h = t.gru(t.leaf(x), h, *weights)
-    return t.value(h)
+        h = t.gru(t.leaf([x]), h, *weights)
+    return t.value(h)[0]
 
 
 def test_gru_zero_params_zero_state_fixed_point():
@@ -151,8 +159,7 @@ def test_gru_matches_scalar_recurrence():
 
 def test_tape_gru_rejects_bad_dims():
     bad_inputs = [(np.zeros(2), np.zeros(4)),        # input dim
-                  (np.zeros(3), np.zeros(5)),        # state dim
-                  (np.zeros((1, 3)), np.zeros(4))]   # input not a vector
+                  (np.zeros(3), np.zeros(5))]        # state dim
     for x, h in bad_inputs:
         with pytest.raises(nk.KernelError, match="gru"):
             tape_gru(gru_params(rng(), 3, 4), [x], h)
@@ -169,13 +176,13 @@ def test_tape_gru_rejects_bad_dims():
     for active in (np.ones(3, bool), np.ones((2, 1), bool), np.ones(2)):
         with pytest.raises(nk.KernelError, match="gru"):
             t.gru(x, h, *weights, active=active)
+    # a vector input and state are not rows
     with pytest.raises(nk.KernelError, match="gru"):
-        t.gru(t.leaf(np.zeros(3)), t.leaf(np.zeros(4)), *weights,
-              active=np.ones(1, bool))
+        t.gru(t.leaf(np.zeros(3)), t.leaf(np.zeros(4)), *weights)
 
 
 def test_batched_gru_rows_match_vector_steps():
-    """Each row of a batched step is that row's vector step; a row the
+    """Each row of a batched step is that row's one-row step; a row the
     active mask leaves out keeps its state, and its gradient passes
     straight through to the old state."""
     r = rng(4)
@@ -200,26 +207,47 @@ def test_batched_gru_rows_match_vector_steps():
 
 
 def total(t, node):
-    """Scalar sum of a node's entries, built from reshape, pick and
-    add_n."""
-    n = t.value(node).size
-    flat = t.reshape(node, (n,))
-    return t.add_n(t.pick(flat, i) for i in range(n))
+    """Scalar sum of a node's entries, as n times their mean: each
+    entry's gradient is n / n, exactly one."""
+    return t.scale(t.mean(node), t.value(node).size)
 
 
-def test_tape_add_n_of_picks_gradient_is_ones():
+def dot(t, a, b):
+    """The scalar a . b over all entries of two same-size nodes: one
+    linear op with a as a (1, n) weight and b as a (1, n) row."""
+    n = t.value(a).size
+    return t.reshape(t.linear(t.reshape(a, (1, n)), t.reshape(b, (1, n)),
+                              t.leaf(np.zeros(1))), ())
+
+
+def test_linear_forward_and_gradient():
+    r = rng(3)
+    w, x, b = r.normal(size=(3, 4)), r.normal(size=(2, 4)), r.normal(size=3)
+    c = r.normal(size=(2, 3))
     t = nk.Tape()
-    a = t.leaf(rng().normal(size=6))
-    g = t.backward(total(t, a))
-    np.testing.assert_array_equal(g[a], np.ones(6))
+    wn, xn, bn = t.leaf(w), t.leaf(x), t.leaf(b)
+    y = t.linear(wn, xn, bn)
+    np.testing.assert_array_equal(t.value(y), x @ w.T + b)
+    g = t.backward(dot(t, y, t.leaf(c)))
+    np.testing.assert_allclose(g[wn], c.T @ x, atol=1e-14)
+    np.testing.assert_allclose(g[xn], c @ w, atol=1e-14)
+    np.testing.assert_allclose(g[bn], c.sum(axis=0), atol=1e-14)
 
 
-def test_tape_mul_with_self_doubles():
+def test_ops_take_rows_only():
+    """The vector forms no model sends are refused, as is a bias that
+    does not match the weight."""
     t = nk.Tape()
-    p = rng(3).normal(size=5)
-    a = t.leaf(p)
-    g = t.backward(total(t, t.mul(a, a)))
-    np.testing.assert_allclose(g[a], 2 * p, atol=1e-14)
+    v, mat, bias = t.leaf(np.ones(3)), t.leaf(np.ones((2, 3))), t.leaf(np.ones(2))
+    calls = {"softmax": lambda: t.softmax(v),
+             "row_softmax": lambda: t.row_softmax(v),
+             "linear": lambda: t.linear(mat, v, bias),
+             "linear: need": lambda: t.linear(mat, mat, v),
+             "lookup_row": lambda: t.lookup_row(mat, 1)}
+    for what, call in calls.items():
+        with pytest.raises(nk.KernelError, match=what):
+            call()
+    assert len(t) == 3
 
 
 def test_tape_leaf_rejects_non_finite():
@@ -253,36 +281,37 @@ def test_tape_rejects_nonfinite_result():
 
 def test_pick_and_log_floor():
     t = nk.Tape()
-    v = t.leaf([0.2, 0.5, 0.3])
-    p = t.pick(v, 1)
+    v = t.leaf([[0.2, 0.5, 0.3]])
+    p = t.gather(v, (np.array([0]), np.array([1])))
     l = t.log_floor(p)
-    assert float(t.value(l)) == pytest.approx(math.log(0.5))
+    assert t.value(l)[0] == pytest.approx(math.log(0.5))
     g = t.backward(l)
-    np.testing.assert_allclose(g[v], [0.0, 2.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(g[v], [[0.0, 2.0, 0.0]], atol=1e-12)
 
 
 def test_log_floor_zero_gradient_below_floor():
     t = nk.Tape()
-    v = t.leaf([0.0])
-    l = t.log_floor(t.pick(v, 0))
-    assert float(t.value(l)) == pytest.approx(math.log(1e-12))
+    v = t.leaf([[0.0]])
+    l = t.log_floor(t.gather(v, (np.array([0]), np.array([0]))))
+    assert t.value(l)[0] == pytest.approx(math.log(1e-12))
     g = t.backward(l)
-    assert g[v][0] == 0.0
+    assert g[v][0, 0] == 0.0
 
 
 def _composed_loss(params):
-    """A loss touching every op class the models use: embedding lookup,
-    a 3-step GRU chain, projection, softmax, pick, log."""
+    """A loss touching every op class the models use, on (1, .) rows:
+    embedding lookup, a 3-step GRU chain, a linear projection, softmax,
+    gather, log and mean."""
     t = nk.Tape()
     nodes = {name: t.leaf(value) for name, value in params.items()}
     gru_ids = tuple(nodes[k] for k in GRU_FIELDS)
-    h = t.scale(nodes["b_z"], 0.0)  # zero state of hidden size
+    h = t.scale(t.reshape(nodes["b_z"], (1, -1)), 0.0)  # zero state row
     for row in (0, 2, 1):
-        x = t.lookup_row(nodes["embed"], row)
+        x = t.lookup_row(nodes["embed"], np.array([row]))
         h = t.gru(x, h, *gru_ids)
-    logits = t.matvec(nodes["proj"], h)
-    probs = t.softmax(logits)
-    loss = t.scale(t.log_floor(t.pick(probs, 1)), -1.0)
+    probs = t.softmax(t.linear(nodes["proj"], h, nodes["proj_b"]))
+    gold = t.gather(probs, (np.array([0]), np.array([1])))
+    loss = t.scale(t.mean(t.log_floor(gold)), -1.0)
     return t, loss, nodes
 
 
@@ -298,6 +327,7 @@ def test_backward_matches_finite_differences(seed):
         "w_h": nk.init_uniform(r, (4, 2), 0.5), "u_h": nk.init_uniform(r, (4, 4), 0.5),
         "b_h": nk.init_uniform(r, (4,), 0.5),
         "proj": nk.init_uniform(r, (5, 4), 0.5),
+        "proj_b": nk.init_uniform(r, (5,), 0.5),
     }
     report = nk.finite_diff_check(_composed_loss, params)
     assert report.passed, f"worst {report.worst_param}: {report.max_rel_err}"
@@ -310,7 +340,7 @@ def test_mask_renorm_rows_forward_and_grad():
     out = t.mask_renorm_rows(r, mask)
     np.testing.assert_allclose(t.value(out)[0], [0.2 / 0.7, 0.0, 0.5 / 0.7], atol=1e-15)
     np.testing.assert_allclose(t.value(out)[1], [0.25, 0.25, 0.5], atol=1e-15)
-    loss = total(t, t.mul(out, out))
+    loss = total(t, t.log_floor(out))
     g = t.backward(loss)
     assert g[r].shape == (2, 3)
     assert g[r][0][1] == 0.0  # masked column gets no gradient
@@ -337,12 +367,12 @@ def test_mask_renorm_rows_rejects_empty_row():
 
 
 def op_calls(r, scale=1.0):
-    """Calls of every public Tape op on random operands: op name -> list
-    of (operand arrays, call(tape, *operand nodes)). Where an op takes a
-    vector or a batch, or has an optional operand, each form is a call."""
+    """Calls of every public Tape op on random (B, .) rows: op name ->
+    list of (operand arrays, call(tape, *operand nodes)). Where an op
+    has an optional operand, each form is a call."""
     n, d, b = 4, 3, 2
-    v, w = scale * r.normal(size=n), scale * r.normal(size=n)
-    rows, mat = scale * r.normal(size=(b, n)), scale * r.normal(size=(d, n))
+    rows, rows2 = scale * r.normal(size=(b, n)), scale * r.normal(size=(b, n))
+    mat = scale * r.normal(size=(d, n))
     pos = r.random(n) + 0.05
     mask = (r.random((n, d)) < 0.6).astype(float)
     mask[:, 0] = 1.0
@@ -350,30 +380,24 @@ def op_calls(r, scale=1.0):
                           rel=np.array([0, 2, 1, 0, 1]),
                           tail=np.array([1, 2, 0, 3, 2]), weight=r.random(5))
     gru = [0.5 * r.normal(size=s) for s in ((n, d), (n, n), (n,)) * 3]
-    gates = nk.row_softmax(r.normal(size=(b, 3)))
+    gates = np.exp(r.normal(size=(b, 3)))
+    gates /= gates.sum(axis=1, keepdims=True)
     return {
-        "leaf": [((), lambda t: t.leaf(v)),
+        "leaf": [((), lambda t: t.leaf(rows)),
                  ((), lambda t: t.leaf(rows, check=False))],
-        "add": [((v, w), lambda t, a, c: t.add(a, c)),
-                ((rows, v), lambda t, a, c: t.add(a, c))],
-        "mul": [((v, w), lambda t, a, c: t.mul(a, c))],
-        "scale": [((v,), lambda t, a: t.scale(a, -1.5))],
-        "matvec": [((mat, v), lambda t, a, c: t.matvec(a, c)),
-                   ((mat, rows), lambda t, a, c: t.matvec(a, c))],
-        "softmax": [((v,), lambda t, a: t.softmax(a)),
-                    ((rows,), lambda t, a: t.softmax(a))],
+        "scale": [((rows,), lambda t, a: t.scale(a, -1.5))],
+        "linear": [((mat, rows, scale * r.normal(size=d)),
+                    lambda t, w, x, c: t.linear(w, x, c))],
+        "softmax": [((rows,), lambda t, a: t.softmax(a))],
         "row_softmax": [((mat,), lambda t, a: t.row_softmax(a))],
-        "lookup_row": [((mat,), lambda t, a: t.lookup_row(a, 1)),
-                       ((mat,), lambda t, a: t.lookup_row(a, np.array([2, 0, 2])))],
+        "lookup_row": [((mat,), lambda t, a: t.lookup_row(a, np.array([2, 0, 2])))],
         "reshape": [((mat,), lambda t, a: t.reshape(a, (-1,)))],
-        "pick": [((v,), lambda t, a: t.pick(a, 2))],
         "gather": [((mat,), lambda t, a: t.gather(a, (np.array([0, 2]),
                                                        np.array([3, 1]))))],
-        "stack": [((v, w), lambda t, a, c: t.stack([a, c, a]))],
+        "stack": [((rows, rows2), lambda t, a, c: t.stack([a, c, a]))],
         "log_floor": [((pos - 0.3,), lambda t, a: t.log_floor(a, 0.1))],
-        "add_n": [((v, w), lambda t, a, c: t.add_n([a, c, a]))],
         "mean": [((mat,), lambda t, a: t.mean(a))],
-        "gru": [((scale * r.normal(size=d), v, *gru),
+        "gru": [((scale * r.normal(size=(b, d)), rows, *gru),
                  lambda t, *nodes: t.gru(*nodes)),
                 ((scale * r.normal(size=(b, d)), rows, *gru),
                  lambda t, *nodes: t.gru(*nodes, active=np.array([True, False])))],
@@ -445,10 +469,11 @@ def test_value_only_tape_checks_leaves_and_results():
     with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
                                                    match="non-finite"):
         t.scale(a, 1e10)
+    w, c = t.leaf([[1e308]]), t.leaf([1e308])
     with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
                                                    match="non-finite"):
-        t.add(a, a)
-    assert len(t) == 1
+        t.linear(w, w, c)
+    assert len(t) == 3
 
 
 def test_leaf_check_false_records_without_the_check():
@@ -467,7 +492,7 @@ def test_tape_rejects_foreign_and_out_of_range_nodes(record):
         with pytest.raises(nk.KernelError, match="not recorded"):
             t.value(bad)
     with pytest.raises(nk.KernelError, match="not recorded"):
-        t.add(a, 3)          # an id only a longer tape has
+        t.linear(a, 3, a)    # an id only a longer tape has
     with pytest.raises(nk.KernelError, match="not recorded"):
         t.stack([a, -1])
     assert len(t) == 1
@@ -521,7 +546,7 @@ def test_kg_hop_bincount_bit_equals_add_at(case):
     t = nk.Tape()
     vn, rn = t.leaf(v), t.leaf(rhat)
     hop = t.kg_hop(vn, rn, adj)
-    grads = t.backward(t.mean(t.mul(hop, t.leaf(c))))
+    grads = t.backward(dot(t, t.leaf(c), hop))
     out, dv, drhat = add_at_hop(v, rhat, adj, grads[hop])
     for got, want in ((nk.kg_hop(v, rhat, adj), out), (t.value(hop), out),
                       (grads[vn], dv), (grads[rn], drhat)):
@@ -537,7 +562,7 @@ def test_finite_diff_check_quadratic_is_tight():
     def build(params):
         t = nk.Tape()
         a = t.leaf(params["p"])
-        return t, total(t, t.mul(a, a)), {"p": a}
+        return t, dot(t, a, a), {"p": a}
 
     report = nk.finite_diff_check(build, {"p": rng(5).normal(size=4)})
     assert report.passed
@@ -553,7 +578,7 @@ def test_finite_diff_check_catches_wrong_gradient():
     def build(params):
         t = LyingTape()
         a = t.leaf(params["p"])
-        return t, total(t, t.mul(a, a)), {"p": a}
+        return t, dot(t, a, a), {"p": a}
 
     report = nk.finite_diff_check(build, {"p": np.ones(3)})
     assert not report.passed

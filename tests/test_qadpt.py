@@ -41,8 +41,7 @@ from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
                           greedy_decode, infer_path, init_params,
                           load_checkpoint, make_example, make_examples,
                           param_grads, perturb_and_decode, save_checkpoint,
-                          seq2seq_output_ids, teacher_force, train,
-                          validation_perplexity)
+                          teacher_force, train, validation_perplexity)
 
 RELATIONS = ("q", "r")
 
@@ -179,11 +178,12 @@ def test_model_rejects_non_finite_params(value):
 
 def test_seq2seq_output_id_layout():
     v = toy_vocab()
-    ids = seq2seq_output_ids(v)
+    ids = v.seq2seq_output_ids
     assert list(ids[:2]) == [EOS_ID, UNK_ID]
     assert list(ids[-3:]) == [v.token_to_id("a"), v.token_to_id("b"),
                               v.token_to_id("c")]
     assert PAD_ID not in set(ids) and BOS_ID not in set(ids)
+    assert v.emittable_ids == set(ids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,19 @@ def test_make_example_empty_message_pads():
     ex = example_for(v, "", "yes", [Triple("a", "q", "b")])
     assert ex.enc_ids == (PAD_ID,)
     assert not ex.has_entity
+
+
+@pytest.mark.parametrize("symbol", ["<kb>", "<pad>", "<bos>"])
+def test_make_example_rejects_unemittable_response(symbol):
+    """A response token no model can emit is refused once, when the turn
+    becomes an example, naming the turn; UNK and EOS are emittable."""
+    v = toy_vocab()
+    t = turn("a lives", f"yes {symbol} b", did="d7", i=2)
+    with pytest.raises(ModelError, match=f"turn d7#2: response token "
+                                         f"'{symbol}'"):
+        make_example(t, KnowledgeGraph([Triple("a", "q", "b")]), v)
+    ex = example_for(v, "a", "<unk> zzz <eos> b", [Triple("a", "q", "b")])
+    assert set(ex.target_ids) <= v.emittable_ids
 
 
 # ---------------------------------------------------------------------------
@@ -1025,6 +1038,35 @@ def test_each_turn_is_encoded_once_per_call(monkeypatch):
     runs = perturb_and_decode(model, exs, "all", seed=0, max_len=6)
     assert not any(r.skipped for r in runs)
     assert batches == [1] * len(exs)
+
+
+def test_every_public_tape_op_is_recorded_by_the_models(monkeypatch):
+    """Training, teacher forcing and decoding of the two models call
+    every public Tape method but `value`, so an op that no model records
+    cannot stay in the kernel unnoticed. Methods are wrapped on the
+    class, as the benchmark's tracer wraps them."""
+    ops = {name for name, fn in vars(numkernel.Tape).items()
+           if not name.startswith("_") and callable(fn)} - {"value"}
+    called = set()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ops:
+        monkeypatch.setattr(numkernel.Tape, name,
+                            counting(name, vars(numkernel.Tape)[name]))
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    exs = _encoder_examples(v, 0)
+    for kind in ("qadpt", "seq2seq"):
+        model = model_for(v, kind=kind)
+        tape, loss, _, _ = batch_loss(model, exs)
+        param_grads(model, tape, loss)
+        teacher_force(model, exs[0])
+        greedy_decode(model, exs[0], max_len=3)
+    assert called == ops
 
 
 def test_handed_in_encoder_state_is_checked():
