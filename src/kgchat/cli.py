@@ -11,11 +11,12 @@ One binary, seven subcommands:
   chat      interactive REPL with live /swap graph edits
 
 Configuration is a line-oriented key=value file (--config) plus
-per-key command-line overrides (--key value); overrides win. Unknown
-keys are rejected, and so are out-of-range model settings such as
---hidden 0. Every command that writes artifacts writes the fully
-resolved config beside them as config.json, so runs are
-self-describing. config.json, model.ckpt, report.json, metrics.csv,
+per-key command-line overrides (--key value); overrides win. Each
+subcommand takes only the keys it reads (COMMAND_KEYS): any other key,
+as a flag or in the file, is a usage error, and so are out-of-range
+model settings such as --hidden 0. Every command that writes artifacts
+writes the keys it read, resolved, beside them as config.json, so runs
+are self-describing. config.json, model.ckpt, report.json, metrics.csv,
 perturb.json and diff.log are written through a temp file, so a failed
 write leaves the previous file in place.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -36,15 +36,16 @@ from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
                      atomic_open, compare_stats, corpus_stats, detokenize,
                      generate_synthetic, ingest, load_bundle,
-                     load_dialogues_jsonl, load_lexicon, save_bundle, tokenize)
+                     load_dialogues_jsonl, load_lexicon, save_bundle, tokenize,
+                     write_json)
 from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
 from .metrics import (METRIC_NAMES, MetricError, evaluate_report,
                       perturbation_report)
 from .numkernel import KernelError
-from .qadpt import (CheckpointError, Hyperparams, ModelError, QadptModel,
-                    _decode_paths, greedy_decode, load_checkpoint,
-                    make_example, make_examples, perturb_and_decode,
-                    save_checkpoint, train)
+from .qadpt import (MAX_DECODE_LEN, CheckpointError, Hyperparams,
+                    ModelError, QadptModel, _decode_paths, greedy_decode,
+                    load_checkpoint, make_example, make_examples,
+                    perturb_and_decode, save_checkpoint, train)
 
 
 class UsageError(ValueError):
@@ -61,8 +62,9 @@ def _parse_bool(raw: str) -> bool:
     raise UsageError(f"not a boolean: {raw!r}")
 
 
-# key -> (type, default, help). `model` and the keys below it map onto
-# Hyperparams; the rest configure the corpus pipeline and run control.
+# key -> (type, default, help). `model` through `seed` map onto
+# Hyperparams; the rest configure the corpus pipeline, inference and the
+# synthetic world.
 CONFIG_KEYS = {
     "model": (str, "qadpt", "model kind: qadpt or seq2seq"),
     "hidden": (int, 64, "hidden state width"),
@@ -73,10 +75,8 @@ CONFIG_KEYS = {
     "epochs": (int, 30, "max epochs per phase"),
     "patience": (int, 3, "non-improving epochs tolerated"),
     "clip_norm": (float, 5.0, "global gradient norm ceiling"),
-    "prob_floor": (float, 1e-12, "probability floor inside the loss"),
-    "max_decode_len": (int, 40, "free-running decode cap"),
     "fine_tune": (bool, False, "second phase on entity-bearing turns"),
-    "seed": (int, 0, "training / perturbation seed"),
+    "seed": (int, 0, "training / perturbation / world seed"),
     "tokenize": (str, "word", "tokenizer mode: word or char"),
     "min_count": (int, 1, "vocabulary frequency cutoff"),
     "subgraph_k": (int, 5, "paths per source/target pair"),
@@ -84,12 +84,30 @@ CONFIG_KEYS = {
     "split": (str, "test", "bundle split for eval/perturb"),
     "mode": (str, "last1", "perturbation protocol: all, last1, last2"),
     "metrics": (str, "", "comma list of scalars to keep; empty keeps all"),
+    "max_decode_len": (int, MAX_DECODE_LEN, "free-running decode cap"),
     "n_people": (int, 30, "synthetic: people"),
     "n_places": (int, 12, "synthetic: places"),
     "n_jobs": (int, 8, "synthetic: occupations"),
     "n_turns": (int, 2000, "synthetic: total turns"),
     "turns_per_dialogue": (int, 5, "synthetic: dialogue length"),
     "chitchat_rate": (float, 0.1, "synthetic: ungrounded turn share"),
+}
+
+_INGEST_KEYS = ("tokenize", "min_count", "subgraph_k", "split_seed")
+_WORLD_KEYS = ("n_people", "n_places", "n_jobs", "n_turns",
+               "turns_per_dialogue", "chitchat_rate")
+
+# subcommand -> the config keys it reads. A command takes only these as
+# flags and config-file keys, and writes only these to config.json.
+COMMAND_KEYS = {
+    "ingest": _INGEST_KEYS,
+    "stats": (),
+    "synth": ("seed", *_INGEST_KEYS, *_WORLD_KEYS),
+    "train": ("model", "hidden", "embed", "hops", "lr", "batch_size",
+              "epochs", "patience", "clip_norm", "fine_tune", "seed"),
+    "eval": ("split", "metrics", "max_decode_len"),
+    "perturb": ("seed", "split", "mode", "max_decode_len"),
+    "chat": ("tokenize", "max_decode_len"),
 }
 
 
@@ -121,15 +139,18 @@ def _read_config_file(path) -> list:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {key: meta[1] for key, meta in CONFIG_KEYS.items()}
-    path = getattr(args, "config", None)
-    if path:
-        for key, raw in _read_config_file(path):
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"unknown config key {key!r} in {path}")
+    """The keys `args.command` reads: defaults, then the --config file,
+    then the flags."""
+    keys = COMMAND_KEYS[args.command]
+    cfg = {key: CONFIG_KEYS[key][1] for key in keys}
+    if args.config:
+        for key, raw in _read_config_file(args.config):
+            if key not in cfg:
+                raise UsageError(f"{args.command} reads no config key "
+                                 f"{key!r} (in {args.config})")
             cfg[key] = _coerce(key, raw)
-    for key in CONFIG_KEYS:
-        override = getattr(args, key, None)
+    for key in keys:
+        override = getattr(args, key)
         if override is not None:
             cfg[key] = override
     return cfg
@@ -142,7 +163,6 @@ def hyper_from_config(cfg: dict) -> Hyperparams:
             embed_dim=cfg["embed"] or None, n_hops=cfg["hops"], lr=cfg["lr"],
             batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
             patience=cfg["patience"], clip_norm=cfg["clip_norm"],
-            prob_floor=cfg["prob_floor"], max_decode_len=cfg["max_decode_len"],
             fine_tune=cfg["fine_tune"], seed=cfg["seed"])
     except ModelError as exc:
         raise UsageError(str(exc)) from None
@@ -154,14 +174,7 @@ def _write_config(cfg: dict, args: argparse.Namespace, out_dir: Path) -> None:
                         if k.endswith(("dialogues", "kg", "lexicon", "bundle",
                                        "checkpoint", "out")) and v}}
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(record, out_dir / "config.json")
-
-
-def _write_json(obj, path: Path) -> None:
-    """`obj` as indented JSON and a closing newline, written atomically."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    write_json(record, out_dir / "config.json")
 
 
 def _write_path_hist(hist: dict, unreachable: int, path: Path) -> None:
@@ -239,7 +252,7 @@ def cmd_stats(args, cfg) -> int:
         blob = dataclasses.asdict(st)
         blob["path_length_hist"] = {str(k): v
                                     for k, v in st.path_length_hist.items()}
-        _write_json(blob, out / "stats.json")
+        write_json(blob, out / "stats.json")
         _write_path_hist(st.path_length_hist, st.unreachable_pairs,
                          out / "path_hist.csv")
         _write_config(cfg, args, out)
@@ -269,10 +282,10 @@ def cmd_synth(args, cfg) -> int:
                     min_count=cfg["min_count"], subgraph_k=cfg["subgraph_k"])
     out = Path(args.out)
     save_bundle(bundle, out)
-    _write_json({tid: [list(t) for t in path]
-                 for tid, path in syn.oracle_paths.items()},
-                out / "oracle_paths.json")
-    _write_json(syn.expected, out / "expected.json")
+    write_json({tid: [list(t) for t in path]
+                for tid, path in syn.oracle_paths.items()},
+               out / "oracle_paths.json")
+    write_json(syn.expected, out / "expected.json")
     _write_config(cfg, args, out)
     print(f"synthetic corpus: {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns, "
@@ -337,7 +350,7 @@ def cmd_eval(args, cfg) -> int:
     report = evaluate_report(model, examples, max_len=max_len, config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.save(out / "report.json", selected)
+    write_json(report.to_dict(selected), out / "report.json")
     report.save_csv(out / "metrics.csv", selected)
     _write_config(cfg, args, out)
     print(f"evaluated {report.n_turns} {cfg['split']} turns with "
@@ -358,7 +371,7 @@ def cmd_perturb(args, cfg) -> int:
                                  config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.save(out / "perturb.json")
+    write_json(report.to_dict(), out / "perturb.json")
     _write_diff_log(report.turns, out / "diff.log")
     _write_config(cfg, args, out)
     print(f"perturbation mode {cfg['mode']}: {report.n_turns} turns scored, "
@@ -453,10 +466,11 @@ def cmd_chat(args, cfg) -> int:
 # Parser
 
 
-def _add_config_options(p: argparse.ArgumentParser) -> None:
+def _add_config_options(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file")
-    for key, (want, default, text) in CONFIG_KEYS.items():
+    for key in COMMAND_KEYS[command]:
+        want, default, text = CONFIG_KEYS[key]
         kind = _parse_bool if want is bool else want
         p.add_argument(f"--{key}", type=kind, default=None,
                        help=f"{text} (default {default})", metavar="V")
@@ -476,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surface -> canonical entity aliases")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_ingest)
-    _add_config_options(p)
+    _add_config_options(p, "ingest")
 
     p = sub.add_parser("stats", help="corpus statistics and histograms")
     p.add_argument("--bundle", required=True, metavar="DIR")
@@ -484,39 +498,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=sorted(KNOWN_CORPUS_PROFILES),
                    help="compare against a known corpus profile")
     p.set_defaults(func=cmd_stats)
-    _add_config_options(p)
+    _add_config_options(p, "stats")
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_synth)
-    _add_config_options(p)
+    _add_config_options(p, "synth")
 
     p = sub.add_parser("train", help="fit a model on a bundle")
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_train)
-    _add_config_options(p)
+    _add_config_options(p, "train")
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_eval)
-    _add_config_options(p)
+    _add_config_options(p, "eval")
 
     p = sub.add_parser("perturb", help="graph-perturbation experiment")
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_perturb)
-    _add_config_options(p)
+    _add_config_options(p, "perturb")
 
     p = sub.add_parser("chat", help="interactive REPL with live graph edits")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--kg", metavar="TSV")
     p.add_argument("--bundle", metavar="DIR")
     p.set_defaults(func=cmd_chat)
-    _add_config_options(p)
+    _add_config_options(p, "chat")
     return parser
 
 

@@ -245,11 +245,6 @@ class Vocabulary:
         """seq2seq_output_ids as a set, for membership tests."""
         return frozenset(self.seq2seq_output_ids.tolist())
 
-    @cached_property
-    def generic_block_index(self) -> dict:
-        """Vocabulary id -> position in the generic softmax block."""
-        return {int(vid): i for i, vid in enumerate(self.generic_output_ids)}
-
     @property
     def generic_output_size(self) -> int:
         return 3 + len(self.generic)
@@ -376,12 +371,6 @@ class SplitAssignment:
     valid: tuple
     test: tuple
     seed: int
-
-    def split_of(self, dialogue_id: str) -> str:
-        for name in SPLIT_NAMES:
-            if dialogue_id in getattr(self, name):
-                return name
-        raise DataError(f"dialogue {dialogue_id!r} not in any split")
 
     def to_dict(self) -> dict:
         return {"train": list(self.train), "valid": list(self.valid),
@@ -572,6 +561,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(obj, path) -> None:
+    """`obj` as indented JSON and a closing newline, written atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
 
 
 def _load_json(path: Path, build):

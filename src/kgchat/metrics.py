@@ -26,7 +26,6 @@ Conventions shared by the scorers:
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import _load_json, atomic_open
-from .qadpt import (QadptModel, _decode_paths, encode, greedy_decode,
-                    teacher_force)
+from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, QadptModel, _decode_paths,
+                    encode, greedy_decode, teacher_force)
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
@@ -47,8 +46,6 @@ __all__ = [
     "perturbation_report", "load_report", "load_perturb_report",
     "recompute_scalars", "METRIC_NAMES",
 ]
-
-PROB_FLOOR = 1e-12
 
 # The scalar table of an EvalReport, in report order. A grouped name
 # "<group>_<part>" reads `part` of the report's `group` metric.
@@ -465,11 +462,6 @@ class EvalReport:
             "config": self.config,
         }
 
-    def save(self, path, only=None) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(only), fh, indent=1)
-            fh.write("\n")
-
     def save_csv(self, path, only=None) -> None:
         with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -528,7 +520,8 @@ def _scalars(ents, turns) -> dict:
     }
 
 
-def evaluate_report(model: QadptModel, examples, max_len: int | None = None,
+def evaluate_report(model: QadptModel, examples,
+                    max_len: int = MAX_DECODE_LEN,
                     config: dict | None = None) -> EvalReport:
     """Run teacher-forced and free-running passes and score everything.
     Each turn is encoded once, for both passes."""
@@ -620,11 +613,6 @@ class PerturbReport:
                 "accurate_change_rate": self.accurate_change_rate,
                 "turns": [t.to_dict() for t in self.turns],
                 "config": self.config}
-
-    def save(self, path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerturbReport":

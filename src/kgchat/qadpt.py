@@ -45,6 +45,12 @@ GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
 KINDS = ("qadpt", "seq2seq")
 
+# Floor under a gold-token probability before its log, in the loss, in
+# validation perplexity and in report perplexity.
+PROB_FLOOR = 1e-12
+
+MAX_DECODE_LEN = 40   # free-running decode cap unless a caller sets one
+
 
 class ModelError(ValueError):
     """Model misuse: bad shapes, empty inputs, unreachable path queries."""
@@ -64,8 +70,6 @@ class Hyperparams:
     max_epochs: int = 30
     patience: int = 3
     clip_norm: float = 5.0
-    prob_floor: float = 1e-12
-    max_decode_len: int = 40
     fine_tune: bool = False
     kind: str = "qadpt"
     seed: int = 0
@@ -85,12 +89,6 @@ class Hyperparams:
             raise ModelError(f"patience must be >= 0, got {self.patience}")
         if self.lr <= 0 or self.clip_norm <= 0:
             raise ModelError("lr and clip_norm must be positive")
-        # a floor at or above 1 clamps every -log o_t(y_t) to a constant
-        if not 0 < self.prob_floor < 1:
-            raise ModelError(f"prob_floor must be in (0, 1), got "
-                             f"{self.prob_floor}")
-        if self.max_decode_len < 1:
-            raise ModelError("max_decode_len must be >= 1")
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
 
@@ -425,8 +423,8 @@ def _target_steps(state: _TurnState):
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     """(tape, loss node, token count, unreachable count) for one batch.
 
-    The loss is the mean over target tokens of -log o_t(y_t) with the
-    configured probability floor. The batch runs as one padded forward
+    The loss is the mean over target tokens of -log o_t(y_t), each
+    probability floored at PROB_FLOOR. The batch runs as one padded forward
     pass; only real target positions enter the loss.
     """
     state = _TurnState(_Forward(model), examples)
@@ -438,7 +436,7 @@ def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
         unreachable += int(unreach.sum())
     rows, pos = np.nonzero(np.arange(len(outputs)) < state.lengths[:, None])
     gold = t.gather(t.stack(outputs), (pos, rows, state.targets[rows, pos]))
-    loss = t.scale(t.mean(t.log_floor(gold, model.hyper.prob_floor)), -1.0)
+    loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
     return t, loss, len(rows), unreachable
 
 
@@ -506,15 +504,13 @@ class DecodeResult:
 
 
 def greedy_decode(model: QadptModel, example: Example,
-                  max_len: int | None = None,
+                  max_len: int = MAX_DECODE_LEN,
                   encoded: np.ndarray | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
-    subgraph. Ties resolve to the lowest token id. max_len defaults to
-    the model's max_decode_len. `encoded` is the turn's encode() vector,
-    when the caller already has it."""
-    if max_len is None:
-        max_len = model.hyper.max_decode_len
-    elif max_len < 1:
+    subgraph, at most max_len tokens. Ties resolve to the lowest token
+    id. `encoded` is the turn's encode() vector, when the caller
+    already has it."""
+    if max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
     state = _one_state(model, example, encoded)
     out_ids = []
@@ -629,10 +625,9 @@ class TrainResult:
 def _corpus_nll(model: QadptModel, examples: Sequence[Example]) -> tuple:
     total = 0.0
     tokens = 0
-    floor = model.hyper.prob_floor
     for ex in examples:
         res = teacher_force(model, ex)
-        total += -float(np.sum(np.log(np.maximum(res.gold_probs, floor))))
+        total += -float(np.sum(np.log(np.maximum(res.gold_probs, PROB_FLOOR))))
         tokens += len(res.gold_probs)
     return total, tokens
 
@@ -827,10 +822,11 @@ def load_checkpoint(path) -> QadptModel:
                               f"{head_end}")
     fields = header["hyper"]
     if isinstance(fields, dict):
-        # older headers carry two retired keys: teacher_forcing only
-        # steered training, and post_renorm=true names a walk this
-        # forward pass no longer has
-        fields = {k: v for k, v in fields.items() if k != "teacher_forcing"}
+        # older headers carry retired keys: teacher_forcing only steered
+        # training, prob_floor and max_decode_len are constants now, and
+        # post_renorm=true names a walk this forward pass no longer has
+        fields = {k: v for k, v in fields.items() if k not in (
+            "teacher_forcing", "prob_floor", "max_decode_len")}
         if fields.pop("post_renorm", False) is not False:
             raise CheckpointError(
                 f"{path}: header hyper 'post_renorm' is not false; the "
@@ -912,7 +908,7 @@ def _grounding_paths(ex: Example, max_hops: int = 4) -> list:
 def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                        mode: str, seed: int,
                        pool: Sequence[str] | None = None,
-                       max_len: int | None = None) -> list:
+                       max_len: int = MAX_DECODE_LEN) -> list:
     """Decode every turn, perturb its subgraph per the chosen protocol,
     re-decode against the edited graph, and report both outputs.
 
@@ -961,7 +957,7 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                 (ex, perturb(ex.subgraph, paths, _child_seed(seed, i), pool)))
 
     for (ex, res), dec, enc in zip(perturbations, originals, encoded):
-        if res is None or (mode != "all" and not res.edits):
+        if res is None:
             results.append(PerturbedTurn(
                 turn_id=ex.turn_id, original_tokens=dec.tokens,
                 perturbed_tokens=dec.tokens, hypothesis=frozenset(),

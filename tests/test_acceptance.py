@@ -23,7 +23,7 @@ from test_qadpt import _fd_setup, example_for, model_for, toy_vocab, turn
 from kgchat import numkernel
 from kgchat.corpus import (BOS_ID, SyntheticConfig, compare_stats,
                            corpus_stats, generate_synthetic, ingest,
-                           load_bundle)
+                           load_bundle, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple
 from kgchat.metrics import (accurate_change_rate, bleu2_sentence, change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
@@ -373,8 +373,8 @@ def test_criterion_9_determinism(pipeline, tmp_path):
     save_checkpoint(m2, tmp_path / "b.ckpt")
     ckpt_ok = (tmp_path / "a.ckpt").read_bytes() == \
         (tmp_path / "b.ckpt").read_bytes()
-    r1.save(tmp_path / "a.json")
-    r2.save(tmp_path / "b.json")
+    write_json(r1.to_dict(), tmp_path / "a.json")
+    write_json(r2.to_dict(), tmp_path / "b.json")
     report_ok = (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
 

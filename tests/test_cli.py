@@ -15,7 +15,9 @@ import pytest
 from test_qadpt import _poison_payload, _rewrite_header
 
 from kgchat import cli
-from kgchat.corpus import Vocabulary, load_bundle
+from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
+                           load_bundle, save_dialogues_jsonl, save_lexicon,
+                           write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
 from kgchat.metrics import (PerturbTurnEval, evaluate_report, load_report,
                             recompute_scalars)
@@ -155,7 +157,7 @@ def test_eval_files_are_the_report_writers_output(ws, bundle_dir, run_dir,
                              make_examples(bundle, bundle.split_turns("test")),
                              max_len=cfg["max_decode_len"], config=cfg)
     only = [m for m in selection.split(",") if m]
-    report.save(out / "direct.json", only)
+    write_json(report.to_dict(only), out / "direct.json")
     report.save_csv(out / "direct.csv", only)
     assert (out / "report.json").read_bytes() == \
         (out / "direct.json").read_bytes()
@@ -242,9 +244,7 @@ def test_decode_cap_below_one_exits_2(ws, bundle_dir, run_dir, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--epochs", "0"),
-                                         ("--prob_floor", "1"),
-                                         ("--prob_floor", "2")])
+@pytest.mark.parametrize("flag, value", [("--epochs", "0")])
 def test_train_flags_that_cannot_train_exit_2(ws, capsys, flag, value):
     # the bundle does not exist: the flag is refused before it is read
     out = ws / f"notrain_{flag[2:]}_{value}"
@@ -252,13 +252,11 @@ def test_train_flags_that_cannot_train_exit_2(ws, capsys, flag, value):
                      "--out", str(out), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
-    assert ("max_epochs" if flag == "--epochs" else "prob_floor") in err
+    assert "max_epochs" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value", [("max_epochs", 0),
-                                          ("prob_floor", 1.0),
-                                          ("prob_floor", 2.0)])
+@pytest.mark.parametrize("field, value", [("max_epochs", 0)])
 def test_checkpoint_hyper_that_cannot_train_exits_3(ws, bundle_dir, run_dir,
                                                     field, value):
     ckpt = ws / f"hyper_{field}_{value}.ckpt"
@@ -290,8 +288,9 @@ def test_config_file_and_override_precedence(ws, bundle_dir):
 
 
 def test_unknown_config_key_exits_2(ws, bundle_dir):
-    # the two retired walk knobs are unknown keys like any other
-    for key in ("no_such_key", "post_renorm", "teacher_forcing"):
+    # retired settings are unknown keys like any other
+    for key in ("no_such_key", "post_renorm", "teacher_forcing",
+                "prob_floor"):
         cfg_file = ws / f"bad_{key}.cfg"
         cfg_file.write_text(f"{key}=1\n")
         assert cli.main(["train", "--bundle", str(bundle_dir),
@@ -300,33 +299,113 @@ def test_unknown_config_key_exits_2(ws, bundle_dir):
     assert not (ws / "never").exists()
 
 
+@pytest.fixture(scope="module")
+def raw_corpus(ws):
+    """dialogues.jsonl, graph.tsv and aliases.tsv for `kgchat ingest`."""
+    syn = generate_synthetic(SyntheticConfig(n_people=6, n_places=3, n_jobs=2,
+                                             n_turns=100), seed=2)
+    raw = ws / "raw"
+    raw.mkdir()
+    save_dialogues_jsonl(syn.raw_turns, raw / "dialogues.jsonl")
+    save_triples_tsv(syn.graph, raw / "graph.tsv")
+    save_lexicon(syn.lexicon, raw / "aliases.tsv")
+    return raw
+
+
+def _command_argv(command, out, raw_corpus, bundle_dir, run_dir) -> list:
+    """`command` with its required arguments, writing under `out`."""
+    ckpt = str(run_dir / "model.ckpt")
+    return [command, *{
+        "ingest": ["--dialogues", str(raw_corpus / "dialogues.jsonl"),
+                   "--kg", str(raw_corpus / "graph.tsv"),
+                   "--lexicon", str(raw_corpus / "aliases.tsv"),
+                   "--out", str(out)],
+        "stats": ["--bundle", str(bundle_dir), "--out", str(out)],
+        "synth": ["--out", str(out), "--n_people", "6", "--n_places", "3",
+                  "--n_jobs", "2", "--n_turns", "100"],
+        "train": ["--bundle", str(bundle_dir), "--out", str(out),
+                  "--hidden", "8", "--epochs", "1"],
+        "eval": ["--bundle", str(bundle_dir), "--checkpoint", ckpt,
+                 "--out", str(out)],
+        "perturb": ["--bundle", str(bundle_dir), "--checkpoint", ckpt,
+                    "--out", str(out)],
+        "chat": ["--checkpoint", ckpt, "--bundle", str(bundle_dir)],
+    }[command]]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("ingest", "hidden", "8"), ("stats", "lr", "-1"), ("stats", "hidden", "0"),
+    ("synth", "split", "test"), ("train", "max_decode_len", "5"),
+    ("train", "prob_floor", "1e-9"), ("eval", "hops", "2"),
+    ("eval", "hidden", "0"), ("eval", "model", "seq2seq"),
+    ("perturb", "metrics", "bleu2"), ("chat", "seed", "1")])
+def test_key_the_command_does_not_read_exits_2(ws, raw_corpus, bundle_dir,
+                                               run_dir, capsys, how, command,
+                                               key, value):
+    out = ws / f"unread_{command}_{key}_{how}"
+    argv = _command_argv(command, out, raw_corpus, bundle_dir, run_dir)
+    if how == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg_file = ws / f"unread_{command}_{key}.cfg"
+        cfg_file.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg_file)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+    if how == "config":
+        assert err == (f"usage error: {command} reads no config key "
+                       f"{key!r} (in {cfg_file})\n")
+    assert not out.exists()
+
+
+def test_artifacts_carry_exactly_the_commands_keys(ws, raw_corpus, bundle_dir,
+                                                   run_dir):
+    """config.json, and the report config of eval and perturb, hold the
+    keys the command reads and nothing else."""
+    for command in cli.COMMAND_KEYS:
+        if command == "chat":
+            continue   # writes nothing
+        out = ws / f"keys_{command}"
+        assert cli.main(_command_argv(command, out, raw_corpus, bundle_dir,
+                                      run_dir)) == 0, command
+        record = json.loads((out / "config.json").read_text())
+        assert record["command"] == command
+        assert list(record["config"]) == list(cli.COMMAND_KEYS[command])
+        report = {"eval": "report.json", "perturb": "perturb.json"}.get(command)
+        if report:
+            blob = json.loads((out / report).read_text())
+            assert blob["config"] == record["config"], command
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--hidden", "0"), ("--embed", "-1"), ("--hops", "0"),
     ("--max_decode_len", "0"), ("--lr", "0"), ("--batch_size", "0")])
 def test_out_of_range_hyperparameter_exits_2(ws, capsys, flag, value):
-    # the bundle does not exist: hyperparameters are checked before it
-    # is read, so the usage error is what surfaces
+    # the bundle does not exist: settings are checked before it is
+    # read, so the usage error is what surfaces. The decode cap is an
+    # inference setting, so it goes to eval.
     out = ws / f"never_{flag[2:]}"
-    assert cli.main(["train", "--bundle", str(ws / "no_such_bundle"),
-                     "--out", str(out), flag, value]) == 2
+    argv = ["train", "--bundle", str(ws / "no_such_bundle"), "--out", str(out)]
+    if flag == "--max_decode_len":
+        argv = ["eval", "--bundle", str(ws / "no_such_bundle"), "--checkpoint",
+                str(ws / "no_such.ckpt"), "--out", str(out)]
+    assert cli.main([*argv, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:"), err
     assert "Traceback" not in err
     assert not out.exists()
 
 
-# keys that configure the corpus pipeline and run control, not the model
-PIPELINE_KEYS = {"tokenize", "min_count", "subgraph_k", "split_seed", "split",
-                 "mode", "metrics", "n_people", "n_places", "n_jobs",
-                 "n_turns", "turns_per_dialogue", "chitchat_rate"}
-
-
 def test_each_hyperparams_field_has_exactly_one_config_key():
-    base = {key: meta[1] for key, meta in cli.CONFIG_KEYS.items()}
+    base = {key: cli.CONFIG_KEYS[key][1] for key in cli.COMMAND_KEYS["train"]}
     base["embed"] = base["hidden"]   # so that moving hidden moves one field
     default = cli.hyper_from_config(base)
     owners = {}
-    for key, (kind, _, _) in cli.CONFIG_KEYS.items():
+    for key in cli.COMMAND_KEYS["train"]:
+        kind = cli.CONFIG_KEYS[key][0]
         if kind is bool:
             value = not base[key]
         elif key == "model":
@@ -338,9 +417,6 @@ def test_each_hyperparams_field_has_exactly_one_config_key():
         hyper = cli.hyper_from_config({**base, key: value})
         moved = [f.name for f in dataclasses.fields(hyper)
                  if getattr(hyper, f.name) != getattr(default, f.name)]
-        if key in PIPELINE_KEYS:
-            assert moved == [], key
-            continue
         assert len(moved) == 1, (key, moved)
         assert getattr(hyper, moved[0]) == value, key
         owners.setdefault(moved[0], []).append(key)
@@ -372,8 +448,8 @@ def test_failed_write_keeps_previous_file(tmp_path, name):
         good, bad = {1: 5, 2: 3}, {1: 5, "2": 3}
     else:
         # stats writes stats.json, synth oracle_paths.json and
-        # expected.json, each through _write_json
-        write = lambda obj: cli._write_json(obj, tmp_path / name)
+        # expected.json, each through write_json
+        write = lambda obj: write_json(obj, tmp_path / name)
         good, bad = {"t0": [1, 2]}, {"t1": [1, 2], "t2": object()}
     write(good)
     before = (tmp_path / name).read_bytes()
@@ -509,26 +585,45 @@ def test_train_on_unemittable_response_exits_3(tmp_path, bundle_dir):
     assert not out.exists()
 
 
-def test_reproduce_script_invocations_parse():
-    script = Path(__file__).parents[1] / "scripts" / "reproduce.sh"
-    text = script.read_text().replace("\\\n", " ")
-    shell_vars = {"OUT": "runs/repro", "SEED": "7", "MODEL": "qadpt",
-                  "MODE": "last1"}
+def _kgchat_lines(text: str, shell_vars: dict) -> list:
+    """argv of every `kgchat ...` line, backslash continuations joined
+    and shell variables substituted."""
     calls = []
-    for line in text.splitlines():
+    for line in text.replace("\\\n", " ").splitlines():
         line = line.strip()
         if line.startswith("kgchat "):
             line = re.sub(r"\$\{?(\w+)\}?",
                           lambda m: shell_vars[m.group(1)], line)
             calls.append(shlex.split(line)[1:])
-    assert [argv[0] for argv in calls] == ["synth", "stats", "train", "train",
-                                           "eval", "perturb"]
+    return calls
+
+
+def test_reproduce_script_invocations_parse():
+    """Every scripted command line parses: scripts/reproduce.sh, the
+    README quickstart, and the command shapes the benchmark runs."""
+    root = Path(__file__).parents[1]
+    script = _kgchat_lines((root / "scripts" / "reproduce.sh").read_text(),
+                           {"OUT": "runs/repro", "SEED": "7", "MODEL": "qadpt",
+                            "MODE": "last1"})
+    assert [argv[0] for argv in script] == ["synth", "stats", "train", "train",
+                                            "eval", "perturb"]
+    readme = (root / "README.md").read_text()
+    quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    docs = _kgchat_lines(quickstart, {})
+    assert [argv[0] for argv in docs] == ["synth", "train", "train", "eval",
+                                          "perturb", "chat"]
+    bench = [["synth", "--out", "prep/corpus", "--seed", "3", "--n_people",
+              "8", "--n_places", "4", "--n_jobs", "3", "--n_turns", "150"],
+             ["train", "--bundle", "prep/corpus", "--out", "prep/model",
+              "--epochs", "15"],
+             ["chat", "--checkpoint", "prep/model/model.ckpt",
+              "--bundle", "prep/corpus"]]
     parser = cli.build_parser()
-    for argv in calls:
+    for argv in script + docs + bench:
         try:
             parser.parse_args(argv)
         except SystemExit:
-            pytest.fail(f"reproduce.sh runs an invalid command: kgchat "
+            pytest.fail(f"invalid scripted command: kgchat "
                         f"{shlex.join(argv)}")
 
 
@@ -581,8 +676,7 @@ def test_eval_determinism_bit_identical_reports(ws, bundle_dir, run_dir):
 def _golden_checkpoint(ws) -> tuple:
     vocab = Vocabulary(generic=("hello", "yes"), entities=("a", "b", "c"),
                        relations=("q", "r"))
-    hyper = Hyperparams(hidden_dim=4, embed_dim=4, n_hops=2,
-                        max_decode_len=4, seed=0)
+    hyper = Hyperparams(hidden_dim=4, embed_dim=4, n_hops=2, seed=0)
     params = {name: np.zeros_like(arr)
               for name, arr in init_params(hyper, vocab, seed=0).items()}
     params["phi_b"][0] = 5.0   # route nearly all mass to the entity branch

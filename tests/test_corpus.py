@@ -159,8 +159,6 @@ def test_generic_output_block_layout():
     assert list(ids) == [KB_ID, EOS_ID, UNK_ID, 5, 6, 7]
     assert v.generic_output_size == len(ids) == 3 + 3
     assert PAD_ID not in set(ids) and BOS_ID not in set(ids)
-    assert v.generic_block_index[KB_ID] == 0
-    assert v.generic_block_index[5] == 3
 
 
 def test_vocab_rejects_overlap():
@@ -265,12 +263,9 @@ def test_split_deterministic_and_seed_sensitive():
     assert s1.train != s3.train
 
 
-def test_split_of_and_round_trip():
+def test_split_round_trip():
     sp = split_dialogues(_rows(25), seed=0)
-    assert sp.split_of(sp.train[0]) == "train"
     assert SplitAssignment.from_dict(sp.to_dict()) == sp
-    with pytest.raises(DataError):
-        sp.split_of("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgchat.corpus import DataError, DialogueTurn, Vocabulary
+from kgchat.corpus import DataError, DialogueTurn, Vocabulary, write_json
 from kgchat.kgraph import KnowledgeGraph, Triple
-from kgchat.metrics import (EvalReport, MetricError, PRF, PerturbReport,
+from kgchat.metrics import (EvalReport, MetricError, PRF,
                             TokenPRF, accurate_change_rate, bleu2_sentence,
                             change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
@@ -378,7 +378,7 @@ def test_evaluate_report_round_trip(tmp_path):
     assert set(report.distinct) == {1, 2, 3, 4}
     # replay: every scalar is a pure function of the stored turns
     path = tmp_path / "report.json"
-    report.save(path)
+    write_json(report.to_dict(), path)
     back = load_report(path)
     assert back.to_dict() == report.to_dict()
     fresh = recompute_scalars(back)
@@ -396,7 +396,7 @@ def test_filtered_report_loads_with_rederived_scalars(tmp_path, only):
     model, exs = _tiny_model_and_examples()
     report = evaluate_report(model, exs)
     path = tmp_path / "report.json"
-    report.save(path, only)
+    write_json(report.to_dict(only), path)
     back = load_report(path)
     assert back._metrics() == recompute_scalars(back)
     assert back.metric_rows() == report.metric_rows()
@@ -425,7 +425,7 @@ def _drop(key):
 def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
     model, exs = _tiny_model_and_examples()
     path = tmp_path / "report.json"
-    evaluate_report(model, exs).save(path, ["bleu2"])
+    write_json(evaluate_report(model, exs).to_dict(["bleu2"]), path)
     path.write_text(corrupt(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
     with pytest.raises(DataError) as info:
@@ -480,10 +480,14 @@ def _perturb_report():
         ENTS, [_pt("t0", ("T",), ("T2",), {"T2"}, {"T"})], "last1")
 
 
+def _write_report(report, path):
+    write_json(report.to_dict(), path)
+
+
 @pytest.mark.parametrize("name, make, save, break_report", [
-    ("report.json", _eval_report, EvalReport.save, _break_json),
+    ("report.json", _eval_report, _write_report, _break_json),
     ("metrics.csv", _eval_report, EvalReport.save_csv, _break_csv),
-    ("perturb.json", _perturb_report, PerturbReport.save, _break_json),
+    ("perturb.json", _perturb_report, _write_report, _break_json),
 ], ids=("report_json", "metrics_csv", "perturb_json"))
 def test_failed_save_keeps_previous_file(tmp_path, name, make, save,
                                          break_report):
@@ -547,7 +551,7 @@ def test_perturbation_report_serializes(tmp_path):
     runs = [_pt("t0", ("T",), ("T2",), {"T2"}, {"T"})]
     rep = perturbation_report(ENTS, runs, "last1", config={"seed": 3})
     path = tmp_path / "perturb.json"
-    rep.save(path)
+    write_json(rep.to_dict(), path)
     import json
     blob = json.loads(path.read_text())
     assert blob["mode"] == "last1"
@@ -583,7 +587,7 @@ def test_perturb_report_round_trip(tmp_path, mode):
                                     config={"mode": mode, "seed": 5}),
                 _hand_perturb_report()):
         path = tmp_path / "perturb.json"
-        rep.save(path)
+        write_json(rep.to_dict(), path)
         back = load_perturb_report(path)
         assert back == rep
         assert back.to_dict() == rep.to_dict()
@@ -631,7 +635,7 @@ def _set_turn(key, value):
         "turn_id_type"))
 def test_malformed_perturb_report_raises_data_error(tmp_path, corrupt, where):
     path = tmp_path / "perturb.json"
-    _hand_perturb_report().save(path)
+    write_json(_hand_perturb_report().to_dict(), path)
     path.write_text(corrupt(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
     with pytest.raises(DataError) as info:

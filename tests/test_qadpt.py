@@ -91,11 +91,9 @@ def test_hyperparams_validation():
         Hyperparams(kind="transformer")
     with pytest.raises(ModelError):
         Hyperparams(lr=0.0)
-    # no epoch trains nothing; a floor at or above 1 clamps every loss term
-    for field, value in (("max_epochs", 0), ("prob_floor", 0.0),
-                         ("prob_floor", 1.0), ("prob_floor", 2.0)):
-        with pytest.raises(ModelError, match=field):
-            Hyperparams(**{field: value})
+    # no epoch trains nothing
+    with pytest.raises(ModelError, match="max_epochs"):
+        Hyperparams(max_epochs=0)
 
 
 def test_param_shapes_qadpt():
@@ -888,9 +886,7 @@ def test_checkpoint_rejects_bad_manifest(tmp_path, edit):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field, value", [("max_epochs", 0),
-                                          ("prob_floor", 1.0),
-                                          ("prob_floor", 2.0)])
+@pytest.mark.parametrize("field, value", [("max_epochs", 0)])
 def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
@@ -900,9 +896,10 @@ def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
 
 
 def test_checkpoint_with_retired_walk_keys(tmp_path):
-    """Headers that still name the retired post_renorm and
-    teacher_forcing keys: false values load as the one forward pass,
-    post_renorm true is refused, by the loader and by the CLI."""
+    """Headers that still name the retired post_renorm, teacher_forcing,
+    prob_floor and max_decode_len keys: the parent's values load as the
+    one forward pass, post_renorm true is refused, by the loader and by
+    the CLI."""
     bundle = tmp_path / "bundle"
     assert cli.main(["synth", "--out", str(bundle), "--n_people", "4",
                      "--n_places", "3", "--n_jobs", "2", "--n_turns", "100",
@@ -912,8 +909,9 @@ def test_checkpoint_with_retired_walk_keys(tmp_path):
     model = model_for(loaded.vocab)
     path = tmp_path / "old.ckpt"
     save_checkpoint(model, path)
-    _rewrite_header(path, lambda h: h["hyper"].update(post_renorm=False,
-                                                      teacher_forcing=False))
+    _rewrite_header(path, lambda h: h["hyper"].update(
+        post_renorm=False, teacher_forcing=False, prob_floor=1e-12,
+        max_decode_len=40))
     back = load_checkpoint(path)
     assert back.hyper == model.hyper
     for ex in exs:
