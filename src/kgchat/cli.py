@@ -12,9 +12,10 @@ One binary, seven subcommands:
 
 Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Each
-subcommand takes only the keys it reads (COMMAND_KEYS): any other key,
-as a flag or in the file, is a usage error, and so are out-of-range
-model settings such as --hidden 0. Every command that writes artifacts
+subcommand takes only the keys it reads (COMMAND_KEYS), each by its
+exact name: any other key, as a flag (an abbreviated one too) or in the
+file, is a usage error, and so are out-of-range model settings such as
+--hidden 0. Every command that writes artifacts
 writes the keys it read, resolved, beside them as config.json, so runs
 are self-describing. config.json, model.ckpt, report.json, metrics.csv,
 perturb.json and diff.log are written through a temp file, so a failed
@@ -483,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, graph-perturbation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="preprocess a corpus into a bundle")
+    # allow_abbrev=False: a flag is taken by its exact name only, as a
+    # config-file key is
+    p = sub.add_parser("ingest", help="preprocess a corpus into a bundle",
+                       allow_abbrev=False)
     p.add_argument("--dialogues", required=True, metavar="JSONL")
     p.add_argument("--kg", required=True, metavar="TSV")
     p.add_argument("--lexicon", metavar="TSV",
@@ -492,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
     _add_config_options(p, "ingest")
 
-    p = sub.add_parser("stats", help="corpus statistics and histograms")
+    p = sub.add_parser("stats", help="corpus statistics and histograms",
+                       allow_abbrev=False)
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--expect", choices=sorted(KNOWN_CORPUS_PROFILES),
@@ -500,32 +505,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
     _add_config_options(p, "stats")
 
-    p = sub.add_parser("synth", help="generate the synthetic corpus")
+    p = sub.add_parser("synth", help="generate the synthetic corpus",
+                       allow_abbrev=False)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_synth)
     _add_config_options(p, "synth")
 
-    p = sub.add_parser("train", help="fit a model on a bundle")
+    p = sub.add_parser("train", help="fit a model on a bundle",
+                       allow_abbrev=False)
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_train)
     _add_config_options(p, "train")
 
-    p = sub.add_parser("eval", help="score a checkpoint on a split")
+    p = sub.add_parser("eval", help="score a checkpoint on a split",
+                       allow_abbrev=False)
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_eval)
     _add_config_options(p, "eval")
 
-    p = sub.add_parser("perturb", help="graph-perturbation experiment")
+    p = sub.add_parser("perturb", help="graph-perturbation experiment",
+                       allow_abbrev=False)
     p.add_argument("--bundle", required=True, metavar="DIR")
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_perturb)
     _add_config_options(p, "perturb")
 
-    p = sub.add_parser("chat", help="interactive REPL with live graph edits")
+    p = sub.add_parser("chat", help="interactive REPL with live graph edits",
+                       allow_abbrev=False)
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--kg", metavar="TSV")
     p.add_argument("--bundle", metavar="DIR")

@@ -143,13 +143,6 @@ def load_lexicon(path) -> dict[str, str]:
     return lex
 
 
-def save_lexicon(lexicon: Mapping[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# surface\tcanonical_entity\n")
-        for surface in sorted(lexicon):
-            fh.write(f"{surface}\t{lexicon[surface]}\n")
-
-
 # ---------------------------------------------------------------------------
 # Vocabulary
 #

@@ -365,13 +365,6 @@ class AdjacencyTensor:
     def _entity_pos(self) -> dict:
         return {e: i for i, e in enumerate(self.entities)}
 
-    def rows(self) -> dict:
-        """Audit view: (head index, relation index) -> ((tail index, weight), ...)."""
-        out: dict = {}
-        for h, r, t, w in zip(self.head, self.rel, self.tail, self.weight):
-            out.setdefault((int(h), int(r)), []).append((int(t), float(w)))
-        return {k: tuple(v) for k, v in out.items()}
-
 
 def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
                     relations: Sequence[str]) -> AdjacencyTensor:

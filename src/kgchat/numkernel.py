@@ -3,18 +3,17 @@
 Everything the dialogue models need and nothing more: a recorded-op
 reverse-accumulation gradient tape whose ops are exactly the ones the
 models record, each on (B, ...) rows (a stabilized softmax, a fused
-linear layer, a GRU cell, the graph hop and the output mixture among
-them), a central finite-difference checker, and Adam with global-norm
-clipping. All kernels are deterministic pure functions over float64
-arrays. Any op that produces NaN or Inf raises KernelError instead of
-letting the value propagate.
+linear layer, a GRU cell, the N-hop graph walk and the output mixture
+among them), and Adam with global-norm clipping. All kernels are
+deterministic pure functions over float64 arrays. Any op that produces
+NaN or Inf raises KernelError instead of letting the value propagate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "KernelError",
     "sigmoid",
     "Tape",
-    "FiniteDiffReport",
-    "finite_diff_check",
     "AdamState",
     "adam_update",
     "clip_global_norm",
@@ -355,28 +352,45 @@ class Tape:
 
         return self._push(out, (r, mask), bwd, "mask_renorm_rows")
 
-    def kg_hop(self, v: int, rhat: int, adj) -> int:
-        """One reasoning hop: mass at each head flows along its out-edges,
-        each edge weighted by the head's (renormalized) relation choice
-        times the edge's normalized tail weight.
+    def kg_hop(self, v: int, rhat: int, adj, hops: int) -> int:
+        """The N-hop reasoning walk as one node: at each of `hops` hops,
+        mass at each head flows along its out-edges, each edge weighted
+        by the head's (renormalized) relation choice times the edge's
+        normalized tail weight.
 
         `adj` is an AdjacencyTensor-like object with int arrays head,
         rel, tail and a float array weight; it is a constant. A batch of
         graphs is one block-diagonal adjacency over the stacked rows.
+        The edge coefficients rhat[head, rel] are gathered once for all
+        hops; each tail accumulates in the adjacency's fixed edge order,
+        and every hop's result is checked finite.
         """
         vv, vr = self.value(v), self.value(rhat)
         if vv.ndim != 1 or vr.ndim != 2 or vr.shape[0] != vv.shape[0]:
             raise KernelError("kg_hop: shape mismatch")
-        out = kg_hop(vv, vr, adj)
+        if not isinstance(hops, (int, np.integer)) or hops < 1:
+            raise KernelError(f"kg_hop: hops must be an int >= 1, "
+                              f"got {hops!r}")
+        head, tail, weight = adj.head, adj.tail, adj.weight
+        coef = vr[head, adj.rel]
+        walk = [vv]            # the mass before each hop, then the result
+        for _ in range(hops):
+            out = _scatter_add(vv.shape, tail, walk[-1][head] * coef * weight)
+            _require_finite(out, "kg_hop")
+            walk.append(out)
 
         def bwd(g):
-            gt = g[adj.tail]
-            return (_scatter_add(vv.shape, adj.head,
-                                 vr[adj.head, adj.rel] * adj.weight * gt),
-                    _scatter_add(vr.shape, adj.head * vr.shape[1] + adj.rel,
-                                 vv[adj.head] * adj.weight * gt))
+            # hops in reverse; the rhat gradient sums last hop first
+            flat = head * vr.shape[1] + adj.rel
+            grhat = None
+            for vin in reversed(walk[:-1]):
+                gt = g[tail]
+                pg = _scatter_add(vr.shape, flat, vin[head] * weight * gt)
+                grhat = pg if grhat is None else grhat + pg
+                g = _scatter_add(vv.shape, head, coef * weight * gt)
+            return g, grhat
 
-        return self._push(out, (v, rhat), bwd, "kg_hop")
+        return self._push(walk[-1], (v, rhat), bwd)
 
     def mix_output(self, g: int, cols, width: int, k: int | None = None) -> int:
         """Scatter a batch of distributions g (B, m) into output rows of
@@ -458,80 +472,6 @@ class Tape:
                     grads[node] = g.copy()
                 _require_finite(grads[node], "gradient")
         return grads
-
-
-def kg_hop(v: np.ndarray, rhat: np.ndarray, adj) -> np.ndarray:
-    """Forward of one reasoning hop (shared by tape and inference).
-
-    Each tail accumulates in the adjacency's fixed edge order, which
-    keeps results bit-reproducible.
-    """
-    contrib = v[adj.head] * rhat[adj.head, adj.rel] * adj.weight
-    return _scatter_add(v.shape, adj.tail, contrib)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-
-
-@dataclass
-class FiniteDiffReport:
-    tolerance: float
-    per_param: dict
-    worst_param: str
-    max_rel_err: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err <= self.tolerance
-
-
-def finite_diff_check(build_loss: Callable, params: Mapping, step: float = 1e-5,
-                      tolerance: float = 1e-4) -> FiniteDiffReport:
-    """Compare tape gradients against central finite differences.
-
-    `build_loss(params)` must return (tape, loss_node, param_nodes) where
-    param_nodes maps each parameter name to its leaf node. Every
-    coordinate of every parameter is perturbed by +-step. The report
-    lists the worst relative error per parameter; it never raises on a
-    failed comparison, callers inspect `passed`.
-
-    Relative error uses a small floor in the denominator so that
-    coordinates whose true gradient is ~0 are judged by absolute error.
-    """
-    tape, loss, nodes = build_loss(params)
-    grads = tape.backward(loss)
-
-    def loss_value(p) -> float:
-        t, l, _ = build_loss(p)
-        return float(t.value(l))
-
-    per_param = {}
-    for name in params:
-        base = params[name]
-        analytic = grads[nodes[name]]
-        worst = 0.0
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_value(params)
-            flat[i] = orig - step
-            down = loss_value(params)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            a = float(analytic.reshape(-1)[i])
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
-            worst = max(worst, err)
-        per_param[name] = worst
-
-    worst_param = max(per_param, key=per_param.get) if per_param else ""
-    return FiniteDiffReport(
-        tolerance=tolerance,
-        per_param=per_param,
-        worst_param=worst_param,
-        max_rel_err=max(per_param.values()) if per_param else 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -377,8 +377,7 @@ class _TurnState:
         rhat = t.mask_renorm_rows(r, self.mask)
         k = self.s
         if self.s_total > 0.0:
-            for _ in range(self.hyper.n_hops):
-                k = t.kg_hop(k, rhat, self.adj)
+            k = t.kg_hop(k, rhat, self.adj, self.hyper.n_hops)
         o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k)
         return o, g, k, rhat
 
@@ -550,9 +549,11 @@ def infer_path(adj: AdjacencyTensor, rhat: np.ndarray, s: np.ndarray,
     """Highest-probability walk of exactly n_hops ending at the entity.
 
     Max-product dynamic program over the same transition structure the
-    decoder sums over; ties break toward the smallest (relation index,
-    entity index) step sequence, starts toward the smallest entity
-    index. Trailing self-loop steps are dropped from the reported
+    decoder sums over. A walk's key is (start entity index, step
+    sequence), each step a (relation index, entity index) pair, and ties
+    break toward the smallest key: the smallest start first, then the
+    smallest step sequence, so start 0 via relation 1 beats start 1 via
+    relation 0. Trailing self-loop steps are dropped from the reported
     triples; their weights stay in the probability.
     """
     n = adj.n_entities
@@ -565,14 +566,16 @@ def infer_path(adj: AdjacencyTensor, rhat: np.ndarray, s: np.ndarray,
         dp[int(v)] = (float(s[v]), (int(v), ()))
     if not dp:
         raise ModelError("source vector is empty")
+    # (head, rel, tail, weight, rhat[head, rel]) per edge, in edge order
+    edges = list(zip(adj.head.tolist(), adj.rel.tolist(), adj.tail.tolist(),
+                     adj.weight.tolist(), rhat[adj.head, adj.rel].tolist()))
     for _ in range(n_hops):
         ndp: dict[int, tuple] = {}
-        for h, r, t, w in zip(adj.head, adj.rel, adj.tail, adj.weight):
-            h, r, t = int(h), int(r), int(t)
+        for h, r, t, w, c in edges:
             cur = dp.get(h)
             if cur is None:
                 continue
-            prob = cur[0] * float(rhat[h, r]) * float(w)
+            prob = cur[0] * c * w
             if prob <= 0.0:
                 continue
             key = (cur[1][0], cur[1][1] + ((r, t),))

@@ -1,16 +1,21 @@
 """Independent oracles for the reasoning walk, shared by the unit and
 acceptance suites. Everything here recomputes model quantities from
-first principles (dense matrices, exhaustive walk enumeration) without
-touching the model's own kernel ops."""
+first principles (dense matrices, exhaustive walk enumeration, one hop
+at a time, per-edge loops) without touching the model's own kernel ops.
+The finite-difference checker, the adjacency audit view and the lexicon
+writer live here too: only the tests call them."""
 
 from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from kgchat.corpus import DialogueTurn, Vocabulary
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
-from kgchat.qadpt import (Hyperparams, QadptModel, batch_loss, make_example,
-                          param_grads)
+from kgchat.numkernel import _scatter_add
+from kgchat.qadpt import (Hyperparams, ModelError, QadptModel, batch_loss,
+                          make_example, param_grads)
 
 
 def renorm_rows(r, mask):
@@ -197,3 +202,134 @@ def write_batch_loss_pin(path):
             for field, value in loss_and_grads(*toy_batch(kind, seed)).items():
                 arrays[f"{kind}/{seed}/{field}"] = np.asarray(value)
     np.savez_compressed(path, **arrays)
+
+
+# ---------------------------------------------------------------------------
+# One hop at a time, and the per-edge path readout
+
+
+def kg_hop(v, rhat, adj):
+    """Forward of one reasoning hop: Tape.kg_hop with hops=1.
+
+    Each tail accumulates in the adjacency's fixed edge order, which
+    keeps results bit-reproducible.
+    """
+    contrib = v[adj.head] * rhat[adj.head, adj.rel] * adj.weight
+    return _scatter_add(v.shape, adj.tail, contrib)
+
+
+def infer_path_per_edge(adj, rhat, s, entity, n_hops):
+    """qadpt.infer_path's dynamic program indexing the adjacency and the
+    path matrix edge by edge: (probability, start index, steps) of the
+    best walk to the entity, trailing self-loops kept."""
+    n = adj.n_entities
+    if rhat.shape != (n, adj.n_relations):
+        raise ModelError("path matrix shape mismatch")
+    target = adj.entity_index(entity)
+    dp = {}
+    for v in np.flatnonzero(s > 0.0):
+        dp[int(v)] = (float(s[v]), (int(v), ()))
+    if not dp:
+        raise ModelError("source vector is empty")
+    for _ in range(n_hops):
+        ndp = {}
+        for h, r, t, w in zip(adj.head, adj.rel, adj.tail, adj.weight):
+            h, r, t = int(h), int(r), int(t)
+            cur = dp.get(h)
+            if cur is None:
+                continue
+            prob = cur[0] * float(rhat[h, r]) * float(w)
+            if prob <= 0.0:
+                continue
+            key = (cur[1][0], cur[1][1] + ((r, t),))
+            best = ndp.get(t)
+            if best is None or (-prob, key) < (-best[0], best[1]):
+                ndp[t] = (prob, key)
+        dp = ndp
+    if target not in dp:
+        raise ModelError(f"entity {entity!r} unreachable in {n_hops} hops")
+    prob, (start, steps) = dp[target]
+    return prob, start, steps
+
+
+# ---------------------------------------------------------------------------
+# Test-only views and writers
+
+
+def adjacency_rows(adj):
+    """Audit view: (head index, relation index) -> ((tail index, weight), ...)."""
+    out = {}
+    for h, r, t, w in zip(adj.head, adj.rel, adj.tail, adj.weight):
+        out.setdefault((int(h), int(r)), []).append((int(t), float(w)))
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def save_lexicon(lexicon, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# surface\tcanonical_entity\n")
+        for surface in sorted(lexicon):
+            fh.write(f"{surface}\t{lexicon[surface]}\n")
+
+
+# ---------------------------------------------------------------------------
+# Finite differences
+
+
+@dataclass
+class FiniteDiffReport:
+    tolerance: float
+    per_param: dict
+    worst_param: str
+    max_rel_err: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err <= self.tolerance
+
+
+def finite_diff_check(build_loss: Callable, params: Mapping, step: float = 1e-5,
+                      tolerance: float = 1e-4) -> FiniteDiffReport:
+    """Compare tape gradients against central finite differences.
+
+    `build_loss(params)` must return (tape, loss_node, param_nodes) where
+    param_nodes maps each parameter name to its leaf node. Every
+    coordinate of every parameter is perturbed by +-step. The report
+    lists the worst relative error per parameter; it never raises on a
+    failed comparison, callers inspect `passed`.
+
+    Relative error uses a small floor in the denominator so that
+    coordinates whose true gradient is ~0 are judged by absolute error.
+    """
+    tape, loss, nodes = build_loss(params)
+    grads = tape.backward(loss)
+
+    def loss_value(p) -> float:
+        t, l, _ = build_loss(p)
+        return float(t.value(l))
+
+    per_param = {}
+    for name in params:
+        base = params[name]
+        analytic = grads[nodes[name]]
+        worst = 0.0
+        flat = base.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss_value(params)
+            flat[i] = orig - step
+            down = loss_value(params)
+            flat[i] = orig
+            fd = (up - down) / (2.0 * step)
+            a = float(analytic.reshape(-1)[i])
+            err = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
+            worst = max(worst, err)
+        per_param[name] = worst
+
+    worst_param = max(per_param, key=per_param.get) if per_param else ""
+    return FiniteDiffReport(
+        tolerance=tolerance,
+        per_param=per_param,
+        worst_param=worst_param,
+        max_rel_err=max(per_param.values()) if per_param else 0.0,
+    )

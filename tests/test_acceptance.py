@@ -16,11 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from oracles import (brute_force_best_path, decoder_steps, dense_transition,
-                     path_sum_oracle, random_subgraph, walk_to_triples)
+                     finite_diff_check, path_sum_oracle, random_subgraph,
+                     walk_to_triples)
 from test_metrics import LAST1_FIXTURES
 from test_qadpt import _fd_setup, example_for, model_for, toy_vocab, turn
 
-from kgchat import numkernel
 from kgchat.corpus import (BOS_ID, SyntheticConfig, compare_stats,
                            corpus_stats, generate_synthetic, ingest,
                            load_bundle, write_json)
@@ -49,7 +49,7 @@ def test_criterion_1_gradients():
     runs = 0
     for seed in range(20):
         build, params = _fd_setup("qadpt", seed)
-        report = numkernel.finite_diff_check(build, params, tolerance=1e-4)
+        report = finite_diff_check(build, params, tolerance=1e-4)
         worst = max(worst, report.max_rel_err)
         runs += 1
         if not report.passed:
@@ -57,7 +57,7 @@ def test_criterion_1_gradients():
                             f"rel err {report.max_rel_err:.2e}")
     for seed in (0, 1):
         build, params = _fd_setup("seq2seq", seed)
-        report = numkernel.finite_diff_check(build, params, tolerance=1e-4)
+        report = finite_diff_check(build, params, tolerance=1e-4)
         worst = max(worst, report.max_rel_err)
         runs += 1
         if not report.passed:

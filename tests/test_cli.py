@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import save_lexicon
 from test_qadpt import _poison_payload, _rewrite_header
 
 from kgchat import cli
 from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
-                           load_bundle, save_dialogues_jsonl, save_lexicon,
-                           write_json)
+                           load_bundle, save_dialogues_jsonl, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
 from kgchat.metrics import (PerturbTurnEval, evaluate_report, load_report,
                             recompute_scalars)
@@ -359,6 +359,33 @@ def test_key_the_command_does_not_read_exits_2(ws, raw_corpus, bundle_dir,
         assert err == (f"usage error: {command} reads no config key "
                        f"{key!r} (in {cfg_file})\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ingest", "--min", "1"), ("stats", "--exp", "hgzhz"),
+    ("synth", "--n_tu", "100"), ("train", "--epo", "1"),
+    ("eval", "--max", "2"), ("perturb", "--mo", "last1"),
+    ("chat", "--max", "2")])
+def test_abbreviated_flag_exits_2(ws, raw_corpus, bundle_dir, run_dir, capsys,
+                                  command, flag, value):
+    """A flag is taken by its exact name only, as a config-file key is:
+    a unique prefix of a flag is refused."""
+    out = ws / f"abbrev_{command}"
+    argv = _command_argv(command, out, raw_corpus, bundle_dir, run_dir)
+    assert cli.main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert not out.exists()
+
+
+def test_exact_flag_name_still_works(ws, bundle_dir, run_dir):
+    out = ws / "exact_max_decode_len"
+    assert cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out", str(out),
+                     "--max_decode_len", "2"]) == 0
+    record = json.loads((out / "config.json").read_text())
+    assert record["config"]["max_decode_len"] == 2
 
 
 def test_artifacts_carry_exactly_the_commands_keys(ws, raw_corpus, bundle_dir,

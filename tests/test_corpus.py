@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import save_lexicon
 
 from kgchat import corpus, kgraph
 from kgchat.corpus import (
@@ -12,7 +13,7 @@ from kgchat.corpus import (
     Bundle, CorpusStats, DataError, DialogueTurn, RawTurn, SplitAssignment,
     SyntheticConfig, Vocabulary, build_vocab, compare_stats, corpus_stats,
     detokenize, generate_synthetic, ingest, load_bundle, load_dialogues_jsonl,
-    load_lexicon, save_bundle, save_dialogues_jsonl, save_lexicon,
+    load_lexicon, save_bundle, save_dialogues_jsonl,
     split_dialogues, tokenize,
 )
 from kgchat.kgraph import KnowledgeGraph, Triple

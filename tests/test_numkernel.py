@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import finite_diff_check, kg_hop
 
 from kgchat import metrics
 from kgchat import numkernel as nk
@@ -329,7 +330,7 @@ def test_backward_matches_finite_differences(seed):
         "proj": nk.init_uniform(r, (5, 4), 0.5),
         "proj_b": nk.init_uniform(r, (5,), 0.5),
     }
-    report = nk.finite_diff_check(_composed_loss, params)
+    report = finite_diff_check(_composed_loss, params)
     assert report.passed, f"worst {report.worst_param}: {report.max_rel_err}"
 
 
@@ -404,7 +405,7 @@ def op_calls(r, scale=1.0):
         "mask_renorm_rows": [((r.random((n, d)) + 0.05, mask),
                               lambda t, a, c: t.mask_renorm_rows(a, c))],
         "kg_hop": [((pos, r.random((n, d))),
-                    lambda t, a, c: t.kg_hop(a, c, adj))],
+                    lambda t, a, c: t.kg_hop(a, c, adj, 3))],
         "mix_output": [((gates,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
                        ((gates, r.random(2 * b)),
                         lambda t, g, k: t.mix_output(g, [3, 1], 7, k))],
@@ -545,13 +546,110 @@ def test_kg_hop_bincount_bit_equals_add_at(case):
     v, rhat, adj, c = case
     t = nk.Tape()
     vn, rn = t.leaf(v), t.leaf(rhat)
-    hop = t.kg_hop(vn, rn, adj)
+    hop = t.kg_hop(vn, rn, adj, 1)
     grads = t.backward(dot(t, t.leaf(c), hop))
     out, dv, drhat = add_at_hop(v, rhat, adj, grads[hop])
-    for got, want in ((nk.kg_hop(v, rhat, adj), out), (t.value(hop), out),
+    for got, want in ((kg_hop(v, rhat, adj), out), (t.value(hop), out),
                       (grads[vn], dv), (grads[rn], drhat)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# kg_hop: one node for N hops against N chained one-hop nodes
+
+
+def block_walk_case(seed, b=3, n=5, m=3):
+    """(v, rhat, adj, c): B random graphs of n entities and m relation
+    columns as one block-diagonal adjacency, row-normalized relation
+    choices, a walk vector with some zero mass, and a loss weight per
+    entity."""
+    r = rng(seed)
+    blocks = []
+    for i in range(b):
+        e = int(r.integers(3, 9))
+        h = r.integers(n, size=e)
+        rel = r.integers(m - 1, size=e)
+        tails = r.integers(n, size=e)
+        w = np.concatenate([np.ones(n), 1.0 / r.integers(1, 4, size=e)])
+        blocks.append((np.concatenate([np.arange(n), h]) + i * n,
+                       np.concatenate([np.full(n, m - 1), rel]),
+                       np.concatenate([np.arange(n), tails]) + i * n, w))
+    head, rel, tail, weight = (np.concatenate(f) for f in zip(*blocks))
+    adj = SimpleNamespace(head=head, rel=rel, tail=tail, weight=weight)
+    rhat = r.random((b * n, m))
+    rhat /= rhat.sum(axis=1, keepdims=True)
+    v = r.random(b * n) * (r.random(b * n) < 0.6)
+    return v, rhat, adj, r.normal(size=b * n)
+
+
+def walk_and_chain(v, rhat, adj, c, hops, record):
+    """Tape.kg_hop over `hops` hops as one node, then as `hops` chained
+    one-hop nodes: per form, the walk result and (on a recording tape)
+    the gradients of c . k for v and rhat."""
+    out = []
+    for chained in (False, True):
+        t = nk.Tape(record=record)
+        vn, rn = t.leaf(v), t.leaf(rhat)
+        if chained:
+            k = vn
+            for _ in range(hops):
+                k = t.kg_hop(k, rn, adj, 1)
+        else:
+            k = t.kg_hop(vn, rn, adj, hops)
+        got = [t.value(k)]
+        if record:
+            grads = t.backward(dot(t, t.leaf(c), k))
+            got += [grads[vn], grads[rn]]
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+@pytest.mark.parametrize("hops", [1, 2, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_kg_hop_walk_bit_equals_chained_single_hops(seed, hops, record):
+    v, rhat, adj, c = block_walk_case(seed)
+    walk, chain = walk_and_chain(v, rhat, adj, c, hops, record)
+    assert len(walk) == (3 if record else 1)
+    assert np.count_nonzero(walk[0]) and np.count_nonzero(walk[-1])
+    for got, want in zip(walk, chain):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@given(hop_cases(), st.sampled_from([1, 2, 6]))
+@settings(max_examples=100, deadline=None)
+def test_kg_hop_walk_bit_equals_chained_hops_on_random_adjacency(case, hops):
+    v, rhat, adj, c = case
+    for record in (True, False):
+        walk, chain = walk_and_chain(v, rhat, adj, c, hops, record)
+        for got, want in zip(walk, chain):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+def test_kg_hop_checks_every_hop_finite(record):
+    # hop 1 overflows at entity 1, which has no out-edge: hop 2 would
+    # read all zeros, so only a per-hop check sees the Inf
+    adj = SimpleNamespace(head=np.array([0]), rel=np.array([0]),
+                          tail=np.array([1]), weight=np.array([1e200]))
+    t = nk.Tape(record=record)
+    v, rhat = t.leaf([1e200, 0.0]), t.leaf([[1.0], [1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+            nk.KernelError, match="non-finite values in kg_hop"):
+        t.kg_hop(v, rhat, adj, 2)
+    assert len(t) == 2
+
+
+@pytest.mark.parametrize("hops", [0, -1, 1.0, None])
+def test_kg_hop_needs_a_positive_int_hop_count(hops):
+    t = nk.Tape()
+    v, rhat = t.leaf([1.0, 0.0]), t.leaf([[1.0], [1.0]])
+    adj = SimpleNamespace(head=np.array([0]), rel=np.array([0]),
+                          tail=np.array([1]), weight=np.array([1.0]))
+    with pytest.raises(nk.KernelError, match="hops"):
+        t.kg_hop(v, rhat, adj, hops)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +662,7 @@ def test_finite_diff_check_quadratic_is_tight():
         a = t.leaf(params["p"])
         return t, dot(t, a, a), {"p": a}
 
-    report = nk.finite_diff_check(build, {"p": rng(5).normal(size=4)})
+    report = finite_diff_check(build, {"p": rng(5).normal(size=4)})
     assert report.passed
     assert report.max_rel_err < 1e-8
 
@@ -580,7 +678,7 @@ def test_finite_diff_check_catches_wrong_gradient():
         a = t.leaf(params["p"])
         return t, dot(t, a, a), {"p": a}
 
-    report = nk.finite_diff_check(build, {"p": np.ones(3)})
+    report = finite_diff_check(build, {"p": np.ones(3)})
     assert not report.passed
 
 

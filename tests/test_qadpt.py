@@ -25,8 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (PIN_KINDS, PIN_SEEDS, brute_force_best_path,
-                     decoder_steps, dense_transition, loss_and_grads,
-                     path_sum_oracle, random_subgraph, renorm_rows, toy_batch)
+                     decoder_steps, dense_transition, finite_diff_check,
+                     infer_path_per_edge, kg_hop, loss_and_grads,
+                     path_sum_oracle, random_subgraph, renorm_rows, toy_batch,
+                     walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
@@ -312,7 +314,7 @@ def test_forced_chain_two_hops():
     s = np.array([1.0, 0.0, 0.0])
     k = s
     for _ in range(2):
-        k = numkernel.kg_hop(k, rhat, adj)
+        k = kg_hop(k, rhat, adj)
     assert k[1] == pytest.approx(1.0)
 
 
@@ -507,13 +509,13 @@ def _fd_setup(kind, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_full_model_gradients_match_finite_differences(seed):
     build, params = _fd_setup("qadpt", seed)
-    report = numkernel.finite_diff_check(build, params, tolerance=1e-4)
+    report = finite_diff_check(build, params, tolerance=1e-4)
     assert report.passed, (report.worst_param, report.max_rel_err)
 
 
 def test_seq2seq_gradients_match_finite_differences():
     build, params = _fd_setup("seq2seq", 0)
-    report = numkernel.finite_diff_check(build, params, tolerance=1e-4)
+    report = finite_diff_check(build, params, tolerance=1e-4)
     assert report.passed, (report.worst_param, report.max_rel_err)
 
 
@@ -604,14 +606,16 @@ def test_infer_path_strips_trailing_self_loops_only():
 
 
 def test_infer_path_unreachable_errors():
-    v = toy_vocab()
+    # the same errors from infer_path and the per-edge loop it replaced
     ex_adj = build_adjacency(KnowledgeGraph([Triple("a", "q", "b")]),
                              toy_vocab().entities, RELATIONS)
     rhat = renorm_rows(np.ones((3, 3)), ex_adj.active)
-    with pytest.raises(ModelError, match="unreachable"):
-        infer_path(ex_adj, rhat, np.array([1.0, 0, 0]), "c", 3)
-    with pytest.raises(ModelError, match="empty"):
-        infer_path(ex_adj, rhat, np.zeros(3), "b", 3)
+    for readout in (infer_path, infer_path_per_edge):
+        with pytest.raises(ModelError, match="unreachable"):
+            readout(ex_adj, rhat, np.array([1.0, 0, 0]), "c", 3)
+        for s in (np.zeros(3), np.array([-1.0, 0, 0])):
+            with pytest.raises(ModelError, match="empty"):
+                readout(ex_adj, rhat, s, "b", 3)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -657,6 +661,104 @@ def test_infer_path_tie_breaks_to_smaller_relation():
     s = np.array([1.0, 0.0, 0.0])
     path = infer_path(adj, rhat, s, "b", 2)
     assert path.triples == (Triple("a", "q", "b"),)
+
+
+def test_infer_path_tie_breaks_on_start_before_steps():
+    # a -r-> c and b -q-> c carry equal probability: the walk key is
+    # (start, steps), so start a (0) via r (1) beats start b (1) via q (0)
+    v = toy_vocab()
+    sub = KnowledgeGraph([Triple("a", "r", "c"), Triple("b", "q", "c")])
+    adj = build_adjacency(sub, v.entities, v.relations)
+    rhat = np.full((3, 3), 0.5)
+    for s in (np.array([0.5, 0.5, 0.0]), np.array([1.0, 1.0, 0.0])):
+        path = infer_path(adj, rhat, s, "c", 1)
+        assert path.start == "a"
+        assert path.triples == (Triple("a", "r", "c"),)
+        assert path.probability == s[0] * 0.5 * 1.0
+        assert infer_path_per_edge(adj, rhat, s, "c", 1) == \
+            (path.probability, 0, ((1, 2),))
+
+
+def assert_infer_path_matches_per_edge(vocab, adj, rhat, s, n_hops):
+    """infer_path against the per-edge loop it replaced, for every
+    entity: the same probability bits, start and reported triples, or
+    the same ModelError."""
+    for entity in vocab.entities:
+        try:
+            prob, start, steps = infer_path_per_edge(adj, rhat, s, entity,
+                                                     n_hops)
+        except ModelError as exc:
+            with pytest.raises(ModelError) as got:
+                infer_path(adj, rhat, s, entity, n_hops)
+            assert str(got.value) == str(exc)
+            continue
+        path = infer_path(adj, rhat, s, entity, n_hops)
+        assert (path.start, path.triples) == \
+            walk_to_triples(vocab, adj, start, steps)
+        assert path.probability.hex() == prob.hex()
+
+
+@pytest.fixture(scope="module")
+def trained_toy():
+    """A qadpt model trained a few epochs on the toy chain world, with
+    examples over that world and over random subgraphs."""
+    model, tr, va = _training_setup(max_epochs=4, patience=5)
+    train(model, tr, va)
+    rng = np.random.default_rng(11)
+    v = model.vocab
+    exs = va + [make_example(turn(msg, "b yes"), random_subgraph(v, rng, 4), v)
+                for msg in ("where a", "where b", "a in c", "where c",
+                            "b lives a", "yes")]
+    return model, exs
+
+
+@pytest.mark.parametrize("n_hops", [1, 3, 5])
+def test_infer_path_equals_per_edge_loop_on_decodes(trained_toy, n_hops):
+    model, exs = trained_toy
+    checked = 0
+    for ex in exs:
+        for step in greedy_decode(model, ex, max_len=4).steps:
+            assert_infer_path_matches_per_edge(model.vocab, ex.adj,
+                                               step.path_matrix,
+                                               ex.source_vec, n_hops)
+            checked += 1
+    assert checked >= len(exs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
+    rng = np.random.default_rng(seed + 500)
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    adj = build_adjacency(random_subgraph(v, rng, 12), v.entities,
+                          v.relations)
+    # edge weights off the 1/k grid too, where the product order shows
+    reweighted = dataclasses.replace(
+        adj, weight=rng.uniform(0.1, 1.0, adj.weight.size))
+    s = np.where(rng.random(5) < 0.5, 0.5, 0.0)
+    s[int(rng.integers(5))] = 0.5
+    rounded = np.round(rng.random((5, 3)), 1)
+    for rhat in (renorm_rows(rng.random((5, 3)), adj.active),
+                 np.full((5, 3), 0.5), rounded, rounded * adj.active):
+        for a in (adj, reweighted):
+            for n_hops in (1, 2, 4):
+                assert_infer_path_matches_per_edge(v, a, rhat, s, n_hops)
+
+
+@pytest.mark.parametrize("n_hops", [1, 6])
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+def test_decoder_step_node_counts(record, n_hops):
+    """A qadpt step records 10 tape nodes whatever the hop count (the
+    walk is one kg_hop node); a seq2seq step records 5."""
+    v = toy_vocab()
+    ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
+    assert ex.source_vec.sum() > 0
+    for kind, want in (("qadpt", 10), ("seq2seq", 5)):
+        fw = qadpt._Forward(model_for(v, kind=kind, n_hops=n_hops), record)
+        state = qadpt._TurnState(fw, [ex])
+        for prev in (BOS_ID, v.token_to_id("b")):
+            before = len(fw.tape)
+            state.step(np.array([prev]))
+            assert len(fw.tape) - before == want, kind
 
 
 # ---------------------------------------------------------------------------
