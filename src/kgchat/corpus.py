@@ -18,11 +18,11 @@ import json
 import logging
 import os
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -203,12 +203,15 @@ class Vocabulary:
     def tokens_to_ids(self, tokens: Iterable[str]) -> list[int]:
         return [self.token_to_id(t) for t in tokens]
 
+    @cached_property
+    def entity_set(self) -> frozenset:
+        return frozenset(self.entities)
+
     def is_entity_id(self, token_id: int) -> bool:
         return token_id >= self.entity_base
 
     def is_entity_token(self, token: str) -> bool:
-        tid = self._token_ids.get(token)
-        return tid is not None and tid >= self.entity_base
+        return token in self.entity_set
 
     def entity_position(self, token_id: int) -> int:
         """Index of an entity id within the entity block."""
@@ -301,13 +304,10 @@ class DialogueTurn:
         return f"{self.dialogue_id}#{self.turn}"
 
     def entity_tokens(self, vocab: Vocabulary) -> tuple:
-        msg = tuple(t for t in self.message if vocab.is_entity_token(t))
-        resp = tuple(t for t in self.response if vocab.is_entity_token(t))
-        return msg, resp
-
-    def has_entities(self, vocab: Vocabulary) -> bool:
-        msg, resp = self.entity_tokens(vocab)
-        return bool(msg or resp)
+        """The entity tokens of the message and of the response."""
+        ents = vocab.entity_set
+        return (tuple(t for t in self.message if t in ents),
+                tuple(t for t in self.response if t in ents))
 
 
 _RAW_KEYS = ("dialogue_id", "turn", "speaker", "scene_entities", "message", "response")
@@ -423,10 +423,13 @@ def split_dialogues(dialogues: Sequence[tuple], seed: int = 0) -> SplitAssignmen
 
 @dataclass
 class Bundle:
+    """An ingested corpus. `subgraphs` maps each turn id to the turn's
+    knowledge subgraph: a plain dict from `ingest`, a `SubgraphRows`
+    from `load_bundle`, which builds a turn's graph on first read."""
     turns: list
     vocab: Vocabulary
     graph: KnowledgeGraph
-    subgraphs: dict
+    subgraphs: Mapping
     splits: SplitAssignment
     meta: dict = field(default_factory=dict)
 
@@ -513,6 +516,7 @@ def save_bundle(bundle: Bundle, out_dir) -> None:
     with open(out / "subgraphs.jsonl", "w", encoding="utf-8") as fh:
         for turn_id in sorted(bundle.subgraphs):
             sub = bundle.subgraphs[turn_id]
+            # turn_id first: load_bundle indexes the rows by it
             fh.write(json.dumps({
                 "turn_id": turn_id,
                 "triples": [list(t) for t in sub.sorted_triples()],
@@ -591,18 +595,89 @@ def _turn_row(obj: dict) -> DialogueTurn:
         message=tuple(obj["message"]), response=tuple(obj["response"]))
 
 
-def _subgraph_row(obj: dict) -> tuple:
-    return obj["turn_id"], KnowledgeGraph(
-        [Triple(*t) for t in obj["triples"]],
-        extra_entities=obj.get("entities", ()))
+# save_bundle starts every subgraphs.jsonl row with its turn id, so the
+# loader can index the rows by id without parsing them.
+_SUBGRAPH_PREFIX = '{"turn_id": "'
+
+
+class SubgraphRows(Mapping):
+    """Read-only turn id -> KnowledgeGraph over the rows of
+    subgraphs.jsonl. A row is parsed and its graph built on first read;
+    the graph is kept and the row text dropped. A malformed row raises
+    DataError naming its line, in whichever command first reads it."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, rows: dict):
+        # turn id -> (line number, row text) until read, then its graph
+        self._entries = rows
+
+    def __getitem__(self, turn_id: str) -> KnowledgeGraph:
+        entry = self._entries[turn_id]
+        if not isinstance(entry, tuple):
+            return entry
+        lineno, row = entry
+        try:
+            # a row that parses is an object: it starts with the prefix
+            graph = _subgraph_row(json.loads(row), turn_id)
+        except _PARSE_ERRORS as exc:
+            raise DataError(f"subgraphs.jsonl: line {lineno}: "
+                            f"{_parse_failure(exc)}") from None
+        self._entries[turn_id] = graph
+        return graph
+
+    def __contains__(self, turn_id) -> bool:
+        return turn_id in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _subgraph_row(obj: dict, turn_id: str) -> KnowledgeGraph:
+    if obj["turn_id"] != turn_id:
+        raise DataError(f"turn_id {obj['turn_id']!r} is not the indexed "
+                        f"{turn_id!r}")
+    return KnowledgeGraph(obj["triples"],
+                          extra_entities=obj.get("entities", ()))
+
+
+def _index_subgraph_rows(path: Path) -> SubgraphRows:
+    rows: dict = {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                line = raw.decode("utf-8")
+                if not line.startswith(_SUBGRAPH_PREFIX):
+                    raise DataError(f"expected a row starting with "
+                                    f"{_SUBGRAPH_PREFIX}")
+                turn_id, _ = json.decoder.scanstring(line,
+                                                     len(_SUBGRAPH_PREFIX))
+            except ValueError as exc:
+                raise DataError(f"{path.name}: line {lineno}: {exc}") from None
+            if turn_id in rows:
+                raise DataError(f"{path.name}: line {lineno}: duplicate "
+                                f"turn_id {turn_id!r}, first on line "
+                                f"{rows[turn_id][0]}")
+            rows[turn_id] = (lineno, line)
+    return SubgraphRows(rows)
 
 
 def load_bundle(in_dir) -> Bundle:
+    """Read a bundle directory written by `save_bundle`. Every file is
+    parsed and checked here except the subgraph rows: those are indexed
+    by turn id, and each turn's graph is built when it is first read
+    (see `SubgraphRows`). A turn without a subgraph row, or two rows
+    for one turn, fail here."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv")
-    subgraphs = dict(_load_jsonl(src / "subgraphs.jsonl", _subgraph_row))
+    subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl")
     for t in turns:
         if t.turn_id not in subgraphs:
             raise DataError(f"subgraphs.jsonl: no row for turn {t.turn_id!r}")
@@ -664,7 +739,7 @@ def corpus_stats(bundle: Bundle) -> CorpusStats:
     dialogue.
     """
     vocab = bundle.vocab
-    entity_set = set(vocab.entities)
+    entity_set = vocab.entity_set
     n_tokens = 0
     uniq = set()
     ent_occ = 0

@@ -209,7 +209,7 @@ def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
 
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
                  vocab: Vocabulary) -> Example:
-    msg_ents, _ = turn.entity_tokens(vocab)
+    msg_ents, resp_ents = turn.entity_tokens(vocab)
     raw_sources = tuple(sorted(set(msg_ents) | set(turn.scene_entities)))
     enc_ids = vocab.tokens_to_ids(turn.scene_entities) + \
         vocab.tokens_to_ids(turn.message)
@@ -228,7 +228,7 @@ def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
         target_ids=target_ids,
         target_tokens=tuple(turn.response),
         raw_sources=raw_sources,
-        has_entity=turn.has_entities(vocab),
+        has_entity=bool(msg_ents or resp_ents),
         **_bind_graph(vocab, subgraph, raw_sources),
     )
 

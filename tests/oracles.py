@@ -2,9 +2,11 @@
 acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
-The finite-difference checker, the adjacency audit view and the lexicon
-writer live here too: only the tests call them."""
+The finite-difference checker, the adjacency audit view, the lexicon
+writer and the eager subgraph-row reader live here too: only the tests
+call them."""
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -269,6 +271,21 @@ def save_lexicon(lexicon, path):
         fh.write("# surface\tcanonical_entity\n")
         for surface in sorted(lexicon):
             fh.write(f"{surface}\t{lexicon[surface]}\n")
+
+
+def eager_subgraphs(path):
+    """turn id -> KnowledgeGraph for every row of a subgraphs.jsonl,
+    each row parsed and built at once, as load_bundle did before it
+    indexed the rows."""
+    subgraphs = {}
+    with open(path, "rb") as fh:
+        for raw in fh:
+            if raw.strip():
+                obj = json.loads(raw)
+                subgraphs[obj["turn_id"]] = KnowledgeGraph(
+                    [Triple(*t) for t in obj["triples"]],
+                    extra_entities=obj.get("entities", ()))
+    return subgraphs
 
 
 # ---------------------------------------------------------------------------

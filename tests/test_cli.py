@@ -592,6 +592,88 @@ def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     assert where in proc.stderr
 
 
+# Corruptions of one subgraph row that indexing passes and building the
+# row's graph rejects.
+_ROW_CORRUPTIONS = {
+    "two_fields": lambda obj: obj["triples"][0].pop(),
+    "empty_field": lambda obj: obj["triples"][0].__setitem__(0, ""),
+    "self_relation": lambda obj: obj["triples"][0].__setitem__(1, "<self>"),
+    "broken_json": None,
+}
+
+
+def _corrupt_subgraph_row(src: Path, dst: Path, split: str, how: str) -> int:
+    """Copy the bundle and corrupt the subgraph row of one turn, inside a
+    multi-turn dialogue of `split`, that has triples; return its line
+    number."""
+    shutil.copytree(src, dst)
+    dialogue = json.loads((dst / "splits.json").read_text())[split][0]
+    path = dst / "subgraphs.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines)
+             if json.loads(line)["turn_id"].startswith(dialogue + "#")
+             and json.loads(line)["triples"])
+    obj = json.loads(lines[n])
+    if how == "broken_json":
+        lines[n] = '{"turn_id": "' + obj["turn_id"] + '", "triples": [[\n'
+    else:
+        _ROW_CORRUPTIONS[how](obj)
+        lines[n] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return n + 1
+
+
+@pytest.mark.parametrize("how", sorted(_ROW_CORRUPTIONS))
+def test_malformed_test_row_fails_eval(tmp_path, bundle_dir, run_dir, capsys,
+                                       how):
+    bad = tmp_path / "bundle"
+    lineno = _corrupt_subgraph_row(bundle_dir, bad, "test", how)
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"subgraphs.jsonl: line {lineno}:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", sorted(_ROW_CORRUPTIONS))
+def test_malformed_train_row_fails_only_what_reads_it(tmp_path, bundle_dir,
+                                                      run_dir, capsys, how):
+    bad = tmp_path / "bundle"
+    lineno = _corrupt_subgraph_row(bundle_dir, bad, "train", how)
+    code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out",
+                     str(tmp_path / "eval"), "--split", "test"])
+    assert code == 0, capsys.readouterr().err
+    capsys.readouterr()
+    out = tmp_path / "stats"
+    code = cli.main(["stats", "--bundle", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"subgraphs.jsonl: line {lineno}:" in err
+    assert not out.exists()
+
+
+def test_duplicate_subgraph_row_exits_3(tmp_path, bundle_dir, run_dir, capsys):
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    path = bad / "subgraphs.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert (f"subgraphs.jsonl: line {len(lines) + 1}: duplicate turn_id "
+            f"{json.loads(lines[-1])['turn_id']!r}, first on line "
+            f"{len(lines)}") in err
+    assert not out.exists()
+
+
 def test_train_on_unemittable_response_exits_3(tmp_path, bundle_dir):
     bad = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bad)

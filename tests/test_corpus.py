@@ -1,13 +1,14 @@
 import hashlib
 import json
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import save_lexicon
+from oracles import eager_subgraphs, save_lexicon
 
-from kgchat import corpus, kgraph
+from kgchat import corpus, kgraph, qadpt
 from kgchat.corpus import (
     BOS_ID, EOS_ID, KB_ID, PAD_ID, UNK_ID, SPECIALS,
     Bundle, CorpusStats, DataError, DialogueTurn, RawTurn, SplitAssignment,
@@ -151,6 +152,20 @@ def test_entity_predicates():
     assert v.entity_position(9) == 1
     with pytest.raises(DataError):
         v.entity_position(5)
+
+
+def test_entity_tokens_are_the_tokens_of_the_entity_id_block():
+    syn = generate_synthetic(SyntheticConfig(n_turns=200), seed=2)
+    bundle = ingest(syn.raw_turns, syn.graph, syn.lexicon)
+    vocab = bundle.vocab
+
+    def by_id(tokens):
+        return tuple(t for t in tokens
+                     if vocab.token_to_id(t) >= vocab.entity_base)
+
+    for t in bundle.turns:
+        assert t.entity_tokens(vocab) == (by_id(t.message),
+                                          by_id(t.response))
 
 
 def test_generic_output_block_layout():
@@ -406,6 +421,132 @@ def test_bundle_round_trip(tmp_path):
     for tid in bundle.subgraphs:
         assert back.subgraphs[tid] == bundle.subgraphs[tid]
     assert back.meta == bundle.meta
+
+
+# ---------------------------------------------------------------------------
+# lazy subgraph rows
+
+BUNDLE_FILES = ("turns.jsonl", "vocab.json", "graph.tsv", "subgraphs.jsonl",
+                "splits.json", "meta.json")
+
+
+@pytest.fixture(scope="module")
+def synth_bundle_dir(tmp_path_factory):
+    syn = generate_synthetic(SyntheticConfig(n_turns=300), seed=4)
+    out = tmp_path_factory.mktemp("synth_bundle")
+    save_bundle(ingest(syn.raw_turns, syn.graph, syn.lexicon), out)
+    return out
+
+
+def _subgraph_lines(bundle_dir) -> list:
+    return (bundle_dir / "subgraphs.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+
+
+def _bundle_with_subgraph_lines(src, dst, lines):
+    shutil.copytree(src, dst)
+    (dst / "subgraphs.jsonl").write_text("".join(lines), encoding="utf-8")
+    return dst
+
+
+def test_lazy_subgraphs_equal_the_eager_rows(synth_bundle_dir):
+    eager = eager_subgraphs(synth_bundle_dir / "subgraphs.jsonl")
+    lazy = load_bundle(synth_bundle_dir).subgraphs
+    assert list(lazy) == list(eager)
+    for tid, graph in eager.items():
+        assert lazy[tid] == graph
+        assert lazy[tid] is lazy[tid]
+
+
+def test_saving_a_loaded_bundle_reproduces_its_bytes(tmp_path,
+                                                     synth_bundle_dir):
+    save_bundle(load_bundle(synth_bundle_dir), tmp_path)
+    for name in BUNDLE_FILES:
+        assert ((tmp_path / name).read_bytes() ==
+                (synth_bundle_dir / name).read_bytes()), name
+
+
+def test_subgraph_rows_read_as_a_mapping_of_graphs(synth_bundle_dir):
+    eager = eager_subgraphs(synth_bundle_dir / "subgraphs.jsonl")
+    rows = load_bundle(synth_bundle_dir).subgraphs
+    tid = next(iter(eager))
+    assert tid in rows and "nobody#0" not in rows
+    assert len(rows) == len(eager)
+    assert rows.get(tid) == eager[tid]
+    assert rows.get("nobody#0") is None
+    assert all(isinstance(g, KnowledgeGraph) for g in rows.values())
+    assert all(isinstance(g, KnowledgeGraph) for _, g in rows.items())
+    assert dict(rows.items()) == eager
+    assert rows == eager and eager == rows
+    assert load_bundle(synth_bundle_dir).subgraphs == rows
+    with pytest.raises(TypeError):
+        rows[tid] = eager[tid]
+
+
+def test_load_bundle_builds_a_turn_graph_on_first_read(monkeypatch,
+                                                       synth_bundle_dir):
+    built = []
+
+    class Counted(KnowledgeGraph):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kgraph, "KnowledgeGraph", Counted)
+    monkeypatch.setattr(corpus, "KnowledgeGraph", Counted)
+    bundle = load_bundle(synth_bundle_dir)
+    assert len(built) == 1  # the global graph
+    turns = bundle.split_turns("test")
+    assert turns and all(t.turn_id in bundle.subgraphs for t in turns)
+    assert len(built) == 1
+    qadpt.make_examples(bundle, turns)
+    assert len(built) == 1 + len(turns)
+    qadpt.make_examples(bundle, turns)
+    assert len(built) == 1 + len(turns)
+
+
+@pytest.mark.parametrize("row, why", [
+    ('{"triples": [], "turn_id": "syn00000#0"}\n', "expected a row starting"),
+    ('{"turn_id": "syn00000#0\n', "Invalid control character"),
+    (b'{"turn_id": "\xff"}\n', "'utf-8' codec can't decode"),
+], ids=("key_order", "unterminated_id", "not_utf8"))
+def test_unindexable_subgraph_row_fails_at_load(tmp_path, synth_bundle_dir,
+                                                row, why):
+    path = tmp_path / "b" / "subgraphs.jsonl"
+    shutil.copytree(synth_bundle_dir, tmp_path / "b")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = row if isinstance(row, bytes) else row.encode()
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DataError, match=f"subgraphs.jsonl: line 4: {why}"):
+        load_bundle(tmp_path / "b")
+
+
+# Row corruptions that indexing passes; tests/test_cli.py runs four more
+# through the commands.
+@pytest.mark.parametrize("corrupt, why", [
+    (lambda tid, obj: json.dumps({k: v for k, v in obj.items()
+                                  if k != "triples"}),
+     "missing key 'triples'"),
+    (lambda tid, obj: '{"turn_id": "' + tid + '", "turn_id": "other#0"}',
+     "turn_id 'other#0' is not the indexed"),
+], ids=("no_triples", "second_turn_id"))
+def test_malformed_subgraph_row_fails_where_it_is_read(tmp_path,
+                                                       synth_bundle_dir,
+                                                       corrupt, why):
+    lines = _subgraph_lines(synth_bundle_dir)
+    obj = json.loads(lines[7])
+    lines[7] = corrupt(obj["turn_id"], obj) + "\n"
+    bundle = load_bundle(
+        _bundle_with_subgraph_lines(synth_bundle_dir, tmp_path / "b", lines))
+    for tid in bundle.subgraphs:
+        if tid != obj["turn_id"]:
+            assert isinstance(bundle.subgraphs[tid], KnowledgeGraph)
+    for _ in range(2):
+        with pytest.raises(DataError,
+                           match=f"subgraphs.jsonl: line 8: {why}"):
+            bundle.subgraphs[obj["turn_id"]]
 
 
 # ---------------------------------------------------------------------------
