@@ -49,14 +49,14 @@ def main() -> int:
             bundle.vocab)
         t0 = time.perf_counter()
         result = train(model, tr, va)
-        rep = evaluate_report(model, te)
+        m = evaluate_report(model, te).metrics
         rows.append({"hops": hops, "epochs": result.epochs_run,
                      "seconds": round(time.perf_counter() - t0, 1),
-                     "ppl": round(rep.ppl, 3),
-                     "kw_acc": None if rep.kw_acc is None
-                     else round(rep.kw_acc, 3),
-                     "generated_kw_f1": None if rep.generated_kw.f1 is None
-                     else round(rep.generated_kw.f1, 3)})
+                     "ppl": round(m["ppl"], 3),
+                     "kw_acc": None if m["kw_acc"] is None
+                     else round(m["kw_acc"], 3),
+                     "generated_kw_f1": None if m["generated_kw"]["f1"] is None
+                     else round(m["generated_kw"]["f1"], 3)})
         r = rows[-1]
         # None when the split or the decoded output has no entities at all
         cells = {k: "n/a" if r[k] is None else r[k]

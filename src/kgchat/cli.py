@@ -6,9 +6,12 @@ One binary, seven subcommands:
   stats     corpus statistics table, path-length histogram, GED summary
   synth     generate the synthetic social-world corpus and ingest it
   train     fit a model on a bundle and write a checkpoint
-  eval      score a checkpoint on a bundle split, write JSON + CSV
+  eval      score a checkpoint on a bundle split: report.json (every
+            metric in metrics.METRIC_NAMES, plus the per-turn records
+            they derive from) and metrics.csv
   perturb   graph-edit experiment: decode, perturb, re-decode, rates
-  chat      interactive REPL with live /swap graph edits
+  chat      interactive REPL with live /swap graph edits; --bundle
+            reads only the bundle's graph.tsv and meta.json
 
 Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Each
@@ -34,14 +37,13 @@ import sys
 from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
-                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
+                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig, _load_json,
                      atomic_open, compare_stats, corpus_stats, detokenize,
                      generate_synthetic, ingest, load_bundle,
                      load_dialogues_jsonl, load_lexicon, save_bundle, tokenize,
                      write_json)
 from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
-from .metrics import (METRIC_NAMES, MetricError, evaluate_report,
-                      perturbation_report)
+from .metrics import MetricError, evaluate_report, perturbation_report
 from .numkernel import KernelError
 from .qadpt import (MAX_DECODE_LEN, CheckpointError, Hyperparams,
                     ModelError, QadptModel, _decode_paths, greedy_decode,
@@ -50,8 +52,8 @@ from .qadpt import (MAX_DECODE_LEN, CheckpointError, Hyperparams,
 
 
 class UsageError(ValueError):
-    """Bad flags, bad config keys, bad metric names. A ValueError so
-    argparse type callbacks report it as a usage problem too."""
+    """Bad flags, bad config keys, bad values. A ValueError so argparse
+    type callbacks report it as a usage problem too."""
 
 
 def _parse_bool(raw: str) -> bool:
@@ -84,7 +86,6 @@ CONFIG_KEYS = {
     "split_seed": (int, 0, "dialogue split seed"),
     "split": (str, "test", "bundle split for eval/perturb"),
     "mode": (str, "last1", "perturbation protocol: all, last1, last2"),
-    "metrics": (str, "", "comma list of scalars to keep; empty keeps all"),
     "max_decode_len": (int, MAX_DECODE_LEN, "free-running decode cap"),
     "n_people": (int, 30, "synthetic: people"),
     "n_places": (int, 12, "synthetic: places"),
@@ -106,7 +107,7 @@ COMMAND_KEYS = {
     "synth": ("seed", *_INGEST_KEYS, *_WORLD_KEYS),
     "train": ("model", "hidden", "embed", "hops", "lr", "batch_size",
               "epochs", "patience", "clip_norm", "fine_tune", "seed"),
-    "eval": ("split", "metrics", "max_decode_len"),
+    "eval": ("split", "max_decode_len"),
     "perturb": ("seed", "split", "mode", "max_decode_len"),
     "chat": ("tokenize", "max_decode_len"),
 }
@@ -341,22 +342,17 @@ def _load_examples(args, cfg):
 
 
 def cmd_eval(args, cfg) -> int:
-    selected = [m for m in cfg["metrics"].split(",") if m]
-    for name in selected:
-        if name not in METRIC_NAMES:
-            raise UsageError(f"unknown metric {name!r}; "
-                             f"choose from {', '.join(METRIC_NAMES)}")
     max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)
     report = evaluate_report(model, examples, max_len=max_len, config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(report.to_dict(selected), out / "report.json")
-    report.save_csv(out / "metrics.csv", selected)
+    write_json(report.to_dict(), out / "report.json")
+    report.save_csv(out / "metrics.csv")
     _write_config(cfg, args, out)
     print(f"evaluated {report.n_turns} {cfg['split']} turns with "
           f"{model.kind}")
-    _print_table(report.metric_rows(selected))
+    _print_table(report.metric_rows())
     print(f"report written to {out / 'report.json'}")
     return 0
 
@@ -396,9 +392,10 @@ def cmd_chat(args, cfg) -> int:
     if args.kg:
         graph = load_triples_tsv(args.kg)
     elif args.bundle:
-        bundle = load_bundle(args.bundle)
-        graph = bundle.graph
-        mode = bundle.meta.get("mode", mode)
+        src = Path(args.bundle)
+        graph = load_triples_tsv(src / "graph.tsv")
+        if (src / "meta.json").exists():
+            mode = _load_json(src / "meta.json", dict).get("mode", mode)
     else:
         raise DataError("chat needs --kg or --bundle for the knowledge graph")
     stray = (graph.entities - set(model.vocab.entities)) | \

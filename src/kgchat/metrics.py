@@ -12,8 +12,11 @@ the accurate change rate.
 Every scorer is a pure function of plain token sequences and counts, so
 a saved report replays exactly. `evaluate_report` drives a model over
 examples and assembles the full `EvalReport`; `perturbation_report`
-does the same for a perturbed run. Reports serialize to JSON and their
-scalar table to CSV.
+does the same for a perturbed run. An EvalReport's scalars are one
+`metrics` dict derived from its per-turn records; `load_report` derives
+it again and refuses a report.json whose stored metrics differ.
+Reports serialize to JSON, and an EvalReport's scalar table (every name
+in METRIC_NAMES) to CSV.
 
 Conventions shared by the scorers:
 - "entity" means the token is in the entity vocabulary passed in.
@@ -380,117 +383,61 @@ class TurnEval:
         )
 
 
-# The keys of a report's metrics dict; `_scalars` computes each of them.
-_SCALAR_KEYS = frozenset({"ppl", "kw_acc", "kw_acc_soft", "kw_generic",
-                          "generated_kw", "bleu2", "distinct",
-                          "unreachable_targets"})
-
-
-def _scalar_fields(m: dict) -> dict:
-    """EvalReport's typed scalar fields from a report's metrics dict."""
-    return dict(
-        ppl=float(m["ppl"]), kw_acc=m["kw_acc"], kw_acc_soft=m["kw_acc_soft"],
-        kw_generic=PRF(tp=m["kw_generic"]["tp"], fp=m["kw_generic"]["fp"],
-                       fn=m["kw_generic"]["fn"]),
-        generated_kw=TokenPRF(
-            p_num=m["generated_kw"]["p_num"],
-            p_den=m["generated_kw"]["p_den"],
-            r_num=m["generated_kw"]["r_num"],
-            r_den=m["generated_kw"]["r_den"]),
-        bleu2=float(m["bleu2"]),
-        distinct={int(n): v for n, v in m["distinct"].items()},
-        unreachable_targets=int(m["unreachable_targets"]))
-
-
 @dataclass
 class EvalReport:
     kind: str
     entities: tuple            # entity vocabulary the scores refer to
     n_turns: int
-    ppl: float
-    kw_acc: float | None
-    kw_acc_soft: float | None
-    kw_generic: PRF
-    generated_kw: TokenPRF
-    bleu2: float               # corpus mean, scaled by 100
-    distinct: dict             # n -> ratio, n = 1..4
-    unreachable_targets: int
+    metrics: dict              # _scalars(entities, turns), as JSON stores it
     turns: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
-    def _metrics(self) -> dict:
-        return {
-            "ppl": self.ppl,
-            "kw_acc": self.kw_acc,
-            "kw_acc_soft": self.kw_acc_soft,
-            "kw_generic": self.kw_generic.to_dict(),
-            "generated_kw": self.generated_kw.to_dict(),
-            "bleu2": self.bleu2,
-            "distinct": {str(n): v for n, v in self.distinct.items()},
-            "unreachable_targets": self.unreachable_targets,
-        }
-
-    def metric_rows(self, only=None) -> list:
-        """(name, value) pairs in METRIC_NAMES order; when `only` names
-        any metrics, just those."""
+    def metric_rows(self) -> list:
+        """(name, value) pairs in METRIC_NAMES order."""
         flat = {}
-        for key, value in self._metrics().items():
+        for key, value in self.metrics.items():
             if isinstance(value, dict):
                 flat.update((f"{key}_{part}", v) for part, v in value.items())
             else:
                 flat[key] = value
-        return [(name, flat[name]) for name in METRIC_NAMES
-                if not only or name in only]
+        return [(name, flat[name]) for name in METRIC_NAMES]
 
-    def to_dict(self, only=None) -> dict:
-        """The JSON form. When `only` names any metrics, the metrics dict
-        keeps what they read: the whole group of a PRF score, just the
-        named distinct-n orders."""
-        metrics = self._metrics()
-        if only:
-            metrics = {k: v for k, v in metrics.items() if k in only or (
-                isinstance(v, dict) and any(n.startswith(k + "_") for n in only))}
-            if "distinct" in metrics:
-                metrics["distinct"] = {n: v for n, v in metrics["distinct"].items()
-                                       if f"distinct_{n}" in only}
+    def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "entities": list(self.entities),
             "n_turns": self.n_turns,
-            "metrics": metrics,
+            "metrics": self.metrics,
             "turns": [t.to_dict() for t in self.turns],
             "config": self.config,
         }
 
-    def save_csv(self, path, only=None) -> None:
+    def save_csv(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            for name, value in self.metric_rows(only):
+            for name, value in self.metric_rows():
                 writer.writerow([name, "" if value is None else value])
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """The report `to_dict` wrote. Scalars a filtered (`only`) form
-        left out are rederived from the per-turn records."""
+        """The report `to_dict` wrote. Its metrics must be exactly the
+        ones its per-turn records give."""
         entities = tuple(d["entities"])
         turns = [TurnEval.from_dict(t) for t in d["turns"]]
-        metrics = dict(d["metrics"])
-        distinct = dict(metrics.get("distinct", {}))
-        if not metrics.keys() >= _SCALAR_KEYS or len(distinct) < 4:
-            derived = _scalars(entities, turns)
-            metrics = {**derived, **metrics,
-                       "distinct": {**derived["distinct"], **distinct}}
+        metrics = _scalars(entities, turns)
+        if d["metrics"] != metrics:
+            raise ValueError("metrics differ from those the turn records give")
         return cls(
             kind=d["kind"], entities=entities, n_turns=int(d["n_turns"]),
-            **_scalar_fields(metrics), turns=turns,
-            config=dict(d.get("config", {})),
+            metrics=metrics, turns=turns, config=dict(d.get("config", {})),
         )
 
 
 def load_report(path) -> EvalReport:
-    """Read a report.json. A file that is not JSON, or lacks a field the
-    report needs, raises DataError naming the file."""
+    """Read a report.json. A file that is not JSON, lacks a field the
+    report needs, or stores metrics its turn records do not give raises
+    DataError naming the file."""
     return _load_json(Path(path), EvalReport.from_dict)
 
 
@@ -550,7 +497,7 @@ def evaluate_report(model: QadptModel, examples,
     entities = model.vocab.entities
     return EvalReport(
         kind=model.kind, entities=entities, n_turns=len(turns),
-        **_scalar_fields(_scalars(entities, turns)), turns=turns,
+        metrics=_scalars(entities, turns), turns=turns,
         config=dict(config or {}))
 
 
@@ -599,12 +546,6 @@ class PerturbReport:
     accurate_change_rate: float | None
     turns: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    def metric_rows(self) -> list:
-        return [("mode", self.mode), ("n_turns", self.n_turns),
-                ("n_skipped", self.n_skipped),
-                ("change_rate", self.change_rate),
-                ("accurate_change_rate", self.accurate_change_rate)]
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "n_turns": self.n_turns,

@@ -393,18 +393,18 @@ class _TurnState:
         kpos = k[np.arange(len(y)), np.where(entity, y - base, 0)]
         return entity & (kpos <= 0.0)
 
-    def decoder_step(self, prev_id: int) -> tuple:
-        """step() of a one-turn state plus its DecoderStep record."""
+    def decoder_step(self, prev_id: int) -> DecoderStep:
+        """The DecoderStep record of step() on a one-turn state."""
         nodes = self.step(np.array([prev_id]))
         t = self.fw.tape
         combined = t.value(nodes[0])[0].copy()
         g = t.value(nodes[1])[0]
         if self.fw.model.kind == "seq2seq":
             n_gen = 2 + len(self.vocab.generic)
-            return nodes, DecoderStep(
+            return DecoderStep(
                 generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
                 entity=g[n_gen:].copy(), combined=combined, path_matrix=None)
-        return nodes, DecoderStep(
+        return DecoderStep(
             generic=g[1:].copy(), controller=float(g[0]),
             entity=t.value(nodes[2]).copy(), combined=combined,
             path_matrix=t.value(nodes[3]).copy())
@@ -517,7 +517,7 @@ def greedy_decode(model: QadptModel, example: Example,
     prev = BOS_ID
     ended = False
     for _ in range(max_len):
-        _, step = state.decoder_step(prev)
+        step = state.decoder_step(prev)
         prev = int(np.argmax(step.combined))
         steps.append(step)
         if prev == EOS_ID:
@@ -910,7 +910,6 @@ def _grounding_paths(ex: Example, max_hops: int = 4) -> list:
 
 def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                        mode: str, seed: int,
-                       pool: Sequence[str] | None = None,
                        max_len: int = MAX_DECODE_LEN) -> list:
     """Decode every turn, perturb its subgraph per the chosen protocol,
     re-decode against the edited graph, and report both outputs.
@@ -918,12 +917,11 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     Paths for last1/last2 are the model's own inferred reasoning paths
     for the entities it emitted; the no-graph baseline has none, so its
     edits follow the gold grounding paths instead. Turns without a
-    usable path keep their graph and are flagged skipped. The
-    substitute pool defaults to the global entity vocabulary.
+    usable path keep their graph and are flagged skipped. Substitute
+    tails come from the global entity vocabulary.
     """
     if mode not in ("all", "last1", "last2"):
         raise ModelError(f"unknown perturbation mode {mode!r}")
-    pool = sorted(pool) if pool is not None else list(model.vocab.entities)
     # an edit changes the graph, not the message: the re-decode reuses
     # the turn's encoder state
     encoded = [encode(model, ex) for ex in examples]
@@ -957,7 +955,8 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                 perturbations.append((ex, None))
                 continue
             perturbations.append(
-                (ex, perturb(ex.subgraph, paths, _child_seed(seed, i), pool)))
+                (ex, perturb(ex.subgraph, paths, _child_seed(seed, i),
+                             model.vocab.entities)))
 
     for (ex, res), dec, enc in zip(perturbations, originals, encoded):
         if res is None:

@@ -126,7 +126,7 @@ def decoder_steps(model, ex, prev_ids):
     """Raw decoder steps for a fixed previous-token sequence."""
     from kgchat.qadpt import _Forward, _TurnState
     state = _TurnState(_Forward(model), [ex])
-    return [state.decoder_step(p)[1] for p in prev_ids]
+    return [state.decoder_step(p) for p in prev_ids]
 
 
 def walk_to_triples(vocab, adj, start, steps):

@@ -284,15 +284,16 @@ def pipeline():
 
 
 def test_criterion_6_synthetic_end_to_end(pipeline):
-    rq, rs = pipeline.report_q, pipeline.report_s
+    rq, rs = pipeline.report_q.metrics, pipeline.report_s.metrics
+    q_f1, s_f1 = rq["generated_kw"]["f1"], rs["generated_kw"]["f1"]
     ok = (pipeline.qadpt_seconds < 900.0
-          and rq.kw_acc >= 0.90
-          and rq.generated_kw.f1 >= 0.90
-          and rs.generated_kw.f1 < rq.generated_kw.f1)
+          and rq["kw_acc"] >= 0.90
+          and q_f1 >= 0.90
+          and s_f1 < q_f1)
     _line(6, ok,
           f"train {pipeline.qadpt_seconds:.0f}s (<900s); "
-          f"kw_acc {rq.kw_acc:.3f}, generated-kw f1 {rq.generated_kw.f1:.3f} "
-          f"(both >= 0.90); baseline f1 {rs.generated_kw.f1:.3f} strictly lower")
+          f"kw_acc {rq['kw_acc']:.3f}, generated-kw f1 {q_f1:.3f} "
+          f"(both >= 0.90); baseline f1 {s_f1:.3f} strictly lower")
 
 
 def test_criterion_7_perturbation_behavior(pipeline):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import re
@@ -19,8 +20,8 @@ from kgchat import cli
 from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
                            load_bundle, save_dialogues_jsonl, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
-from kgchat.metrics import (PerturbTurnEval, evaluate_report, load_report,
-                            recompute_scalars)
+from kgchat.metrics import (METRIC_NAMES, PerturbTurnEval, evaluate_report,
+                            load_report)
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
                           load_checkpoint, make_examples, save_checkpoint)
 
@@ -125,51 +126,30 @@ def test_eval_writes_report_and_csv(ws, bundle_dir, run_dir):
     assert blob["config"]["split"] == "test"
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "metric,value"
-    assert len(lines) == 1 + len(cli.METRIC_NAMES)
+    assert [l.split(",")[0] for l in lines[1:]] == list(METRIC_NAMES)
 
 
-def test_eval_metric_selection(ws, bundle_dir, run_dir):
-    out = ws / "eval_sel"
-    assert cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
-                     str(run_dir / "model.ckpt"), "--out", str(out),
-                     "--metrics", "bleu2,distinct_2,kw_generic_f1"]) == 0
-    blob = json.loads((out / "report.json").read_text())
-    assert set(blob["metrics"]) == {"bleu2", "distinct", "kw_generic"}
-    assert list(blob["metrics"]["distinct"]) == ["2"]
-    lines = (out / "metrics.csv").read_text().strip().splitlines()
-    assert [l.split(",")[0] for l in lines[1:]] == \
-        ["kw_generic_f1", "bleu2", "distinct_2"]
-    back = load_report(out / "report.json")
-    assert back._metrics() == recompute_scalars(back)
-
-
-@pytest.mark.parametrize("selection", ["", "bleu2,distinct_2,kw_generic_f1"],
-                         ids=("all", "selected"))
+@pytest.mark.parametrize("flags", [[], ["--max_decode_len", "3"]],
+                         ids=("all", "capped"))
 def test_eval_files_are_the_report_writers_output(ws, bundle_dir, run_dir,
-                                                   selection):
-    out = ws / f"eval_files_{bool(selection)}"
+                                                   flags):
+    out = ws / f"eval_files_{len(flags)}"
     assert cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
                      str(run_dir / "model.ckpt"), "--out", str(out),
-                     "--metrics", selection]) == 0
+                     *flags]) == 0
     cfg = json.loads((out / "config.json").read_text())["config"]
     bundle = load_bundle(bundle_dir)
     report = evaluate_report(load_checkpoint(run_dir / "model.ckpt"),
                              make_examples(bundle, bundle.split_turns("test")),
                              max_len=cfg["max_decode_len"], config=cfg)
-    only = [m for m in selection.split(",") if m]
-    write_json(report.to_dict(only), out / "direct.json")
-    report.save_csv(out / "direct.csv", only)
+    write_json(report.to_dict(), out / "direct.json")
+    report.save_csv(out / "direct.csv")
     assert (out / "report.json").read_bytes() == \
         (out / "direct.json").read_bytes()
     assert (out / "metrics.csv").read_bytes() == \
         (out / "direct.csv").read_bytes()
-
-
-def test_eval_unknown_metric_is_usage_error(ws, bundle_dir, run_dir):
-    code = cli.main(["eval", "--bundle", str(bundle_dir), "--checkpoint",
-                     str(run_dir / "model.ckpt"), "--out", str(ws / "x"),
-                     "--metrics", "made_up"])
-    assert code == 2
+    assert load_report(out / "report.json").metric_rows() == \
+        report.metric_rows()
 
 
 def test_eval_vocab_mismatch_is_data_error(ws, run_dir):
@@ -339,7 +319,8 @@ def _command_argv(command, out, raw_corpus, bundle_dir, run_dir) -> list:
     ("synth", "split", "test"), ("train", "max_decode_len", "5"),
     ("train", "prob_floor", "1e-9"), ("eval", "hops", "2"),
     ("eval", "hidden", "0"), ("eval", "model", "seq2seq"),
-    ("perturb", "metrics", "bleu2"), ("chat", "seed", "1")])
+    ("eval", "metrics", "bleu2"), ("perturb", "metrics", "bleu2"),
+    ("chat", "seed", "1")])
 def test_key_the_command_does_not_read_exits_2(ws, raw_corpus, bundle_dir,
                                                run_dir, capsys, how, command,
                                                key, value):
@@ -736,6 +717,17 @@ def test_reproduce_script_invocations_parse():
                         f"{shlex.join(argv)}")
 
 
+def test_readme_configuration_table_is_command_keys():
+    """README's Configuration table lists, row by row, the subcommands
+    and the keys each reads, as COMMAND_KEYS holds them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [re.findall(r"`(\w+)`", line) for line in section.splitlines()
+            if line.startswith("| `")]
+    assert [(row[0], tuple(row[1:])) for row in rows] == \
+        list(cli.COMMAND_KEYS.items())
+
+
 def test_hop_sweep_script_smoke():
     root = Path(__file__).parents[1]
     proc = subprocess.run(
@@ -845,6 +837,50 @@ def test_chat_eof_exits_cleanly(ws):
          str(ckpt), "--kg", str(kg)],
         input="", capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
+
+
+def test_chat_bundle_malformed_graph_exits_3(tmp_path, bundle_dir, run_dir):
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    with open(bad / "graph.tsv", "a", encoding="utf-8") as fh:
+        fh.write("only\ttwo\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgchat.cli", "chat", "--checkpoint",
+         str(run_dir / "model.ckpt"), "--bundle", str(bad)],
+        input="/quit\n", capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "graph.tsv: line" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_chat_bundle_reads_only_graph_and_meta(ws, tmp_path, monkeypatch,
+                                               capsys):
+    """chat --bundle reads the bundle's graph.tsv and, when there is one,
+    the tokenizer mode in meta.json, which wins over --tokenize. A
+    corrupt turns.jsonl fails the commands that read it, not chat."""
+    ckpt, kg = _golden_checkpoint(ws)
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    shutil.copy(kg, bundle / "graph.tsv")
+    write_json({"mode": "word"}, bundle / "meta.json")
+    (bundle / "turns.jsonl").write_text("not json\n", encoding="utf-8")
+    assert cli.main(["stats", "--bundle", str(bundle)]) == 3
+    assert "turns.jsonl: line 1:" in capsys.readouterr().err
+
+    def chat(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a hello\n/quit\n"))
+        code = cli.main(["chat", "--checkpoint", str(ckpt), *argv])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        return out
+
+    word = chat("--kg", str(kg))
+    char = chat("--kg", str(kg), "--tokenize", "char")
+    assert "b b b b" in word and word != char
+    assert chat("--bundle", str(bundle), "--tokenize", "char") == word
+    (bundle / "meta.json").unlink()
+    assert chat("--bundle", str(bundle), "--tokenize", "char") == char
 
 
 def test_chat_requires_graph_source(ws):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kgchat.corpus import DataError, DialogueTurn, Vocabulary, write_json
 from kgchat.kgraph import KnowledgeGraph, Triple
-from kgchat.metrics import (EvalReport, MetricError, PRF,
+from kgchat.metrics import (METRIC_NAMES, EvalReport, MetricError, PRF,
                             TokenPRF, accurate_change_rate, bleu2_sentence,
                             change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
@@ -374,33 +374,50 @@ def test_evaluate_report_round_trip(tmp_path):
     report = evaluate_report(model, exs, config={"note": "t"})
     assert report.n_turns == 3
     assert report.kind == "qadpt"
-    assert report.ppl > 1.0
-    assert set(report.distinct) == {1, 2, 3, 4}
+    assert report.metrics["ppl"] > 1.0
+    assert set(report.metrics["distinct"]) == {"1", "2", "3", "4"}
+    assert [name for name, _ in report.metric_rows()] == list(METRIC_NAMES)
     # replay: every scalar is a pure function of the stored turns
     path = tmp_path / "report.json"
     write_json(report.to_dict(), path)
     back = load_report(path)
     assert back.to_dict() == report.to_dict()
-    fresh = recompute_scalars(back)
-    assert fresh["ppl"] == pytest.approx(report.ppl)
-    assert fresh["kw_acc"] == report.kw_acc
-    assert fresh["kw_generic"] == report.kw_generic.to_dict()
-    assert fresh["generated_kw"] == report.generated_kw.to_dict()
-    assert fresh["bleu2"] == pytest.approx(report.bleu2)
-    assert fresh["distinct"] == {str(n): v for n, v in report.distinct.items()}
-
-
-@pytest.mark.parametrize("only", [["bleu2"], ["ppl", "distinct_3"],
-                                  ["kw_generic_f1", "unreachable_targets"]])
-def test_filtered_report_loads_with_rederived_scalars(tmp_path, only):
-    model, exs = _tiny_model_and_examples()
-    report = evaluate_report(model, exs)
-    path = tmp_path / "report.json"
-    write_json(report.to_dict(only), path)
-    back = load_report(path)
-    assert back._metrics() == recompute_scalars(back)
     assert back.metric_rows() == report.metric_rows()
-    assert back.to_dict(only) == report.to_dict(only)
+    assert recompute_scalars(back) == report.metrics
+
+
+def _scale(key, factor):
+    def edit(blob):
+        blob["metrics"][key] *= factor
+    return edit
+
+
+def _halve_first_gold_prob(blob):
+    blob["turns"][0]["gold_probs"][0] /= 2
+
+
+def _keep_only_bleu2(blob):
+    blob["metrics"] = {"bleu2": blob["metrics"]["bleu2"]}
+
+
+@pytest.mark.parametrize("edit", [
+    _scale("ppl", 1.0 + 1e-12), _scale("bleu2", 2.0),
+    lambda blob: blob["metrics"]["distinct"].pop("3"),
+    lambda blob: blob["metrics"]["generated_kw"].__setitem__("p_num", 99),
+    _halve_first_gold_prob, _keep_only_bleu2,
+], ids=("ppl", "bleu2", "distinct_3", "generated_kw_count", "gold_prob",
+        "filtered"))
+def test_report_whose_metrics_the_turns_do_not_give_is_refused(tmp_path,
+                                                              edit):
+    model, exs = _tiny_model_and_examples()
+    blob = evaluate_report(model, exs).to_dict()
+    edit(blob)
+    path = tmp_path / "report.json"
+    write_json(blob, path)
+    with pytest.raises(DataError) as info:
+        load_report(path)
+    assert str(info.value) == \
+        "report.json: metrics differ from those the turn records give"
 
 
 def _drop(key):
@@ -425,7 +442,7 @@ def _drop(key):
 def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
     model, exs = _tiny_model_and_examples()
     path = tmp_path / "report.json"
-    write_json(evaluate_report(model, exs).to_dict(["bleu2"]), path)
+    write_json(evaluate_report(model, exs).to_dict(), path)
     path.write_text(corrupt(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
     with pytest.raises(DataError) as info:
@@ -436,14 +453,11 @@ def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
 def test_evaluate_report_f1_identity_from_counts():
     model, exs = _tiny_model_and_examples()
     report = evaluate_report(model, exs)
-    g = report.kw_generic
-    if g.precision is not None and g.recall is not None and \
-            g.precision + g.recall > 0:
-        assert g.f1 == 2 * g.precision * g.recall / (g.precision + g.recall)
-    t = report.generated_kw
-    if t.precision is not None and t.recall is not None and \
-            t.precision + t.recall > 0:
-        assert t.f1 == 2 * t.precision * t.recall / (t.precision + t.recall)
+    for group in ("kw_generic", "generated_kw"):
+        m = report.metrics[group]
+        p, r = m["precision"], m["recall"]
+        if p is not None and r is not None and p + r > 0:
+            assert m["f1"] == 2 * p * r / (p + r)
 
 
 def test_evaluate_report_csv(tmp_path):
@@ -457,7 +471,7 @@ def test_evaluate_report_csv(tmp_path):
     assert "kw_acc" in names and "bleu2" in names and "distinct_4" in names
 
 
-def _rows_then_disk_full(only=None):
+def _rows_then_disk_full():
     yield ("ppl", 1.0)
     raise OSError("disk full")
 
@@ -506,7 +520,8 @@ def test_evaluate_report_bleu_scaled_by_100():
     model, exs = _tiny_model_and_examples()
     report = evaluate_report(model, exs)
     per_turn = [t.bleu2 for t in report.turns]
-    assert report.bleu2 == pytest.approx(100.0 * float(np.mean(per_turn)))
+    assert report.metrics["bleu2"] == \
+        pytest.approx(100.0 * float(np.mean(per_turn)))
 
 
 def test_evaluate_report_empty_errors():
