@@ -42,7 +42,8 @@ from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      generate_synthetic, ingest, load_bundle,
                      load_dialogues_jsonl, load_lexicon, save_bundle, tokenize,
                      write_json)
-from .kgraph import GraphError, KnowledgeGraph, Triple, load_triples_tsv
+from .kgraph import (PERTURB_MODES, GraphError, KnowledgeGraph, Triple,
+                     load_triples_tsv)
 from .metrics import MetricError, evaluate_report, perturbation_report
 from .numkernel import KernelError
 from .qadpt import (MAX_DECODE_LEN, CheckpointError, Hyperparams,
@@ -127,8 +128,8 @@ def _read_config_file(path) -> list:
     pairs = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -358,7 +359,7 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_perturb(args, cfg) -> int:
-    if cfg["mode"] not in ("all", "last1", "last2"):
+    if cfg["mode"] not in PERTURB_MODES:
         raise UsageError(f"unknown perturbation mode {cfg['mode']!r}")
     max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kgraph
-from .kgraph import KnowledgeGraph, Triple
+from .kgraph import KnowledgeGraph, Triple, _utf8_lines
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +127,7 @@ def detokenize(tokens: Sequence[str], mode: str = "word") -> str:
 def load_lexicon(path) -> dict[str, str]:
     lex: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh, DataError), start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -316,7 +316,7 @@ _RAW_KEYS = ("dialogue_id", "turn", "speaker", "scene_entities", "message", "res
 def load_dialogues_jsonl(path) -> list[RawTurn]:
     turns = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh, DataError), start=1):
             line = raw.strip()
             if not line:
                 continue

@@ -102,10 +102,18 @@ class KnowledgeGraph:
 # TSV persistence: head <TAB> relation <TAB> tail, '#' starts a comment.
 
 
+def _utf8_lines(fh, error: type):
+    """fh's lines; text that is not UTF-8 raises `error` naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{fh.name}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_triples_tsv(path) -> KnowledgeGraph:
     triples = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh, GraphError), start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -425,6 +433,8 @@ def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
 
 # ---------------------------------------------------------------------------
 # Perturbation protocols
+
+PERTURB_MODES = ("all", "last1", "last2")
 
 
 @dataclass(frozen=True)

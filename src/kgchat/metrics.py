@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import _load_json, atomic_open
+from .kgraph import PERTURB_MODES
 from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, QadptModel, _decode_paths,
                     encode, greedy_decode, teacher_force)
 
@@ -285,7 +286,7 @@ def change_rate(original_seqs: Sequence[Sequence[str]],
 def _accuracy_flags(entities, original_seqs, perturbed_seqs, hypotheses,
                     mode, targets):
     ents = set(entities)
-    if mode not in ("all", "last1", "last2"):
+    if mode not in PERTURB_MODES:
         raise MetricError(f"unknown perturbation mode {mode!r}")
     _check_parallel(original_seqs, perturbed_seqs, "accurate_change_rate")
     _check_parallel(original_seqs, hypotheses, "accurate_change_rate hypotheses")
@@ -428,8 +429,10 @@ class EvalReport:
         metrics = _scalars(entities, turns)
         if d["metrics"] != metrics:
             raise ValueError("metrics differ from those the turn records give")
+        if d["n_turns"] != len(turns):
+            raise ValueError(f"n_turns {d['n_turns']} != {len(turns)} turn records")
         return cls(
-            kind=d["kind"], entities=entities, n_turns=int(d["n_turns"]),
+            kind=d["kind"], entities=entities, n_turns=len(turns),
             metrics=metrics, turns=turns, config=dict(d.get("config", {})),
         )
 
@@ -527,7 +530,7 @@ class PerturbTurnEval:
     def from_dict(cls, d) -> "PerturbTurnEval":
         if not isinstance(d, dict):
             raise TypeError("a turn record is not a JSON object")
-        return cls(turn_id=_typed(d, "turn_id", str),
+        turn = cls(turn_id=_typed(d, "turn_id", str),
                    original=_strings(d, "original"),
                    perturbed=_strings(d, "perturbed"),
                    hypothesis=_strings(d, "hypothesis"),
@@ -535,6 +538,12 @@ class PerturbTurnEval:
                    skipped=_typed(d, "skipped", bool),
                    changed=_typed(d, "changed", bool, optional=True),
                    accurate=_typed(d, "accurate", bool, optional=True))
+        changed = None if turn.skipped else turn.original != turn.perturbed
+        if turn.changed != changed or turn.accurate not in (
+                (None,) if turn.skipped else (None, False, changed)):
+            raise ValueError(f"turn {turn.turn_id!r}: changed {turn.changed}, "
+                             f"accurate {turn.accurate} disagree with its replies")
+        return turn
 
 
 @dataclass
@@ -557,9 +566,13 @@ class PerturbReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerturbReport":
-        """The report `to_dict` wrote, every field type-checked."""
+        """The report `to_dict` wrote, every field type-checked. Its
+        counts and rates must be exactly the ones its turn records give,
+        and each record's `changed` and `accurate` flags the ones its own
+        replies give (null on a skipped turn, `accurate` true only on a
+        changed reply)."""
         mode = _typed(d, "mode", str)
-        if mode not in ("all", "last1", "last2"):
+        if mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturbation mode {mode!r}")
         turns = [PerturbTurnEval.from_dict(t) for t in _typed(d, "turns", list)]
         report = cls(
@@ -572,6 +585,10 @@ class PerturbReport:
         if report.n_turns + report.n_skipped != len(turns):
             raise ValueError(f"n_turns {report.n_turns} + n_skipped "
                              f"{report.n_skipped} != {len(turns)} turn records")
+        scalars = _perturb_scalars(turns)
+        if {key: getattr(report, key) for key in scalars} != scalars:
+            raise ValueError("counts or rates differ from those the turn "
+                             "records give")
         return report
 
 
@@ -610,37 +627,26 @@ def perturbation_report(entities: Iterable[str], runs, mode: str,
                         config: dict | None = None) -> PerturbReport:
     """Score a perturb-and-redecode run. Skipped turns (no usable path
     to perturb) stay in the record list but outside both rates."""
-    live = [r for r in runs if not r.skipped]
-    rate = None
-    acc = None
-    flags: list = []
-    if live:
-        originals = [r.original_tokens for r in live]
-        perturbed = [r.perturbed_tokens for r in live]
-        hyps = [r.hypothesis for r in live]
-        targets = [r.removed_tails for r in live] if mode != "all" else None
-        rate = change_rate(originals, perturbed)
-        flags = _accuracy_flags(entities, originals, perturbed, hyps, mode,
-                                targets)
-        acc = _flag_rate(flags)
-    turns = []
-    it = iter(flags)
-    for r in runs:
-        if r.skipped:
-            turns.append(PerturbTurnEval(
-                turn_id=r.turn_id, original=tuple(r.original_tokens),
-                perturbed=tuple(r.perturbed_tokens), hypothesis=(),
-                targets=(), skipped=True, changed=None, accurate=None))
-            continue
-        turns.append(PerturbTurnEval(
-            turn_id=r.turn_id, original=tuple(r.original_tokens),
-            perturbed=tuple(r.perturbed_tokens),
-            hypothesis=tuple(sorted(r.hypothesis)),
-            targets=tuple(sorted(r.removed_tails)) if mode != "all" else (),
-            skipped=False,
-            changed=tuple(r.original_tokens) != tuple(r.perturbed_tokens),
-            accurate=next(it)))
-    return PerturbReport(mode=mode, n_turns=len(live),
-                         n_skipped=len(runs) - len(live),
-                         change_rate=rate, accurate_change_rate=acc,
-                         turns=turns, config=dict(config or {}))
+    flags = _accuracy_flags(
+        entities, [r.original_tokens for r in runs],
+        [r.perturbed_tokens for r in runs], [r.hypothesis for r in runs],
+        mode, [r.removed_tails for r in runs])
+    turns = [PerturbTurnEval(
+        turn_id=r.turn_id, original=tuple(r.original_tokens),
+        perturbed=tuple(r.perturbed_tokens),
+        hypothesis=() if r.skipped else tuple(sorted(r.hypothesis)),
+        targets=(() if r.skipped or mode == "all"
+                 else tuple(sorted(r.removed_tails))),
+        skipped=r.skipped,
+        changed=(None if r.skipped
+                 else tuple(r.original_tokens) != tuple(r.perturbed_tokens)),
+        accurate=None if r.skipped else flag) for r, flag in zip(runs, flags)]
+    return PerturbReport(mode=mode, **_perturb_scalars(turns), turns=turns,
+                         config=dict(config or {}))
+
+
+def _perturb_scalars(turns) -> dict:
+    return {"n_turns": sum(not t.skipped for t in turns),
+            "n_skipped": sum(t.skipped for t in turns),
+            "change_rate": _flag_rate([t.changed for t in turns]),
+            "accurate_change_rate": _flag_rate([t.accurate for t in turns])}

@@ -33,8 +33,9 @@ import numpy as np
 from . import numkernel
 from .corpus import (BOS_ID, EOS_ID, PAD_ID, Bundle, DataError,
                      DialogueTurn, Vocabulary, atomic_open)
-from .kgraph import (SELF_LOOP, AdjacencyTensor, KnowledgeGraph, Triple,
-                     build_adjacency, perturb_all, perturb_last1, perturb_last2)
+from .kgraph import (PERTURB_MODES, SELF_LOOP, AdjacencyTensor,
+                     KnowledgeGraph, Triple, build_adjacency, perturb_all,
+                     perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
 
 logger = logging.getLogger(__name__)
@@ -540,9 +541,6 @@ class InferredPath:
     triples: tuple             # SELF_LOOP steps inside the walk included
     probability: float
 
-    def hops(self) -> int:
-        return len(self.triples)
-
 
 def infer_path(adj: AdjacencyTensor, rhat: np.ndarray, s: np.ndarray,
                entity: str, n_hops: int) -> InferredPath:
@@ -914,51 +912,40 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     """Decode every turn, perturb its subgraph per the chosen protocol,
     re-decode against the edited graph, and report both outputs.
 
-    Paths for last1/last2 are the model's own inferred reasoning paths
+    `all` swaps whole graphs across the batch and reads no path. For
+    last1/last2 the paths are the model's own inferred reasoning paths
     for the entities it emitted; the no-graph baseline has none, so its
     edits follow the gold grounding paths instead. Turns without a
     usable path keep their graph and are flagged skipped. Substitute
     tails come from the global entity vocabulary.
     """
-    if mode not in ("all", "last1", "last2"):
+    if mode not in PERTURB_MODES:
         raise ModelError(f"unknown perturbation mode {mode!r}")
     # an edit changes the graph, not the message: the re-decode reuses
     # the turn's encoder state
     encoded = [encode(model, ex) for ex in examples]
-    originals = []
-    paths_per_turn = []
-    for ex, enc in zip(examples, encoded):
-        dec = greedy_decode(model, ex, max_len=max_len, encoded=enc)
-        originals.append(dec)
-        if model.kind == "qadpt":
-            paths_per_turn.append(
-                [p.triples for p in _decode_paths(model, ex, dec)])
-        else:
-            paths_per_turn.append(_grounding_paths(ex))
-
-    results: list[PerturbedTurn] = []
+    originals = [greedy_decode(model, ex, max_len=max_len, encoded=enc)
+                 for ex, enc in zip(examples, encoded)]
     if mode == "all":
-        batch = perturb_all([ex.subgraph for ex in examples], seed)
-        perturbations = [(ex, res) for ex, res in zip(examples, batch)]
+        edited = perturb_all([ex.subgraph for ex in examples], seed)
     else:
         need = 1 if mode == "last1" else 2
         perturb = perturb_last1 if mode == "last1" else perturb_last2
-        perturbations = []
-        for i, ex in enumerate(examples):
+        edited = []
+        for i, (ex, dec) in enumerate(zip(examples, originals)):
+            found = ([p.triples for p in _decode_paths(model, ex, dec)]
+                     if model.kind == "qadpt" else _grounding_paths(ex))
             # a self-loop step does not move, so the real steps around
             # it still chain once it is dropped; it is not in the graph
             # and cannot be edited
             real = [tuple(t for t in p if t.relation != SELF_LOOP)
-                    for p in paths_per_turn[i]]
+                    for p in found]
             paths = [p for p in real if len(p) >= need]
-            if not paths:
-                perturbations.append((ex, None))
-                continue
-            perturbations.append(
-                (ex, perturb(ex.subgraph, paths, _child_seed(seed, i),
-                             model.vocab.entities)))
+            edited.append(perturb(ex.subgraph, paths, _child_seed(seed, i),
+                                  model.vocab.entities) if paths else None)
 
-    for (ex, res), dec, enc in zip(perturbations, originals, encoded):
+    results: list[PerturbedTurn] = []
+    for ex, dec, enc, res in zip(examples, originals, encoded, edited):
         if res is None:
             results.append(PerturbedTurn(
                 turn_id=ex.turn_id, original_tokens=dec.tokens,

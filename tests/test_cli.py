@@ -21,7 +21,7 @@ from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
                            load_bundle, save_dialogues_jsonl, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
 from kgchat.metrics import (METRIC_NAMES, PerturbTurnEval, evaluate_report,
-                            load_report)
+                            load_perturb_report, load_report)
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
                           load_checkpoint, make_examples, save_checkpoint)
 
@@ -162,20 +162,25 @@ def test_eval_vocab_mismatch_is_data_error(ws, run_dir):
     assert code == 3
 
 
-def test_perturb_report_and_determinism(ws, bundle_dir, run_dir):
-    out1, out2 = ws / "p1", ws / "p2"
+@pytest.mark.parametrize("mode", ["all", "last1", "last2"])
+def test_perturb_report_and_determinism(ws, bundle_dir, run_dir, mode):
+    out1, out2 = ws / f"p1_{mode}", ws / f"p2_{mode}"
     for out in (out1, out2):
         assert cli.main(["perturb", "--bundle", str(bundle_dir),
                          "--checkpoint", str(run_dir / "model.ckpt"),
-                         "--out", str(out), "--mode", "last1",
+                         "--out", str(out), "--mode", mode,
                          "--seed", "11"]) == 0
     blob = json.loads((out1 / "perturb.json").read_text())
-    assert blob["mode"] == "last1"
+    assert blob["mode"] == mode
     assert blob["n_turns"] + blob["n_skipped"] == len(blob["turns"])
-    assert (out1 / "perturb.json").read_bytes() == \
-        (out2 / "perturb.json").read_bytes()
+    assert load_perturb_report(out1 / "perturb.json").to_dict() == blob
+    for name in ("perturb.json", "diff.log"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     diff = (out1 / "diff.log").read_text().strip().splitlines()
-    assert len(diff) == len(blob["turns"])
+    assert [line.split("\t")[:2] for line in diff] == [
+        [t["turn_id"], "skipped" if t["skipped"] else "accurate"
+         if t["accurate"] else "changed" if t["changed"] else "unchanged"]
+        for t in blob["turns"]]
 
 
 def test_perturb_seq2seq_never_changes(ws, bundle_dir, seq_dir):
@@ -473,6 +478,31 @@ def test_malformed_config_line_exits_2(ws, bundle_dir):
     assert cli.main(["train", "--bundle", str(bundle_dir),
                      "--out", str(ws / "never2"),
                      "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("command, name, code", [
+    ("stats", "graph.tsv", 3), ("ingest", "graph.tsv", 3),
+    ("ingest", "aliases.tsv", 3), ("ingest", "dialogues.jsonl", 3),
+    ("train", "run.cfg", 2),
+], ids=("bundle_graph", "ingest_kg", "ingest_lexicon", "ingest_dialogues",
+        "config_file"))
+def test_non_utf8_input_exits_with_documented_code(tmp_path, raw_corpus,
+                                                   bundle_dir, run_dir,
+                                                   command, name, code):
+    """A text input that is not UTF-8 is a data error (a usage error
+    for a config file) naming the file, never a traceback."""
+    src = tmp_path / "in"
+    shutil.copytree(raw_corpus if command == "ingest" else bundle_dir, src)
+    with open(src / name, "ab") as fh:
+        fh.write(b"caf\xe9\tis\tnot utf-8\n")
+    argv = _command_argv(command, tmp_path / "out", src, src, run_dir)
+    if name == "run.cfg":
+        argv += ["--config", str(src / name)]
+    proc = subprocess.run([sys.executable, "-m", "kgchat.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{src / name}: " in proc.stderr
 
 
 def test_unknown_flag_exits_2(bundle_dir):

@@ -428,6 +428,14 @@ def _drop(key):
     return edit
 
 
+def _edit(change):
+    def edit(text):
+        blob = json.loads(text)
+        change(blob)
+        return json.dumps(blob)
+    return edit
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (lambda text: text[:len(text) // 2], "report.json: "),
     (lambda text: "not json at all", "report.json: "),
@@ -437,8 +445,10 @@ def _drop(key):
     (_drop("kind"), "report.json: missing key 'kind'"),
     (lambda text: text.replace('"gold_probs"', '"gold"'),
      "report.json: missing key 'gold_probs'"),
+    (_edit(lambda b: b.update(n_turns=999)),
+     "report.json: n_turns 999 != 3 turn records"),
 ], ids=("truncated", "not_json", "not_object", "no_turns", "no_entities",
-        "no_kind", "bad_turn"))
+        "no_kind", "bad_turn", "n_turns"))
 def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
     model, exs = _tiny_model_and_examples()
     path = tmp_path / "report.json"
@@ -608,16 +618,11 @@ def test_perturb_report_round_trip(tmp_path, mode):
         assert back.to_dict() == rep.to_dict()
 
 
-def _edit(change):
-    def edit(text):
-        blob = json.loads(text)
-        change(blob)
-        return json.dumps(blob)
-    return edit
-
-
 def _set_turn(key, value):
     return _edit(lambda b: b["turns"][0].update({key: value}))
+
+
+_SCALARS_DIFFER = "counts or rates differ from those the turn records give"
 
 
 @pytest.mark.parametrize("corrupt, where", [
@@ -643,11 +648,26 @@ def _set_turn(key, value):
     (_set_turn("changed", 1), "'changed' is not null or a boolean"),
     (_set_turn("original", ["T", 2]), "'original' is not a list of strings"),
     (_set_turn("turn_id", None), "'turn_id' is not a string"),
+    # counts, rates and flags the turn records do not give
+    (_edit(lambda b: b.update(change_rate=0.5)), _SCALARS_DIFFER),
+    (_edit(lambda b: b.update(accurate_change_rate=0.5)), _SCALARS_DIFFER),
+    (_edit(lambda b: b.update(n_turns=1, n_skipped=2)), _SCALARS_DIFFER),
+    (_edit(lambda b: b["turns"][1].update(changed=False)),
+     "turn 't1': changed False, accurate None disagree with its replies"),
+    (_edit(lambda b: b["turns"][2].update(changed=False)),
+     "turn 't2': changed False, accurate None disagree with its replies"),
+    (_edit(lambda b: b["turns"][2].update(accurate=False)),
+     "turn 't2': changed None, accurate False disagree with its replies"),
+    (_edit(lambda b: b["turns"][1].update(perturbed=["yes"], changed=False,
+                                           accurate=True)),
+     "turn 't1': changed False, accurate True disagree with its replies"),
 ], ids=("truncated", "not_json", "not_object", "no_turns", "no_mode",
         "mode_type", "mode_value", "n_turns_type", "n_skipped_bool",
         "counts", "rate_type", "config_type", "turn_not_object",
         "turn_missing_key", "skipped_type", "changed_type", "tokens_type",
-        "turn_id_type"))
+        "turn_id_type", "change_rate", "accurate_change_rate",
+        "counts_shifted", "changed_flipped", "skipped_changed",
+        "skipped_accurate", "accurate_unchanged"))
 def test_malformed_perturb_report_raises_data_error(tmp_path, corrupt, where):
     path = tmp_path / "perturb.json"
     write_json(_hand_perturb_report().to_dict(), path)

@@ -1244,3 +1244,33 @@ def test_perturb_deterministic():
     r2 = perturb_and_decode(model, exs, "all", seed=9)
     assert [(r.perturbed_tokens, sorted(r.hypothesis)) for r in r1] == \
         [(r.perturbed_tokens, sorted(r.hypothesis)) for r in r2]
+
+
+@pytest.mark.parametrize("mode", ["all", "last1", "last2"])
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_perturb_reads_paths_only_for_tail_edits(trained_toy, monkeypatch,
+                                                 kind, mode):
+    """`all` swaps whole graphs and reads no path. last1/last2 read one
+    inferred path per emitted entity (qadpt) or one grounding search per
+    turn (seq2seq). Every turn decodes once, and once more unless it is
+    skipped."""
+    model, exs = trained_toy
+    if kind == "seq2seq":
+        model = model_for(model.vocab, kind="seq2seq")
+    calls = dict.fromkeys(("infer_path", "_grounding_paths", "greedy_decode"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(qadpt, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(qadpt, name, counted)
+    runs = perturb_and_decode(model, exs, mode, seed=3)
+    ents = set(model.vocab.entities)
+    emitted = sum(t in ents for r in runs for t in r.original_tokens)
+    if kind == "qadpt":
+        assert emitted > 0
+    reads = {"infer_path": emitted if kind == "qadpt" else 0,
+             "_grounding_paths": len(exs) if kind == "seq2seq" else 0}
+    if mode == "all":
+        reads = dict.fromkeys(reads, 0)
+    assert calls == {**reads, "greedy_decode":
+                     len(exs) + sum(not r.skipped for r in runs)}
