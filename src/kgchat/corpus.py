@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import types
+import typing
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,145 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID, KB_ID = range(5)
 
 class DataError(ValueError):
     """Malformed corpus input or an unusable configuration."""
+
+
+# ---------------------------------------------------------------------------
+# JSON files and records
+#
+# A record the program writes and reads back derives JsonRecord, and its
+# dataclass declaration is its file format. A malformed file fails in
+# json, in a missing, mistyped or undeclared key, or in the constructor
+# it feeds; each becomes a DataError naming the file (and line).
+
+_PARSE_ERRORS = (KeyError, OverflowError, TypeError, ValueError)
+
+# singular and plural name of each JSON type a field may hold
+_JSON_NAMES = {str: ("a string", "strings"), bool: ("a boolean", "booleans"),
+               int: ("an integer", "integers"), float: ("a number", "numbers"),
+               list: ("a list", "lists"), dict: ("an object", "objects")}
+
+
+class _WrongType(Exception):
+    """A JSON value its field's declaration does not allow."""
+
+
+def _is(value, kind: type):
+    if type(value) is not kind:
+        raise _WrongType
+    return value
+
+
+def _decoder(kind) -> tuple:
+    """(decode, JSON type names) for a field annotation: decode maps a
+    JSON value to the field's value or raises _WrongType."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:   # X | None
+        decode, (one, many) = _decoder(args[0])
+        return ((lambda v: None if v is None else decode(v)),
+                (f"null or {one}", f"nulls or {many}"))
+    if origin in (tuple, list):
+        decode, (_, many) = _decoder(args[0])
+        return ((lambda v: origin(map(decode, _is(v, list)))),
+                (f"a list of {many}", f"lists of {many}"))
+    if issubclass(kind, JsonRecord):
+        return (lambda v: kind.from_dict(_is(v, dict))), _JSON_NAMES[dict]
+    if kind is float:   # an integer passes as a number; a boolean is not one
+        return ((lambda v: float(v) if type(v) is int else _is(v, float)),
+                _JSON_NAMES[float])
+    return (lambda v: _is(v, kind)), _JSON_NAMES[kind]
+
+
+@cache
+def _record_fields(cls) -> dict:
+    """Field name -> (decode, JSON type names, required)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (*_decoder(hints[f.name]),
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _to_json(value):
+    if isinstance(value, JsonRecord):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+class JsonRecord:
+    """Base of a dataclass written as a JSON object of its fields, in
+    declaration order. A field is declared as a JSON scalar type, dict,
+    X | None, tuple[X, ...], list[X] or a JsonRecord; one with a default
+    may be absent from the file."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        """The record `to_dict` wrote, each value type-checked."""
+        if type(d) is not dict:
+            raise TypeError("expected a JSON object")
+        declared = _record_fields(cls)
+        values = {}
+        for name, (decode, (what, _), required) in declared.items():
+            if required or name in d:
+                try:
+                    values[name] = decode(d[name])   # KeyError if missing
+                except _WrongType:
+                    raise TypeError(f"{name!r} is not {what}") from None
+        if len(values) != len(d):
+            raise ValueError("undeclared key "
+                             f"{next(k for k in d if k not in declared)!r}")
+        return cls(**values)
+
+
+def _parse_failure(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write through a temp file beside `path`: a clean exit moves it
+    over `path` with os.replace, a failed write removes it and leaves
+    `path` as it was. Readers never see a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path) -> None:
+    """`obj` as indented JSON and a closing newline, written atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def _load_json(path: Path, build):
+    try:
+        return build(json.loads(path.read_bytes()))
+    except _PARSE_ERRORS as exc:
+        raise DataError(f"{path.name}: {_parse_failure(exc)}") from None
+
+
+def _load_jsonl(path: Path, build) -> list:
+    rows = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rows.append(build(json.loads(raw)))
+            except _PARSE_ERRORS as exc:
+                raise DataError(f"{path.name}: line {lineno}: "
+                                f"{_parse_failure(exc)}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +297,11 @@ def load_lexicon(path) -> dict[str, str]:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    generic: tuple
-    entities: tuple
-    relations: tuple
-    counts: tuple = ()
+class Vocabulary(JsonRecord):
+    generic: tuple[str, ...]
+    entities: tuple[str, ...]
+    relations: tuple[str, ...]
+    counts: tuple[int, ...] = ()   # older vocab.json files omit it
 
     def __post_init__(self):
         overlap = set(self.generic) & set(self.entities)
@@ -245,15 +386,6 @@ class Vocabulary:
     def generic_output_size(self) -> int:
         return 3 + len(self.generic)
 
-    def to_dict(self) -> dict:
-        return {"generic": list(self.generic), "entities": list(self.entities),
-                "relations": list(self.relations), "counts": list(self.counts)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Vocabulary":
-        return cls(generic=tuple(d["generic"]), entities=tuple(d["entities"]),
-                   relations=tuple(d["relations"]), counts=tuple(d.get("counts", ())))
-
 
 def build_vocab(turns: Sequence["DialogueTurn"], min_count: int,
                 entities: Iterable[str], relations: Iterable[str]) -> Vocabulary:
@@ -310,7 +442,11 @@ class DialogueTurn:
                 tuple(t for t in self.response if t in ents))
 
 
-_RAW_KEYS = ("dialogue_id", "turn", "speaker", "scene_entities", "message", "response")
+# dialogue_id is taken as text whatever its JSON type
+_RAW_FIELDS = {key: _decoder(kind) for key, kind in (
+    ("turn", int), ("speaker", str), ("scene_entities", tuple[str, ...]),
+    ("message", str), ("response", str))}
+_RAW_KEYS = ("dialogue_id", *_RAW_FIELDS)
 
 
 def load_dialogues_jsonl(path) -> list[RawTurn]:
@@ -327,15 +463,14 @@ def load_dialogues_jsonl(path) -> list[RawTurn]:
             if not isinstance(obj, dict) or any(k not in obj for k in _RAW_KEYS):
                 raise DataError(f"{path}: line {lineno}: missing keys "
                                 f"{[k for k in _RAW_KEYS if k not in obj]}")
-            if not isinstance(obj["scene_entities"], list):
-                raise DataError(f"{path}: line {lineno}: scene_entities must be a list")
-            if not isinstance(obj["turn"], int):
-                raise DataError(f"{path}: line {lineno}: turn must be an integer")
-            turns.append(RawTurn(
-                dialogue_id=str(obj["dialogue_id"]), turn=obj["turn"],
-                speaker=str(obj["speaker"]),
-                scene_entities=tuple(str(e) for e in obj["scene_entities"]),
-                message=str(obj["message"]), response=str(obj["response"])))
+            row = {"dialogue_id": str(obj["dialogue_id"])}
+            for key, (decode, (what, _)) in _RAW_FIELDS.items():
+                try:
+                    row[key] = decode(obj[key])
+                except _WrongType:
+                    raise DataError(f"{path}: line {lineno}: {key} must be "
+                                    f"{what}") from None
+            turns.append(RawTurn(**row))
     if not turns:
         raise DataError(f"{path}: no turns found")
     return turns
@@ -343,12 +478,8 @@ def load_dialogues_jsonl(path) -> list[RawTurn]:
 
 def save_dialogues_jsonl(turns: Iterable[RawTurn], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in turns:
-            fh.write(json.dumps({
-                "dialogue_id": t.dialogue_id, "turn": t.turn, "speaker": t.speaker,
-                "scene_entities": list(t.scene_entities),
-                "message": t.message, "response": t.response,
-            }, ensure_ascii=False) + "\n")
+        for t in turns:   # its fields, in declaration order
+            fh.write(json.dumps(vars(t), ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +490,11 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
-class SplitAssignment:
-    train: tuple
-    valid: tuple
-    test: tuple
+class SplitAssignment(JsonRecord):
+    train: tuple[str, ...]
+    valid: tuple[str, ...]
+    test: tuple[str, ...]
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"train": list(self.train), "valid": list(self.valid),
-                "test": list(self.test), "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d) -> "SplitAssignment":
-        return cls(tuple(d["train"]), tuple(d["valid"]), tuple(d["test"]), d["seed"])
 
 
 RATIOS = (("train", 0.85), ("test", 0.10), ("valid", 0.05))
@@ -504,12 +627,8 @@ def save_bundle(bundle: Bundle, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "turns.jsonl", "w", encoding="utf-8") as fh:
-        for t in bundle.turns:
-            fh.write(json.dumps({
-                "dialogue_id": t.dialogue_id, "turn": t.turn, "speaker": t.speaker,
-                "scene_entities": list(t.scene_entities),
-                "message": list(t.message), "response": list(t.response),
-            }, ensure_ascii=False) + "\n")
+        for t in bundle.turns:   # its fields, in declaration order
+            fh.write(json.dumps(vars(t), ensure_ascii=False) + "\n")
     with open(out / "vocab.json", "w", encoding="utf-8") as fh:
         json.dump(bundle.vocab.to_dict(), fh, ensure_ascii=False, indent=1)
     kgraph.save_triples_tsv(bundle.graph, out / "graph.tsv")
@@ -528,67 +647,17 @@ def save_bundle(bundle: Bundle, out_dir) -> None:
         json.dump(bundle.meta, fh, indent=1)
 
 
-# A malformed bundle row fails in json, in a missing key, or in the
-# constructor it feeds; each becomes a DataError naming file and line.
-_PARSE_ERRORS = (KeyError, TypeError, ValueError)
+# The tokens inside the lists go unchecked: set-up reads every row.
+_TURN_TYPES = (("dialogue_id", str), ("turn", int), ("speaker", str),
+               ("scene_entities", list), ("message", list), ("response", list))
 
 
-def _parse_failure(exc: Exception) -> str:
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
-def _from_json(raw: bytes, build):
-    obj = json.loads(raw)
-    if not isinstance(obj, dict):
-        raise DataError("expected a JSON object")
-    return build(obj)
-
-
-@contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
-    """Write through a temp file beside `path`: a clean exit moves it
-    over `path` with os.replace, a failed write removes it and leaves
-    `path` as it was. Readers never see a half-written file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_json(obj, path) -> None:
-    """`obj` as indented JSON and a closing newline, written atomically."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def _load_json(path: Path, build):
-    try:
-        return _from_json(path.read_bytes(), build)
-    except _PARSE_ERRORS as exc:
-        raise DataError(f"{path.name}: {_parse_failure(exc)}") from None
-
-
-def _load_jsonl(path: Path, build) -> list:
-    rows = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rows.append(_from_json(raw, build))
-            except _PARSE_ERRORS as exc:
-                raise DataError(f"{path.name}: line {lineno}: "
-                                f"{_parse_failure(exc)}") from None
-    return rows
-
-
-def _turn_row(obj: dict) -> DialogueTurn:
+def _turn_row(obj) -> DialogueTurn:
+    if type(obj) is not dict:
+        raise TypeError("expected a JSON object")
+    for key, kind in _TURN_TYPES:
+        if type(obj[key]) is not kind:
+            raise TypeError(f"{key!r} is not {_JSON_NAMES[kind][0]}")
     return DialogueTurn(
         dialogue_id=obj["dialogue_id"], turn=obj["turn"],
         speaker=obj["speaker"], scene_entities=tuple(obj["scene_entities"]),
@@ -669,10 +738,10 @@ def _index_subgraph_rows(path: Path) -> SubgraphRows:
 
 def load_bundle(in_dir) -> Bundle:
     """Read a bundle directory written by `save_bundle`. Every file is
-    parsed and checked here except the subgraph rows: those are indexed
-    by turn id, and each turn's graph is built when it is first read
-    (see `SubgraphRows`). A turn without a subgraph row, or two rows
-    for one turn, fail here."""
+    parsed and type-checked here except the subgraph rows: those are
+    indexed by turn id, and each turn's graph is built when it is first
+    read (see `SubgraphRows`). A turn without a subgraph row, or two
+    rows for one turn, fail here."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)

@@ -37,10 +37,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import _load_json, atomic_open
+from .corpus import JsonRecord, _load_json, atomic_open
 from .kgraph import PERTURB_MODES
-from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, QadptModel, _decode_paths,
-                    encode, greedy_decode, teacher_force)
+from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, InferredPath, QadptModel,
+                    _decode_paths, encode, greedy_decode, teacher_force)
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
@@ -342,55 +342,26 @@ def _flag_rate(flags: list):
 
 
 @dataclass(frozen=True)
-class TurnEval:
+class TurnEval(JsonRecord):
     """Everything one turn contributed, sufficient to re-score."""
     turn_id: str
-    reference: tuple           # reference response tokens
-    generated: tuple
-    target_full: tuple         # reference tokens plus the closing EOS
-    argmax_tokens: tuple       # per-position argmax under teacher forcing
-    gold_probs: tuple
+    reference: tuple[str, ...]       # reference response tokens
+    generated: tuple[str, ...]
+    target_full: tuple[str, ...]     # reference tokens plus the closing EOS
+    argmax_tokens: tuple[str, ...]   # per-position argmax under teacher forcing
+    gold_probs: tuple[float, ...]
     unreachable: int
-    paths: tuple               # (start, ((h, rel, t), ...), probability)
+    paths: tuple[InferredPath, ...]  # one per emitted entity (qadpt)
     bleu2: float
-
-    def to_dict(self) -> dict:
-        return {
-            "turn_id": self.turn_id,
-            "reference": list(self.reference),
-            "generated": list(self.generated),
-            "target_full": list(self.target_full),
-            "argmax_tokens": list(self.argmax_tokens),
-            "gold_probs": list(self.gold_probs),
-            "unreachable": self.unreachable,
-            "paths": [{"start": s, "triples": [list(t) for t in ts],
-                       "probability": p} for s, ts, p in self.paths],
-            "bleu2": self.bleu2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TurnEval":
-        return cls(
-            turn_id=d["turn_id"], reference=tuple(d["reference"]),
-            generated=tuple(d["generated"]),
-            target_full=tuple(d["target_full"]),
-            argmax_tokens=tuple(d["argmax_tokens"]),
-            gold_probs=tuple(float(p) for p in d["gold_probs"]),
-            unreachable=int(d["unreachable"]),
-            paths=tuple((p["start"],
-                         tuple(tuple(t) for t in p["triples"]),
-                         float(p["probability"])) for p in d["paths"]),
-            bleu2=float(d["bleu2"]),
-        )
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonRecord):
     kind: str
-    entities: tuple            # entity vocabulary the scores refer to
+    entities: tuple[str, ...]  # entity vocabulary the scores refer to
     n_turns: int
     metrics: dict              # _scalars(entities, turns), as JSON stores it
-    turns: list = field(default_factory=list)
+    turns: list[TurnEval]
     config: dict = field(default_factory=dict)
 
     def metric_rows(self) -> list:
@@ -403,16 +374,6 @@ class EvalReport:
                 flat[key] = value
         return [(name, flat[name]) for name in METRIC_NAMES]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "entities": list(self.entities),
-            "n_turns": self.n_turns,
-            "metrics": self.metrics,
-            "turns": [t.to_dict() for t in self.turns],
-            "config": self.config,
-        }
-
     def save_csv(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -421,26 +382,23 @@ class EvalReport:
                 writer.writerow([name, "" if value is None else value])
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
+    def from_dict(cls, d) -> "EvalReport":
         """The report `to_dict` wrote. Its metrics must be exactly the
         ones its per-turn records give."""
-        entities = tuple(d["entities"])
-        turns = [TurnEval.from_dict(t) for t in d["turns"]]
-        metrics = _scalars(entities, turns)
-        if d["metrics"] != metrics:
+        report = super().from_dict(d)
+        if report.metrics != _scalars(report.entities, report.turns):
             raise ValueError("metrics differ from those the turn records give")
-        if d["n_turns"] != len(turns):
-            raise ValueError(f"n_turns {d['n_turns']} != {len(turns)} turn records")
-        return cls(
-            kind=d["kind"], entities=entities, n_turns=len(turns),
-            metrics=metrics, turns=turns, config=dict(d.get("config", {})),
-        )
+        if report.n_turns != len(report.turns):
+            raise ValueError(f"n_turns {report.n_turns} != "
+                             f"{len(report.turns)} turn records")
+        return report
 
 
 def load_report(path) -> EvalReport:
-    """Read a report.json. A file that is not JSON, lacks a field the
-    report needs, or stores metrics its turn records do not give raises
-    DataError naming the file."""
+    """Read a report.json. A file that is not JSON, lacks a field, holds
+    one of the wrong type or one the report does not declare, or stores
+    metrics its turn records do not give raises DataError naming the
+    file."""
     return _load_json(Path(path), EvalReport.from_dict)
 
 
@@ -492,9 +450,7 @@ def evaluate_report(model: QadptModel, examples,
             argmax_tokens=tuple(id_to_token[i] for i in tf.argmax_ids),
             gold_probs=tuple(tf.gold_probs),
             unreachable=tf.unreachable,
-            paths=tuple((p.start, tuple(tuple(t) for t in p.triples),
-                         p.probability)
-                        for p in _decode_paths(model, ex, dec)),
+            paths=_decode_paths(model, ex, dec),
             bleu2=bleu2_sentence(dec.tokens, reference),
         ))
     entities = model.vocab.entities
@@ -509,35 +465,22 @@ def evaluate_report(model: QadptModel, examples,
 
 
 @dataclass(frozen=True)
-class PerturbTurnEval:
+class PerturbTurnEval(JsonRecord):
     turn_id: str
-    original: tuple
-    perturbed: tuple
-    hypothesis: tuple          # sorted
-    targets: tuple             # sorted perturbation-target entities
+    original: tuple[str, ...]
+    perturbed: tuple[str, ...]
+    hypothesis: tuple[str, ...]    # sorted
+    targets: tuple[str, ...]       # sorted perturbation-target entities
     skipped: bool
     changed: bool | None       # None when skipped
     accurate: bool | None      # None when skipped or no original entity
 
-    def to_dict(self) -> dict:
-        return {"turn_id": self.turn_id, "original": list(self.original),
-                "perturbed": list(self.perturbed),
-                "hypothesis": list(self.hypothesis),
-                "targets": list(self.targets), "skipped": self.skipped,
-                "changed": self.changed, "accurate": self.accurate}
-
     @classmethod
     def from_dict(cls, d) -> "PerturbTurnEval":
-        if not isinstance(d, dict):
-            raise TypeError("a turn record is not a JSON object")
-        turn = cls(turn_id=_typed(d, "turn_id", str),
-                   original=_strings(d, "original"),
-                   perturbed=_strings(d, "perturbed"),
-                   hypothesis=_strings(d, "hypothesis"),
-                   targets=_strings(d, "targets"),
-                   skipped=_typed(d, "skipped", bool),
-                   changed=_typed(d, "changed", bool, optional=True),
-                   accurate=_typed(d, "accurate", bool, optional=True))
+        """The record `to_dict` wrote; its `changed` and `accurate` flags
+        must be the ones its own replies give (null on a skipped turn,
+        `accurate` true only on a changed reply)."""
+        turn = super().from_dict(d)
         changed = None if turn.skipped else turn.original != turn.perturbed
         if turn.changed != changed or turn.accurate not in (
                 (None,) if turn.skipped else (None, False, changed)):
@@ -547,79 +490,38 @@ class PerturbTurnEval:
 
 
 @dataclass
-class PerturbReport:
+class PerturbReport(JsonRecord):
     mode: str
     n_turns: int               # turns that were actually perturbed
     n_skipped: int
     change_rate: float | None
     accurate_change_rate: float | None
-    turns: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "n_turns": self.n_turns,
-                "n_skipped": self.n_skipped,
-                "change_rate": self.change_rate,
-                "accurate_change_rate": self.accurate_change_rate,
-                "turns": [t.to_dict() for t in self.turns],
-                "config": self.config}
+    turns: list[PerturbTurnEval]
+    config: dict
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PerturbReport":
-        """The report `to_dict` wrote, every field type-checked. Its
-        counts and rates must be exactly the ones its turn records give,
-        and each record's `changed` and `accurate` flags the ones its own
-        replies give (null on a skipped turn, `accurate` true only on a
-        changed reply)."""
-        mode = _typed(d, "mode", str)
-        if mode not in PERTURB_MODES:
-            raise ValueError(f"unknown perturbation mode {mode!r}")
-        turns = [PerturbTurnEval.from_dict(t) for t in _typed(d, "turns", list)]
-        report = cls(
-            mode=mode, n_turns=_typed(d, "n_turns", int),
-            n_skipped=_typed(d, "n_skipped", int),
-            change_rate=_typed(d, "change_rate", float, optional=True),
-            accurate_change_rate=_typed(d, "accurate_change_rate", float,
-                                        optional=True),
-            turns=turns, config=_typed(d, "config", dict))
-        if report.n_turns + report.n_skipped != len(turns):
+    def from_dict(cls, d) -> "PerturbReport":
+        """The report `to_dict` wrote. Its counts and rates must be
+        exactly the ones its turn records give."""
+        report = super().from_dict(d)
+        if report.mode not in PERTURB_MODES:
+            raise ValueError(f"unknown perturbation mode {report.mode!r}")
+        if report.n_turns + report.n_skipped != len(report.turns):
             raise ValueError(f"n_turns {report.n_turns} + n_skipped "
-                             f"{report.n_skipped} != {len(turns)} turn records")
-        scalars = _perturb_scalars(turns)
+                             f"{report.n_skipped} != {len(report.turns)} "
+                             f"turn records")
+        scalars = _perturb_scalars(report.turns)
         if {key: getattr(report, key) for key in scalars} != scalars:
             raise ValueError("counts or rates differ from those the turn "
                              "records give")
         return report
 
 
-_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer",
-               float: "a number", list: "a list", dict: "an object"}
-
-
-def _typed(d: dict, key: str, kind: type, optional: bool = False):
-    """d[key], which must hold a JSON value of `kind` (or null when
-    optional). An integer passes as a number; a boolean is not one."""
-    value = d[key]
-    if value is None and optional:
-        return None
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        null = "null or " if optional else ""
-        raise TypeError(f"{key!r} is not {null}{_JSON_TYPES[kind]}")
-    return value
-
-
-def _strings(d: dict, key: str) -> tuple:
-    value = _typed(d, key, list)
-    if not all(type(v) is str for v in value):
-        raise TypeError(f"{key!r} is not a list of strings")
-    return tuple(value)
-
-
 def load_perturb_report(path) -> PerturbReport:
-    """Read a perturb.json. A file that is not JSON, lacks a field or
-    holds one of the wrong type raises DataError naming the file."""
+    """Read a perturb.json. A file that is not JSON, lacks a field, holds
+    one of the wrong type or one the report does not declare, or stores
+    counts, rates or flags its turn records do not give raises DataError
+    naming the file."""
     return _load_json(Path(path), PerturbReport.from_dict)
 
 

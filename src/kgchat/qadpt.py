@@ -31,8 +31,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import numkernel
-from .corpus import (BOS_ID, EOS_ID, PAD_ID, Bundle, DataError,
-                     DialogueTurn, Vocabulary, atomic_open)
+from .corpus import (_PARSE_ERRORS, BOS_ID, EOS_ID, PAD_ID, Bundle,
+                     DialogueTurn, JsonRecord, Vocabulary, _parse_failure,
+                     atomic_open)
 from .kgraph import (PERTURB_MODES, SELF_LOOP, AdjacencyTensor,
                      KnowledgeGraph, Triple, build_adjacency, perturb_all,
                      perturb_last1, perturb_last2)
@@ -62,7 +63,7 @@ class CheckpointError(ValueError):
 
 
 @dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(JsonRecord):
     hidden_dim: int = 64
     embed_dim: int | None = None   # defaults to hidden_dim
     n_hops: int = 6
@@ -92,9 +93,6 @@ class Hyperparams:
             raise ModelError("lr and clip_norm must be positive")
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def expected_param_shapes(hyper: Hyperparams, vocab: Vocabulary) -> dict:
@@ -536,9 +534,9 @@ def greedy_decode(model: QadptModel, example: Example,
 
 
 @dataclass(frozen=True)
-class InferredPath:
+class InferredPath(JsonRecord):
     start: str
-    triples: tuple             # SELF_LOOP steps inside the walk included
+    triples: tuple[tuple[str, ...], ...]   # SELF_LOOP steps included
     probability: float
 
 
@@ -833,10 +831,11 @@ def load_checkpoint(path) -> QadptModel:
                 f"{path}: header hyper 'post_renorm' is not false; the "
                 f"post-renormalized walk it was trained for is not supported")
     try:
-        hyper = Hyperparams(**fields)
+        hyper = Hyperparams.from_dict(fields)
         vocab = Vocabulary.from_dict(header["vocab"])
-    except (TypeError, ModelError, DataError) as exc:
-        raise CheckpointError(f"{path}: bad header contents: {exc}") from None
+    except _PARSE_ERRORS as exc:
+        raise CheckpointError(f"{path}: bad header contents: "
+                              f"{_parse_failure(exc)}") from None
     if not isinstance(header["manifest"], list):
         raise CheckpointError(f"{path}: bad manifest in the header at offset "
                               f"{m + 8}: not a list")

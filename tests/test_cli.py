@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import save_lexicon
+from test_corpus import _second_turn_row
+from test_metrics import _edit
 from test_qadpt import _poison_payload, _rewrite_header
 
 from kgchat import cli
@@ -601,6 +603,42 @@ def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert where in proc.stderr
+
+
+_MISTYPED = {
+    "vocab_relations": ("vocab.json",
+                        _edit(lambda b: b.update(relations="friend_of")),
+                        "vocab.json: 'relations' is not a list of strings"),
+    "splits_valid": ("splits.json",
+                     _edit(lambda b: b.update(valid=b["valid"][0])),
+                     "splits.json: 'valid' is not a list of strings"),
+    "turn_string": ("turns.jsonl",
+                    _second_turn_row(lambda r: r.update(turn="1")),
+                    "turns.jsonl: line 2: 'turn' is not an integer"),
+    "message_text": ("turns.jsonl", _second_turn_row(
+                        lambda r: r.update(message=" ".join(r["message"]))),
+                     "turns.jsonl: line 2: 'message' is not a list"),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_mistyped_bundle_file_exits_3(tmp_path, bundle_dir, capsys, command,
+                                      case):
+    name, corrupt, where = _MISTYPED[case]
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    path = bad / name
+    path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ["--epochs", "1"] if command == "train" else []
+    code = cli.main([command, "--bundle", str(bad), "--out", str(out)] + extra)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert where in err
+    assert not out.exists()
 
 
 # Corruptions of one subgraph row that indexing passes and building the

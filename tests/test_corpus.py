@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import eager_subgraphs, save_lexicon
+from test_metrics import _edit
 
 from kgchat import corpus, kgraph, qadpt
 from kgchat.corpus import (
@@ -326,6 +327,26 @@ def test_dialogues_jsonl_bad_types(tmp_path):
         load_dialogues_jsonl(path)
 
 
+@pytest.mark.parametrize("key, value, why", [
+    ("message", ["where", "is", "Ava"], "message must be a string"),
+    ("speaker", None, "speaker must be a string"),
+    ("response", 42, "response must be a string"),
+    ("scene_entities", [3], "scene_entities must be a list of strings"),
+    ("scene_entities", "Ava", "scene_entities must be a list"),
+], ids=("message_list", "speaker_null", "response_number", "scene_number",
+        "scene_string"))
+def test_dialogues_jsonl_refuses_non_string_text(tmp_path, key, value, why):
+    row = {"dialogue_id": 7, "turn": 0, "speaker": "s", "scene_entities": [],
+           "message": "m", "response": "r"}
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert load_dialogues_jsonl(path)[0].dialogue_id == "7"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, key: value})
+                    + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"line 2: {why}"):
+        load_dialogues_jsonl(path)
+
+
 def test_dialogues_jsonl_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
@@ -521,6 +542,55 @@ def test_unindexable_subgraph_row_fails_at_load(tmp_path, synth_bundle_dir,
     path.write_bytes(b"".join(lines))
     with pytest.raises(DataError, match=f"subgraphs.jsonl: line 4: {why}"):
         load_bundle(tmp_path / "b")
+
+
+def _second_turn_row(change):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        row = json.loads(lines[1])
+        change(row)
+        lines[1] = json.dumps(row) + "\n"
+        return "".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("name, corrupt, where", [
+    ("vocab.json", _edit(lambda b: b.update(relations="friend_of")),
+     "vocab.json: 'relations' is not a list of strings"),
+    ("vocab.json", _edit(lambda b: b["counts"].__setitem__(0, True)),
+     "vocab.json: 'counts' is not a list of integers"),
+    ("vocab.json", _edit(lambda b: b.update(words=[])),
+     "vocab.json: undeclared key 'words'"),
+    ("splits.json", _edit(lambda b: b.update(valid=b["valid"][0])),
+     "splits.json: 'valid' is not a list of strings"),
+    ("splits.json", _edit(lambda b: b.update(seed="0")),
+     "splits.json: 'seed' is not an integer"),
+    ("turns.jsonl", _second_turn_row(lambda r: r.update(turn="1")),
+     "turns.jsonl: line 2: 'turn' is not an integer"),
+    ("turns.jsonl", _second_turn_row(
+        lambda r: r.update(message=" ".join(r["message"]))),
+     "turns.jsonl: line 2: 'message' is not a list"),
+    ("turns.jsonl", _second_turn_row(lambda r: r.update(dialogue_id=5)),
+     "turns.jsonl: line 2: 'dialogue_id' is not a string"),
+    ("turns.jsonl", _second_turn_row(lambda r: r.update(scene_entities={})),
+     "turns.jsonl: line 2: 'scene_entities' is not a list"),
+    ("turns.jsonl", lambda text: text.replace("\n", "\n[1, 2]\n", 1),
+     "turns.jsonl: line 2: expected a JSON object"),
+    ("vocab.json", lambda text: "[]", "vocab.json: expected a JSON object"),
+    ("meta.json", lambda text: "5", "meta.json: 'int' object is not iterable"),
+], ids=("vocab_relations", "vocab_counts", "vocab_undeclared", "splits_valid",
+        "splits_seed", "turn_string", "message_text", "dialogue_id_number",
+        "scene_object", "turn_not_object", "vocab_not_object",
+        "meta_not_object"))
+def test_mistyped_bundle_file_raises_data_error(tmp_path, synth_bundle_dir,
+                                                name, corrupt, where):
+    shutil.copytree(synth_bundle_dir, tmp_path / "b")
+    path = tmp_path / "b" / name
+    path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_bundle(tmp_path / "b")
+    assert str(info.value) == where
 
 
 # Row corruptions that indexing passes; tests/test_cli.py runs four more

@@ -447,8 +447,26 @@ def _edit(change):
      "report.json: missing key 'gold_probs'"),
     (_edit(lambda b: b.update(n_turns=999)),
      "report.json: n_turns 999 != 3 turn records"),
+    (_edit(lambda b: b.update(kind=5)), "report.json: 'kind' is not a string"),
+    (_edit(lambda b: b.update(config=[["note", "t"]])),
+     "report.json: 'config' is not an object"),
+    (_edit(lambda b: b["turns"][0].update(turn_id=7)),
+     "report.json: 'turn_id' is not a string"),
+    (_edit(lambda b: b["turns"][0].update(unreachable="0")),
+     "report.json: 'unreachable' is not an integer"),
+    (_edit(lambda b: b["turns"][0]["paths"].append(
+        {"start": 3, "triples": [], "probability": 1.0})),
+     "report.json: 'start' is not a string"),
+    (_edit(lambda b: b["turns"][0]["paths"].append(
+        {"start": "a", "triples": [["a", "q"], 5], "probability": 1.0})),
+     "report.json: 'triples' is not a list of lists of strings"),
+    (_edit(lambda b: b.update(note="t")), "report.json: undeclared key 'note'"),
+    (_edit(lambda b: b["turns"][0].update(extra=[])),
+     "report.json: undeclared key 'extra'"),
 ], ids=("truncated", "not_json", "not_object", "no_turns", "no_entities",
-        "no_kind", "bad_turn", "n_turns"))
+        "no_kind", "bad_turn", "n_turns", "kind_type", "config_pairs",
+        "turn_id_type", "unreachable_type", "path_start_type",
+        "path_triples_type", "undeclared_key", "undeclared_turn_key"))
 def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
     model, exs = _tiny_model_and_examples()
     path = tmp_path / "report.json"
@@ -641,7 +659,7 @@ _SCALARS_DIFFER = "counts or rates differ from those the turn records give"
      "'change_rate' is not null or a number"),
     (_edit(lambda b: b.update(config=[])), "'config' is not an object"),
     (_edit(lambda b: b["turns"].insert(0, 5)),
-     "a turn record is not a JSON object"),
+     "'turns' is not a list of objects"),
     (_edit(lambda b: b["turns"][0].pop("accurate")),
      "perturb.json: missing key 'accurate'"),
     (_set_turn("skipped", "no"), "'skipped' is not a boolean"),

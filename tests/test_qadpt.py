@@ -997,6 +997,23 @@ def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit, why", [
+    (lambda hyper: hyper.update(dropout=0.1), "undeclared key 'dropout'"),
+    (lambda hyper: hyper.update(hidden_dim=True),
+     "'hidden_dim' is not an integer"),
+    (lambda hyper: hyper.update(embed_dim="8"),
+     "'embed_dim' is not null or an integer"),
+    (lambda hyper: hyper.update(lr=None), "'lr' is not a number"),
+], ids=("undeclared", "bool_dim", "string_dim", "null_lr"))
+def test_checkpoint_rejects_mistyped_hyper(tmp_path, edit, why):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    _rewrite_header(path, lambda h: edit(h["hyper"]))
+    with pytest.raises(CheckpointError,
+                       match=f"bad header contents: {re.escape(why)}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_retired_walk_keys(tmp_path):
     """Headers that still name the retired post_renorm, teacher_forcing,
     prob_floor and max_decode_len keys: the parent's values load as the
@@ -1057,8 +1074,7 @@ def test_evaluate_report_turns_match_direct_calls(kind):
         assert t.gold_probs == tuple(tf.gold_probs)
         assert t.unreachable == tf.unreachable
         assert t.generated == tuple(dec.tokens)
-        assert t.paths == tuple((p.start, tuple(tuple(x) for x in p.triples),
-                                 p.probability) for p in paths)
+        assert t.paths == paths
     if kind == "qadpt":
         assert any(t.paths for t in report.turns)
     else:
