@@ -384,14 +384,25 @@ class EvalReport(JsonRecord):
     @classmethod
     def from_dict(cls, d) -> "EvalReport":
         """The report `to_dict` wrote. Its metrics must be exactly the
-        ones its per-turn records give."""
+        ones its per-turn records give, each of the same JSON type."""
         report = super().from_dict(d)
-        if report.metrics != _scalars(report.entities, report.turns):
+        if not _same_json(report.metrics,
+                          _scalars(report.entities, report.turns)):
             raise ValueError("metrics differ from those the turn records give")
         if report.n_turns != len(report.turns):
             raise ValueError(f"n_turns {report.n_turns} != "
                              f"{len(report.turns)} turn records")
         return report
+
+
+def _same_json(a, b) -> bool:
+    """a == b, and every value of the same type: false is not 0, nor
+    1.0 the integer 1."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
 
 
 def load_report(path) -> EvalReport:

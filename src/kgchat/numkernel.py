@@ -3,9 +3,10 @@
 Everything the dialogue models need and nothing more: a recorded-op
 reverse-accumulation gradient tape whose ops are exactly the ones the
 models record, each on (B, ...) rows (a stabilized softmax, a fused
-linear layer, a GRU cell, the N-hop graph walk and the output mixture
-among them), and Adam with global-norm clipping. All kernels are
-deterministic pure functions over float64 arrays. Any op that produces
+linear layer, the N-hop graph walk and the output mixture among them)
+or, for a GRU run over T steps and the embedding lookup that feeds it,
+on (T, B, ...) steps of rows; and Adam with global-norm clipping. All
+kernels are deterministic pure functions over float64 arrays. Any op that produces
 NaN or Inf raises KernelError instead of letting the value propagate.
 """
 
@@ -48,58 +49,80 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 
 
-def _gru_forward(x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h):
-    """One GRU step over a batch: x is (B, d) and h is (B, n), one row
-    per sequence. Returns the new state and the cache needed for the
-    analytic backward pass.
+def _gru_forward(x, h, w, b, u_zr, u_h, keep):
+    """A GRU run over T steps of a batch: x is (T, B, d) and h the (B, n)
+    start state, one row per sequence; `keep` is None or a (T, B, 1)
+    bool mask of the steps each row runs, its state carried through the
+    rest. w (3n, d) and b (3n,) stack the z, r and h gates' input
+    weights and biases, u_zr (2n, n) the z and r gates' recurrent
+    weights. Returns every step's state, (T, B, n), and the cache the
+    backward pass needs.
 
     Convention: z is the write gate. h' = (1 - z) * h + z * h_tilde,
-    so z -> 0 carries the old state through unchanged.
+    so z -> 0 carries the old state through unchanged. The input side of
+    the gates, x @ w.T + b, is one product over all T*B rows before the
+    time loop; per step, z and r share one recurrent product.
     """
-    z = sigmoid(x @ w_z.T + h @ u_z.T + b_z)
-    r = sigmoid(x @ w_r.T + h @ u_r.T + b_r)
-    rh = r * h
-    htil = np.tanh(x @ w_h.T + rh @ u_h.T + b_h)
-    out = (1.0 - z) * h + z * htil
-    cache = (x, h, z, r, rh, htil, w_z, u_z, w_r, u_r, w_h, u_h)
-    return out, cache
+    t_len, rows, d = x.shape
+    n = h.shape[1]
+    h0 = h
+    flat = x.reshape(t_len * rows, d)
+    xw = (flat @ w.T + b).reshape(t_len, rows, 3 * n)
+    states = np.empty((t_len, rows, n))
+    zrs, rhs, htils = [], [], []
+    for t in range(t_len):
+        zr = sigmoid(xw[t, :, :2 * n] + h @ u_zr.T)
+        z = zr[:, :n]
+        rh = zr[:, n:] * h
+        htil = np.tanh(xw[t, :, 2 * n:] + rh @ u_h.T)
+        out = (1.0 - z) * h + z * htil
+        if keep is not None:
+            out = np.where(keep[t], out, h)
+        zrs.append(zr)
+        rhs.append(rh)
+        htils.append(htil)
+        states[t] = h = out
+    return states, (flat, h0, states, zrs, rhs, htils, keep, w, u_zr, u_h)
 
 
 def _gru_backward(g, cache):
-    """Gradients for one batched GRU step, same order as _gru_forward's
-    inputs; weight gradients are summed over the batch."""
-    x, h, z, r, rh, htil, w_z, u_z, w_r, u_r, w_h, u_h = cache
-    dz = g * (htil - h)
-    dhtil = g * z
-    dh = g * (1.0 - z)
-
-    dah = dhtil * (1.0 - htil * htil)
-    dw_h = dah.T @ x
-    du_h = dah.T @ rh
-    db_h = dah.sum(axis=0)
-    dx = dah @ w_h
-    drh = dah @ u_h
-    dr = drh * h
-    dh = dh + drh * r
-
-    dar = dr * r * (1.0 - r)
-    dw_r = dar.T @ x
-    du_r = dar.T @ h
-    db_r = dar.sum(axis=0)
-    dx = dx + dar @ w_r
-    dh = dh + dar @ u_r
-
-    daz = dz * z * (1.0 - z)
-    dw_z = daz.T @ x
-    du_z = daz.T @ h
-    db_z = daz.sum(axis=0)
-    dx = dx + daz @ w_z
-    dh = dh + daz @ u_z
-
-    return dx, dh, dw_z, du_z, db_z, dw_r, du_r, db_r, dw_h, du_h, db_h
+    """Backpropagation through time for a GRU run: g is the gradient of
+    every step's state, (T, B, n). Only dh passes from step to step; the
+    stacked weight and bias gradients, summed over the batch and the
+    steps, and dx are each one product over all T*B rows. Returns the
+    gradients in Tape.gru's operand order."""
+    flat, h0, states, zrs, rhs, htils, keep, w, u_zr, u_h = cache
+    t_len, rows, n = g.shape
+    prev = [h0, *states[:-1]]
+    dpre = np.empty((t_len, rows, 3 * n))   # d(loss)/d(gate pre-activations)
+    dh = np.zeros((rows, n))
+    for t in range(t_len - 1, -1, -1):
+        gt = g[t] + dh
+        if keep is not None:
+            carried = np.where(keep[t], 0.0, gt)
+            gt = np.where(keep[t], gt, 0.0)
+        zr, htil, h = zrs[t], htils[t], prev[t]
+        z = zr[:, :n]
+        dah = gt * z * (1.0 - htil * htil)
+        drh = dah @ u_h
+        dzr = np.concatenate([gt * (htil - h), drh * h], axis=1) * \
+            zr * (1.0 - zr)
+        dpre[t, :, :2 * n] = dzr
+        dpre[t, :, 2 * n:] = dah
+        dh = gt * (1.0 - z) + drh * zr[:, n:] + dzr @ u_zr
+        if keep is not None:
+            dh = dh + carried
+    dpre = dpre.reshape(t_len * rows, 3 * n)
+    dw = dpre.T @ flat
+    db = dpre.sum(axis=0)
+    du_zr = dpre[:, :2 * n].T @ np.concatenate(prev)
+    du_h = dpre[:, 2 * n:].T @ np.concatenate(rhs)
+    dx = (dpre @ w).reshape(t_len, rows, -1)
+    return (dx, dh, dw[:n], du_zr[:n], db[:n], dw[n:2 * n], du_zr[n:],
+            db[n:2 * n], dw[2 * n:], du_h, db[2 * n:])
 
 
 def _scatter_add(shape, flat_index, values) -> np.ndarray:
@@ -116,13 +139,15 @@ def _scatter_add(shape, flat_index, values) -> np.ndarray:
 # Reverse accumulation over an explicit list of recorded ops. Nodes are
 # integer ids into parallel lists. The op set is the one the models
 # record, and each op takes the one shape the models send it: (B, ...)
-# rows, one per turn of a batch (B=1 at inference); kg_hop's walk mass
-# is the B graphs' entities flattened into one (B*E,) vector. Every op
-# validates its operands, and an op whose output can turn NaN or Inf
-# for finite operands checks it, so the recorded program is auditable
-# step by step. No operator overloading: callers name each op. A
-# backprop closure maps the node's gradient to one gradient per parent
-# (None where none flows), each of its parent's shape.
+# rows, one per turn of a batch (B=1 at inference), or one per decoder
+# position of a turn where the heads read a teacher-forced pass; gru
+# takes (T, B, ...) steps of rows, and lookup_row an index of any shape;
+# kg_hop's walk mass is the B graphs' entities flattened into one (B*E,)
+# vector. Every op validates its operands, and an op whose output can
+# turn NaN or Inf for finite operands checks it, so the recorded program
+# is auditable step by step. No operator overloading: callers name each
+# op. A backprop closure maps the node's gradient to one gradient per
+# parent (None where none flows), each of its parent's shape.
 
 
 class Tape:
@@ -138,6 +163,7 @@ class Tape:
         self._values: list[np.ndarray] = []
         self._parents: list[tuple] | None = [] if record else None
         self._backprops: list | None = [] if record else None
+        self._stacks: dict = {}
 
     def __len__(self) -> int:
         return len(self._values)
@@ -164,6 +190,16 @@ class Tape:
             self._parents.append(tuple(parents))
             self._backprops.append(backprop)
         return len(self._values) - 1
+
+    def _stacked(self, nodes: tuple) -> np.ndarray:
+        """The values of `nodes` concatenated along their first axis,
+        made once per tape (recorded values never change): every greedy
+        decode step stacks the same GRU weights."""
+        got = self._stacks.get(nodes)
+        if got is None:
+            got = self._stacks[nodes] = np.concatenate(
+                [self._values[n] for n in nodes])
+        return got
 
     # -- leaves
 
@@ -222,13 +258,15 @@ class Tape:
         return self._softmax(a, "row_softmax")
 
     def lookup_row(self, m: int, index) -> int:
-        """Rows of matrix m, one per entry of a 1-d integer index array."""
+        """Rows of matrix m, one per entry of an integer index array of
+        one or more axes, in the index's shape: a (T, B) index of ids
+        gives (T, B, .) steps of rows."""
         vm = self.value(m)
         idx = np.asarray(index)
-        if vm.ndim != 2 or idx.ndim != 1 or idx.dtype.kind not in "iu" or \
+        if vm.ndim != 2 or idx.ndim == 0 or idx.dtype.kind not in "iu" or \
                 idx.size and not 0 <= idx.min() <= idx.max() < vm.shape[0]:
             raise KernelError("lookup_row: bad matrix or row index")
-        rows = idx[:, None]
+        rows = idx[..., None]
 
         def bwd(g):
             flat = rows * vm.shape[1] + np.arange(vm.shape[1])
@@ -245,7 +283,8 @@ class Tape:
         return self._push(va.reshape(shape), (a,), bwd)
 
     def gather(self, a: int, index) -> int:
-        """a[index] for a tuple of integer index arrays, one per axis."""
+        """a[index] for a tuple of integer index arrays, one per axis,
+        broadcast together: the result takes their broadcast shape."""
         va = self.value(a)
         if len(index) != va.ndim:
             raise KernelError("gather: need one index array per axis")
@@ -258,18 +297,6 @@ class Tape:
             return (_scatter_add(va.shape, flat, g),)
 
         return self._push(va.reshape(-1)[flat], (a,), bwd)
-
-    def stack(self, nodes) -> int:
-        """Same-shape nodes stacked along a new first axis."""
-        nodes = tuple(nodes)
-        vals = [self.value(n) for n in nodes]
-        if not vals or any(v.shape != vals[0].shape for v in vals):
-            raise KernelError("stack: need one or more same-shape operands")
-
-        def bwd(g):
-            return tuple(g)
-
-        return self._push(np.stack(vals), nodes, bwd)
 
     def log_floor(self, a: int, floor: float = 1e-12) -> int:
         """log(max(a, floor)); zero gradient below the floor."""
@@ -296,40 +323,39 @@ class Tape:
 
     def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int,
             w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int,
-            active=None) -> int:
-        """One GRU step for B rows of input (B, d) and state (B, n).
-        `active`, a constant (B,) bool mask, passes the state of
-        inactive rows through unchanged."""
+            lengths=None) -> int:
+        """A GRU run over T steps as one node: input x (T, B, d) and
+        start state h (B, n); the value is every step's state, (T, B, n).
+        `lengths`, a constant of one int in [1, T] per batch row, stops a
+        row after its first lengths[b] steps: its state is carried
+        through the rest unchanged. Without it every row runs all T."""
         ids = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
         vals = [self.value(n) for n in ids]
         vx, vh = vals[0], vals[1]
-        if vx.ndim != 2 or vh.ndim != 2 or vx.shape[0] != vh.shape[0]:
-            raise KernelError("gru: input and state must be (B, .) rows "
-                              "with the same B")
-        n, d = vh.shape[1], vx.shape[1]
+        if vx.ndim != 3 or vh.ndim != 2 or vx.shape[1] != vh.shape[0] or \
+                vx.shape[0] == 0:
+            raise KernelError("gru: need (T, B, .) input steps with T >= 1 "
+                              "and (B, .) state rows with the same B")
+        t_len, b, d = vx.shape
+        n = vh.shape[1]
         if any(v.shape != want for v, want in
                zip(vals[2:], ((n, d), (n, n), (n,)) * 3)):
             raise KernelError("gru: weight shapes do not match the input "
                               "and state dims")
         keep = None
-        if active is not None:
-            active = np.asarray(active)
-            if active.dtype != bool or active.shape != vx.shape[:1]:
-                raise KernelError("gru: active mask needs one bool per "
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            if lengths.shape != (b,) or lengths.dtype.kind not in "iu" or \
+                    b and not 1 <= lengths.min() <= lengths.max() <= t_len:
+                raise KernelError("gru: lengths need one int in [1, T] per "
                                   "batch row")
-            keep = active[:, None]
-        out, cache = _gru_forward(vx, vh, *vals[2:])
-        if keep is not None:
-            out = np.where(keep, out, vh)
-
-        def bwd(g):
-            dx, dh, *dw = _gru_backward(
-                g if keep is None else np.where(keep, g, 0.0), cache)
-            if keep is not None:
-                dh = dh + np.where(keep, 0.0, g)
-            return (dx, dh, *dw)
-
-        return self._push(out, ids, bwd, "gru")
+            if b and lengths.min() < t_len:
+                keep = (np.arange(t_len)[:, None] < lengths)[:, :, None]
+        out, cache = _gru_forward(
+            vx, vh, self._stacked((w_z, w_r, w_h)),
+            self._stacked((b_z, b_r, b_h)), self._stacked((u_z, u_r)),
+            self.value(u_h), keep)
+        return self._push(out, ids, lambda g: _gru_backward(g, cache), "gru")
 
     def mask_renorm_rows(self, r: int, mask: int) -> int:
         """Zero masked-out columns of each row and renormalize the rest.
@@ -347,8 +373,10 @@ class Tape:
         out = masked / denom
 
         def bwd(g):
-            inner = np.sum(g * masked, axis=1, keepdims=True)
-            return vm * (g / denom - inner / (denom * denom)), None
+            # vm * (g - g . out) / denom: on a row with one unmasked
+            # entry out is exactly 1.0 there, so the gradient is exactly 0
+            inner = np.sum(g * out, axis=1, keepdims=True)
+            return vm * (g - inner) / denom, None
 
         return self._push(out, (r, mask), bwd, "mask_renorm_rows")
 

@@ -8,11 +8,15 @@ per-head relation choices come from the decoder state, so editing the
 graph changes the reply with frozen parameters.
 
 Everything runs on the op tape from numkernel, training and inference
-alike, so there is exactly one implementation of the forward pass:
-training runs a whole batch as padded (B, H) rows on a recording tape,
-inference runs the same step with a batch of one on a tape that keeps
-values only. Checkpoints are a small binary format: magic, JSON header,
-raw little-endian float64 payload (see save_checkpoint).
+alike, so there is exactly one implementation of the forward pass, a
+step over (T, B) decoder inputs: one GRU node runs all T positions, then
+the heads and the walk run once over the real (turn, position) rows.
+Under teacher forcing every decoder input is the gold prefix, known up
+front, so training runs a whole padded batch, and teacher-forced
+evaluation a whole turn, as one step; greedy decoding runs the same
+step one position at a time (T=1) with a batch of one, on a tape that
+keeps values only. Checkpoints are a small binary format: magic, JSON
+header, raw little-endian float64 payload (see save_checkpoint).
 """
 
 from __future__ import annotations
@@ -243,10 +247,12 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 # Forward pass
 #
 # _Forward wraps one tape with the parameters recorded on it once; a
-# _TurnState over it holds the decoder state of a batch of turns, run
-# as (B, ...) rows. Training calls backward() on the assembled loss;
-# evaluation and decoding run the same state with one turn on a
-# non-recording tape and read node values off it.
+# _TurnState over it holds the decoder state of a batch of turns. Its
+# step takes (T, B) decoder inputs: T is the whole gold prefix for the
+# loss and teacher_force (teacher_forced), and 1 for each greedy step.
+# Training calls backward() on the assembled loss; evaluation and
+# decoding run the same state with one turn on a non-recording tape and
+# read node values off it.
 
 
 class _Forward:
@@ -294,18 +300,18 @@ def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace
 
 def _encode(fw: _Forward, rows) -> int:
     """The node of the encoder's final state, (B, hidden), for B rows of
-    input ids. Rows are right-padded to the longest; a finished row's
-    state is carried through unchanged."""
+    input ids: one lookup of every id and one GRU node over all steps,
+    read at the last step. Rows are right-padded to the longest; a
+    finished row's state is carried through unchanged."""
     ids, lengths = _padded(rows)
     if lengths.min() == 0:
         raise ModelError("encoder input is empty")
     t = fw.tape
-    h = t.leaf(np.zeros((len(rows), fw.model.hyper.hidden_dim)))
-    for i in range(ids.shape[1]):
-        active = lengths > i
-        x = t.lookup_row(fw.pn["embed"], ids[:, i])
-        h = t.gru(x, h, *fw._enc, active=None if active.all() else active)
-    return h
+    b, hidden = len(rows), fw.model.hyper.hidden_dim
+    states = t.gru(t.lookup_row(fw.pn["embed"], ids.T),
+                   t.leaf(np.zeros((b, hidden))), *fw._enc, lengths=lengths)
+    return t.gather(states, (ids.shape[1] - 1, np.arange(b)[:, None],
+                             np.arange(hidden)))
 
 
 def encode(model: QadptModel, example: Example) -> np.ndarray:
@@ -322,10 +328,10 @@ def encode(model: QadptModel, example: Example) -> np.ndarray:
 class _TurnState:
     """Decoder state of a batch of turns over a shared _Forward.
 
-    Every op runs on B rows at once. Decoder inputs are right-padded to
-    the longest turn; rows past their turn's end are computed but never
-    read. `encoded`, the (B, hidden) encoder states of the turns, is
-    recorded as a leaf instead of running the encoder.
+    `encoded`, the (B, hidden) encoder states of the turns, is recorded
+    as a leaf instead of running the encoder. Decoder inputs and targets
+    are kept right-padded to the longest turn, with the real target
+    positions as (turn, pos) index arrays, turn by turn.
     """
 
     def __init__(self, fw: _Forward, examples: Sequence[Example],
@@ -336,23 +342,43 @@ class _TurnState:
         model = fw.model
         self.hyper = model.hyper
         self.vocab = model.vocab
-        t = fw.tape
-        self.dec_in, self.lengths = _padded([ex.dec_in_ids for ex in examples])
+        self.dec_in, lengths = _padded([ex.dec_in_ids for ex in examples])
         self.targets, _ = _padded([ex.target_ids for ex in examples])
-        if model.kind == "qadpt":
-            adjs = [ex.adj for ex in examples]
-            self.adj = _block_adjacency(adjs, self.vocab.n_entities)
-            self.mask = t.leaf(np.concatenate([a.active for a in adjs]))
-            s = np.concatenate([ex.source_vec for ex in examples])
-            self.s = t.leaf(s)
-            self.s_total = float(s.sum())
+        self.turn, self.pos = np.nonzero(np.arange(self.dec_in.shape[1]) <
+                                         lengths[:, None])
+        self.adjs = [ex.adj for ex in examples]
+        self.masks = np.stack([a.active for a in self.adjs])
+        self.sources = np.stack([ex.source_vec for ex in examples])
+        self._walk_key = self._walk = None
         if encoded is None:
             self.h = _encode(fw, [ex.enc_ids for ex in examples])
         else:
-            self.h = t.leaf(encoded)
+            self.h = fw.tape.leaf(encoded)
 
-    def step(self, prev_ids: np.ndarray) -> tuple:
-        """One decoder step of every row from its previous token id.
+    def _walk_rows(self, turn: np.ndarray) -> tuple:
+        """The walk's inputs over the rows a step reads, row i belonging
+        to turn turn[i]: the relation mask and source vector as leaves,
+        the source mass, and one block adjacency. Kept for the next step
+        that reads the same turns (every greedy step does)."""
+        key = turn.tobytes()
+        if key != self._walk_key:
+            t = self.fw.tape
+            mask = self.masks[turn].reshape(-1, self.masks.shape[2])
+            s = self.sources[turn].reshape(-1)
+            self._walk = (t.leaf(mask), t.leaf(s), float(s.sum()),
+                          _block_adjacency([self.adjs[i] for i in turn],
+                                           self.vocab.n_entities))
+            self._walk_key = key
+        return self._walk
+
+    def step(self, ids: np.ndarray) -> tuple:
+        """Decoder positions 0..T-1 of every turn from their input ids, a
+        (T, B) array. One GRU node runs every position; the heads and the
+        walk then run once over the rows read, each row with its turn's
+        mask, source vector and graph. A one-position step (T=1, greedy
+        decoding) reads every turn's state, in turn order, and moves the
+        state on to it. A longer step is the teacher-forced pass over the
+        padded gold prefix: it reads the real target positions.
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
@@ -363,38 +389,50 @@ class _TurnState:
         t = self.fw.tape
         pn = self.fw.pn
         vocab = self.vocab
-        x = t.lookup_row(pn["embed"], prev_ids)
-        self.h = t.gru(x, self.h, *self.fw._dec)
+        t_len, b = ids.shape
+        states = t.gru(t.lookup_row(pn["embed"], ids), self.h, *self.fw._dec)
+        if t_len == 1:
+            h = self.h = t.reshape(states, (b, -1))
+            turn = np.arange(b)
+        else:
+            turn = self.turn
+            h = t.gather(states, (self.pos[:, None], turn[:, None],
+                                  np.arange(self.hyper.hidden_dim)))
         if self.fw.model.kind == "seq2seq":
-            probs = t.softmax(t.linear(pn["out_w"], self.h, pn["out_b"]))
+            probs = t.softmax(t.linear(pn["out_w"], h, pn["out_b"]))
             o = t.mix_output(probs, vocab.seq2seq_output_ids, vocab.size)
             return o, probs, None, None
-        g = t.softmax(t.linear(pn["phi_w"], self.h, pn["phi_b"]))
+        mask, s, s_total, adj = self._walk_rows(turn)
+        g = t.softmax(t.linear(pn["phi_w"], h, pn["phi_b"]))
         n_rel = len(vocab.relations) + 1
-        theta = t.linear(pn["theta_w"], self.h, pn["theta_b"])
+        theta = t.linear(pn["theta_w"], h, pn["theta_b"])
         r = t.row_softmax(t.reshape(theta, (-1, n_rel)))
-        rhat = t.mask_renorm_rows(r, self.mask)
-        k = self.s
-        if self.s_total > 0.0:
-            k = t.kg_hop(k, rhat, self.adj, self.hyper.n_hops)
+        rhat = t.mask_renorm_rows(r, mask)
+        k = s
+        if s_total > 0.0:
+            k = t.kg_hop(k, rhat, adj, self.hyper.n_hops)
         o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k)
         return o, g, k, rhat
 
-    def unreachable(self, pos: int, nodes: tuple) -> np.ndarray:
-        """Per row, whether its target at `pos` is an entity the walk
-        result gives no mass."""
+    def teacher_forced(self) -> tuple:
+        """The whole gold-prefix pass as one step(): the step nodes over
+        every real target position (turn by turn), each row's gold id,
+        and per row whether that id is an entity the walk result gives no
+        mass."""
+        nodes = self.step(self.dec_in.T)
+        y = self.targets[self.turn, self.pos]
         if self.fw.model.kind == "seq2seq":
-            return np.zeros(len(self.lengths), dtype=bool)
+            return nodes, y, np.zeros(len(y), dtype=bool)
         base = self.vocab.entity_base
-        y = self.targets[:, pos]
-        entity = (pos < self.lengths) & (y >= base)
+        entity = y >= base
         k = self.fw.tape.value(nodes[2]).reshape(len(y), -1)
         kpos = k[np.arange(len(y)), np.where(entity, y - base, 0)]
-        return entity & (kpos <= 0.0)
+        return nodes, y, entity & (kpos <= 0.0)
 
     def decoder_step(self, prev_id: int) -> DecoderStep:
-        """The DecoderStep record of step() on a one-turn state."""
-        nodes = self.step(np.array([prev_id]))
+        """The DecoderStep record of a one-position step() on a one-turn
+        state."""
+        nodes = self.step(np.array([[prev_id]]))
         t = self.fw.tape
         combined = t.value(nodes[0])[0].copy()
         g = t.value(nodes[1])[0]
@@ -409,33 +447,20 @@ class _TurnState:
             path_matrix=t.value(nodes[3]).copy())
 
 
-def _target_steps(state: _TurnState):
-    """Walk the batch's targets with the gold prefix as decoder input,
-    yielding per position the step nodes and which rows hold an
-    unreachable entity target there."""
-    for pos in range(state.dec_in.shape[1]):
-        nodes = state.step(state.dec_in[:, pos])
-        yield nodes, state.unreachable(pos, nodes)
-
-
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     """(tape, loss node, token count, unreachable count) for one batch.
 
     The loss is the mean over target tokens of -log o_t(y_t), each
-    probability floored at PROB_FLOOR. The batch runs as one padded forward
-    pass; only real target positions enter the loss.
+    probability floored at PROB_FLOOR. The batch runs as one teacher-forced
+    pass over padded turns; only real target positions reach the heads
+    and the loss.
     """
     state = _TurnState(_Forward(model), examples)
     t = state.fw.tape
-    outputs = []
-    unreachable = 0
-    for nodes, unreach in _target_steps(state):
-        outputs.append(nodes[0])
-        unreachable += int(unreach.sum())
-    rows, pos = np.nonzero(np.arange(len(outputs)) < state.lengths[:, None])
-    gold = t.gather(t.stack(outputs), (pos, rows, state.targets[rows, pos]))
+    nodes, y, unreachable = state.teacher_forced()
+    gold = t.gather(nodes[0], (np.arange(len(y)), y))
     loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
-    return t, loss, len(rows), unreachable
+    return t, loss, len(y), int(unreachable.sum())
 
 
 def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
@@ -478,19 +503,13 @@ def teacher_force(model: QadptModel, example: Example,
     argmax, with the gold prefix as decoder input. `encoded` is the
     turn's encode() vector, when the caller already has it."""
     state = _one_state(model, example, encoded)
-    probs = []
-    argmax = []
-    unreachable = 0
-    for (nodes, unreach), target in zip(_target_steps(state),
-                                        example.target_ids):
-        o = state.fw.tape.value(nodes[0])[0]
-        probs.append(float(o[target]))
-        argmax.append(int(np.argmax(o)))
-        unreachable += int(unreach[0])
+    nodes, y, unreachable = state.teacher_forced()
+    o = state.fw.tape.value(nodes[0])
     return TeacherResult(turn_id=example.turn_id,
                          target_ids=example.target_ids,
-                         gold_probs=tuple(probs), argmax_ids=tuple(argmax),
-                         unreachable=unreachable)
+                         gold_probs=tuple(o[np.arange(len(y)), y].tolist()),
+                         argmax_ids=tuple(o.argmax(axis=1).tolist()),
+                         unreachable=int(unreachable.sum()))
 
 
 @dataclass

@@ -400,13 +400,28 @@ def _keep_only_bleu2(blob):
     blob["metrics"] = {"bleu2": blob["metrics"]["bleu2"]}
 
 
+def _retype(keys, convert):
+    """Store one metric as another JSON type that compares equal in
+    Python: an int count as a bool or a float."""
+    def edit(blob):
+        parent = blob["metrics"]
+        for key in keys[:-1]:
+            parent = parent[key]
+        value = parent[keys[-1]]
+        assert type(value) is int and convert(value) == value
+        parent[keys[-1]] = convert(value)
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _scale("ppl", 1.0 + 1e-12), _scale("bleu2", 2.0),
     lambda blob: blob["metrics"]["distinct"].pop("3"),
     lambda blob: blob["metrics"]["generated_kw"].__setitem__("p_num", 99),
     _halve_first_gold_prob, _keep_only_bleu2,
+    _retype(("unreachable_targets",), bool),
+    _retype(("kw_generic", "fn"), float),
 ], ids=("ppl", "bleu2", "distinct_3", "generated_kw_count", "gold_prob",
-        "filtered"))
+        "filtered", "unreachable_as_bool", "count_as_float"))
 def test_report_whose_metrics_the_turns_do_not_give_is_refused(tmp_path,
                                                               edit):
     model, exs = _tiny_model_and_examples()

@@ -100,13 +100,11 @@ def gru_params(r, input_dim, hidden_dim, scale=0.5):
 
 def tape_gru(params, xs, h0):
     """Final state of a GRU run over the vectors xs from the vector h0,
-    recorded on a fresh tape as (1, .) rows."""
+    recorded on a fresh tape as one node over (T, 1, .) steps."""
     t = nk.Tape()
     weights = [t.leaf(params[f]) for f in GRU_FIELDS]
-    h = t.leaf([h0])
-    for x in xs:
-        h = t.gru(t.leaf([x]), h, *weights)
-    return t.value(h)[0]
+    x = t.leaf(np.reshape(xs, (len(xs), 1, -1)))
+    return t.value(t.gru(x, t.leaf([h0]), *weights))[-1, 0]
 
 
 def test_gru_zero_params_zero_state_fixed_point():
@@ -168,39 +166,106 @@ def test_tape_gru_rejects_bad_dims():
         p = {**gru_params(rng(), 3, 4), field: np.zeros(shape)}
         with pytest.raises(nk.KernelError, match="gru"):
             tape_gru(p, [np.zeros(3)], np.zeros(4))
-    # batches: rows must agree, and an active mask needs one bool per row
     t = nk.Tape()
     weights = [t.leaf(v) for v in gru_params(rng(), 3, 4).values()]
-    with pytest.raises(nk.KernelError, match="gru"):
-        t.gru(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 4))), *weights)
-    x, h = t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 4)))
-    for active in (np.ones(3, bool), np.ones((2, 1), bool), np.ones(2)):
+    h = t.leaf(np.zeros((2, 4)))
+    # steps of rows: the input's B must be the state's, and T >= 1; a
+    # (B, d) input or a vector state is not steps of rows
+    for x_shape, h_node in (((5, 3, 3), h), ((0, 2, 3), h), ((2, 3), h),
+                            ((1, 4, 3), t.leaf(np.zeros(4)))):
         with pytest.raises(nk.KernelError, match="gru"):
-            t.gru(x, h, *weights, active=active)
-    # a vector input and state are not rows
-    with pytest.raises(nk.KernelError, match="gru"):
-        t.gru(t.leaf(np.zeros(3)), t.leaf(np.zeros(4)), *weights)
+            t.gru(t.leaf(np.zeros(x_shape)), h_node, *weights)
+    # lengths: one int in [1, T] per batch row
+    x = t.leaf(np.zeros((3, 2, 3)))
+    for lengths in (np.array([3]), np.array([[3], [1]]), np.array([3.0, 1.0]),
+                    np.array([0, 2]), np.array([4, 1]), np.array([True, True]),
+                    np.array([-1, 3])):
+        with pytest.raises(nk.KernelError, match="gru: lengths"):
+            t.gru(x, h, *weights, lengths=lengths)
+    before = len(t)
+    t.gru(x, h, *weights, lengths=np.array([3, 1]))
+    assert len(t) == before + 1
+
+
+def ragged_gru_case(seed, t_len=5, b=4, d=3, n=4):
+    """Inputs of a ragged GRU run: params, (T, B, d) steps, a (B, n)
+    start state, lengths holding 1 and T, and a loss weight per state."""
+    r = rng(seed)
+    lengths = np.concatenate([[1, t_len], r.integers(1, t_len + 1, b - 2)])
+    return (gru_params(r, d, n), r.normal(size=(t_len, b, d)),
+            r.normal(size=(b, n)), r.permutation(lengths),
+            r.normal(size=(t_len, b, n)))
+
+
+def one_node_gru(params, xs, h0, lengths, c):
+    """The ragged run as one Tape.gru node: its states and the gradients
+    of sum(c * states) for x, h0 and the nine weights, in that order."""
+    t = nk.Tape()
+    weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+    x, h = t.leaf(xs), t.leaf(h0)
+    states = t.gru(x, h, *weights, lengths=lengths)
+    grads = t.backward(dot(t, t.leaf(c), states))
+    return t.value(states), [grads[x], grads[h], *(grads[w] for w in weights)]
+
+
+def chained_gru(params, xs, h0, lengths, c):
+    """The same run as T=1 nodes chained row by row, each row only over
+    its own steps: a finished row's later states are its last state.
+    Gradients are summed over one backward pass per (step, row) term."""
+    t_len, b, _ = xs.shape
+    states = np.empty(c.shape)
+    grads = [np.zeros_like(xs), np.zeros_like(h0),
+             *(np.zeros_like(params[f]) for f in GRU_FIELDS)]
+    for row in range(b):
+        t = nk.Tape()
+        weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+        h0_node = t.leaf(h0[row:row + 1])
+        x_nodes, h, outs = [], h0_node, []
+        for step in range(lengths[row]):
+            x_nodes.append(t.leaf(xs[step:step + 1, row:row + 1]))
+            h = t.reshape(t.gru(x_nodes[-1], h, *weights), (1, -1))
+            outs.append(h)
+        outs += [h] * (t_len - lengths[row])
+        for step, node in enumerate(outs):
+            states[step, row] = t.value(node)[0]
+            g = t.backward(dot(t, t.leaf(c[step, row]), node))
+            for i, xn in enumerate(x_nodes):
+                grads[0][i, row] += g[xn][0, 0]
+            grads[1][row] += g[h0_node][0]
+            for acc, w in zip(grads[2:], weights):
+                acc += g[w]
+    return states, grads
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gru_node_matches_chained_one_step_nodes(seed):
+    """One T-step node over ragged rows against T=1 nodes chained per
+    row: states and all 11 gradients within 1e-12."""
+    case = ragged_gru_case(seed)
+    got_states, got = one_node_gru(*case)
+    want_states, want = chained_gru(*case)
+    np.testing.assert_allclose(got_states, want_states, rtol=0, atol=1e-12)
+    assert len(got) == len(want) == 11
+    for name, a, b in zip(("x", "h0", *GRU_FIELDS), got, want):
+        assert a.shape == b.shape, name
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_batched_gru_rows_match_vector_steps():
-    """Each row of a batched step is that row's one-row step; a row the
-    active mask leaves out keeps its state, and its gradient passes
-    straight through to the old state."""
-    r = rng(4)
-    p = gru_params(r, 3, 4)
-    xs, hs = r.normal(size=(3, 3)), r.normal(size=(3, 4))
-    active = np.array([True, False, True])
-    t = nk.Tape()
-    weights = [t.leaf(p[f]) for f in GRU_FIELDS]
-    x, h = t.leaf(xs), t.leaf(hs)
-    out = t.gru(x, h, *weights, active=active)
-    got = t.value(out)
-    for i in range(3):
-        want = tape_gru(p, [xs[i]], hs[i]) if active[i] else hs[i]
-        np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=1e-15)
-    grads = t.backward(total(t, out))
-    np.testing.assert_array_equal(grads[h][1], np.ones(4))
-    np.testing.assert_array_equal(grads[x][1], np.zeros(3))
+    """Each row of a ragged batched run is that row's one-row run over
+    its own steps; past its length a row keeps its last state, and no
+    gradient reaches its inputs there."""
+    params, xs, h0, lengths, c = ragged_gru_case(7)
+    states, grads = one_node_gru(params, xs, h0, lengths, c)
+    for row, n in enumerate(lengths):
+        for k in range(1, n + 1):
+            np.testing.assert_allclose(
+                states[k - 1, row], tape_gru(params, xs[:k, row], h0[row]),
+                rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(states[n:, row],
+                                      np.broadcast_to(states[n - 1, row],
+                                                      states[n:, row].shape))
+        np.testing.assert_array_equal(grads[0][n:, row], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +365,19 @@ def test_log_floor_zero_gradient_below_floor():
 
 
 def _composed_loss(params):
-    """A loss touching every op class the models use, on (1, .) rows:
-    embedding lookup, a 3-step GRU chain, a linear projection, softmax,
-    gather, log and mean."""
+    """A loss touching every op class the models use: a (T, B) embedding
+    lookup, a 3-step GRU over two rows of lengths 3 and 1, the states
+    read at every real step and at one carried step, a linear
+    projection, softmax, gather, log and mean."""
     t = nk.Tape()
     nodes = {name: t.leaf(value) for name, value in params.items()}
     gru_ids = tuple(nodes[k] for k in GRU_FIELDS)
-    h = t.scale(t.reshape(nodes["b_z"], (1, -1)), 0.0)  # zero state row
-    for row in (0, 2, 1):
-        x = t.lookup_row(nodes["embed"], np.array([row]))
-        h = t.gru(x, h, *gru_ids)
+    x = t.lookup_row(nodes["embed"], np.array([[0, 2], [2, 1], [1, 0]]))
+    states = t.gru(x, nodes["h0"], *gru_ids, lengths=np.array([3, 1]))
+    pos, row = np.array([0, 1, 2, 0, 2]), np.array([0, 0, 0, 1, 1])
+    h = t.gather(states, (pos[:, None], row[:, None], np.arange(4)))
     probs = t.softmax(t.linear(nodes["proj"], h, nodes["proj_b"]))
-    gold = t.gather(probs, (np.array([0]), np.array([1])))
+    gold = t.gather(probs, (np.arange(5), np.array([1, 0, 4, 2, 1])))
     loss = t.scale(t.mean(t.log_floor(gold)), -1.0)
     return t, loss, nodes
 
@@ -321,6 +387,7 @@ def test_backward_matches_finite_differences(seed):
     r = rng(seed)
     params = {
         "embed": nk.init_uniform(r, (3, 2), 0.5),
+        "h0": nk.init_uniform(r, (2, 4), 0.5),
         "w_z": nk.init_uniform(r, (4, 2), 0.5), "u_z": nk.init_uniform(r, (4, 4), 0.5),
         "b_z": nk.init_uniform(r, (4,), 0.5),
         "w_r": nk.init_uniform(r, (4, 2), 0.5), "u_r": nk.init_uniform(r, (4, 4), 0.5),
@@ -355,6 +422,33 @@ def test_mask_renorm_rows_single_survivor_is_exactly_one():
     assert out[0, 2] == 1.0  # x / x, bit-exact
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_mask_renorm_rows_single_survivor_row_has_exactly_zero_gradient(seed):
+    """A row that keeps one relation is constant (that entry is 1.0), so
+    its exact gradient is zero, whatever the upstream gradient; rows
+    with two or more survivors get the analytic gradient."""
+    r = rng(seed)
+    rows, m = 2000, 4
+    mask = (r.random((rows, m)) < 0.4).astype(float)
+    mask[np.arange(rows), r.integers(m, size=rows)] = 1.0
+    probs = r.random((rows, m)) + 1e-3
+    probs /= probs.sum(axis=1, keepdims=True)
+    c = r.normal(size=(rows, m))
+    t = nk.Tape()
+    rn = t.leaf(probs)
+    out = t.mask_renorm_rows(rn, t.leaf(mask))
+    grad = t.backward(dot(t, t.leaf(c), out))[rn]
+    single = mask.sum(axis=1) == 1
+    assert 200 < single.sum() < rows
+    assert np.count_nonzero(grad[single]) == 0
+    masked = probs * mask
+    denom = masked.sum(axis=1, keepdims=True)
+    want = mask * (c / denom - np.sum(c * masked, axis=1, keepdims=True)
+                   / denom ** 2)
+    np.testing.assert_allclose(grad[~single], want[~single], rtol=1e-12,
+                               atol=1e-13)
+
+
 def test_mask_renorm_rows_rejects_empty_row():
     t = nk.Tape()
     r = t.leaf([[0.5, 0.5]])
@@ -372,7 +466,7 @@ def op_calls(r, scale=1.0):
     list of (operand arrays, call(tape, *operand nodes)). Where an op
     has an optional operand, each form is a call."""
     n, d, b = 4, 3, 2
-    rows, rows2 = scale * r.normal(size=(b, n)), scale * r.normal(size=(b, n))
+    rows = scale * r.normal(size=(b, n))
     mat = scale * r.normal(size=(d, n))
     pos = r.random(n) + 0.05
     mask = (r.random((n, d)) < 0.6).astype(float)
@@ -391,17 +485,20 @@ def op_calls(r, scale=1.0):
                     lambda t, w, x, c: t.linear(w, x, c))],
         "softmax": [((rows,), lambda t, a: t.softmax(a))],
         "row_softmax": [((mat,), lambda t, a: t.row_softmax(a))],
-        "lookup_row": [((mat,), lambda t, a: t.lookup_row(a, np.array([2, 0, 2])))],
+        "lookup_row": [((mat,), lambda t, a: t.lookup_row(a, np.array([2, 0, 2]))),
+                       ((mat,), lambda t, a: t.lookup_row(
+                           a, np.array([[2, 0], [1, 1]])))],
         "reshape": [((mat,), lambda t, a: t.reshape(a, (-1,)))],
         "gather": [((mat,), lambda t, a: t.gather(a, (np.array([0, 2]),
-                                                       np.array([3, 1]))))],
-        "stack": [((rows, rows2), lambda t, a, c: t.stack([a, c, a]))],
+                                                       np.array([3, 1])))),
+                   ((mat,), lambda t, a: t.gather(a, (np.array([[2], [0]]),
+                                                      np.arange(n))))],
         "log_floor": [((pos - 0.3,), lambda t, a: t.log_floor(a, 0.1))],
         "mean": [((mat,), lambda t, a: t.mean(a))],
-        "gru": [((scale * r.normal(size=(b, d)), rows, *gru),
+        "gru": [((scale * r.normal(size=(3, b, d)), rows, *gru),
                  lambda t, *nodes: t.gru(*nodes)),
-                ((scale * r.normal(size=(b, d)), rows, *gru),
-                 lambda t, *nodes: t.gru(*nodes, active=np.array([True, False])))],
+                ((scale * r.normal(size=(3, b, d)), rows, *gru),
+                 lambda t, *nodes: t.gru(*nodes, lengths=np.array([3, 1])))],
         "mask_renorm_rows": [((r.random((n, d)) + 0.05, mask),
                               lambda t, a, c: t.mask_renorm_rows(a, c))],
         "kg_hop": [((pos, r.random((n, d))),
@@ -495,7 +592,7 @@ def test_tape_rejects_foreign_and_out_of_range_nodes(record):
     with pytest.raises(nk.KernelError, match="not recorded"):
         t.linear(a, 3, a)    # an id only a longer tape has
     with pytest.raises(nk.KernelError, match="not recorded"):
-        t.stack([a, -1])
+        t.mask_renorm_rows(a, -1)
     assert len(t) == 1
 
 

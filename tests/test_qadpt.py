@@ -407,9 +407,13 @@ def test_teacher_force_reads_the_decoder_step_output(kind):
         ex = make_example(turn(msg, resp), random_subgraph(v, rng, 5), v)
         tf = teacher_force(model, ex)
         steps = decoder_steps(model, ex, ex.dec_in_ids)
+        assert len(tf.gold_probs) == len(steps) == len(ex.target_ids)
         for i, (step, target) in enumerate(zip(steps, ex.target_ids)):
+            # one pass over all positions against one step per position:
+            # the same arithmetic, summed in another order
             assert tf.argmax_ids[i] == int(np.argmax(step.combined))
-            assert tf.gold_probs[i] == step.combined[target]
+            assert tf.gold_probs[i] == pytest.approx(step.combined[target],
+                                                     rel=0, abs=1e-12)
 
 
 def test_loss_uniform_seq2seq_is_log_vocab():
@@ -747,18 +751,47 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
 @pytest.mark.parametrize("n_hops", [1, 6])
 @pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
 def test_decoder_step_node_counts(record, n_hops):
-    """A qadpt step records 10 tape nodes whatever the hop count (the
-    walk is one kg_hop node); a seq2seq step records 5."""
+    """A one-position (T=1) qadpt step records 11 tape nodes whatever the
+    hop count (the walk is one kg_hop node), and the first step 2 more:
+    the walk's mask and source leaves, which later steps reuse. A seq2seq
+    step records 6."""
     v = toy_vocab()
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     assert ex.source_vec.sum() > 0
-    for kind, want in (("qadpt", 10), ("seq2seq", 5)):
+    for kind, want in (("qadpt", (13, 11, 11)), ("seq2seq", (6, 6, 6))):
         fw = qadpt._Forward(model_for(v, kind=kind, n_hops=n_hops), record)
         state = qadpt._TurnState(fw, [ex])
-        for prev in (BOS_ID, v.token_to_id("b")):
+        got = []
+        for prev in (BOS_ID, v.token_to_id("b"), v.token_to_id("yes")):
             before = len(fw.tape)
-            state.step(np.array([prev]))
-            assert len(fw.tape) - before == want, kind
+            state.step(np.array([[prev]]))
+            got.append(len(fw.tape) - before)
+        assert tuple(got) == want, kind
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_teacher_forced_pass_node_count_ignores_target_length(kind, record):
+    """A teacher-forced pass records one node per op whatever the length
+    of the target, for one turn and for a ragged batch; batch_loss adds
+    its 4 loss nodes."""
+    v = toy_vocab()
+    model = model_for(v, kind=kind)
+    counts = set()
+    for n_words in (0, 1, 4, 9):
+        resp = " ".join(["yes b"] * n_words)
+        exs = [example_for(v, "a lives", resp, [Triple("a", "q", "b")]),
+               example_for(v, "in b c a", "c", [Triple("b", "r", "c")])]
+        for batch in (exs[:1], exs):
+            fw = qadpt._Forward(model, record)
+            before = len(fw.tape)
+            qadpt._TurnState(fw, batch).teacher_forced()
+            counts.add(len(fw.tape) - before)
+            if record:
+                tape, _, n_tok, _ = batch_loss(model, batch)
+                assert n_tok == sum(len(ex.target_ids) for ex in batch)
+                counts.add(len(tape) - len(model.params) - 4)
+    assert counts == {17 if kind == "qadpt" else 10}
 
 
 # ---------------------------------------------------------------------------

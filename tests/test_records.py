@@ -155,4 +155,6 @@ def test_type_swapped_file_loads_the_same_record_or_is_refused(written, name,
         return
     finally:
         path.write_text(text, encoding="utf-8")
+    # equal, and written back as the same JSON: false is not 0
     assert got == want
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
