@@ -671,15 +671,20 @@ _SUBGRAPH_PREFIX = '{"turn_id": "'
 
 class SubgraphRows(Mapping):
     """Read-only turn id -> KnowledgeGraph over the rows of
-    subgraphs.jsonl. A row is parsed and its graph built on first read;
-    the graph is kept and the row text dropped. A malformed row raises
-    DataError naming its line, in whichever command first reads it."""
+    subgraphs.jsonl. A row is parsed, checked against the bundle's graph
+    and its graph built on first read; the graph is kept and the row
+    text dropped. A malformed row raises DataError naming its line, in
+    whichever command first reads it."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_triples", "_entities")
 
-    def __init__(self, rows: dict):
+    def __init__(self, rows: dict, graph: KnowledgeGraph,
+                 entities: frozenset):
         # turn id -> (line number, row text) until read, then its graph
         self._entries = rows
+        # each triple of the bundle graph, found by its fields
+        self._triples = {t: t for t in graph.triples}
+        self._entities = entities
 
     def __getitem__(self, turn_id: str) -> KnowledgeGraph:
         entry = self._entries[turn_id]
@@ -688,7 +693,8 @@ class SubgraphRows(Mapping):
         lineno, row = entry
         try:
             # a row that parses is an object: it starts with the prefix
-            graph = _subgraph_row(json.loads(row), turn_id)
+            graph = _subgraph_row(json.loads(row), turn_id, self._triples,
+                                  self._entities)
         except _PARSE_ERRORS as exc:
             raise DataError(f"subgraphs.jsonl: line {lineno}: "
                             f"{_parse_failure(exc)}") from None
@@ -705,15 +711,50 @@ class SubgraphRows(Mapping):
         return len(self._entries)
 
 
-def _subgraph_row(obj: dict, turn_id: str) -> KnowledgeGraph:
+def _subgraph_row(obj: dict, turn_id: str, stored: dict,
+                  entities: frozenset) -> KnowledgeGraph:
+    """A row's graph. Each triple is a list of three non-empty strings
+    naming a triple of the bundle graph (`stored` maps each to itself,
+    so a lookup both checks a row's triple and finds the stored one),
+    and each entity is one of `entities`."""
     if obj["turn_id"] != turn_id:
         raise DataError(f"turn_id {obj['turn_id']!r} is not the indexed "
                         f"{turn_id!r}")
-    return KnowledgeGraph(obj["triples"],
-                          extra_entities=obj.get("entities", ()))
+    values = obj["triples"]
+    if type(values) is not list:
+        raise TypeError("'triples' is not a list")
+    try:
+        triples = [stored[tuple(v)] for v in values if type(v) is list]
+    except (KeyError, TypeError):   # an unknown triple, an unhashable field
+        triples = []
+    if len(triples) != len(values):
+        raise _bad_triple(values, stored)
+    names = obj.get("entities", [])
+    if type(names) is not list or not all(type(e) is str for e in names):
+        raise TypeError("'entities' is not a list of strings")
+    unknown = set(names) - entities
+    if unknown:
+        raise DataError(f"entity {min(unknown)!r} is not in the bundle's "
+                        "graph")
+    return KnowledgeGraph(triples, extra_entities=names)
 
 
-def _index_subgraph_rows(path: Path) -> SubgraphRows:
+def _bad_triple(values: list, stored: dict) -> Exception:
+    """The error naming the first of a row's triples that is not a list
+    of three non-empty strings, or not in the bundle graph."""
+    for value in values:
+        shown = json.dumps(value, ensure_ascii=False)
+        if not (type(value) is list and len(value) == 3
+                and all(type(f) is str and f for f in value)):
+            return TypeError(f"'triples' holds {shown}, not a list of three "
+                             "non-empty strings")
+        if tuple(value) not in stored:
+            return DataError(f"triple {shown} is not in graph.tsv")
+    raise AssertionError("every triple of the row is known")
+
+
+def _index_subgraph_rows(path: Path, graph: KnowledgeGraph,
+                         entities: frozenset) -> SubgraphRows:
     rows: dict = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -733,7 +774,7 @@ def _index_subgraph_rows(path: Path) -> SubgraphRows:
                                 f"turn_id {turn_id!r}, first on line "
                                 f"{rows[turn_id][0]}")
             rows[turn_id] = (lineno, line)
-    return SubgraphRows(rows)
+    return SubgraphRows(rows, graph, entities)
 
 
 def load_bundle(in_dir) -> Bundle:
@@ -741,12 +782,15 @@ def load_bundle(in_dir) -> Bundle:
     parsed and type-checked here except the subgraph rows: those are
     indexed by turn id, and each turn's graph is built when it is first
     read (see `SubgraphRows`). A turn without a subgraph row, or two
-    rows for one turn, fail here."""
+    rows for one turn, fail here. A row may name the entities of
+    graph.tsv and of vocab.json, which also holds the entities that
+    have no triple."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv")
-    subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl")
+    subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph,
+                                     graph.entities | vocab.entity_set)
     for t in turns:
         if t.turn_id not in subgraphs:
             raise DataError(f"subgraphs.jsonl: no row for turn {t.turn_id!r}")

@@ -8,6 +8,13 @@ the normalized adjacency tensor that the reasoning decoder walks, and
 the three graph perturbation protocols used to probe whether a trained
 model actually reads its graph.
 
+The path searches run on integers: each graph keeps one traversal
+index, its entities numbered as nodes and its arcs numbered by rank in
+key order, and paths become triples only when they are returned. A
+graph built from triples of a graph already checked (a turn's sampled
+subgraph) is not checked again; `KnowledgeGraph` itself checks its
+triples by column, on the distinct names.
+
 Everything here is deterministic: collections are processed in sorted
 order and ties are broken lexicographically by (relation, entity).
 """
@@ -16,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -38,41 +44,48 @@ class Triple(NamedTuple):
     tail: str
 
 
-class _Arc(NamedTuple):
-    """One traversal step. Stored triples are walkable in both directions
-    for path sampling; flag 0 follows the stored orientation, flag 1
-    goes against it. The reported path always carries the stored triple."""
-    relation: str
-    neighbor: str
-    flag: int
-    triple: Triple
-
-
 class KnowledgeGraph:
     """Immutable set of triples plus the entity/relation vocabularies
     they induce. `extra_entities` keeps nodes that currently have no
     edges (isolated sources, entities orphaned by a perturbation).
-    The traversal adjacency the path searches walk is built on first use
+    The traversal index the path searches walk is built on first use
     and kept with the graph; an edit makes a new graph, never a stale
-    adjacency."""
+    index."""
 
     __slots__ = ("triples", "entities", "relations", "_traversal")
 
     def __init__(self, triples: Iterable[Triple] = (),
                  extra_entities: Iterable[str] = (),
                  extra_relations: Iterable[str] = ()):
-        ts = frozenset(Triple(*t) for t in triples)
-        for t in ts:
-            if t.relation == SELF_LOOP:
-                raise GraphError(f"{SELF_LOOP} is reserved and cannot be stored: {t}")
-            if not t.head or not t.relation or not t.tail:
-                raise GraphError(f"triple with empty field: {t}")
-        object.__setattr__(self, "triples", ts)
-        object.__setattr__(self, "entities",
-                           frozenset(e for t in ts for e in (t.head, t.tail))
-                           | frozenset(extra_entities))
-        object.__setattr__(self, "relations",
-                           frozenset(t.relation for t in ts) | frozenset(extra_relations))
+        ts = frozenset(t if type(t) is Triple else Triple(*t) for t in triples)
+        heads, relations, tails = _columns(ts)
+        relations = frozenset(relations)
+        entities = frozenset(heads).union(tails)
+        # checked by column, on the distinct names; the per-triple loop
+        # runs only to name the offending triple
+        if SELF_LOOP in relations or not _all_names(relations) \
+                or not _all_names(entities):
+            raise _malformed(ts)
+        self._set(ts, entities.union(extra_entities),
+                  relations.union(extra_relations))
+
+    @classmethod
+    def _trusted(cls, triples: frozenset,
+                 extra_entities: frozenset = frozenset()) -> KnowledgeGraph:
+        """The graph of `triples`, stored `Triple`s of a validated graph,
+        with nothing re-wrapped or re-checked: it equals (and hashes as)
+        `KnowledgeGraph(triples, extra_entities)`."""
+        heads, relations, tails = _columns(triples)
+        graph = object.__new__(cls)
+        graph._set(triples, frozenset(heads).union(tails, extra_entities),
+                   frozenset(relations))
+        return graph
+
+    def _set(self, triples: frozenset, entities: frozenset,
+             relations: frozenset) -> None:
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "entities", entities)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_traversal", None)
 
     def __setattr__(self, *_):
@@ -96,6 +109,28 @@ class KnowledgeGraph:
 
     def sorted_triples(self) -> list[Triple]:
         return sorted(self.triples)
+
+
+def _columns(triples: frozenset) -> tuple:
+    """(heads, relations, tails) of a set of triples."""
+    return tuple(zip(*triples)) if triples else ((), (), ())
+
+
+def _all_names(values: frozenset) -> bool:
+    return all(isinstance(v, str) and v for v in values)
+
+
+def _malformed(triples: frozenset) -> GraphError:
+    """The error naming the first triple, in iteration order, that is
+    reserved or has an empty field; failing that, one with a field that
+    is not a string."""
+    for t in triples:
+        if t.relation == SELF_LOOP:
+            return GraphError(f"{SELF_LOOP} is reserved and cannot be stored: {t}")
+        if not t.head or not t.relation or not t.tail:
+            return GraphError(f"triple with empty field: {t}")
+    return GraphError("triple with a non-string field: "
+                      f"{next(t for t in triples if not _all_names(t))}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +171,51 @@ def save_triples_tsv(graph: KnowledgeGraph, path) -> None:
 # k shortest loopless paths
 
 
-def _traversal_adjacency(graph: KnowledgeGraph) -> dict:
-    """Node -> its arcs in (relation, neighbor, flag) order; built once
-    per graph."""
+class _Traversal(NamedTuple):
+    """A graph's traversal index: its entities as node ids and its
+    walkable arcs as ranks (see `_traversal_adjacency`)."""
+    ids: dict          # entity -> node id
+    names: tuple       # node id -> entity
+    arcs: tuple        # node id -> ((arc rank, neighbour id), ...) by rank
+    triple: tuple      # arc rank -> the stored triple the arc walks
+    target: tuple      # arc rank -> the neighbour id the arc leads to
+
+
+def _traversal_adjacency(graph: KnowledgeGraph) -> _Traversal:
+    """The index the path searches walk, built once per graph.
+
+    Stored triples are walkable in both directions: a triple (h, r, t)
+    gives the arc h -> t with flag 0 and, unless it is a self-loop, the
+    arc t -> h with flag 1; either arc reports the stored triple. An
+    arc's rank is its position in the sort of all arcs by (relation,
+    neighbour, flag, triple), so tuples of ranks compare as tuples of
+    those keys, and each node's arcs are listed in key order. The flag
+    and triple fix the node an arc leaves, so a rank names one step."""
     if graph._traversal is None:
-        adj: dict[str, list[_Arc]] = {}
+        names = tuple(sorted(graph.entities))
+        ids = {e: i for i, e in enumerate(names)}
+        keys = []
         for t in graph.triples:
-            adj.setdefault(t.head, []).append(_Arc(t.relation, t.tail, 0, t))
-            if t.tail != t.head:
-                adj.setdefault(t.tail, []).append(_Arc(t.relation, t.head, 1, t))
-        object.__setattr__(graph, "_traversal",
-                           {node: tuple(sorted(arcs)) for node, arcs in adj.items()})
+            head, tail = ids[t.head], ids[t.tail]
+            keys.append((t.relation, t.tail, 0, t, head, tail))
+            if tail != head:
+                keys.append((t.relation, t.head, 1, t, tail, head))
+        keys.sort()
+        arcs: list[list] = [[] for _ in names]
+        for rank, (*_, frm, to) in enumerate(keys):
+            arcs[frm].append((rank, to))
+        object.__setattr__(graph, "_traversal", _Traversal(
+            ids, names, tuple(map(tuple, arcs)),
+            tuple(key[3] for key in keys), tuple(key[5] for key in keys)))
     return graph._traversal
 
 
-def _best_path(adj, source, target, banned_arcs, banned_nodes):
-    """The path minimizing (length, lexicographic path key), avoiding
-    banned nodes and banned (node, arc) steps. Returns a tuple of arcs,
-    or None when target is unreachable.
+def _best_path(index: _Traversal, source: int, target: int, banned_arcs,
+               blocked: list):
+    """The path from node `source` to node `target` minimizing (length,
+    lexicographic path key), avoiding the arc ranks in `banned_arcs` and
+    the nodes marked in `blocked` (a per-node list, left unchanged).
+    Returns a tuple of arc ranks, or None when target is unreachable.
 
     Breadth-first, each node's arcs taken in key order: nodes then
     leave the queue in (length, key) order of their paths, so the first
@@ -161,35 +223,32 @@ def _best_path(adj, source, target, banned_arcs, banned_nodes):
     entered once and remembers the step that reached it."""
     if source == target:
         return ()
-    via = {source: None}
-    queue = deque((source,))
-    while queue:
-        node = queue.popleft()
-        for arc in adj.get(node, ()):
-            nxt = arc.neighbor
-            if nxt in via or nxt in banned_nodes:
+    arcs = index.arcs
+    seen = blocked.copy()
+    seen[source] = True
+    via = {}
+    queue = [source]
+    for node in queue:   # grows as nodes are entered
+        for rank, nxt in arcs[node]:
+            if seen[nxt] or rank in banned_arcs:
                 continue
-            if banned_arcs and (node, arc) in banned_arcs:
-                continue
-            via[nxt] = (node, arc)
+            seen[nxt] = True
+            via[nxt] = (node, rank)
             if nxt == target:
                 path = []
                 while nxt != source:
-                    nxt, arc = via[nxt]
-                    path.append(arc)
+                    nxt, rank = via[nxt]
+                    path.append(rank)
                 return tuple(reversed(path))
             queue.append(nxt)
     return None
 
 
-def _yen(adj, source, target, k):
+def _yen(index: _Traversal, source: int, target: int, k: int) -> list:
     """Yen (1971): the k shortest loopless source -> target paths over a
-    traversal adjacency, as arc tuples ordered by (length, key).
-
-    Arc tuples compare as their keys: two paths from one source that
-    agree on their first i arcs stand on the same node, so arcs that tie
-    on (relation, neighbor, flag) there carry the same triple too."""
-    first = _best_path(adj, source, target, frozenset(), frozenset())
+    traversal index, as tuples of arc ranks ordered by (length, key)."""
+    unblocked = [False] * len(index.names)
+    first = _best_path(index, source, target, (), unblocked)
     if first is None:
         return []
 
@@ -198,22 +257,21 @@ def _yen(adj, source, target, k):
     known = {first}
     while len(accepted) < k:
         prev = accepted[-1]
-        prev_nodes = [source] + [a.neighbor for a in prev]
-        for i in range(len(prev)):
-            spur_node = prev_nodes[i]
+        root_nodes = unblocked.copy()   # prev's nodes before the spur node
+        spur_node = source
+        for i, rank in enumerate(prev):
             root = prev[:i]
-            banned_arcs = set()
-            for path in accepted:
-                if len(path) > i and path[:i] == root:
-                    banned_arcs.add((spur_node, path[i]))
-            banned_nodes = set(prev_nodes[:i])
-            spur = _best_path(adj, spur_node, target, banned_arcs, banned_nodes)
-            if spur is None:
-                continue
-            cand = root + spur
-            if cand not in known:
-                known.add(cand)
-                heapq.heappush(candidates, (len(cand), cand))
+            banned_arcs = {path[i] for path in accepted
+                           if len(path) > i and path[:i] == root}
+            spur = _best_path(index, spur_node, target, banned_arcs,
+                              root_nodes)
+            if spur is not None:
+                cand = root + spur
+                if cand not in known:
+                    known.add(cand)
+                    heapq.heappush(candidates, (len(cand), cand))
+            root_nodes[spur_node] = True
+            spur_node = index.target[rank]
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates)[1])
@@ -234,8 +292,9 @@ def k_shortest_paths(graph: KnowledgeGraph, source: str, target: str,
     stored triples. Parallel triples between the same endpoints yield
     distinct paths. source == target yields one empty path.
 
-    The search walks the graph's traversal adjacency, which is built on
-    the first call for a graph and reused by every later one; per-turn
+    The search walks the graph's traversal index on node ids and arc
+    ranks; the index is built on the first call for a graph and reused
+    by every later one, and paths become triples only here. Per-turn
     sampling (`sample_subgraphs`) calls this once per distinct pair.
     """
     if k < 1:
@@ -243,8 +302,9 @@ def k_shortest_paths(graph: KnowledgeGraph, source: str, target: str,
     _check_entities(graph, (source, target))
     if source == target:
         return [[]]
-    return [[a.triple for a in path]
-            for path in _yen(_traversal_adjacency(graph), source, target, k)]
+    index = _traversal_adjacency(graph)
+    return [[index.triple[rank] for rank in path]
+            for path in _yen(index, index.ids[source], index.ids[target], k)]
 
 
 def shortest_path_lengths(graph: KnowledgeGraph,
@@ -252,26 +312,26 @@ def shortest_path_lengths(graph: KnowledgeGraph,
     """Hop counts for each (source, target) pair under the same
     bidirectional traversal as k_shortest_paths; unreachable pairs map
     to None. One BFS per distinct source."""
-    adj = _traversal_adjacency(graph)
+    index = _traversal_adjacency(graph)
     pairs = sorted(set(pairs))
     for pair in pairs:
         _check_entities(graph, pair)
-    by_source: dict[str, dict[str, int]] = {}
+    by_source: dict[str, list] = {}
     out = {}
     for s, t in pairs:
-        if s not in by_source:
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for arc in adj.get(node, ()):
-                        if arc.neighbor not in dist:
-                            dist[arc.neighbor] = dist[node] + 1
-                            nxt.append(arc.neighbor)
-                frontier = nxt
-            by_source[s] = dist
-        out[(s, t)] = by_source[s].get(t)
+        dist = by_source.get(s)
+        if dist is None:
+            dist = by_source[s] = [None] * len(index.names)
+            start = index.ids[s]
+            dist[start] = 0
+            queue = [start]
+            for node in queue:   # grows as nodes are reached
+                hops = dist[node] + 1
+                for _, nxt in index.arcs[node]:
+                    if dist[nxt] is None:
+                        dist[nxt] = hops
+                        queue.append(nxt)
+        out[(s, t)] = dist[index.ids[t]]
     return out
 
 
@@ -282,6 +342,8 @@ def sample_subgraph(graph: KnowledgeGraph, sources: Iterable[str],
     endpoint as an isolated node so the turn can still ground on it.
     To sample many turns over one graph, `sample_subgraphs` searches
     each distinct pair once."""
+    if k < 1:
+        raise GraphError("k must be >= 1")
     sources = sorted(set(sources))
     targets = sorted(set(targets))
     _check_entities(graph, sources + targets)
@@ -294,7 +356,7 @@ def sample_subgraph(graph: KnowledgeGraph, sources: Iterable[str],
                 continue
             for path in k_shortest_paths(graph, s, t, k):
                 triples.update(path)
-    return KnowledgeGraph(triples, extra_entities=isolated)
+    return KnowledgeGraph._trusted(frozenset(triples), frozenset(isolated))
 
 
 def sample_subgraphs(graph: KnowledgeGraph,
@@ -303,9 +365,12 @@ def sample_subgraphs(graph: KnowledgeGraph,
     """`sample_subgraph(graph, sources, targets, k)` for each
     (sources, targets) request, in order: one turn's subgraph per
     request. Yen runs once per distinct (source, target) pair, on the
-    graph's traversal adjacency built once, and the pair's triples serve
-    every request that names it. The per-pair results live only for
-    this call."""
+    graph's traversal index built once, and the pair's triples serve
+    every request that names it; a turn's graph is built from those
+    stored triples without checking them again. The per-pair results
+    live only for this call."""
+    if k < 1:
+        raise GraphError("k must be >= 1")
     by_pair: dict[tuple[str, str], KnowledgeGraph] = {}
     out = []
     for sources, targets in requests:
@@ -321,7 +386,8 @@ def sample_subgraphs(graph: KnowledgeGraph,
                     sub = by_pair[(s, t)] = sample_subgraph(graph, (s,), (t,), k)
                 triples |= sub.triples
                 entities |= sub.entities
-        out.append(KnowledgeGraph(triples, extra_entities=entities))
+        out.append(KnowledgeGraph._trusted(frozenset(triples),
+                                           frozenset(entities)))
     return out
 
 

@@ -3,13 +3,14 @@ acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The finite-difference checker, the adjacency audit view, the lexicon
-writer and the eager subgraph-row reader live here too: only the tests
-call them."""
+writer, the eager subgraph-row reader and the string-keyed path search
+live here too: only the tests call them."""
 
+import heapq
 import json
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -252,6 +253,93 @@ def infer_path_per_edge(adj, rhat, s, entity, n_hops):
         raise ModelError(f"entity {entity!r} unreachable in {n_hops} hops")
     prob, (start, steps) = dp[target]
     return prob, start, steps
+
+
+# ---------------------------------------------------------------------------
+# k shortest loopless paths over entity names and arc tuples: the search
+# kgraph ran before it moved onto node ids and arc ranks.
+
+
+class Arc(NamedTuple):
+    """One traversal step. Stored triples are walkable in both directions
+    for path sampling; flag 0 follows the stored orientation, flag 1
+    goes against it. The reported path always carries the stored triple."""
+    relation: str
+    neighbor: str
+    flag: int
+    triple: Triple
+
+
+def arc_adjacency(graph):
+    """Node -> its arcs in (relation, neighbor, flag) order."""
+    adj = {}
+    for t in graph.triples:
+        adj.setdefault(t.head, []).append(Arc(t.relation, t.tail, 0, t))
+        if t.tail != t.head:
+            adj.setdefault(t.tail, []).append(Arc(t.relation, t.head, 1, t))
+    return {node: tuple(sorted(arcs)) for node, arcs in adj.items()}
+
+
+def arc_best_path(adj, source, target, banned_arcs, banned_nodes):
+    """The path minimizing (length, lexicographic path key), avoiding
+    banned nodes and banned (node, arc) steps, as a tuple of arcs; None
+    when target is unreachable. Breadth-first, arcs in key order."""
+    if source == target:
+        return ()
+    via = {source: None}
+    queue = deque((source,))
+    while queue:
+        node = queue.popleft()
+        for arc in adj.get(node, ()):
+            nxt = arc.neighbor
+            if nxt in via or nxt in banned_nodes:
+                continue
+            if banned_arcs and (node, arc) in banned_arcs:
+                continue
+            via[nxt] = (node, arc)
+            if nxt == target:
+                path = []
+                while nxt != source:
+                    nxt, arc = via[nxt]
+                    path.append(arc)
+                return tuple(reversed(path))
+            queue.append(nxt)
+    return None
+
+
+def arc_yen(adj, source, target, k):
+    """Yen (1971) over an arc adjacency: the k shortest loopless
+    source -> target paths as arc tuples ordered by (length, key),
+    banned nodes and (node, arc) steps rebuilt for every spur."""
+    first = arc_best_path(adj, source, target, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted = [first]
+    candidates = []
+    known = {first}
+    while len(accepted) < k:
+        prev = accepted[-1]
+        prev_nodes = [source] + [a.neighbor for a in prev]
+        for i in range(len(prev)):
+            spur_node = prev_nodes[i]
+            root = prev[:i]
+            banned_arcs = set()
+            for path in accepted:
+                if len(path) > i and path[:i] == root:
+                    banned_arcs.add((spur_node, path[i]))
+            banned_nodes = set(prev_nodes[:i])
+            spur = arc_best_path(adj, spur_node, target, banned_arcs,
+                                 banned_nodes)
+            if spur is None:
+                continue
+            cand = root + spur
+            if cand not in known:
+                known.add(cand)
+                heapq.heappush(candidates, (len(cand), cand))
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates)[1])
+    return accepted
 
 
 # ---------------------------------------------------------------------------

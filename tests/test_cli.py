@@ -651,10 +651,11 @@ _ROW_CORRUPTIONS = {
 }
 
 
-def _corrupt_subgraph_row(src: Path, dst: Path, split: str, how: str) -> int:
+def _corrupt_subgraph_row(src: Path, dst: Path, split: str, change) -> tuple:
     """Copy the bundle and corrupt the subgraph row of one turn, inside a
-    multi-turn dialogue of `split`, that has triples; return its line
-    number."""
+    multi-turn dialogue of `split`, that has triples: `change` edits the
+    parsed row in place, or None cuts the row's JSON short. Return the
+    row's line number and the edited row."""
     shutil.copytree(src, dst)
     dialogue = json.loads((dst / "splits.json").read_text())[split][0]
     path = dst / "subgraphs.jsonl"
@@ -663,20 +664,21 @@ def _corrupt_subgraph_row(src: Path, dst: Path, split: str, how: str) -> int:
              if json.loads(line)["turn_id"].startswith(dialogue + "#")
              and json.loads(line)["triples"])
     obj = json.loads(lines[n])
-    if how == "broken_json":
+    if change is None:
         lines[n] = '{"turn_id": "' + obj["turn_id"] + '", "triples": [[\n'
     else:
-        _ROW_CORRUPTIONS[how](obj)
+        change(obj)
         lines[n] = json.dumps(obj) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
-    return n + 1
+    return n + 1, obj
 
 
 @pytest.mark.parametrize("how", sorted(_ROW_CORRUPTIONS))
 def test_malformed_test_row_fails_eval(tmp_path, bundle_dir, run_dir, capsys,
                                        how):
     bad = tmp_path / "bundle"
-    lineno = _corrupt_subgraph_row(bundle_dir, bad, "test", how)
+    lineno, _ = _corrupt_subgraph_row(bundle_dir, bad, "test",
+                                      _ROW_CORRUPTIONS[how])
     out = tmp_path / "eval"
     code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
                      str(run_dir / "model.ckpt"), "--out", str(out)])
@@ -691,7 +693,8 @@ def test_malformed_test_row_fails_eval(tmp_path, bundle_dir, run_dir, capsys,
 def test_malformed_train_row_fails_only_what_reads_it(tmp_path, bundle_dir,
                                                       run_dir, capsys, how):
     bad = tmp_path / "bundle"
-    lineno = _corrupt_subgraph_row(bundle_dir, bad, "train", how)
+    lineno, _ = _corrupt_subgraph_row(bundle_dir, bad, "train",
+                                      _ROW_CORRUPTIONS[how])
     code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
                      str(run_dir / "model.ckpt"), "--out",
                      str(tmp_path / "eval"), "--split", "test"])
@@ -703,6 +706,43 @@ def test_malformed_train_row_fails_only_what_reads_it(tmp_path, bundle_dir,
     assert code == 3, err
     assert "Traceback" not in err
     assert f"subgraphs.jsonl: line {lineno}:" in err
+    assert not out.exists()
+
+
+def _not_three_strings(obj) -> str:
+    return (f"'triples' holds {json.dumps(obj['triples'][0])}, "
+            "not a list of three non-empty strings")
+
+
+# Rows that parse and are indexed, but whose triples or entities are
+# mistyped or absent from the bundle's graph: (edit, expected message).
+_MISTYPED_ROWS = {
+    "int_fields": (lambda obj: obj["triples"].__setitem__(0, [1, "r", 2]),
+                   _not_three_strings),
+    "string_triple": (lambda obj: obj["triples"].__setitem__(0, "abc"),
+                      _not_three_strings),
+    "two_fields": (lambda obj: obj["triples"][0].pop(), _not_three_strings),
+    "unknown_triple": (lambda obj: obj["triples"][0].__setitem__(2, "Zed"),
+                       lambda obj: f"triple {json.dumps(obj['triples'][0])} "
+                                   "is not in graph.tsv"),
+    "unknown_entity": (lambda obj: obj["entities"].append("Zed"),
+                       lambda obj: "entity 'Zed' is not in the bundle's graph"),
+    "entity_numbers": (lambda obj: obj["entities"].append(5),
+                       lambda obj: "'entities' is not a list of strings"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_MISTYPED_ROWS))
+def test_mistyped_subgraph_row_fails_stats(tmp_path, bundle_dir, capsys, how):
+    change, message = _MISTYPED_ROWS[how]
+    bad = tmp_path / "bundle"
+    lineno, obj = _corrupt_subgraph_row(bundle_dir, bad, "train", change)
+    out = tmp_path / "stats"
+    code = cli.main(["stats", "--bundle", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert f"subgraphs.jsonl: line {lineno}: {message(obj)}\n" in err
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from kgchat.corpus import (
     load_lexicon, save_bundle, save_dialogues_jsonl,
     split_dialogues, tokenize,
 )
-from kgchat.kgraph import KnowledgeGraph, Triple
+from kgchat.kgraph import GraphError, KnowledgeGraph, Triple
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,13 @@ def test_ingest_drops_unknown_scene_entities(caplog):
     assert bundle.turns[0].scene_entities == ()
     assert bundle.meta["dropped_scene_entities"] == 22
     assert any("scene" in r.message for r in caplog.records)
+
+
+def test_ingest_refuses_k_below_1_when_no_turn_grounds_a_pair():
+    # no turn names an entity, so no path search would notice k
+    raw = [RawTurn(f"d{i}", 0, "s", (), "hi", "ho") for i in range(22)]
+    with pytest.raises(GraphError, match="k must be >= 1"):
+        ingest(raw, _chain_graph(), subgraph_k=0)
 
 
 def test_ingest_rejects_alias_to_unknown_entity():

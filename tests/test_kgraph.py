@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import adjacency_rows
+from oracles import adjacency_rows, arc_adjacency, arc_yen
 
 from kgchat import kgraph
 from kgchat.kgraph import (
@@ -252,20 +252,113 @@ def graph_with_parallels_and_loop(rng, n_entities, n_triples):
                           extra_entities=g.entities | {"lonely"})
 
 
+def ranked_steps(graph):
+    """Every (node, arc) step of the arc adjacency, in the order of the
+    ranks the traversal index gives them."""
+    adj = arc_adjacency(graph)
+    return adj, sorted(((node, arc) for node in adj for arc in adj[node]),
+                       key=lambda step: step[1])
+
+
 @pytest.mark.parametrize("seed", range(30))
-def test_best_path_matches_the_heap_search_it_replaced(seed):
+def test_traversal_index_ranks_the_arcs_in_key_order(seed):
     rng = np.random.default_rng(seed)
     g = graph_with_parallels_and_loop(rng, 7, int(rng.integers(4, 14)))
-    adj = kgraph._traversal_adjacency(g)
+    index = kgraph._traversal_adjacency(g)
+    adj, steps = ranked_steps(g)
+    assert index.names == tuple(sorted(g.entities))
+    assert all(index.names[index.ids[e]] == e for e in g.entities)
+    assert index.triple == tuple(arc.triple for _, arc in steps)
+    assert [index.names[n] for n in index.target] \
+        == [arc.neighbor for _, arc in steps]
+    rank = {step: r for r, step in enumerate(steps)}
+    for node, name in enumerate(index.names):
+        assert index.arcs[node] == tuple(
+            (rank[(name, arc)], index.ids[arc.neighbor])
+            for arc in adj.get(name, ()))
+    assert kgraph._traversal_adjacency(g) is index
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_best_path_matches_the_heap_search_it_replaced(seed):
+    # the id-based search against the heap search over arc tuples; the
+    # same random bans, as arc ranks and node marks on one side and as
+    # (node, arc) steps and entity names on the other
+    rng = np.random.default_rng(seed)
+    g = graph_with_parallels_and_loop(rng, 7, int(rng.integers(4, 14)))
+    index = kgraph._traversal_adjacency(g)
+    adj, steps = ranked_steps(g)
     ents = sorted(g.entities)
-    steps = [(node, arc) for node in sorted(adj) for arc in adj[node]]
     for _ in range(20):
         src, dst = (str(e) for e in rng.choice(ents, size=2))
         banned_nodes = {str(e) for e in rng.choice(ents, size=2)} - {src}
         picks = rng.random(len(steps)) < 0.2
-        banned_arcs = {s for s, pick in zip(steps, picks) if pick}
-        assert kgraph._best_path(adj, src, dst, banned_arcs, banned_nodes) \
-            == reference_best_path(adj, src, dst, banned_arcs, banned_nodes)
+        banned_ranks = {r for r, pick in enumerate(picks) if pick}
+        blocked = [name in banned_nodes for name in index.names]
+        got = kgraph._best_path(index, index.ids[src], index.ids[dst],
+                                banned_ranks, blocked)
+        assert blocked == [name in banned_nodes for name in index.names]
+        want = reference_best_path(adj, src, dst,
+                                   {steps[r] for r in banned_ranks},
+                                   banned_nodes)
+        assert (None if got is None
+                else tuple(steps[r][1] for r in got)) == want
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_k_shortest_paths_match_the_arc_search_they_replaced(seed):
+    rng = np.random.default_rng(1000 + seed)
+    g = graph_with_parallels_and_loop(rng, 7, int(rng.integers(4, 16)))
+    adj = arc_adjacency(g)
+    ents = sorted(g.entities)
+    for src, dst in itertools.permutations(ents, 2):
+        for k in range(1, 7):
+            want = [[arc.triple for arc in path]
+                    for path in arc_yen(adj, src, dst, k)]
+            assert k_shortest_paths(g, src, dst, k) == want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_trusted_graph_equals_the_validated_one(seed):
+    rng = np.random.default_rng(seed)
+    g = graph_with_parallels_and_loop(rng, 8, int(rng.integers(3, 14)))
+    for triples in (frozenset(), frozenset(sorted(g.triples)[:2]), g.triples):
+        for extra in (frozenset(), frozenset({"lonely"}), g.entities):
+            trusted = KnowledgeGraph._trusted(triples, extra)
+            checked = KnowledgeGraph(triples, extra_entities=extra)
+            assert trusted == checked
+            assert hash(trusted) == hash(checked)
+            assert (trusted.entities, trusted.relations) \
+                == (checked.entities, checked.relations)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (T("a", SELF_LOOP, "b"), f"{SELF_LOOP} is reserved and cannot be stored"),
+    (T("", "r", "b"), "triple with empty field"),
+    (T("a", "", "b"), "triple with empty field"),
+    (T("a", "r", None), "triple with empty field"),
+    (T("a", "r", 7), "triple with a non-string field"),
+    (T(("a",), "r", "b"), "triple with a non-string field"),
+], ids=("self", "empty_head", "empty_relation", "none_tail", "int_tail",
+        "tuple_head"))
+def test_malformed_triple_is_named_in_the_error(bad, message):
+    good = [T("a", "r", "b"), T("b", "s", "c"), T("c", "r", "a")]
+    for triples in (good + [bad], [list(t) for t in good + [bad]]):
+        with pytest.raises(GraphError) as exc:
+            KnowledgeGraph(triples)
+        assert str(exc.value) == f"{message}: {bad}"
+
+
+def test_sampling_checks_k_before_any_request():
+    # no request below needs a path search, so k is the only fault
+    g = KnowledgeGraph([T("a", "r", "b")])
+    for sample in (lambda: sample_subgraph(g, ["a"], ["a"], k=0),
+                   lambda: sample_subgraph(g, [], [], k=0),
+                   lambda: sample_subgraphs(g, [(["a"], ["a"]), ([], ["b"])],
+                                            k=0),
+                   lambda: sample_subgraphs(g, [], k=0)):
+        with pytest.raises(GraphError, match="k must be >= 1"):
+            sample()
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -298,7 +391,8 @@ def test_sample_subgraphs_is_the_union_of_per_pair_paths(seed):
                         continue
                     for path in k_shortest_paths(g, s, t, k):
                         triples.update(path)
-            assert sub == KnowledgeGraph(triples, extra_entities=isolated)
+            checked = KnowledgeGraph(triples, extra_entities=isolated)
+            assert sub == checked and hash(sub) == hash(checked)
             assert sub == sample_subgraph(g, sources, targets, k)
 
 
