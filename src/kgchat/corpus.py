@@ -716,7 +716,8 @@ def _subgraph_row(obj: dict, turn_id: str, stored: dict,
     """A row's graph. Each triple is a list of three non-empty strings
     naming a triple of the bundle graph (`stored` maps each to itself,
     so a lookup both checks a row's triple and finds the stored one),
-    and each entity is one of `entities`."""
+    and each entity is one of `entities`; the graph is built from those
+    checked names without checking them again."""
     if obj["turn_id"] != turn_id:
         raise DataError(f"turn_id {obj['turn_id']!r} is not the indexed "
                         f"{turn_id!r}")
@@ -736,7 +737,7 @@ def _subgraph_row(obj: dict, turn_id: str, stored: dict,
     if unknown:
         raise DataError(f"entity {min(unknown)!r} is not in the bundle's "
                         "graph")
-    return KnowledgeGraph(triples, extra_entities=names)
+    return KnowledgeGraph._trusted(frozenset(triples), frozenset(names))
 
 
 def _bad_triple(values: list, stored: dict) -> Exception:

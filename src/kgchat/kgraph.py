@@ -12,8 +12,9 @@ The path searches run on integers: each graph keeps one traversal
 index, its entities numbered as nodes and its arcs numbered by rank in
 key order, and paths become triples only when they are returned. A
 graph built from triples of a graph already checked (a turn's sampled
-subgraph) is not checked again; `KnowledgeGraph` itself checks its
-triples by column, on the distinct names.
+subgraph, a bundle's subgraph row) is not checked again;
+`KnowledgeGraph` itself checks its triples by column, on the distinct
+names.
 
 Everything here is deterministic: collections are processed in sorted
 order and ties are broken lexicographically by (relation, entity).
