@@ -351,9 +351,6 @@ class Vocabulary(JsonRecord):
     def is_entity_id(self, token_id: int) -> bool:
         return token_id >= self.entity_base
 
-    def is_entity_token(self, token: str) -> bool:
-        return token in self.entity_set
-
     def entity_position(self, token_id: int) -> int:
         """Index of an entity id within the entity block."""
         if not self.is_entity_id(token_id):
@@ -678,13 +675,12 @@ class SubgraphRows(Mapping):
 
     __slots__ = ("_entries", "_triples", "_entities")
 
-    def __init__(self, rows: dict, graph: KnowledgeGraph,
-                 entities: frozenset):
+    def __init__(self, rows: dict, graph: KnowledgeGraph):
         # turn id -> (line number, row text) until read, then its graph
         self._entries = rows
         # each triple of the bundle graph, found by its fields
         self._triples = {t: t for t in graph.triples}
-        self._entities = entities
+        self._entities = graph.entities
 
     def __getitem__(self, turn_id: str) -> KnowledgeGraph:
         entry = self._entries[turn_id]
@@ -754,8 +750,7 @@ def _bad_triple(values: list, stored: dict) -> Exception:
     raise AssertionError("every triple of the row is known")
 
 
-def _index_subgraph_rows(path: Path, graph: KnowledgeGraph,
-                         entities: frozenset) -> SubgraphRows:
+def _index_subgraph_rows(path: Path, graph: KnowledgeGraph) -> SubgraphRows:
     rows: dict = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -775,7 +770,7 @@ def _index_subgraph_rows(path: Path, graph: KnowledgeGraph,
                                 f"turn_id {turn_id!r}, first on line "
                                 f"{rows[turn_id][0]}")
             rows[turn_id] = (lineno, line)
-    return SubgraphRows(rows, graph, entities)
+    return SubgraphRows(rows, graph)
 
 
 def load_bundle(in_dir) -> Bundle:
@@ -783,15 +778,15 @@ def load_bundle(in_dir) -> Bundle:
     parsed and type-checked here except the subgraph rows: those are
     indexed by turn id, and each turn's graph is built when it is first
     read (see `SubgraphRows`). A turn without a subgraph row, or two
-    rows for one turn, fail here. A row may name the entities of
-    graph.tsv and of vocab.json, which also holds the entities that
-    have no triple."""
+    rows for one turn, fail here. The graph holds the triples of
+    graph.tsv and every entity of vocab.json, the isolated ones too, so
+    it equals the graph the bundle was saved from; a row may name its
+    entities only."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
-    graph = kgraph.load_triples_tsv(src / "graph.tsv")
-    subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph,
-                                     graph.entities | vocab.entity_set)
+    graph = kgraph.load_triples_tsv(src / "graph.tsv", vocab.entities)
+    subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph)
     for t in turns:
         if t.turn_id not in subgraphs:
             raise DataError(f"subgraphs.jsonl: no row for turn {t.turn_id!r}")

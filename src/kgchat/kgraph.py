@@ -146,7 +146,9 @@ def _utf8_lines(fh, error: type):
         raise error(f"{fh.name}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_triples_tsv(path) -> KnowledgeGraph:
+def load_triples_tsv(path, extra_entities: Iterable[str] = ()) -> KnowledgeGraph:
+    """The graph of a head/relation/tail TSV file, with `extra_entities`
+    added as nodes (the file holds no entity without a triple)."""
     triples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(_utf8_lines(fh, GraphError), start=1):
@@ -158,7 +160,7 @@ def load_triples_tsv(path) -> KnowledgeGraph:
                 raise GraphError(f"{path}: line {lineno}: expected 3 tab-separated "
                                  f"fields, got {line!r}")
             triples.append(Triple(parts[0].strip(), parts[1].strip(), parts[2].strip()))
-    return KnowledgeGraph(triples)
+    return KnowledgeGraph(triples, extra_entities=extra_entities)
 
 
 def save_triples_tsv(graph: KnowledgeGraph, path) -> None:
@@ -513,7 +515,6 @@ class PerturbationResult:
     graph: KnowledgeGraph
     hypothesis: frozenset
     edits: tuple = ()
-    skipped_paths: int = 0
     origin: int | None = None
 
 
@@ -576,8 +577,7 @@ def perturb_last1(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
                                extra_relations=graph.relations)
     return PerturbationResult(graph=new_graph,
                               hypothesis=frozenset(t.tail for _, t in edits),
-                              edits=tuple(edits),
-                              skipped_paths=skipped)
+                              edits=tuple(edits))
 
 
 def perturb_last2(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
@@ -629,5 +629,4 @@ def perturb_last2(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
                                extra_relations=graph.relations)
     return PerturbationResult(graph=new_graph,
                               hypothesis=frozenset(hypothesis),
-                              edits=tuple(edits),
-                              skipped_paths=skipped)
+                              edits=tuple(edits))

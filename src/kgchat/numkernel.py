@@ -5,7 +5,9 @@ reverse-accumulation gradient tape whose ops are exactly the ones the
 models record, each on (B, ...) rows (a stabilized softmax, a fused
 linear layer, the N-hop graph walk and the output mixture among them)
 or, for a GRU run over T steps and the embedding lookup that feeds it,
-on (T, B, ...) steps of rows; and Adam with global-norm clipping. All
+on (T, B, ...) steps of rows; and Adam with global-norm clipping. A GRU
+is the three tensors its kernel computes with, each stacking the z, r
+and h gates' rows: input weights w, recurrent weights u and biases b. All
 kernels are deterministic pure functions over float64 arrays. Any op that produces
 NaN or Inf raises KernelError instead of letting the value propagate.
 """
@@ -52,14 +54,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # GRU
 
 
-def _gru_forward(x, h, w, b, u_zr, u_h, keep):
+def _gru_forward(x, h, w, u, b):
     """A GRU run over T steps of a batch: x is (T, B, d) and h the (B, n)
-    start state, one row per sequence; `keep` is None or a (T, B, 1)
-    bool mask of the steps each row runs, its state carried through the
-    rest. w (3n, d) and b (3n,) stack the z, r and h gates' input
-    weights and biases, u_zr (2n, n) the z and r gates' recurrent
-    weights. Returns every step's state, (T, B, n), and the cache the
-    backward pass needs.
+    start state, one row per sequence. w (3n, d), u (3n, n) and b (3n,)
+    stack the z, r and h gates' input weights, recurrent weights and
+    biases, in that row order. Returns every step's state, (T, B, n), and
+    the cache the backward pass needs.
 
     Convention: z is the write gate. h' = (1 - z) * h + z * h_tilde,
     so z -> 0 carries the old state through unchanged. The input side of
@@ -68,6 +68,7 @@ def _gru_forward(x, h, w, b, u_zr, u_h, keep):
     """
     t_len, rows, d = x.shape
     n = h.shape[1]
+    u_zr, u_h = u[:2 * n], u[2 * n:]
     h0 = h
     flat = x.reshape(t_len * rows, d)
     xw = (flat @ w.T + b).reshape(t_len, rows, 3 * n)
@@ -78,14 +79,11 @@ def _gru_forward(x, h, w, b, u_zr, u_h, keep):
         z = zr[:, :n]
         rh = zr[:, n:] * h
         htil = np.tanh(xw[t, :, 2 * n:] + rh @ u_h.T)
-        out = (1.0 - z) * h + z * htil
-        if keep is not None:
-            out = np.where(keep[t], out, h)
         zrs.append(zr)
         rhs.append(rh)
         htils.append(htil)
-        states[t] = h = out
-    return states, (flat, h0, states, zrs, rhs, htils, keep, w, u_zr, u_h)
+        states[t] = h = (1.0 - z) * h + z * htil
+    return states, (flat, h0, states, zrs, rhs, htils, w, u_zr, u_h)
 
 
 def _gru_backward(g, cache):
@@ -94,16 +92,13 @@ def _gru_backward(g, cache):
     stacked weight and bias gradients, summed over the batch and the
     steps, and dx are each one product over all T*B rows. Returns the
     gradients in Tape.gru's operand order."""
-    flat, h0, states, zrs, rhs, htils, keep, w, u_zr, u_h = cache
+    flat, h0, states, zrs, rhs, htils, w, u_zr, u_h = cache
     t_len, rows, n = g.shape
     prev = [h0, *states[:-1]]
     dpre = np.empty((t_len, rows, 3 * n))   # d(loss)/d(gate pre-activations)
     dh = np.zeros((rows, n))
     for t in range(t_len - 1, -1, -1):
         gt = g[t] + dh
-        if keep is not None:
-            carried = np.where(keep[t], 0.0, gt)
-            gt = np.where(keep[t], gt, 0.0)
         zr, htil, h = zrs[t], htils[t], prev[t]
         z = zr[:, :n]
         dah = gt * z * (1.0 - htil * htil)
@@ -113,16 +108,11 @@ def _gru_backward(g, cache):
         dpre[t, :, :2 * n] = dzr
         dpre[t, :, 2 * n:] = dah
         dh = gt * (1.0 - z) + drh * zr[:, n:] + dzr @ u_zr
-        if keep is not None:
-            dh = dh + carried
     dpre = dpre.reshape(t_len * rows, 3 * n)
-    dw = dpre.T @ flat
-    db = dpre.sum(axis=0)
-    du_zr = dpre[:, :2 * n].T @ np.concatenate(prev)
-    du_h = dpre[:, 2 * n:].T @ np.concatenate(rhs)
+    du = np.concatenate([dpre[:, :2 * n].T @ np.concatenate(prev),
+                         dpre[:, 2 * n:].T @ np.concatenate(rhs)])
     dx = (dpre @ w).reshape(t_len, rows, -1)
-    return (dx, dh, dw[:n], du_zr[:n], db[:n], dw[n:2 * n], du_zr[n:],
-            db[n:2 * n], dw[2 * n:], du_h, db[2 * n:])
+    return dx, dh, dpre.T @ flat, du, dpre.sum(axis=0)
 
 
 def _scatter_add(shape, flat_index, values) -> np.ndarray:
@@ -163,7 +153,6 @@ class Tape:
         self._values: list[np.ndarray] = []
         self._parents: list[tuple] | None = [] if record else None
         self._backprops: list | None = [] if record else None
-        self._stacks: dict = {}
 
     def __len__(self) -> int:
         return len(self._values)
@@ -190,16 +179,6 @@ class Tape:
             self._parents.append(tuple(parents))
             self._backprops.append(backprop)
         return len(self._values) - 1
-
-    def _stacked(self, nodes: tuple) -> np.ndarray:
-        """The values of `nodes` concatenated along their first axis,
-        made once per tape (recorded values never change): every greedy
-        decode step stacks the same GRU weights."""
-        got = self._stacks.get(nodes)
-        if got is None:
-            got = self._stacks[nodes] = np.concatenate(
-                [self._values[n] for n in nodes])
-        return got
 
     # -- leaves
 
@@ -321,41 +300,25 @@ class Tape:
 
     # -- fused model ops
 
-    def gru(self, x: int, h: int, w_z: int, u_z: int, b_z: int,
-            w_r: int, u_r: int, b_r: int, w_h: int, u_h: int, b_h: int,
-            lengths=None) -> int:
+    def gru(self, x: int, h: int, w: int, u: int, b: int) -> int:
         """A GRU run over T steps as one node: input x (T, B, d) and
-        start state h (B, n); the value is every step's state, (T, B, n).
-        `lengths`, a constant of one int in [1, T] per batch row, stops a
-        row after its first lengths[b] steps: its state is carried
-        through the rest unchanged. Without it every row runs all T."""
-        ids = (x, h, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
-        vals = [self.value(n) for n in ids]
-        vx, vh = vals[0], vals[1]
+        start state h (B, n); the value is every step's state, (T, B, n),
+        every row run all T steps. w (3n, d), u (3n, n) and b (3n,) stack
+        the z, r and h gates' input weights, recurrent weights and
+        biases, gate rows in that order."""
+        vx, vh, vw, vu, vb = (self.value(n) for n in (x, h, w, u, b))
         if vx.ndim != 3 or vh.ndim != 2 or vx.shape[1] != vh.shape[0] or \
                 vx.shape[0] == 0:
             raise KernelError("gru: need (T, B, .) input steps with T >= 1 "
                               "and (B, .) state rows with the same B")
-        t_len, b, d = vx.shape
-        n = vh.shape[1]
-        if any(v.shape != want for v, want in
-               zip(vals[2:], ((n, d), (n, n), (n,)) * 3)):
+        d, n = vx.shape[2], vh.shape[1]
+        if vw.shape != (3 * n, d) or vu.shape != (3 * n, n) or \
+                vb.shape != (3 * n,):
             raise KernelError("gru: weight shapes do not match the input "
                               "and state dims")
-        keep = None
-        if lengths is not None:
-            lengths = np.asarray(lengths)
-            if lengths.shape != (b,) or lengths.dtype.kind not in "iu" or \
-                    b and not 1 <= lengths.min() <= lengths.max() <= t_len:
-                raise KernelError("gru: lengths need one int in [1, T] per "
-                                  "batch row")
-            if b and lengths.min() < t_len:
-                keep = (np.arange(t_len)[:, None] < lengths)[:, :, None]
-        out, cache = _gru_forward(
-            vx, vh, self._stacked((w_z, w_r, w_h)),
-            self._stacked((b_z, b_r, b_h)), self._stacked((u_z, u_r)),
-            self.value(u_h), keep)
-        return self._push(out, ids, lambda g: _gru_backward(g, cache), "gru")
+        out, cache = _gru_forward(vx, vh, vw, vu, vb)
+        return self._push(out, (x, h, w, u, b),
+                          lambda g: _gru_backward(g, cache), "gru")
 
     def mask_renorm_rows(self, r: int, mask: int) -> int:
         """Zero masked-out columns of each row and renormalize the rest.

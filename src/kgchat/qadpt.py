@@ -45,9 +45,7 @@ from .numkernel import KernelError, Tape
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"QADPT1\n"
-
-GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+CHECKPOINT_MAGIC = b"QADPT2\n"
 
 KINDS = ("qadpt", "seq2seq")
 
@@ -100,16 +98,14 @@ class Hyperparams(JsonRecord):
 
 
 def expected_param_shapes(hyper: Hyperparams, vocab: Vocabulary) -> dict:
+    """Every parameter's name and shape. Each GRU is the three tensors
+    Tape.gru computes with: `w` (3H, E), `u` (3H, H) and `b` (3H,),
+    gate rows in z, r, h order."""
     h, e = hyper.hidden_dim, hyper.embed_dim
     shapes = {"embed": (vocab.size, e)}
     for prefix in ("enc", "dec"):
-        for f in GRU_FIELDS:
-            if f.startswith("b"):
-                shapes[f"{prefix}.{f}"] = (h,)
-            elif f.startswith("w"):
-                shapes[f"{prefix}.{f}"] = (h, e)
-            else:
-                shapes[f"{prefix}.{f}"] = (h, h)
+        shapes.update({f"{prefix}.w": (3 * h, e), f"{prefix}.u": (3 * h, h),
+                       f"{prefix}.b": (3 * h,)})
     if hyper.kind == "qadpt":
         shapes["phi_w"] = (vocab.generic_output_size, h)
         shapes["phi_b"] = (vocab.generic_output_size,)
@@ -126,11 +122,24 @@ def expected_param_shapes(hyper: Hyperparams, vocab: Vocabulary) -> dict:
 def init_params(hyper: Hyperparams, vocab: Vocabulary, seed: int) -> dict:
     """Fresh parameters; weight matrices uniform(-0.08, 0.08), bias
     vectors zero. Draws follow expected_param_shapes' order (embed,
-    encoder, decoder, output, reasoning), so a seed pins every value."""
+    encoder, decoder, output, reasoning), so a seed pins every value.
+    A GRU's weights are drawn gate by gate (z, r, h), its input weights
+    then its recurrent weights for each gate, and then stacked."""
     rng = np.random.default_rng(seed)
-    return {name: np.zeros(shape) if len(shape) == 1
-            else numkernel.init_uniform(rng, shape)
-            for name, shape in expected_param_shapes(hyper, vocab).items()}
+    params = {}
+    for name, shape in expected_param_shapes(hyper, vocab).items():
+        if name in params:
+            continue
+        if name.endswith(".w"):   # a GRU's w, drawn together with its u
+            n = shape[0] // 3
+            draws = [numkernel.init_uniform(rng, (n, cols))
+                     for _gate in "zrh" for cols in (shape[1], n)]
+            params[name] = np.concatenate(draws[0::2])
+            params[name[:-1] + "u"] = np.concatenate(draws[1::2])
+        else:
+            params[name] = np.zeros(shape) if len(shape) == 1 \
+                else numkernel.init_uniform(rng, shape)
+    return params
 
 
 class QadptModel:
@@ -262,8 +271,8 @@ class _Forward:
         # QadptModel checked every parameter finite
         self.pn = {name: self.tape.leaf(arr, check=False)
                    for name, arr in sorted(model.params.items())}
-        self._enc = tuple(self.pn[f"enc.{f}"] for f in GRU_FIELDS)
-        self._dec = tuple(self.pn[f"dec.{f}"] for f in GRU_FIELDS)
+        self._enc = tuple(self.pn[f"enc.{f}"] for f in "wub")
+        self._dec = tuple(self.pn[f"dec.{f}"] for f in "wub")
 
 
 @dataclass
@@ -300,17 +309,18 @@ def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace
 
 def _encode(fw: _Forward, rows) -> int:
     """The node of the encoder's final state, (B, hidden), for B rows of
-    input ids: one lookup of every id and one GRU node over all steps,
-    read at the last step. Rows are right-padded to the longest; a
-    finished row's state is carried through unchanged."""
+    input ids: one lookup of every id and one GRU node over all steps.
+    Rows are right-padded to the longest and every row runs every step;
+    each row's state is read at its last real step, so the padded steps
+    get an exactly zero gradient."""
     ids, lengths = _padded(rows)
     if lengths.min() == 0:
         raise ModelError("encoder input is empty")
     t = fw.tape
     b, hidden = len(rows), fw.model.hyper.hidden_dim
     states = t.gru(t.lookup_row(fw.pn["embed"], ids.T),
-                   t.leaf(np.zeros((b, hidden))), *fw._enc, lengths=lengths)
-    return t.gather(states, (ids.shape[1] - 1, np.arange(b)[:, None],
+                   t.leaf(np.zeros((b, hidden))), *fw._enc)
+    return t.gather(states, ((lengths - 1)[:, None], np.arange(b)[:, None],
                              np.arange(hidden)))
 
 
@@ -766,7 +776,10 @@ def train(model: QadptModel, train_examples: Sequence[Example],
 def save_checkpoint(model: QadptModel, path) -> None:
     """Atomic write of magic + length-prefixed JSON header + raw <f8
     payload. The header carries hyperparameters, the vocabulary, a named
-    tensor manifest with shapes and byte offsets, and a payload digest."""
+    tensor manifest with shapes and byte offsets, and a payload digest.
+    The tensors are expected_param_shapes' (each GRU as its stacked w, u
+    and b); CHECKPOINT_MAGIC names this format, so a file of another
+    layout is refused at offset 0."""
     names = sorted(model.params)
     chunks = []
     manifest = []
@@ -838,19 +851,8 @@ def load_checkpoint(path) -> QadptModel:
     if digest != header["sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch at offset "
                               f"{head_end}")
-    fields = header["hyper"]
-    if isinstance(fields, dict):
-        # older headers carry retired keys: teacher_forcing only steered
-        # training, prob_floor and max_decode_len are constants now, and
-        # post_renorm=true names a walk this forward pass no longer has
-        fields = {k: v for k, v in fields.items() if k not in (
-            "teacher_forcing", "prob_floor", "max_decode_len")}
-        if fields.pop("post_renorm", False) is not False:
-            raise CheckpointError(
-                f"{path}: header hyper 'post_renorm' is not false; the "
-                f"post-renormalized walk it was trained for is not supported")
     try:
-        hyper = Hyperparams.from_dict(fields)
+        hyper = Hyperparams.from_dict(header["hyper"])
         vocab = Vocabulary.from_dict(header["vocab"])
     except _PARSE_ERRORS as exc:
         raise CheckpointError(f"{path}: bad header contents: "

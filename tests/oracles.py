@@ -3,8 +3,9 @@ acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The finite-difference checker, the adjacency audit view, the lexicon
-writer, the eager subgraph-row reader and the string-keyed path search
-live here too: only the tests call them."""
+writer, the eager subgraph-row reader, the string-keyed path search and
+the per-gate GRU with its layout converters live here too: only the
+tests call them."""
 
 import heapq
 import json
@@ -16,7 +17,7 @@ import numpy as np
 
 from kgchat.corpus import DialogueTurn, Vocabulary
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
-from kgchat.numkernel import _scatter_add
+from kgchat.numkernel import _scatter_add, sigmoid
 from kgchat.qadpt import (Hyperparams, ModelError, QadptModel, batch_loss,
                           make_example, param_grads)
 
@@ -143,6 +144,118 @@ def walk_to_triples(vocab, adj, start, steps):
                               vocab.entities[t]))
         here = t
     return vocab.entities[start], tuple(triples)
+
+
+# ---------------------------------------------------------------------------
+# The GRU in its per-gate layout: nine tensors per GRU, and a `lengths`
+# mask that carries a finished row's state through the padded steps, as
+# Tape.gru computed it before each GRU was stored as three stacked
+# tensors.
+
+GATE_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+
+def _gru_key(name):
+    """Whether `name` (or the part of it after a "grad/"-like prefix)
+    names a stacked GRU tensor: enc.w, enc.u, enc.b, the same of dec,
+    or a bare w, u or b."""
+    head, _, field = name.rpartition(".")
+    return field in ("w", "u", "b") and \
+        head.rpartition("/")[2] in ("", "enc", "dec")
+
+
+def split_gru(params):
+    """The per-gate layout of a mapping in the stacked layout: every
+    `<gru>.w`/`.u`/`.b` entry (a key may carry a prefix such as
+    "grad/") becomes `<gru>.w_z`, `<gru>.w_r`, `<gru>.w_h`, ..., its
+    row thirds in z, r, h order; other entries pass through."""
+    out = {}
+    for name, value in params.items():
+        if not _gru_key(name):
+            out[name] = value
+            continue
+        n = value.shape[0] // 3
+        for i, gate in enumerate("zrh"):
+            out[f"{name}_{gate}"] = value[i * n:(i + 1) * n]
+    return out
+
+
+def fuse_gru(params):
+    """split_gru's inverse: the stacked layout of a per-gate mapping."""
+    out = {}
+    for name, value in params.items():
+        stem, sep, gate = name.rpartition("_")
+        if not (sep and gate in ("z", "r", "h") and _gru_key(stem)):
+            out[name] = value
+        elif gate == "z":
+            out[stem] = np.concatenate([params[f"{stem}_{g}"] for g in "zrh"])
+    return out
+
+
+def gru_per_gate(x, h0, gates, lengths=None):
+    """A GRU run over (T, B, d) steps from the (B, n) state h0, with the
+    nine per-gate tensors `gates` (keyed as GATE_FIELDS) and optional
+    per-row `lengths` after which a row's state is carried unchanged.
+    Returns every step's state, (T, B, n), and a function from their
+    gradient to the 11 gradients (dx, dh0, then one per GATE_FIELDS
+    entry)."""
+    t_len, rows, d = x.shape
+    n = h0.shape[1]
+    keep = None
+    if lengths is not None and rows and np.min(lengths) < t_len:
+        keep = (np.arange(t_len)[:, None] < np.asarray(lengths))[:, :, None]
+    w = np.concatenate([gates["w_z"], gates["w_r"], gates["w_h"]])
+    b = np.concatenate([gates["b_z"], gates["b_r"], gates["b_h"]])
+    u_zr = np.concatenate([gates["u_z"], gates["u_r"]])
+    u_h = gates["u_h"]
+    flat = x.reshape(t_len * rows, d)
+    xw = (flat @ w.T + b).reshape(t_len, rows, 3 * n)
+    states = np.empty((t_len, rows, n))
+    zrs, rhs, htils = [], [], []
+    h = h0
+    for t in range(t_len):
+        zr = sigmoid(xw[t, :, :2 * n] + h @ u_zr.T)
+        z = zr[:, :n]
+        rh = zr[:, n:] * h
+        htil = np.tanh(xw[t, :, 2 * n:] + rh @ u_h.T)
+        out = (1.0 - z) * h + z * htil
+        if keep is not None:
+            out = np.where(keep[t], out, h)
+        zrs.append(zr)
+        rhs.append(rh)
+        htils.append(htil)
+        states[t] = h = out
+
+    def backward(g):
+        prev = [h0, *states[:-1]]
+        dpre = np.empty((t_len, rows, 3 * n))
+        dh = np.zeros((rows, n))
+        for t in range(t_len - 1, -1, -1):
+            gt = g[t] + dh
+            if keep is not None:
+                carried = np.where(keep[t], 0.0, gt)
+                gt = np.where(keep[t], gt, 0.0)
+            zr, htil, h = zrs[t], htils[t], prev[t]
+            z = zr[:, :n]
+            dah = gt * z * (1.0 - htil * htil)
+            drh = dah @ u_h
+            dzr = np.concatenate([gt * (htil - h), drh * h], axis=1) * \
+                zr * (1.0 - zr)
+            dpre[t, :, :2 * n] = dzr
+            dpre[t, :, 2 * n:] = dah
+            dh = gt * (1.0 - z) + drh * zr[:, n:] + dzr @ u_zr
+            if keep is not None:
+                dh = dh + carried
+        dpre = dpre.reshape(t_len * rows, 3 * n)
+        dw = dpre.T @ flat
+        db = dpre.sum(axis=0)
+        du_zr = dpre[:, :2 * n].T @ np.concatenate(prev)
+        du_h = dpre[:, 2 * n:].T @ np.concatenate(rhs)
+        dx = (dpre @ w).reshape(t_len, rows, -1)
+        return (dx, dh, dw[:n], du_zr[:n], db[:n], dw[n:2 * n], du_zr[n:],
+                db[n:2 * n], dw[2 * n:], du_h, db[2 * n:])
+
+    return states, backward
 
 
 # ---------------------------------------------------------------------------

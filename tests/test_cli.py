@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import save_lexicon
+from oracles import save_lexicon, split_gru
 from test_corpus import _second_turn_row
 from test_metrics import _edit
 from test_qadpt import _poison_payload, _rewrite_header
@@ -550,7 +552,7 @@ def test_non_finite_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
     data error, before anything is decoded or written."""
     bad = ws / f"nan_{command}.ckpt"
     shutil.copy(run_dir / "model.ckpt", bad)
-    _poison_payload(bad, "dec.w_h", float("nan"))
+    _poison_payload(bad, "dec.w", float("nan"))
     out = ws / f"nan_{command}_out"
     argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(bad)]
     if command != "chat":
@@ -560,7 +562,47 @@ def test_non_finite_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
                           text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "param dec.w_h: non-finite" in proc.stderr
+    assert "param dec.w: non-finite" in proc.stderr
+    assert not out.exists()
+
+
+def _save_format1(model, path) -> None:
+    """`model` in the checkpoint format before each GRU was stored as
+    three stacked tensors: magic QADPT1 and nine per-gate tensors per
+    GRU, in an otherwise valid file."""
+    params = split_gru(model.params)
+    manifest, chunks, offset = [], [], 0
+    for name in sorted(params):
+        raw = np.ascontiguousarray(params[name], dtype="<f8").tobytes()
+        manifest.append({"name": name, "shape": list(params[name].shape),
+                         "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    payload = b"".join(chunks)
+    head = json.dumps({"hyper": model.hyper.to_dict(),
+                       "vocab": model.vocab.to_dict(), "manifest": manifest,
+                       "payload_bytes": len(payload),
+                       "sha256": hashlib.sha256(payload).hexdigest()}).encode()
+    path.write_bytes(b"QADPT1\n" + struct.pack("<Q", len(head)) + head +
+                     payload)
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb", "chat"])
+def test_format1_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
+    """A checkpoint of the per-gate format is refused at offset 0 as a
+    data error, before anything is decoded or written."""
+    old = ws / f"format1_{command}.ckpt"
+    _save_format1(load_checkpoint(run_dir / "model.ckpt"), old)
+    out = ws / f"format1_{command}_out"
+    argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(old)]
+    if command != "chat":
+        argv += ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "kgchat.cli", *argv],
+                          input="where does anna live\n", capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad magic at offset 0" in proc.stderr
     assert not out.exists()
 
 

@@ -149,7 +149,6 @@ def test_entity_predicates():
     v = _vocab()
     assert v.is_entity_id(8) and v.is_entity_id(9)
     assert not v.is_entity_id(7) and not v.is_entity_id(0)
-    assert v.is_entity_token("Ben") and not v.is_entity_token("cat")
     assert v.entity_position(9) == 1
     with pytest.raises(DataError):
         v.entity_position(5)
@@ -449,6 +448,20 @@ def test_bundle_round_trip(tmp_path):
     for tid in bundle.subgraphs:
         assert back.subgraphs[tid] == bundle.subgraphs[tid]
     assert back.meta == bundle.meta
+
+
+def test_load_bundle_keeps_the_graphs_isolated_entities(tmp_path):
+    """graph.tsv holds triples only; the reloaded graph takes the
+    entities without one from vocab.json, so it equals the ingested
+    graph. In this world Eastwood has no triple."""
+    syn = generate_synthetic(SyntheticConfig(n_turns=1000), seed=1)
+    bundle = ingest(syn.raw_turns, syn.graph, syn.lexicon)
+    linked = {e for t in bundle.graph.triples for e in (t.head, t.tail)}
+    assert "Eastwood" in bundle.graph.entities - linked
+    save_bundle(bundle, tmp_path)
+    back = load_bundle(tmp_path)
+    assert back.graph == bundle.graph
+    assert back.graph.entities == bundle.graph.entities
 
 
 # ---------------------------------------------------------------------------

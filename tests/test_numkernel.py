@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import finite_diff_check, kg_hop
+from oracles import GATE_FIELDS, finite_diff_check, fuse_gru, kg_hop, split_gru
 
 from kgchat import metrics
 from kgchat import numkernel as nk
@@ -89,20 +89,25 @@ def test_row_softmax_rows_sum_to_one():
 # GRU cell
 
 
-GRU_FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-
-
 def gru_params(r, input_dim, hidden_dim, scale=0.5):
+    """The nine per-gate tensors of a random GRU, drawn in GATE_FIELDS
+    order; fuse_gru stacks them into the w, u and b Tape.gru takes."""
     shapes = {"w": (hidden_dim, input_dim), "u": (hidden_dim, hidden_dim),
               "b": (hidden_dim,)}
-    return {f: nk.init_uniform(r, shapes[f[0]], scale) for f in GRU_FIELDS}
+    return {f: nk.init_uniform(r, shapes[f[0]], scale) for f in GATE_FIELDS}
+
+
+def gru_leaves(t, params):
+    """The w, u and b leaves of a per-gate GRU, stacked."""
+    fused = fuse_gru(params)
+    return [t.leaf(fused[f]) for f in "wub"]
 
 
 def tape_gru(params, xs, h0):
     """Final state of a GRU run over the vectors xs from the vector h0,
     recorded on a fresh tape as one node over (T, 1, .) steps."""
     t = nk.Tape()
-    weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+    weights = gru_leaves(t, params)
     x = t.leaf(np.reshape(xs, (len(xs), 1, -1)))
     return t.value(t.gru(x, t.leaf([h0]), *weights))[-1, 0]
 
@@ -123,7 +128,7 @@ def test_gru_carry_gate_keeps_state():
 
 def scalar_gru(params, xs, h0):
     """Independent scalar-by-scalar GRU recurrence for dims <= 3."""
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (params[f] for f in GRU_FIELDS)
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (params[f] for f in GATE_FIELDS)
     h = list(h0)
     n = len(h)
     d = len(xs[0])
@@ -162,70 +167,74 @@ def test_tape_gru_rejects_bad_dims():
     for x, h in bad_inputs:
         with pytest.raises(nk.KernelError, match="gru"):
             tape_gru(gru_params(rng(), 3, 4), [x], h)
-    for field, shape in (("w_r", (4, 2)), ("u_h", (4, 3)), ("b_z", (3,))):
-        p = {**gru_params(rng(), 3, 4), field: np.zeros(shape)}
-        with pytest.raises(nk.KernelError, match="gru"):
-            tape_gru(p, [np.zeros(3)], np.zeros(4))
     t = nk.Tape()
-    weights = [t.leaf(v) for v in gru_params(rng(), 3, 4).values()]
+    good = fuse_gru(gru_params(rng(), 3, 4))
     h = t.leaf(np.zeros((2, 4)))
+    x = t.leaf(np.zeros((1, 2, 3)))
+    # each of w (3n, d), u (3n, n) and b (3n,), one gate's rows or a
+    # wrong dim
+    for field, shape in (("w", (4, 3)), ("w", (12, 2)), ("u", (4, 4)),
+                         ("u", (12, 3)), ("b", (4,)), ("b", (12, 1))):
+        weights = [t.leaf(np.zeros(shape) if f == field else good[f])
+                   for f in "wub"]
+        with pytest.raises(nk.KernelError, match="gru"):
+            t.gru(x, h, *weights)
+    weights = [t.leaf(good[f]) for f in "wub"]
     # steps of rows: the input's B must be the state's, and T >= 1; a
     # (B, d) input or a vector state is not steps of rows
     for x_shape, h_node in (((5, 3, 3), h), ((0, 2, 3), h), ((2, 3), h),
                             ((1, 4, 3), t.leaf(np.zeros(4)))):
         with pytest.raises(nk.KernelError, match="gru"):
             t.gru(t.leaf(np.zeros(x_shape)), h_node, *weights)
-    # lengths: one int in [1, T] per batch row
     x = t.leaf(np.zeros((3, 2, 3)))
-    for lengths in (np.array([3]), np.array([[3], [1]]), np.array([3.0, 1.0]),
-                    np.array([0, 2]), np.array([4, 1]), np.array([True, True]),
-                    np.array([-1, 3])):
-        with pytest.raises(nk.KernelError, match="gru: lengths"):
-            t.gru(x, h, *weights, lengths=lengths)
     before = len(t)
-    t.gru(x, h, *weights, lengths=np.array([3, 1]))
+    t.gru(x, h, *weights)
     assert len(t) == before + 1
 
 
 def ragged_gru_case(seed, t_len=5, b=4, d=3, n=4):
     """Inputs of a ragged GRU run: params, (T, B, d) steps, a (B, n)
-    start state, lengths holding 1 and T, and a loss weight per state."""
+    start state, lengths holding 1 and T, and a loss weight per state,
+    zero past each row's length."""
     r = rng(seed)
     lengths = np.concatenate([[1, t_len], r.integers(1, t_len + 1, b - 2)])
-    return (gru_params(r, d, n), r.normal(size=(t_len, b, d)),
-            r.normal(size=(b, n)), r.permutation(lengths),
-            r.normal(size=(t_len, b, n)))
+    params, xs, h0 = (gru_params(r, d, n), r.normal(size=(t_len, b, d)),
+                      r.normal(size=(b, n)))
+    lengths = r.permutation(lengths)
+    real = (np.arange(t_len)[:, None] < lengths)[:, :, None]
+    return params, xs, h0, lengths, r.normal(size=(t_len, b, n)) * real
 
 
-def one_node_gru(params, xs, h0, lengths, c):
-    """The ragged run as one Tape.gru node: its states and the gradients
-    of sum(c * states) for x, h0 and the nine weights, in that order."""
+def one_node_gru(params, xs, h0, c):
+    """The run as one Tape.gru node over every step of every row: its
+    states and the gradients of sum(c * states) for x, h0, w, u and b,
+    in that order."""
     t = nk.Tape()
-    weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+    weights = gru_leaves(t, params)
     x, h = t.leaf(xs), t.leaf(h0)
-    states = t.gru(x, h, *weights, lengths=lengths)
+    states = t.gru(x, h, *weights)
     grads = t.backward(dot(t, t.leaf(c), states))
     return t.value(states), [grads[x], grads[h], *(grads[w] for w in weights)]
 
 
 def chained_gru(params, xs, h0, lengths, c):
     """The same run as T=1 nodes chained row by row, each row only over
-    its own steps: a finished row's later states are its last state.
-    Gradients are summed over one backward pass per (step, row) term."""
+    its own steps (states past them stay zero). Gradients are summed
+    over one backward pass per (step, row) term."""
     t_len, b, _ = xs.shape
-    states = np.empty(c.shape)
+    states = np.zeros(c.shape)
+    fused = fuse_gru(params)
     grads = [np.zeros_like(xs), np.zeros_like(h0),
-             *(np.zeros_like(params[f]) for f in GRU_FIELDS)]
+             *(np.zeros_like(fused[f]) for f in "wub")]
     for row in range(b):
         t = nk.Tape()
-        weights = [t.leaf(params[f]) for f in GRU_FIELDS]
+        weights = gru_leaves(t, params)
         h0_node = t.leaf(h0[row:row + 1])
         x_nodes, h, outs = [], h0_node, []
         for step in range(lengths[row]):
             x_nodes.append(t.leaf(xs[step:step + 1, row:row + 1]))
             h = t.reshape(t.gru(x_nodes[-1], h, *weights), (1, -1))
             outs.append(h)
-        outs += [h] * (t_len - lengths[row])
         for step, node in enumerate(outs):
             states[step, row] = t.value(node)[0]
             g = t.backward(dot(t, t.leaf(c[step, row]), node))
@@ -239,32 +248,36 @@ def chained_gru(params, xs, h0, lengths, c):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_gru_node_matches_chained_one_step_nodes(seed):
-    """One T-step node over ragged rows against T=1 nodes chained per
-    row: states and all 11 gradients within 1e-12."""
-    case = ragged_gru_case(seed)
-    got_states, got = one_node_gru(*case)
-    want_states, want = chained_gru(*case)
-    np.testing.assert_allclose(got_states, want_states, rtol=0, atol=1e-12)
-    assert len(got) == len(want) == 11
-    for name, a, b in zip(("x", "h0", *GRU_FIELDS), got, want):
-        assert a.shape == b.shape, name
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+    """One T-step node over ragged rows, read at each row's real steps,
+    against T=1 nodes chained per row: states and all 5 gradients within
+    1e-12, each stacked weight compared gate by gate."""
+    params, xs, h0, lengths, c = ragged_gru_case(seed)
+    got_states, got = one_node_gru(params, xs, h0, c)
+    want_states, want = chained_gru(params, xs, h0, lengths, c)
+    real = np.arange(len(xs))[:, None] < lengths
+    np.testing.assert_allclose(got_states[real], want_states[real], rtol=0,
+                               atol=1e-12)
+    assert len(got) == len(want) == 5
+    got, want = (split_gru(dict(zip(("x", "h0", "w", "u", "b"), grads)))
+                 for grads in (got, want))
+    assert list(got) == list(want) and len(got) == 11
+    for name in got:
+        assert got[name].shape == want[name].shape, name
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                   atol=1e-12, err_msg=name)
 
 
 def test_batched_gru_rows_match_vector_steps():
-    """Each row of a ragged batched run is that row's one-row run over
-    its own steps; past its length a row keeps its last state, and no
-    gradient reaches its inputs there."""
+    """Each row of a batched run is that row's one-row run over its own
+    steps, and when the run is read at a row's real steps only, no
+    gradient reaches that row's inputs past them: exactly zero."""
     params, xs, h0, lengths, c = ragged_gru_case(7)
-    states, grads = one_node_gru(params, xs, h0, lengths, c)
+    states, grads = one_node_gru(params, xs, h0, c)
     for row, n in enumerate(lengths):
-        for k in range(1, n + 1):
+        for k in range(1, len(xs) + 1):
             np.testing.assert_allclose(
                 states[k - 1, row], tape_gru(params, xs[:k, row], h0[row]),
                 rtol=1e-13, atol=1e-15)
-        np.testing.assert_array_equal(states[n:, row],
-                                      np.broadcast_to(states[n - 1, row],
-                                                      states[n:, row].shape))
         np.testing.assert_array_equal(grads[0][n:, row], 0.0)
 
 
@@ -366,14 +379,13 @@ def test_log_floor_zero_gradient_below_floor():
 
 def _composed_loss(params):
     """A loss touching every op class the models use: a (T, B) embedding
-    lookup, a 3-step GRU over two rows of lengths 3 and 1, the states
-    read at every real step and at one carried step, a linear
-    projection, softmax, gather, log and mean."""
+    lookup, a 3-step GRU over two rows, the states read at every step of
+    the first row and at two of the second, a linear projection,
+    softmax, gather, log and mean."""
     t = nk.Tape()
     nodes = {name: t.leaf(value) for name, value in params.items()}
-    gru_ids = tuple(nodes[k] for k in GRU_FIELDS)
     x = t.lookup_row(nodes["embed"], np.array([[0, 2], [2, 1], [1, 0]]))
-    states = t.gru(x, nodes["h0"], *gru_ids, lengths=np.array([3, 1]))
+    states = t.gru(x, nodes["h0"], nodes["w"], nodes["u"], nodes["b"])
     pos, row = np.array([0, 1, 2, 0, 2]), np.array([0, 0, 0, 1, 1])
     h = t.gather(states, (pos[:, None], row[:, None], np.arange(4)))
     probs = t.softmax(t.linear(nodes["proj"], h, nodes["proj_b"]))
@@ -385,7 +397,7 @@ def _composed_loss(params):
 @pytest.mark.parametrize("seed", range(20))
 def test_backward_matches_finite_differences(seed):
     r = rng(seed)
-    params = {
+    params = fuse_gru({
         "embed": nk.init_uniform(r, (3, 2), 0.5),
         "h0": nk.init_uniform(r, (2, 4), 0.5),
         "w_z": nk.init_uniform(r, (4, 2), 0.5), "u_z": nk.init_uniform(r, (4, 4), 0.5),
@@ -396,7 +408,7 @@ def test_backward_matches_finite_differences(seed):
         "b_h": nk.init_uniform(r, (4,), 0.5),
         "proj": nk.init_uniform(r, (5, 4), 0.5),
         "proj_b": nk.init_uniform(r, (5,), 0.5),
-    }
+    })
     report = finite_diff_check(_composed_loss, params)
     assert report.passed, f"worst {report.worst_param}: {report.max_rel_err}"
 
@@ -474,9 +486,10 @@ def op_calls(r, scale=1.0):
     adj = SimpleNamespace(head=np.array([0, 1, 1, 3, 2]),
                           rel=np.array([0, 2, 1, 0, 1]),
                           tail=np.array([1, 2, 0, 3, 2]), weight=r.random(5))
-    gru = [0.5 * r.normal(size=s) for s in ((n, d), (n, n), (n,)) * 3]
-    gates = np.exp(r.normal(size=(b, 3)))
-    gates /= gates.sum(axis=1, keepdims=True)
+    gates = [0.5 * r.normal(size=s) for s in ((n, d), (n, n), (n,)) * 3]
+    gru = [np.concatenate(gates[i::3]) for i in range(3)]   # w, u, b
+    mix = np.exp(r.normal(size=(b, 3)))
+    mix /= mix.sum(axis=1, keepdims=True)
     return {
         "leaf": [((), lambda t: t.leaf(rows)),
                  ((), lambda t: t.leaf(rows, check=False))],
@@ -496,15 +509,13 @@ def op_calls(r, scale=1.0):
         "log_floor": [((pos - 0.3,), lambda t, a: t.log_floor(a, 0.1))],
         "mean": [((mat,), lambda t, a: t.mean(a))],
         "gru": [((scale * r.normal(size=(3, b, d)), rows, *gru),
-                 lambda t, *nodes: t.gru(*nodes)),
-                ((scale * r.normal(size=(3, b, d)), rows, *gru),
-                 lambda t, *nodes: t.gru(*nodes, lengths=np.array([3, 1])))],
+                 lambda t, *nodes: t.gru(*nodes))],
         "mask_renorm_rows": [((r.random((n, d)) + 0.05, mask),
                               lambda t, a, c: t.mask_renorm_rows(a, c))],
         "kg_hop": [((pos, r.random((n, d))),
                     lambda t, a, c: t.kg_hop(a, c, adj, 3))],
-        "mix_output": [((gates,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
-                       ((gates, r.random(2 * b)),
+        "mix_output": [((mix,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
+                       ((mix, r.random(2 * b)),
                         lambda t, g, k: t.mix_output(g, [3, 1], 7, k))],
     }
 

@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (PIN_KINDS, PIN_SEEDS, brute_force_best_path,
+from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, brute_force_best_path,
                      decoder_steps, dense_transition, finite_diff_check,
-                     infer_path_per_edge, kg_hop, loss_and_grads,
-                     path_sum_oracle, random_subgraph, renorm_rows, toy_batch,
-                     walk_to_triples)
+                     gru_per_gate, infer_path_per_edge, kg_hop, loss_and_grads,
+                     path_sum_oracle, random_subgraph, renorm_rows,
+                     split_gru, toy_batch, walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
@@ -105,8 +105,12 @@ def test_param_shapes_qadpt():
     assert shapes["phi_w"] == (v.generic_output_size, 8)
     # three entities, two relations plus the self-loop
     assert shapes["theta_w"] == (3 * 3, 8)
-    assert shapes["enc.w_z"] == (8, 6)
-    assert shapes["enc.u_h"] == (8, 8)
+    # each GRU as three stacked tensors, gate rows in z, r, h order
+    for prefix in ("enc", "dec"):
+        assert shapes[f"{prefix}.w"] == (3 * 8, 6)
+        assert shapes[f"{prefix}.u"] == (3 * 8, 8)
+        assert shapes[f"{prefix}.b"] == (3 * 8,)
+    assert not any(name.endswith(("_z", "_r", "_h")) for name in shapes)
 
 
 def test_param_shapes_seq2seq():
@@ -129,7 +133,9 @@ def test_init_deterministic():
 
 # SHA-256 over (name, shape, <f8 bytes) of every tensor in name order,
 # for the toy vocabulary at hidden 8 / embed 6; computed when
-# init_params still drew the GRU cells through a separate cell class.
+# init_params still drew the GRU cells through a separate cell class,
+# and each GRU was nine per-gate tensors: the digest is taken over
+# split_gru's per-gate view, under those names.
 INIT_DIGESTS = {
     ("qadpt", 0): "33255e81f4e008ffe13d7cecd465f4571095699abec3e8fe33663d7bbeb8961a",
     ("qadpt", 1): "f8253ab9ee907dd5d4b1945bbe1d7e7c58fe672c62bd014eb54527e22f422761",
@@ -140,8 +146,8 @@ INIT_DIGESTS = {
 
 @pytest.mark.parametrize("kind, seed", sorted(INIT_DIGESTS))
 def test_init_params_are_pinned(kind, seed):
-    params = init_params(Hyperparams(kind=kind, hidden_dim=8, embed_dim=6),
-                         toy_vocab(), seed)
+    params = split_gru(init_params(
+        Hyperparams(kind=kind, hidden_dim=8, embed_dim=6), toy_vocab(), seed))
     h = hashlib.sha256()
     for name in sorted(params):
         arr = params[name]
@@ -171,8 +177,8 @@ def test_model_rejects_non_finite_params(value):
     v = toy_vocab()
     hy = Hyperparams(hidden_dim=8, embed_dim=6)
     params = init_params(hy, v, seed=0)
-    params["dec.u_r"][1, 2] = value
-    with pytest.raises(ModelError, match=r"param dec\.u_r: non-finite"):
+    params["dec.u"][8 + 1, 2] = value   # the r gate's row 1
+    with pytest.raises(ModelError, match=r"param dec\.u: non-finite"):
         QadptModel(hy, v, params)
 
 
@@ -462,7 +468,8 @@ def test_batch_loss_matches_the_pinned_per_example_loss(kind, seed):
     with np.load(PIN) as pin:
         want = {k[len(prefix):]: pin[k] for k in pin.files
                 if k.startswith(prefix)}
-    got = loss_and_grads(*toy_batch(kind, seed))
+    # the pin names each GRU's per-gate tensors
+    got = split_gru(loss_and_grads(*toy_batch(kind, seed)))
     assert set(got) == set(want)
     for field in COUNTS:
         assert got[field] == int(want[field]), field
@@ -486,6 +493,41 @@ def test_batch_loss_is_invariant_to_batching_and_order(kind, seed):
         for field in sorted(set(got) - set(COUNTS)):
             want = sum(s[field] * s["n_tok"] for s in singles)
             assert_close(got[field] * got["n_tok"], want, field)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_encoder_bit_equals_the_masked_per_gate_gru(seed):
+    """_encode runs every row of a padded ragged batch all T steps and
+    reads each at its last real step. The per-gate GRU with a lengths
+    mask, which carries a finished row's state to the last step, gives
+    the same final states and the same gradients of x, h0 and every
+    gate's slice of w, u and b, bit for bit."""
+    v = toy_vocab()
+    model = model_for(v, seed=seed)
+    r = np.random.default_rng(seed)
+    lengths = r.permutation([1, 6, *r.integers(1, 7, size=3)])
+    rows = [r.integers(v.size, size=n).tolist() for n in lengths]
+    fw = qadpt._Forward(model)
+    t = fw.tape
+    final = qadpt._encode(fw, rows)
+    c = r.normal(size=t.value(final).shape)
+    loss = t.reshape(t.linear(t.leaf(c.reshape(1, -1)),
+                              t.reshape(final, (1, -1)), t.leaf(np.zeros(1))),
+                     ())
+    grads = t.backward(loss)
+    x, h0, w, u, b = t._parents[t._parents[final][0]]
+    gates = split_gru({f: model.params[f"enc.{f}"] for f in "wub"})
+    states, backward = gru_per_gate(t.value(x), t.value(h0), gates, lengths)
+    assert t.value(final).tobytes() == states[-1].tobytes()
+    g = np.zeros_like(states)
+    g[-1] = c
+    want = dict(zip(("x", "h0", *GATE_FIELDS), backward(g)))
+    got = split_gru({"x": grads[x], "h0": grads[h0], "w": grads[w],
+                     "u": grads[u], "b": grads[b]})
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert got[name].shape == value.shape, name
+        assert got[name].tobytes() == np.ascontiguousarray(value).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +1030,7 @@ def _poison_payload(path, name, value) -> None:
 
 @pytest.mark.parametrize("name, value", [("theta_w", float("nan")),
                                          ("embed", float("inf")),
-                                         ("dec.b_h", float("-inf"))])
+                                         ("dec.b", float("-inf"))])
 def test_checkpoint_rejects_non_finite_weights(tmp_path, name, value):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
@@ -1048,40 +1090,33 @@ def test_checkpoint_rejects_mistyped_hyper(tmp_path, edit, why):
 
 
 def test_checkpoint_with_retired_walk_keys(tmp_path):
-    """Headers that still name the retired post_renorm, teacher_forcing,
-    prob_floor and max_decode_len keys: the parent's values load as the
-    one forward pass, post_renorm true is refused, by the loader and by
-    the CLI."""
+    """A header whose hyperparameters name a retired key (post_renorm,
+    teacher_forcing, prob_floor, max_decode_len) is refused as naming an
+    undeclared key, by the loader and by the CLI: no checkpoint of this
+    format was written with them."""
+    retired = {"post_renorm": False, "teacher_forcing": False,
+               "prob_floor": 1e-12, "max_decode_len": 40}
+    path = tmp_path / "m.ckpt"
+    for key, value in retired.items():
+        save_checkpoint(model_for(toy_vocab()), path)
+        _rewrite_header(path, lambda h: h["hyper"].update({key: value}))
+        with pytest.raises(CheckpointError,
+                           match=f"bad header contents: undeclared key "
+                                 f"{re.escape(repr(key))}"):
+            load_checkpoint(path)
     bundle = tmp_path / "bundle"
     assert cli.main(["synth", "--out", str(bundle), "--n_people", "4",
                      "--n_places", "3", "--n_jobs", "2", "--n_turns", "100",
                      "--seed", "1"]) == 0
-    loaded = load_bundle(bundle)
-    exs = make_examples(loaded)[:4]
-    model = model_for(loaded.vocab)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(model, path)
-    _rewrite_header(path, lambda h: h["hyper"].update(
-        post_renorm=False, teacher_forcing=False, prob_floor=1e-12,
-        max_decode_len=40))
-    back = load_checkpoint(path)
-    assert back.hyper == model.hyper
-    for ex in exs:
-        want, got = greedy_decode(model, ex), greedy_decode(back, ex)
-        assert got.token_ids == want.token_ids
-        for a, b in zip(got.steps, want.steps):
-            np.testing.assert_array_equal(a.combined, b.combined)
-
-    _rewrite_header(path, lambda h: h["hyper"].update(post_renorm=True))
-    with pytest.raises(CheckpointError, match="'post_renorm'"):
-        load_checkpoint(path)
+    save_checkpoint(model_for(load_bundle(bundle).vocab), path)
+    _rewrite_header(path, lambda h: h["hyper"].update(post_renorm=False))
     proc = subprocess.run(
         [sys.executable, "-m", "kgchat.cli", "eval", "--bundle", str(bundle),
          "--checkpoint", str(path), "--out", str(tmp_path / "eval")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "'post_renorm'" in proc.stderr
+    assert "undeclared key 'post_renorm'" in proc.stderr
     assert not (tmp_path / "eval").exists()
 
 
