@@ -563,9 +563,5 @@ def main(argv=None) -> int:
         return 4
 
 
-def console() -> None:
-    raise SystemExit(main(sys.argv[1:]))
-
-
 if __name__ == "__main__":
-    console()
+    raise SystemExit(main())

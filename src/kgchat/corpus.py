@@ -473,12 +473,6 @@ def load_dialogues_jsonl(path) -> list[RawTurn]:
     return turns
 
 
-def save_dialogues_jsonl(turns: Iterable[RawTurn], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in turns:   # its fields, in declaration order
-            fh.write(json.dumps(vars(t), ensure_ascii=False) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Splits: 85/5/10 over whole dialogues, balanced on dominant speakers.
 
@@ -564,12 +558,24 @@ class Bundle:
         return self.subgraphs[turn.turn_id]
 
 
+def _check_turn_ids(turns: Sequence[DialogueTurn], where: str = "") -> None:
+    """Refuse two turns with one (dialogue_id, turn): a turn id names
+    one subgraph, and the second would take the first's place."""
+    seen = set()
+    for t in turns:
+        if t.turn_id in seen:
+            raise DataError(f"{where}repeated turn id {t.turn_id!r} "
+                            f"(dialogue_id {t.dialogue_id!r}, turn {t.turn})")
+        seen.add(t.turn_id)
+
+
 def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
            lexicon: Mapping[str, str] | None = None, *, mode: str = "word",
            split_seed: int = 0, min_count: int = 1,
            subgraph_k: int = 5) -> Bundle:
     """Tokenize raw turns, attach per-turn subgraphs, split dialogues,
-    and build the vocabulary from the training split only."""
+    and build the vocabulary from the training split only. Two raw turns
+    with one (dialogue_id, turn) raise DataError."""
     lex = {e: e for e in graph.entities}
     for surface, canonical in (lexicon or {}).items():
         if canonical not in graph.entities:
@@ -592,6 +598,7 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
             response=tuple(tokenize(rt.response, mode, matcher))))
     if dropped_scene:
         logger.warning("ingest: dropped %d scene entities not in the graph", dropped_scene)
+    _check_turn_ids(turns)
 
     requests = [({tok for tok in t.message if tok in entity_set}
                  | set(t.scene_entities),
@@ -777,13 +784,14 @@ def load_bundle(in_dir) -> Bundle:
     """Read a bundle directory written by `save_bundle`. Every file is
     parsed and type-checked here except the subgraph rows: those are
     indexed by turn id, and each turn's graph is built when it is first
-    read (see `SubgraphRows`). A turn without a subgraph row, or two
-    rows for one turn, fail here. The graph holds the triples of
-    graph.tsv and every entity of vocab.json, the isolated ones too, so
-    it equals the graph the bundle was saved from; a row may name its
-    entities only."""
+    read (see `SubgraphRows`). Two turns with one id, a turn without a
+    subgraph row, or two rows for one turn, fail here. The graph holds
+    the triples of graph.tsv and every entity of vocab.json, the
+    isolated ones too, so it equals the graph the bundle was saved from;
+    a row may name its entities only."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
+    _check_turn_ids(turns, "turns.jsonl: ")
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv", vocab.entities)
     subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph)

@@ -241,14 +241,14 @@ def bleu2_sentence(hypothesis: Sequence[str], reference: Sequence[str]) -> float
     return math.sqrt(score) * bp
 
 
-def perplexity(prob_seqs: Sequence[Sequence[float]],
-               floor: float = PROB_FLOOR) -> float:
-    """exp of mean token NLL over all recorded gold probabilities."""
+def perplexity(prob_seqs: Sequence[Sequence[float]]) -> float:
+    """exp of mean token NLL over all recorded gold probabilities, each
+    floored at PROB_FLOOR."""
     total = 0.0
     tokens = 0
     for probs in prob_seqs:
         for p in probs:
-            total += -math.log(max(float(p), floor))
+            total += -math.log(max(float(p), PROB_FLOOR))
             tokens += 1
     if tokens == 0:
         raise MetricError("perplexity over zero tokens")
@@ -486,23 +486,11 @@ class PerturbTurnEval(JsonRecord):
     changed: bool | None       # None when skipped
     accurate: bool | None      # None when skipped or no original entity
 
-    @classmethod
-    def from_dict(cls, d) -> "PerturbTurnEval":
-        """The record `to_dict` wrote; its `changed` and `accurate` flags
-        must be the ones its own replies give (null on a skipped turn,
-        `accurate` true only on a changed reply)."""
-        turn = super().from_dict(d)
-        changed = None if turn.skipped else turn.original != turn.perturbed
-        if turn.changed != changed or turn.accurate not in (
-                (None,) if turn.skipped else (None, False, changed)):
-            raise ValueError(f"turn {turn.turn_id!r}: changed {turn.changed}, "
-                             f"accurate {turn.accurate} disagree with its replies")
-        return turn
-
 
 @dataclass
 class PerturbReport(JsonRecord):
     mode: str
+    entities: tuple[str, ...]  # entity vocabulary the flags refer to
     n_turns: int               # turns that were actually perturbed
     n_skipped: int
     change_rate: float | None
@@ -512,11 +500,25 @@ class PerturbReport(JsonRecord):
 
     @classmethod
     def from_dict(cls, d) -> "PerturbReport":
-        """The report `to_dict` wrote. Its counts and rates must be
-        exactly the ones its turn records give."""
+        """The report `to_dict` wrote. Each turn's `changed` and
+        `accurate` flags must be the ones its replies, hypothesis and
+        targets give under the report's mode and entities, and the
+        counts and rates the ones those turn records give."""
         report = super().from_dict(d)
         if report.mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturbation mode {report.mode!r}")
+        live = [t for t in report.turns if not t.skipped]
+        accurate = iter(_accuracy_flags(
+            report.entities, [t.original for t in live],
+            [t.perturbed for t in live], [t.hypothesis for t in live],
+            report.mode, [t.targets for t in live]))
+        for t in report.turns:
+            flags = ((None, None) if t.skipped
+                     else (t.original != t.perturbed, next(accurate)))
+            if (t.changed, t.accurate) != flags:
+                raise ValueError(f"turn {t.turn_id!r}: changed {t.changed}, "
+                                 f"accurate {t.accurate} disagree with its "
+                                 f"replies")
         if report.n_turns + report.n_skipped != len(report.turns):
             raise ValueError(f"n_turns {report.n_turns} + n_skipped "
                              f"{report.n_skipped} != {len(report.turns)} "
@@ -540,6 +542,7 @@ def perturbation_report(entities: Iterable[str], runs, mode: str,
                         config: dict | None = None) -> PerturbReport:
     """Score a perturb-and-redecode run. Skipped turns (no usable path
     to perturb) stay in the record list but outside both rates."""
+    entities = tuple(entities)
     flags = _accuracy_flags(
         entities, [r.original_tokens for r in runs],
         [r.perturbed_tokens for r in runs], [r.hypothesis for r in runs],
@@ -554,7 +557,8 @@ def perturbation_report(entities: Iterable[str], runs, mode: str,
         changed=(None if r.skipped
                  else tuple(r.original_tokens) != tuple(r.perturbed_tokens)),
         accurate=None if r.skipped else flag) for r, flag in zip(runs, flags)]
-    return PerturbReport(mode=mode, **_perturb_scalars(turns), turns=turns,
+    return PerturbReport(mode=mode, entities=entities,
+                         **_perturb_scalars(turns), turns=turns,
                          config=dict(config or {}))
 
 

@@ -15,8 +15,8 @@ Under teacher forcing every decoder input is the gold prefix, known up
 front, so training runs a whole padded batch, and teacher-forced
 evaluation a whole turn, as one step; greedy decoding runs the same
 step one position at a time (T=1) with a batch of one, on a tape that
-keeps values only. Checkpoints are a small binary format: magic, JSON
-header, raw little-endian float64 payload (see save_checkpoint).
+keeps values only. Checkpoints are a small binary format: magic, digest,
+JSON header, raw little-endian float64 payload (see save_checkpoint).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .numkernel import KernelError, Tape
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"QADPT2\n"
+CHECKPOINT_MAGIC = b"QADPT3\n"
 
 KINDS = ("qadpt", "seq2seq")
 
@@ -773,110 +773,68 @@ def train(model: QadptModel, train_examples: Sequence[Example],
 # Checkpoints
 
 
+@dataclass(frozen=True)
+class CheckpointHeader(JsonRecord):
+    """A checkpoint's JSON header. It fixes the tensor layout too: the
+    payload is expected_param_shapes(hyper, vocab)'s tensors."""
+    hyper: Hyperparams
+    vocab: Vocabulary
+
+
 def save_checkpoint(model: QadptModel, path) -> None:
-    """Atomic write of magic + length-prefixed JSON header + raw <f8
-    payload. The header carries hyperparameters, the vocabulary, a named
-    tensor manifest with shapes and byte offsets, and a payload digest.
-    The tensors are expected_param_shapes' (each GRU as its stacked w, u
-    and b); CHECKPOINT_MAGIC names this format, so a file of another
-    layout is refused at offset 0."""
-    names = sorted(model.params)
-    chunks = []
-    manifest = []
-    offset = 0
-    for name in names:
-        arr = model.params[name]
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
-    header = {
-        "hyper": model.hyper.to_dict(),
-        "vocab": model.vocab.to_dict(),
-        "manifest": manifest,
-        "payload_bytes": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    head = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    """Atomic write of the magic, a SHA-256 of every byte after it, a
+    u64 header length, the JSON CheckpointHeader (hyperparameters and
+    vocabulary) and the parameters as raw <f8 in sorted-name order. The
+    header decides every tensor's shape (expected_param_shapes, each GRU
+    as its stacked w, u and b), so the file keeps no copy of the layout;
+    CHECKPOINT_MAGIC names this format, and a file of another is
+    refused at offset 0."""
+    head = json.dumps(CheckpointHeader(model.hyper, model.vocab).to_dict(),
+                      ensure_ascii=False).encode("utf-8")
+    body = b"".join([struct.pack("<Q", len(head)), head] + [
+        np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
+        for name in sorted(model.params)])
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        fh.write(payload)
-
-
-def _valid_manifest_entry(entry) -> bool:
-    """A tensor name, a list of non-negative int dims, a non-negative int
-    payload offset. The payload digest does not cover the header, so
-    nothing else vouches for these."""
-    def natural(x):
-        return type(x) is int and x >= 0
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(natural(d) for d in entry["shape"])
-            and natural(entry.get("offset")))
+        fh.write(hashlib.sha256(body).digest())
+        fh.write(body)
 
 
 def load_checkpoint(path) -> QadptModel:
+    """The model save_checkpoint wrote. A file whose digest does not
+    match the bytes after it, whose header is not a CheckpointHeader, or
+    whose payload is not exactly the header's tensors raises
+    CheckpointError naming the offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     m = len(CHECKPOINT_MAGIC)
     if blob[:m] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic at offset 0")
-    if len(blob) < m + 8:
-        raise CheckpointError(f"{path}: truncated header length at offset {m}")
-    (head_len,) = struct.unpack("<Q", blob[m:m + 8])
-    head_end = m + 8 + head_len
-    if head_end > len(blob):
-        raise CheckpointError(f"{path}: truncated header at offset {m + 8}")
+    if hashlib.sha256(blob[m + 32:]).digest() != blob[m:m + 32]:
+        raise CheckpointError(f"{path}: checksum mismatch at offset {m}")
+    head = m + 32 + 8   # a short length field leaves start past the end
+    start = head + int.from_bytes(blob[head - 8:head], "little")
+    if start > len(blob):
+        raise CheckpointError(f"{path}: header at offset {head} runs past "
+                              f"the end of the file")
     try:
-        header = json.loads(blob[m + 8:head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header at offset {m + 8}: "
-                              f"{exc}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header at offset {m + 8} is not a "
-                              f"JSON object")
-    payload = blob[head_end:]
-    for key in ("hyper", "vocab", "manifest", "sha256", "payload_bytes"):
-        if key not in header:
-            raise CheckpointError(f"{path}: header missing {key!r}")
-    if len(payload) != header["payload_bytes"]:
-        raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes at offset {head_end}, "
-            f"header promises {header['payload_bytes']}")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["sha256"]:
-        raise CheckpointError(f"{path}: payload checksum mismatch at offset "
-                              f"{head_end}")
-    try:
-        hyper = Hyperparams.from_dict(header["hyper"])
-        vocab = Vocabulary.from_dict(header["vocab"])
+        header = CheckpointHeader.from_dict(
+            json.loads(blob[head:start].decode("utf-8")))
     except _PARSE_ERRORS as exc:
         raise CheckpointError(f"{path}: bad header contents: "
                               f"{_parse_failure(exc)}") from None
-    if not isinstance(header["manifest"], list):
-        raise CheckpointError(f"{path}: bad manifest in the header at offset "
-                              f"{m + 8}: not a list")
-    params = {}
-    for entry in header["manifest"]:
-        if not _valid_manifest_entry(entry):
-            raise CheckpointError(f"{path}: bad manifest entry in the header "
-                                  f"at offset {m + 8}: {entry!r}")
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)   # exact: np.prod wraps at 2**64
-        start = entry["offset"]
-        end = start + count * 8
-        if end > len(payload):
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} runs past "
-                                  f"the payload at offset {head_end + start}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=start).reshape(shape)
-        params[entry["name"]] = arr.astype(np.float64)
+    shapes = expected_param_shapes(header.hyper, header.vocab)
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[name]) for name in names]   # exact, unlike np
+    if len(blob) - start != 8 * sum(sizes):
+        raise CheckpointError(f"{path}: payload at offset {start} is "
+                              f"{len(blob) - start} bytes, the header's "
+                              f"tensors take {8 * sum(sizes)}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
+    params = {name: part.reshape(shapes[name]) for name, part in
+              zip(names, np.split(flat, np.cumsum(sizes)[:-1]))}
     try:
-        return QadptModel(hyper, vocab, params)
+        return QadptModel(header.hyper, header.vocab, params)
     except ModelError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 

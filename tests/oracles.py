@@ -3,12 +3,15 @@ acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The finite-difference checker, the adjacency audit view, the lexicon
-writer, the eager subgraph-row reader, the string-keyed path search and
-the per-gate GRU with its layout converters live here too: only the
-tests call them."""
+and dialogue writers, the eager subgraph-row reader, the string-keyed
+path search, the per-gate GRU with its layout converters, and the
+checkpoint rewriters (the current format resealed, the retired manifest
+formats written) live here too: only the tests call them."""
 
+import hashlib
 import heapq
 import json
+import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -18,7 +21,8 @@ import numpy as np
 from kgchat.corpus import DialogueTurn, Vocabulary
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
 from kgchat.numkernel import _scatter_add, sigmoid
-from kgchat.qadpt import (Hyperparams, ModelError, QadptModel, batch_loss,
+from kgchat.qadpt import (CHECKPOINT_MAGIC, Hyperparams, ModelError,
+                          QadptModel, batch_loss, expected_param_shapes,
                           make_example, param_grads)
 
 
@@ -474,6 +478,13 @@ def save_lexicon(lexicon, path):
             fh.write(f"{surface}\t{lexicon[surface]}\n")
 
 
+def save_dialogues_jsonl(turns, path):
+    """Raw turns as the dialogues.jsonl `kgchat ingest` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for t in turns:   # its fields, in declaration order
+            fh.write(json.dumps(vars(t), ensure_ascii=False) + "\n")
+
+
 def eager_subgraphs(path):
     """turn id -> KnowledgeGraph for every row of a subgraphs.jsonl,
     each row parsed and built at once, as load_bundle did before it
@@ -487,6 +498,73 @@ def eager_subgraphs(path):
                     [Triple(*t) for t in obj["triples"]],
                     extra_entities=obj.get("entities", ()))
     return subgraphs
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint files
+
+
+def checkpoint_parts(path) -> tuple:
+    """The JSON header (a dict) and the payload bytes of a checkpoint."""
+    blob = path.read_bytes()
+    head = len(CHECKPOINT_MAGIC) + 32 + 8
+    (n,) = struct.unpack("<Q", blob[head - 8:head])
+    return json.loads(blob[head:head + n]), blob[head + n:]
+
+
+def seal_checkpoint(path, header, payload, head_len=None) -> None:
+    """Write `header` and `payload` as a checkpoint under a digest of
+    every byte after the magic, so the file is refused, if it is, for
+    its contents. `head_len` replaces the true header length."""
+    head = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    body = struct.pack("<Q", len(head) if head_len is None else head_len)
+    body += head + payload
+    path.write_bytes(CHECKPOINT_MAGIC + hashlib.sha256(body).digest() + body)
+
+
+def tensor_offsets(header) -> dict:
+    """Payload byte offset of each tensor of a checkpoint header's
+    layout: expected_param_shapes' tensors in sorted-name order."""
+    shapes = expected_param_shapes(Hyperparams.from_dict(header["hyper"]),
+                                   Vocabulary.from_dict(header["vocab"]))
+    offsets, at = {}, 0
+    for name in sorted(shapes):
+        offsets[name] = at
+        at += 8 * int(np.prod(shapes[name]))
+    return offsets
+
+
+def rewrite_checkpoint(path, edit=None, poison=None) -> None:
+    """Reseal a saved checkpoint after `edit` changes its JSON header in
+    place, or `poison` = (name, value) writes value over the first entry
+    of tensor `name`: only that change is wrong."""
+    header, payload = checkpoint_parts(path)
+    if edit is not None:
+        edit(header)
+    if poison is not None:
+        name, value = poison
+        at = tensor_offsets(header)[name]
+        payload = payload[:at] + struct.pack("<d", value) + payload[at + 8:]
+    seal_checkpoint(path, header, payload)
+
+
+def save_manifest_checkpoint(path, magic, hyper, vocab, params) -> None:
+    """`params` in the layout of checkpoint formats 1 (QADPT1, each GRU
+    as nine per-gate tensors) and 2 (QADPT2, stacked): magic, u64 header
+    length, a JSON header with a per-tensor name/shape/offset manifest
+    and a digest of the payload only, then the payload."""
+    manifest, chunks, offset = [], [], 0
+    for name in sorted(params):
+        raw = np.ascontiguousarray(params[name], dtype="<f8").tobytes()
+        manifest.append({"name": name, "shape": list(params[name].shape),
+                         "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    payload = b"".join(chunks)
+    head = json.dumps({"hyper": hyper.to_dict(), "vocab": vocab.to_dict(),
+                       "manifest": manifest, "payload_bytes": len(payload),
+                       "sha256": hashlib.sha256(payload).hexdigest()}).encode()
+    path.write_bytes(magic + struct.pack("<Q", len(head)) + head + payload)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 import argparse
 import dataclasses
-import hashlib
 import io
 import json
 import os
 import re
 import shlex
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import save_lexicon, split_gru
+from oracles import (checkpoint_parts, rewrite_checkpoint, save_dialogues_jsonl,
+                     save_lexicon, save_manifest_checkpoint, seal_checkpoint,
+                     split_gru)
 from test_corpus import _second_turn_row
 from test_metrics import _edit
-from test_qadpt import _poison_payload, _rewrite_header
 
 from kgchat import cli
 from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
-                           load_bundle, save_dialogues_jsonl, write_json)
+                           load_bundle, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
 from kgchat.metrics import (METRIC_NAMES, PerturbTurnEval, evaluate_report,
                             load_perturb_report, load_report)
@@ -250,7 +249,7 @@ def test_checkpoint_hyper_that_cannot_train_exits_3(ws, bundle_dir, run_dir,
                                                     field, value):
     ckpt = ws / f"hyper_{field}_{value}.ckpt"
     shutil.copyfile(run_dir / "model.ckpt", ckpt)
-    _rewrite_header(ckpt, lambda h: h["hyper"].update({field: value}))
+    rewrite_checkpoint(ckpt, lambda h: h["hyper"].update({field: value}))
     out = ws / f"hyper_eval_{field}_{value}"
     proc = subprocess.run(
         [sys.executable, "-m", "kgchat.cli", "eval", "--bundle",
@@ -533,17 +532,46 @@ def test_corrupt_checkpoint_exits_3(ws, bundle_dir):
     assert code == 3
 
 
-def test_bad_checkpoint_manifest_exits_3(ws, bundle_dir, run_dir):
-    bad = ws / "bad_manifest.ckpt"
-    shutil.copy(run_dir / "model.ckpt", bad)
-    _rewrite_header(bad, lambda h: h["manifest"][0].update(offset=-8))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgchat.cli", "eval", "--bundle",
-         str(bundle_dir), "--checkpoint", str(bad), "--out", str(ws / "r2")],
-        capture_output=True, text=True, timeout=120)
+def _run_refused(argv, why) -> None:
+    """`kgchat *argv` in a subprocess exits 3 with `why` and no
+    traceback."""
+    proc = subprocess.run([sys.executable, "-m", "kgchat.cli", *argv],
+                          input="where does anna live\n", capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "bad manifest entry" in proc.stderr
+    assert re.search(why, proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("head_len, cut, why", [
+    (None, 8, "payload at offset .* is .* bytes"),
+    (1 << 40, 0, "header at offset .* runs past the end of the file"),
+], ids=["short_payload", "header_past_end"])
+def test_sealed_checkpoint_of_the_wrong_length_exits_3(ws, bundle_dir, run_dir,
+                                                       head_len, cut, why):
+    """Under a valid digest, a short payload or a header length that runs
+    past the end is refused as a data error."""
+    bad = ws / f"length_{cut}.ckpt"
+    header, payload = checkpoint_parts(run_dir / "model.ckpt")
+    seal_checkpoint(bad, header, payload[:len(payload) - cut],
+                    head_len=head_len)
+    out = ws / f"length_{cut}_out"
+    _run_refused(["eval", "--bundle", str(bundle_dir), "--checkpoint",
+                  str(bad), "--out", str(out)], why)
+    assert not out.exists()
+
+
+def test_edited_checkpoint_exits_3(ws, bundle_dir, run_dir):
+    """One changed header byte under the saved digest: exit 3."""
+    blob = bytearray((run_dir / "model.ckpt").read_bytes())
+    at = blob.index(b'"n_hops": 3')
+    blob[at + len(b'"n_hops": ')] = ord("2")
+    bad = ws / "edited.ckpt"
+    bad.write_bytes(bytes(blob))
+    out = ws / "edited_out"
+    _run_refused(["eval", "--bundle", str(bundle_dir), "--checkpoint",
+                  str(bad), "--out", str(out)], "checksum mismatch at offset 7")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "perturb", "chat"])
@@ -552,7 +580,7 @@ def test_non_finite_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
     data error, before anything is decoded or written."""
     bad = ws / f"nan_{command}.ckpt"
     shutil.copy(run_dir / "model.ckpt", bad)
-    _poison_payload(bad, "dec.w", float("nan"))
+    rewrite_checkpoint(bad, poison=("dec.w", float("nan")))
     out = ws / f"nan_{command}_out"
     argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(bad)]
     if command != "chat":
@@ -566,44 +594,36 @@ def test_non_finite_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
     assert not out.exists()
 
 
-def _save_format1(model, path) -> None:
-    """`model` in the checkpoint format before each GRU was stored as
-    three stacked tensors: magic QADPT1 and nine per-gate tensors per
-    GRU, in an otherwise valid file."""
-    params = split_gru(model.params)
-    manifest, chunks, offset = [], [], 0
-    for name in sorted(params):
-        raw = np.ascontiguousarray(params[name], dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(params[name].shape),
-                         "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
-    head = json.dumps({"hyper": model.hyper.to_dict(),
-                       "vocab": model.vocab.to_dict(), "manifest": manifest,
-                       "payload_bytes": len(payload),
-                       "sha256": hashlib.sha256(payload).hexdigest()}).encode()
-    path.write_bytes(b"QADPT1\n" + struct.pack("<Q", len(head)) + head +
-                     payload)
+def _old_format_exits_3(ws, bundle_dir, run_dir, command, magic,
+                        layout) -> None:
+    """A checkpoint of an older format, `layout`'s view of the run's
+    parameters under `magic`, is refused at offset 0 as a data error,
+    before anything is decoded or written."""
+    model = load_checkpoint(run_dir / "model.ckpt")
+    name = magic.decode().strip()
+    old = ws / f"{name}_{command}.ckpt"
+    save_manifest_checkpoint(old, magic, model.hyper, model.vocab,
+                             layout(model.params))
+    out = ws / f"{name}_{command}_out"
+    argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(old)]
+    if command != "chat":
+        argv += ["--out", str(out)]
+    _run_refused(argv, "bad magic at offset 0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "perturb", "chat"])
 def test_format1_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
-    """A checkpoint of the per-gate format is refused at offset 0 as a
-    data error, before anything is decoded or written."""
-    old = ws / f"format1_{command}.ckpt"
-    _save_format1(load_checkpoint(run_dir / "model.ckpt"), old)
-    out = ws / f"format1_{command}_out"
-    argv = [command, "--bundle", str(bundle_dir), "--checkpoint", str(old)]
-    if command != "chat":
-        argv += ["--out", str(out)]
-    proc = subprocess.run([sys.executable, "-m", "kgchat.cli", *argv],
-                          input="where does anna live\n", capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "bad magic at offset 0" in proc.stderr
-    assert not out.exists()
+    """Format 1: each GRU as nine per-gate tensors."""
+    _old_format_exits_3(ws, bundle_dir, run_dir, command, b"QADPT1\n",
+                        split_gru)
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb", "chat"])
+def test_format2_checkpoint_exits_3(ws, bundle_dir, run_dir, command):
+    """Format 2: the stacked GRU tensors, under a header with a manifest
+    and a digest of the payload only."""
+    _old_format_exits_3(ws, bundle_dir, run_dir, command, b"QADPT2\n", dict)
 
 
 def _drop_speaker_on_line_2(text: str) -> str:
@@ -802,6 +822,45 @@ def test_duplicate_subgraph_row_exits_3(tmp_path, bundle_dir, run_dir, capsys):
     assert (f"subgraphs.jsonl: line {len(lines) + 1}: duplicate turn_id "
             f"{json.loads(lines[-1])['turn_id']!r}, first on line "
             f"{len(lines)}") in err
+    assert not out.exists()
+
+
+def _repeat_first_turn_id(path) -> str:
+    """Append a copy of the first row of a JSONL turn file with a new
+    message; returns the repeated turn id."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row["message"] = (["hello"] if isinstance(row["message"], list)
+                      else "hello")
+    path.write_text("".join(lines) + json.dumps(row) + "\n",
+                    encoding="utf-8")
+    return f"{row['dialogue_id']}#{row['turn']}"
+
+
+def test_ingest_repeated_turn_id_exits_3(tmp_path, raw_corpus, capsys):
+    raw = tmp_path / "raw"
+    shutil.copytree(raw_corpus, raw)
+    tid = _repeat_first_turn_id(raw / "dialogues.jsonl")
+    out = tmp_path / "bundle"
+    code = cli.main(["ingest", "--dialogues", str(raw / "dialogues.jsonl"),
+                     "--kg", str(raw / "graph.tsv"), "--lexicon",
+                     str(raw / "aliases.tsv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"repeated turn id {tid!r}" in err
+    assert not out.exists()
+
+
+def test_bundle_repeated_turn_id_exits_3(tmp_path, bundle_dir, run_dir, capsys):
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    tid = _repeat_first_turn_id(bad / "turns.jsonl")
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--bundle", str(bad), "--checkpoint",
+                     str(run_dir / "model.ckpt"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"turns.jsonl: repeated turn id {tid!r}" in err
     assert not out.exists()
 
 

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import eager_subgraphs, save_lexicon
+from oracles import eager_subgraphs, save_dialogues_jsonl, save_lexicon
 from test_metrics import _edit
 
 from kgchat import corpus, kgraph, qadpt
@@ -15,8 +17,7 @@ from kgchat.corpus import (
     Bundle, CorpusStats, DataError, DialogueTurn, RawTurn, SplitAssignment,
     SyntheticConfig, Vocabulary, build_vocab, compare_stats, corpus_stats,
     detokenize, generate_synthetic, ingest, load_bundle, load_dialogues_jsonl,
-    load_lexicon, save_bundle, save_dialogues_jsonl,
-    split_dialogues, tokenize,
+    load_lexicon, save_bundle, split_dialogues, tokenize,
 )
 from kgchat.kgraph import GraphError, KnowledgeGraph, Triple
 
@@ -462,6 +463,35 @@ def test_load_bundle_keeps_the_graphs_isolated_entities(tmp_path):
     back = load_bundle(tmp_path)
     assert back.graph == bundle.graph
     assert back.graph.entities == bundle.graph.entities
+
+
+def test_ingest_refuses_a_repeated_turn_id():
+    """Two raw turns with one (dialogue_id, turn) share a turn id, and a
+    turn id names one subgraph: the first turn would be grounded on the
+    second's graph."""
+    syn = generate_synthetic(SyntheticConfig(n_turns=200), seed=2)
+    raw = list(syn.raw_turns)
+    first = raw[0]
+    other = next(t for t in raw if t.message != first.message)
+    raw.append(dataclasses.replace(other, dialogue_id=first.dialogue_id,
+                                   turn=first.turn))
+    with pytest.raises(DataError, match=re.escape(
+            f"repeated turn id '{first.dialogue_id}#{first.turn}' "
+            f"(dialogue_id '{first.dialogue_id}', turn {first.turn})")):
+        ingest(raw, syn.graph, syn.lexicon)
+
+
+def test_load_bundle_refuses_a_repeated_turn_id(tmp_path, synth_bundle_dir):
+    shutil.copytree(synth_bundle_dir, tmp_path / "b")
+    path = tmp_path / "b" / "turns.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[5])
+    row["message"] = ["hello"]
+    path.write_text("".join(lines) + json.dumps(row) + "\n", encoding="utf-8")
+    tid = f"{row['dialogue_id']}#{row['turn']}"
+    with pytest.raises(DataError,
+                       match=f"turns.jsonl: repeated turn id {tid!r}"):
+        load_bundle(tmp_path / "b")
 
 
 # ---------------------------------------------------------------------------

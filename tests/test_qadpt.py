@@ -15,7 +15,6 @@ with this oracles.py.
 
 import dataclasses
 import hashlib
-import json
 import re
 import struct
 import subprocess
@@ -25,10 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, brute_force_best_path,
-                     decoder_steps, dense_transition, finite_diff_check,
-                     gru_per_gate, infer_path_per_edge, kg_hop, loss_and_grads,
-                     path_sum_oracle, random_subgraph, renorm_rows,
-                     split_gru, toy_batch, walk_to_triples)
+                     checkpoint_parts, decoder_steps, dense_transition,
+                     finite_diff_check, gru_per_gate, infer_path_per_edge,
+                     kg_hop, loss_and_grads, path_sum_oracle, random_subgraph,
+                     renorm_rows, rewrite_checkpoint, save_manifest_checkpoint,
+                     seal_checkpoint, split_gru, tensor_offsets, toy_batch,
+                     walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
@@ -943,8 +944,12 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_checkpoint(path)
     assert back.hyper == model.hyper
     assert back.vocab == model.vocab
+    assert back.params.keys() == model.params.keys()
     for name in model.params:
-        np.testing.assert_array_equal(back.params[name], model.params[name])
+        # bit for bit: -0.0 and every NaN payload would show here
+        assert back.params[name].dtype == np.float64
+        assert back.params[name].shape == model.params[name].shape
+        assert back.params[name].tobytes() == model.params[name].tobytes()
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -961,6 +966,21 @@ def test_checkpoint_preserves_decoding(tmp_path):
             greedy_decode(back, ex).token_ids
 
 
+def test_checkpoint_layout_is_the_header_and_sorted_tensors(tmp_path):
+    """After the magic and the digest: the header length, a header of
+    exactly `hyper` and `vocab`, then expected_param_shapes' tensors in
+    sorted-name order and nothing else."""
+    model = model_for(toy_vocab())
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    assert path.read_bytes().startswith(b"QADPT3\n")
+    header, payload = checkpoint_parts(path)
+    assert header == {"hyper": model.hyper.to_dict(),
+                      "vocab": model.vocab.to_dict()}
+    assert payload == b"".join(model.params[name].astype("<f8").tobytes()
+                               for name in sorted(model.params))
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTQADPT" + b"\0" * 64)
@@ -970,8 +990,8 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 def test_checkpoint_rejects_non_object_header(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(qadpt.CHECKPOINT_MAGIC + struct.pack("<Q", 1) + b"5")
-    with pytest.raises(CheckpointError, match="not a JSON object"):
+    seal_checkpoint(path, 5, b"")
+    with pytest.raises(CheckpointError, match="expected a JSON object"):
         load_checkpoint(path)
 
 
@@ -998,34 +1018,93 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
-def _rewrite_header(path, edit) -> None:
-    """Apply `edit` to the JSON header of a saved checkpoint; the payload
-    and its digest stay valid."""
+def test_every_byte_after_the_magic_is_covered(tmp_path):
+    """One changed byte anywhere after the magic (digest, header length,
+    header or payload) is refused; each byte gets a seeded mask."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
     blob = path.read_bytes()
-    m = len(qadpt.CHECKPOINT_MAGIC)
-    (head_len,) = struct.unpack("<Q", blob[m:m + 8])
-    header = json.loads(blob[m + 8:m + 8 + head_len])
+    head = len(qadpt.CHECKPOINT_MAGIC) + 32 + 8
+    (head_len,) = struct.unpack("<Q", blob[head - 8:head])
+    masks = np.random.default_rng(20).integers(1, 256, size=len(blob))
+    regions = {"digest and length": 0, "header": 0, "payload": 0}
+    for at in range(len(qadpt.CHECKPOINT_MAGIC), len(blob)):
+        bad = bytearray(blob)
+        bad[at] ^= int(masks[at])
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(path)
+        regions["digest and length" if at < head else
+                "header" if at < head + head_len else "payload"] += 1
+    assert all(regions.values()), regions
+
+
+def _enc_b_as_dec_b(header) -> None:
+    # format 2's manifest entry for dec.b, pointed at enc.b's bytes
+    shape = [3 * header["hyper"]["hidden_dim"]]
+    header["manifest"] = [{"name": "dec.b", "shape": shape,
+                           "offset": tensor_offsets(header)["enc.b"]}]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["hyper"].update(n_hops=2), _enc_b_as_dec_b,
+], ids=["n_hops", "dec_b_reads_enc_b"])
+def test_checkpoint_refuses_an_edited_header(tmp_path, edit):
+    """Two header edits a payload-only digest let through: a different
+    hop count (a different reasoning walk), and a manifest entry that
+    loads enc.b's values as dec.b. The digest covers the header, so
+    both are refused."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    blob = path.read_bytes()
+    header, payload = checkpoint_parts(path)
     edit(header)
-    head = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:m] + struct.pack("<Q", len(head)) + head +
-                     blob[m + 8 + head_len:])
-
-
-def _poison_payload(path, name, value) -> None:
-    """Write `value` over the first entry of tensor `name` in a saved
-    checkpoint and re-seal the payload digest, so only the value is
-    wrong."""
-    blob = bytearray(path.read_bytes())
+    seal_checkpoint(path, header, payload)
+    edited = path.read_bytes()
     m = len(qadpt.CHECKPOINT_MAGIC)
-    (head_len,) = struct.unpack("<Q", blob[m:m + 8])
-    start = m + 8 + head_len
-    header = json.loads(blob[m + 8:start])
-    offset = start + next(e["offset"] for e in header["manifest"]
-                          if e["name"] == name)
-    blob[offset:offset + 8] = struct.pack("<d", value)
-    path.write_bytes(bytes(blob))
-    digest = hashlib.sha256(blob[start:]).hexdigest()
-    _rewrite_header(path, lambda h: h.update(sha256=digest))
+    path.write_bytes(blob[:m + 32] + edited[m + 32:])   # the saved digest
+    with pytest.raises(CheckpointError, match="checksum mismatch at offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header_len, cut, why", [
+    (None, 8, "payload at offset .* is .* bytes, the header's tensors take"),
+    (None, -8, "payload at offset .* is .* bytes, the header's tensors take"),
+    (1 << 40, 0, "header at offset .* runs past the end of the file"),
+    ((1 << 64) - 1, 0, "header at offset .* runs past the end of the file"),
+], ids=["short_payload", "long_payload", "header_past_end",
+        "header_length_max"])
+def test_sealed_checkpoint_of_the_wrong_length(tmp_path, header_len, cut, why):
+    """A file under a valid digest whose payload is not exactly the
+    header's tensors, or whose header length runs past the end."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model_for(toy_vocab()), path)
+    header, payload = checkpoint_parts(path)
+    payload = payload[:len(payload) - cut] if cut > 0 else payload + b"\0" * -cut
+    seal_checkpoint(path, header, payload, head_len=header_len)
+    with pytest.raises(CheckpointError, match=why):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("body", [b"", b"\x05\0\0"], ids=["empty", "short"])
+def test_sealed_checkpoint_without_a_header_length(tmp_path, body):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(qadpt.CHECKPOINT_MAGIC + hashlib.sha256(body).digest()
+                     + body)
+    with pytest.raises(CheckpointError, match="runs past the end"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("magic, layout", [(b"QADPT1\n", split_gru),
+                                           (b"QADPT2\n", dict)],
+                         ids=["format1", "format2"])
+def test_older_format_refused_at_offset_0(tmp_path, magic, layout):
+    model = model_for(toy_vocab())
+    path = tmp_path / "old.ckpt"
+    save_manifest_checkpoint(path, magic, model.hyper, model.vocab,
+                             layout(model.params))
+    with pytest.raises(CheckpointError, match="bad magic at offset 0"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("name, value", [("theta_w", float("nan")),
@@ -1034,32 +1113,9 @@ def _poison_payload(path, name, value) -> None:
 def test_checkpoint_rejects_non_finite_weights(tmp_path, name, value):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
-    _poison_payload(path, name, value)
+    rewrite_checkpoint(path, poison=(name, value))
     with pytest.raises(CheckpointError,
                        match=f"param {re.escape(name)}: non-finite"):
-        load_checkpoint(path)
-
-
-BAD_MANIFESTS = {
-    "no_offset": lambda h: h["manifest"][0].pop("offset"),
-    "no_shape": lambda h: h["manifest"][0].pop("shape"),
-    "no_name": lambda h: h["manifest"][0].pop("name"),
-    "negative_offset": lambda h: h["manifest"][0].update(offset=-8),
-    "float_offset": lambda h: h["manifest"][0].update(offset=8.0),
-    "string_shape": lambda h: h["manifest"][0].update(shape="ab"),
-    "negative_dim": lambda h: h["manifest"][0].update(shape=[-1, 2]),
-    "overflowing_shape": lambda h: h["manifest"][0].update(shape=[2**32, 2**32]),
-    "not_a_list": lambda h: h.update(manifest=5),
-}
-
-
-@pytest.mark.parametrize("edit", BAD_MANIFESTS.values(),
-                         ids=BAD_MANIFESTS.keys())
-def test_checkpoint_rejects_bad_manifest(tmp_path, edit):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model_for(toy_vocab()), path)
-    _rewrite_header(path, edit)
-    with pytest.raises(CheckpointError, match="(bad manifest|runs past).*offset"):
         load_checkpoint(path)
 
 
@@ -1067,7 +1123,7 @@ def test_checkpoint_rejects_bad_manifest(tmp_path, edit):
 def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
-    _rewrite_header(path, lambda h: h["hyper"].update({field: value}))
+    rewrite_checkpoint(path, lambda h: h["hyper"].update({field: value}))
     with pytest.raises(CheckpointError, match=field):
         load_checkpoint(path)
 
@@ -1083,7 +1139,7 @@ def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
 def test_checkpoint_rejects_mistyped_hyper(tmp_path, edit, why):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
-    _rewrite_header(path, lambda h: edit(h["hyper"]))
+    rewrite_checkpoint(path, lambda h: edit(h["hyper"]))
     with pytest.raises(CheckpointError,
                        match=f"bad header contents: {re.escape(why)}"):
         load_checkpoint(path)
@@ -1099,7 +1155,7 @@ def test_checkpoint_with_retired_walk_keys(tmp_path):
     path = tmp_path / "m.ckpt"
     for key, value in retired.items():
         save_checkpoint(model_for(toy_vocab()), path)
-        _rewrite_header(path, lambda h: h["hyper"].update({key: value}))
+        rewrite_checkpoint(path, lambda h: h["hyper"].update({key: value}))
         with pytest.raises(CheckpointError,
                            match=f"bad header contents: undeclared key "
                                  f"{re.escape(repr(key))}"):
@@ -1109,7 +1165,7 @@ def test_checkpoint_with_retired_walk_keys(tmp_path):
                      "--n_places", "3", "--n_jobs", "2", "--n_turns", "100",
                      "--seed", "1"]) == 0
     save_checkpoint(model_for(load_bundle(bundle).vocab), path)
-    _rewrite_header(path, lambda h: h["hyper"].update(post_renorm=False))
+    rewrite_checkpoint(path, lambda h: h["hyper"].update(post_renorm=False))
     proc = subprocess.run(
         [sys.executable, "-m", "kgchat.cli", "eval", "--bundle", str(bundle),
          "--checkpoint", str(path), "--out", str(tmp_path / "eval")],
