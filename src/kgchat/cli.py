@@ -57,15 +57,6 @@ class UsageError(ValueError):
     type callbacks report it as a usage problem too."""
 
 
-def _parse_bool(raw: str) -> bool:
-    low = str(raw).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {raw!r}")
-
-
 # key -> (type, default, help). `model` through `seed` map onto
 # Hyperparams; the rest configure the corpus pipeline, inference and the
 # synthetic world.
@@ -76,10 +67,9 @@ CONFIG_KEYS = {
     "hops": (int, 6, "reasoning walk length"),
     "lr": (float, 1e-3, "Adam learning rate"),
     "batch_size": (int, 32, "examples per update"),
-    "epochs": (int, 30, "max epochs per phase"),
+    "epochs": (int, 30, "max training epochs"),
     "patience": (int, 3, "non-improving epochs tolerated"),
     "clip_norm": (float, 5.0, "global gradient norm ceiling"),
-    "fine_tune": (bool, False, "second phase on entity-bearing turns"),
     "seed": (int, 0, "training / perturbation / world seed"),
     "tokenize": (str, "word", "tokenizer mode: word or char"),
     "min_count": (int, 1, "vocabulary frequency cutoff"),
@@ -107,7 +97,7 @@ COMMAND_KEYS = {
     "stats": (),
     "synth": ("seed", *_INGEST_KEYS, *_WORLD_KEYS),
     "train": ("model", "hidden", "embed", "hops", "lr", "batch_size",
-              "epochs", "patience", "clip_norm", "fine_tune", "seed"),
+              "epochs", "patience", "clip_norm", "seed"),
     "eval": ("split", "max_decode_len"),
     "perturb": ("seed", "split", "mode", "max_decode_len"),
     "chat": ("tokenize", "max_decode_len"),
@@ -115,11 +105,8 @@ COMMAND_KEYS = {
 
 
 def _coerce(key: str, raw: str):
-    want = CONFIG_KEYS[key][0]
     try:
-        if want is bool:
-            return _parse_bool(raw)
-        return want(raw)
+        return CONFIG_KEYS[key][0](raw)
     except (TypeError, ValueError):
         raise UsageError(f"config key {key}: bad value {raw!r}") from None
 
@@ -166,7 +153,7 @@ def hyper_from_config(cfg: dict) -> Hyperparams:
             embed_dim=cfg["embed"] or None, n_hops=cfg["hops"], lr=cfg["lr"],
             batch_size=cfg["batch_size"], max_epochs=cfg["epochs"],
             patience=cfg["patience"], clip_norm=cfg["clip_norm"],
-            fine_tune=cfg["fine_tune"], seed=cfg["seed"])
+            seed=cfg["seed"])
     except ModelError as exc:
         raise UsageError(str(exc)) from None
 
@@ -469,8 +456,7 @@ def _add_config_options(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file")
     for key in COMMAND_KEYS[command]:
-        want, default, text = CONFIG_KEYS[key]
-        kind = _parse_bool if want is bool else want
+        kind, default, text = CONFIG_KEYS[key]
         p.add_argument(f"--{key}", type=kind, default=None,
                        help=f"{text} (default {default})", metavar="V")
 

@@ -50,7 +50,9 @@ class DataError(ValueError):
 # json, in a missing, mistyped or undeclared key, or in the constructor
 # it feeds; each becomes a DataError naming the file (and line).
 
-_PARSE_ERRORS = (KeyError, OverflowError, TypeError, ValueError)
+# RecursionError: json.loads on nesting deeper than the interpreter's stack
+_PARSE_ERRORS = (KeyError, OverflowError, RecursionError, TypeError,
+                 ValueError)
 
 # singular and plural name of each JSON type a field may hold
 _JSON_NAMES = {str: ("a string", "strings"), bool: ("a boolean", "booleans"),
@@ -432,11 +434,9 @@ class DialogueTurn:
     def turn_id(self) -> str:
         return f"{self.dialogue_id}#{self.turn}"
 
-    def entity_tokens(self, vocab: Vocabulary) -> tuple:
-        """The entity tokens of the message and of the response."""
-        ents = vocab.entity_set
-        return (tuple(t for t in self.message if t in ents),
-                tuple(t for t in self.response if t in ents))
+    def message_entities(self, vocab: Vocabulary) -> tuple:
+        """The entity tokens of the message, in order."""
+        return tuple(t for t in self.message if t in vocab.entity_set)
 
 
 # dialogue_id is taken as text whatever its JSON type
@@ -455,7 +455,7 @@ def load_dialogues_jsonl(path) -> list[RawTurn]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
             if not isinstance(obj, dict) or any(k not in obj for k in _RAW_KEYS):
                 raise DataError(f"{path}: line {lineno}: missing keys "

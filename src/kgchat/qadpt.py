@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import math
 import struct
 import time
@@ -42,8 +41,6 @@ from .kgraph import (PERTURB_MODES, SELF_LOOP, AdjacencyTensor,
                      KnowledgeGraph, Triple, build_adjacency, perturb_all,
                      perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"QADPT3\n"
 
@@ -74,7 +71,6 @@ class Hyperparams(JsonRecord):
     max_epochs: int = 30
     patience: int = 3
     clip_norm: float = 5.0
-    fine_tune: bool = False
     kind: str = "qadpt"
     seed: int = 0
 
@@ -91,8 +87,10 @@ class Hyperparams(JsonRecord):
             raise ModelError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ModelError(f"patience must be >= 0, got {self.patience}")
-        if self.lr <= 0 or self.clip_norm <= 0:
-            raise ModelError("lr and clip_norm must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.lr, self.clip_norm)):
+            raise ModelError(f"lr and clip_norm must be finite and positive, "
+                             f"got {self.lr} and {self.clip_norm}")
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
 
@@ -206,7 +204,6 @@ class Example:
     adj: AdjacencyTensor
     source_vec: np.ndarray
     raw_sources: tuple
-    has_entity: bool
 
 
 def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
@@ -221,8 +218,8 @@ def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
 
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
                  vocab: Vocabulary) -> Example:
-    msg_ents, resp_ents = turn.entity_tokens(vocab)
-    raw_sources = tuple(sorted(set(msg_ents) | set(turn.scene_entities)))
+    raw_sources = tuple(sorted(set(turn.message_entities(vocab)) |
+                               set(turn.scene_entities)))
     enc_ids = vocab.tokens_to_ids(turn.scene_entities) + \
         vocab.tokens_to_ids(turn.message)
     if not enc_ids:
@@ -240,7 +237,6 @@ def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
         target_ids=target_ids,
         target_tokens=tuple(turn.response),
         raw_sources=raw_sources,
-        has_entity=bool(msg_ents or resp_ents),
         **_bind_graph(vocab, subgraph, raw_sources),
     )
 
@@ -488,8 +484,6 @@ def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
 
 @dataclass
 class TeacherResult:
-    turn_id: str
-    target_ids: tuple
     gold_probs: tuple      # o_t(y_t) per target position
     argmax_ids: tuple      # full-vocabulary argmax per position
     unreachable: int
@@ -515,9 +509,7 @@ def teacher_force(model: QadptModel, example: Example,
     state = _one_state(model, example, encoded)
     nodes, y, unreachable = state.teacher_forced()
     o = state.fw.tape.value(nodes[0])
-    return TeacherResult(turn_id=example.turn_id,
-                         target_ids=example.target_ids,
-                         gold_probs=tuple(o[np.arange(len(y)), y].tolist()),
+    return TeacherResult(gold_probs=tuple(o[np.arange(len(y)), y].tolist()),
                          argmax_ids=tuple(o.argmax(axis=1).tolist()),
                          unreachable=int(unreachable.sum()))
 
@@ -650,123 +642,90 @@ class TrainResult:
     unreachable_total: int
 
 
-def _corpus_nll(model: QadptModel, examples: Sequence[Example]) -> tuple:
+def validation_perplexity(model: QadptModel, examples: Sequence[Example]) -> float:
     total = 0.0
     tokens = 0
     for ex in examples:
         res = teacher_force(model, ex)
         total += -float(np.sum(np.log(np.maximum(res.gold_probs, PROB_FLOOR))))
         tokens += len(res.gold_probs)
-    return total, tokens
-
-
-def validation_perplexity(model: QadptModel, examples: Sequence[Example]) -> float:
-    total, tokens = _corpus_nll(model, examples)
     if tokens == 0:
         raise ModelError("no validation tokens")
     return float(np.exp(total / tokens))
-
-
-def _run_phase(model: QadptModel, phase: str, train_ex, val_ex, state,
-               rng, history, log_fh, baseline_best: float | None) -> tuple:
-    hyper = model.hyper
-    best_ppl = np.inf if baseline_best is None else baseline_best
-    best_params = None if baseline_best is None else model.copy_params()
-    bad = 0
-    epochs = 0
-    unreachable_total = 0
-    for epoch in range(1, hyper.max_epochs + 1):
-        t0 = time.monotonic()
-        order = rng.permutation(len(train_ex))
-        total_nll = 0.0
-        total_tokens = 0
-        norms = []
-        epoch_unreachable = 0
-        tape_nodes = 0
-        for lo in range(0, len(order), hyper.batch_size):
-            batch = [train_ex[int(i)] for i in order[lo:lo + hyper.batch_size]]
-            try:
-                tape, loss, n_tok, unreach = batch_loss(model, batch)
-                grads = param_grads(model, tape, loss)
-            except KernelError as exc:
-                raise KernelError(
-                    f"training diverged in phase {phase}, epoch {epoch}: {exc}"
-                ) from exc
-            norms.append(numkernel.clip_global_norm(grads, hyper.clip_norm))
-            numkernel.adam_update(model.params, grads, state, hyper.lr)
-            total_nll += float(tape.value(loss)) * n_tok
-            total_tokens += n_tok
-            tape_nodes += len(tape)
-            epoch_unreachable += unreach
-        train_loss = total_nll / total_tokens
-        val_ppl = validation_perplexity(model, val_ex)
-        record = {
-            "phase": phase, "epoch": epoch,
-            "train_loss": train_loss, "train_ppl": float(np.exp(train_loss)),
-            "val_loss": float(np.log(val_ppl)), "val_ppl": val_ppl,
-            "grad_norm": float(np.mean(norms)),
-            "unreachable_targets": epoch_unreachable,
-            "train_tokens": total_tokens, "tape_nodes": tape_nodes,
-            "seconds": time.monotonic() - t0,
-        }
-        history.append(record)
-        if log_fh is not None:
-            log_fh.write(json.dumps(record) + "\n")
-            log_fh.flush()
-        epochs += 1
-        unreachable_total += epoch_unreachable
-        if val_ppl < best_ppl:
-            best_ppl = val_ppl
-            best_params = model.copy_params()
-            bad = 0
-        else:
-            bad += 1
-            if bad > hyper.patience:
-                break
-    if best_params is not None:
-        model.params = best_params
-    return best_ppl, epochs, unreachable_total
 
 
 def train(model: QadptModel, train_examples: Sequence[Example],
           val_examples: Sequence[Example],
           log_path=None) -> TrainResult:
     """Adam with global-norm clipping and per-epoch seeded shuffling.
-    Early stopping watches validation perplexity; the best-validation
-    parameters are restored at the end of each phase. With fine_tune
-    set, a second phase continues on the entity-bearing subset."""
+    Early stopping watches validation perplexity, and the best-validation
+    parameters are restored at the end."""
     if not train_examples or not val_examples:
         raise ModelError("train and validation sets must be nonempty")
     hyper = model.hyper
     rng = np.random.default_rng(hyper.seed)
+    state = numkernel.AdamState.create(model.params)
     history: list = []
+    best_ppl = np.inf
+    best_params = None
+    bad = 0
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        state = numkernel.AdamState.create(model.params)
-        best, epochs, unreach = _run_phase(
-            model, "main", train_examples, val_examples, state, rng,
-            history, log_fh, baseline_best=None)
-        if hyper.fine_tune:
-            ft_train = [e for e in train_examples if e.has_entity]
-            ft_val = [e for e in val_examples if e.has_entity] or list(val_examples)
-            if not ft_train:
-                logger.warning("fine-tune requested but no entity-bearing "
-                               "training turns; skipping phase")
+        for epoch in range(1, hyper.max_epochs + 1):
+            t0 = time.monotonic()
+            order = rng.permutation(len(train_examples))
+            total_nll = 0.0
+            total_tokens = 0
+            norms = []
+            epoch_unreachable = 0
+            tape_nodes = 0
+            for lo in range(0, len(order), hyper.batch_size):
+                batch = [train_examples[int(i)]
+                         for i in order[lo:lo + hyper.batch_size]]
+                try:
+                    tape, loss, n_tok, unreach = batch_loss(model, batch)
+                    grads = param_grads(model, tape, loss)
+                except KernelError as exc:
+                    raise KernelError(
+                        f"training diverged in epoch {epoch}: {exc}") from exc
+                norms.append(numkernel.clip_global_norm(grads, hyper.clip_norm))
+                numkernel.adam_update(model.params, grads, state, hyper.lr)
+                total_nll += float(tape.value(loss)) * n_tok
+                total_tokens += n_tok
+                tape_nodes += len(tape)
+                epoch_unreachable += unreach
+            train_loss = total_nll / total_tokens
+            val_ppl = validation_perplexity(model, val_examples)
+            record = {
+                "epoch": epoch,
+                "train_loss": train_loss, "train_ppl": float(np.exp(train_loss)),
+                "val_loss": float(np.log(val_ppl)), "val_ppl": val_ppl,
+                "grad_norm": float(np.mean(norms)),
+                "unreachable_targets": epoch_unreachable,
+                "train_tokens": total_tokens, "tape_nodes": tape_nodes,
+                "seconds": time.monotonic() - t0,
+            }
+            history.append(record)
+            if log_fh is not None:
+                log_fh.write(json.dumps(record) + "\n")
+                log_fh.flush()
+            if val_ppl < best_ppl:
+                best_ppl = val_ppl
+                best_params = model.copy_params()
+                bad = 0
             else:
-                # phase 2 may only improve on what phase 1 already
-                # scores on the restricted validation set
-                state2 = numkernel.AdamState.create(model.params)
-                baseline = validation_perplexity(model, ft_val)
-                best, e2, u2 = _run_phase(
-                    model, "fine_tune", ft_train, ft_val, state2, rng,
-                    history, log_fh, baseline_best=baseline)
-                epochs += e2
-                unreach += u2
+                bad += 1
+                if bad > hyper.patience:
+                    break
     finally:
         if log_fh is not None:
             log_fh.close()
-    return TrainResult(history=history, best_val_ppl=float(best),
-                       epochs_run=epochs, unreachable_total=unreach)
+    if best_params is not None:
+        model.params = best_params
+    return TrainResult(history=history, best_val_ppl=float(best_ppl),
+                       epochs_run=len(history),
+                       unreachable_total=sum(h["unreachable_targets"]
+                                             for h in history))
 
 
 # ---------------------------------------------------------------------------

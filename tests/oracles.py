@@ -515,8 +515,10 @@ def checkpoint_parts(path) -> tuple:
 def seal_checkpoint(path, header, payload, head_len=None) -> None:
     """Write `header` and `payload` as a checkpoint under a digest of
     every byte after the magic, so the file is refused, if it is, for
-    its contents. `head_len` replaces the true header length."""
-    head = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    its contents. A `header` of bytes is written as it is. `head_len`
+    replaces the true header length."""
+    head = header if isinstance(header, bytes) else \
+        json.dumps(header, ensure_ascii=False).encode("utf-8")
     body = struct.pack("<Q", len(head) if head_len is None else head_len)
     body += head + payload
     path.write_bytes(CHECKPOINT_MAGIC + hashlib.sha256(body).digest() + body)

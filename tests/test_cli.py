@@ -106,7 +106,7 @@ def test_train_artifacts(run_dir):
     log_lines = (run_dir / "train_log.jsonl").read_text().strip().splitlines()
     assert log_lines
     rec = json.loads(log_lines[0])
-    assert rec["phase"] == "main" and rec["epoch"] == 1
+    assert rec["epoch"] == 1
     cfg = json.loads((run_dir / "config.json").read_text())
     assert cfg["config"]["hidden"] == 24
 
@@ -325,7 +325,8 @@ def _command_argv(command, out, raw_corpus, bundle_dir, run_dir) -> list:
 @pytest.mark.parametrize("command, key, value", [
     ("ingest", "hidden", "8"), ("stats", "lr", "-1"), ("stats", "hidden", "0"),
     ("synth", "split", "test"), ("train", "max_decode_len", "5"),
-    ("train", "prob_floor", "1e-9"), ("eval", "hops", "2"),
+    ("train", "prob_floor", "1e-9"), ("train", "fine_tune", "1"),
+    ("eval", "hops", "2"),
     ("eval", "hidden", "0"), ("eval", "model", "seq2seq"),
     ("eval", "metrics", "bleu2"), ("perturb", "metrics", "bleu2"),
     ("chat", "seed", "1")])
@@ -380,7 +381,10 @@ def test_exact_flag_name_still_works(ws, bundle_dir, run_dir):
 def test_artifacts_carry_exactly_the_commands_keys(ws, raw_corpus, bundle_dir,
                                                    run_dir):
     """config.json, and the report config of eval and perturb, hold the
-    keys the command reads and nothing else."""
+    keys the command reads and nothing else; every config key is read by
+    some command."""
+    read = {key for keys in cli.COMMAND_KEYS.values() for key in keys}
+    assert read == set(cli.CONFIG_KEYS)
     for command in cli.COMMAND_KEYS:
         if command == "chat":
             continue   # writes nothing
@@ -398,7 +402,9 @@ def test_artifacts_carry_exactly_the_commands_keys(ws, raw_corpus, bundle_dir,
 
 @pytest.mark.parametrize("flag, value", [
     ("--hidden", "0"), ("--embed", "-1"), ("--hops", "0"),
-    ("--max_decode_len", "0"), ("--lr", "0"), ("--batch_size", "0")])
+    ("--max_decode_len", "0"), ("--lr", "0"), ("--batch_size", "0"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--clip_norm", "nan"),
+    ("--clip_norm", "inf")])
 def test_out_of_range_hyperparameter_exits_2(ws, capsys, flag, value):
     # the bundle does not exist: settings are checked before it is
     # read, so the usage error is what surfaces. The decode cap is an
@@ -422,9 +428,7 @@ def test_each_hyperparams_field_has_exactly_one_config_key():
     owners = {}
     for key in cli.COMMAND_KEYS["train"]:
         kind = cli.CONFIG_KEYS[key][0]
-        if kind is bool:
-            value = not base[key]
-        elif key == "model":
+        if key == "model":
             value = "seq2seq"
         elif kind is str:
             value = base[key] + "_other"
@@ -644,6 +648,17 @@ def _drop_line_1(text: str) -> str:
     return "".join(text.splitlines(keepends=True)[1:])
 
 
+_DEEP = "[" * 100_000   # nested past the interpreter's recursion limit
+
+
+def _deep_subgraph_row(text: str) -> str:
+    """Line 3 keeps its turn id, and its triples are _DEEP."""
+    lines = text.splitlines(keepends=True)
+    turn_id = json.dumps({"turn_id": json.loads(lines[2])["turn_id"]})
+    lines[2] = f'{turn_id[:-1]}, "triples": {_DEEP}\n'
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("name, corrupt, where", [
     ("turns.jsonl", _drop_speaker_on_line_2,
      "turns.jsonl: line 2: missing key 'speaker'"),
@@ -652,7 +667,11 @@ def _drop_line_1(text: str) -> str:
      "subgraphs.jsonl: no row for turn 'syn00000#0'"),
     ("vocab.json", lambda text: text[:len(text) // 2], "vocab.json:"),
     ("splits.json", lambda text: '{"train": []}', "splits.json: missing key"),
-], ids=("turns", "subgraphs", "subgraph_missing", "vocab", "splits"))
+    ("splits.json", lambda text: _DEEP, "splits.json: maximum recursion"),
+    ("subgraphs.jsonl", _deep_subgraph_row,
+     "subgraphs.jsonl: line 3: maximum recursion"),
+], ids=("turns", "subgraphs", "subgraph_missing", "vocab", "splits",
+        "deep_splits", "deep_subgraph_row"))
 def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     bad = tmp_path / "bundle"
     shutil.copytree(bundle_dir, bad)
@@ -665,6 +684,30 @@ def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert where in proc.stderr
+
+
+@pytest.mark.parametrize("command, where", [
+    ("ingest", "dialogues.jsonl: line 2: invalid JSON (maximum recursion"),
+    ("eval", "bad header contents: maximum recursion"),
+], ids=("dialogues", "checkpoint_header"))
+def test_deep_json_input_exits_3(tmp_path, raw_corpus, bundle_dir, run_dir,
+                                 command, where):
+    """JSON nested deeper than the parser can recurse, in ingest's
+    dialogues or in a checkpoint header under a valid digest, is a data
+    error, never a traceback. (Bundle files: test_malformed_bundle_exits_3.)"""
+    src = tmp_path / "in"
+    shutil.copytree(raw_corpus if command == "ingest" else bundle_dir, src)
+    if command == "ingest":
+        path = src / "dialogues.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = _DEEP + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+    else:
+        _, payload = checkpoint_parts(run_dir / "model.ckpt")
+        seal_checkpoint(src / "model.ckpt", _DEEP.encode(), payload)
+    out = tmp_path / "out"
+    _run_refused(_command_argv(command, out, src, src, src), re.escape(where))
+    assert not out.exists()
 
 
 _MISTYPED = {

@@ -165,8 +165,7 @@ def test_entity_tokens_are_the_tokens_of_the_entity_id_block():
                      if vocab.token_to_id(t) >= vocab.entity_base)
 
     for t in bundle.turns:
-        assert t.entity_tokens(vocab) == (by_id(t.message),
-                                          by_id(t.response))
+        assert t.message_entities(vocab) == by_id(t.message)
 
 
 def test_generic_output_block_layout():

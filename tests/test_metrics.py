@@ -478,10 +478,12 @@ def _edit(change):
     (_edit(lambda b: b.update(note="t")), "report.json: undeclared key 'note'"),
     (_edit(lambda b: b["turns"][0].update(extra=[])),
      "report.json: undeclared key 'extra'"),
+    (lambda text: "[" * 100_000, "report.json: maximum recursion depth"),
 ], ids=("truncated", "not_json", "not_object", "no_turns", "no_entities",
         "no_kind", "bad_turn", "n_turns", "kind_type", "config_pairs",
         "turn_id_type", "unreachable_type", "path_start_type",
-        "path_triples_type", "undeclared_key", "undeclared_turn_key"))
+        "path_triples_type", "undeclared_key", "undeclared_turn_key",
+        "deep"))
 def test_malformed_report_raises_data_error(tmp_path, corrupt, where):
     model, exs = _tiny_model_and_examples()
     path = tmp_path / "report.json"
@@ -694,13 +696,14 @@ _SCALARS_DIFFER = "counts or rates differ from those the turn records give"
     (_edit(lambda b: b["turns"][1].update(perturbed=["yes"], changed=False,
                                            accurate=True)),
      "turn 't1': changed False, accurate True disagree with its replies"),
+    (lambda text: "[" * 100_000, "perturb.json: maximum recursion depth"),
 ], ids=("truncated", "not_json", "not_object", "no_turns", "no_mode",
         "mode_type", "mode_value", "n_turns_type", "n_skipped_bool",
         "counts", "rate_type", "config_type", "turn_not_object",
         "turn_missing_key", "skipped_type", "changed_type", "tokens_type",
         "turn_id_type", "change_rate", "accurate_change_rate",
         "counts_shifted", "changed_flipped", "skipped_changed",
-        "skipped_accurate", "accurate_unchanged"))
+        "skipped_accurate", "accurate_unchanged", "deep"))
 def test_malformed_perturb_report_raises_data_error(tmp_path, corrupt, where):
     path = tmp_path / "perturb.json"
     write_json(_hand_perturb_report().to_dict(), path)

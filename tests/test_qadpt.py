@@ -240,7 +240,6 @@ def test_make_example_layout():
     assert ex.target_ids[-1] == EOS_ID
     assert ex.dec_in_ids[0] == BOS_ID
     assert ex.dec_in_ids[1:] == ex.target_ids[:-1]
-    assert ex.has_entity
     # sources: message entity a plus scene entity c, both in the subgraph
     assert ex.raw_sources == ("a", "c")
     assert ex.source_vec.sum() == pytest.approx(1.0)
@@ -250,7 +249,6 @@ def test_make_example_empty_message_pads():
     v = toy_vocab()
     ex = example_for(v, "", "yes", [Triple("a", "q", "b")])
     assert ex.enc_ids == (PAD_ID,)
-    assert not ex.has_entity
 
 
 @pytest.mark.parametrize("symbol", ["<kb>", "<pad>", "<bos>"])
@@ -901,14 +899,6 @@ def test_training_deterministic():
     assert all(np.array_equal(m1.params[k], m2.params[k]) for k in m1.params)
 
 
-def test_fine_tune_on_all_entity_corpus_is_identity_subset():
-    model, tr, va = _training_setup(max_epochs=2, patience=5, fine_tune=True)
-    assert all(e.has_entity for e in tr)
-    result = train(model, tr, va)
-    phases = {h["phase"] for h in result.history}
-    assert phases == {"main", "fine_tune"}
-
-
 def test_training_writes_jsonl_log(tmp_path):
     import json as _json
     model, tr, va = _training_setup(max_epochs=2, patience=5)
@@ -917,7 +907,7 @@ def test_training_writes_jsonl_log(tmp_path):
     lines = [l for l in log.read_text().splitlines() if l.strip()]
     assert len(lines) == len(result.history)
     rec = _json.loads(lines[0])
-    assert {"phase", "epoch", "train_loss", "val_ppl",
+    assert {"epoch", "train_loss", "val_ppl",
             "grad_norm", "unreachable_targets", "train_tokens",
             "tape_nodes"} <= set(rec)
     # the first epoch's counters, recounted from its seeded batch order
@@ -1135,7 +1125,9 @@ def test_checkpoint_rejects_hyper_that_cannot_train(tmp_path, field, value):
     (lambda hyper: hyper.update(embed_dim="8"),
      "'embed_dim' is not null or an integer"),
     (lambda hyper: hyper.update(lr=None), "'lr' is not a number"),
-], ids=("undeclared", "bool_dim", "string_dim", "null_lr"))
+    (lambda hyper: hyper.update(lr=float("nan")),
+     "lr and clip_norm must be finite and positive"),
+], ids=("undeclared", "bool_dim", "string_dim", "null_lr", "nan_lr"))
 def test_checkpoint_rejects_mistyped_hyper(tmp_path, edit, why):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model_for(toy_vocab()), path)
@@ -1147,11 +1139,11 @@ def test_checkpoint_rejects_mistyped_hyper(tmp_path, edit, why):
 
 def test_checkpoint_with_retired_walk_keys(tmp_path):
     """A header whose hyperparameters name a retired key (post_renorm,
-    teacher_forcing, prob_floor, max_decode_len) is refused as naming an
-    undeclared key, by the loader and by the CLI: no checkpoint of this
-    format was written with them."""
+    teacher_forcing, prob_floor, max_decode_len, fine_tune) is refused as
+    naming an undeclared key, by the loader and by the CLI: a checkpoint
+    written with one must be retrained."""
     retired = {"post_renorm": False, "teacher_forcing": False,
-               "prob_floor": 1e-12, "max_decode_len": 40}
+               "prob_floor": 1e-12, "max_decode_len": 40, "fine_tune": False}
     path = tmp_path / "m.ckpt"
     for key, value in retired.items():
         save_checkpoint(model_for(toy_vocab()), path)
@@ -1164,16 +1156,18 @@ def test_checkpoint_with_retired_walk_keys(tmp_path):
     assert cli.main(["synth", "--out", str(bundle), "--n_people", "4",
                      "--n_places", "3", "--n_jobs", "2", "--n_turns", "100",
                      "--seed", "1"]) == 0
-    save_checkpoint(model_for(load_bundle(bundle).vocab), path)
-    rewrite_checkpoint(path, lambda h: h["hyper"].update(post_renorm=False))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgchat.cli", "eval", "--bundle", str(bundle),
-         "--checkpoint", str(path), "--out", str(tmp_path / "eval")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "undeclared key 'post_renorm'" in proc.stderr
-    assert not (tmp_path / "eval").exists()
+    for key in ("post_renorm", "fine_tune"):
+        save_checkpoint(model_for(load_bundle(bundle).vocab), path)
+        rewrite_checkpoint(path, lambda h: h["hyper"].update({key: False}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgchat.cli", "eval", "--bundle",
+             str(bundle), "--checkpoint", str(path), "--out",
+             str(tmp_path / "eval")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"undeclared key {key!r}" in proc.stderr
+        assert not (tmp_path / "eval").exists()
 
 
 # ---------------------------------------------------------------------------

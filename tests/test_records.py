@@ -45,7 +45,7 @@ def written(tmp_path_factory):
     hand = _hand_perturb_report()
     records = {
         Vocabulary: bundle.vocab, SplitAssignment: bundle.splits,
-        Hyperparams: Hyperparams(hidden_dim=8, lr=0.5, fine_tune=True),
+        Hyperparams: Hyperparams(hidden_dim=8, lr=0.5),
         CheckpointHeader: CheckpointHeader(model.hyper, model.vocab),
         InferredPath: next(p for t in report.turns for p in t.paths),
         TurnEval: next(t for t in report.turns if t.paths),
