@@ -17,12 +17,12 @@ Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Each
 subcommand takes only the keys it reads (COMMAND_KEYS), each by its
 exact name: any other key, as a flag (an abbreviated one too) or in the
-file, is a usage error, and so are out-of-range model settings such as
---hidden 0. Every command that writes artifacts
-writes the keys it read, resolved, beside them as config.json, so runs
-are self-describing. config.json, model.ckpt, report.json, metrics.csv,
-perturb.json and diff.log are written through a temp file, so a failed
-write leaves the previous file in place.
+file, is a usage error, and so are out-of-range model and world
+settings such as --hidden 0 or --chitchat_rate 2. Every command that
+writes artifacts writes the keys it read, resolved, beside them as
+config.json, so runs are self-describing. config.json, model.ckpt,
+report.json, metrics.csv, perturb.json and diff.log are written through
+a temp file, so a failed write leaves the previous file in place.
 
 Exit codes: 0 success, 2 usage error (flag, config key or value), 3
 data/model error, 4 numeric failure.
@@ -87,6 +87,7 @@ CONFIG_KEYS = {
 }
 
 _INGEST_KEYS = ("tokenize", "min_count", "subgraph_k", "split_seed")
+# the SyntheticConfig fields, by name
 _WORLD_KEYS = ("n_people", "n_places", "n_jobs", "n_turns",
                "turns_per_dialogue", "chitchat_rate")
 
@@ -201,6 +202,18 @@ def _print_table(rows) -> None:
 # Subcommands
 
 
+def _ingest_to(out: Path, cfg, raw, graph, lexicon):
+    """Ingest, write the bundle to `out` and report dropped entities."""
+    bundle = ingest(raw, graph, lexicon, mode=cfg["tokenize"],
+                    split_seed=cfg["split_seed"], min_count=cfg["min_count"],
+                    subgraph_k=cfg["subgraph_k"])
+    save_bundle(bundle, out)
+    if bundle.meta["dropped_scene_entities"]:
+        print(f"dropped {bundle.meta['dropped_scene_entities']} scene "
+              f"entities not in the graph")
+    return bundle
+
+
 def cmd_ingest(args, cfg) -> int:
     raw = load_dialogues_jsonl(args.dialogues)
     graph = load_triples_tsv(args.kg)
@@ -209,11 +222,8 @@ def cmd_ingest(args, cfg) -> int:
         lexicon = load_lexicon(args.lexicon)
     else:
         print("no alias file given; matching canonical entity names only")
-    bundle = ingest(raw, graph, lexicon, mode=cfg["tokenize"],
-                    split_seed=cfg["split_seed"], min_count=cfg["min_count"],
-                    subgraph_k=cfg["subgraph_k"])
     out = Path(args.out)
-    save_bundle(bundle, out)
+    bundle = _ingest_to(out, cfg, raw, graph, lexicon)
     _write_config(cfg, args, out)
     print(f"ingested {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns")
@@ -261,17 +271,13 @@ def cmd_stats(args, cfg) -> int:
 
 
 def cmd_synth(args, cfg) -> int:
-    sconf = SyntheticConfig(
-        n_people=cfg["n_people"], n_places=cfg["n_places"],
-        n_jobs=cfg["n_jobs"], n_turns=cfg["n_turns"],
-        turns_per_dialogue=cfg["turns_per_dialogue"],
-        chitchat_rate=cfg["chitchat_rate"])
+    try:
+        sconf = SyntheticConfig(**{key: cfg[key] for key in _WORLD_KEYS})
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     syn = generate_synthetic(sconf, seed=cfg["seed"])
-    bundle = ingest(syn.raw_turns, syn.graph, syn.lexicon,
-                    mode=cfg["tokenize"], split_seed=cfg["split_seed"],
-                    min_count=cfg["min_count"], subgraph_k=cfg["subgraph_k"])
     out = Path(args.out)
-    save_bundle(bundle, out)
+    bundle = _ingest_to(out, cfg, syn.raw_turns, syn.graph, syn.lexicon)
     write_json({tid: [list(t) for t in path]
                 for tid, path in syn.oracle_paths.items()},
                out / "oracle_paths.json")

@@ -15,7 +15,6 @@ File formats.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import types
 import typing
@@ -31,7 +30,6 @@ import numpy as np
 from . import kgraph
 from .kgraph import KnowledgeGraph, Triple, _utf8_lines
 
-logger = logging.getLogger(__name__)
 
 PAD, BOS, EOS, UNK, KB = "<pad>", "<bos>", "<eos>", "<unk>", "<kb>"
 SPECIALS = (PAD, BOS, EOS, UNK, KB)
@@ -596,8 +594,6 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
             scene_entities=scene,
             message=tuple(tokenize(rt.message, mode, matcher)),
             response=tuple(tokenize(rt.response, mode, matcher))))
-    if dropped_scene:
-        logger.warning("ingest: dropped %d scene entities not in the graph", dropped_scene)
     _check_turn_ids(turns)
 
     requests = [({tok for tok in t.message if tok in entity_set}

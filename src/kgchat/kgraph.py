@@ -23,14 +23,11 @@ order and ties are broken lexicographically by (relation, entity).
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 SELF_LOOP = "<self>"
 
@@ -504,18 +501,17 @@ def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
 # Perturbation protocols
 
 PERTURB_MODES = ("all", "last1", "last2")
+GROUNDING_HOPS = 4   # steps of the longest grounding path
 
 
 @dataclass(frozen=True)
 class PerturbationResult:
     """A perturbed graph, the entities an adapted reply is expected to
     draw from, and the exact triple edits ((removed, added) pairs; empty
-    for whole-graph swaps). `origin` is the batch index a swapped graph
-    came from."""
+    for whole-graph swaps)."""
     graph: KnowledgeGraph
     hypothesis: frozenset
     edits: tuple = ()
-    origin: int | None = None
 
 
 def perturb_all(graphs: Sequence[KnowledgeGraph], seed: int) -> list[PerturbationResult]:
@@ -530,10 +526,41 @@ def perturb_all(graphs: Sequence[KnowledgeGraph], seed: int) -> list[Perturbatio
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(0, i))
         perm[i], perm[j] = perm[j], perm[i]
-    return [PerturbationResult(graph=graphs[perm[i]],
-                               hypothesis=frozenset(graphs[perm[i]].entities),
-                               origin=perm[i])
-            for i in range(n)]
+    return [PerturbationResult(graphs[j], frozenset(graphs[j].entities))
+            for j in perm]
+
+
+def grounding_paths(graph: KnowledgeGraph, sources: Iterable[str],
+                    targets: Iterable[str]) -> list:
+    """Loopless directed paths of 1 to GROUNDING_HOPS stored edges from
+    a source to a target: the edit paths of a model that infers none."""
+    targets = set(targets)
+    out_edges: dict = {}
+    for t in graph.triples:
+        out_edges.setdefault(t.head, []).append(t)
+    paths = []
+    trails = [(e,) for src in set(sources) for e in out_edges.get(src, ())]
+    while trails:
+        trail = trails.pop()
+        here = trail[-1].tail
+        if here in targets:
+            paths.append(trail)
+        if len(trail) < GROUNDING_HOPS:
+            seen = {here} | {t.head for t in trail}
+            trails.extend(trail + (e,) for e in out_edges.get(here, ())
+                          if e.tail not in seen)
+    return paths
+
+
+def _editable(graph: KnowledgeGraph, paths: Iterable[Sequence[Triple]],
+              steps: int) -> list:
+    """The paths left with at least `steps` steps once their SELF_LOOP
+    steps, which do not move and are no triple, are dropped."""
+    real = [tuple(t for t in p if t.relation != SELF_LOOP) for p in paths]
+    for t in (t for p in real for t in p):
+        if t not in graph.triples:
+            raise GraphError(f"path triple not in graph: {t}")
+    return [p for p in real if len(p) >= steps]
 
 
 def _draw(rng: np.random.Generator, candidates: Sequence[str]) -> str:
@@ -541,31 +568,27 @@ def _draw(rng: np.random.Generator, candidates: Sequence[str]) -> str:
 
 
 def perturb_last1(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
-                  seed: int, pool: Sequence[str] | None = None) -> PerturbationResult:
-    """Replace the tail of each path's final triple with a random pool
-    entity. Identical final triples are edited once. Substitutes are
-    drawn so the edit log and the triple-set difference agree exactly:
-    a substitute never recreates an existing or already-edited triple.
+                  seed: int, pool: Sequence[str]) -> PerturbationResult | None:
+    """Replace the tail of each path's final real triple with a random
+    pool entity; None when no path has a real step. Identical final
+    triples are edited once. Substitutes are drawn so the edit log and
+    the triple-set difference agree exactly: a substitute never
+    recreates an existing or already-edited triple.
     """
-    pool = sorted(set(pool if pool is not None else graph.entities))
-    finals = sorted({p[-1] for p in paths if len(p) >= 1})
-    skipped = sum(1 for p in paths if len(p) < 1)
-    if skipped:
-        logger.warning("perturb_last1: skipped %d empty paths", skipped)
-    for t in finals:
-        if t not in graph.triples:
-            raise GraphError(f"path final triple not in graph: {t}")
+    paths = _editable(graph, paths, 1)
+    if not paths:
+        return None
+    pool = sorted(set(pool))
+    finals = sorted({p[-1] for p in paths})
 
     rng = np.random.default_rng(seed)
     removed = set(finals)
     added: set[Triple] = set()
     edits = []
     for old in finals:
+        busy = graph.triples | added | removed   # holds `old` itself
         candidates = [e for e in pool
-                      if e != old.tail
-                      and Triple(old.head, old.relation, e) not in graph.triples
-                      and Triple(old.head, old.relation, e) not in added
-                      and Triple(old.head, old.relation, e) not in removed]
+                      if Triple(old.head, old.relation, e) not in busy]
         if not candidates:
             raise GraphError(f"substitute pool exhausted for {old}")
         new = Triple(old.head, old.relation, _draw(rng, candidates))
@@ -581,20 +604,17 @@ def perturb_last1(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
 
 
 def perturb_last2(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
-                  seed: int, pool: Sequence[str] | None = None) -> PerturbationResult:
-    """Rewire the last two steps of each path: (g, r1, m), (m, r2, t)
-    becomes (g, r1, m'), (m', r2, t') with fresh entities m' != m and
-    t' != t, keeping both relations. Paths shorter than 2 triples are
-    skipped with a warning. Identical trailing pairs are edited once."""
-    pool = sorted(set(pool if pool is not None else graph.entities))
-    pairs = sorted({(p[-2], p[-1]) for p in paths if len(p) >= 2})
-    skipped = sum(1 for p in paths if len(p) < 2)
-    if skipped:
-        logger.warning("perturb_last2: skipped %d paths shorter than 2 steps", skipped)
+                  seed: int, pool: Sequence[str]) -> PerturbationResult | None:
+    """Rewire the last two real steps of each path: (g, r1, m), (m, r2, t)
+    becomes (g, r1, m'), (m', r2, t') with fresh pool entities m' != m
+    and t' != t, keeping both relations; None when no path has two real
+    steps. Identical trailing pairs are edited once."""
+    paths = _editable(graph, paths, 2)
+    if not paths:
+        return None
+    pool = sorted(set(pool))
+    pairs = sorted({(p[-2], p[-1]) for p in paths})
     for first, second in pairs:
-        for t in (first, second):
-            if t not in graph.triples:
-                raise GraphError(f"path triple not in graph: {t}")
         if first.tail != second.head:
             raise GraphError(f"path steps do not chain: {first} -> {second}")
 
@@ -602,7 +622,6 @@ def perturb_last2(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
     removed = {t for pair in pairs for t in pair}
     added: set[Triple] = set()
     edits = []
-    hypothesis = set()
     for first, second in pairs:
         busy = graph.triples | added | removed
         chosen = None
@@ -622,11 +641,11 @@ def perturb_last2(graph: KnowledgeGraph, paths: Sequence[Sequence[Triple]],
         new1, new2 = chosen
         added.update((new1, new2))
         edits.extend([(first, new1), (second, new2)])
-        hypothesis.add(new2.tail)
 
     new_graph = KnowledgeGraph((graph.triples - removed) | added,
                                extra_entities=graph.entities,
                                extra_relations=graph.relations)
     return PerturbationResult(graph=new_graph,
-                              hypothesis=frozenset(hypothesis),
+                              hypothesis=frozenset(
+                                  new.tail for _, new in edits[1::2]),
                               edits=tuple(edits))

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import JsonRecord, _load_json, atomic_open
+from .corpus import EOS, UNK, JsonRecord, _load_json, atomic_open
 from .kgraph import PERTURB_MODES
 from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, InferredPath, QadptModel,
                     _decode_paths, encode, greedy_decode, teacher_force)
@@ -283,34 +283,22 @@ def change_rate(original_seqs: Sequence[Sequence[str]],
     return changed / len(original_seqs)
 
 
-def _accuracy_flags(entities, original_seqs, perturbed_seqs, hypotheses,
-                    mode, targets):
-    ents = set(entities)
-    if mode not in PERTURB_MODES:
-        raise MetricError(f"unknown perturbation mode {mode!r}")
-    _check_parallel(original_seqs, perturbed_seqs, "accurate_change_rate")
-    _check_parallel(original_seqs, hypotheses, "accurate_change_rate hypotheses")
-    if mode != "all":
-        if targets is None:
-            raise MetricError(f"mode {mode!r} needs per-turn target entities")
-        _check_parallel(original_seqs, targets, "accurate_change_rate targets")
-    flags = []
-    for i, (orig, pert) in enumerate(zip(original_seqs, perturbed_seqs)):
-        orig_ents = {t for t in orig if t in ents}
-        if not orig_ents:
-            flags.append(None)   # outside the denominator
-            continue
-        hyp = hypotheses[i]
-        if hyp is None:
-            raise MetricError(f"turn {i}: missing hypothesis set")
-        turn_targets = orig_ents if mode == "all" else set(targets[i])
-        pert_tokens = set(pert)
-        clean = not (turn_targets & pert_tokens)
-        # only a hypothesis entity the original output lacked witnesses
-        # adaptation; this also makes accurate imply changed
-        adapted = bool(set(hyp) & pert_tokens - set(orig))
-        flags.append(clean and adapted)
-    return flags
+def _turn_flags(ents: set, mode: str, original, perturbed, hypothesis,
+                targets) -> tuple:
+    """(changed, accurate) of one perturbed turn; `accurate` is None
+    when the original reply holds no entity. A whole-graph swap's
+    targets are the original reply's entities."""
+    orig_ents = {t for t in original if t in ents}
+    if not orig_ents:
+        return original != perturbed, None
+    if hypothesis is None:
+        raise MetricError("missing hypothesis set")
+    pert_tokens = set(perturbed)
+    clean = not ((orig_ents if mode == "all" else set(targets)) & pert_tokens)
+    # only a hypothesis entity the original output lacked witnesses
+    # adaptation; this also makes accurate imply changed
+    adapted = bool(set(hypothesis) & pert_tokens - set(original))
+    return original != perturbed, clean and adapted
 
 
 def accurate_change_rate(entities: Iterable[str],
@@ -326,8 +314,18 @@ def accurate_change_rate(entities: Iterable[str],
     contained; for tail edits the caller passes the replaced tails per
     turn. Turns whose original output had no entity are excluded; None
     when none remain."""
-    return _flag_rate(_accuracy_flags(entities, original_seqs, perturbed_seqs,
-                                      hypotheses, mode, targets))
+    if mode not in PERTURB_MODES:
+        raise MetricError(f"unknown perturbation mode {mode!r}")
+    if mode == "all":
+        targets = [()] * len(original_seqs)
+    elif targets is None:
+        raise MetricError(f"mode {mode!r} needs per-turn target entities")
+    for seqs, what in ((perturbed_seqs, ""), (hypotheses, " hypotheses"),
+                       (targets, " targets")):
+        _check_parallel(original_seqs, seqs, f"accurate_change_rate{what}")
+    ents = set(entities)
+    turns = zip(original_seqs, perturbed_seqs, hypotheses, targets)
+    return _flag_rate([_turn_flags(ents, mode, *turn)[1] for turn in turns])
 
 
 def _flag_rate(flags: list):
@@ -353,6 +351,22 @@ class TurnEval(JsonRecord):
     unreachable: int
     paths: tuple[InferredPath, ...]  # one per emitted entity (qadpt)
     bleu2: float
+
+    @classmethod
+    def from_dict(cls, d) -> "TurnEval":
+        """The record `to_dict` wrote, whose `target_full` is its reference
+        (UNK for a word outside the vocabulary) plus EOS, and whose
+        `bleu2` is the one its replies give."""
+        turn = super().from_dict(d)
+        full = turn.target_full
+        if full != tuple(ref if ref == t else UNK
+                         for ref, t in zip(turn.reference, full)) + (EOS,):
+            raise ValueError(f"turn {turn.turn_id!r}: target_full is not its "
+                             f"reference plus {EOS}")
+        if turn.bleu2 != bleu2_sentence(turn.generated, turn.reference):
+            raise ValueError(f"turn {turn.turn_id!r}: bleu2 {turn.bleu2} is "
+                             f"not the one its replies give")
+        return turn
 
 
 @dataclass
@@ -407,9 +421,10 @@ def _same_json(a, b) -> bool:
 
 def load_report(path) -> EvalReport:
     """Read a report.json. A file that is not JSON, lacks a field, holds
-    one of the wrong type or one the report does not declare, or stores
-    metrics its turn records do not give raises DataError naming the
-    file."""
+    one of the wrong type or one the report does not declare, stores a
+    turn whose `bleu2` or `target_full` its replies do not give, or
+    stores metrics its turn records do not give raises DataError naming
+    the file."""
     return _load_json(Path(path), EvalReport.from_dict)
 
 
@@ -507,14 +522,11 @@ class PerturbReport(JsonRecord):
         report = super().from_dict(d)
         if report.mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturbation mode {report.mode!r}")
-        live = [t for t in report.turns if not t.skipped]
-        accurate = iter(_accuracy_flags(
-            report.entities, [t.original for t in live],
-            [t.perturbed for t in live], [t.hypothesis for t in live],
-            report.mode, [t.targets for t in live]))
+        ents = set(report.entities)
         for t in report.turns:
-            flags = ((None, None) if t.skipped
-                     else (t.original != t.perturbed, next(accurate)))
+            flags = ((None, None) if t.skipped else
+                     _turn_flags(ents, report.mode, t.original, t.perturbed,
+                                 t.hypothesis, t.targets))
             if (t.changed, t.accurate) != flags:
                 raise ValueError(f"turn {t.turn_id!r}: changed {t.changed}, "
                                  f"accurate {t.accurate} disagree with its "
@@ -540,23 +552,28 @@ def load_perturb_report(path) -> PerturbReport:
 
 def perturbation_report(entities: Iterable[str], runs, mode: str,
                         config: dict | None = None) -> PerturbReport:
-    """Score a perturb-and-redecode run. Skipped turns (no usable path
-    to perturb) stay in the record list but outside both rates."""
+    """Score a perturb-and-redecode run. Skipped turns (no editable path)
+    stay in the record list but outside both rates. A tail edit's
+    targets are the tails it replaced."""
+    if mode not in PERTURB_MODES:
+        raise MetricError(f"unknown perturbation mode {mode!r}")
     entities = tuple(entities)
-    flags = _accuracy_flags(
-        entities, [r.original_tokens for r in runs],
-        [r.perturbed_tokens for r in runs], [r.hypothesis for r in runs],
-        mode, [r.removed_tails for r in runs])
-    turns = [PerturbTurnEval(
-        turn_id=r.turn_id, original=tuple(r.original_tokens),
-        perturbed=tuple(r.perturbed_tokens),
-        hypothesis=() if r.skipped else tuple(sorted(r.hypothesis)),
-        targets=(() if r.skipped or mode == "all"
-                 else tuple(sorted(r.removed_tails))),
-        skipped=r.skipped,
-        changed=(None if r.skipped
-                 else tuple(r.original_tokens) != tuple(r.perturbed_tokens)),
-        accurate=None if r.skipped else flag) for r, flag in zip(runs, flags)]
+    ents = set(entities)
+    turns = []
+    for r in runs:
+        original = tuple(r.original_tokens)
+        perturbed = tuple(r.perturbed_tokens)
+        hypothesis = targets = ()
+        flags = (None, None)
+        if r.edit is not None:
+            hypothesis = tuple(sorted(r.edit.hypothesis))
+            targets = tuple(sorted({old.tail for old, _ in r.edit.edits}))
+            flags = _turn_flags(ents, mode, original, perturbed, hypothesis,
+                                targets)
+        turns.append(PerturbTurnEval(
+            turn_id=r.turn_id, original=original, perturbed=perturbed,
+            hypothesis=hypothesis, targets=targets, skipped=r.edit is None,
+            changed=flags[0], accurate=flags[1]))
     return PerturbReport(mode=mode, entities=entities,
                          **_perturb_scalars(turns), turns=turns,
                          config=dict(config or {}))

@@ -277,7 +277,7 @@ class Tape:
 
         return self._push(va.reshape(-1)[flat], (a,), bwd)
 
-    def log_floor(self, a: int, floor: float = 1e-12) -> int:
+    def log_floor(self, a: int, floor: float) -> int:
         """log(max(a, floor)); zero gradient below the floor."""
         va = self.value(a)
         clipped = np.maximum(va, floor)

@@ -37,9 +37,10 @@ from . import numkernel
 from .corpus import (_PARSE_ERRORS, BOS_ID, EOS_ID, PAD_ID, Bundle,
                      DialogueTurn, JsonRecord, Vocabulary, _parse_failure,
                      atomic_open)
-from .kgraph import (PERTURB_MODES, SELF_LOOP, AdjacencyTensor,
-                     KnowledgeGraph, Triple, build_adjacency, perturb_all,
-                     perturb_last1, perturb_last2)
+from .kgraph import (PERTURB_MODES, AdjacencyTensor, KnowledgeGraph,
+                     PerturbationResult, Triple, build_adjacency,
+                     grounding_paths, perturb_all, perturb_last1,
+                     perturb_last2)
 from .numkernel import KernelError, Tape
 
 CHECKPOINT_MAGIC = b"QADPT3\n"
@@ -807,40 +808,11 @@ class PerturbedTurn:
     turn_id: str
     original_tokens: tuple
     perturbed_tokens: tuple
-    hypothesis: frozenset
-    removed_tails: frozenset   # perturbation-target entities (last1/last2)
-    edits: tuple
-    skipped: bool              # no usable path, turn left unperturbed
+    edit: PerturbationResult | None   # None: no editable path, graph kept
 
 
 def _child_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
-def _grounding_paths(ex: Example, max_hops: int = 4) -> list:
-    """Directed subgraph paths from the message entities to each gold
-    response entity. Stands in for reasoning paths on models that do
-    not infer any, so graph edits still have something to aim at."""
-    targets = {t for t in ex.target_tokens if t in ex.subgraph.entities}
-    out_edges: dict = {}
-    for t in ex.subgraph.triples:
-        out_edges.setdefault(t.head, []).append(t)
-    paths = []
-
-    def walk(node: str, trail: tuple) -> None:
-        if node in targets and trail:
-            paths.append(trail)
-        if len(trail) == max_hops:
-            return
-        seen = {node} | {t.head for t in trail}
-        for edge in out_edges.get(node, ()):
-            if edge.tail not in seen:
-                walk(edge.tail, trail + (edge,))
-
-    for src in ex.raw_sources:
-        if src in ex.subgraph.entities:
-            walk(src, ())
-    return paths
 
 
 def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
@@ -852,9 +824,9 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     `all` swaps whole graphs across the batch and reads no path. For
     last1/last2 the paths are the model's own inferred reasoning paths
     for the entities it emitted; the no-graph baseline has none, so its
-    edits follow the gold grounding paths instead. Turns without a
-    usable path keep their graph and are flagged skipped. Substitute
-    tails come from the global entity vocabulary.
+    edits follow the gold grounding paths instead. A turn with no path
+    kgraph can edit keeps its graph and its reply (`edit` is None).
+    Substitute tails come from the global entity vocabulary.
     """
     if mode not in PERTURB_MODES:
         raise ModelError(f"unknown perturbation mode {mode!r}")
@@ -866,35 +838,23 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     if mode == "all":
         edited = perturb_all([ex.subgraph for ex in examples], seed)
     else:
-        need = 1 if mode == "last1" else 2
         perturb = perturb_last1 if mode == "last1" else perturb_last2
         edited = []
         for i, (ex, dec) in enumerate(zip(examples, originals)):
-            found = ([p.triples for p in _decode_paths(model, ex, dec)]
-                     if model.kind == "qadpt" else _grounding_paths(ex))
-            # a self-loop step does not move, so the real steps around
-            # it still chain once it is dropped; it is not in the graph
-            # and cannot be edited
-            real = [tuple(t for t in p if t.relation != SELF_LOOP)
-                    for p in found]
-            paths = [p for p in real if len(p) >= need]
+            paths = ([p.triples for p in _decode_paths(model, ex, dec)]
+                     if model.kind == "qadpt" else
+                     grounding_paths(ex.subgraph, ex.raw_sources,
+                                     ex.target_tokens))
             edited.append(perturb(ex.subgraph, paths, _child_seed(seed, i),
-                                  model.vocab.entities) if paths else None)
+                                  model.vocab.entities))
 
     results: list[PerturbedTurn] = []
     for ex, dec, enc, res in zip(examples, originals, encoded, edited):
-        if res is None:
-            results.append(PerturbedTurn(
-                turn_id=ex.turn_id, original_tokens=dec.tokens,
-                perturbed_tokens=dec.tokens, hypothesis=frozenset(),
-                removed_tails=frozenset(), edits=(), skipped=True))
-            continue
-        new_ex = dataclasses.replace(
-            ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
-        dec2 = greedy_decode(model, new_ex, max_len=max_len, encoded=enc)
-        results.append(PerturbedTurn(
-            turn_id=ex.turn_id, original_tokens=dec.tokens,
-            perturbed_tokens=dec2.tokens, hypothesis=res.hypothesis,
-            removed_tails=frozenset(old.tail for old, _ in res.edits),
-            edits=res.edits, skipped=False))
+        tokens = dec.tokens
+        if res is not None:
+            new_ex = dataclasses.replace(
+                ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
+            tokens = greedy_decode(model, new_ex, max_len=max_len,
+                                   encoded=enc).tokens
+        results.append(PerturbedTurn(ex.turn_id, dec.tokens, tokens, res))
     return results

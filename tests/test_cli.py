@@ -421,6 +421,27 @@ def test_out_of_range_hyperparameter_exits_2(ws, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--chitchat_rate", "2"), ("--n_people", "0"), ("--n_turns", "0")])
+def test_out_of_range_world_setting_exits_2(ws, capsys, flag, value):
+    out = ws / f"never_synth_{flag[2:]}"
+    assert cli.main(["synth", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_prints_no_drop_line_when_nothing_was_dropped(ws, capsys):
+    out = ws / "synth_no_drop"
+    assert cli.main(["synth", "--out", str(out), "--n_people", "6",
+                     "--n_places", "3", "--n_jobs", "2",
+                     "--n_turns", "100"]) == 0
+    assert json.loads((out / "meta.json").read_text())[
+        "dropped_scene_entities"] == 0
+    assert "dropped" not in capsys.readouterr().out
+
+
 def test_each_hyperparams_field_has_exactly_one_config_key():
     base = {key: cli.CONFIG_KEYS[key][1] for key in cli.COMMAND_KEYS["train"]}
     base["embed"] = base["hidden"]   # so that moving hidden moves one field

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import eager_subgraphs, save_dialogues_jsonl, save_lexicon
 from test_metrics import _edit
 
-from kgchat import corpus, kgraph, qadpt
+from kgchat import cli, corpus, kgraph, qadpt
 from kgchat.corpus import (
     BOS_ID, EOS_ID, KB_ID, PAD_ID, UNK_ID, SPECIALS,
     Bundle, CorpusStats, DataError, DialogueTurn, RawTurn, SplitAssignment,
@@ -406,13 +406,19 @@ def test_ingest_vocab_from_train_only():
     assert set(bundle.vocab.generic) <= train_tokens
 
 
-def test_ingest_drops_unknown_scene_entities(caplog):
+def test_ingest_drops_unknown_scene_entities(tmp_path, capsys):
     raw = [RawTurn(f"d{i}", 0, "s", ("Ghost",), "hi", "ho") for i in range(22)]
-    with caplog.at_level("WARNING"):
-        bundle = ingest(raw, _chain_graph())
+    bundle = ingest(raw, _chain_graph())
     assert bundle.turns[0].scene_entities == ()
     assert bundle.meta["dropped_scene_entities"] == 22
-    assert any("scene" in r.message for r in caplog.records)
+    # `kgchat ingest` says so
+    save_dialogues_jsonl(raw, tmp_path / "dialogues.jsonl")
+    kgraph.save_triples_tsv(_chain_graph(), tmp_path / "graph.tsv")
+    assert cli.main(["ingest", "--dialogues", str(tmp_path / "dialogues.jsonl"),
+                     "--kg", str(tmp_path / "graph.tsv"),
+                     "--out", str(tmp_path / "bundle")]) == 0
+    out = capsys.readouterr().out
+    assert "dropped 22 scene entities not in the graph\n" in out
 
 
 def test_ingest_refuses_k_below_1_when_no_turn_grounds_a_pair():

@@ -507,21 +507,23 @@ def test_perturb_all_rejects_singleton_batch():
 def test_perturb_all_is_derangement_preserving_multiset(seed):
     graphs = [KnowledgeGraph([T(f"a{i}", "r", f"b{i}")]) for i in range(6)]
     out = perturb_all(graphs, seed=seed)
-    assert sorted(r.origin for r in out) == list(range(6))
-    assert all(r.origin != i for i, r in enumerate(out))
+    origin = [[g is r.graph for g in graphs].index(True) for r in out]
+    assert sorted(origin) == list(range(6))
+    assert all(j != i for i, j in enumerate(origin))
 
 
 def test_perturb_all_deterministic():
     graphs = [KnowledgeGraph([T(f"a{i}", "r", f"b{i}")]) for i in range(5)]
-    first = [r.origin for r in perturb_all(graphs, seed=9)]
-    second = [r.origin for r in perturb_all(graphs, seed=9)]
-    assert first == second
+    first = perturb_all(graphs, seed=9)
+    second = perturb_all(graphs, seed=9)
+    assert all(a.graph is b.graph for a, b in zip(first, second))
 
 
 def test_perturb_last1_single_path():
     g = KnowledgeGraph([T("a", "r", "b"), T("b", "s", "c")],
                        extra_entities=["d", "e"])
-    res = perturb_last1(g, [[T("a", "r", "b"), T("b", "s", "c")]], seed=1)
+    res = perturb_last1(g, [[T("a", "r", "b"), T("b", "s", "c")]], seed=1,
+                        pool=g.entities)
     assert len(res.edits) == 1
     old, new = res.edits[0]
     assert old == T("b", "s", "c")
@@ -536,7 +538,7 @@ def test_perturb_last1_dedupes_shared_final_triple():
                        extra_entities=["d", "e", "f"])
     paths = [[T("a", "r", "b"), T("b", "s", "c")],
              [T("x", "r", "b"), T("b", "s", "c")]]
-    res = perturb_last1(g, paths, seed=3)
+    res = perturb_last1(g, paths, seed=3, pool=g.entities)
     assert len(res.edits) == 1
 
 
@@ -545,7 +547,7 @@ def test_perturb_last1_edit_log_equals_triple_difference():
     for seed in range(25):
         g = random_graph(rng, 6, 8)
         paths = [[t] for t in sorted(g.triples)[:3]]
-        res = perturb_last1(g, paths, seed=seed)
+        res = perturb_last1(g, paths, seed=seed, pool=g.entities)
         delta = g.triples ^ res.graph.triples
         logged = {t for pair in res.edits for t in pair}
         assert delta == logged
@@ -553,8 +555,8 @@ def test_perturb_last1_edit_log_equals_triple_difference():
 
 def test_perturb_last1_deterministic_given_seed():
     g = KnowledgeGraph([T("a", "r", "b")], extra_entities=["c", "d", "e", "f"])
-    r1 = perturb_last1(g, [[T("a", "r", "b")]], seed=5)
-    r2 = perturb_last1(g, [[T("a", "r", "b")]], seed=5)
+    r1 = perturb_last1(g, [[T("a", "r", "b")]], seed=5, pool=g.entities)
+    r2 = perturb_last1(g, [[T("a", "r", "b")]], seed=5, pool=g.entities)
     assert r1.edits == r2.edits
 
 
@@ -564,19 +566,28 @@ def test_perturb_last1_pool_exhaustion():
         perturb_last1(g, [[T("a", "r", "b")]], seed=0, pool=["b"])
 
 
-def test_perturb_last1_skips_and_logs_empty_paths(caplog):
+def test_perturb_last1_returns_none_without_a_real_step():
     g = KnowledgeGraph([T("a", "r", "b")], extra_entities=["c"])
-    with caplog.at_level("WARNING"):
-        res = perturb_last1(g, [[]], seed=0)
-    assert res.edits == ()
-    assert res.graph.triples == g.triples
-    assert "skipped" in caplog.text
+    assert perturb_last1(g, [], seed=0, pool=g.entities) is None
+    assert perturb_last1(g, [[]], seed=0, pool=g.entities) is None
+    # a walk that only idled has no real step to edit
+    idle = [[T("a", SELF_LOOP, "a"), T("a", SELF_LOOP, "a")]]
+    assert perturb_last1(g, idle, seed=0, pool=g.entities) is None
+
+
+def test_perturb_last1_drops_self_loop_steps():
+    g = KnowledgeGraph([T("a", "r", "b")], extra_entities=["c", "d"])
+    path = [T("a", "r", "b"), T("b", SELF_LOOP, "b")]
+    res = perturb_last1(g, [path], seed=0, pool=g.entities)
+    assert res == perturb_last1(g, [path[:1]], seed=0, pool=g.entities)
+    assert [old for old, _ in res.edits] == [T("a", "r", "b")]
 
 
 def test_perturb_last2_rewires_both_steps():
     g = KnowledgeGraph([T("a", "r", "b"), T("b", "s", "c")],
                        extra_entities=["d", "e", "f"])
-    res = perturb_last2(g, [[T("a", "r", "b"), T("b", "s", "c")]], seed=2)
+    res = perturb_last2(g, [[T("a", "r", "b"), T("b", "s", "c")]], seed=2,
+                        pool=g.entities)
     assert len(res.edits) == 2
     (old1, new1), (old2, new2) = res.edits
     assert old1 == T("a", "r", "b") and old2 == T("b", "s", "c")
@@ -587,20 +598,49 @@ def test_perturb_last2_rewires_both_steps():
     assert g.triples ^ res.graph.triples == {old1, old2, new1, new2}
 
 
-def test_perturb_last2_skips_short_paths(caplog):
+def test_perturb_last2_skips_short_paths():
     g = KnowledgeGraph([T("a", "r", "b")], extra_entities=["c", "d"])
-    with caplog.at_level("WARNING"):
-        res = perturb_last2(g, [[T("a", "r", "b")]], seed=0)
-    assert res.edits == ()
-    assert res.graph.triples == g.triples
-    assert "skipped" in caplog.text
+    assert perturb_last2(g, [[T("a", "r", "b")]], seed=0, pool=g.entities) is None
+    # one real step around a self-loop is still one step
+    idle = [[T("a", SELF_LOOP, "a"), T("a", "r", "b"), T("b", SELF_LOOP, "b")]]
+    assert perturb_last2(g, idle, seed=0, pool=g.entities) is None
+
+
+def test_perturb_last2_edits_the_real_steps_around_a_self_loop():
+    g = KnowledgeGraph([T("a", "q", "b"), T("b", "r", "c")],
+                       extra_entities=["d", "e", "f"])
+    real = (T("a", "q", "b"), T("b", "r", "c"))
+    # the walk idles at b before its last step, so p[-2] is a self-loop
+    path = [real[0], T("b", SELF_LOOP, "b"), real[1]]
+    res = perturb_last2(g, [path], seed=0, pool=g.entities)
+    assert tuple(old for old, _ in res.edits) == real
+    assert res == perturb_last2(g, [real], seed=0, pool=g.entities)
+
+
+def test_perturb_edits_only_the_paths_long_enough():
+    g = KnowledgeGraph([T("a", "r", "b"), T("b", "s", "c"), T("x", "r", "y")],
+                       extra_entities=["d", "e", "f"])
+    paths = [[T("x", "r", "y")], [T("a", "r", "b"), T("b", "s", "c")]]
+    res = perturb_last2(g, paths, seed=1, pool=g.entities)
+    assert {old for old, _ in res.edits} == {T("a", "r", "b"), T("b", "s", "c")}
+    assert T("x", "r", "y") in res.graph.triples
+
+
+def test_grounding_paths_reach_targets_within_four_steps():
+    chain = [T(f"n{i}", "r", f"n{i + 1}") for i in range(6)]
+    g = KnowledgeGraph(chain + [T("n0", "s", "n2")])
+    paths = kgraph.grounding_paths(g, ["n0", "ghost"], ["n2", "n5", "ghost"])
+    assert sorted(paths) == sorted([
+        tuple(chain[:2]), (T("n0", "s", "n2"),),
+        (T("n0", "s", "n2"), *chain[2:5])])
+    assert kgraph.grounding_paths(g, ["n2"], ["n2"]) == []
 
 
 def test_perturb_last2_longer_path_uses_final_two():
     g = KnowledgeGraph([T("a", "r", "b"), T("b", "r", "c"), T("c", "s", "d")],
                        extra_entities=["e", "f", "g"])
     path = [T("a", "r", "b"), T("b", "r", "c"), T("c", "s", "d")]
-    res = perturb_last2(g, [path], seed=4)
+    res = perturb_last2(g, [path], seed=4, pool=g.entities)
     removed = {old for old, _ in res.edits}
     assert removed == {T("b", "r", "c"), T("c", "s", "d")}
     assert T("a", "r", "b") in res.graph.triples
@@ -610,8 +650,8 @@ def test_perturb_last2_deterministic_and_logged():
     g = KnowledgeGraph([T("a", "r", "b"), T("b", "s", "c")],
                        extra_entities=["d", "e", "f", "g"])
     path = [[T("a", "r", "b"), T("b", "s", "c")]]
-    r1 = perturb_last2(g, path, seed=11)
-    r2 = perturb_last2(g, path, seed=11)
+    r1 = perturb_last2(g, path, seed=11, pool=g.entities)
+    r2 = perturb_last2(g, path, seed=11, pool=g.entities)
     assert r1.edits == r2.edits
     delta = g.triples ^ r1.graph.triples
     assert delta == {t for pair in r1.edits for t in pair}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgchat.corpus import DataError, DialogueTurn, Vocabulary, write_json
-from kgchat.kgraph import KnowledgeGraph, Triple
+from kgchat.kgraph import KnowledgeGraph, PerturbationResult, Triple
 from kgchat.metrics import (METRIC_NAMES, EvalReport, MetricError, PRF,
                             TokenPRF, accurate_change_rate, bleu2_sentence,
                             change_rate,
@@ -435,6 +436,43 @@ def test_report_whose_metrics_the_turns_do_not_give_is_refused(tmp_path,
         "report.json: metrics differ from those the turn records give"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("bleu2", lambda t: 1.0, "bleu2 1.0 is not the one its replies give"),
+    ("target_full", lambda t: ("x",) * len(t.target_full),
+     "target_full is not its reference plus <eos>"),
+    ("target_full", lambda t: t.reference + ("<pad>",),
+     "target_full is not its reference plus <eos>"),
+])
+def test_report_turn_whose_values_its_replies_do_not_give_is_refused(
+        tmp_path, field, value, message):
+    """Turn 0 is edited and the metrics recomputed from the edited
+    turns, so only the per-turn check can refuse the file."""
+    model, exs = _tiny_model_and_examples()
+    report = evaluate_report(model, exs)
+    first = report.turns[0]
+    assert first.bleu2 != 1.0
+    report.turns[0] = dataclasses.replace(first, **{field: value(first)})
+    report.metrics = recompute_scalars(report)
+    path = tmp_path / "report.json"
+    write_json(report.to_dict(), path)
+    with pytest.raises(DataError) as info:
+        load_report(path)
+    assert str(info.value) == f"report.json: turn 'd0#0': {message}"
+
+
+def test_report_reads_an_out_of_vocabulary_reference_word_as_unk(tmp_path):
+    model, exs = _tiny_model_and_examples()
+    turn = DialogueTurn(dialogue_id="oov", turn=0, speaker="s",
+                        scene_entities=(), message=("where", "a"),
+                        response=("b", "moon"))
+    ex = make_example(turn, exs[0].subgraph, model.vocab)
+    report = evaluate_report(model, [ex])
+    assert report.turns[0].target_full == ("b", "<unk>", "<eos>")
+    path = tmp_path / "report.json"
+    write_json(report.to_dict(), path)
+    assert load_report(path).to_dict() == report.to_dict()
+
+
 def _drop(key):
     def edit(text):
         blob = json.loads(text)
@@ -576,11 +614,13 @@ def test_evaluate_report_empty_errors():
 
 
 def _pt(tid, orig, pert, hyp=frozenset(), removed=frozenset(), skipped=False):
+    """A perturbed turn whose tail edit replaced each `removed` tail."""
+    edit = None if skipped else PerturbationResult(
+        graph=KnowledgeGraph(), hypothesis=frozenset(hyp),
+        edits=tuple((Triple("h", "r", t), Triple("h", "r", f"{t}'"))
+                    for t in sorted(removed)))
     return PerturbedTurn(turn_id=tid, original_tokens=tuple(orig),
-                         perturbed_tokens=tuple(pert),
-                         hypothesis=frozenset(hyp),
-                         removed_tails=frozenset(removed), edits=(),
-                         skipped=skipped)
+                         perturbed_tokens=tuple(pert), edit=edit)
 
 
 def test_perturbation_report_rates_and_skips():
@@ -617,6 +657,19 @@ def test_perturbation_report_serializes(tmp_path):
     assert blob["mode"] == "last1"
     assert blob["turns"][0]["accurate"] is True
     assert blob["config"] == {"seed": 3}
+
+
+def test_perturbation_report_targets_are_the_replaced_tails():
+    edit = PerturbationResult(
+        graph=KnowledgeGraph(), hypothesis=frozenset({"T2"}),
+        edits=((Triple("A", "r", "B"), Triple("A", "r", "C")),
+               (Triple("B", "s", "T"), Triple("C", "s", "T2"))))
+    run = PerturbedTurn(turn_id="t0", original_tokens=("T", "B"),
+                        perturbed_tokens=("T2",), edit=edit)
+    (turn,) = perturbation_report(ENTS, [run], "last2").turns
+    assert turn.targets == ("B", "T")
+    assert turn.hypothesis == ("T2",)
+    assert (turn.changed, turn.accurate) == (True, True)
 
 
 def test_perturbation_report_from_real_run():

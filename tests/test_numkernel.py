@@ -362,7 +362,7 @@ def test_pick_and_log_floor():
     t = nk.Tape()
     v = t.leaf([[0.2, 0.5, 0.3]])
     p = t.gather(v, (np.array([0]), np.array([1])))
-    l = t.log_floor(p)
+    l = t.log_floor(p, 1e-12)
     assert t.value(l)[0] == pytest.approx(math.log(0.5))
     g = t.backward(l)
     np.testing.assert_allclose(g[v], [[0.0, 2.0, 0.0]], atol=1e-12)
@@ -371,7 +371,7 @@ def test_pick_and_log_floor():
 def test_log_floor_zero_gradient_below_floor():
     t = nk.Tape()
     v = t.leaf([[0.0]])
-    l = t.log_floor(t.gather(v, (np.array([0]), np.array([0]))))
+    l = t.log_floor(t.gather(v, (np.array([0]), np.array([0]))), 1e-12)
     assert t.value(l)[0] == pytest.approx(math.log(1e-12))
     g = t.backward(l)
     assert g[v][0, 0] == 0.0
@@ -390,7 +390,7 @@ def _composed_loss(params):
     h = t.gather(states, (pos[:, None], row[:, None], np.arange(4)))
     probs = t.softmax(t.linear(nodes["proj"], h, nodes["proj_b"]))
     gold = t.gather(probs, (np.arange(5), np.array([1, 0, 4, 2, 1])))
-    loss = t.scale(t.mean(t.log_floor(gold)), -1.0)
+    loss = t.scale(t.mean(t.log_floor(gold, 1e-12)), -1.0)
     return t, loss, nodes
 
 
@@ -420,7 +420,7 @@ def test_mask_renorm_rows_forward_and_grad():
     out = t.mask_renorm_rows(r, mask)
     np.testing.assert_allclose(t.value(out)[0], [0.2 / 0.7, 0.0, 0.5 / 0.7], atol=1e-15)
     np.testing.assert_allclose(t.value(out)[1], [0.25, 0.25, 0.5], atol=1e-15)
-    loss = total(t, t.log_floor(out))
+    loss = total(t, t.log_floor(out, 1e-12))
     g = t.backward(loss)
     assert g[r].shape == (2, 3)
     assert g[r][0][1] == 0.0  # masked column gets no gradient

@@ -1270,7 +1270,7 @@ def test_each_turn_is_encoded_once_per_call(monkeypatch):
     assert batches == [1] * len(exs)
     batches.clear()
     runs = perturb_and_decode(model, exs, "all", seed=0, max_len=6)
-    assert not any(r.skipped for r in runs)
+    assert all(r.edit is not None for r in runs)
     assert batches == [1] * len(exs)
 
 
@@ -1331,8 +1331,7 @@ def test_perturb_seq2seq_outputs_never_change():
         if mode == "last1":
             # grounded turns get edited via the gold paths, so the zero
             # change rate is measured rather than vacuous
-            assert not any(r.skipped for r in runs)
-            assert all(r.edits for r in runs)
+            assert all(r.edit is not None and r.edit.edits for r in runs)
 
 
 def test_perturb_modes_validate():
@@ -1349,7 +1348,7 @@ def test_perturb_last1_skips_turns_without_paths():
     # empty subgraph: nothing is ever emitted from the entity branch
     exs = [example_for(v, "lives in", "yes", []) for _ in range(2)]
     runs = perturb_and_decode(model, exs, "last1", seed=0)
-    assert all(r.skipped for r in runs)
+    assert all(r.edit is None for r in runs)
     assert all(r.original_tokens == r.perturbed_tokens for r in runs)
 
 
@@ -1363,8 +1362,7 @@ def test_perturb_last2_skips_interior_self_loops(monkeypatch):
                                             real[1]), probability=0.5)
     monkeypatch.setattr(qadpt, "_decode_paths", lambda *args: (path,))
     (run,) = perturb_and_decode(model, [ex], "last2", seed=0)
-    assert not run.skipped
-    assert tuple(old for old, _ in run.edits) == real
+    assert tuple(old for old, _ in run.edit.edits) == real
 
 
 def test_perturb_deterministic():
@@ -1376,8 +1374,8 @@ def test_perturb_deterministic():
            for i in range(3)]
     r1 = perturb_and_decode(model, exs, "all", seed=9)
     r2 = perturb_and_decode(model, exs, "all", seed=9)
-    assert [(r.perturbed_tokens, sorted(r.hypothesis)) for r in r1] == \
-        [(r.perturbed_tokens, sorted(r.hypothesis)) for r in r2]
+    assert [(r.perturbed_tokens, r.edit) for r in r1] == \
+        [(r.perturbed_tokens, r.edit) for r in r2]
 
 
 @pytest.mark.parametrize("mode", ["all", "last1", "last2"])
@@ -1391,7 +1389,7 @@ def test_perturb_reads_paths_only_for_tail_edits(trained_toy, monkeypatch,
     model, exs = trained_toy
     if kind == "seq2seq":
         model = model_for(model.vocab, kind="seq2seq")
-    calls = dict.fromkeys(("infer_path", "_grounding_paths", "greedy_decode"), 0)
+    calls = dict.fromkeys(("infer_path", "grounding_paths", "greedy_decode"), 0)
     for name in calls:
         def counted(*args, _real=getattr(qadpt, name), _name=name, **kw):
             calls[_name] += 1
@@ -1403,8 +1401,8 @@ def test_perturb_reads_paths_only_for_tail_edits(trained_toy, monkeypatch,
     if kind == "qadpt":
         assert emitted > 0
     reads = {"infer_path": emitted if kind == "qadpt" else 0,
-             "_grounding_paths": len(exs) if kind == "seq2seq" else 0}
+             "grounding_paths": len(exs) if kind == "seq2seq" else 0}
     if mode == "all":
         reads = dict.fromkeys(reads, 0)
     assert calls == {**reads, "greedy_decode":
-                     len(exs) + sum(not r.skipped for r in runs)}
+                     len(exs) + sum(r.edit is not None for r in runs)}
