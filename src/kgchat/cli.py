@@ -58,19 +58,21 @@ class UsageError(ValueError):
 
 
 # key -> (type, default, help). `model` through `seed` map onto
-# Hyperparams; the rest configure the corpus pipeline, inference and the
-# synthetic world.
+# Hyperparams, and `n_people` through `chitchat_rate` onto
+# SyntheticConfig: those defaults are read off the fields that own them.
+# The rest configure the corpus pipeline and inference.
 CONFIG_KEYS = {
-    "model": (str, "qadpt", "model kind: qadpt or seq2seq"),
-    "hidden": (int, 64, "hidden state width"),
+    "model": (str, Hyperparams.kind, "model kind: qadpt or seq2seq"),
+    "hidden": (int, Hyperparams.hidden_dim, "hidden state width"),
     "embed": (int, 0, "embedding width; 0 follows hidden"),
-    "hops": (int, 6, "reasoning walk length"),
-    "lr": (float, 1e-3, "Adam learning rate"),
-    "batch_size": (int, 32, "examples per update"),
-    "epochs": (int, 30, "max training epochs"),
-    "patience": (int, 3, "non-improving epochs tolerated"),
-    "clip_norm": (float, 5.0, "global gradient norm ceiling"),
-    "seed": (int, 0, "training / perturbation / world seed"),
+    "hops": (int, Hyperparams.n_hops, "reasoning walk length"),
+    "lr": (float, Hyperparams.lr, "Adam learning rate"),
+    "batch_size": (int, Hyperparams.batch_size, "examples per update"),
+    "epochs": (int, Hyperparams.max_epochs, "max training epochs"),
+    "patience": (int, Hyperparams.patience, "non-improving epochs tolerated"),
+    "clip_norm": (float, Hyperparams.clip_norm,
+                  "global gradient norm ceiling"),
+    "seed": (int, Hyperparams.seed, "training / perturbation / world seed"),
     "tokenize": (str, "word", "tokenizer mode: word or char"),
     "min_count": (int, 1, "vocabulary frequency cutoff"),
     "subgraph_k": (int, 5, "paths per source/target pair"),
@@ -78,12 +80,14 @@ CONFIG_KEYS = {
     "split": (str, "test", "bundle split for eval/perturb"),
     "mode": (str, "last1", "perturbation protocol: all, last1, last2"),
     "max_decode_len": (int, MAX_DECODE_LEN, "free-running decode cap"),
-    "n_people": (int, 30, "synthetic: people"),
-    "n_places": (int, 12, "synthetic: places"),
-    "n_jobs": (int, 8, "synthetic: occupations"),
-    "n_turns": (int, 2000, "synthetic: total turns"),
-    "turns_per_dialogue": (int, 5, "synthetic: dialogue length"),
-    "chitchat_rate": (float, 0.1, "synthetic: ungrounded turn share"),
+    "n_people": (int, SyntheticConfig.n_people, "synthetic: people"),
+    "n_places": (int, SyntheticConfig.n_places, "synthetic: places"),
+    "n_jobs": (int, SyntheticConfig.n_jobs, "synthetic: occupations"),
+    "n_turns": (int, SyntheticConfig.n_turns, "synthetic: total turns"),
+    "turns_per_dialogue": (int, SyntheticConfig.turns_per_dialogue,
+                           "synthetic: dialogue length"),
+    "chitchat_rate": (float, SyntheticConfig.chitchat_rate,
+                      "synthetic: ungrounded turn share"),
 }
 
 _INGEST_KEYS = ("tokenize", "min_count", "subgraph_k", "split_seed")

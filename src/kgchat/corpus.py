@@ -19,7 +19,7 @@ import os
 import types
 import typing
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property
@@ -432,9 +432,13 @@ class DialogueTurn:
     def turn_id(self) -> str:
         return f"{self.dialogue_id}#{self.turn}"
 
-    def message_entities(self, vocab: Vocabulary) -> tuple:
-        """The entity tokens of the message, in order."""
-        return tuple(t for t in self.message if t in vocab.entity_set)
+    def grounding(self, entities: Container[str]) -> tuple[set, set]:
+        """The turn's (sources, targets): the message's entity tokens
+        plus the scene entities, and the response's entity tokens.
+        `entities` holds the names that count as entity tokens."""
+        return ({t for t in self.message if t in entities}
+                | set(self.scene_entities),
+                {t for t in self.response if t in entities})
 
 
 # dialogue_id is taken as text whatever its JSON type
@@ -596,10 +600,7 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
             response=tuple(tokenize(rt.response, mode, matcher))))
     _check_turn_ids(turns)
 
-    requests = [({tok for tok in t.message if tok in entity_set}
-                 | set(t.scene_entities),
-                 {tok for tok in t.response if tok in entity_set})
-                for t in turns]
+    requests = [t.grounding(entity_set) for t in turns]
     subgraphs = dict(zip((t.turn_id for t in turns),
                          kgraph.sample_subgraphs(graph, requests, k=subgraph_k)))
 
@@ -868,10 +869,9 @@ def corpus_stats(bundle: Bundle) -> CorpusStats:
         if ents:
             turns_with += 1
             dialogues_with.add(t.dialogue_id)
-        msg_ents = {tok for tok in t.message if tok in entity_set} | set(t.scene_entities)
-        resp_ents = {tok for tok in t.response if tok in entity_set}
-        for s in sorted(msg_ents):
-            for tgt in sorted(resp_ents):
+        sources, targets = t.grounding(entity_set)
+        for s in sorted(sources):
+            for tgt in sorted(targets):
                 pair_list.append((s, tgt))
 
     lengths = kgraph.shortest_path_lengths(bundle.graph, pair_list) if pair_list else {}

@@ -40,7 +40,7 @@ import numpy as np
 from .corpus import EOS, UNK, JsonRecord, _load_json, atomic_open
 from .kgraph import PERTURB_MODES
 from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, InferredPath, QadptModel,
-                    _decode_paths, encode, greedy_decode, teacher_force)
+                    _decode_paths, greedy_decode, teacher_force)
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
@@ -457,16 +457,16 @@ def _scalars(ents, turns) -> dict:
 def evaluate_report(model: QadptModel, examples,
                     max_len: int = MAX_DECODE_LEN,
                     config: dict | None = None) -> EvalReport:
-    """Run teacher-forced and free-running passes and score everything.
-    Each turn is encoded once, for both passes."""
+    """Run free-running and teacher-forced passes and score everything.
+    Each turn is encoded once: the decode hands its encoder state to
+    teacher forcing."""
     if not examples:
         raise MetricError("no turns to evaluate")
     id_to_token = model.vocab.id_to_token
     turns = []
     for ex in examples:
-        enc = encode(model, ex)
-        tf = teacher_force(model, ex, encoded=enc)
-        dec = greedy_decode(model, ex, max_len=max_len, encoded=enc)
+        dec = greedy_decode(model, ex, max_len=max_len)
+        tf = teacher_force(model, ex, encoded=dec.encoded)
         reference = tuple(ex.target_tokens)
         turns.append(TurnEval(
             turn_id=ex.turn_id,
@@ -515,15 +515,20 @@ class PerturbReport(JsonRecord):
 
     @classmethod
     def from_dict(cls, d) -> "PerturbReport":
-        """The report `to_dict` wrote. Each turn's `changed` and
-        `accurate` flags must be the ones its replies, hypothesis and
-        targets give under the report's mode and entities, and the
-        counts and rates the ones those turn records give."""
+        """The report `to_dict` wrote. A skipped turn must keep its reply
+        and name no hypothesis or target; each other turn's `changed`
+        and `accurate` flags must be the ones its replies, hypothesis and
+        targets give under the report's mode and entities; and the
+        counts and rates must be the ones those turn records give."""
         report = super().from_dict(d)
         if report.mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturbation mode {report.mode!r}")
         ents = set(report.entities)
         for t in report.turns:
+            if t.skipped and (t.perturbed != t.original or t.hypothesis
+                              or t.targets):
+                raise ValueError(f"turn {t.turn_id!r}: skipped, yet its "
+                                 f"reply changed or it names an edit")
             flags = ((None, None) if t.skipped else
                      _turn_flags(ents, report.mode, t.original, t.perturbed,
                                  t.hypothesis, t.targets))
@@ -544,9 +549,10 @@ class PerturbReport(JsonRecord):
 
 def load_perturb_report(path) -> PerturbReport:
     """Read a perturb.json. A file that is not JSON, lacks a field, holds
-    one of the wrong type or one the report does not declare, or stores
-    counts, rates or flags its turn records do not give raises DataError
-    naming the file."""
+    one of the wrong type or one the report does not declare, holds a
+    skipped turn with another reply or an edit, or stores counts, rates
+    or flags its turn records do not give raises DataError naming the
+    file."""
     return _load_json(Path(path), PerturbReport.from_dict)
 
 

@@ -15,8 +15,11 @@ Under teacher forcing every decoder input is the gold prefix, known up
 front, so training runs a whole padded batch, and teacher-forced
 evaluation a whole turn, as one step; greedy decoding runs the same
 step one position at a time (T=1) with a batch of one, on a tape that
-keeps values only. Checkpoints are a small binary format: magic, digest,
-JSON header, raw little-endian float64 payload (see save_checkpoint).
+keeps values only. Each pass builds one tape. A decode returns its
+turn's encoder state, which teacher forcing and a re-decode on an
+edited graph take instead of encoding the turn again. Checkpoints are a
+small binary format: magic, digest, JSON header, raw little-endian
+float64 payload (see save_checkpoint).
 """
 
 from __future__ import annotations
@@ -219,8 +222,7 @@ def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
 
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
                  vocab: Vocabulary) -> Example:
-    raw_sources = tuple(sorted(set(turn.message_entities(vocab)) |
-                               set(turn.scene_entities)))
+    raw_sources = tuple(sorted(turn.grounding(vocab.entity_set)[0]))
     enc_ids = vocab.tokens_to_ids(turn.scene_entities) + \
         vocab.tokens_to_ids(turn.message)
     if not enc_ids:
@@ -252,24 +254,14 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 # ---------------------------------------------------------------------------
 # Forward pass
 #
-# _Forward wraps one tape with the parameters recorded on it once; a
-# _TurnState over it holds the decoder state of a batch of turns. Its
-# step takes (T, B) decoder inputs: T is the whole gold prefix for the
-# loss and teacher_force (teacher_forced), and 1 for each greedy step.
-# Training calls backward() on the assembled loss; evaluation and
-# decoding run the same state with one turn on a non-recording tape and
-# read node values off it.
-
-
-class _Forward:
-    def __init__(self, model: QadptModel, record: bool = True):
-        self.model = model
-        self.tape = Tape(record=record)
-        # QadptModel checked every parameter finite
-        self.pn = {name: self.tape.leaf(arr, check=False)
-                   for name, arr in sorted(model.params.items())}
-        self._enc = tuple(self.pn[f"enc.{f}"] for f in "wub")
-        self._dec = tuple(self.pn[f"dec.{f}"] for f in "wub")
+# A _TurnState is one pass: its own tape, the parameters recorded on it
+# once, and the decoder state of a batch of turns. Its step takes (T, B)
+# decoder inputs: T is the whole gold prefix for the loss and
+# teacher_force (teacher_forced), and 1 for each greedy step. Training
+# calls backward() on the assembled loss; evaluation and decoding run a
+# one-turn state on a non-recording tape and read node values off it.
+# greedy_decode hands the turn's encoder state on, so teacher_force and
+# a re-decode on an edited graph skip the encoder.
 
 
 @dataclass
@@ -304,51 +296,29 @@ def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace
                            tail=cat("tail") + offsets, weight=cat("weight"))
 
 
-def _encode(fw: _Forward, rows) -> int:
-    """The node of the encoder's final state, (B, hidden), for B rows of
-    input ids: one lookup of every id and one GRU node over all steps.
-    Rows are right-padded to the longest and every row runs every step;
-    each row's state is read at its last real step, so the padded steps
-    get an exactly zero gradient."""
-    ids, lengths = _padded(rows)
-    if lengths.min() == 0:
-        raise ModelError("encoder input is empty")
-    t = fw.tape
-    b, hidden = len(rows), fw.model.hyper.hidden_dim
-    states = t.gru(t.lookup_row(fw.pn["embed"], ids.T),
-                   t.leaf(np.zeros((b, hidden))), *fw._enc)
-    return t.gather(states, ((lengths - 1)[:, None], np.arange(b)[:, None],
-                             np.arange(hidden)))
-
-
-def encode(model: QadptModel, example: Example) -> np.ndarray:
-    """The encoder's final state for one turn, a (hidden_dim,) vector.
-
-    It depends on the turn's input ids alone, not on its graph.
-    teacher_force and greedy_decode take it as `encoded` in place of
-    encoding the turn again.
-    """
-    fw = _Forward(model, record=False)
-    return fw.tape.value(_encode(fw, [example.enc_ids]))[0]
-
-
 class _TurnState:
-    """Decoder state of a batch of turns over a shared _Forward.
+    """One forward pass over a batch of turns: its tape, with every
+    parameter recorded first, in sorted-name order (param_grads relies
+    on it), and the turns' decoder state.
 
-    `encoded`, the (B, hidden) encoder states of the turns, is recorded
-    as a leaf instead of running the encoder. Decoder inputs and targets
-    are kept right-padded to the longest turn, with the real target
-    positions as (turn, pos) index arrays, turn by turn.
+    `encoded`, the (hidden,) encoder state a one-turn state read off its
+    tape (DecodeResult.encoded), is recorded as a leaf instead of running
+    the encoder again. Decoder inputs and targets are kept right-padded
+    to the longest turn, with the real target positions as (turn, pos)
+    index arrays, turn by turn.
     """
 
-    def __init__(self, fw: _Forward, examples: Sequence[Example],
-                 encoded: np.ndarray | None = None):
+    def __init__(self, model: QadptModel, examples: Sequence[Example],
+                 record: bool = True, encoded: np.ndarray | None = None):
         if not examples:
             raise ModelError("empty batch")
-        self.fw = fw
-        model = fw.model
+        self.model = model
         self.hyper = model.hyper
         self.vocab = model.vocab
+        self.tape = t = Tape(record=record)
+        # QadptModel checked every parameter finite
+        self.pn = {name: t.leaf(arr, check=False)
+                   for name, arr in sorted(model.params.items())}
         self.dec_in, lengths = _padded([ex.dec_in_ids for ex in examples])
         self.targets, _ = _padded([ex.target_ids for ex in examples])
         self.turn, self.pos = np.nonzero(np.arange(self.dec_in.shape[1]) <
@@ -358,9 +328,30 @@ class _TurnState:
         self.sources = np.stack([ex.source_vec for ex in examples])
         self._walk_key = self._walk = None
         if encoded is None:
-            self.h = _encode(fw, [ex.enc_ids for ex in examples])
-        else:
-            self.h = fw.tape.leaf(encoded)
+            self.h = self._encode([ex.enc_ids for ex in examples])
+            return
+        want = (self.hyper.hidden_dim,)
+        if np.shape(encoded) != want:
+            raise ModelError(f"encoder state has shape {np.shape(encoded)}, "
+                             f"want {want}")
+        self.h = t.leaf(np.reshape(encoded, (1, -1)))
+
+    def _encode(self, rows) -> int:
+        """The node of the encoder's final state, (B, hidden), for B rows
+        of input ids: one lookup of every id and one GRU node over all
+        steps. Rows are right-padded to the longest and every row runs
+        every step; each row's state is read at its last real step, so
+        the padded steps get an exactly zero gradient."""
+        ids, lengths = _padded(rows)
+        if lengths.min() == 0:
+            raise ModelError("encoder input is empty")
+        t, pn = self.tape, self.pn
+        b, hidden = len(rows), self.hyper.hidden_dim
+        states = t.gru(t.lookup_row(pn["embed"], ids.T),
+                       t.leaf(np.zeros((b, hidden))),
+                       pn["enc.w"], pn["enc.u"], pn["enc.b"])
+        return t.gather(states, ((lengths - 1)[:, None], np.arange(b)[:, None],
+                                 np.arange(hidden)))
 
     def _walk_rows(self, turn: np.ndarray) -> tuple:
         """The walk's inputs over the rows a step reads, row i belonging
@@ -369,7 +360,7 @@ class _TurnState:
         that reads the same turns (every greedy step does)."""
         key = turn.tobytes()
         if key != self._walk_key:
-            t = self.fw.tape
+            t = self.tape
             mask = self.masks[turn].reshape(-1, self.masks.shape[2])
             s = self.sources[turn].reshape(-1)
             self._walk = (t.leaf(mask), t.leaf(s), float(s.sum()),
@@ -393,11 +384,11 @@ class _TurnState:
         flat softmax g is scattered into the vocabulary, and its k and
         rhat are None.
         """
-        t = self.fw.tape
-        pn = self.fw.pn
+        t, pn = self.tape, self.pn
         vocab = self.vocab
         t_len, b = ids.shape
-        states = t.gru(t.lookup_row(pn["embed"], ids), self.h, *self.fw._dec)
+        states = t.gru(t.lookup_row(pn["embed"], ids), self.h,
+                       pn["dec.w"], pn["dec.u"], pn["dec.b"])
         if t_len == 1:
             h = self.h = t.reshape(states, (b, -1))
             turn = np.arange(b)
@@ -405,7 +396,7 @@ class _TurnState:
             turn = self.turn
             h = t.gather(states, (self.pos[:, None], turn[:, None],
                                   np.arange(self.hyper.hidden_dim)))
-        if self.fw.model.kind == "seq2seq":
+        if self.model.kind == "seq2seq":
             probs = t.softmax(t.linear(pn["out_w"], h, pn["out_b"]))
             o = t.mix_output(probs, vocab.seq2seq_output_ids, vocab.size)
             return o, probs, None, None
@@ -428,11 +419,11 @@ class _TurnState:
         mass."""
         nodes = self.step(self.dec_in.T)
         y = self.targets[self.turn, self.pos]
-        if self.fw.model.kind == "seq2seq":
+        if self.model.kind == "seq2seq":
             return nodes, y, np.zeros(len(y), dtype=bool)
         base = self.vocab.entity_base
         entity = y >= base
-        k = self.fw.tape.value(nodes[2]).reshape(len(y), -1)
+        k = self.tape.value(nodes[2]).reshape(len(y), -1)
         kpos = k[np.arange(len(y)), np.where(entity, y - base, 0)]
         return nodes, y, entity & (kpos <= 0.0)
 
@@ -440,10 +431,10 @@ class _TurnState:
         """The DecoderStep record of a one-position step() on a one-turn
         state."""
         nodes = self.step(np.array([[prev_id]]))
-        t = self.fw.tape
+        t = self.tape
         combined = t.value(nodes[0])[0].copy()
         g = t.value(nodes[1])[0]
-        if self.fw.model.kind == "seq2seq":
+        if self.model.kind == "seq2seq":
             n_gen = 2 + len(self.vocab.generic)
             return DecoderStep(
                 generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
@@ -462,8 +453,8 @@ def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     pass over padded turns; only real target positions reach the heads
     and the loss.
     """
-    state = _TurnState(_Forward(model), examples)
-    t = state.fw.tape
+    state = _TurnState(model, examples)
+    t = state.tape
     nodes, y, unreachable = state.teacher_forced()
     gold = t.gather(nodes[0], (np.arange(len(y)), y))
     loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
@@ -490,26 +481,14 @@ class TeacherResult:
     unreachable: int
 
 
-def _one_state(model: QadptModel, example: Example, encoded) -> _TurnState:
-    """A one-turn state on a non-recording tape; `encoded` is the turn's
-    encode() vector, or None to encode it here."""
-    if encoded is not None:
-        want = (model.hyper.hidden_dim,)
-        if np.shape(encoded) != want:
-            raise ModelError(f"encoder state has shape {np.shape(encoded)}, "
-                             f"want {want}")
-        encoded = np.reshape(encoded, (1, -1))
-    return _TurnState(_Forward(model, record=False), [example], encoded)
-
-
 def teacher_force(model: QadptModel, example: Example,
                   encoded: np.ndarray | None = None) -> TeacherResult:
     """Per target position, the probability of the gold token and the
     argmax, with the gold prefix as decoder input. `encoded` is the
-    turn's encode() vector, when the caller already has it."""
-    state = _one_state(model, example, encoded)
+    turn's DecodeResult.encoded, when the caller already has it."""
+    state = _TurnState(model, [example], record=False, encoded=encoded)
     nodes, y, unreachable = state.teacher_forced()
-    o = state.fw.tape.value(nodes[0])
+    o = state.tape.value(nodes[0])
     return TeacherResult(gold_probs=tuple(o[np.arange(len(y)), y].tolist()),
                          argmax_ids=tuple(o.argmax(axis=1).tolist()),
                          unreachable=int(unreachable.sum()))
@@ -520,7 +499,7 @@ class DecodeResult:
     token_ids: tuple           # emitted ids, closing EOS not included
     tokens: tuple
     steps: tuple               # DecoderStep per emitted position (EOS too)
-    ended_with_eos: bool
+    encoded: np.ndarray        # the turn's encoder state, (hidden,)
 
 
 def greedy_decode(model: QadptModel, example: Example,
@@ -528,27 +507,26 @@ def greedy_decode(model: QadptModel, example: Example,
                   encoded: np.ndarray | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
     subgraph, at most max_len tokens. Ties resolve to the lowest token
-    id. `encoded` is the turn's encode() vector, when the caller
-    already has it."""
+    id. `encoded` is the turn's DecodeResult.encoded, when the caller
+    already has it; the result carries the state either way."""
     if max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
-    state = _one_state(model, example, encoded)
+    state = _TurnState(model, [example], record=False, encoded=encoded)
+    encoded = state.tape.value(state.h)[0]   # read before step() moves h
     out_ids = []
     steps = []
     prev = BOS_ID
-    ended = False
     for _ in range(max_len):
         step = state.decoder_step(prev)
         prev = int(np.argmax(step.combined))
         steps.append(step)
         if prev == EOS_ID:
-            ended = True
             break
         out_ids.append(prev)
     id_to_token = model.vocab.id_to_token
     return DecodeResult(token_ids=tuple(out_ids),
                         tokens=tuple(id_to_token[i] for i in out_ids),
-                        steps=tuple(steps), ended_with_eos=ended)
+                        steps=tuple(steps), encoded=encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +808,7 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     """
     if mode not in PERTURB_MODES:
         raise ModelError(f"unknown perturbation mode {mode!r}")
-    # an edit changes the graph, not the message: the re-decode reuses
-    # the turn's encoder state
-    encoded = [encode(model, ex) for ex in examples]
-    originals = [greedy_decode(model, ex, max_len=max_len, encoded=enc)
-                 for ex, enc in zip(examples, encoded)]
+    originals = [greedy_decode(model, ex, max_len=max_len) for ex in examples]
     if mode == "all":
         edited = perturb_all([ex.subgraph for ex in examples], seed)
     else:
@@ -849,12 +823,14 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
                                   model.vocab.entities))
 
     results: list[PerturbedTurn] = []
-    for ex, dec, enc, res in zip(examples, originals, encoded, edited):
+    for ex, dec, res in zip(examples, originals, edited):
         tokens = dec.tokens
         if res is not None:
+            # an edit changes the graph, not the message: the re-decode
+            # reuses the turn's encoder state
             new_ex = dataclasses.replace(
                 ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
             tokens = greedy_decode(model, new_ex, max_len=max_len,
-                                   encoded=enc).tokens
+                                   encoded=dec.encoded).tokens
         results.append(PerturbedTurn(ex.turn_id, dec.tokens, tokens, res))
     return results

@@ -130,8 +130,8 @@ def random_subgraph(vocab, rng, n_triples=4):
 
 def decoder_steps(model, ex, prev_ids):
     """Raw decoder steps for a fixed previous-token sequence."""
-    from kgchat.qadpt import _Forward, _TurnState
-    state = _TurnState(_Forward(model), [ex])
+    from kgchat.qadpt import _TurnState
+    state = _TurnState(model, [ex])
     return [state.decoder_step(p) for p in prev_ids]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from test_metrics import _edit
 
 from kgchat import cli
 from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
-                           load_bundle, write_json)
+                           ingest, load_bundle, write_json)
 from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
 from kgchat.metrics import (METRIC_NAMES, PerturbTurnEval, evaluate_report,
                             load_perturb_report, load_report)
@@ -464,6 +465,25 @@ def test_each_hyperparams_field_has_exactly_one_config_key():
     assert sorted(owners) == sorted(f.name for f in
                                     dataclasses.fields(Hyperparams))
     assert all(len(keys) == 1 for keys in owners.values()), owners
+
+
+def test_config_defaults_are_their_owners_defaults():
+    """The train keys' defaults build Hyperparams(), the synth world
+    keys' defaults SyntheticConfig(), and the ingest keys' defaults are
+    corpus.ingest's keyword defaults."""
+    def defaults(keys):
+        return {key: cli.CONFIG_KEYS[key][1] for key in keys}
+
+    assert cli.hyper_from_config(defaults(cli.COMMAND_KEYS["train"])) == \
+        Hyperparams()
+    assert SyntheticConfig(**defaults(cli._WORLD_KEYS)) == SyntheticConfig()
+    kwargs = {"tokenize": "mode", "min_count": "min_count",
+              "subgraph_k": "subgraph_k", "split_seed": "split_seed"}
+    assert set(kwargs) == set(cli.COMMAND_KEYS["ingest"])
+    params = inspect.signature(ingest).parameters
+    assert {kwargs[key]: value for key, value in
+            defaults(cli.COMMAND_KEYS["ingest"]).items()} == \
+        {name: params[name].default for name in kwargs.values()}
 
 
 @pytest.mark.parametrize("name", ["config.json", "diff.log", "stats.json",

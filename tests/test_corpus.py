@@ -165,7 +165,9 @@ def test_entity_tokens_are_the_tokens_of_the_entity_id_block():
                      if vocab.token_to_id(t) >= vocab.entity_base)
 
     for t in bundle.turns:
-        assert t.message_entities(vocab) == by_id(t.message)
+        sources, targets = t.grounding(vocab.entity_set)
+        assert sources == set(by_id(t.message)) | set(t.scene_entities)
+        assert targets == set(by_id(t.response))
 
 
 def test_generic_output_block_layout():

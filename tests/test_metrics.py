@@ -766,3 +766,26 @@ def test_malformed_perturb_report_raises_data_error(tmp_path, corrupt, where):
         load_perturb_report(path)
     assert str(info.value).startswith("perturb.json: ")
     assert where in str(info.value)
+
+
+@pytest.mark.parametrize("change", [
+    {"perturbed": ["T2", "yes"], "hypothesis": ["Zed"], "targets": ["Ann"]},
+    {"perturbed": ["T2", "yes"]},
+    {"hypothesis": ["Zed"]},
+    {"targets": ["Ann"]},
+], ids=("reply_and_edit", "reply", "hypothesis", "targets"))
+def test_skipped_turn_with_a_reply_or_an_edit_is_refused(tmp_path, change):
+    """A skipped turn keeps its graph, so its reply too, and names no
+    edit; its null flags alone do not make a record one."""
+    runs = [_pt("t0", ("T", "B"), ("T2",), {"T2"}, {"B", "T"}),
+            _pt("t1", ("T", "yes"), ("T", "yes"), skipped=True)]
+    rep = perturbation_report(ENTS, runs, "last2")
+    path = tmp_path / "perturb.json"
+    write_json(rep.to_dict(), path)
+    assert load_perturb_report(path) == rep
+    path.write_text(_edit(lambda b: b["turns"][1].update(change))(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError, match="perturb.json: turn 't1': skipped, "
+                                        "yet its reply changed or it names "
+                                        "an edit"):
+        load_perturb_report(path)

@@ -40,7 +40,7 @@ from kgchat.metrics import evaluate_report
 from kgchat.numkernel import KernelError
 from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
                           InferredPath, ModelError, QadptModel, batch_loss,
-                          build_source_vector, encode, expected_param_shapes,
+                          build_source_vector, expected_param_shapes,
                           greedy_decode, infer_path, init_params,
                           load_checkpoint, make_example, make_examples,
                           param_grads, perturb_and_decode, save_checkpoint,
@@ -496,19 +496,20 @@ def test_batch_loss_is_invariant_to_batching_and_order(kind, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_encoder_bit_equals_the_masked_per_gate_gru(seed):
-    """_encode runs every row of a padded ragged batch all T steps and
-    reads each at its last real step. The per-gate GRU with a lengths
-    mask, which carries a finished row's state to the last step, gives
-    the same final states and the same gradients of x, h0 and every
-    gate's slice of w, u and b, bit for bit."""
+    """A state's encoder pass runs every row of a padded ragged batch all
+    T steps and reads each at its last real step. The per-gate GRU with
+    a lengths mask, which carries a finished row's state to the last
+    step, gives the same final states and the same gradients of x, h0
+    and every gate's slice of w, u and b, bit for bit."""
     v = toy_vocab()
     model = model_for(v, seed=seed)
     r = np.random.default_rng(seed)
     lengths = r.permutation([1, 6, *r.integers(1, 7, size=3)])
     rows = [r.integers(v.size, size=n).tolist() for n in lengths]
-    fw = qadpt._Forward(model)
-    t = fw.tape
-    final = qadpt._encode(fw, rows)
+    ex = example_for(v, "a lives", "b", [Triple("a", "q", "b")])
+    batch = [dataclasses.replace(ex, enc_ids=tuple(ids)) for ids in rows]
+    state = qadpt._TurnState(model, batch)
+    t, final = state.tape, state.h
     c = r.normal(size=t.value(final).shape)
     loss = t.reshape(t.linear(t.leaf(c.reshape(1, -1)),
                               t.reshape(final, (1, -1)), t.leaf(np.zeros(1))),
@@ -800,13 +801,13 @@ def test_decoder_step_node_counts(record, n_hops):
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     assert ex.source_vec.sum() > 0
     for kind, want in (("qadpt", (13, 11, 11)), ("seq2seq", (6, 6, 6))):
-        fw = qadpt._Forward(model_for(v, kind=kind, n_hops=n_hops), record)
-        state = qadpt._TurnState(fw, [ex])
+        model = model_for(v, kind=kind, n_hops=n_hops)
+        state = qadpt._TurnState(model, [ex], record)
         got = []
         for prev in (BOS_ID, v.token_to_id("b"), v.token_to_id("yes")):
-            before = len(fw.tape)
+            before = len(state.tape)
             state.step(np.array([[prev]]))
-            got.append(len(fw.tape) - before)
+            got.append(len(state.tape) - before)
         assert tuple(got) == want, kind
 
 
@@ -824,10 +825,9 @@ def test_teacher_forced_pass_node_count_ignores_target_length(kind, record):
         exs = [example_for(v, "a lives", resp, [Triple("a", "q", "b")]),
                example_for(v, "in b c a", "c", [Triple("b", "r", "c")])]
         for batch in (exs[:1], exs):
-            fw = qadpt._Forward(model, record)
-            before = len(fw.tape)
-            qadpt._TurnState(fw, batch).teacher_forced()
-            counts.add(len(fw.tape) - before)
+            state = qadpt._TurnState(model, batch, record)
+            state.teacher_forced()
+            counts.add(len(state.tape) - len(model.params))
             if record:
                 tape, _, n_tok, _ = batch_loss(model, batch)
                 assert n_tok == sum(len(ex.target_ids) for ex in batch)
@@ -1183,26 +1183,54 @@ def test_evaluate_report_turns_match_direct_calls(kind):
     exs = [example_for(v, "a lives", "b yes", [Triple("a", "q", "b")]),
            example_for(v, "in b", "yes", [Triple("b", "r", "c")])]
     report = evaluate_report(model, exs, max_len=4)
-    assert [t.turn_id for t in report.turns] == [ex.turn_id for ex in exs]
-    for t, ex in zip(report.turns, exs):
-        tf = teacher_force(model, ex)
-        dec = greedy_decode(model, ex, max_len=4)
-        paths = qadpt._decode_paths(model, ex, dec)
-        assert t.argmax_tokens == tuple(v.id_to_token[i] for i in tf.argmax_ids)
-        assert t.gold_probs == tuple(tf.gold_probs)
-        assert t.unreachable == tf.unreachable
-        assert t.generated == tuple(dec.tokens)
-        assert t.paths == paths
+    assert_report_matches_direct_calls(model, exs, report, max_len=4)
     if kind == "qadpt":
         assert any(t.paths for t in report.turns)
     else:
         assert not any(t.paths for t in report.turns)
 
 
+def assert_report_matches_direct_calls(model, exs, report, max_len):
+    """Each report turn is what standalone teacher_force and
+    greedy_decode calls give."""
+    id_to_token = model.vocab.id_to_token
+    assert [t.turn_id for t in report.turns] == [ex.turn_id for ex in exs]
+    for t, ex in zip(report.turns, exs):
+        tf = teacher_force(model, ex)
+        dec = greedy_decode(model, ex, max_len=max_len)
+        paths = qadpt._decode_paths(model, ex, dec)
+        assert t.argmax_tokens == tuple(id_to_token[i] for i in tf.argmax_ids)
+        assert t.gold_probs == tuple(tf.gold_probs)
+        assert t.unreachable == tf.unreachable
+        assert t.generated == tuple(dec.tokens)
+        assert t.paths == paths
+
+
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_turns_with_an_empty_response(kind):
+    """A turn whose response is empty has one decoder position, its EOS,
+    so a teacher-forced pass over such turns takes step's one-position
+    branch. The loss is still the mean -log of teacher_force's gold
+    probabilities, and the report still matches standalone calls."""
+    v = toy_vocab()
+    model = model_for(v, kind=kind)
+    exs = [example_for(v, "a lives", "", [Triple("a", "q", "b")]),
+           example_for(v, "in b c", "", [Triple("b", "r", "c")], scene=("a",))]
+    assert all(ex.target_ids == (EOS_ID,) for ex in exs)
+    tape, loss, n_tok, _ = batch_loss(model, exs)
+    nll = [-np.log(max(teacher_force(model, ex).gold_probs[0], 1e-12))
+           for ex in exs]
+    assert n_tok == len(exs)
+    assert float(tape.value(loss)) == pytest.approx(np.mean(nll), rel=0,
+                                                    abs=1e-12)
+    report = evaluate_report(model, exs, max_len=4)
+    assert_report_matches_direct_calls(model, exs, report, max_len=4)
+
+
 def assert_same_decode(got, want):
     """Tokens and every DecoderStep array equal bit for bit."""
     assert got.token_ids == want.token_ids
-    assert got.ended_with_eos == want.ended_with_eos
+    assert got.encoded.tobytes() == want.encoded.tobytes()
     assert len(got.steps) == len(want.steps)
     for a, b in zip(got.steps, want.steps):
         assert a.controller == b.controller
@@ -1226,10 +1254,10 @@ def _encoder_examples(v, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
 def test_handed_in_encoder_state_is_bit_identical(kind, seed):
-    """teacher_force and greedy_decode given encode()'s state match the
-    calls that encode the turn themselves, on the turn's graph and on an
-    edited one; perturb_and_decode's re-decodes match self-encoding
-    decodes of the edited turns."""
+    """teacher_force and greedy_decode given a decode's encoder state
+    match the calls that encode the turn themselves, on the turn's graph
+    and on an edited one; perturb_and_decode's re-decodes match
+    self-encoding decodes of the edited turns."""
     v = toy_vocab(entities=("a", "b", "c", "d", "e"))
     model = model_for(v, kind=kind, seed=seed)
     if kind == "qadpt":
@@ -1240,7 +1268,7 @@ def test_handed_in_encoder_state_is_bit_identical(kind, seed):
               for ex, res in zip(exs, perturb_all([e.subgraph for e in exs],
                                                   seed))]
     for ex, new in zip(exs, edited):
-        enc = encode(model, ex)
+        enc = greedy_decode(model, ex, max_len=1).encoded
         assert enc.shape == (model.hyper.hidden_dim,)
         assert teacher_force(model, ex, encoded=enc) == teacher_force(model, ex)
         assert_same_decode(greedy_decode(model, ex, max_len=6, encoded=enc),
@@ -1255,23 +1283,34 @@ def test_handed_in_encoder_state_is_bit_identical(kind, seed):
 
 
 def test_each_turn_is_encoded_once_per_call(monkeypatch):
-    """evaluate_report shares one encoder pass between teacher forcing
-    and decoding; perturb_and_decode shares it between the decode and
-    the re-decode on the edited graph."""
+    """evaluate_report's decode hands its encoder pass on to teacher
+    forcing, so each turn is encoded once on two tapes; perturb_and_decode
+    hands it from the decode to the re-decode on the edited graph."""
     v = toy_vocab(entities=("a", "b", "c", "d", "e"))
     model = model_for(v)
     exs = _encoder_examples(v, 0)
     batches = []
-    real = qadpt._encode
-    monkeypatch.setattr(qadpt, "_encode",
-                        lambda fw, rows: batches.append(len(rows)) or
-                        real(fw, rows))
+    tapes = []
+    real = qadpt._TurnState._encode
+    monkeypatch.setattr(qadpt._TurnState, "_encode",
+                        lambda state, rows: batches.append(len(rows)) or
+                        real(state, rows))
+
+    class CountedTape(numkernel.Tape):
+        def __init__(self, record=True):
+            tapes.append(record)
+            super().__init__(record)
+
+    monkeypatch.setattr(qadpt, "Tape", CountedTape)
     evaluate_report(model, exs, max_len=6)
     assert batches == [1] * len(exs)
+    assert tapes == [False] * (2 * len(exs))
     batches.clear()
+    tapes.clear()
     runs = perturb_and_decode(model, exs, "all", seed=0, max_len=6)
     assert all(r.edit is not None for r in runs)
     assert batches == [1] * len(exs)
+    assert tapes == [False] * (2 * len(exs))
 
 
 def test_every_public_tape_op_is_recorded_by_the_models(monkeypatch):
