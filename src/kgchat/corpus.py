@@ -782,24 +782,35 @@ def load_bundle(in_dir) -> Bundle:
     parsed and type-checked here except the subgraph rows: those are
     indexed by turn id, and each turn's graph is built when it is first
     read (see `SubgraphRows`). Two turns with one id, a turn without a
-    subgraph row, or two rows for one turn, fail here. The graph holds
+    subgraph row, two rows for one turn, a row for a turn turns.jsonl
+    does not hold, or a turn count other than meta.json's `n_turns`,
+    fail here: a cut turns.jsonl never loads as whole. The graph holds
     the triples of graph.tsv and every entity of vocab.json, the
     isolated ones too, so it equals the graph the bundle was saved from;
     a row may name its entities only."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     _check_turn_ids(turns, "turns.jsonl: ")
+    meta = {}
+    meta_path = src / "meta.json"
+    if meta_path.exists():
+        meta = _load_json(meta_path, dict)
+        if meta.get("n_turns", len(turns)) != len(turns):
+            raise DataError(f"turns.jsonl holds {len(turns)} turns, "
+                            f"meta.json says {meta['n_turns']!r}")
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv", vocab.entities)
     subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph)
     for t in turns:
         if t.turn_id not in subgraphs:
             raise DataError(f"subgraphs.jsonl: no row for turn {t.turn_id!r}")
+    if len(subgraphs) != len(turns):
+        # every turn has a row, so some row's turn is not in turns.jsonl
+        known = {t.turn_id for t in turns}
+        stray = min(tid for tid in subgraphs if tid not in known)
+        raise DataError(f"subgraphs.jsonl: row for turn {stray!r}, which "
+                        f"turns.jsonl does not hold")
     splits = _load_json(src / "splits.json", SplitAssignment.from_dict)
-    meta = {}
-    meta_path = src / "meta.json"
-    if meta_path.exists():
-        meta = _load_json(meta_path, dict)
     return Bundle(turns=turns, vocab=vocab, graph=graph, subgraphs=subgraphs,
                   splits=splits, meta=meta)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -415,7 +415,15 @@ class AdjacencyTensor:
     rel: np.ndarray
     tail: np.ndarray
     weight: np.ndarray
-    active: np.ndarray        # (|V|, |L'|) float mask, 1.0 where (h, r) has tails
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """(|V|, |L'|) float mask, 1.0 where (h, r) has tails: each
+        entity's self-loop and each (head, relation) group of the graph.
+        Built from the edges on first read."""
+        active = np.zeros((self.n_entities, self.n_relations))
+        active[self.head, self.rel] = 1.0
+        return active
 
     @property
     def n_entities(self) -> int:
@@ -440,6 +448,20 @@ class AdjacencyTensor:
         return {e: i for i, e in enumerate(self.entities)}
 
 
+@lru_cache(maxsize=8)
+def _vocabulary_index(entities: tuple, relations: tuple) -> tuple:
+    """(entity -> position, relation -> position) for two vocabularies,
+    built and checked once per pair: every turn's graph is indexed
+    against the same two."""
+    if SELF_LOOP in relations:
+        raise GraphError(f"{SELF_LOOP} must not appear in the relation vocabulary")
+    epos = {e: i for i, e in enumerate(entities)}
+    rpos = {r: i for i, r in enumerate(relations)}
+    if len(epos) != len(entities) or len(rpos) != len(relations):
+        raise GraphError("duplicate entries in a vocabulary")
+    return epos, rpos
+
+
 def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
                     relations: Sequence[str]) -> AdjacencyTensor:
     """Index a graph against the global vocabularies.
@@ -451,16 +473,11 @@ def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
     """
     entities = tuple(entities)
     relations = tuple(relations)
-    if SELF_LOOP in relations:
-        raise GraphError(f"{SELF_LOOP} must not appear in the relation vocabulary")
-    epos = {e: i for i, e in enumerate(entities)}
-    rpos = {r: i for i, r in enumerate(relations)}
-    if len(epos) != len(entities) or len(rpos) != len(relations):
-        raise GraphError("duplicate entries in a vocabulary")
-    missing = graph.entities - set(entities)
+    epos, rpos = _vocabulary_index(entities, relations)
+    missing = graph.entities.difference(epos)
     if missing:
         raise GraphError(f"entities missing from vocabulary: {sorted(missing)[:5]}")
-    missing_r = graph.relations - set(relations)
+    missing_r = graph.relations.difference(rpos)
     if missing_r:
         raise GraphError(f"relations missing from vocabulary: {sorted(missing_r)}")
 
@@ -474,12 +491,9 @@ def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
     rels = [self_idx] * n
     tails = list(range(n))
     weights = [1.0] * n
-    active = np.zeros((n, self_idx + 1))
-    active[:, self_idx] = 1.0
     for (h, r) in sorted(groups):
         ts = sorted(groups[(h, r)])
         w = 1.0 / len(ts)
-        active[h, r] = 1.0
         for t in ts:
             heads.append(h)
             rels.append(r)
@@ -493,7 +507,6 @@ def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
         rel=np.asarray(rels, dtype=np.int64),
         tail=np.asarray(tails, dtype=np.int64),
         weight=np.asarray(weights, dtype=np.float64),
-        active=active,
     )
 
 

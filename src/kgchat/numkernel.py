@@ -3,12 +3,14 @@
 Everything the dialogue models need and nothing more: a recorded-op
 reverse-accumulation gradient tape whose ops are exactly the ones the
 models record, each on (B, ...) rows (a stabilized softmax, a fused
-linear layer, the N-hop graph walk and the output mixture among them)
-or, for a GRU run over T steps and the embedding lookup that feeds it,
-on (T, B, ...) steps of rows; and Adam with global-norm clipping. A GRU
-is the three tensors its kernel computes with, each stacking the z, r
-and h gates' rows: input weights w, recurrent weights u and biases b. All
-kernels are deterministic pure functions over float64 arrays. Any op that produces
+linear layer and the output mixture among them) or, for a GRU run over
+T steps and the embedding lookup that feeds it, on (T, B, ...) steps of
+rows; the N-hop graph walk runs over the stacked entity rows of the
+turns' subgraphs, L rows per decoder row for a subgraph of L entities;
+and Adam with global-norm clipping. A GRU is the three tensors its
+kernel computes with, each stacking the z, r and h gates' rows: input
+weights w, recurrent weights u and biases b. All kernels are
+deterministic pure functions over float64 arrays. Any op that produces
 NaN or Inf raises KernelError instead of letting the value propagate.
 """
 
@@ -132,12 +134,14 @@ def _scatter_add(shape, flat_index, values) -> np.ndarray:
 # rows, one per turn of a batch (B=1 at inference), or one per decoder
 # position of a turn where the heads read a teacher-forced pass; gru
 # takes (T, B, ...) steps of rows, and lookup_row an index of any shape;
-# kg_hop's walk mass is the B graphs' entities flattened into one (B*E,)
-# vector. Every op validates its operands, and an op whose output can
-# turn NaN or Inf for finite operands checks it, so the recorded program
-# is auditable step by step. No operator overloading: callers name each
-# op. A backprop closure maps the node's gradient to one gradient per
-# parent (None where none flows), each of its parent's shape.
+# kg_hop's walk mass is one flat vector of the B rows' subgraph entities,
+# each row's L entities stacked after the previous row's, and mix_output
+# takes those entries with their flat row * E + entity positions. Every
+# op validates its operands, and an op whose output can turn NaN or Inf
+# for finite operands checks it, so the recorded program is auditable
+# step by step. No operator overloading: callers name each op. A
+# backprop closure maps the node's gradient to one gradient per parent
+# (None where none flows), each of its parent's shape.
 
 
 class Tape:
@@ -351,7 +355,8 @@ class Tape:
 
         `adj` is an AdjacencyTensor-like object with int arrays head,
         rel, tail and a float array weight; it is a constant. A batch of
-        graphs is one block-diagonal adjacency over the stacked rows.
+        walks is one block-diagonal adjacency over the stacked entity
+        rows of v and rhat, each block over one subgraph's entities.
         The edge coefficients rhat[head, rel] are gathered once for all
         hops; each tail accumulates in the adjacency's fixed edge order,
         and every hop's result is checked finite.
@@ -383,40 +388,46 @@ class Tape:
 
         return self._push(walk[-1], (v, rhat), bwd)
 
-    def mix_output(self, g: int, cols, width: int, k: int | None = None) -> int:
+    def mix_output(self, g: int, cols, width: int, k: int | None = None,
+                   at=None, n: int = 0) -> int:
         """Scatter a batch of distributions g (B, m) into output rows of
         `width` columns.
 
         Without k, column j of g lands in output column cols[j]. With a
-        walk result k (B rows of entities, flattened or not), column 0 of
-        g is a gate: g[:, 1:] land in cols and g[:, 0] * k fills the last
-        k-width columns.
+        walk result k, column 0 of g is a gate: g[:, 1:] land in cols,
+        and g[:, 0] times the (B, n) entity block fills the last n
+        columns. k holds the block's entries at `at`, their flat
+        positions row * n + entity; every other entry of the block is 0.
         """
         vg = self.value(g)
-        vk = None if k is None else self.value(k)
         cols = np.asarray(cols, dtype=np.int64)
         if vg.ndim != 2:
             raise KernelError("mix_output: g must be (B, m) rows")
-        gen = vg if vk is None else vg[:, 1:]
+        gen = vg if k is None else vg[:, 1:]
         if gen.shape[1] != cols.size:
             raise KernelError("mix_output: need one column per generic "
                               "entry")
         out = np.zeros((vg.shape[0], width))
         out[:, cols] = gen
-        if vk is None:
+        if k is None:
             return self._push(out, (g,), lambda gr: (gr[:, cols],))
-        if vk.size % vg.shape[0]:
-            raise KernelError("mix_output: walk result does not split into "
-                              "one row per batch row")
-        kk = vk.reshape(vg.shape[0], -1)
-        lo = width - kk.shape[1]
+        vk, at = self.value(k), np.asarray(at)
+        block = np.zeros(vg.shape[0] * n)
+        if not 0 <= n <= width or vk.ndim != 1 or at.shape != vk.shape or \
+                at.dtype.kind not in "iu" or \
+                at.size and not 0 <= at.min() <= at.max() < block.size:
+            raise KernelError("mix_output: need a flat walk result and one "
+                              "in-range block position per entry")
+        block[at] = vk
+        kk = block.reshape(vg.shape[0], n)
+        lo = width - n
         out[:, lo:] = vg[:, :1] * kk
 
         def bwd(gr):
             tail = gr[:, lo:]
             gate = np.sum(tail * kk, axis=1, keepdims=True)
             return (np.concatenate([gate, gr[:, cols]], axis=1),
-                    (tail * vg[:, :1]).reshape(vk.shape))
+                    (tail * vg[:, :1]).reshape(-1)[at])
 
         return self._push(out, (g, k), bwd, "mix_output")
 

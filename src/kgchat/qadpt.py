@@ -32,7 +32,7 @@ import struct
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,6 +196,17 @@ def build_source_vector(vocab: Vocabulary, sources: Iterable[str],
     return s
 
 
+class SubgraphWalk(NamedTuple):
+    """The reasoning walk over one turn's subgraph entities only: its L
+    entities are walk rows 0..L-1, in vocabulary order."""
+    pos: np.ndarray      # (L,) each row's global entity position
+    head: np.ndarray     # edges over walk rows, in the global adjacency's
+    rel: np.ndarray      # order: each row's self-loop, then every triple
+    tail: np.ndarray
+    weight: np.ndarray
+    source: np.ndarray   # (L,) the start vector's rows
+
+
 @dataclass
 class Example:
     """One turn, fully indexed and ready for the model."""
@@ -208,16 +219,35 @@ class Example:
     adj: AdjacencyTensor
     source_vec: np.ndarray
     raw_sources: tuple
+    walk: SubgraphWalk
 
 
 def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
                 sources: Iterable[str]) -> dict:
     """The Example fields that follow from a turn's subgraph: the graph,
-    its adjacency tensor and the walk's start vector."""
-    return {"subgraph": subgraph,
-            "adj": build_adjacency(subgraph, vocab.entities, vocab.relations),
-            "source_vec": build_source_vector(vocab, sources,
-                                              subgraph.entities)}
+    its adjacency tensor and the walk's start vector over every entity,
+    and `walk`, the same walk over the subgraph's own L entities, the
+    one the model runs. Entities outside the subgraph hold no start
+    mass, so they gain none at any hop.
+
+    The walk's edges are adj's edges whose head is in the subgraph (the
+    L self-loops and every triple edge), in adj's order, with heads and
+    tails renumbered to walk rows."""
+    adj = build_adjacency(subgraph, vocab.entities, vocab.relations)
+    source = build_source_vector(vocab, sources, subgraph.entities)
+    ids = np.fromiter(map(vocab.token_to_id, subgraph.entities), np.int64,
+                      len(subgraph.entities))
+    inside = np.zeros(vocab.n_entities, dtype=bool)
+    inside[ids - vocab.entity_base] = True
+    pos = inside.nonzero()[0]
+    row = np.zeros(vocab.n_entities, dtype=np.int64)   # position -> walk row
+    row[pos] = np.arange(pos.size)
+    keep = inside[adj.head].nonzero()[0]
+    walk = SubgraphWalk(pos=pos, head=row[adj.head[keep]], rel=adj.rel[keep],
+                        tail=row[adj.tail[keep]], weight=adj.weight[keep],
+                        source=source[pos])
+    return {"subgraph": subgraph, "adj": adj, "source_vec": source,
+            "walk": walk}
 
 
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
@@ -269,9 +299,9 @@ class DecoderStep:
     """Everything one decode step produced, as plain arrays."""
     generic: np.ndarray          # distribution over emittable generic symbols
     controller: float            # mass routed to the entity branch
-    entity: np.ndarray           # entity distribution (k for qadpt)
+    entity: np.ndarray           # (E,) entity distribution (k for qadpt)
     combined: np.ndarray         # full-vocabulary output distribution
-    path_matrix: np.ndarray | None   # renormalized relation choices, or None
+    path_matrix: np.ndarray | None   # (E, R+1) relation choices, or None
 
 
 def _padded(rows: Sequence[Sequence[int]]) -> tuple:
@@ -283,23 +313,53 @@ def _padded(rows: Sequence[Sequence[int]]) -> tuple:
     return ids, lengths
 
 
-def _block_adjacency(adjs: Sequence[AdjacencyTensor], n: int) -> SimpleNamespace:
-    """One adjacency over B graphs of n entities each, stacked: graph b's
-    heads and tails move to rows b*n .. b*n + n - 1, its edges keep
-    their order."""
-    offsets = np.repeat(np.arange(len(adjs)) * n, [a.head.size for a in adjs])
+def _block_adjacency(walks: Sequence[SubgraphWalk],
+                     turn: np.ndarray) -> SimpleNamespace:
+    """One walk over a step's rows, row i a copy of turn walk
+    walks[turn[i]] (Example.walk): the rows' entity blocks are stacked in
+    row order, each block's heads and tails move by the sizes of the
+    blocks before it (cumulative offsets, not i * E), and each block
+    keeps its edge order. pos and source are stacked alike, and `row`
+    gives each stacked entity row's step row i."""
+    if turn.size == 1:   # a greedy step of a one-turn state
+        walk = walks[turn[0]]
+        return SimpleNamespace(**walk._asdict(),
+                               row=np.zeros(walk.pos.size, dtype=np.int64))
+    sizes = np.array([w.pos.size for w in walks])
+    n_edges = np.array([w.head.size for w in walks])
 
-    def cat(field):
-        return np.concatenate([getattr(a, field) for a in adjs])
+    def take(counts):
+        # indices of blocks turn[0], turn[1], ... of the concatenated
+        # walks, and where each lands in the stack
+        n = counts[turn]
+        land = np.cumsum(n) - n
+        return (np.arange(n.sum()) +
+                np.repeat((np.cumsum(counts) - counts)[turn] - land, n), land)
 
-    return SimpleNamespace(head=cat("head") + offsets, rel=cat("rel"),
-                           tail=cat("tail") + offsets, weight=cat("weight"))
+    ents, land = take(sizes)
+    edges = take(n_edges)[0]
+    shift = np.repeat(land, n_edges[turn])
+
+    def cat(field, index):
+        return np.concatenate([getattr(w, field) for w in walks])[index]
+
+    return SimpleNamespace(
+        head=cat("head", edges) + shift, rel=cat("rel", edges),
+        tail=cat("tail", edges) + shift, weight=cat("weight", edges),
+        pos=cat("pos", ents), source=cat("source", ents),
+        row=np.repeat(np.arange(turn.size), sizes[turn]))
 
 
 class _TurnState:
     """One forward pass over a batch of turns: its tape, with every
     parameter recorded first, in sorted-name order (param_grads relies
     on it), and the turns' decoder state.
+
+    qadpt's relation head and walk run over each turn's subgraph
+    entities only (Example.walk): a decoder row of a turn with L
+    subgraph entities reads L relation rows, and the rows of a step are
+    stacked one after another, so the walk's mass vector is as long as
+    the rows' L summed.
 
     `encoded`, the (hidden,) encoder state a one-turn state read off its
     tape (DecodeResult.encoded), is recorded as a leaf instead of running
@@ -323,9 +383,7 @@ class _TurnState:
         self.targets, _ = _padded([ex.target_ids for ex in examples])
         self.turn, self.pos = np.nonzero(np.arange(self.dec_in.shape[1]) <
                                          lengths[:, None])
-        self.adjs = [ex.adj for ex in examples]
-        self.masks = np.stack([a.active for a in self.adjs])
-        self.sources = np.stack([ex.source_vec for ex in examples])
+        self.walks = [ex.walk for ex in examples]
         self._walk_key = self._walk = None
         if encoded is None:
             self.h = self._encode([ex.enc_ids for ex in examples])
@@ -355,17 +413,25 @@ class _TurnState:
 
     def _walk_rows(self, turn: np.ndarray) -> tuple:
         """The walk's inputs over the rows a step reads, row i belonging
-        to turn turn[i]: the relation mask and source vector as leaves,
-        the source mass, and one block adjacency. Kept for the next step
-        that reads the same turns (every greedy step does)."""
+        to turn turn[i]: the relation mask of the stacked entity rows (1.0
+        under each relation a row has an edge under, its self-loop
+        always) and their source vector as leaves, and the block walk
+        (_block_adjacency) of the rows' turn walks, with `theta`, the
+        index of each stacked entity row's relation logits in the rows'
+        (rows, E * (R+1)) logits, and `at`, its flat row * E + entity
+        position. Kept for the next step that reads the same turns
+        (every greedy step does)."""
         key = turn.tobytes()
         if key != self._walk_key:
             t = self.tape
-            mask = self.masks[turn].reshape(-1, self.masks.shape[2])
-            s = self.sources[turn].reshape(-1)
-            self._walk = (t.leaf(mask), t.leaf(s), float(s.sum()),
-                          _block_adjacency([self.adjs[i] for i in turn],
-                                           self.vocab.n_entities))
+            blk = _block_adjacency(self.walks, turn)
+            n_rel = len(self.vocab.relations) + 1
+            mask = np.zeros((blk.pos.size, n_rel))
+            mask[blk.head, blk.rel] = 1.0
+            blk.theta = (blk.row[:, None],
+                         blk.pos[:, None] * n_rel + np.arange(n_rel))
+            blk.at = blk.row * self.vocab.n_entities + blk.pos
+            self._walk = t.leaf(mask), t.leaf(blk.source), blk
             self._walk_key = key
         return self._walk
 
@@ -380,9 +446,10 @@ class _TurnState:
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
-        splits its KB mass g[:, 0] over the walk result k; seq2seq's
-        flat softmax g is scattered into the vocabulary, and its k and
-        rhat are None.
+        splits its KB mass g[:, 0] over the walk result k; k and the
+        relation choices rhat hold the stacked subgraph entity rows of
+        the step's rows (_walk_rows). seq2seq's flat softmax g is
+        scattered into the vocabulary, and its k and rhat are None.
         """
         t, pn = self.tape, self.pn
         vocab = self.vocab
@@ -400,16 +467,17 @@ class _TurnState:
             probs = t.softmax(t.linear(pn["out_w"], h, pn["out_b"]))
             o = t.mix_output(probs, vocab.seq2seq_output_ids, vocab.size)
             return o, probs, None, None
-        mask, s, s_total, adj = self._walk_rows(turn)
+        mask, s, blk = self._walk_rows(turn)
         g = t.softmax(t.linear(pn["phi_w"], h, pn["phi_b"]))
-        n_rel = len(vocab.relations) + 1
         theta = t.linear(pn["theta_w"], h, pn["theta_b"])
-        r = t.row_softmax(t.reshape(theta, (-1, n_rel)))
-        rhat = t.mask_renorm_rows(r, mask)
+        # the relation logits of each row's subgraph entities only
+        rhat = t.mask_renorm_rows(t.row_softmax(t.gather(theta, blk.theta)),
+                                  mask)
         k = s
-        if s_total > 0.0:
-            k = t.kg_hop(k, rhat, adj, self.hyper.n_hops)
-        o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k)
+        if blk.pos.size:   # a nonempty subgraph holds start mass
+            k = t.kg_hop(k, rhat, blk, self.hyper.n_hops)
+        o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
+                         blk.at, vocab.n_entities)
         return o, g, k, rhat
 
     def teacher_forced(self) -> tuple:
@@ -422,10 +490,13 @@ class _TurnState:
         if self.model.kind == "seq2seq":
             return nodes, y, np.zeros(len(y), dtype=bool)
         base = self.vocab.entity_base
-        entity = y >= base
-        k = self.tape.value(nodes[2]).reshape(len(y), -1)
-        kpos = k[np.arange(len(y)), np.where(entity, y - base, 0)]
-        return nodes, y, entity & (kpos <= 0.0)
+        blk = self._walk_rows(self.turn)[2]
+        # a walk entry at its row's gold entity, holding mass
+        hit = (blk.pos == (y - base)[blk.row]) & \
+            (self.tape.value(nodes[2]) > 0.0)
+        reached = np.zeros(len(y), dtype=bool)
+        reached[blk.row[hit]] = True
+        return nodes, y, (y >= base) & ~reached
 
     def decoder_step(self, prev_id: int) -> DecoderStep:
         """The DecoderStep record of a one-position step() on a one-turn
@@ -439,10 +510,17 @@ class _TurnState:
             return DecoderStep(
                 generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
                 entity=g[n_gen:].copy(), combined=combined, path_matrix=None)
+        # back to every entity: outside the subgraph, no mass and the
+        # self-loop alone, exactly as a walk over every entity gives
+        pos = self._walk[2].pos
+        entity = np.zeros(self.vocab.n_entities)
+        entity[pos] = t.value(nodes[2])
+        path = np.zeros((entity.size, len(self.vocab.relations) + 1))
+        path[:, -1] = 1.0
+        path[pos] = t.value(nodes[3])
         return DecoderStep(
-            generic=g[1:].copy(), controller=float(g[0]),
-            entity=t.value(nodes[2]).copy(), combined=combined,
-            path_matrix=t.value(nodes[3]).copy())
+            generic=g[1:].copy(), controller=float(g[0]), entity=entity,
+            combined=combined, path_matrix=path)
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:

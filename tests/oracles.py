@@ -2,7 +2,9 @@
 acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
-The finite-difference checker, the adjacency audit view, the lexicon
+The teacher-forced pass with the walk over every entity (the layout
+the model ran before its walk was cut to each turn's subgraph), the
+finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
 path search, the per-gate GRU with its layout converters, and the
 checkpoint rewriters (the current format resealed, the retired manifest
@@ -14,6 +16,7 @@ import json
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -21,9 +24,9 @@ import numpy as np
 from kgchat.corpus import DialogueTurn, Vocabulary
 from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
 from kgchat.numkernel import _scatter_add, sigmoid
-from kgchat.qadpt import (CHECKPOINT_MAGIC, Hyperparams, ModelError,
-                          QadptModel, batch_loss, expected_param_shapes,
-                          make_example, param_grads)
+from kgchat.qadpt import (CHECKPOINT_MAGIC, PROB_FLOOR, Hyperparams,
+                          ModelError, QadptModel, _TurnState, batch_loss,
+                          expected_param_shapes, make_example, param_grads)
 
 
 def renorm_rows(r, mask):
@@ -322,6 +325,61 @@ def write_batch_loss_pin(path):
             for field, value in loss_and_grads(*toy_batch(kind, seed)).items():
                 arrays[f"{kind}/{seed}/{field}"] = np.asarray(value)
     np.savez_compressed(path, **arrays)
+
+
+# ---------------------------------------------------------------------------
+# The walk over every entity
+
+
+class AllEntityPass(NamedTuple):
+    tape: object
+    loss: int            # batch_loss's loss node
+    k: np.ndarray        # (rows, E) walk result
+    rhat: np.ndarray     # (rows, E, R+1) renormalized relation choices
+    unreachable: int     # entity targets k gives no mass
+
+
+def all_entity_pass(model, examples, record=True) -> AllEntityPass:
+    """batch_loss's teacher-forced qadpt pass with the relation head and
+    the walk over every entity of the vocabulary: theta reshaped to
+    (rows * E, R+1) relation rows, each row's turn's global mask and
+    source vector, and one adjacency over the rows' global adjacencies
+    at offsets row * E. The parameters are the state's leaves, so
+    param_grads reads this tape as it reads batch_loss's."""
+    state = _TurnState(model, examples, record)
+    t, pn, vocab = state.tape, state.pn, model.vocab
+    n, n_rel = vocab.n_entities, len(vocab.relations) + 1
+    turn, pos = state.turn, state.pos
+    states = t.gru(t.lookup_row(pn["embed"], state.dec_in.T), state.h,
+                   pn["dec.w"], pn["dec.u"], pn["dec.b"])
+    h = t.gather(states, (pos[:, None], turn[:, None],
+                          np.arange(model.hyper.hidden_dim)))
+    adjs = [examples[i].adj for i in turn]
+    mask = t.leaf(np.concatenate([a.active for a in adjs]))
+    source = np.concatenate([examples[i].source_vec for i in turn])
+    s = t.leaf(source)
+    g = t.softmax(t.linear(pn["phi_w"], h, pn["phi_b"]))
+    theta = t.linear(pn["theta_w"], h, pn["theta_b"])
+    rhat = t.mask_renorm_rows(t.row_softmax(t.reshape(theta, (-1, n_rel))),
+                              mask)
+    shift = np.repeat(np.arange(len(adjs)) * n, [a.head.size for a in adjs])
+    block = SimpleNamespace(
+        head=np.concatenate([a.head for a in adjs]) + shift,
+        rel=np.concatenate([a.rel for a in adjs]),
+        tail=np.concatenate([a.tail for a in adjs]) + shift,
+        weight=np.concatenate([a.weight for a in adjs]))
+    k = t.kg_hop(s, rhat, block, model.hyper.n_hops) if source.sum() > 0 \
+        else s
+    o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
+                     np.arange(len(turn) * n), n)
+    y = state.targets[turn, pos]
+    gold = t.gather(o, (np.arange(len(y)), y))
+    loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
+    kk = t.value(k).reshape(len(y), n)
+    entity = y >= vocab.entity_base
+    kpos = kk[np.arange(len(y)), np.where(entity, y - vocab.entity_base, 0)]
+    return AllEntityPass(t, loss, kk, t.value(rhat).reshape(len(y), n, n_rel),
+                         int((entity & (kpos <= 0.0)).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -727,6 +727,38 @@ def test_malformed_bundle_exits_3(tmp_path, bundle_dir, name, corrupt, where):
     assert where in proc.stderr
 
 
+@pytest.mark.parametrize("meta_agrees", [False, True],
+                         ids=["meta_count", "stray_subgraph_row"])
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_truncated_turns_file_exits_3(tmp_path, bundle_dir, run_dir, command,
+                                      meta_agrees):
+    """A turns.jsonl cut short, as an interrupted write leaves it, is
+    refused by every command that loads the bundle: by meta.json's turn
+    count, and, where meta.json is made to agree, by the subgraph rows
+    whose turns are gone."""
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    turns = (bad / "turns.jsonl").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    kept = turns[:len(turns) * 9 // 10]
+    (bad / "turns.jsonl").write_text("".join(kept), encoding="utf-8")
+    if meta_agrees:
+        meta = json.loads((bad / "meta.json").read_text(encoding="utf-8"))
+        meta["n_turns"] = len(kept)
+        (bad / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        why = ("subgraphs.jsonl: row for turn '.*', which turns.jsonl does "
+               "not hold")
+    else:
+        why = (f"turns.jsonl holds {len(kept)} turns, meta.json says "
+               f"{len(turns)}")
+    out = tmp_path / "out"
+    argv = _command_argv(command, out, tmp_path, bad, run_dir)
+    if command == "eval":
+        argv += ["--split", "test"]
+    _run_refused(argv, why)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, where", [
     ("ingest", "dialogues.jsonl: line 2: invalid JSON (maximum recursion"),
     ("eval", "bad header contents: maximum recursion"),

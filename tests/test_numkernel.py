@@ -515,8 +515,9 @@ def op_calls(r, scale=1.0):
         "kg_hop": [((pos, r.random((n, d))),
                     lambda t, a, c: t.kg_hop(a, c, adj, 3))],
         "mix_output": [((mix,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
-                       ((mix, r.random(2 * b)),
-                        lambda t, g, k: t.mix_output(g, [3, 1], 7, k))],
+                       ((mix, r.random(3)),
+                        lambda t, g, k: t.mix_output(g, [3, 1], 7, k,
+                                                     np.array([0, 3, 2]), 2))],
     }
 
 

@@ -23,17 +23,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, brute_force_best_path,
-                     checkpoint_parts, decoder_steps, dense_transition,
-                     finite_diff_check, gru_per_gate, infer_path_per_edge,
-                     kg_hop, loss_and_grads, path_sum_oracle, random_subgraph,
-                     renorm_rows, rewrite_checkpoint, save_manifest_checkpoint,
+from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, all_entity_pass,
+                     brute_force_best_path, checkpoint_parts, decoder_steps,
+                     dense_transition, finite_diff_check, gru_per_gate,
+                     infer_path_per_edge, kg_hop, loss_and_grads,
+                     path_sum_oracle, random_subgraph, renorm_rows,
+                     rewrite_checkpoint, save_manifest_checkpoint,
                      seal_checkpoint, split_gru, tensor_offsets, toy_batch,
                      walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
-                           Vocabulary, load_bundle)
+                           SyntheticConfig, Vocabulary, generate_synthetic,
+                           ingest, load_bundle)
 from kgchat.kgraph import (SELF_LOOP, KnowledgeGraph, Triple, build_adjacency,
                            perturb_all)
 from kgchat.metrics import evaluate_report
@@ -528,6 +530,135 @@ def test_encoder_bit_equals_the_masked_per_gate_gru(seed):
     for name, value in want.items():
         assert got[name].shape == value.shape, name
         assert got[name].tobytes() == np.ascontiguousarray(value).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The walk over each turn's subgraph against the walk over every entity
+
+
+def assert_matches_all_entity_walk(model, batch):
+    """The subgraph walk gives what the all-entity walk gives, bit for
+    bit: batch_loss's loss, unreachable count and every parameter
+    gradient, the walk result and the relation choices, with no mass
+    and the self-loop alone outside each turn's subgraph. theta's
+    gradient is exactly 0.0 on the rows of entities outside every
+    subgraph of the batch."""
+    tape, loss, _, unreachable = batch_loss(model, batch)
+    ref = all_entity_pass(model, batch)
+    assert float(tape.value(loss)).hex() == float(ref.tape.value(ref.loss)).hex()
+    assert unreachable == ref.unreachable
+    got = param_grads(model, tape, loss)
+    want = param_grads(model, ref.tape, ref.loss)
+    for name in sorted(got):
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+    state = qadpt._TurnState(model, batch, record=False)
+    nodes = state.teacher_forced()[0]
+    blk = state._walk[2]
+    k = np.zeros_like(ref.k)
+    k[blk.row, blk.pos] = state.tape.value(nodes[2])
+    assert k.tobytes() == ref.k.tobytes()
+    rhat = np.zeros_like(ref.rhat)
+    rhat[..., -1] = 1.0
+    rhat[blk.row, blk.pos] = state.tape.value(nodes[3])
+    assert rhat.tobytes() == ref.rhat.tobytes()
+
+    n_rel = len(model.vocab.relations) + 1
+    inside = np.zeros(model.vocab.n_entities, dtype=bool)
+    for ex in batch:
+        inside[ex.walk.pos] = True
+    outside = np.repeat(~inside, n_rel)
+    assert np.all(got["theta_w"][outside] == 0.0)
+    assert np.all(got["theta_b"][outside] == 0.0)
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_subgraph_walk_matches_all_entity_walk_on_toy_batches(seed):
+    """A toy batch mixes an empty subgraph, subgraphs that hold every
+    entity and one that holds three of five."""
+    model, batch = toy_batch("qadpt", seed)
+    sizes = {ex.walk.pos.size for ex in batch}
+    assert {0, model.vocab.n_entities} <= sizes
+    assert_matches_all_entity_walk(model, batch)
+
+
+def _edge_turns(v):
+    """A turn on an empty subgraph (L = 0) and one on a subgraph that
+    holds every entity (L = E)."""
+    empty = example_for(v, "where a", "b yes", [])
+    full = example_for(v, "a lives", "c yes",
+                       [Triple("a", "q", "b"), Triple("b", "r", "c")],
+                       extra=v.entities)
+    assert (empty.walk.pos.size, full.walk.pos.size) == (0, v.n_entities)
+    return empty, full
+
+
+@pytest.mark.parametrize("which", ["empty", "full", "mixed"])
+def test_subgraph_walk_matches_all_entity_walk_at_the_edges(which):
+    v = toy_vocab()
+    model = model_for(v)
+    empty, full = _edge_turns(v)
+    batch = {"empty": [empty], "full": [full], "mixed": [empty, full, empty]}
+    assert_matches_all_entity_walk(model, batch[which])
+
+
+def test_empty_subgraph_trains_and_decodes(monkeypatch):
+    """With no subgraph entity the walk has no rows: no kg_hop node is
+    recorded, training runs, and a decode emits generic words only, with
+    an all-zero entity distribution and the self-loop alone in every
+    row of the path matrix."""
+    v = toy_vocab()
+    model = model_for(v, max_epochs=2)
+    empty, _ = _edge_turns(v)
+    hops = []
+    real = numkernel.Tape.kg_hop
+    monkeypatch.setattr(numkernel.Tape, "kg_hop",
+                        lambda self, *a: hops.append(a) or real(self, *a))
+    tr = train(model, [empty, empty], [empty])
+    dec = greedy_decode(model, empty, max_len=5)
+    assert hops == [] and tr.epochs_run == 2
+    assert all(np.isfinite(p).all() for p in model.params.values())
+    assert not any(v.is_entity_id(i) for i in dec.token_ids)
+    for step in dec.steps:
+        assert not step.entity.any()
+        np.testing.assert_array_equal(step.path_matrix[:, -1], 1.0)
+        assert not step.path_matrix[:, :-1].any()
+    assert teacher_force(model, empty).unreachable == 1
+
+
+@pytest.fixture(scope="module")
+def default_world():
+    """The default synthetic world's training examples."""
+    raw = generate_synthetic(SyntheticConfig(), seed=7)
+    bundle = ingest(raw.raw_turns, raw.graph, lexicon=raw.lexicon,
+                    split_seed=0)
+    return bundle.vocab, make_examples(bundle, bundle.split_turns("train"))
+
+
+@pytest.mark.parametrize("n_hops", [6, 1])
+def test_unreachable_count_matches_all_entity_walk_over_an_epoch(
+        default_world, n_hops):
+    """teacher_forced's unreachable count equals the all-entity walk's
+    on every batch of a default-world epoch. Six hops reach every
+    target there; one hop leaves some unreached."""
+    vocab, examples = default_world
+    model = QadptModel(Hyperparams(n_hops=n_hops), vocab)
+    total = 0
+    for lo in range(0, len(examples), 32):
+        batch = examples[lo:lo + 32]
+        got = qadpt._TurnState(model, batch, record=False).teacher_forced()[2]
+        assert int(got.sum()) == all_entity_pass(model, batch,
+                                                 record=False).unreachable
+        total += int(got.sum())
+    assert (total > 0) == (n_hops == 1)
+
+
+def test_subgraph_walk_matches_all_entity_walk_on_the_default_world(
+        default_world):
+    vocab, examples = default_world
+    model = QadptModel(Hyperparams(), vocab)
+    for lo in (0, 320, 960):
+        assert_matches_all_entity_walk(model, examples[lo:lo + 32])
 
 
 # ---------------------------------------------------------------------------
