@@ -399,12 +399,13 @@ def graph_edit_distance(a: KnowledgeGraph, b: KnowledgeGraph) -> int:
 # ---------------------------------------------------------------------------
 # Adjacency tensor
 #
-# Logical shape |V| x |L'| x |V| over the full entity vocabulary, where
-# L' is the global relation set plus SELF_LOOP. Realized as flat edge
-# arrays: the self-loop block first (one per entity, weight 1, in
-# entity-index order), then the graph's triples sorted by (head,
-# relation, tail) with weight 1/#tails of their (head, relation) group.
-# The fixed edge order keeps hop accumulation bit-reproducible.
+# Logical shape |V| x |L'| x |V| over the entity list it is built on (for
+# the model, one turn's subgraph entities), where L' is the global
+# relation set plus SELF_LOOP. Realized as flat edge arrays: the
+# self-loop block first (one per entity, weight 1, in entity-index
+# order), then the graph's triples sorted by (head, relation, tail) with
+# weight 1/#tails of their (head, relation) group. The fixed edge order
+# keeps hop accumulation bit-reproducible.
 
 
 @dataclass(frozen=True)
@@ -415,15 +416,6 @@ class AdjacencyTensor:
     rel: np.ndarray
     tail: np.ndarray
     weight: np.ndarray
-
-    @cached_property
-    def active(self) -> np.ndarray:
-        """(|V|, |L'|) float mask, 1.0 where (h, r) has tails: each
-        entity's self-loop and each (head, relation) group of the graph.
-        Built from the edges on first read."""
-        active = np.zeros((self.n_entities, self.n_relations))
-        active[self.head, self.rel] = 1.0
-        return active
 
     @property
     def n_entities(self) -> int:
@@ -449,31 +441,34 @@ class AdjacencyTensor:
 
 
 @lru_cache(maxsize=8)
-def _vocabulary_index(entities: tuple, relations: tuple) -> tuple:
-    """(entity -> position, relation -> position) for two vocabularies,
-    built and checked once per pair: every turn's graph is indexed
-    against the same two."""
+def _relation_index(relations: tuple) -> dict:
+    """relation -> position for a relation vocabulary, built and checked
+    once per vocabulary: every turn's graph is indexed against the same
+    relations, each over its own entities."""
     if SELF_LOOP in relations:
         raise GraphError(f"{SELF_LOOP} must not appear in the relation vocabulary")
-    epos = {e: i for i, e in enumerate(entities)}
     rpos = {r: i for i, r in enumerate(relations)}
-    if len(epos) != len(entities) or len(rpos) != len(relations):
+    if len(rpos) != len(relations):
         raise GraphError("duplicate entries in a vocabulary")
-    return epos, rpos
+    return rpos
 
 
 def build_adjacency(graph: KnowledgeGraph, entities: Sequence[str],
                     relations: Sequence[str]) -> AdjacencyTensor:
-    """Index a graph against the global vocabularies.
+    """Index a graph against an entity list (a turn's own entities, in
+    vocabulary order, for the model) and the global relations.
 
     Every entity gets a self-loop with weight 1 under the reserved
     SELF_LOOP relation; each (head, relation) group present in the graph
     distributes weight 1/#tails over its tails. (head, relation) pairs
-    absent from the graph carry zero mass and are marked inactive.
+    absent from the graph have no edge and carry zero mass.
     """
     entities = tuple(entities)
     relations = tuple(relations)
-    epos, rpos = _vocabulary_index(entities, relations)
+    rpos = _relation_index(relations)
+    epos = {e: i for i, e in enumerate(entities)}
+    if len(epos) != len(entities):
+        raise GraphError("duplicate entries in a vocabulary")
     missing = graph.entities.difference(epos)
     if missing:
         raise GraphError(f"entities missing from vocabulary: {sorted(missing)[:5]}")

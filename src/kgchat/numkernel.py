@@ -353,10 +353,11 @@ class Tape:
         by the head's (renormalized) relation choice times the edge's
         normalized tail weight.
 
-        `adj` is an AdjacencyTensor-like object with int arrays head,
-        rel, tail and a float array weight; it is a constant. A batch of
-        walks is one block-diagonal adjacency over the stacked entity
-        rows of v and rhat, each block over one subgraph's entities.
+        `adj` holds int arrays head, rel, tail and a float array
+        weight over the entity rows of v and rhat; it is a constant. One
+        turn's walk is its AdjacencyTensor over its subgraph's entities;
+        a batch of walks is one block-diagonal adjacency over the
+        stacked entity rows, each block one turn's.
         The edge coefficients rhat[head, rel] are gathered once for all
         hops; each tail accumulates in the adjacency's fixed edge order,
         and every hop's result is checked finite.

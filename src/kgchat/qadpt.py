@@ -5,7 +5,9 @@ words plus one reserved KB symbol; the KB symbol's probability gates a
 distribution over graph entities obtained by walking the turn's
 subgraph N steps from the entities mentioned in the input. The walk's
 per-head relation choices come from the decoder state, so editing the
-graph changes the reply with frozen parameters.
+graph changes the reply with frozen parameters. Each turn's graph is
+indexed once, over its own entities (Example.adj): the relation head,
+the walk and the path readout all run on that index.
 
 Everything runs on the op tape from numkernel, training and inference
 alike, so there is exactly one implementation of the forward pass, a
@@ -31,8 +33,9 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,10 +43,10 @@ from . import numkernel
 from .corpus import (_PARSE_ERRORS, BOS_ID, EOS_ID, PAD_ID, Bundle,
                      DialogueTurn, JsonRecord, Vocabulary, _parse_failure,
                      atomic_open)
-from .kgraph import (PERTURB_MODES, AdjacencyTensor, KnowledgeGraph,
-                     PerturbationResult, Triple, build_adjacency,
-                     grounding_paths, perturb_all, perturb_last1,
-                     perturb_last2)
+from .kgraph import (PERTURB_MODES, AdjacencyTensor, GraphError,
+                     KnowledgeGraph, PerturbationResult, Triple,
+                     build_adjacency, grounding_paths, perturb_all,
+                     perturb_last1, perturb_last2)
 from .numkernel import KernelError, Tape
 
 CHECKPOINT_MAGIC = b"QADPT3\n"
@@ -178,38 +181,27 @@ class QadptModel:
         return {k: v.copy() for k, v in self.params.items()}
 
 
-def build_source_vector(vocab: Vocabulary, sources: Iterable[str],
-                        k_entities: Iterable[str]) -> np.ndarray:
-    """Start distribution of the reasoning walk: uniform over the given
-    source entities present in the subgraph, falling back to uniform
-    over the whole subgraph when no source survives, and all-zero for an
+def build_source_vector(entities: Sequence[str],
+                        sources: Iterable[str]) -> np.ndarray:
+    """Start distribution of the reasoning walk over a turn's subgraph
+    entities: uniform over the given sources among them, falling back to
+    uniform over all of them when no source is one, and empty for an
     empty subgraph (the entity branch carries no mass that turn)."""
-    k_set = set(k_entities)
-    support = sorted(set(sources) & k_set)
-    if not support:
-        support = sorted(k_set)
-    s = np.zeros(vocab.n_entities)
-    if not support:
-        return s
-    pos = [vocab.entity_position(vocab.token_to_id(e)) for e in support]
-    s[pos] = 1.0 / len(support)
+    sources = set(sources)
+    support = [i for i, e in enumerate(entities) if e in sources] \
+        or list(range(len(entities)))
+    s = np.zeros(len(entities))
+    if support:
+        s[support] = 1.0 / len(support)
     return s
-
-
-class SubgraphWalk(NamedTuple):
-    """The reasoning walk over one turn's subgraph entities only: its L
-    entities are walk rows 0..L-1, in vocabulary order."""
-    pos: np.ndarray      # (L,) each row's global entity position
-    head: np.ndarray     # edges over walk rows, in the global adjacency's
-    rel: np.ndarray      # order: each row's self-loop, then every triple
-    tail: np.ndarray
-    weight: np.ndarray
-    source: np.ndarray   # (L,) the start vector's rows
 
 
 @dataclass
 class Example:
-    """One turn, fully indexed and ready for the model."""
+    """One turn, fully indexed and ready for the model. `adj` indexes the
+    turn's subgraph over its own L entities in vocabulary order, the
+    rows 0..L-1 of the walk the model runs; `source_vec` is the walk's
+    start vector over them and `pos` their global entity positions."""
     turn_id: str
     enc_ids: tuple
     dec_in_ids: tuple
@@ -217,37 +209,28 @@ class Example:
     target_tokens: tuple
     subgraph: KnowledgeGraph
     adj: AdjacencyTensor
-    source_vec: np.ndarray
+    source_vec: np.ndarray   # (L,)
+    pos: np.ndarray          # (L,)
     raw_sources: tuple
-    walk: SubgraphWalk
 
 
 def _bind_graph(vocab: Vocabulary, subgraph: KnowledgeGraph,
                 sources: Iterable[str]) -> dict:
     """The Example fields that follow from a turn's subgraph: the graph,
-    its adjacency tensor and the walk's start vector over every entity,
-    and `walk`, the same walk over the subgraph's own L entities, the
-    one the model runs. Entities outside the subgraph hold no start
-    mass, so they gain none at any hop.
-
-    The walk's edges are adj's edges whose head is in the subgraph (the
-    L self-loops and every triple edge), in adj's order, with heads and
-    tails renumbered to walk rows."""
-    adj = build_adjacency(subgraph, vocab.entities, vocab.relations)
-    source = build_source_vector(vocab, sources, subgraph.entities)
-    ids = np.fromiter(map(vocab.token_to_id, subgraph.entities), np.int64,
-                      len(subgraph.entities))
-    inside = np.zeros(vocab.n_entities, dtype=bool)
-    inside[ids - vocab.entity_base] = True
-    pos = inside.nonzero()[0]
-    row = np.zeros(vocab.n_entities, dtype=np.int64)   # position -> walk row
-    row[pos] = np.arange(pos.size)
-    keep = inside[adj.head].nonzero()[0]
-    walk = SubgraphWalk(pos=pos, head=row[adj.head[keep]], rel=adj.rel[keep],
-                        tail=row[adj.tail[keep]], weight=adj.weight[keep],
-                        source=source[pos])
-    return {"subgraph": subgraph, "adj": adj, "source_vec": source,
-            "walk": walk}
+    its adjacency over its own entities in vocabulary order, the walk's
+    start vector and the entities' global positions. A subgraph entity
+    the vocabulary lacks raises GraphError naming it."""
+    unknown = subgraph.entities - vocab.entity_set
+    if unknown:
+        raise GraphError(f"entities missing from vocabulary: "
+                         f"{sorted(unknown)[:5]}")
+    ids = np.sort(np.fromiter(map(vocab.token_to_id, subgraph.entities),
+                              np.int64, len(subgraph.entities)))
+    entities = [vocab.id_to_token[i] for i in ids.tolist()]
+    return {"subgraph": subgraph,
+            "adj": build_adjacency(subgraph, entities, vocab.relations),
+            "source_vec": build_source_vector(entities, sources),
+            "pos": ids - vocab.entity_base}
 
 
 def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
@@ -296,12 +279,14 @@ def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
 
 @dataclass
 class DecoderStep:
-    """Everything one decode step produced, as plain arrays."""
+    """Everything one decode step produced, as plain arrays. qadpt's
+    entity and path_matrix are over the turn's L subgraph entities, the
+    rows of its Example.adj."""
     generic: np.ndarray          # distribution over emittable generic symbols
     controller: float            # mass routed to the entity branch
-    entity: np.ndarray           # (E,) entity distribution (k for qadpt)
+    entity: np.ndarray           # (L,) walk result k; seq2seq: (E,)
     combined: np.ndarray         # full-vocabulary output distribution
-    path_matrix: np.ndarray | None   # (E, R+1) relation choices, or None
+    path_matrix: np.ndarray | None   # (L, R+1) relation choices, or None
 
 
 def _padded(rows: Sequence[Sequence[int]]) -> tuple:
@@ -313,24 +298,27 @@ def _padded(rows: Sequence[Sequence[int]]) -> tuple:
     return ids, lengths
 
 
-def _block_adjacency(walks: Sequence[SubgraphWalk],
+def _block_adjacency(examples: Sequence[Example],
                      turn: np.ndarray) -> SimpleNamespace:
-    """One walk over a step's rows, row i a copy of turn walk
-    walks[turn[i]] (Example.walk): the rows' entity blocks are stacked in
-    row order, each block's heads and tails move by the sizes of the
-    blocks before it (cumulative offsets, not i * E), and each block
-    keeps its edge order. pos and source are stacked alike, and `row`
-    gives each stacked entity row's step row i."""
+    """One walk over a step's rows, row i a copy of the walk of turn
+    examples[turn[i]] (its Example.adj): the rows' entity blocks are
+    stacked in row order, each block's heads and tails move by the sizes
+    of the blocks before it (cumulative offsets), and each block keeps
+    its edge order. pos and source (Example.pos and source_vec) are
+    stacked alike, and `row` gives each stacked entity row's step row
+    i."""
     if turn.size == 1:   # a greedy step of a one-turn state
-        walk = walks[turn[0]]
-        return SimpleNamespace(**walk._asdict(),
-                               row=np.zeros(walk.pos.size, dtype=np.int64))
-    sizes = np.array([w.pos.size for w in walks])
-    n_edges = np.array([w.head.size for w in walks])
+        ex = examples[turn[0]]
+        return SimpleNamespace(
+            head=ex.adj.head, rel=ex.adj.rel, tail=ex.adj.tail,
+            weight=ex.adj.weight, pos=ex.pos, source=ex.source_vec,
+            row=np.zeros(ex.pos.size, dtype=np.int64))
+    sizes = np.array([ex.pos.size for ex in examples])
+    n_edges = np.array([ex.adj.head.size for ex in examples])
 
     def take(counts):
         # indices of blocks turn[0], turn[1], ... of the concatenated
-        # walks, and where each lands in the stack
+        # turns' arrays, and where each lands in the stack
         n = counts[turn]
         land = np.cumsum(n) - n
         return (np.arange(n.sum()) +
@@ -341,12 +329,13 @@ def _block_adjacency(walks: Sequence[SubgraphWalk],
     shift = np.repeat(land, n_edges[turn])
 
     def cat(field, index):
-        return np.concatenate([getattr(w, field) for w in walks])[index]
+        get = attrgetter(field)
+        return np.concatenate([get(ex) for ex in examples])[index]
 
     return SimpleNamespace(
-        head=cat("head", edges) + shift, rel=cat("rel", edges),
-        tail=cat("tail", edges) + shift, weight=cat("weight", edges),
-        pos=cat("pos", ents), source=cat("source", ents),
+        head=cat("adj.head", edges) + shift, rel=cat("adj.rel", edges),
+        tail=cat("adj.tail", edges) + shift, weight=cat("adj.weight", edges),
+        pos=cat("pos", ents), source=cat("source_vec", ents),
         row=np.repeat(np.arange(turn.size), sizes[turn]))
 
 
@@ -356,7 +345,7 @@ class _TurnState:
     on it), and the turns' decoder state.
 
     qadpt's relation head and walk run over each turn's subgraph
-    entities only (Example.walk): a decoder row of a turn with L
+    entities only (Example.adj): a decoder row of a turn with L
     subgraph entities reads L relation rows, and the rows of a step are
     stacked one after another, so the walk's mass vector is as long as
     the rows' L summed.
@@ -383,7 +372,7 @@ class _TurnState:
         self.targets, _ = _padded([ex.target_ids for ex in examples])
         self.turn, self.pos = np.nonzero(np.arange(self.dec_in.shape[1]) <
                                          lengths[:, None])
-        self.walks = [ex.walk for ex in examples]
+        self.examples = examples
         self._walk_key = self._walk = None
         if encoded is None:
             self.h = self._encode([ex.enc_ids for ex in examples])
@@ -416,7 +405,7 @@ class _TurnState:
         to turn turn[i]: the relation mask of the stacked entity rows (1.0
         under each relation a row has an edge under, its self-loop
         always) and their source vector as leaves, and the block walk
-        (_block_adjacency) of the rows' turn walks, with `theta`, the
+        (_block_adjacency) of the rows' turns, with `theta`, the
         index of each stacked entity row's relation logits in the rows'
         (rows, E * (R+1)) logits, and `at`, its flat row * E + entity
         position. Kept for the next step that reads the same turns
@@ -424,7 +413,7 @@ class _TurnState:
         key = turn.tobytes()
         if key != self._walk_key:
             t = self.tape
-            blk = _block_adjacency(self.walks, turn)
+            blk = _block_adjacency(self.examples, turn)
             n_rel = len(self.vocab.relations) + 1
             mask = np.zeros((blk.pos.size, n_rel))
             mask[blk.head, blk.rel] = 1.0
@@ -510,17 +499,10 @@ class _TurnState:
             return DecoderStep(
                 generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
                 entity=g[n_gen:].copy(), combined=combined, path_matrix=None)
-        # back to every entity: outside the subgraph, no mass and the
-        # self-loop alone, exactly as a walk over every entity gives
-        pos = self._walk[2].pos
-        entity = np.zeros(self.vocab.n_entities)
-        entity[pos] = t.value(nodes[2])
-        path = np.zeros((entity.size, len(self.vocab.relations) + 1))
-        path[:, -1] = 1.0
-        path[pos] = t.value(nodes[3])
         return DecoderStep(
-            generic=g[1:].copy(), controller=float(g[0]), entity=entity,
-            combined=combined, path_matrix=path)
+            generic=g[1:].copy(), controller=float(g[0]),
+            entity=t.value(nodes[2]), combined=combined,
+            path_matrix=t.value(nodes[3]))
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
@@ -623,17 +605,23 @@ def infer_path(adj: AdjacencyTensor, rhat: np.ndarray, s: np.ndarray,
     """Highest-probability walk of exactly n_hops ending at the entity.
 
     Max-product dynamic program over the same transition structure the
-    decoder sums over. A walk's key is (start entity index, step
-    sequence), each step a (relation index, entity index) pair, and ties
-    break toward the smallest key: the smallest start first, then the
-    smallest step sequence, so start 0 via relation 1 beats start 1 via
-    relation 0. Trailing self-loop steps are dropped from the reported
-    triples; their weights stay in the probability.
+    decoder sums over: the turn's adjacency (Example.adj), with rhat and
+    s over its entities (DecoderStep.path_matrix, Example.source_vec).
+    An entity outside it is unreachable, like one no walk reaches. A
+    walk's key is (start entity index, step sequence), each step a
+    (relation index, entity index) pair, and ties break toward the
+    smallest key: the smallest start first, then the smallest step
+    sequence, so start 0 via relation 1 beats start 1 via relation 0.
+    Trailing self-loop steps are dropped from the reported triples;
+    their weights stay in the probability.
     """
     n = adj.n_entities
     if rhat.shape != (n, adj.n_relations):
         raise ModelError("path matrix shape mismatch")
-    target = adj.entity_index(entity)
+    try:
+        target = adj.entity_index(entity)
+    except GraphError:   # outside the turn's graph: no walk reaches it
+        target = None
     # dp[v] = (prob, key) with key = (start index, ((rel, ent), ...))
     dp: dict[int, tuple] = {}
     for v in np.flatnonzero(s > 0.0):

@@ -3,7 +3,8 @@ acceptance suites. Everything here recomputes model quantities from
 first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The teacher-forced pass with the walk over every entity (the layout
-the model ran before its walk was cut to each turn's subgraph), the
+the model ran before its walk was cut to each turn's subgraph) and a
+decode step scattered back to every entity, the relation mask, the
 finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
 path search, the per-gate GRU with its layout converters, and the
@@ -22,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from kgchat.corpus import DialogueTurn, Vocabulary
-from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple
+from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple, build_adjacency
 from kgchat.numkernel import _scatter_add, sigmoid
 from kgchat.qadpt import (CHECKPOINT_MAGIC, PROB_FLOOR, Hyperparams,
                           ModelError, QadptModel, _TurnState, batch_loss,
@@ -32,6 +33,40 @@ from kgchat.qadpt import (CHECKPOINT_MAGIC, PROB_FLOOR, Hyperparams,
 def renorm_rows(r, mask):
     masked = r * mask
     return masked / masked.sum(axis=1, keepdims=True)
+
+
+def relation_mask(adj):
+    """(entities, R+1) float mask of an adjacency, 1.0 where (head,
+    relation) has tails: each entity's self-loop and each (head,
+    relation) group of the graph."""
+    mask = np.zeros((adj.n_entities, adj.n_relations))
+    mask[adj.head, adj.rel] = 1.0
+    return mask
+
+
+class DenseStep(NamedTuple):
+    entity: np.ndarray        # (E,) walk result
+    path_matrix: np.ndarray   # (E, R+1) relation choices
+    source: np.ndarray        # (E,) the turn's start vector
+    adj: object               # the turn's graph indexed over every entity
+
+
+def dense_step(vocab, ex, step):
+    """A qadpt decode step as the walk over every vocabulary entity gives
+    it: the DecoderStep's walk result and relation choices and the
+    turn's start vector scattered from the turn's subgraph rows (ex.pos)
+    to every entity, with no mass and the self-loop alone outside the
+    subgraph, and the turn's graph indexed over every entity."""
+    entity = np.zeros(vocab.n_entities)
+    entity[ex.pos] = step.entity
+    path = np.zeros((vocab.n_entities, len(vocab.relations) + 1))
+    path[:, -1] = 1.0
+    path[ex.pos] = step.path_matrix
+    source = np.zeros(vocab.n_entities)
+    source[ex.pos] = ex.source_vec
+    return DenseStep(entity, path, source,
+                     build_adjacency(ex.subgraph, vocab.entities,
+                                     vocab.relations))
 
 
 def dense_transition(subgraph, vocab, rhat):
@@ -342,10 +377,12 @@ class AllEntityPass(NamedTuple):
 def all_entity_pass(model, examples, record=True) -> AllEntityPass:
     """batch_loss's teacher-forced qadpt pass with the relation head and
     the walk over every entity of the vocabulary: theta reshaped to
-    (rows * E, R+1) relation rows, each row's turn's global mask and
-    source vector, and one adjacency over the rows' global adjacencies
-    at offsets row * E. The parameters are the state's leaves, so
-    param_grads reads this tape as it reads batch_loss's."""
+    (rows * E, R+1) relation rows, and for each row its turn's graph
+    indexed over every entity (built here from ex.subgraph), its mask,
+    and ex.source_vec scattered to E at ex.pos; the rows' adjacencies
+    are one adjacency at offsets row * E. The parameters are the
+    state's leaves, so param_grads reads this tape as it reads
+    batch_loss's."""
     state = _TurnState(model, examples, record)
     t, pn, vocab = state.tape, state.pn, model.vocab
     n, n_rel = vocab.n_entities, len(vocab.relations) + 1
@@ -354,9 +391,14 @@ def all_entity_pass(model, examples, record=True) -> AllEntityPass:
                    pn["dec.w"], pn["dec.u"], pn["dec.b"])
     h = t.gather(states, (pos[:, None], turn[:, None],
                           np.arange(model.hyper.hidden_dim)))
-    adjs = [examples[i].adj for i in turn]
-    mask = t.leaf(np.concatenate([a.active for a in adjs]))
-    source = np.concatenate([examples[i].source_vec for i in turn])
+    turn_adjs = [build_adjacency(ex.subgraph, vocab.entities, vocab.relations)
+                 for ex in examples]
+    adjs = [turn_adjs[i] for i in turn]
+    mask = t.leaf(np.concatenate([relation_mask(a) for a in adjs]))
+    source = np.zeros((len(turn), n))
+    for row, i in enumerate(turn):
+        source[row, examples[i].pos] = examples[i].source_vec
+    source = source.reshape(-1)
     s = t.leaf(source)
     g = t.softmax(t.linear(pn["phi_w"], h, pn["phi_b"]))
     theta = t.linear(pn["theta_w"], h, pn["theta_b"])

@@ -15,9 +15,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import (brute_force_best_path, decoder_steps, dense_transition,
-                     finite_diff_check, path_sum_oracle, random_subgraph,
-                     walk_to_triples)
+from oracles import (brute_force_best_path, decoder_steps, dense_step,
+                     dense_transition, finite_diff_check, path_sum_oracle,
+                     random_subgraph, walk_to_triples)
 from test_metrics import LAST1_FIXTURES
 from test_qadpt import _fd_setup, example_for, model_for, toy_vocab, turn
 
@@ -96,25 +96,29 @@ def test_criterion_2_walk_and_paths():
         ex = make_example(turn(" ".join(mentioned + ["lives"]), "yes"),
                           sub, v)
         step = decoder_steps(model, ex, [BOS_ID])[0]
-        rhat = step.path_matrix
-        k_walk = path_sum_oracle(sub, v, rhat, ex.source_vec, n_hops)
-        err = float(np.max(np.abs(step.entity - k_walk)))
+        # the dense oracles index every entity: the step's subgraph rows
+        # scattered to E
+        dense = dense_step(v, ex, step)
+        rhat, source = dense.path_matrix, dense.source
+        k_walk = path_sum_oracle(sub, v, rhat, source, n_hops)
+        err = float(np.max(np.abs(dense.entity - k_walk)))
         worst_k = max(worst_k, err)
         if err > 1e-10:
             _line(2, False, f"case {case}: k deviates by {err:.2e}")
         T = dense_transition(sub, v, rhat)
-        k_dense = ex.source_vec @ np.linalg.matrix_power(T, n_hops)
-        if float(np.max(np.abs(step.entity - k_dense))) > 1e-10:
+        k_dense = source @ np.linalg.matrix_power(T, n_hops)
+        if float(np.max(np.abs(dense.entity - k_dense))) > 1e-10:
             _line(2, False, f"case {case}: dense oracle disagrees")
         for target in range(n_ents):
-            want = brute_force_best_path(sub, v, rhat, ex.source_vec,
-                                         target, n_hops)
+            want = brute_force_best_path(sub, v, rhat, source, target, n_hops)
             entity = v.entities[target]
             if want is None:
                 with pytest.raises(ModelError):
-                    infer_path(ex.adj, rhat, ex.source_vec, entity, n_hops)
+                    infer_path(ex.adj, step.path_matrix, ex.source_vec,
+                               entity, n_hops)
                 continue
-            got = infer_path(ex.adj, rhat, ex.source_vec, entity, n_hops)
+            got = infer_path(ex.adj, step.path_matrix, ex.source_vec, entity,
+                             n_hops)
             start, triples = walk_to_triples(v, ex.adj, *want[1])
             same = (got.start == start and got.triples == triples
                     and got.probability == pytest.approx(want[0], rel=1e-12))
@@ -191,12 +195,15 @@ def test_criterion_4_tail_swap():
                        ["lives"])
         ex1 = make_example(turn(msg, "yes"), sub, v)
         ex2 = make_example(turn(msg, "yes"), swapped, v)
-        assert np.array_equal(ex1.source_vec, ex2.source_vec)
         p1 = v.entity_position(v.token_to_id("t1"))
         p2 = v.entity_position(v.token_to_id("t2"))
         prev = [BOS_ID, 5, 6]
         for st1, st2 in zip(decoder_steps(model, ex1, prev),
                             decoder_steps(model, ex2, prev)):
+            # compared over every entity: the steps' subgraph rows
+            # scattered to E
+            st1, st2 = dense_step(v, ex1, st1), dense_step(v, ex2, st2)
+            assert np.array_equal(st1.source, st2.source)
             ok = (st2.entity[p2] == st1.entity[p1]
                   and st2.entity[p1] == 0.0
                   and np.array_equal(st1.path_matrix, st2.path_matrix))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import adjacency_rows, arc_adjacency, arc_yen
+from oracles import adjacency_rows, arc_adjacency, arc_yen, relation_mask
 
 from kgchat import kgraph
 from kgchat.kgraph import (
@@ -452,9 +452,10 @@ def test_adjacency_self_loops_and_normalized_tails():
     assert rows[(0, 1)] == ((0, 1.0),)  # self-loop for a
     assert rows[(0, 0)] == ((1, 0.5), (2, 0.5))  # tails split evenly
     assert (1, 0) not in rows  # absent (head, relation) carries no mass
-    assert adj.active[0, 0] == 1.0
-    assert adj.active[1, 0] == 0.0
-    assert np.all(adj.active[:, adj.self_index] == 1.0)
+    mask = relation_mask(adj)
+    assert mask[0, 0] == 1.0
+    assert mask[1, 0] == 0.0
+    assert np.all(mask[:, adj.self_index] == 1.0)
 
 
 def test_adjacency_total_weight_per_head():

@@ -25,19 +25,19 @@ import numpy as np
 import pytest
 from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, all_entity_pass,
                      brute_force_best_path, checkpoint_parts, decoder_steps,
-                     dense_transition, finite_diff_check, gru_per_gate,
-                     infer_path_per_edge, kg_hop, loss_and_grads,
-                     path_sum_oracle, random_subgraph, renorm_rows,
-                     rewrite_checkpoint, save_manifest_checkpoint,
-                     seal_checkpoint, split_gru, tensor_offsets, toy_batch,
-                     walk_to_triples)
+                     dense_step, dense_transition, finite_diff_check,
+                     gru_per_gate, infer_path_per_edge, kg_hop,
+                     loss_and_grads, path_sum_oracle, random_subgraph,
+                     relation_mask, renorm_rows, rewrite_checkpoint,
+                     save_manifest_checkpoint, seal_checkpoint, split_gru,
+                     tensor_offsets, toy_batch, walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
                            SyntheticConfig, Vocabulary, generate_synthetic,
                            ingest, load_bundle)
-from kgchat.kgraph import (SELF_LOOP, KnowledgeGraph, Triple, build_adjacency,
-                           perturb_all)
+from kgchat.kgraph import (SELF_LOOP, GraphError, KnowledgeGraph, Triple,
+                           build_adjacency, perturb_all)
 from kgchat.metrics import evaluate_report
 from kgchat.numkernel import KernelError
 from kgchat.qadpt import (CheckpointError, DecodeResult, Example, Hyperparams,
@@ -200,32 +200,23 @@ def test_seq2seq_output_id_layout():
 
 
 def test_source_vector_uniform_over_sources():
-    v = toy_vocab()
-    s = build_source_vector(v, ["a", "b"], {"a", "b", "c"})
-    assert s[v.entity_position(v.token_to_id("a"))] == 0.5
-    assert s[v.entity_position(v.token_to_id("b"))] == 0.5
-    assert s.sum() == 1.0
+    s = build_source_vector(("a", "b", "c"), ["a", "b"])
+    assert s.tolist() == [0.5, 0.5, 0.0]
 
 
 def test_source_vector_fallback_uniform_over_graph():
-    v = toy_vocab()
-    s = build_source_vector(v, [], {"b", "c"})
-    assert s[v.entity_position(v.token_to_id("a"))] == 0.0
-    assert s[v.entity_position(v.token_to_id("b"))] == 0.5
-    assert s.sum() == 1.0
+    s = build_source_vector(("b", "c"), [])
+    assert s.tolist() == [0.5, 0.5]
 
 
 def test_source_vector_drops_entities_outside_graph():
-    v = toy_vocab()
-    s = build_source_vector(v, ["a", "c"], {"a", "b"})
-    assert s[v.entity_position(v.token_to_id("a"))] == 1.0
-    assert s.sum() == 1.0
+    s = build_source_vector(("a", "b"), ["a", "c"])
+    assert s.tolist() == [1.0, 0.0]
 
 
 def test_source_vector_empty_graph_is_zero():
-    v = toy_vocab()
-    s = build_source_vector(v, ["a"], set())
-    assert not s.any()
+    s = build_source_vector((), ["a"])
+    assert s.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +236,36 @@ def test_make_example_layout():
     # sources: message entity a plus scene entity c, both in the subgraph
     assert ex.raw_sources == ("a", "c")
     assert ex.source_vec.sum() == pytest.approx(1.0)
+
+
+def test_make_example_indexes_the_subgraph_over_its_own_entities():
+    """The turn's adjacency covers its subgraph's entities in vocabulary
+    order, whatever order the graph holds them in; its edges are the
+    all-entity adjacency's with a head among them, renumbered."""
+    v = toy_vocab(entities=("a", "b", "c", "d", "e"))
+    ex = example_for(v, "d lives", "b yes",
+                     [Triple("d", "q", "b"), Triple("b", "r", "e")])
+    assert ex.adj.entities == ("b", "d", "e")
+    assert ex.pos.tolist() == [1, 3, 4]
+    assert ex.source_vec.tolist() == [0.0, 1.0, 0.0]
+    full = build_adjacency(ex.subgraph, v.entities, v.relations)
+    keep = np.isin(full.head, ex.pos)
+    row = {p: i for i, p in enumerate(ex.pos.tolist())}
+    for field in ("head", "tail"):
+        got = getattr(ex.adj, field).tolist()
+        assert got == [row[p] for p in getattr(full, field)[keep].tolist()]
+    assert ex.adj.rel.tobytes() == full.rel[keep].tobytes()
+    assert ex.adj.weight.tobytes() == full.weight[keep].tobytes()
+
+
+@pytest.mark.parametrize("name", ["zed", "lives", "<unk>"])
+def test_make_example_rejects_an_entity_outside_the_vocabulary(name):
+    """A subgraph entity that is no vocabulary entity, whether unknown,
+    a generic word or a special symbol, is refused by name."""
+    v = toy_vocab()
+    with pytest.raises(GraphError, match="missing from vocabulary: "
+                                         rf"\['{name}'\]"):
+        example_for(v, "a lives", "b yes", [Triple("a", "q", name)])
 
 
 def test_make_example_empty_message_pads():
@@ -304,7 +325,7 @@ def test_singleton_self_loop_absorbs_exactly():
     ex = example_for(v, "a lives", "yes", [], extra=["a"])
     step = decoder_steps(model, ex, [BOS_ID])[0]
     pos = v.entity_position(v.token_to_id("a"))
-    assert step.entity[pos] == 1.0  # exact, not approximate
+    assert dense_step(v, ex, step).entity[pos] == 1.0  # exact, not approximate
 
 
 def test_forced_chain_two_hops():
@@ -317,7 +338,7 @@ def test_forced_chain_two_hops():
     r[0, 1] = 1.0   # a chooses relation r
     r[1, m - 1] = 1.0  # b chooses the self-loop
     r[2, m - 1] = 1.0
-    rhat = renorm_rows(r / r.sum(axis=1, keepdims=True), adj.active)
+    rhat = renorm_rows(r / r.sum(axis=1, keepdims=True), relation_mask(adj))
     s = np.array([1.0, 0.0, 0.0])
     k = s
     for _ in range(2):
@@ -332,13 +353,13 @@ def test_k_matches_dense_and_walk_oracles(seed):
     model = model_for(v, seed=seed, n_hops=4)
     sub = random_subgraph(v, rng, 5)
     ex = make_example(turn("a lives b", "c yes"), sub, v)
-    step = decoder_steps(model, ex, [BOS_ID])[0]
-    rhat = step.path_matrix
+    dense = dense_step(v, ex, decoder_steps(model, ex, [BOS_ID])[0])
+    rhat = dense.path_matrix
     T = dense_transition(sub, v, rhat)
-    k_dense = ex.source_vec @ np.linalg.matrix_power(T, 4)
-    np.testing.assert_allclose(step.entity, k_dense, atol=1e-12)
-    k_walk = path_sum_oracle(sub, v, rhat, ex.source_vec, 4)
-    np.testing.assert_allclose(step.entity, k_walk, atol=1e-10)
+    k_dense = dense.source @ np.linalg.matrix_power(T, 4)
+    np.testing.assert_allclose(dense.entity, k_dense, atol=1e-12)
+    k_walk = path_sum_oracle(sub, v, rhat, dense.source, 4)
+    np.testing.assert_allclose(dense.entity, k_walk, atol=1e-10)
 
 
 def test_seq2seq_step_sums_to_one_and_ignores_graph():
@@ -371,11 +392,12 @@ def test_tail_swap_equivariance_bitwise():
                                  extra_entities=["t1"])
         ex1 = make_example(turn("a lives", "t1 yes"), sub, v)
         ex2 = make_example(turn("a lives", "t2 yes"), swapped, v)
-        assert np.array_equal(ex1.source_vec, ex2.source_vec)
         p1 = v.entity_position(v.token_to_id("t1"))
         p2 = v.entity_position(v.token_to_id("t2"))
         for st1, st2 in zip(decoder_steps(model, ex1, [BOS_ID, 5, 6]),
                             decoder_steps(model, ex2, [BOS_ID, 5, 6])):
+            st1, st2 = dense_step(v, ex1, st1), dense_step(v, ex2, st2)
+            assert np.array_equal(st1.source, st2.source)
             # bit-exact: the swapped-in sink inherits the old sink's mass
             assert st2.entity[p2] == st1.entity[p1]
             assert st2.entity[p1] == 0.0
@@ -566,7 +588,7 @@ def assert_matches_all_entity_walk(model, batch):
     n_rel = len(model.vocab.relations) + 1
     inside = np.zeros(model.vocab.n_entities, dtype=bool)
     for ex in batch:
-        inside[ex.walk.pos] = True
+        inside[ex.pos] = True
     outside = np.repeat(~inside, n_rel)
     assert np.all(got["theta_w"][outside] == 0.0)
     assert np.all(got["theta_b"][outside] == 0.0)
@@ -577,7 +599,7 @@ def test_subgraph_walk_matches_all_entity_walk_on_toy_batches(seed):
     """A toy batch mixes an empty subgraph, subgraphs that hold every
     entity and one that holds three of five."""
     model, batch = toy_batch("qadpt", seed)
-    sizes = {ex.walk.pos.size for ex in batch}
+    sizes = {ex.pos.size for ex in batch}
     assert {0, model.vocab.n_entities} <= sizes
     assert_matches_all_entity_walk(model, batch)
 
@@ -589,7 +611,7 @@ def _edge_turns(v):
     full = example_for(v, "a lives", "c yes",
                        [Triple("a", "q", "b"), Triple("b", "r", "c")],
                        extra=v.entities)
-    assert (empty.walk.pos.size, full.walk.pos.size) == (0, v.n_entities)
+    assert (empty.pos.size, full.pos.size) == (0, v.n_entities)
     return empty, full
 
 
@@ -605,8 +627,7 @@ def test_subgraph_walk_matches_all_entity_walk_at_the_edges(which):
 def test_empty_subgraph_trains_and_decodes(monkeypatch):
     """With no subgraph entity the walk has no rows: no kg_hop node is
     recorded, training runs, and a decode emits generic words only, with
-    an all-zero entity distribution and the self-loop alone in every
-    row of the path matrix."""
+    an empty entity distribution and path matrix."""
     v = toy_vocab()
     model = model_for(v, max_epochs=2)
     empty, _ = _edge_turns(v)
@@ -620,9 +641,8 @@ def test_empty_subgraph_trains_and_decodes(monkeypatch):
     assert all(np.isfinite(p).all() for p in model.params.values())
     assert not any(v.is_entity_id(i) for i in dec.token_ids)
     for step in dec.steps:
-        assert not step.entity.any()
-        np.testing.assert_array_equal(step.path_matrix[:, -1], 1.0)
-        assert not step.path_matrix[:, :-1].any()
+        assert step.entity.shape == (0,)
+        assert step.path_matrix.shape == (0, len(v.relations) + 1)
     assert teacher_force(model, empty).unreachable == 1
 
 
@@ -764,7 +784,7 @@ def test_infer_path_deterministic_chain():
     r[0, 1] = 1.0   # a -> r
     r[1, 0] = 1.0   # b -> q
     r[2, m - 1] = 1.0
-    rhat = renorm_rows(np.maximum(r, 1e-12), adj.active)
+    rhat = renorm_rows(np.maximum(r, 1e-12), relation_mask(adj))
     s = np.array([1.0, 0.0, 0.0])
     path = infer_path(adj, rhat, s, "c", 5)
     assert path.triples == (Triple("a", "r", "b"), Triple("b", "q", "c"))
@@ -775,7 +795,7 @@ def test_infer_path_strips_trailing_self_loops_only():
     v = toy_vocab()
     sub = KnowledgeGraph([Triple("a", "r", "b")])
     adj = build_adjacency(sub, v.entities, v.relations)
-    rhat = renorm_rows(np.ones((3, 3)), adj.active)
+    rhat = renorm_rows(np.ones((3, 3)), relation_mask(adj))
     s = np.array([1.0, 0.0, 0.0])
     path = infer_path(adj, rhat, s, "b", 4)
     # best walk takes (a,r,b) first, then parks on b's self-loop
@@ -786,7 +806,7 @@ def test_infer_path_unreachable_errors():
     # the same errors from infer_path and the per-edge loop it replaced
     ex_adj = build_adjacency(KnowledgeGraph([Triple("a", "q", "b")]),
                              toy_vocab().entities, RELATIONS)
-    rhat = renorm_rows(np.ones((3, 3)), ex_adj.active)
+    rhat = renorm_rows(np.ones((3, 3)), relation_mask(ex_adj))
     for readout in (infer_path, infer_path_per_edge):
         with pytest.raises(ModelError, match="unreachable"):
             readout(ex_adj, rhat, np.array([1.0, 0, 0]), "c", 3)
@@ -803,15 +823,16 @@ def test_infer_path_matches_brute_force(seed):
     sub = random_subgraph(v, rng, 6)
     ex = make_example(turn("a lives b", "c d"), sub, v)
     step = decoder_steps(model, ex, [BOS_ID])[0]
-    rhat = step.path_matrix
+    dense = dense_step(v, ex, step)
     for target in range(5):
-        want = brute_force_best_path(sub, v, rhat, ex.source_vec, target, 4)
+        want = brute_force_best_path(sub, v, dense.path_matrix, dense.source,
+                                     target, 4)
         entity = v.entities[target]
         if want is None:
             with pytest.raises(ModelError):
-                infer_path(ex.adj, rhat, ex.source_vec, entity, 4)
+                infer_path(ex.adj, step.path_matrix, ex.source_vec, entity, 4)
             continue
-        got = infer_path(ex.adj, rhat, ex.source_vec, entity, 4)
+        got = infer_path(ex.adj, step.path_matrix, ex.source_vec, entity, 4)
         assert got.probability == pytest.approx(want[0], rel=1e-12)
         # reported triples must match the oracle walk, trailing
         # self-loops removed
@@ -834,7 +855,7 @@ def test_infer_path_tie_breaks_to_smaller_relation():
     v = toy_vocab()
     sub = KnowledgeGraph([Triple("a", "q", "b"), Triple("a", "r", "b")])
     adj = build_adjacency(sub, v.entities, v.relations)
-    rhat = renorm_rows(np.ones((3, 3)), adj.active)
+    rhat = renorm_rows(np.ones((3, 3)), relation_mask(adj))
     s = np.array([1.0, 0.0, 0.0])
     path = infer_path(adj, rhat, s, "b", 2)
     assert path.triples == (Triple("a", "q", "b"),)
@@ -856,14 +877,21 @@ def test_infer_path_tie_breaks_on_start_before_steps():
             (path.probability, 0, ((1, 2),))
 
 
-def assert_infer_path_matches_per_edge(vocab, adj, rhat, s, n_hops):
+def assert_infer_path_matches_per_edge(vocab, adj, rhat, s, n_hops,
+                                       dense=None):
     """infer_path against the per-edge loop it replaced, for every
     entity: the same probability bits, start and reported triples, or
-    the same ModelError."""
+    the same ModelError. Given `dense`, the dense_step of a decode step
+    whose turn's adjacency, relation choices and start vector are adj,
+    rhat and s, the loop runs on the walk over every vocabulary entity
+    instead; an entity outside the turn's subgraph is unreachable in
+    both."""
+    ref_adj, ref_rhat, ref_s = (adj, rhat, s) if dense is None else \
+        (dense.adj, dense.path_matrix, dense.source)
     for entity in vocab.entities:
         try:
-            prob, start, steps = infer_path_per_edge(adj, rhat, s, entity,
-                                                     n_hops)
+            prob, start, steps = infer_path_per_edge(ref_adj, ref_rhat, ref_s,
+                                                     entity, n_hops)
         except ModelError as exc:
             with pytest.raises(ModelError) as got:
                 infer_path(adj, rhat, s, entity, n_hops)
@@ -871,7 +899,7 @@ def assert_infer_path_matches_per_edge(vocab, adj, rhat, s, n_hops):
             continue
         path = infer_path(adj, rhat, s, entity, n_hops)
         assert (path.start, path.triples) == \
-            walk_to_triples(vocab, adj, start, steps)
+            walk_to_triples(vocab, ref_adj, start, steps)
         assert path.probability.hex() == prob.hex()
 
 
@@ -891,13 +919,21 @@ def trained_toy():
 
 @pytest.mark.parametrize("n_hops", [1, 3, 5])
 def test_infer_path_equals_per_edge_loop_on_decodes(trained_toy, n_hops):
+    """infer_path over each turn's own adjacency against the per-edge
+    loop over the walk over every entity, on turns whose subgraph holds
+    every entity and on turns whose subgraph leaves some out (L < E)."""
     model, exs = trained_toy
+    v = model.vocab
+    exs = exs + [example_for(v, msg, "c yes", [triple])
+                 for msg, triple in (("where a", Triple("a", "q", "b")),
+                                     ("where b", Triple("b", "r", "c")))]
+    assert min(ex.pos.size for ex in exs) < v.n_entities
     checked = 0
     for ex in exs:
         for step in greedy_decode(model, ex, max_len=4).steps:
-            assert_infer_path_matches_per_edge(model.vocab, ex.adj,
-                                               step.path_matrix,
-                                               ex.source_vec, n_hops)
+            assert_infer_path_matches_per_edge(v, ex.adj, step.path_matrix,
+                                               ex.source_vec, n_hops,
+                                               dense_step(v, ex, step))
             checked += 1
     assert checked >= len(exs)
 
@@ -914,8 +950,9 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
     s = np.where(rng.random(5) < 0.5, 0.5, 0.0)
     s[int(rng.integers(5))] = 0.5
     rounded = np.round(rng.random((5, 3)), 1)
-    for rhat in (renorm_rows(rng.random((5, 3)), adj.active),
-                 np.full((5, 3), 0.5), rounded, rounded * adj.active):
+    mask = relation_mask(adj)
+    for rhat in (renorm_rows(rng.random((5, 3)), mask),
+                 np.full((5, 3), 0.5), rounded, rounded * mask):
         for a in (adj, reweighted):
             for n_hops in (1, 2, 4):
                 assert_infer_path_matches_per_edge(v, a, rhat, s, n_hops)
