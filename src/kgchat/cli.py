@@ -37,11 +37,11 @@ import sys
 from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
-                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig, _load_json,
-                     atomic_open, compare_stats, corpus_stats, detokenize,
-                     generate_synthetic, ingest, load_bundle,
-                     load_dialogues_jsonl, load_lexicon, save_bundle, tokenize,
-                     write_json)
+                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
+                     _json_object, _load_json, atomic_open, compare_stats,
+                     corpus_stats, detokenize, generate_synthetic, ingest,
+                     load_bundle, load_dialogues_jsonl, load_lexicon,
+                     save_bundle, tokenize, write_json)
 from .kgraph import (PERTURB_MODES, GraphError, KnowledgeGraph, Triple,
                      load_triples_tsv)
 from .metrics import MetricError, evaluate_report, perturbation_report
@@ -285,7 +285,6 @@ def cmd_synth(args, cfg) -> int:
     write_json({tid: [list(t) for t in path]
                 for tid, path in syn.oracle_paths.items()},
                out / "oracle_paths.json")
-    write_json(syn.expected, out / "expected.json")
     _write_config(cfg, args, out)
     print(f"synthetic corpus: {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns, "
@@ -393,7 +392,8 @@ def cmd_chat(args, cfg) -> int:
         src = Path(args.bundle)
         graph = load_triples_tsv(src / "graph.tsv")
         if (src / "meta.json").exists():
-            mode = _load_json(src / "meta.json", dict).get("mode", mode)
+            mode = _load_json(src / "meta.json",
+                              _json_object).get("mode", mode)
     else:
         raise DataError("chat needs --kg or --bundle for the knowledge graph")
     stray = (graph.entities - set(model.vocab.entities)) | \

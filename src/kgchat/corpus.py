@@ -105,6 +105,13 @@ def _to_json(value):
     return value
 
 
+def _json_object(value) -> dict:
+    """value, refused unless it is a JSON object."""
+    if type(value) is not dict:
+        raise TypeError("expected a JSON object")
+    return value
+
+
 class JsonRecord:
     """Base of a dataclass written as a JSON object of its fields, in
     declaration order. A field is declared as a JSON scalar type, dict,
@@ -117,8 +124,7 @@ class JsonRecord:
     @classmethod
     def from_dict(cls, d):
         """The record `to_dict` wrote, each value type-checked."""
-        if type(d) is not dict:
-            raise TypeError("expected a JSON object")
+        _json_object(d)
         declared = _record_fields(cls)
         values = {}
         for name, (decode, (what, _), required) in declared.items():
@@ -350,12 +356,6 @@ class Vocabulary(JsonRecord):
 
     def is_entity_id(self, token_id: int) -> bool:
         return token_id >= self.entity_base
-
-    def entity_position(self, token_id: int) -> int:
-        """Index of an entity id within the entity block."""
-        if not self.is_entity_id(token_id):
-            raise DataError(f"id {token_id} is not an entity id")
-        return token_id - self.entity_base
 
     @cached_property
     def generic_output_ids(self) -> np.ndarray:
@@ -654,8 +654,7 @@ _TURN_TYPES = (("dialogue_id", str), ("turn", int), ("speaker", str),
 
 
 def _turn_row(obj) -> DialogueTurn:
-    if type(obj) is not dict:
-        raise TypeError("expected a JSON object")
+    _json_object(obj)
     for key, kind in _TURN_TYPES:
         if type(obj[key]) is not kind:
             raise TypeError(f"{key!r} is not {_JSON_NAMES[kind][0]}")
@@ -794,7 +793,7 @@ def load_bundle(in_dir) -> Bundle:
     meta = {}
     meta_path = src / "meta.json"
     if meta_path.exists():
-        meta = _load_json(meta_path, dict)
+        meta = _load_json(meta_path, _json_object)
         if meta.get("n_turns", len(turns)) != len(turns):
             raise DataError(f"turns.jsonl holds {len(turns)} turns, "
                             f"meta.json says {meta['n_turns']!r}")
@@ -968,11 +967,13 @@ def compare_stats(stats: CorpusStats, profile: str) -> list:
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 #
-# A small social world: every person has exactly one residence, one
-# occupation, and one friend, so every template's answer is a unique
-# entity reached by a one- to three-hop walk. Each turn stores its
-# ground-truth reasoning path for oracle checks and for perturbation
-# targeting.
+# A small social world: every person has exactly one friend, one
+# residence and one occupation, so each (head, relation) pair names one
+# triple. A template is a relation chain with its message and response
+# text, and a grounded turn is its walk: from the drawn person, each
+# relation of the chain follows that pair's triple. The answer is the
+# walk's last tail, and the walked triples are the turn's ground-truth
+# reasoning path, kept for oracle checks.
 
 
 _PEOPLE = ("Ava", "Ben", "Cora", "Dan", "Elle", "Finn", "Gia", "Hugo", "Iris",
@@ -996,8 +997,25 @@ _CHITCHAT = (("hello there .", "hi ."),
              ("see you later .", "bye for now ."),
              ("nice day today .", "yes it is ."))
 
-TEMPLATES = ("residence", "occupation", "friend_residence",
-             "friend_occupation", "friend_friend_residence")
+# name -> (relation chain, message, response); {person} is the drawn
+# person, {answer} the walk's last tail
+TEMPLATE_CHAINS = {
+    "residence": ((REL_LIVES,), "where does {person} live ?",
+                  "{person} lives in {answer} ."),
+    "occupation": ((REL_WORKS,), "what does {person} do ?",
+                   "{person} works as a {answer} ."),
+    "friend_residence": ((REL_FRIEND, REL_LIVES),
+                         "where does the friend of {person} live ?",
+                         "somewhere in {answer} i think ."),
+    "friend_occupation": ((REL_FRIEND, REL_WORKS),
+                          "what does the friend of {person} do ?",
+                          "a {answer} maybe ."),
+    "friend_friend_residence": (
+        (REL_FRIEND, REL_FRIEND, REL_LIVES),
+        "where does the friend of the friend of {person} live ?",
+        "probably {answer} ."),
+}
+TEMPLATES = tuple(TEMPLATE_CHAINS)
 
 
 @dataclass(frozen=True)
@@ -1029,8 +1047,7 @@ class SyntheticCorpus:
     raw_turns: list
     graph: KnowledgeGraph
     lexicon: dict
-    oracle_paths: dict
-    expected: dict
+    oracle_paths: dict   # turn id -> the walked triples of a grounded turn
 
 
 def _names(base: tuple, prefix: str, n: int) -> list:
@@ -1040,104 +1057,49 @@ def _names(base: tuple, prefix: str, n: int) -> list:
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int = 0) -> SyntheticCorpus:
+    """A seeded world and its dialogues. Each person draws a friend, a
+    residence and an occupation. Each turn is chitchat or a drawn
+    template from a drawn person: a template is a relation chain
+    (TEMPLATE_CHAINS), and the turn is its walk through the graph."""
     rng = np.random.default_rng(seed)
     people = _names(_PEOPLE, "Person", config.n_people)
     places = _names(_PLACES, "Placeton", config.n_places)
     jobs = _names(_JOBS, "trade", config.n_jobs)
 
-    friend = {}
-    residence = {}
-    job = {}
     triples = []
-    for i, p in enumerate(people):
+    for p in people:
         others = [q for q in people if q != p]
-        friend[p] = others[int(rng.integers(len(others)))]
-        residence[p] = places[int(rng.integers(len(places)))]
-        job[p] = jobs[int(rng.integers(len(jobs)))]
-        triples.extend([Triple(p, REL_FRIEND, friend[p]),
-                        Triple(p, REL_LIVES, residence[p]),
-                        Triple(p, REL_WORKS, job[p])])
+        triples.extend([
+            Triple(p, REL_FRIEND, others[int(rng.integers(len(others)))]),
+            Triple(p, REL_LIVES, places[int(rng.integers(len(places)))]),
+            Triple(p, REL_WORKS, jobs[int(rng.integers(len(jobs)))])])
     graph = KnowledgeGraph(triples, extra_entities=people + places + jobs)
-
-    def render(template: str, person: str):
-        if template == "residence":
-            place = residence[person]
-            return (f"where does {person} live ?",
-                    f"{person} lives in {place} .",
-                    (Triple(person, REL_LIVES, place),))
-        if template == "occupation":
-            trade = job[person]
-            return (f"what does {person} do ?",
-                    f"{person} works as a {trade} .",
-                    (Triple(person, REL_WORKS, trade),))
-        if template == "friend_residence":
-            m = friend[person]
-            place = residence[m]
-            return (f"where does the friend of {person} live ?",
-                    f"somewhere in {place} i think .",
-                    (Triple(person, REL_FRIEND, m), Triple(m, REL_LIVES, place)))
-        if template == "friend_occupation":
-            m = friend[person]
-            trade = job[m]
-            return (f"what does the friend of {person} do ?",
-                    f"a {trade} maybe .",
-                    (Triple(person, REL_FRIEND, m), Triple(m, REL_WORKS, trade)))
-        if template == "friend_friend_residence":
-            m = friend[person]
-            m2 = friend[m]
-            place = residence[m2]
-            return (f"where does the friend of the friend of {person} live ?",
-                    f"probably {place} .",
-                    (Triple(person, REL_FRIEND, m), Triple(m, REL_FRIEND, m2),
-                     Triple(m2, REL_LIVES, place)))
-        raise DataError(f"unknown template {template!r}")
+    triple_of = {(t.head, t.relation): t for t in triples}
 
     raw_turns = []
     oracle_paths = {}
-    expected_tokens = 0
-    entity_occurrences = 0
-    turns_with_entities = 0
-    dialogues_with_entities = set()
     speakers = ("speaker_a", "speaker_b")
     for i in range(config.n_turns):
         dialogue_idx = i // config.turns_per_dialogue
         turn_idx = i % config.turns_per_dialogue
         did = f"syn{dialogue_idx:05d}"
-        speaker = speakers[(dialogue_idx + turn_idx) % 2]
         if float(rng.random()) < config.chitchat_rate:
             msg, resp = _CHITCHAT[int(rng.integers(len(_CHITCHAT)))]
-            path = ()
         else:
             template = config.templates[int(rng.integers(len(config.templates)))]
             person = people[int(rng.integers(len(people)))]
-            msg, resp, path = render(template, person)
-        rt = RawTurn(dialogue_id=did, turn=turn_idx, speaker=speaker,
-                     scene_entities=(), message=msg, response=resp)
-        raw_turns.append(rt)
-        turn_id = f"{did}#{turn_idx}"
-        if path:
-            oracle_paths[turn_id] = path
-        # generator-side bookkeeping, counted from the template text itself
-        toks = msg.split() + resp.split()
-        expected_tokens += len(toks)
-        ents = [t for t in toks if t in graph.entities]
-        entity_occurrences += len(ents)
-        if ents:
-            turns_with_entities += 1
-            dialogues_with_entities.add(did)
-
-    n_dialogues = (config.n_turns + config.turns_per_dialogue - 1) // config.turns_per_dialogue
-    expected = {
-        "dialogues": n_dialogues,
-        "turns": config.n_turns,
-        "tokens": expected_tokens,
-        "unique_tokens": None,  # depends on the tokenizer, not asserted here
-        "kg_entities": len(graph.entities),
-        "kg_relation_types": 3,
-        "kg_entity_occurrences": entity_occurrences,
-        "dialogues_with_entities": len(dialogues_with_entities),
-        "turns_with_entities": turns_with_entities,
-    }
+            chain, message, response = TEMPLATE_CHAINS[template]
+            here, path = person, []
+            for relation in chain:
+                path.append(triple_of[here, relation])
+                here = path[-1].tail
+            msg = message.format(person=person)
+            resp = response.format(person=person, answer=here)
+            oracle_paths[f"{did}#{turn_idx}"] = tuple(path)
+        raw_turns.append(RawTurn(
+            dialogue_id=did, turn=turn_idx,
+            speaker=speakers[(dialogue_idx + turn_idx) % 2],
+            scene_entities=(), message=msg, response=resp))
     lexicon = {e: e for e in sorted(graph.entities)}
     return SyntheticCorpus(raw_turns=raw_turns, graph=graph, lexicon=lexicon,
-                           oracle_paths=oracle_paths, expected=expected)
+                           oracle_paths=oracle_paths)

@@ -257,11 +257,11 @@ def make_example(turn: DialogueTurn, subgraph: KnowledgeGraph,
     )
 
 
-def make_examples(bundle: Bundle, turns: Sequence[DialogueTurn] | None = None,
-                  vocab: Vocabulary | None = None) -> list:
-    vocab = vocab or bundle.vocab
+def make_examples(bundle: Bundle,
+                  turns: Sequence[DialogueTurn] | None = None) -> list:
     turns = bundle.turns if turns is None else turns
-    return [make_example(t, bundle.subgraph_for(t), vocab) for t in turns]
+    return [make_example(t, bundle.subgraph_for(t), bundle.vocab)
+            for t in turns]
 
 
 # ---------------------------------------------------------------------------

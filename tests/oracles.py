@@ -7,14 +7,16 @@ the model ran before its walk was cut to each turn's subgraph) and a
 decode step scattered back to every entity, the relation mask, the
 finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
-path search, the per-gate GRU with its layout converters, and the
+path search, the per-gate GRU with its layout converters, the
 checkpoint rewriters (the current format resealed, the retired manifest
-formats written) live here too: only the tests call them."""
+formats written), and the default run with its golden record live here
+too: only the tests call them."""
 
 import hashlib
 import heapq
 import json
 import struct
+import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -22,12 +24,16 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from kgchat.corpus import DialogueTurn, Vocabulary
-from kgchat.kgraph import SELF_LOOP, KnowledgeGraph, Triple, build_adjacency
+from kgchat.corpus import (DialogueTurn, SyntheticConfig, Vocabulary,
+                           generate_synthetic, ingest, write_json)
+from kgchat.kgraph import (PERTURB_MODES, SELF_LOOP, KnowledgeGraph, Triple,
+                           build_adjacency)
+from kgchat.metrics import evaluate_report, perturbation_report
 from kgchat.numkernel import _scatter_add, sigmoid
 from kgchat.qadpt import (CHECKPOINT_MAGIC, PROB_FLOOR, Hyperparams,
                           ModelError, QadptModel, _TurnState, batch_loss,
-                          expected_param_shapes, make_example, param_grads)
+                          expected_param_shapes, make_example, make_examples,
+                          param_grads, perturb_and_decode, train)
 
 
 def renorm_rows(r, mask):
@@ -155,7 +161,11 @@ def brute_force_best_path(subgraph, vocab, rhat, s, target_pos, n_hops):
     return None if best is None else (-best[0], best[1])
 
 
-def random_subgraph(vocab, rng, n_triples=4):
+def random_subgraph(vocab, rng, n_triples=4, extra=None):
+    """A graph of up to n_triples random triples over the vocabulary's
+    entities. It holds the entities they name and `extra`, by default
+    the first vocabulary entity: so it is never empty, and it leaves an
+    entity out (L < E) unless the triples name every other one."""
     ents = list(vocab.entities)
     triples = set()
     for _ in range(n_triples):
@@ -163,7 +173,8 @@ def random_subgraph(vocab, rng, n_triples=4):
         rel = vocab.relations[int(rng.integers(len(vocab.relations)))]
         if h != t:
             triples.add(Triple(ents[int(h)], rel, ents[int(t)]))
-    return KnowledgeGraph(triples, extra_entities=ents)
+    return KnowledgeGraph(triples,
+                          extra_entities=ents[:1] if extra is None else extra)
 
 
 def decoder_steps(model, ex, prev_ids):
@@ -330,8 +341,10 @@ def toy_batch(kind, seed):
                                                     size=rng.integers(lo, hi))]
 
     n = 5 + seed
+    # every subgraph holds every entity, as when the pin was taken
     examples = [example(i, words_of(1, 7), words_of(0, 6),
-                        random_subgraph(vocab, rng, 5)) for i in range(n)]
+                        random_subgraph(vocab, rng, 5, extra=vocab.entities))
+                for i in range(n)]
     examples.append(example(n, ["where", "a"], ["b", "yes"],
                             KnowledgeGraph([])))
     examples.append(example(n + 1, ["a", "lives"], ["e", "yes"],
@@ -360,6 +373,109 @@ def write_batch_loss_pin(path):
             for field, value in loss_and_grads(*toy_batch(kind, seed)).items():
                 arrays[f"{kind}/{seed}/{field}"] = np.asarray(value)
     np.savez_compressed(path, **arrays)
+
+
+# ---------------------------------------------------------------------------
+# The golden record of the default run (tests/data/pipeline_record.json):
+# what the acceptance suite's `pipeline` produces that does not hang on
+# BLAS rounding
+
+
+RECORD_SEED = 13
+
+
+def default_pipeline() -> SimpleNamespace:
+    """Both kinds trained on the default synthetic world (seed 7, hidden
+    64, 6 hops, 30 epochs, patience 3, seed 0) and evaluated on its test
+    split."""
+    raw = generate_synthetic(SyntheticConfig(), seed=7)
+    bundle = ingest(raw.raw_turns, raw.graph, lexicon=raw.lexicon,
+                    split_seed=0)
+    tr = make_examples(bundle, bundle.split_turns("train"))
+    va = make_examples(bundle, bundle.split_turns("valid"))
+    te = make_examples(bundle, bundle.split_turns("test"))
+
+    hy = Hyperparams(kind="qadpt", hidden_dim=64, embed_dim=64, n_hops=6,
+                     lr=1e-3, batch_size=32, max_epochs=30, patience=3,
+                     seed=0)
+    qadpt = QadptModel(hy, bundle.vocab)
+    t0 = time.perf_counter()
+    train(qadpt, tr, va)
+    qadpt_seconds = time.perf_counter() - t0
+
+    seq2seq = QadptModel(Hyperparams(kind="seq2seq", hidden_dim=64,
+                                     embed_dim=64, lr=1e-3, batch_size=32,
+                                     max_epochs=30, patience=3, seed=0),
+                         bundle.vocab)
+    train(seq2seq, tr, va)
+
+    return SimpleNamespace(
+        bundle=bundle, test=te, qadpt=qadpt, seq2seq=seq2seq,
+        qadpt_seconds=qadpt_seconds,
+        report_q=evaluate_report(qadpt, te),
+        report_s=evaluate_report(seq2seq, te))
+
+
+def _rounded(value):
+    """value with every float rounded to 1e-9."""
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    return round(value, 9) if isinstance(value, float) else value
+
+
+def pipeline_record(pipeline) -> dict:
+    """Per kind: each test turn's decoded tokens and (qadpt) each
+    inferred path's start and triples; the report's metrics rounded to
+    1e-9; and under each perturbation mode (seed 13) each turn's
+    perturbed tokens and flags, with the report's counts and rates.
+    Tokens and triples are joined by spaces, a path is [start, triple,
+    ...]."""
+    ents = pipeline.bundle.vocab.entities
+    record = {}
+    for model, report in ((pipeline.qadpt, pipeline.report_q),
+                          (pipeline.seq2seq, pipeline.report_s)):
+        perturbed = {}
+        for mode in PERTURB_MODES:
+            rep = perturbation_report(
+                ents, perturb_and_decode(model, pipeline.test, mode,
+                                         seed=RECORD_SEED), mode)
+            perturbed[mode] = {
+                "scores": _rounded({key: getattr(rep, key) for key in (
+                    "n_turns", "n_skipped", "change_rate",
+                    "accurate_change_rate")}),
+                "turns": {t.turn_id: {"perturbed": " ".join(t.perturbed),
+                                      "skipped": t.skipped,
+                                      "changed": t.changed,
+                                      "accurate": t.accurate}
+                          for t in rep.turns}}
+        record[model.kind] = {
+            "metrics": _rounded(report.metrics),
+            "turns": {t.turn_id: {"generated": " ".join(t.generated),
+                                  "paths": [[p.start, *map(" ".join,
+                                                           p.triples)]
+                                            for p in t.paths]}
+                      for t in report.turns},
+            "perturb": perturbed}
+    return record
+
+
+def record_diff(want, got, where: str = "") -> list:
+    """The key paths ('qadpt/turns/syn00012#3/generated', ...) at which
+    two records differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        out = []
+        for key in sorted(want.keys() | got.keys()):
+            if key in want and key in got:
+                out.extend(record_diff(want[key], got[key], f"{where}/{key}"))
+            else:
+                out.append(f"{where}/{key}")
+        return out
+    return [] if json.dumps(want) == json.dumps(got) else [where]
+
+
+def write_pipeline_record(path):
+    """Write pipeline_record of a fresh default_pipeline as JSON."""
+    write_json(pipeline_record(default_pipeline()), path)
 
 
 # ---------------------------------------------------------------------------

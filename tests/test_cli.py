@@ -70,8 +70,9 @@ def seq_dir(ws, bundle_dir):
 
 def test_synth_writes_bundle_and_config(bundle_dir):
     for name in ("turns.jsonl", "vocab.json", "graph.tsv", "config.json",
-                 "oracle_paths.json", "expected.json"):
+                 "oracle_paths.json"):
         assert (bundle_dir / name).exists(), name
+    assert not (bundle_dir / "expected.json").exists()
     cfg = json.loads((bundle_dir / "config.json").read_text())
     assert cfg["command"] == "synth"
     assert cfg["config"]["n_people"] == 8
@@ -487,8 +488,7 @@ def test_config_defaults_are_their_owners_defaults():
 
 
 @pytest.mark.parametrize("name", ["config.json", "diff.log", "stats.json",
-                                  "path_hist.csv", "oracle_paths.json",
-                                  "expected.json"])
+                                  "path_hist.csv", "oracle_paths.json"])
 def test_failed_write_keeps_previous_file(tmp_path, name):
     turn = PerturbTurnEval(turn_id="t0", original=("a", "b"),
                            perturbed=("a", "c"), hypothesis=(), targets=(),
@@ -508,8 +508,8 @@ def test_failed_write_keeps_previous_file(tmp_path, name):
         # sorting the hop counts fails after the header row was written
         good, bad = {1: 5, 2: 3}, {1: 5, "2": 3}
     else:
-        # stats writes stats.json, synth oracle_paths.json and
-        # expected.json, each through write_json
+        # stats writes stats.json and synth oracle_paths.json, each
+        # through write_json
         write = lambda obj: write_json(obj, tmp_path / name)
         good, bad = {"t0": [1, 2]}, {"t1": [1, 2], "t2": object()}
     write(good)
@@ -1177,6 +1177,19 @@ def test_chat_bundle_malformed_graph_exits_3(tmp_path, bundle_dir, run_dir):
     assert "Traceback" not in proc.stderr
     assert "graph.tsv: line" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_chat_bundle_meta_not_an_object_exits_3(tmp_path, bundle_dir,
+                                                run_dir):
+    """meta.json rewritten as a list of [key, value] pairs is refused,
+    not read as the object it lists."""
+    bad = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, bad)
+    meta = json.loads((bad / "meta.json").read_text(encoding="utf-8"))
+    (bad / "meta.json").write_text(json.dumps(list(meta.items())),
+                                   encoding="utf-8")
+    _run_refused(["chat", "--checkpoint", str(run_dir / "model.ckpt"),
+                  "--bundle", str(bad)], "meta.json: expected a JSON object")
 
 
 def test_chat_bundle_reads_only_graph_and_meta(ws, tmp_path, monkeypatch,

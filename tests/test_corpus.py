@@ -150,9 +150,8 @@ def test_entity_predicates():
     v = _vocab()
     assert v.is_entity_id(8) and v.is_entity_id(9)
     assert not v.is_entity_id(7) and not v.is_entity_id(0)
-    assert v.entity_position(9) == 1
-    with pytest.raises(DataError):
-        v.entity_position(5)
+    assert 9 - v.entity_base == 1
+    assert not v.is_entity_id(5)
 
 
 def test_entity_tokens_are_the_tokens_of_the_entity_id_block():
@@ -635,11 +634,13 @@ def _second_turn_row(change):
     ("turns.jsonl", lambda text: text.replace("\n", "\n[1, 2]\n", 1),
      "turns.jsonl: line 2: expected a JSON object"),
     ("vocab.json", lambda text: "[]", "vocab.json: expected a JSON object"),
-    ("meta.json", lambda text: "5", "meta.json: 'int' object is not iterable"),
+    ("meta.json", lambda text: "5", "meta.json: expected a JSON object"),
+    ("meta.json", lambda text: json.dumps(list(json.loads(text).items())),
+     "meta.json: expected a JSON object"),
 ], ids=("vocab_relations", "vocab_counts", "vocab_undeclared", "splits_valid",
         "splits_seed", "turn_string", "message_text", "dialogue_id_number",
         "scene_object", "turn_not_object", "vocab_not_object",
-        "meta_not_object"))
+        "meta_not_object", "meta_key_value_pairs"))
 def test_mistyped_bundle_file_raises_data_error(tmp_path, synth_bundle_dir,
                                                 name, corrupt, where):
     shutil.copytree(synth_bundle_dir, tmp_path / "b")
@@ -838,21 +839,24 @@ def test_synthetic_config_validation():
 
 
 def test_synthetic_bookkeeping_matches_ingested_stats():
-    # the generator's own counters, tallied from template text, must
-    # agree with what the full pipeline measures after tokenization
+    # counts taken from the generated text itself (whitespace-separated
+    # words, entity names matched exactly) must agree with what the full
+    # pipeline measures after tokenization
     cfg = SyntheticConfig(n_turns=300)
     syn = generate_synthetic(cfg, seed=11)
     bundle = ingest(syn.raw_turns, syn.graph, syn.lexicon)
     st_ = corpus_stats(bundle)
-    exp = syn.expected
-    assert st_.n_dialogues == exp["dialogues"]
-    assert st_.n_turns == exp["turns"]
-    assert st_.n_tokens == exp["tokens"]
-    assert st_.n_entities == exp["kg_entities"]
-    assert st_.n_relation_types == exp["kg_relation_types"]
-    assert st_.n_entity_occurrences == exp["kg_entity_occurrences"]
-    assert st_.n_dialogues_with_entities == exp["dialogues_with_entities"]
-    assert st_.n_turns_with_entities == exp["turns_with_entities"]
+    words = [(rt.message + " " + rt.response).split() for rt in syn.raw_turns]
+    ents = [[w for w in ws if w in syn.graph.entities] for ws in words]
+    assert st_.n_dialogues == len({rt.dialogue_id for rt in syn.raw_turns})
+    assert st_.n_turns == len(syn.raw_turns) == cfg.n_turns
+    assert st_.n_tokens == sum(map(len, words))
+    assert st_.n_entities == len(syn.graph.entities)
+    assert st_.n_relation_types == 3
+    assert st_.n_entity_occurrences == sum(map(len, ents))
+    assert st_.n_dialogues_with_entities == len(
+        {rt.dialogue_id for rt, e in zip(syn.raw_turns, ents) if e})
+    assert st_.n_turns_with_entities == sum(map(bool, ents))
 
 
 def test_synthetic_ingest_path_hist_spans_hops():

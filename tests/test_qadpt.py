@@ -324,7 +324,7 @@ def test_singleton_self_loop_absorbs_exactly():
     model = model_for(v)
     ex = example_for(v, "a lives", "yes", [], extra=["a"])
     step = decoder_steps(model, ex, [BOS_ID])[0]
-    pos = v.entity_position(v.token_to_id("a"))
+    pos = v.token_to_id("a") - v.entity_base
     assert dense_step(v, ex, step).entity[pos] == 1.0  # exact, not approximate
 
 
@@ -392,8 +392,8 @@ def test_tail_swap_equivariance_bitwise():
                                  extra_entities=["t1"])
         ex1 = make_example(turn("a lives", "t1 yes"), sub, v)
         ex2 = make_example(turn("a lives", "t2 yes"), swapped, v)
-        p1 = v.entity_position(v.token_to_id("t1"))
-        p2 = v.entity_position(v.token_to_id("t2"))
+        p1 = v.token_to_id("t1") - v.entity_base
+        p2 = v.token_to_id("t2") - v.entity_base
         for st1, st2 in zip(decoder_steps(model, ex1, [BOS_ID, 5, 6]),
                             decoder_steps(model, ex2, [BOS_ID, 5, 6])):
             st1, st2 = dense_step(v, ex1, st1), dense_step(v, ex2, st2)
@@ -911,7 +911,7 @@ def trained_toy():
     train(model, tr, va)
     rng = np.random.default_rng(11)
     v = model.vocab
-    exs = va + [make_example(turn(msg, "b yes"), random_subgraph(v, rng, 4), v)
+    exs = va + [make_example(turn(msg, "b yes"), random_subgraph(v, rng, 2), v)
                 for msg in ("where a", "where b", "a in c", "where c",
                             "b lives a", "yes")]
     return model, exs
