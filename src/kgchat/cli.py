@@ -38,9 +38,9 @@ from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
-                     _json_object, _load_json, atomic_open, compare_stats,
-                     corpus_stats, detokenize, generate_synthetic, ingest,
-                     load_bundle, load_dialogues_jsonl, load_lexicon,
+                     atomic_open, compare_stats, corpus_stats, detokenize,
+                     generate_synthetic, ingest, load_bundle,
+                     load_dialogues_jsonl, load_lexicon, load_meta,
                      save_bundle, tokenize, write_json)
 from .kgraph import (PERTURB_MODES, GraphError, KnowledgeGraph, Triple,
                      load_triples_tsv)
@@ -391,9 +391,7 @@ def cmd_chat(args, cfg) -> int:
     elif args.bundle:
         src = Path(args.bundle)
         graph = load_triples_tsv(src / "graph.tsv")
-        if (src / "meta.json").exists():
-            mode = _load_json(src / "meta.json",
-                              _json_object).get("mode", mode)
+        mode = load_meta(src / "meta.json").get("mode", mode)
     else:
         raise DataError("chat needs --kg or --bundle for the knowledge graph")
     stray = (graph.entities - set(model.vocab.entities)) | \

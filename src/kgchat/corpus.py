@@ -229,11 +229,14 @@ class LexiconMatcher:
         return None
 
 
+TOKENIZE_MODES = ("word", "char")
+
+
 def tokenize(text: str, mode: str = "word",
              lexicon: Mapping[str, str] | LexiconMatcher | None = None
              ) -> list[str]:
     """Split text into generic tokens and canonical entity tokens."""
-    if mode not in ("word", "char"):
+    if mode not in TOKENIZE_MODES:
         raise DataError(f"unknown tokenization mode {mode!r}")
     matcher = (lexicon if isinstance(lexicon, LexiconMatcher)
                else LexiconMatcher(lexicon or {}))
@@ -776,27 +779,59 @@ def _index_subgraph_rows(path: Path, graph: KnowledgeGraph) -> SubgraphRows:
     return SubgraphRows(rows, graph)
 
 
+def load_meta(path: Path) -> dict:
+    """A bundle's meta.json as a dict, {} when the file is absent. A
+    `mode` other than a tokenizer mode (TOKENIZE_MODES) is refused; a
+    missing one leaves the reader's default."""
+    if not path.exists():
+        return {}
+    meta = _load_json(path, _json_object)
+    if meta.get("mode", TOKENIZE_MODES[0]) not in TOKENIZE_MODES:
+        raise DataError(f"meta.json: unknown tokenization mode "
+                        f"{meta['mode']!r}")
+    return meta
+
+
+def _check_partition(splits: SplitAssignment,
+                     turns: Sequence[DialogueTurn]) -> None:
+    """Refuse splits.json unless its splits partition the dialogues of
+    turns.jsonl: each dialogue in exactly one split, and no other."""
+    dialogues = {t.dialogue_id for t in turns}
+    seen: dict = {}
+    for name in SPLIT_NAMES:
+        for did in getattr(splits, name):
+            if did in seen:
+                raise DataError(f"splits.json: dialogue {did!r} is named "
+                                f"twice, in {seen[did]} and in {name}")
+            if did not in dialogues:
+                raise DataError(f"splits.json: dialogue {did!r} in {name} "
+                                f"has no turn in turns.jsonl")
+            seen[did] = name
+    if len(seen) != len(dialogues):
+        missing = min(dialogues - seen.keys())
+        raise DataError(f"splits.json: dialogue {missing!r} of turns.jsonl "
+                        f"is in no split")
+
+
 def load_bundle(in_dir) -> Bundle:
     """Read a bundle directory written by `save_bundle`. Every file is
     parsed and type-checked here except the subgraph rows: those are
     indexed by turn id, and each turn's graph is built when it is first
     read (see `SubgraphRows`). Two turns with one id, a turn without a
     subgraph row, two rows for one turn, a row for a turn turns.jsonl
-    does not hold, or a turn count other than meta.json's `n_turns`,
-    fail here: a cut turns.jsonl never loads as whole. The graph holds
-    the triples of graph.tsv and every entity of vocab.json, the
-    isolated ones too, so it equals the graph the bundle was saved from;
-    a row may name its entities only."""
+    does not hold, a turn count other than meta.json's `n_turns`, an
+    unknown tokenization `mode` (load_meta), or splits that do not
+    partition the dialogues fail here: a cut turns.jsonl never loads as
+    whole. The graph holds the triples of graph.tsv and every entity of
+    vocab.json, the isolated ones too, so it equals the graph the bundle
+    was saved from; a row may name its entities only."""
     src = Path(in_dir)
     turns = _load_jsonl(src / "turns.jsonl", _turn_row)
     _check_turn_ids(turns, "turns.jsonl: ")
-    meta = {}
-    meta_path = src / "meta.json"
-    if meta_path.exists():
-        meta = _load_json(meta_path, _json_object)
-        if meta.get("n_turns", len(turns)) != len(turns):
-            raise DataError(f"turns.jsonl holds {len(turns)} turns, "
-                            f"meta.json says {meta['n_turns']!r}")
+    meta = load_meta(src / "meta.json")
+    if meta.get("n_turns", len(turns)) != len(turns):
+        raise DataError(f"turns.jsonl holds {len(turns)} turns, "
+                        f"meta.json says {meta['n_turns']!r}")
     vocab = _load_json(src / "vocab.json", Vocabulary.from_dict)
     graph = kgraph.load_triples_tsv(src / "graph.tsv", vocab.entities)
     subgraphs = _index_subgraph_rows(src / "subgraphs.jsonl", graph)
@@ -810,6 +845,7 @@ def load_bundle(in_dir) -> Bundle:
         raise DataError(f"subgraphs.jsonl: row for turn {stray!r}, which "
                         f"turns.jsonl does not hold")
     splits = _load_json(src / "splits.json", SplitAssignment.from_dict)
+    _check_partition(splits, turns)
     return Bundle(turns=turns, vocab=vocab, graph=graph, subgraphs=subgraphs,
                   splits=splits, meta=meta)
 

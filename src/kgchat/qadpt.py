@@ -17,11 +17,17 @@ Under teacher forcing every decoder input is the gold prefix, known up
 front, so training runs a whole padded batch, and teacher-forced
 evaluation a whole turn, as one step; greedy decoding runs the same
 step one position at a time (T=1) with a batch of one, on a tape that
-keeps values only. Each pass builds one tape. A decode returns its
-turn's encoder state, which teacher forcing and a re-decode on an
-edited graph take instead of encoding the turn again. Checkpoints are a
-small binary format: magic, digest, JSON header, raw little-endian
-float64 payload (see save_checkpoint).
+keeps values only. A greedy qadpt step runs its generic half (decoder
+GRU and generic head) first, and its entity branch (relation head,
+walk, output mixture) only when an entity could win the step: an
+entity's output is the KB mass g[0] times its walk entry, and the walk
+keeps its mass, so a generic word above g[0] * (1 + SKIP_MARGIN) wins,
+and the branch then waits until the step's entity values are read.
+Each pass builds one tape. A decode returns its turn's encoder state,
+which teacher forcing and a re-decode on an edited graph take instead
+of encoding the turn again. Checkpoints are a small binary format:
+magic, digest, JSON header, raw little-endian float64 payload (see
+save_checkpoint).
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ KINDS = ("qadpt", "seq2seq")
 PROB_FLOOR = 1e-12
 
 MAX_DECODE_LEN = 40   # free-running decode cap unless a caller sets one
+
+# A greedy qadpt step whose best generic probability exceeds the KB mass
+# g[0] by this relative margin skips its entity branch. An entity's
+# output is g[0] * k[j], and the walk keeps its mass (k sums to 1 within
+# rounding, far inside the margin), so no entity can win such a step.
+SKIP_MARGIN = 1e-6
 
 
 class ModelError(ValueError):
@@ -277,16 +289,34 @@ def make_examples(bundle: Bundle,
 # a re-decode on an edited graph skip the encoder.
 
 
-@dataclass
 class DecoderStep:
-    """Everything one decode step produced, as plain arrays. qadpt's
-    entity and path_matrix are over the turn's L subgraph entities, the
-    rows of its Example.adj."""
-    generic: np.ndarray          # distribution over emittable generic symbols
-    controller: float            # mass routed to the entity branch
-    entity: np.ndarray           # (L,) walk result k; seq2seq: (E,)
-    combined: np.ndarray         # full-vocabulary output distribution
-    path_matrix: np.ndarray | None   # (L, R+1) relation choices, or None
+    """Everything one decode step produced, as plain arrays: the generic
+    distribution (over emittable generic symbols), the controller's mass
+    routed to the entity branch, and the step's greedy token (argmax of
+    combined, ties to the lowest id). qadpt's entity (the walk result k)
+    and path_matrix (the (L, R+1) relation choices) are over the turn's
+    L subgraph entities, the rows of its Example.adj; seq2seq's entity
+    is its (E,) entity block and its path_matrix None. combined is the
+    full-vocabulary output distribution.
+
+    entity, combined and path_matrix come from `branch`, a function run
+    the first time one of them is read (see _TurnState.decoder_step)."""
+
+    def __init__(self, generic: np.ndarray, controller: float, branch):
+        self.generic = generic
+        self.controller = controller
+        self.token_id: int | None = None
+        self._branch = branch
+        self._outputs = None
+
+    def _read(self, i: int):
+        if self._branch is not None:
+            self._outputs, self._branch = self._branch(), None
+        return self._outputs[i]
+
+    entity = property(lambda self: self._read(0))
+    combined = property(lambda self: self._read(1))
+    path_matrix = property(lambda self: self._read(2))
 
 
 def _padded(rows: Sequence[Sequence[int]]) -> tuple:
@@ -426,12 +456,12 @@ class _TurnState:
 
     def step(self, ids: np.ndarray) -> tuple:
         """Decoder positions 0..T-1 of every turn from their input ids, a
-        (T, B) array. One GRU node runs every position; the heads and the
-        walk then run once over the rows read, each row with its turn's
-        mask, source vector and graph. A one-position step (T=1, greedy
-        decoding) reads every turn's state, in turn order, and moves the
-        state on to it. A longer step is the teacher-forced pass over the
-        padded gold prefix: it reads the real target positions.
+        (T, B) array: the generic half (_generic_half), then the entity
+        branch (_entity_branch) over the same rows. A
+        one-position step (T=1, greedy decoding) reads every turn's
+        state, in turn order, and moves the state on to it. A longer step
+        is the teacher-forced pass over the padded gold prefix: it reads
+        the real target positions.
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
@@ -440,8 +470,16 @@ class _TurnState:
         the step's rows (_walk_rows). seq2seq's flat softmax g is
         scattered into the vocabulary, and its k and rhat are None.
         """
+        h, turn, g = self._generic_half(ids)
+        o, k, rhat = self._entity_branch(h, turn, g)
+        return o, g, k, rhat
+
+    def _generic_half(self, ids: np.ndarray) -> tuple:
+        """The decoder GRU over (T, B) input ids and the generic head:
+        (h, turn, g), the nodes of the rows' decoder states and of their
+        generic softmax (qadpt's KB mass first; seq2seq's flat softmax),
+        and each row's turn. One GRU node runs every position."""
         t, pn = self.tape, self.pn
-        vocab = self.vocab
         t_len, b = ids.shape
         states = t.gru(t.lookup_row(pn["embed"], ids), self.h,
                        pn["dec.w"], pn["dec.u"], pn["dec.b"])
@@ -452,12 +490,22 @@ class _TurnState:
             turn = self.turn
             h = t.gather(states, (self.pos[:, None], turn[:, None],
                                   np.arange(self.hyper.hidden_dim)))
+        head = ("out_w", "out_b") if self.model.kind == "seq2seq" \
+            else ("phi_w", "phi_b")
+        return h, turn, t.softmax(t.linear(pn[head[0]], h, pn[head[1]]))
+
+    def _entity_branch(self, h: int, turn: np.ndarray, g: int) -> tuple:
+        """The rest of a step over rows h of turns `turn` with generic
+        softmax g, as the nodes (o, k, rhat). qadpt's runs the relation
+        head, its softmax and mask-renorm, the walk and the output
+        mixture, each row with its turn's mask, source vector and graph;
+        seq2seq's scatters g into the vocabulary, with k and rhat None."""
+        t, pn = self.tape, self.pn
+        vocab = self.vocab
         if self.model.kind == "seq2seq":
-            probs = t.softmax(t.linear(pn["out_w"], h, pn["out_b"]))
-            o = t.mix_output(probs, vocab.seq2seq_output_ids, vocab.size)
-            return o, probs, None, None
+            return (t.mix_output(g, vocab.seq2seq_output_ids, vocab.size),
+                    None, None)
         mask, s, blk = self._walk_rows(turn)
-        g = t.softmax(t.linear(pn["phi_w"], h, pn["phi_b"]))
         theta = t.linear(pn["theta_w"], h, pn["theta_b"])
         # the relation logits of each row's subgraph entities only
         rhat = t.mask_renorm_rows(t.row_softmax(t.gather(theta, blk.theta)),
@@ -467,7 +515,7 @@ class _TurnState:
             k = t.kg_hop(k, rhat, blk, self.hyper.n_hops)
         o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
                          blk.at, vocab.n_entities)
-        return o, g, k, rhat
+        return o, k, rhat
 
     def teacher_forced(self) -> tuple:
         """The whole gold-prefix pass as one step(): the step nodes over
@@ -488,21 +536,39 @@ class _TurnState:
         return nodes, y, (y >= base) & ~reached
 
     def decoder_step(self, prev_id: int) -> DecoderStep:
-        """The DecoderStep record of a one-position step() on a one-turn
-        state."""
-        nodes = self.step(np.array([[prev_id]]))
-        t = self.tape
-        combined = t.value(nodes[0])[0].copy()
-        g = t.value(nodes[1])[0]
+        """The DecoderStep of a one-position step on a one-turn state,
+        with its greedy token. qadpt runs the generic half first. When a
+        generic word's probability exceeds the KB mass g[0] by more than
+        SKIP_MARGIN, no entity can win the step, so the word does, and the
+        entity branch waits until the step's entity, combined or
+        path_matrix is read: it then runs on this step's recorded nodes,
+        so every value read is the one an eager step gives. Otherwise the
+        branch runs at once."""
+        t, vocab = self.tape, self.vocab
+        h, turn, g = self._generic_half(np.array([[prev_id]]))
+        gv = t.value(g)[0]
+        n_gen = 2 + len(vocab.generic)   # seq2seq's generic columns
+
+        def branch():
+            o, k, rhat = self._entity_branch(h, turn, g)
+            combined = t.value(o)[0].copy()
+            if k is None:
+                return gv[n_gen:].copy(), combined, None
+            return t.value(k), combined, t.value(rhat)
+
         if self.model.kind == "seq2seq":
-            n_gen = 2 + len(self.vocab.generic)
-            return DecoderStep(
-                generic=g[:n_gen].copy(), controller=float(g[n_gen:].sum()),
-                entity=g[n_gen:].copy(), combined=combined, path_matrix=None)
-        return DecoderStep(
-            generic=g[1:].copy(), controller=float(g[0]),
-            entity=t.value(nodes[2]), combined=combined,
-            path_matrix=t.value(nodes[3]))
+            step = DecoderStep(gv[:n_gen].copy(), float(gv[n_gen:].sum()),
+                               branch)
+        else:
+            step = DecoderStep(gv[1:].copy(), float(gv[0]), branch)
+            best = int(np.argmax(gv[1:]))
+            if gv[1 + best] > gv[0] * (1.0 + SKIP_MARGIN):
+                # generic_output_ids[1:] ascend, so argmax's first index
+                # is the lowest id among tied words, as on the combined row
+                step.token_id = int(vocab.generic_output_ids[1 + best])
+                return step
+        step.token_id = int(np.argmax(step.combined))
+        return step
 
 
 def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
@@ -566,9 +632,15 @@ def greedy_decode(model: QadptModel, example: Example,
                   max_len: int = MAX_DECODE_LEN,
                   encoded: np.ndarray | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
-    subgraph, at most max_len tokens. Ties resolve to the lowest token
-    id. `encoded` is the turn's DecodeResult.encoded, when the caller
-    already has it; the result carries the state either way."""
+    subgraph, at most max_len tokens: each step emits its token_id, the
+    argmax of its combined row, ties to the lowest token id. A qadpt step
+    whose best generic probability exceeds the KB mass g[0] by more than
+    SKIP_MARGIN emits that word without running its entity branch (no
+    entity's g[0] * k[j] can reach it); the branch runs if the step's
+    entity, combined or path_matrix is read, with the values an eager
+    step gives. A step that emits an entity always ran it. `encoded` is
+    the turn's DecodeResult.encoded, when the caller already has it; the
+    result carries the state either way."""
     if max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
     state = _TurnState(model, [example], record=False, encoded=encoded)
@@ -578,7 +650,7 @@ def greedy_decode(model: QadptModel, example: Example,
     prev = BOS_ID
     for _ in range(max_len):
         step = state.decoder_step(prev)
-        prev = int(np.argmax(step.combined))
+        prev = step.token_id
         steps.append(step)
         if prev == EOS_ID:
             break

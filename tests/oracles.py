@@ -4,7 +4,8 @@ first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The teacher-forced pass with the walk over every entity (the layout
 the model ran before its walk was cut to each turn's subgraph) and a
-decode step scattered back to every entity, the relation mask, the
+decode step scattered back to every entity, the reference greedy decode
+that runs every step's entity branch, the relation mask, the
 finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
 path search, the per-gate GRU with its layout converters, the
@@ -24,16 +25,17 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from kgchat.corpus import (DialogueTurn, SyntheticConfig, Vocabulary,
-                           generate_synthetic, ingest, write_json)
+from kgchat.corpus import (BOS_ID, EOS_ID, DialogueTurn, SyntheticConfig,
+                           Vocabulary, generate_synthetic, ingest, write_json)
 from kgchat.kgraph import (PERTURB_MODES, SELF_LOOP, KnowledgeGraph, Triple,
                            build_adjacency)
 from kgchat.metrics import evaluate_report, perturbation_report
 from kgchat.numkernel import _scatter_add, sigmoid
-from kgchat.qadpt import (CHECKPOINT_MAGIC, PROB_FLOOR, Hyperparams,
-                          ModelError, QadptModel, _TurnState, batch_loss,
-                          expected_param_shapes, make_example, make_examples,
-                          param_grads, perturb_and_decode, train)
+from kgchat.qadpt import (CHECKPOINT_MAGIC, MAX_DECODE_LEN, PROB_FLOOR,
+                          Hyperparams, ModelError, QadptModel, _TurnState,
+                          batch_loss, expected_param_shapes, make_example,
+                          make_examples, param_grads, perturb_and_decode,
+                          train)
 
 
 def renorm_rows(r, mask):
@@ -179,9 +181,67 @@ def random_subgraph(vocab, rng, n_triples=4, extra=None):
 
 def decoder_steps(model, ex, prev_ids):
     """Raw decoder steps for a fixed previous-token sequence."""
-    from kgchat.qadpt import _TurnState
     state = _TurnState(model, [ex])
     return [state.decoder_step(p) for p in prev_ids]
+
+
+def eager_decode(model, ex, max_len=MAX_DECODE_LEN, encoded=None):
+    """The reference greedy decode: every step runs _TurnState.step in
+    full, qadpt's entity branch included, and its token is the argmax of
+    the combined row (ties to the lowest id). Steps are namespaces of the
+    DecoderStep fields."""
+    state = _TurnState(model, [ex], record=False, encoded=encoded)
+    t, vocab = state.tape, model.vocab
+    encoded = t.value(state.h)[0]
+    ids, steps, prev = [], [], BOS_ID
+    for _ in range(max_len):
+        o, g, k, rhat = state.step(np.array([[prev]]))
+        combined, gv = t.value(o)[0].copy(), t.value(g)[0]
+        if model.kind == "seq2seq":
+            n_gen = 2 + len(vocab.generic)
+            steps.append(SimpleNamespace(
+                generic=gv[:n_gen].copy(), controller=float(gv[n_gen:].sum()),
+                entity=gv[n_gen:].copy(), combined=combined, path_matrix=None))
+        else:
+            steps.append(SimpleNamespace(
+                generic=gv[1:].copy(), controller=float(gv[0]),
+                entity=t.value(k), combined=combined,
+                path_matrix=t.value(rhat)))
+        prev = int(np.argmax(combined))
+        if prev == EOS_ID:
+            break
+        ids.append(prev)
+    return SimpleNamespace(token_ids=tuple(ids), steps=tuple(steps),
+                           tokens=tuple(vocab.id_to_token[i] for i in ids),
+                           encoded=encoded)
+
+
+STEP_FIELDS = ("generic", "controller", "entity", "combined", "path_matrix")
+
+
+def assert_same_decode(got, want, rng=None):
+    """Tokens, encoder state and every DecoderStep field equal bit for
+    bit, and each step's token the argmax of want's combined row. With
+    an rng the steps, and each step's fields, are read in a random
+    order: a step that skipped its entity branch runs it at the first
+    read of entity, combined or path_matrix."""
+    assert got.token_ids == want.token_ids
+    assert got.tokens == want.tokens
+    assert got.encoded.tobytes() == want.encoded.tobytes()
+    assert len(got.steps) == len(want.steps)
+    order = range(len(got.steps)) if rng is None \
+        else rng.permutation(len(got.steps))
+    for i in order:
+        a, b = got.steps[i], want.steps[i]
+        assert a.token_id == int(np.argmax(b.combined)), i
+        for field in STEP_FIELDS if rng is None else rng.permutation(
+                STEP_FIELDS):
+            x, y = getattr(a, field), getattr(b, field)
+            if y is None or type(y) is float:
+                assert x == y and type(x) is type(y), (i, field)
+                continue
+            assert x.shape == y.shape and x.dtype == y.dtype and \
+                x.tobytes() == y.tobytes(), (i, field)
 
 
 def walk_to_triples(vocab, adj, start, steps):

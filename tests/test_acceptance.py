@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (brute_force_best_path, decoder_steps, default_pipeline,
-                     dense_step, dense_transition, finite_diff_check,
+from oracles import (assert_same_decode, brute_force_best_path,
+                     decoder_steps, default_pipeline, dense_step,
+                     dense_transition, eager_decode, finite_diff_check,
                      path_sum_oracle, pipeline_record, random_subgraph,
                      record_diff, walk_to_triples)
 from test_metrics import LAST1_FIXTURES
@@ -384,6 +385,32 @@ def test_criterion_9_determinism(pipeline, tmp_path):
           f"repeat runs bit-identical (checkpoint {ckpt_ok}, report "
           f"{report_ok}); decode identical on {len(sample)} inputs after "
           f"checkpoint round-trip")
+
+
+# ---------------------------------------------------------------------------
+# Greedy decoding of the default run against the eager reference
+
+
+def test_default_run_decodes_match_the_eager_reference(pipeline):
+    """Every test turn's greedy decode, by both kinds, against
+    oracles.eager_decode, which runs every step's entity branch: equal
+    tokens and every DecoderStep field equal bit for bit, the steps and
+    their fields read in a random order. Some qadpt steps skip their
+    entity branch until read, and none of them emits an entity."""
+    rng = np.random.default_rng(0)
+    waiting = []
+    for model in (pipeline.qadpt, pipeline.seq2seq):
+        for ex in pipeline.test:
+            dec = greedy_decode(model, ex)
+            for step in dec.steps:
+                if step._branch is not None:
+                    assert model.kind == "qadpt"
+                    assert not model.vocab.is_entity_id(step.token_id)
+                waiting.append(step._branch is not None)
+            assert_same_decode(dec, eager_decode(model, ex), rng)
+    print(f"{sum(waiting)} of {len(waiting)} decode steps skipped their "
+          f"entity branch")
+    assert any(waiting) and not all(waiting)
 
 
 # ---------------------------------------------------------------------------

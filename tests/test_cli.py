@@ -1192,6 +1192,46 @@ def test_chat_bundle_meta_not_an_object_exits_3(tmp_path, bundle_dir,
                   "--bundle", str(bad)], "meta.json: expected a JSON object")
 
 
+@pytest.mark.parametrize("mode", [5, "bogus", None],
+                         ids=("number", "bogus", "null"))
+def test_unknown_meta_mode_exits_3_before_chat_starts(ws, bundle_dir, run_dir,
+                                                      monkeypatch, capsys,
+                                                      mode):
+    """A meta.json `mode` that is no tokenizer mode is refused by chat
+    --bundle before its banner, and by eval, naming meta.json."""
+    bad = ws / f"meta_mode_{mode}"
+    shutil.copytree(bundle_dir, bad)
+    meta = json.loads((bad / "meta.json").read_text(encoding="utf-8"))
+    write_json({**meta, "mode": mode}, bad / "meta.json")
+    why = f"meta.json: unknown tokenization mode {mode!r}"
+    monkeypatch.setattr("sys.stdin", io.StringIO("where does anna live\n"))
+    ckpt = str(run_dir / "model.ckpt")
+    for argv in (["chat", "--checkpoint", ckpt, "--bundle", str(bad)],
+                 ["eval", "--checkpoint", ckpt, "--bundle", str(bad),
+                  "--out", str(bad / "eval")]):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and why in err, (argv[0], out, err)
+    assert not (bad / "eval").exists()
+
+
+def test_splits_that_do_not_partition_the_dialogues_exit_3(ws, bundle_dir,
+                                                            run_dir, capsys):
+    """eval refuses a bundle whose test split also names a training
+    dialogue, instead of scoring that dialogue's turns."""
+    bad = ws / "splits_overlap"
+    shutil.copytree(bundle_dir, bad)
+    splits = json.loads((bad / "splits.json").read_text(encoding="utf-8"))
+    did = splits["train"][0]
+    splits["test"].append(did)
+    write_json(splits, bad / "splits.json")
+    assert cli.main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--bundle", str(bad), "--out", str(bad / "eval")]) == 3
+    assert f"splits.json: dialogue {did!r} is named twice, in train and " \
+        f"in test" in capsys.readouterr().err
+    assert not (bad / "eval").exists()
+
+
 def test_chat_bundle_reads_only_graph_and_meta(ws, tmp_path, monkeypatch,
                                                capsys):
     """chat --bundle reads the bundle's graph.tsv and, when there is one,

@@ -637,10 +637,23 @@ def _second_turn_row(change):
     ("meta.json", lambda text: "5", "meta.json: expected a JSON object"),
     ("meta.json", lambda text: json.dumps(list(json.loads(text).items())),
      "meta.json: expected a JSON object"),
+    ("meta.json", _edit(lambda b: b.update(mode="bogus")),
+     "meta.json: unknown tokenization mode 'bogus'"),
+    # syn00000 is a test dialogue of this bundle
+    ("splits.json", _edit(lambda b: b["train"].append("syn00000")),
+     "splits.json: dialogue 'syn00000' is named twice, in train and in test"),
+    ("splits.json", _edit(lambda b: b["test"].append("syn00000")),
+     "splits.json: dialogue 'syn00000' is named twice, in test and in test"),
+    ("splits.json", _edit(lambda b: b["valid"].append("syn99999")),
+     "splits.json: dialogue 'syn99999' in valid has no turn in turns.jsonl"),
+    ("splits.json", _edit(lambda b: b["test"].remove("syn00000")),
+     "splits.json: dialogue 'syn00000' of turns.jsonl is in no split"),
 ], ids=("vocab_relations", "vocab_counts", "vocab_undeclared", "splits_valid",
         "splits_seed", "turn_string", "message_text", "dialogue_id_number",
         "scene_object", "turn_not_object", "vocab_not_object",
-        "meta_not_object", "meta_key_value_pairs"))
+        "meta_not_object", "meta_key_value_pairs", "meta_mode",
+        "splits_in_two", "splits_twice_in_one", "splits_unknown_dialogue",
+        "splits_dialogue_left_out"))
 def test_mistyped_bundle_file_raises_data_error(tmp_path, synth_bundle_dir,
                                                 name, corrupt, where):
     shutil.copytree(synth_bundle_dir, tmp_path / "b")

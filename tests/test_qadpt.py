@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, all_entity_pass,
-                     brute_force_best_path, checkpoint_parts, decoder_steps,
-                     dense_step, dense_transition, finite_diff_check,
+                     assert_same_decode, brute_force_best_path,
+                     checkpoint_parts, decoder_steps, dense_step,
+                     dense_transition, eager_decode, finite_diff_check,
                      gru_per_gate, infer_path_per_edge, kg_hop,
                      loss_and_grads, path_sum_oracle, random_subgraph,
                      relation_mask, renorm_rows, rewrite_checkpoint,
@@ -958,6 +959,79 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
                 assert_infer_path_matches_per_edge(v, a, rhat, s, n_hops)
 
 
+# ---------------------------------------------------------------------------
+# Greedy decoding runs a step's entity branch only when it can win the step
+
+
+def _waiting(dec) -> list:
+    """Per step of a decode, whether its entity branch has yet to run."""
+    return [step._branch is not None for step in dec.steps]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_decode_matches_the_eager_reference(trained_toy, seed):
+    """greedy_decode against oracles.eager_decode, which runs every
+    step's entity branch: equal tokens and every DecoderStep field equal
+    bit for bit, the steps and their fields read in a random order. The
+    turns have L = E, L < E and L = 0; the qadpt models emit entities or
+    not, and seq2seq never defers. Both kinds of qadpt step occur."""
+    model, exs = trained_toy
+    v = model.vocab
+    exs = exs + list(_edge_turns(v)) + [
+        example_for(v, "where a", "c yes", [Triple("a", "q", "b")])]
+    assert {0, 2, v.n_entities} <= {ex.pos.size for ex in exs}
+    rng = np.random.default_rng(seed)
+    models = [model, model_for(v, kind="seq2seq", seed=seed)]
+    for kb in (-1.0, 1.0):   # a fresh model that emits entities or not
+        models.append(model_for(v, seed=seed))
+        models[-1].params["phi_b"][0] = kb
+    waiting = []
+    for m in models:
+        for ex in exs:
+            for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
+                dec = greedy_decode(m, ex, max_len=max_len)
+                if m.kind == "qadpt":
+                    waiting += _waiting(dec)
+                else:
+                    assert not any(_waiting(dec))
+                assert_same_decode(dec, eager_decode(m, ex, max_len), rng)
+    assert any(waiting) and not all(waiting)
+
+
+@pytest.mark.parametrize("gap, waits", [
+    (0.0, False), (5e-7, False), (2e-6, True), (-1e-3, False), (1.0, True)])
+def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, waits):
+    """With phi_w zero the generic softmax is softmax(phi_b) on every
+    step. A generic word whose logit exceeds the KB symbol's by `gap`
+    has probability g[0] * exp(gap): within SKIP_MARGIN of g[0] (a tie
+    included) or below it the step runs its entity branch at once, 11
+    tape nodes (13 on the first step, which adds the walk's mask and
+    source leaves); beyond it the step records the generic half's 5 and
+    the branch's 6 or 8 when entity, combined or path_matrix is first
+    read. The word wins either way, with the lowest id among tied
+    words."""
+    v = toy_vocab()
+    ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
+    model = model_for(v)
+    model.params["phi_w"][:] = 0.0
+    model.params["phi_b"][:] = -30.0
+    model.params["phi_b"][0] = 0.0
+    model.params["phi_b"][[3, 4]] = gap   # "lives" and "in", tied
+    want = v.token_to_id("lives")
+    state = qadpt._TurnState(model, [ex], record=False)
+    for first in (True, False):
+        before = len(state.tape)
+        step = state.decoder_step(want)
+        ran = len(state.tape) - before
+        assert ran == (5 if waits else 11 + 2 * first)
+        if gap >= 0.0:
+            assert step.token_id == want
+        assert step.token_id == int(np.argmax(step.combined))
+        assert len(state.tape) - before == 11 + 2 * first
+        step.path_matrix, step.entity
+        assert len(state.tape) - before == 11 + 2 * first
+
+
 @pytest.mark.parametrize("n_hops", [1, 6])
 @pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
 def test_decoder_step_node_counts(record, n_hops):
@@ -1393,21 +1467,6 @@ def test_turns_with_an_empty_response(kind):
                                                     abs=1e-12)
     report = evaluate_report(model, exs, max_len=4)
     assert_report_matches_direct_calls(model, exs, report, max_len=4)
-
-
-def assert_same_decode(got, want):
-    """Tokens and every DecoderStep array equal bit for bit."""
-    assert got.token_ids == want.token_ids
-    assert got.encoded.tobytes() == want.encoded.tobytes()
-    assert len(got.steps) == len(want.steps)
-    for a, b in zip(got.steps, want.steps):
-        assert a.controller == b.controller
-        for field in ("generic", "entity", "combined", "path_matrix"):
-            x, y = getattr(a, field), getattr(b, field)
-            if y is None:
-                assert x is None
-                continue
-            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
 
 
 def _encoder_examples(v, seed):
