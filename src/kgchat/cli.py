@@ -135,7 +135,8 @@ def _read_config_file(path) -> list:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """The keys `args.command` reads: defaults, then the --config file,
-    then the flags."""
+    then the flags. A negative seed or split_seed is refused here, the
+    one place every command's flags and config file meet."""
     keys = COMMAND_KEYS[args.command]
     cfg = {key: CONFIG_KEYS[key][1] for key in keys}
     if args.config:
@@ -148,6 +149,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         override = getattr(args, key)
         if override is not None:
             cfg[key] = override
+    for key in ("seed", "split_seed"):
+        if cfg.get(key, 0) < 0:
+            raise UsageError(f"{key} must be >= 0, got {cfg[key]}")
     return cfg
 
 

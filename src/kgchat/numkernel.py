@@ -359,8 +359,9 @@ class Tape:
         a batch of walks is one block-diagonal adjacency over the
         stacked entity rows, each block one turn's.
         The edge coefficients rhat[head, rel] are gathered once for all
-        hops; each tail accumulates in the adjacency's fixed edge order,
-        and every hop's result is checked finite.
+        hops; each hop is one np.bincount over the tails, so each tail
+        accumulates in the adjacency's fixed edge order, and every hop's
+        result is checked finite.
         """
         vv, vr = self.value(v), self.value(rhat)
         if vv.ndim != 1 or vr.ndim != 2 or vr.shape[0] != vv.shape[0]:
@@ -370,9 +371,10 @@ class Tape:
                               f"got {hops!r}")
         head, tail, weight = adj.head, adj.tail, adj.weight
         coef = vr[head, adj.rel]
+        n = vv.shape[0]
         walk = [vv]            # the mass before each hop, then the result
         for _ in range(hops):
-            out = _scatter_add(vv.shape, tail, walk[-1][head] * coef * weight)
+            out = np.bincount(tail, walk[-1][head] * coef * weight, n)
             _require_finite(out, "kg_hop")
             walk.append(out)
 

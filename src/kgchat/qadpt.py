@@ -18,14 +18,18 @@ front, so training runs a whole padded batch, and teacher-forced
 evaluation a whole turn, as one step; greedy decoding runs the same
 step one position at a time (T=1) with a batch of one, on a tape that
 keeps values only. A greedy qadpt step runs its generic half (decoder
-GRU and generic head) first, and its entity branch (relation head,
-walk, output mixture) only when an entity could win the step: an
-entity's output is the KB mass g[0] times its walk entry, and the walk
-keeps its mass, so a generic word above g[0] * (1 + SKIP_MARGIN) wins,
-and the branch then waits until the step's entity values are read.
+GRU and generic head) first, and its walk (relation head, walk) only
+when an entity could win the step: an entity's output is the KB mass
+g[0] times its walk entry, and the walk keeps its mass, so a generic
+word above g[0] * (1 + SKIP_MARGIN) wins, and the walk then waits until
+the step's entity values are read. A step that runs its walk picks its
+token from g[0] * k and the best generic word, and builds its output
+row (the output mixture) only when that row is read.
 Each pass builds one tape. A decode returns its turn's encoder state,
-which teacher forcing and a re-decode on an edited graph take instead
-of encoding the turn again. Checkpoints are a small binary format:
+which teacher forcing takes instead of encoding the turn again; a
+re-decode on an edited graph takes the whole decode, and replays its
+graph-free steps (the generic half) while their tokens agree.
+Checkpoints are a small binary format:
 magic, digest, JSON header, raw little-endian float64 payload (see
 save_checkpoint).
 """
@@ -66,7 +70,7 @@ PROB_FLOOR = 1e-12
 MAX_DECODE_LEN = 40   # free-running decode cap unless a caller sets one
 
 # A greedy qadpt step whose best generic probability exceeds the KB mass
-# g[0] by this relative margin skips its entity branch. An entity's
+# g[0] by this relative margin skips its walk. An entity's
 # output is g[0] * k[j], and the walk keeps its mass (k sums to 1 within
 # rounding, far inside the margin), so no entity can win such a step.
 SKIP_MARGIN = 1e-6
@@ -285,38 +289,59 @@ def make_examples(bundle: Bundle,
 # teacher_force (teacher_forced), and 1 for each greedy step. Training
 # calls backward() on the assembled loss; evaluation and decoding run a
 # one-turn state on a non-recording tape and read node values off it.
-# greedy_decode hands the turn's encoder state on, so teacher_force and
-# a re-decode on an edited graph skip the encoder.
+# greedy_decode hands the turn's encoder state on, so teacher_force
+# skips the encoder, and a re-decode on an edited graph given the decode
+# skips the encoder and the agreeing steps' generic halves.
 
 
 class DecoderStep:
-    """Everything one decode step produced, as plain arrays: the generic
-    distribution (over emittable generic symbols), the controller's mass
-    routed to the entity branch, and the step's greedy token (argmax of
-    combined, ties to the lowest id). qadpt's entity (the walk result k)
-    and path_matrix (the (L, R+1) relation choices) are over the turn's
-    L subgraph entities, the rows of its Example.adj; seq2seq's entity
-    is its (E,) entity block and its path_matrix None. combined is the
-    full-vocabulary output distribution.
+    """Everything one decode step produced, as plain arrays: the decoder
+    state, the generic distribution (over emittable generic symbols),
+    the controller's mass routed to the entity branch, and the step's
+    greedy token (argmax of combined, ties to the lowest id). qadpt's
+    entity (the walk result k) and path_matrix (the (L, R+1) relation
+    choices) are over the turn's L subgraph entities, the rows of its
+    Example.adj; seq2seq's entity is its (E,) entity block and its
+    path_matrix None. combined is the full-vocabulary output
+    distribution.
 
-    entity, combined and path_matrix come from `branch`, a function run
-    the first time one of them is read (see _TurnState.decoder_step)."""
+    entity and path_matrix come from `walk`, a function run the first
+    time one of them is read; combined comes from `output`, run after
+    the walk the first time combined is read (see
+    _TurnState.decoder_step). `state` and the generic head's softmax row
+    let a decode of the same message on another graph replay the step
+    (greedy_decode's `prior`)."""
 
-    def __init__(self, generic: np.ndarray, controller: float, branch):
+    def __init__(self, state: np.ndarray, softmax: np.ndarray,
+                 generic: np.ndarray, controller: float, walk, output):
+        self.state = state
+        self._softmax = softmax
         self.generic = generic
         self.controller = controller
         self.token_id: int | None = None
-        self._branch = branch
-        self._outputs = None
+        self._walk, self._output = walk, output
+        self._entity = self._path_matrix = self._combined = None
 
-    def _read(self, i: int):
-        if self._branch is not None:
-            self._outputs, self._branch = self._branch(), None
-        return self._outputs[i]
+    def _run_walk(self) -> None:
+        if self._walk is not None:
+            (self._entity, self._path_matrix), self._walk = self._walk(), None
 
-    entity = property(lambda self: self._read(0))
-    combined = property(lambda self: self._read(1))
-    path_matrix = property(lambda self: self._read(2))
+    @property
+    def entity(self):
+        self._run_walk()
+        return self._entity
+
+    @property
+    def path_matrix(self):
+        self._run_walk()
+        return self._path_matrix
+
+    @property
+    def combined(self):
+        if self._output is not None:
+            self._run_walk()
+            self._combined, self._output = self._output(), None
+        return self._combined
 
 
 def _padded(rows: Sequence[Sequence[int]]) -> tuple:
@@ -456,12 +481,12 @@ class _TurnState:
 
     def step(self, ids: np.ndarray) -> tuple:
         """Decoder positions 0..T-1 of every turn from their input ids, a
-        (T, B) array: the generic half (_generic_half), then the entity
-        branch (_entity_branch) over the same rows. A
-        one-position step (T=1, greedy decoding) reads every turn's
-        state, in turn order, and moves the state on to it. A longer step
-        is the teacher-forced pass over the padded gold prefix: it reads
-        the real target positions.
+        (T, B) array: the generic half (_generic_half), then the walk
+        (_walk_branch) and the output mixture (_output) over the same
+        rows. A one-position step (T=1, greedy decoding) reads every
+        turn's state, in turn order, and moves the state on to it. A
+        longer step is the teacher-forced pass over the padded gold
+        prefix: it reads the real target positions.
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
@@ -471,8 +496,8 @@ class _TurnState:
         scattered into the vocabulary, and its k and rhat are None.
         """
         h, turn, g = self._generic_half(ids)
-        o, k, rhat = self._entity_branch(h, turn, g)
-        return o, g, k, rhat
+        k, rhat = self._walk_branch(h, turn)
+        return self._output(g, turn, k), g, k, rhat
 
     def _generic_half(self, ids: np.ndarray) -> tuple:
         """The decoder GRU over (T, B) input ids and the generic head:
@@ -494,17 +519,14 @@ class _TurnState:
             else ("phi_w", "phi_b")
         return h, turn, t.softmax(t.linear(pn[head[0]], h, pn[head[1]]))
 
-    def _entity_branch(self, h: int, turn: np.ndarray, g: int) -> tuple:
-        """The rest of a step over rows h of turns `turn` with generic
-        softmax g, as the nodes (o, k, rhat). qadpt's runs the relation
-        head, its softmax and mask-renorm, the walk and the output
-        mixture, each row with its turn's mask, source vector and graph;
-        seq2seq's scatters g into the vocabulary, with k and rhat None."""
-        t, pn = self.tape, self.pn
-        vocab = self.vocab
+    def _walk_branch(self, h: int, turn: np.ndarray) -> tuple:
+        """qadpt's walk over rows h of turns `turn`, as the nodes (k,
+        rhat): the relation head, its softmax and mask-renorm, and the
+        walk, each row with its turn's mask, source vector and graph.
+        seq2seq has none: (None, None)."""
         if self.model.kind == "seq2seq":
-            return (t.mix_output(g, vocab.seq2seq_output_ids, vocab.size),
-                    None, None)
+            return None, None
+        t, pn = self.tape, self.pn
         mask, s, blk = self._walk_rows(turn)
         theta = t.linear(pn["theta_w"], h, pn["theta_b"])
         # the relation logits of each row's subgraph entities only
@@ -513,9 +535,19 @@ class _TurnState:
         k = s
         if blk.pos.size:   # a nonempty subgraph holds start mass
             k = t.kg_hop(k, rhat, blk, self.hyper.n_hops)
-        o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
-                         blk.at, vocab.n_entities)
-        return o, k, rhat
+        return k, rhat
+
+    def _output(self, g: int, turn: np.ndarray, k: int | None) -> int:
+        """The output mixture of rows of turns `turn`: qadpt's generic
+        softmax g with its KB mass over the walk result k, seq2seq's g
+        scattered into the vocabulary."""
+        vocab = self.vocab
+        if k is None:
+            return self.tape.mix_output(g, vocab.seq2seq_output_ids,
+                                        vocab.size)
+        return self.tape.mix_output(g, vocab.generic_output_ids[1:],
+                                    vocab.size, k, self._walk_rows(turn)[2].at,
+                                    vocab.n_entities)
 
     def teacher_forced(self) -> tuple:
         """The whole gold-prefix pass as one step(): the step nodes over
@@ -535,39 +567,71 @@ class _TurnState:
         reached[blk.row[hit]] = True
         return nodes, y, (y >= base) & ~reached
 
-    def decoder_step(self, prev_id: int) -> DecoderStep:
+    def decoder_step(self, prev) -> DecoderStep:
         """The DecoderStep of a one-position step on a one-turn state,
-        with its greedy token. qadpt runs the generic half first. When a
-        generic word's probability exceeds the KB mass g[0] by more than
-        SKIP_MARGIN, no entity can win the step, so the word does, and the
-        entity branch waits until the step's entity, combined or
-        path_matrix is read: it then runs on this step's recorded nodes,
-        so every value read is the one an eager step gives. Otherwise the
-        branch runs at once."""
+        with its greedy token. `prev` is the previous token id, or the
+        DecoderStep of a decode of the same message on another graph
+        whose tokens so far equal this decode's: its decoder state and
+        generic softmax are then this step's too, and are recorded as
+        two leaves instead of running the generic half, which never
+        reads the graph.
+
+        A qadpt step whose best generic probability exceeds the KB mass
+        g[0] by more than SKIP_MARGIN emits that word, and its walk waits
+        until the step's entity, path_matrix or combined is read: it then
+        runs on this step's recorded nodes, so every value read is the
+        one an eager step gives. Otherwise the walk runs at once and the
+        token is picked from its values: an entity's output is g[0] *
+        k[j], and k follows the entities' ascending ids, so the first
+        argmax j is the lowest id among tied entities. The entity wins
+        only above the best generic probability; on a tie the word wins,
+        as every generic id lies below the entities'. The output mixture
+        runs only when combined is read, and that row decides the token
+        only when neither value is positive."""
         t, vocab = self.tape, self.vocab
-        h, turn, g = self._generic_half(np.array([[prev_id]]))
+        if isinstance(prev, DecoderStep):
+            h = self.h = t.leaf(prev.state[None], check=False)
+            g = t.leaf(prev._softmax[None], check=False)
+            turn = np.arange(1)
+        else:
+            h, turn, g = self._generic_half(np.array([[prev]]))
         gv = t.value(g)[0]
         n_gen = 2 + len(vocab.generic)   # seq2seq's generic columns
+        k = None
 
-        def branch():
-            o, k, rhat = self._entity_branch(h, turn, g)
-            combined = t.value(o)[0].copy()
-            if k is None:
-                return gv[n_gen:].copy(), combined, None
-            return t.value(k), combined, t.value(rhat)
+        def walk():
+            nonlocal k
+            if self.model.kind == "seq2seq":
+                return gv[n_gen:].copy(), None
+            k, rhat = self._walk_branch(h, turn)
+            return t.value(k), t.value(rhat)
 
+        def output():
+            return t.value(self._output(g, turn, k))[0].copy()
+
+        state = t.value(h)[0]
         if self.model.kind == "seq2seq":
-            step = DecoderStep(gv[:n_gen].copy(), float(gv[n_gen:].sum()),
-                               branch)
-        else:
-            step = DecoderStep(gv[1:].copy(), float(gv[0]), branch)
-            best = int(np.argmax(gv[1:]))
-            if gv[1 + best] > gv[0] * (1.0 + SKIP_MARGIN):
-                # generic_output_ids[1:] ascend, so argmax's first index
-                # is the lowest id among tied words, as on the combined row
-                step.token_id = int(vocab.generic_output_ids[1 + best])
+            step = DecoderStep(state, gv, gv[:n_gen].copy(),
+                               float(gv[n_gen:].sum()), walk, output)
+            step.token_id = int(np.argmax(step.combined))
+            return step
+        step = DecoderStep(state, gv, gv[1:].copy(), float(gv[0]), walk,
+                           output)
+        # generic_output_ids[1:] ascend, so argmax's first index is the
+        # lowest id among tied words, as on the combined row
+        best = int(np.argmax(gv[1:]))
+        word = gv[1 + best]
+        if word <= gv[0] * (1.0 + SKIP_MARGIN):
+            mass = gv[0] * step.entity   # the entity columns of combined
+            top = mass.max(initial=0.0)
+            if top > word:
+                step.token_id = vocab.entity_base + int(
+                    self.examples[0].pos[np.argmax(mass)])
                 return step
-        step.token_id = int(np.argmax(step.combined))
+            if word <= 0.0:
+                step.token_id = int(np.argmax(step.combined))
+                return step
+        step.token_id = int(vocab.generic_output_ids[1 + best])
         return step
 
 
@@ -630,26 +694,38 @@ class DecodeResult:
 
 def greedy_decode(model: QadptModel, example: Example,
                   max_len: int = MAX_DECODE_LEN,
-                  encoded: np.ndarray | None = None) -> DecodeResult:
+                  prior: DecodeResult | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
     subgraph, at most max_len tokens: each step emits its token_id, the
     argmax of its combined row, ties to the lowest token id. A qadpt step
     whose best generic probability exceeds the KB mass g[0] by more than
-    SKIP_MARGIN emits that word without running its entity branch (no
-    entity's g[0] * k[j] can reach it); the branch runs if the step's
-    entity, combined or path_matrix is read, with the values an eager
-    step gives. A step that emits an entity always ran it. `encoded` is
-    the turn's DecodeResult.encoded, when the caller already has it; the
-    result carries the state either way."""
+    SKIP_MARGIN emits that word without running its walk (no entity's
+    g[0] * k[j] can reach it); the walk runs if the step's entity,
+    path_matrix or combined is read, with the values an eager step
+    gives. Any other step runs its walk and picks its token from g[0] * k
+    and the best generic word (DecoderStep docs the rule); the output
+    mixture behind combined runs when combined is read.
+
+    `prior` is a DecodeResult of the same turn's message by the same
+    model, on another graph: the decode takes its encoder state, and
+    while this decode's tokens equal the prior's, each step replays the
+    prior step's decoder state and generic softmax (neither reads the
+    graph) and runs only its walk, on this example's graph, where the
+    prior step ran it eagerly. From the first token that differs, steps
+    run in full. The result carries the encoder state either way."""
     if max_len < 1:
         raise ModelError(f"decode cap must be >= 1, got {max_len}")
-    state = _TurnState(model, [example], record=False, encoded=encoded)
-    encoded = state.tape.value(state.h)[0]   # read before step() moves h
+    state = _TurnState(model, [example], record=False,
+                       encoded=None if prior is None else prior.encoded)
+    encoded = state.tape.value(state.h)[0]   # read before a step moves h
+    replay = () if prior is None else prior.steps   # steps whose input agrees
     out_ids = []
     steps = []
     prev = BOS_ID
-    for _ in range(max_len):
-        step = state.decoder_step(prev)
+    for i in range(max_len):
+        step = state.decoder_step(replay[i] if i < len(replay) else prev)
+        if i < len(replay) and step.token_id != replay[i].token_id:
+            replay = ()
         prev = step.token_id
         steps.append(step)
         if prev == EOS_ID:
@@ -943,6 +1019,12 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     edits follow the gold grounding paths instead. A turn with no path
     kgraph can edit keeps its graph and its reply (`edit` is None).
     Substitute tails come from the global entity vocabulary.
+
+    Each re-decode takes the turn's decode as its prior (greedy_decode):
+    an edit changes the graph, not the message, so the re-decode reuses
+    the encoder state and, while its tokens equal the original's, each
+    step's decoder state and generic softmax, and runs only the walks;
+    the tokens are those of a decode of the edited turn from scratch.
     """
     if mode not in PERTURB_MODES:
         raise ModelError(f"unknown perturbation mode {mode!r}")
@@ -964,11 +1046,9 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     for ex, dec, res in zip(examples, originals, edited):
         tokens = dec.tokens
         if res is not None:
-            # an edit changes the graph, not the message: the re-decode
-            # reuses the turn's encoder state
             new_ex = dataclasses.replace(
                 ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
             tokens = greedy_decode(model, new_ex, max_len=max_len,
-                                   encoded=dec.encoded).tokens
+                                   prior=dec).tokens
         results.append(PerturbedTurn(ex.turn_id, dec.tokens, tokens, res))
     return results

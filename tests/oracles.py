@@ -5,7 +5,8 @@ at a time, per-edge loops) without touching the model's own kernel ops.
 The teacher-forced pass with the walk over every entity (the layout
 the model ran before its walk was cut to each turn's subgraph) and a
 decode step scattered back to every entity, the reference greedy decode
-that runs every step's entity branch, the relation mask, the
+that runs every step in full and the count of a re-decode's replayed
+steps, the relation mask, the
 finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
 path search, the per-gate GRU with its layout converters, the
@@ -185,26 +186,28 @@ def decoder_steps(model, ex, prev_ids):
     return [state.decoder_step(p) for p in prev_ids]
 
 
-def eager_decode(model, ex, max_len=MAX_DECODE_LEN, encoded=None):
+def eager_decode(model, ex, max_len=MAX_DECODE_LEN):
     """The reference greedy decode: every step runs _TurnState.step in
-    full, qadpt's entity branch included, and its token is the argmax of
-    the combined row (ties to the lowest id). Steps are namespaces of the
-    DecoderStep fields."""
-    state = _TurnState(model, [ex], record=False, encoded=encoded)
+    full, qadpt's walk and output mixture included, and its token is the
+    argmax of the combined row (ties to the lowest id). Steps are
+    namespaces of the DecoderStep fields."""
+    state = _TurnState(model, [ex], record=False)
     t, vocab = state.tape, model.vocab
     encoded = t.value(state.h)[0]
     ids, steps, prev = [], [], BOS_ID
     for _ in range(max_len):
         o, g, k, rhat = state.step(np.array([[prev]]))
         combined, gv = t.value(o)[0].copy(), t.value(g)[0]
+        h = t.value(state.h)[0]
         if model.kind == "seq2seq":
             n_gen = 2 + len(vocab.generic)
             steps.append(SimpleNamespace(
-                generic=gv[:n_gen].copy(), controller=float(gv[n_gen:].sum()),
-                entity=gv[n_gen:].copy(), combined=combined, path_matrix=None))
+                state=h, generic=gv[:n_gen].copy(),
+                controller=float(gv[n_gen:].sum()), entity=gv[n_gen:].copy(),
+                combined=combined, path_matrix=None))
         else:
             steps.append(SimpleNamespace(
-                generic=gv[1:].copy(), controller=float(gv[0]),
+                state=h, generic=gv[1:].copy(), controller=float(gv[0]),
                 entity=t.value(k), combined=combined,
                 path_matrix=t.value(rhat)))
         prev = int(np.argmax(combined))
@@ -216,15 +219,17 @@ def eager_decode(model, ex, max_len=MAX_DECODE_LEN, encoded=None):
                            encoded=encoded)
 
 
-STEP_FIELDS = ("generic", "controller", "entity", "combined", "path_matrix")
+STEP_FIELDS = ("state", "generic", "controller", "entity", "combined",
+               "path_matrix")
 
 
 def assert_same_decode(got, want, rng=None):
     """Tokens, encoder state and every DecoderStep field equal bit for
     bit, and each step's token the argmax of want's combined row. With
     an rng the steps, and each step's fields, are read in a random
-    order: a step that skipped its entity branch runs it at the first
-    read of entity, combined or path_matrix."""
+    order: a step that skipped its walk runs it at the first read of
+    entity, path_matrix or combined, and a step's output mixture runs at
+    the first read of combined."""
     assert got.token_ids == want.token_ids
     assert got.tokens == want.tokens
     assert got.encoded.tobytes() == want.encoded.tobytes()
@@ -242,6 +247,15 @@ def assert_same_decode(got, want, rng=None):
                 continue
             assert x.shape == y.shape and x.dtype == y.dtype and \
                 x.tobytes() == y.tobytes(), (i, field)
+
+
+def replayed_steps(dec, prior) -> int:
+    """How many of a re-decode's leading steps replay the prior decode's:
+    every step up to and including the first whose token differs."""
+    for i, (a, b) in enumerate(zip(dec.steps, prior.steps)):
+        if a.token_id != b.token_id:
+            return i + 1
+    return min(len(dec.steps), len(prior.steps))
 
 
 def walk_to_triples(vocab, adj, start, steps):

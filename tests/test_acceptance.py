@@ -20,6 +20,7 @@ from the tests directory,
 and names the turns that moved (the failing test lists them).
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -27,18 +28,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (assert_same_decode, brute_force_best_path,
+from oracles import (RECORD_SEED, assert_same_decode, brute_force_best_path,
                      decoder_steps, default_pipeline, dense_step,
                      dense_transition, eager_decode, finite_diff_check,
                      path_sum_oracle, pipeline_record, random_subgraph,
-                     record_diff, walk_to_triples)
+                     record_diff, replayed_steps, walk_to_triples)
 from test_metrics import LAST1_FIXTURES
 from test_qadpt import _fd_setup, example_for, model_for, toy_vocab, turn
 
+from kgchat import qadpt
 from kgchat.corpus import (BOS_ID, SyntheticConfig, compare_stats,
                            corpus_stats, generate_synthetic, ingest,
                            load_bundle, write_json)
-from kgchat.kgraph import KnowledgeGraph, Triple
+from kgchat.kgraph import PERTURB_MODES, KnowledgeGraph, Triple
 from kgchat.metrics import (accurate_change_rate, bleu2_sentence, change_rate,
                             distinct_n, evaluate_report, generated_kw_prf,
                             perplexity, perturbation_report)
@@ -393,24 +395,56 @@ def test_criterion_9_determinism(pipeline, tmp_path):
 
 def test_default_run_decodes_match_the_eager_reference(pipeline):
     """Every test turn's greedy decode, by both kinds, against
-    oracles.eager_decode, which runs every step's entity branch: equal
-    tokens and every DecoderStep field equal bit for bit, the steps and
-    their fields read in a random order. Some qadpt steps skip their
-    entity branch until read, and none of them emits an entity."""
+    oracles.eager_decode, which runs every step in full: equal tokens
+    and every DecoderStep field equal bit for bit, the steps and their
+    fields read in a random order. Some qadpt steps skip their walk
+    until read, and none of them emits an entity."""
     rng = np.random.default_rng(0)
     waiting = []
     for model in (pipeline.qadpt, pipeline.seq2seq):
         for ex in pipeline.test:
             dec = greedy_decode(model, ex)
             for step in dec.steps:
-                if step._branch is not None:
+                if step._walk is not None:
                     assert model.kind == "qadpt"
                     assert not model.vocab.is_entity_id(step.token_id)
-                waiting.append(step._branch is not None)
+                waiting.append(step._walk is not None)
             assert_same_decode(dec, eager_decode(model, ex), rng)
     print(f"{sum(waiting)} of {len(waiting)} decode steps skipped their "
-          f"entity branch")
+          f"walk")
     assert any(waiting) and not all(waiting)
+
+
+def test_default_run_re_decodes_replay_the_decodes(pipeline):
+    """Every re-decode of the default run's test turns under all, last1
+    and last2 (seed 13), by both kinds: perturb_and_decode's perturbed
+    tokens are those of greedy_decode on the edited turn given the
+    original decode as its prior, and that decode matches
+    oracles.eager_decode of the edited turn bit for bit, the steps and
+    their fields read in a random order. Some qadpt re-decodes replay a
+    step and some run every step after the first in full."""
+    rng = np.random.default_rng(1)
+    counts = {kind: [0, 0] for kind in ("qadpt", "seq2seq")}
+    for model in (pipeline.qadpt, pipeline.seq2seq):
+        for mode in PERTURB_MODES:
+            runs = perturb_and_decode(model, pipeline.test, mode,
+                                      seed=RECORD_SEED)
+            for ex, run in zip(pipeline.test, runs):
+                if run.edit is None:
+                    continue
+                new = dataclasses.replace(ex, **qadpt._bind_graph(
+                    model.vocab, run.edit.graph, ex.raw_sources))
+                prior = greedy_decode(model, ex)
+                dec = greedy_decode(model, new, prior=prior)
+                assert dec.tokens == run.perturbed_tokens, run.turn_id
+                assert_same_decode(dec, eager_decode(model, new), rng)
+                counts[model.kind][0] += replayed_steps(dec, prior)
+                counts[model.kind][1] += len(dec.steps)
+    for kind, (replayed, total) in counts.items():
+        print(f"{kind}: {replayed} of {total} re-decode steps replayed")
+    replayed, total = counts["qadpt"]
+    assert 0 < replayed < total
+    assert counts["seq2seq"][0] == counts["seq2seq"][1] > 0
 
 
 # ---------------------------------------------------------------------------

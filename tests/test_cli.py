@@ -353,6 +353,29 @@ def test_key_the_command_does_not_read_exits_2(ws, raw_corpus, bundle_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [
+    ("synth", "seed"), ("synth", "split_seed"), ("ingest", "split_seed"),
+    ("train", "seed"), ("perturb", "seed")])
+def test_negative_seed_exits_2(ws, raw_corpus, bundle_dir, run_dir, capsys,
+                               how, command, key):
+    """A negative seed or split_seed, from a flag or a config file, is a
+    usage error of every command that reads the key, refused before the
+    command writes anything."""
+    out = ws / f"negative_{command}_{key}_{how}"
+    argv = _command_argv(command, out, raw_corpus, bundle_dir, run_dir)
+    if how == "flag":
+        argv += [f"--{key}", "-1"]
+    else:
+        cfg_file = ws / f"negative_{command}_{key}.cfg"
+        cfg_file.write_text(f"{key} = -1\n")
+        argv += ["--config", str(cfg_file)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: {key} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("ingest", "--min", "1"), ("stats", "--exp", "hgzhz"),
     ("synth", "--n_tu", "100"), ("train", "--epo", "1"),

@@ -29,9 +29,10 @@ from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, all_entity_pass,
                      dense_transition, eager_decode, finite_diff_check,
                      gru_per_gate, infer_path_per_edge, kg_hop,
                      loss_and_grads, path_sum_oracle, random_subgraph,
-                     relation_mask, renorm_rows, rewrite_checkpoint,
-                     save_manifest_checkpoint, seal_checkpoint, split_gru,
-                     tensor_offsets, toy_batch, walk_to_triples)
+                     relation_mask, renorm_rows, replayed_steps,
+                     rewrite_checkpoint, save_manifest_checkpoint,
+                     seal_checkpoint, split_gru, tensor_offsets, toy_batch,
+                     walk_to_triples)
 
 from kgchat import cli, numkernel, qadpt
 from kgchat.corpus import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, DialogueTurn,
@@ -960,21 +961,23 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
 
 
 # ---------------------------------------------------------------------------
-# Greedy decoding runs a step's entity branch only when it can win the step
+# Greedy decoding runs a step's walk only when an entity can win the step,
+# and its output mixture only when the step's combined row is read
 
 
 def _waiting(dec) -> list:
-    """Per step of a decode, whether its entity branch has yet to run."""
-    return [step._branch is not None for step in dec.steps]
+    """Per step of a decode, whether its walk has yet to run."""
+    return [step._walk is not None for step in dec.steps]
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_greedy_decode_matches_the_eager_reference(trained_toy, seed):
     """greedy_decode against oracles.eager_decode, which runs every
-    step's entity branch: equal tokens and every DecoderStep field equal
-    bit for bit, the steps and their fields read in a random order. The
-    turns have L = E, L < E and L = 0; the qadpt models emit entities or
-    not, and seq2seq never defers. Both kinds of qadpt step occur."""
+    step in full: equal tokens and every DecoderStep field equal bit for
+    bit, the steps and their fields read in a random order. The turns
+    have L = E, L < E and L = 0; the qadpt models emit entities or not,
+    and seq2seq never defers. Both kinds of qadpt step occur: some wait
+    with their walk not run, some ran it."""
     model, exs = trained_toy
     v = model.vocab
     exs = exs + list(_edge_turns(v)) + [
@@ -1004,10 +1007,11 @@ def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, waits):
     """With phi_w zero the generic softmax is softmax(phi_b) on every
     step. A generic word whose logit exceeds the KB symbol's by `gap`
     has probability g[0] * exp(gap): within SKIP_MARGIN of g[0] (a tie
-    included) or below it the step runs its entity branch at once, 11
-    tape nodes (13 on the first step, which adds the walk's mask and
-    source leaves); beyond it the step records the generic half's 5 and
-    the branch's 6 or 8 when entity, combined or path_matrix is first
+    included) or below it the step runs its walk at once, 10 tape nodes
+    (12 on the first step, which adds the walk's mask and source
+    leaves); beyond it the step records the generic half's 5 and the
+    walk's 5 or 7 when entity or path_matrix is first read. Either way
+    the output mixture is 1 node more, recorded when combined is first
     read. The word wins either way, with the lowest id among tied
     words."""
     v = toy_vocab()
@@ -1023,13 +1027,146 @@ def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, waits):
         before = len(state.tape)
         step = state.decoder_step(want)
         ran = len(state.tape) - before
-        assert ran == (5 if waits else 11 + 2 * first)
+        walked = 10 + 2 * first
+        assert ran == (5 if waits else walked)
         if gap >= 0.0:
             assert step.token_id == want
-        assert step.token_id == int(np.argmax(step.combined))
-        assert len(state.tape) - before == 11 + 2 * first
         step.path_matrix, step.entity
-        assert len(state.tape) - before == 11 + 2 * first
+        assert len(state.tape) - before == walked
+        assert step.token_id == int(np.argmax(step.combined))
+        assert len(state.tape) - before == walked + 1
+        step.path_matrix, step.entity, step.combined
+        assert len(state.tape) - before == walked + 1
+
+
+def _rule_model(v, kb, words=()):
+    """A qadpt model whose generic softmax is softmax(phi_b) on every
+    step: KB logit `kb`, logit 0 for `words` and -1000 elsewhere, so
+    those probabilities are exact and every other word's is 0.0."""
+    model = model_for(v)
+    model.params["phi_w"][:] = 0.0
+    model.params["phi_b"][:] = -1000.0
+    model.params["phi_b"][0] = kb
+    for w in words:
+        model.params["phi_b"][list(v.generic_output_ids).index(
+            v.token_to_id(w))] = 0.0
+    return model
+
+
+@pytest.mark.parametrize("case", ["word_ties_entity", "tied_entities",
+                                  "nothing_positive"])
+def test_an_eager_step_picks_its_token_from_the_walk(case):
+    """An eager qadpt step picks its token from g[0] * k and the best
+    generic word without building its combined row, and the token is
+    the combined row's argmax. On a graph with no edges the walk keeps
+    every entity's start mass: a source alone gets k = 1.0, so an
+    equally likely word ties the entity at g[0] exactly, and the word
+    (the lower id) wins; two sources tie at 0.5 and the lower entity id
+    wins. With nothing positive (no subgraph entity, every word at 0.0)
+    the step reads its combined row and takes its argmax."""
+    v = toy_vocab()
+    if case == "word_ties_entity":
+        model, want = _rule_model(v, 0.0, ["yes"]), v.token_to_id("yes")
+        ex = example_for(v, "where b", "yes", [], extra=("a", "b"))
+    elif case == "tied_entities":
+        model, want = _rule_model(v, 5.0), v.token_to_id("b")
+        ex = example_for(v, "c b", "b", [], extra=v.entities)
+    else:
+        model, want = _rule_model(v, 0.0), PAD_ID
+        ex = example_for(v, "where", "yes", [])
+    state = qadpt._TurnState(model, [ex], record=False)
+    step = state.decoder_step(BOS_ID)
+    # the walk ran; the combined row was built only if it decided
+    assert step._walk is None
+    assert (step._output is None) == (case == "nothing_positive")
+    mass = step.controller * step.entity
+    if case == "word_ties_entity":
+        assert mass.max() == step.generic.max() == step.controller
+    elif case == "tied_entities":
+        assert np.count_nonzero(mass == mass.max()) == 2
+    else:
+        assert mass.size == 0 and not step.generic.any()
+    assert step.token_id == want == int(np.argmax(step.combined))
+    assert_same_decode(greedy_decode(model, ex, max_len=3),
+                       eager_decode(model, ex, max_len=3))
+
+
+def _edited(v, exs, seed):
+    """Each example on other graphs: the graph perturb_all gives it,
+    a random one, an empty one, one that holds every entity, and its
+    own."""
+    r = np.random.default_rng(seed)
+    empty, full = _edge_turns(v)
+    swapped = perturb_all([ex.subgraph for ex in exs], seed)
+    for ex, res in zip(exs, swapped):
+        for graph in (res.graph, random_subgraph(v, r, 3), empty.subgraph,
+                      full.subgraph, ex.subgraph):
+            yield ex, dataclasses.replace(
+                ex, **qadpt._bind_graph(v, graph, ex.raw_sources))
+
+
+def _diverging_part_way(v):
+    """A one-hop qadpt model and a turn on two graphs, a -q-> b and
+    a -q-> c, whose decodes agree on step 0 and differ from step 1: the
+    KB symbol wins every step, and entity a's relation logits favour its
+    self-loop at the first step's decoder state and its q edge at the
+    second's, so the walk stays at a, then moves on to b or c."""
+    model = model_for(v, n_hops=1)
+    model.params["phi_b"][0] = 5.0
+    old = example_for(v, "where a", "b", [Triple("a", "q", "b")])
+    new = example_for(v, "where a", "b", [Triple("a", "q", "c")])
+    h0, h1 = (step.state for step in decoder_steps(
+        model, old, [BOS_ID, v.token_to_id("a")]))
+    w = 50.0 * (h1 - h0)
+    row = v.entities.index("a") * (len(v.relations) + 1)   # a's q logit
+    model.params["theta_w"][row] = w
+    model.params["theta_b"][row] = -w @ (h0 + h1) / 2.0
+    return model, old, new
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
+                                                   monkeypatch):
+    """greedy_decode of an edited turn given the decode of the original
+    as its prior against oracles.eager_decode of the edited turn: equal
+    tokens and every DecoderStep field equal bit for bit, the steps and
+    their fields read in a random order. The re-decode runs the decoder
+    GRU only on the steps after the first token that differs from the
+    prior's, and not at all when none does. Priors that diverge at step
+    0, part-way through and never all occur for qadpt; seq2seq never
+    reads the graph, so its re-decodes replay every step."""
+    model, exs = trained_toy
+    v = model.vocab
+    exs = exs + [example_for(v, "where a", "c yes", [Triple("a", "q", "b")])]
+    rng = np.random.default_rng(seed)
+    models = [model, model_for(v, kind="seq2seq", seed=seed)]
+    for kb in (-1.0, 1.0):
+        models.append(model_for(v, seed=seed))
+        models[-1].params["phi_b"][0] = kb
+    cases = [(m, ex, new) for m in models for ex, new in _edited(v, exs, seed)]
+    part_way = _diverging_part_way(v)
+    cases += [part_way, (part_way[0], part_way[2], part_way[1])]
+    grus = []
+    real = numkernel.Tape.gru
+    monkeypatch.setattr(numkernel.Tape, "gru",
+                        lambda self, *a: grus.append(1) or real(self, *a))
+    seen = set()
+    for m, ex, new in cases:
+        for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
+            prior = greedy_decode(m, ex, max_len=max_len)
+            grus.clear()
+            dec = greedy_decode(m, new, max_len=max_len, prior=prior)
+            replayed = replayed_steps(dec, prior)
+            assert len(grus) == len(dec.steps) - replayed
+            if dec.steps[0].token_id != prior.steps[0].token_id:
+                seen.add((m.kind, "at step 0"))
+            elif replayed < len(dec.steps):
+                seen.add((m.kind, "part-way"))
+            else:
+                seen.add((m.kind, "never"))
+            assert_same_decode(dec, eager_decode(m, new, max_len), rng)
+    assert seen == {("qadpt", "at step 0"), ("qadpt", "part-way"),
+                    ("qadpt", "never"), ("seq2seq", "never")}
 
 
 @pytest.mark.parametrize("n_hops", [1, 6])
@@ -1481,10 +1618,11 @@ def _encoder_examples(v, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
 def test_handed_in_encoder_state_is_bit_identical(kind, seed):
-    """teacher_force and greedy_decode given a decode's encoder state
-    match the calls that encode the turn themselves, on the turn's graph
-    and on an edited one; perturb_and_decode's re-decodes match
-    self-encoding decodes of the edited turns."""
+    """teacher_force given a decode's encoder state, and greedy_decode
+    given a decode as its prior (one step long, and as long as the
+    re-decode), match the calls that encode the turn themselves, on the
+    turn's graph and on an edited one; perturb_and_decode's re-decodes
+    match self-encoding decodes of the edited turns."""
     v = toy_vocab(entities=("a", "b", "c", "d", "e"))
     model = model_for(v, kind=kind, seed=seed)
     if kind == "qadpt":
@@ -1495,13 +1633,16 @@ def test_handed_in_encoder_state_is_bit_identical(kind, seed):
               for ex, res in zip(exs, perturb_all([e.subgraph for e in exs],
                                                   seed))]
     for ex, new in zip(exs, edited):
-        enc = greedy_decode(model, ex, max_len=1).encoded
+        short = greedy_decode(model, ex, max_len=1)
+        full = greedy_decode(model, ex, max_len=6)
+        enc = short.encoded
         assert enc.shape == (model.hyper.hidden_dim,)
         assert teacher_force(model, ex, encoded=enc) == teacher_force(model, ex)
-        assert_same_decode(greedy_decode(model, ex, max_len=6, encoded=enc),
-                           greedy_decode(model, ex, max_len=6))
-        assert_same_decode(greedy_decode(model, new, max_len=6, encoded=enc),
-                           greedy_decode(model, new, max_len=6))
+        for prior in (short, full):
+            for target in (ex, new):
+                assert_same_decode(greedy_decode(model, target, max_len=6,
+                                                 prior=prior),
+                                   greedy_decode(model, target, max_len=6))
     runs = perturb_and_decode(model, exs, "all", seed=seed, max_len=6)
     for run, ex, new in zip(runs, exs, edited):
         assert run.original_tokens == greedy_decode(model, ex, max_len=6).tokens
@@ -1574,14 +1715,19 @@ def test_handed_in_encoder_state_is_checked():
     model = model_for(v)
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     h = model.hyper.hidden_dim
+    dec = greedy_decode(model, ex, max_len=2)
+
+    def prior(encoded):
+        return dataclasses.replace(dec, encoded=encoded)
+
     for bad in (np.zeros(h + 1), np.zeros((1, h)), np.zeros(()),
                 [0.0] * (h - 1)):
         with pytest.raises(ModelError, match="encoder state has shape"):
             teacher_force(model, ex, encoded=bad)
         with pytest.raises(ModelError, match="encoder state has shape"):
-            greedy_decode(model, ex, encoded=bad)
+            greedy_decode(model, ex, prior=prior(bad))
     with pytest.raises(KernelError, match="non-finite values in leaf"):
-        greedy_decode(model, ex, encoded=np.full(h, np.nan))
+        greedy_decode(model, ex, prior=prior(np.full(h, np.nan)))
 
 
 def test_perturb_seq2seq_outputs_never_change():
