@@ -11,7 +11,9 @@ One binary, seven subcommands:
             they derive from) and metrics.csv
   perturb   graph-edit experiment: decode, perturb, re-decode, rates
   chat      interactive REPL with live /swap graph edits; --bundle
-            reads only the bundle's graph.tsv and meta.json
+            reads only the bundle's graph.tsv and meta.json. Each
+            message binds the part of the graph the model's walk can
+            reach from the message's entities (kgraph.out_neighbourhood)
 
 Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Each
@@ -43,7 +45,7 @@ from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
                      load_dialogues_jsonl, load_lexicon, load_meta,
                      save_bundle, tokenize, write_json)
 from .kgraph import (PERTURB_MODES, GraphError, KnowledgeGraph, Triple,
-                     load_triples_tsv)
+                     load_triples_tsv, out_edges, out_neighbourhood)
 from .metrics import MetricError, evaluate_report, perturbation_report
 from .numkernel import KernelError
 from .qadpt import (MAX_DECODE_LEN, CheckpointError, Hyperparams,
@@ -403,6 +405,9 @@ def cmd_chat(args, cfg) -> int:
     if stray:
         raise DataError(f"graph does not match the checkpoint vocabulary; "
                         f"unknown symbols include {sorted(stray)[:5]}")
+    # the head index each message's neighbourhood reads is built with
+    # the graph, here and on /swap, so no message pays for it
+    out_edges(graph)
     lex = LexiconMatcher({e: e for e in graph.entities})
     print(f"{model.kind} loaded; {len(graph.triples)} triples. {CHAT_USAGE}")
     turn_no = 0
@@ -439,6 +444,7 @@ def cmd_chat(args, cfg) -> int:
             triples.add(Triple(head, rel, new_tail))
             graph = KnowledgeGraph(triples,
                                    extra_entities=graph.entities | {new_tail})
+            out_edges(graph)
             lex = LexiconMatcher({e: e for e in graph.entities})
             print(f"swapped: {head} -{rel}-> {new_tail}")
             continue
@@ -450,7 +456,13 @@ def cmd_chat(args, cfg) -> int:
                             message=tuple(tokenize(line, mode, lex)),
                             response=())
         turn_no += 1
-        ex = make_example(turn, graph, model.vocab)
+        # the walk from the message's entities reads nothing beyond its
+        # n_hops out-neighbourhood, so binding that gives the whole
+        # graph's reply and paths
+        sources = turn.grounding(model.vocab.entity_set)[0]
+        ex = make_example(turn, out_neighbourhood(graph, sources,
+                                                  model.hyper.n_hops),
+                          model.vocab)
         dec = greedy_decode(model, ex, max_len=max_len)
         print(detokenize(dec.tokens, mode) or "(empty reply)")
         for path in _decode_paths(model, ex, dec):

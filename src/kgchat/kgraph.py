@@ -3,7 +3,8 @@
 Directed labeled triples, TSV persistence, deterministic k-shortest
 loopless paths (bidirectional traversal over the stored directed
 edges), per-turn subgraph sampling (one path search per distinct entity
-pair for a whole corpus), triple-level graph edit distance,
+pair for a whole corpus), the out-neighbourhood an N-hop walk from a
+turn's sources can use, triple-level graph edit distance,
 the normalized adjacency tensor that the reasoning decoder walks, and
 the three graph perturbation protocols used to probe whether a trained
 model actually reads its graph.
@@ -46,11 +47,12 @@ class KnowledgeGraph:
     """Immutable set of triples plus the entity/relation vocabularies
     they induce. `extra_entities` keeps nodes that currently have no
     edges (isolated sources, entities orphaned by a perturbation).
-    The traversal index the path searches walk is built on first use
+    The traversal index the path searches walk, and the head -> triples
+    index the directed walks read (`out_edges`), are built on first use
     and kept with the graph; an edit makes a new graph, never a stale
     index."""
 
-    __slots__ = ("triples", "entities", "relations", "_traversal")
+    __slots__ = ("triples", "entities", "relations", "_traversal", "_out")
 
     def __init__(self, triples: Iterable[Triple] = (),
                  extra_entities: Iterable[str] = (),
@@ -85,6 +87,7 @@ class KnowledgeGraph:
         object.__setattr__(self, "entities", entities)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_traversal", None)
+        object.__setattr__(self, "_out", None)
 
     def __setattr__(self, *_):
         raise AttributeError("KnowledgeGraph is immutable")
@@ -397,6 +400,50 @@ def graph_edit_distance(a: KnowledgeGraph, b: KnowledgeGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Directed neighbourhoods: what a head -> tail walk can reach
+
+
+def out_edges(graph: KnowledgeGraph) -> dict:
+    """head -> the stored triples leaving it, in the graph's iteration
+    order; an entity with no out-edge has no key. Built once per graph
+    and kept with it."""
+    if graph._out is None:
+        out: dict = {}
+        for t in graph.triples:
+            out.setdefault(t.head, []).append(t)
+        object.__setattr__(graph, "_out", out)
+    return graph._out
+
+
+def out_neighbourhood(graph: KnowledgeGraph, sources: Iterable[str],
+                      hops: int) -> KnowledgeGraph:
+    """The part of `graph` a walk of `hops` head -> tail steps from the
+    sources can use: the entities within `hops` steps of the sources
+    that are in the graph, and every triple leaving an entity within
+    `hops - 1` steps. Any other triple leaves an entity that holds no
+    walk mass before the last step, so a walk over this graph gives
+    every entity it holds the mass the whole graph's walk gives it, and
+    every other entity none. When no source is in the graph, the whole
+    graph: a walk then starts from every entity."""
+    if hops < 1:
+        raise GraphError(f"hops must be >= 1, got {hops}")
+    reached = graph.entities.intersection(sources)
+    if not reached:
+        return graph
+    out = out_edges(graph)
+    frontier = reached
+    triples: set[Triple] = set()
+    for _ in range(hops):
+        leaving = [t for e in frontier for t in out.get(e, ())]
+        triples.update(leaving)
+        frontier = {t.tail for t in leaving}.difference(reached)
+        if not frontier:
+            break
+        reached = reached.union(frontier)
+    return KnowledgeGraph._trusted(frozenset(triples), reached)
+
+
+# ---------------------------------------------------------------------------
 # Adjacency tensor
 #
 # Logical shape |V| x |L'| x |V| over the entity list it is built on (for
@@ -543,11 +590,9 @@ def grounding_paths(graph: KnowledgeGraph, sources: Iterable[str],
     """Loopless directed paths of 1 to GROUNDING_HOPS stored edges from
     a source to a target: the edit paths of a model that infers none."""
     targets = set(targets)
-    out_edges: dict = {}
-    for t in graph.triples:
-        out_edges.setdefault(t.head, []).append(t)
+    out = out_edges(graph)
     paths = []
-    trails = [(e,) for src in set(sources) for e in out_edges.get(src, ())]
+    trails = [(e,) for src in set(sources) for e in out.get(src, ())]
     while trails:
         trail = trails.pop()
         here = trail[-1].tail
@@ -555,7 +600,7 @@ def grounding_paths(graph: KnowledgeGraph, sources: Iterable[str],
             paths.append(trail)
         if len(trail) < GROUNDING_HOPS:
             seen = {here} | {t.head for t in trail}
-            trails.extend(trail + (e,) for e in out_edges.get(here, ())
+            trails.extend(trail + (e,) for e in out.get(here, ())
                           if e.tail not in seen)
     return paths
 

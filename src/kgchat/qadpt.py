@@ -28,7 +28,8 @@ row (the output mixture) only when that row is read.
 Each pass builds one tape. A decode returns its turn's encoder state,
 which teacher forcing takes instead of encoding the turn again; a
 re-decode on an edited graph takes the whole decode, and replays its
-graph-free steps (the generic half) while their tokens agree.
+graph-free steps (the generic half) while their tokens agree. The
+baseline reads no graph, so perturbation re-decodes none of its turns.
 Checkpoints are a small binary format:
 magic, digest, JSON header, raw little-endian float64 payload (see
 save_checkpoint).
@@ -353,6 +354,17 @@ def _padded(rows: Sequence[Sequence[int]]) -> tuple:
     return ids, lengths
 
 
+def _gold_rows(examples: Sequence[Example]) -> tuple:
+    """(dec_in, targets, turn, pos) of a teacher-forced pass: the
+    decoder inputs and targets, (B, T) right-padded to the longest turn,
+    and the real target positions as (turn, pos) index arrays, turn by
+    turn."""
+    dec_in, lengths = _padded([ex.dec_in_ids for ex in examples])
+    targets, _ = _padded([ex.target_ids for ex in examples])
+    turn, pos = np.nonzero(np.arange(dec_in.shape[1]) < lengths[:, None])
+    return dec_in, targets, turn, pos
+
+
 def _block_adjacency(examples: Sequence[Example],
                      turn: np.ndarray) -> SimpleNamespace:
     """One walk over a step's rows, row i a copy of the walk of turn
@@ -407,9 +419,7 @@ class _TurnState:
 
     `encoded`, the (hidden,) encoder state a one-turn state read off its
     tape (DecodeResult.encoded), is recorded as a leaf instead of running
-    the encoder again. Decoder inputs and targets are kept right-padded
-    to the longest turn, with the real target positions as (turn, pos)
-    index arrays, turn by turn.
+    the encoder again.
     """
 
     def __init__(self, model: QadptModel, examples: Sequence[Example],
@@ -423,10 +433,6 @@ class _TurnState:
         # QadptModel checked every parameter finite
         self.pn = {name: t.leaf(arr, check=False)
                    for name, arr in sorted(model.params.items())}
-        self.dec_in, lengths = _padded([ex.dec_in_ids for ex in examples])
-        self.targets, _ = _padded([ex.target_ids for ex in examples])
-        self.turn, self.pos = np.nonzero(np.arange(self.dec_in.shape[1]) <
-                                         lengths[:, None])
         self.examples = examples
         self._walk_key = self._walk = None
         if encoded is None:
@@ -479,14 +485,15 @@ class _TurnState:
             self._walk_key = key
         return self._walk
 
-    def step(self, ids: np.ndarray) -> tuple:
+    def step(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """Decoder positions 0..T-1 of every turn from their input ids, a
         (T, B) array: the generic half (_generic_half), then the walk
         (_walk_branch) and the output mixture (_output) over the same
         rows. A one-position step (T=1, greedy decoding) reads every
         turn's state, in turn order, and moves the state on to it. A
         longer step is the teacher-forced pass over the padded gold
-        prefix: it reads the real target positions.
+        prefix: it reads the real target positions, `rows`, the (turn,
+        pos) index arrays turn by turn.
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
@@ -495,15 +502,16 @@ class _TurnState:
         the step's rows (_walk_rows). seq2seq's flat softmax g is
         scattered into the vocabulary, and its k and rhat are None.
         """
-        h, turn, g = self._generic_half(ids)
+        h, turn, g = self._generic_half(ids, rows)
         k, rhat = self._walk_branch(h, turn)
         return self._output(g, turn, k), g, k, rhat
 
-    def _generic_half(self, ids: np.ndarray) -> tuple:
+    def _generic_half(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """The decoder GRU over (T, B) input ids and the generic head:
         (h, turn, g), the nodes of the rows' decoder states and of their
         generic softmax (qadpt's KB mass first; seq2seq's flat softmax),
-        and each row's turn. One GRU node runs every position."""
+        and each row's turn; `rows` as for step. One GRU node runs every
+        position."""
         t, pn = self.tape, self.pn
         t_len, b = ids.shape
         states = t.gru(t.lookup_row(pn["embed"], ids), self.h,
@@ -512,8 +520,8 @@ class _TurnState:
             h = self.h = t.reshape(states, (b, -1))
             turn = np.arange(b)
         else:
-            turn = self.turn
-            h = t.gather(states, (self.pos[:, None], turn[:, None],
+            turn, pos = rows
+            h = t.gather(states, (pos[:, None], turn[:, None],
                                   np.arange(self.hyper.hidden_dim)))
         head = ("out_w", "out_b") if self.model.kind == "seq2seq" \
             else ("phi_w", "phi_b")
@@ -553,13 +561,15 @@ class _TurnState:
         """The whole gold-prefix pass as one step(): the step nodes over
         every real target position (turn by turn), each row's gold id,
         and per row whether that id is an entity the walk result gives no
-        mass."""
-        nodes = self.step(self.dec_in.T)
-        y = self.targets[self.turn, self.pos]
+        mass. Only this pass reads the gold prefix, so only it pads the
+        decoder inputs and targets (_gold_rows)."""
+        dec_in, targets, turn, pos = _gold_rows(self.examples)
+        nodes = self.step(dec_in.T, (turn, pos))
+        y = targets[turn, pos]
         if self.model.kind == "seq2seq":
             return nodes, y, np.zeros(len(y), dtype=bool)
         base = self.vocab.entity_base
-        blk = self._walk_rows(self.turn)[2]
+        blk = self._walk_rows(turn)[2]
         # a walk entry at its row's gold entity, holding mass
         hit = (blk.pos == (y - base)[blk.row]) & \
             (self.tape.value(nodes[2]) > 0.0)
@@ -1025,6 +1035,8 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     the encoder state and, while its tokens equal the original's, each
     step's decoder state and generic softmax, and runs only the walks;
     the tokens are those of a decode of the edited turn from scratch.
+    The baseline reads no graph, so its re-decode would replay every
+    step: an edited turn keeps its decoded tokens instead.
     """
     if mode not in PERTURB_MODES:
         raise ModelError(f"unknown perturbation mode {mode!r}")
@@ -1045,7 +1057,7 @@ def perturb_and_decode(model: QadptModel, examples: Sequence[Example],
     results: list[PerturbedTurn] = []
     for ex, dec, res in zip(examples, originals, edited):
         tokens = dec.tokens
-        if res is not None:
+        if res is not None and model.kind == "qadpt":
             new_ex = dataclasses.replace(
                 ex, **_bind_graph(model.vocab, res.graph, ex.raw_sources))
             tokens = greedy_decode(model, new_ex, max_len=max_len,

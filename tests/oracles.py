@@ -6,7 +6,9 @@ The teacher-forced pass with the walk over every entity (the layout
 the model ran before its walk was cut to each turn's subgraph) and a
 decode step scattered back to every entity, the reference greedy decode
 that runs every step in full and the count of a re-decode's replayed
-steps, the relation mask, the
+steps, the differential of a decode bound to a message's
+out-neighbourhood against one bound to the whole graph, the relation
+mask, the
 finite-difference checker, the adjacency audit view, the lexicon
 and dialogue writers, the eager subgraph-row reader, the string-keyed
 path search, the per-gate GRU with its layout converters, the
@@ -29,12 +31,13 @@ import numpy as np
 from kgchat.corpus import (BOS_ID, EOS_ID, DialogueTurn, SyntheticConfig,
                            Vocabulary, generate_synthetic, ingest, write_json)
 from kgchat.kgraph import (PERTURB_MODES, SELF_LOOP, KnowledgeGraph, Triple,
-                           build_adjacency)
+                           build_adjacency, out_neighbourhood)
 from kgchat.metrics import evaluate_report, perturbation_report
 from kgchat.numkernel import _scatter_add, sigmoid
 from kgchat.qadpt import (CHECKPOINT_MAGIC, MAX_DECODE_LEN, PROB_FLOOR,
-                          Hyperparams, ModelError, QadptModel, _TurnState,
-                          batch_loss, expected_param_shapes, make_example,
+                          Hyperparams, ModelError, QadptModel, _gold_rows,
+                          _decode_paths, _TurnState, batch_loss,
+                          expected_param_shapes, greedy_decode, make_example,
                           make_examples, param_grads, perturb_and_decode,
                           train)
 
@@ -256,6 +259,51 @@ def replayed_steps(dec, prior) -> int:
         if a.token_id != b.token_id:
             return i + 1
     return min(len(dec.steps), len(prior.steps))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_neighbourhood_binding(model, turn, graph, max_len=MAX_DECODE_LEN):
+    """A greedy decode of `turn` bound to the n_hops out-neighbourhood of
+    its sources (kgraph.out_neighbourhood, as chat binds a message)
+    against one bound to the whole `graph`, bit for bit: tokens, encoder
+    state, each step's token, decoder state, generic row, controller,
+    whether it skipped its walk, its entity mass scattered to every
+    entity and its combined row, and the inferred paths with their
+    probabilities. Returns the two bindings' entity counts (L, E)."""
+    vocab = model.vocab
+    near = make_example(turn, out_neighbourhood(
+        graph, turn.grounding(vocab.entity_set)[0], model.hyper.n_hops),
+        vocab)
+    whole = make_example(turn, graph, vocab)
+    a = greedy_decode(model, near, max_len=max_len)
+    b = greedy_decode(model, whole, max_len=max_len)
+    assert a.token_ids == b.token_ids, turn.turn_id
+    assert _bits(a.encoded) == _bits(b.encoded)
+    for x, y in zip(a.steps, b.steps, strict=True):
+        assert x.token_id == y.token_id
+        assert (x._walk is None) == (y._walk is None)
+        assert _bits(x.state) == _bits(y.state)
+        assert _bits(x.generic) == _bits(y.generic)
+        assert _bits(x.controller) == _bits(y.controller)
+        if model.kind == "qadpt":
+            mass = []
+            for step, ex in ((x, near), (y, whole)):
+                scattered = np.zeros(vocab.n_entities)
+                scattered[ex.pos] = step.entity
+                mass.append(_bits(scattered))
+            assert mass[0] == mass[1]
+        else:
+            assert _bits(x.entity) == _bits(y.entity)
+        assert _bits(x.combined) == _bits(y.combined)
+    paths = [_decode_paths(model, ex, dec) for ex, dec in ((near, a),
+                                                           (whole, b))]
+    assert paths[0] == paths[1]
+    assert [_bits(p.probability) for p in paths[0]] == \
+        [_bits(p.probability) for p in paths[1]]
+    return near.pos.size, whole.pos.size
 
 
 def walk_to_triples(vocab, adj, start, steps):
@@ -576,8 +624,8 @@ def all_entity_pass(model, examples, record=True) -> AllEntityPass:
     state = _TurnState(model, examples, record)
     t, pn, vocab = state.tape, state.pn, model.vocab
     n, n_rel = vocab.n_entities, len(vocab.relations) + 1
-    turn, pos = state.turn, state.pos
-    states = t.gru(t.lookup_row(pn["embed"], state.dec_in.T), state.h,
+    dec_in, targets, turn, pos = _gold_rows(examples)
+    states = t.gru(t.lookup_row(pn["embed"], dec_in.T), state.h,
                    pn["dec.w"], pn["dec.u"], pn["dec.b"])
     h = t.gather(states, (pos[:, None], turn[:, None],
                           np.arange(model.hyper.hidden_dim)))
@@ -604,7 +652,7 @@ def all_entity_pass(model, examples, record=True) -> AllEntityPass:
         else s
     o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
                      np.arange(len(turn) * n), n)
-    y = state.targets[turn, pos]
+    y = targets[turn, pos]
     gold = t.gather(o, (np.arange(len(y)), y))
     loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
     kk = t.value(k).reshape(len(y), n)

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (RECORD_SEED, assert_same_decode, brute_force_best_path,
+from oracles import (RECORD_SEED, assert_neighbourhood_binding,
+                     assert_same_decode, brute_force_best_path,
                      decoder_steps, default_pipeline, dense_step,
                      dense_transition, eager_decode, finite_diff_check,
                      path_sum_oracle, pipeline_record, random_subgraph,
@@ -445,6 +446,26 @@ def test_default_run_re_decodes_replay_the_decodes(pipeline):
     replayed, total = counts["qadpt"]
     assert 0 < replayed < total
     assert counts["seq2seq"][0] == counts["seq2seq"][1] > 0
+
+
+def test_default_run_neighbourhood_binding_matches_the_whole_graph(pipeline):
+    """Every test turn of the default world, as the bundle holds it and
+    as chat sees its message (no scene entities), decodes bound to the
+    n_hops out-neighbourhood of its sources as bound to the whole graph,
+    bit for bit (oracles.assert_neighbourhood_binding), by both kinds.
+    The neighbourhood leaves entities out of most turns."""
+    graph = pipeline.bundle.graph
+    sizes = []
+    for model in (pipeline.qadpt, pipeline.seq2seq):
+        for t in pipeline.bundle.split_turns("test"):
+            for scene in (t.scene_entities, ()):
+                sizes.append(assert_neighbourhood_binding(
+                    model, dataclasses.replace(t, scene_entities=scene),
+                    graph))
+    near = [n for n, _ in sizes]
+    print(f"{len(sizes)} bindings, mean L {np.mean(near):.1f} of "
+          f"E = {sizes[0][1]}")
+    assert sum(n < e for n, e in sizes) > len(sizes) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from test_metrics import _edit
 from kgchat import cli
 from kgchat.corpus import (SyntheticConfig, Vocabulary, generate_synthetic,
                            ingest, load_bundle, write_json)
-from kgchat.kgraph import KnowledgeGraph, Triple, save_triples_tsv
+from kgchat.kgraph import (KnowledgeGraph, Triple, load_triples_tsv,
+                           save_triples_tsv)
 from kgchat.metrics import (METRIC_NAMES, PerturbTurnEval, evaluate_report,
                             load_perturb_report, load_report)
 from kgchat.qadpt import (Hyperparams, QadptModel, init_params,
@@ -1176,6 +1177,52 @@ def test_chat_swap_changes_the_reply(ws):
     # second /swap of the same triple fails, malformed commands get usage
     assert "no such triple" in out
     assert out.count(cli.CHAT_USAGE) >= 2   # banner plus the two rejects
+
+
+def test_chat_after_a_swap_replies_as_a_fresh_chat_on_the_swapped_graph(
+        ws, bundle_dir, run_dir, monkeypatch, capsys):
+    """Each message binds its neighbourhood of the graph chat holds now:
+    after a /swap of a triple on a reply's path, the replies and paths
+    to the test split's messages are those of a new session started on
+    the swapped graph, and some differ from the replies before it. The
+    trained model's KB bias is raised so that its replies name
+    entities."""
+    messages = [" ".join(t.message) for t in
+                load_bundle(bundle_dir).split_turns("test") if t.message]
+    model = load_checkpoint(run_dir / "model.ckpt")
+    model.params["phi_b"][0] = 5.0
+    save_checkpoint(model, ws / "entity_replies.ckpt")
+
+    def chat(graph_args, lines):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert cli.main(["chat", "--checkpoint",
+                         str(ws / "entity_replies.ckpt"), "--max_decode_len",
+                         "4", *graph_args]) == 0
+        return capsys.readouterr().out
+
+    before = chat(["--bundle", str(bundle_dir)], messages)
+    hop = re.search(r"^  path: (\S+) -(\S+)-> (\S+)", before, re.M).groups()
+    graph = load_triples_tsv(bundle_dir / "graph.tsv")
+    victim = Triple(*hop)
+    # a new tail that keeps the old one in the graph, so the swapped
+    # graph.tsv holds the same entities as the graph chat edits
+    new_tail = next(t.tail for t in sorted(graph.triples)
+                    if t.relation == victim.relation and t.tail != victim.tail
+                    and Triple(victim.head, victim.relation, t.tail)
+                    not in graph.triples)
+    swapped = KnowledgeGraph(graph.triples - {victim} |
+                             {victim._replace(tail=new_tail)})
+    assert swapped.entities == graph.entities
+    save_triples_tsv(swapped, ws / "swapped.tsv")
+
+    swap = f"/swap {' '.join(hop)} {new_tail}"
+    session = chat(["--bundle", str(bundle_dir)], messages + [swap] + messages)
+    done = f"swapped: {victim.head} -{victim.relation}-> {new_tail}\n"
+    assert session.count(done) == 1
+    after = session.split(done)[1]
+    fresh = chat(["--kg", str(ws / "swapped.tsv")], messages)
+    assert after == fresh.split("\n", 1)[1]
+    assert after != before.split("\n", 1)[1]
 
 
 def test_chat_eof_exits_cleanly(ws):

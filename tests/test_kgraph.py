@@ -22,6 +22,7 @@ from kgchat.kgraph import (
     graph_edit_distance,
     k_shortest_paths,
     load_triples_tsv,
+    out_neighbourhood,
     perturb_all,
     perturb_last1,
     perturb_last2,
@@ -439,6 +440,79 @@ def test_ged_triangle_inequality_and_symmetry(seed):
     c = random_graph(rng, 5, 6)
     assert graph_edit_distance(a, b) == graph_edit_distance(b, a)
     assert graph_edit_distance(a, c) <= graph_edit_distance(a, b) + graph_edit_distance(b, c)
+
+
+# ---------------------------------------------------------------------------
+# out-neighbourhoods
+
+
+def test_out_neighbourhood_of_a_source_with_no_out_edge():
+    g = KnowledgeGraph([T("a", "r", "b"), T("c", "r", "b")],
+                       extra_entities=["z"])
+    for source in ("b", "z"):
+        sub = out_neighbourhood(g, [source], 3)
+        assert sub == KnowledgeGraph(extra_entities=[source])
+
+
+def test_out_neighbourhood_follows_a_cycle_once():
+    cycle = [T("a", "r", "b"), T("b", "s", "c"), T("c", "r", "a")]
+    g = KnowledgeGraph(cycle + [T("d", "r", "a")])
+    assert out_neighbourhood(g, ["a"], 1) == KnowledgeGraph(cycle[:1])
+    assert out_neighbourhood(g, ["a"], 2) == KnowledgeGraph(cycle[:2])
+    for hops in (3, 6):
+        assert out_neighbourhood(g, ["a"], hops) == KnowledgeGraph(cycle)
+
+
+def test_out_neighbourhood_leaves_out_entities_beyond_the_hops():
+    """On a chain, `hops` steps reach hops + 1 entities; the triple
+    leaving the last of them is left out, and so are entities that only
+    point at the sources."""
+    chain = [T(f"n{i}", "r", f"n{i + 1}") for i in range(5)]
+    g = KnowledgeGraph(chain + [T("x", "r", "n0"), T("n0", "s", "n2")])
+    sub = out_neighbourhood(g, ["n0", "ghost"], 2)
+    assert sub.entities == {"n0", "n1", "n2", "n3"}
+    assert sub.triples == {*chain[:3], T("n0", "s", "n2")}
+
+
+def test_out_neighbourhood_without_a_source_in_the_graph_is_the_graph():
+    g = KnowledgeGraph([T("a", "r", "b")], extra_entities=["c"])
+    for sources in ((), ["ghost"]):
+        assert out_neighbourhood(g, sources, 2) is g
+    with pytest.raises(GraphError, match="hops"):
+        out_neighbourhood(g, ["a"], 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_out_neighbourhood_matches_directed_distances(seed):
+    """Entities at directed distance <= hops from a source, and the
+    triples whose head lies at distance <= hops - 1, against a
+    breadth-first oracle of distances."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 9, 14)
+    sources = [f"e{i}" for i in rng.choice(11, size=3, replace=False)]
+    dist = {s: 0 for s in sources if s in g.entities}
+    queue = list(dist)
+    for node in queue:
+        for t in sorted(g.triples):
+            if t.head == node and t.tail not in dist:
+                dist[t.tail] = dist[node] + 1
+                queue.append(t.tail)
+    for hops in (1, 2, 4):
+        sub = out_neighbourhood(g, sources, hops)
+        if not dist:
+            assert sub is g
+            continue
+        assert sub.entities == {e for e, d in dist.items() if d <= hops}
+        assert sub.triples == {t for t in g.triples
+                               if dist.get(t.head, hops) < hops}
+
+
+def test_out_edges_is_built_once_per_graph():
+    g = KnowledgeGraph([T("a", "r", "b"), T("a", "s", "c"), T("b", "r", "c")])
+    out = kgraph.out_edges(g)
+    assert {h: set(ts) for h, ts in out.items()} == {
+        "a": {T("a", "r", "b"), T("a", "s", "c")}, "b": {T("b", "r", "c")}}
+    assert kgraph.out_edges(g) is out
 
 
 # ---------------------------------------------------------------------------
