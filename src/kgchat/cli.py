@@ -19,10 +19,11 @@ Configuration is a line-oriented key=value file (--config) plus
 per-key command-line overrides (--key value); overrides win. Each
 subcommand takes only the keys it reads (COMMAND_KEYS), each by its
 exact name: any other key, as a flag (an abbreviated one too) or in the
-file, is a usage error, and so are out-of-range model and world
-settings such as --hidden 0 or --chitchat_rate 2. Every command that
-writes artifacts writes the keys it read, resolved, beside them as
-config.json, so runs are self-describing. config.json, model.ckpt,
+file, is a usage error, and so is a value the key does not accept
+(CONFIG_KEYS), such as --split bogus, --seed -1 or --hidden 0, refused
+before anything is written. Every command that writes artifacts writes
+the keys it read, resolved, beside them as config.json once it
+succeeds, so runs are self-describing. config.json, model.ckpt,
 report.json, metrics.csv, perturb.json and diff.log are written through
 a temp file, so a failed write leaves the previous file in place.
 
@@ -39,11 +40,11 @@ import sys
 from pathlib import Path
 
 from .corpus import (DataError, DialogueTurn, KNOWN_CORPUS_PROFILES,
-                     SPLIT_NAMES, LexiconMatcher, SyntheticConfig,
-                     atomic_open, compare_stats, corpus_stats, detokenize,
-                     generate_synthetic, ingest, load_bundle,
-                     load_dialogues_jsonl, load_lexicon, load_meta,
-                     save_bundle, tokenize, write_json)
+                     SPLIT_NAMES, TOKENIZE_MODES, LexiconMatcher,
+                     SyntheticConfig, atomic_open, compare_stats,
+                     corpus_stats, detokenize, generate_synthetic, ingest,
+                     load_bundle, load_dialogues_jsonl, load_lexicon,
+                     load_meta, save_bundle, tokenize, write_json)
 from .kgraph import (PERTURB_MODES, GraphError, KnowledgeGraph, Triple,
                      load_triples_tsv, out_edges, out_neighbourhood)
 from .metrics import MetricError, evaluate_report, perturbation_report
@@ -59,40 +60,46 @@ class UsageError(ValueError):
     type callbacks report it as a usage problem too."""
 
 
-# key -> (type, default, help). `model` through `seed` map onto
+# key -> (type, default, help, accepted). `model` through `seed` map onto
 # Hyperparams, and `n_people` through `chitchat_rate` onto
-# SyntheticConfig: those defaults are read off the fields that own them.
-# The rest configure the corpus pipeline and inference.
+# SyntheticConfig: those defaults are read off the fields that own them,
+# and where `accepted` is None the owner checks the value. The rest
+# configure the corpus pipeline and inference. `accepted` is an int
+# key's floor, or a str key's (what the value names, its choices).
 CONFIG_KEYS = {
-    "model": (str, Hyperparams.kind, "model kind: qadpt or seq2seq"),
-    "hidden": (int, Hyperparams.hidden_dim, "hidden state width"),
-    "embed": (int, 0, "embedding width; 0 follows hidden"),
-    "hops": (int, Hyperparams.n_hops, "reasoning walk length"),
-    "lr": (float, Hyperparams.lr, "Adam learning rate"),
-    "batch_size": (int, Hyperparams.batch_size, "examples per update"),
-    "epochs": (int, Hyperparams.max_epochs, "max training epochs"),
-    "patience": (int, Hyperparams.patience, "non-improving epochs tolerated"),
+    "model": (str, Hyperparams.kind, "model kind: qadpt or seq2seq", None),
+    "hidden": (int, Hyperparams.hidden_dim, "hidden state width", None),
+    "embed": (int, 0, "embedding width; 0 follows hidden", None),
+    "hops": (int, Hyperparams.n_hops, "reasoning walk length", None),
+    "lr": (float, Hyperparams.lr, "Adam learning rate", None),
+    "batch_size": (int, Hyperparams.batch_size, "examples per update", None),
+    "epochs": (int, Hyperparams.max_epochs, "max training epochs", None),
+    "patience": (int, Hyperparams.patience,
+                 "non-improving epochs tolerated", None),
     "clip_norm": (float, Hyperparams.clip_norm,
-                  "global gradient norm ceiling"),
-    "seed": (int, Hyperparams.seed, "training / perturbation / world seed"),
-    "tokenize": (str, "word", "tokenizer mode: word or char"),
-    "min_count": (int, 1, "vocabulary frequency cutoff"),
-    "subgraph_k": (int, 5, "paths per source/target pair"),
-    "split_seed": (int, 0, "dialogue split seed"),
-    "split": (str, "test", "bundle split for eval/perturb"),
-    "mode": (str, "last1", "perturbation protocol: all, last1, last2"),
-    "max_decode_len": (int, MAX_DECODE_LEN, "free-running decode cap"),
-    "n_people": (int, SyntheticConfig.n_people, "synthetic: people"),
-    "n_places": (int, SyntheticConfig.n_places, "synthetic: places"),
-    "n_jobs": (int, SyntheticConfig.n_jobs, "synthetic: occupations"),
-    "n_turns": (int, SyntheticConfig.n_turns, "synthetic: total turns"),
+                  "global gradient norm ceiling", None),
+    "seed": (int, Hyperparams.seed, "training / perturbation / world seed",
+             0),
+    "tokenize": (str, "word", "tokenizer mode: word or char",
+                 ("tokenization mode", TOKENIZE_MODES)),
+    "min_count": (int, 1, "vocabulary frequency cutoff", 1),
+    "split_seed": (int, 0, "dialogue split seed", 0),
+    "split": (str, "test", "bundle split for eval/perturb",
+              ("split", SPLIT_NAMES)),
+    "mode": (str, "last1", "perturbation protocol: all, last1, last2",
+             ("perturbation mode", PERTURB_MODES)),
+    "max_decode_len": (int, MAX_DECODE_LEN, "free-running decode cap", 1),
+    "n_people": (int, SyntheticConfig.n_people, "synthetic: people", None),
+    "n_places": (int, SyntheticConfig.n_places, "synthetic: places", None),
+    "n_jobs": (int, SyntheticConfig.n_jobs, "synthetic: occupations", None),
+    "n_turns": (int, SyntheticConfig.n_turns, "synthetic: total turns", None),
     "turns_per_dialogue": (int, SyntheticConfig.turns_per_dialogue,
-                           "synthetic: dialogue length"),
+                           "synthetic: dialogue length", None),
     "chitchat_rate": (float, SyntheticConfig.chitchat_rate,
-                      "synthetic: ungrounded turn share"),
+                      "synthetic: ungrounded turn share", None),
 }
 
-_INGEST_KEYS = ("tokenize", "min_count", "subgraph_k", "split_seed")
+_INGEST_KEYS = ("tokenize", "min_count", "split_seed")
 # the SyntheticConfig fields, by name
 _WORLD_KEYS = ("n_people", "n_places", "n_jobs", "n_turns",
                "turns_per_dialogue", "chitchat_rate")
@@ -137,8 +144,9 @@ def _read_config_file(path) -> list:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """The keys `args.command` reads: defaults, then the --config file,
-    then the flags. A negative seed or split_seed is refused here, the
-    one place every command's flags and config file meet."""
+    then the flags. A value its key does not accept (CONFIG_KEYS) is
+    refused here, the one place every command's flags and config file
+    meet."""
     keys = COMMAND_KEYS[args.command]
     cfg = {key: CONFIG_KEYS[key][1] for key in keys}
     if args.config:
@@ -151,9 +159,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         override = getattr(args, key)
         if override is not None:
             cfg[key] = override
-    for key in ("seed", "split_seed"):
-        if cfg.get(key, 0) < 0:
-            raise UsageError(f"{key} must be >= 0, got {cfg[key]}")
+    for key, value in cfg.items():
+        accepted = CONFIG_KEYS[key][3]
+        if isinstance(accepted, int) and value < accepted:
+            raise UsageError(f"{key} must be >= {accepted}, got {value}")
+        if isinstance(accepted, tuple) and value not in accepted[1]:
+            raise UsageError(f"unknown {accepted[0]} {value!r}; "
+                             f"choose from {', '.join(accepted[1])}")
     return cfg
 
 
@@ -174,7 +186,6 @@ def _write_config(cfg: dict, args: argparse.Namespace, out_dir: Path) -> None:
               "paths": {k: str(v) for k, v in vars(args).items()
                         if k.endswith(("dialogues", "kg", "lexicon", "bundle",
                                        "checkpoint", "out")) and v}}
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(record, out_dir / "config.json")
 
 
@@ -215,8 +226,7 @@ def _print_table(rows) -> None:
 def _ingest_to(out: Path, cfg, raw, graph, lexicon):
     """Ingest, write the bundle to `out` and report dropped entities."""
     bundle = ingest(raw, graph, lexicon, mode=cfg["tokenize"],
-                    split_seed=cfg["split_seed"], min_count=cfg["min_count"],
-                    subgraph_k=cfg["subgraph_k"])
+                    split_seed=cfg["split_seed"], min_count=cfg["min_count"])
     save_bundle(bundle, out)
     if bundle.meta["dropped_scene_entities"]:
         print(f"dropped {bundle.meta['dropped_scene_entities']} scene "
@@ -234,7 +244,6 @@ def cmd_ingest(args, cfg) -> int:
         print("no alias file given; matching canonical entity names only")
     out = Path(args.out)
     bundle = _ingest_to(out, cfg, raw, graph, lexicon)
-    _write_config(cfg, args, out)
     print(f"ingested {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns")
     print(f"vocabulary: {len(bundle.vocab.generic)} generic words, "
@@ -265,7 +274,6 @@ def cmd_stats(args, cfg) -> int:
         write_json(blob, out / "stats.json")
         _write_path_hist(st.path_length_hist, st.unreachable_pairs,
                          out / "path_hist.csv")
-        _write_config(cfg, args, out)
         print(f"stats written to {out}")
     bad = 0
     if args.expect:
@@ -291,7 +299,6 @@ def cmd_synth(args, cfg) -> int:
     write_json({tid: [list(t) for t in path]
                 for tid, path in syn.oracle_paths.items()},
                out / "oracle_paths.json")
-    _write_config(cfg, args, out)
     print(f"synthetic corpus: {bundle.meta['n_dialogues']} dialogues, "
           f"{bundle.meta['n_turns']} turns, "
           f"{len(syn.graph.entities)} entities, "
@@ -311,7 +318,6 @@ def cmd_train(args, cfg) -> int:
     result = train(model, train_ex, val_ex,
                    log_path=out / "train_log.jsonl")
     save_checkpoint(model, out / "model.ckpt")
-    _write_config(cfg, args, out)
     print(f"trained {hyper.kind} for {result.epochs_run} epochs "
           f"({len(train_ex)} train / {len(val_ex)} validation turns)")
     print(f"best validation perplexity {result.best_val_ppl:.4f}")
@@ -322,17 +328,7 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _decode_cap(cfg) -> int:
-    cap = cfg["max_decode_len"]
-    if cap < 1:
-        raise UsageError(f"max_decode_len must be >= 1, got {cap}")
-    return cap
-
-
 def _load_examples(args, cfg):
-    if cfg["split"] not in SPLIT_NAMES:
-        raise UsageError(f"unknown split {cfg['split']!r}; "
-                         f"choose from {', '.join(SPLIT_NAMES)}")
     bundle = load_bundle(args.bundle)
     model = load_checkpoint(args.checkpoint)
     if model.vocab != bundle.vocab:
@@ -345,14 +341,13 @@ def _load_examples(args, cfg):
 
 
 def cmd_eval(args, cfg) -> int:
-    max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)
-    report = evaluate_report(model, examples, max_len=max_len, config=cfg)
+    report = evaluate_report(model, examples,
+                             max_len=cfg["max_decode_len"], config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(report.to_dict(), out / "report.json")
     report.save_csv(out / "metrics.csv")
-    _write_config(cfg, args, out)
     print(f"evaluated {report.n_turns} {cfg['split']} turns with "
           f"{model.kind}")
     _print_table(report.metric_rows())
@@ -361,19 +356,15 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_perturb(args, cfg) -> int:
-    if cfg["mode"] not in PERTURB_MODES:
-        raise UsageError(f"unknown perturbation mode {cfg['mode']!r}")
-    max_len = _decode_cap(cfg)
     model, examples = _load_examples(args, cfg)
     runs = perturb_and_decode(model, examples, cfg["mode"], seed=cfg["seed"],
-                              max_len=max_len)
+                              max_len=cfg["max_decode_len"])
     report = perturbation_report(model.vocab.entities, runs, cfg["mode"],
                                  config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(report.to_dict(), out / "perturb.json")
     _write_diff_log(report.turns, out / "diff.log")
-    _write_config(cfg, args, out)
     print(f"perturbation mode {cfg['mode']}: {report.n_turns} turns scored, "
           f"{report.n_skipped} skipped")
     if report.n_turns == 0:
@@ -389,7 +380,6 @@ CHAT_USAGE = ("commands: /swap HEAD RELATION OLD_TAIL NEW_TAIL, "
 
 
 def cmd_chat(args, cfg) -> int:
-    max_len = _decode_cap(cfg)
     model = load_checkpoint(args.checkpoint)
     mode = cfg["tokenize"]
     if args.kg:
@@ -463,7 +453,7 @@ def cmd_chat(args, cfg) -> int:
         ex = make_example(turn, out_neighbourhood(graph, sources,
                                                   model.hyper.n_hops),
                           model.vocab)
-        dec = greedy_decode(model, ex, max_len=max_len)
+        dec = greedy_decode(model, ex, max_len=cfg["max_decode_len"])
         print(detokenize(dec.tokens, mode) or "(empty reply)")
         for path in _decode_paths(model, ex, dec):
             hops = " ".join(f"-{t.relation}-> {t.tail}" for t in path.triples)
@@ -476,13 +466,40 @@ def cmd_chat(args, cfg) -> int:
 # Parser
 
 
-def _add_config_options(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument("--config", metavar="FILE",
-                   help="key=value config file")
-    for key in COMMAND_KEYS[command]:
-        kind, default, text = CONFIG_KEYS[key]
-        p.add_argument(f"--{key}", type=kind, default=None,
-                       help=f"{text} (default {default})", metavar="V")
+# flag -> its add_argument keywords, for the flags that are not config
+# keys
+FLAGS = {
+    "dialogues": {"metavar": "JSONL"},
+    "kg": {"metavar": "TSV"},
+    "lexicon": {"metavar": "TSV",
+                "help": "surface -> canonical entity aliases"},
+    "bundle": {"metavar": "DIR"},
+    "checkpoint": {"metavar": "CKPT"},
+    "out": {"metavar": "DIR"},
+    "expect": {"choices": sorted(KNOWN_CORPUS_PROFILES),
+               "help": "compare against a known corpus profile"},
+}
+
+# subcommand -> (help, {flag: required}). The flags come before
+# --config and the command's config keys (COMMAND_KEYS). The handler is
+# cmd_<subcommand>, looked up by name when it runs, so a wrapper bound
+# over it (as bench/tracing.py binds one) is the one called. A command
+# with an --out directory writes config.json there once it succeeds.
+COMMANDS = {
+    "ingest": ("preprocess a corpus into a bundle",
+               {"dialogues": True, "kg": True, "lexicon": False,
+                "out": True}),
+    "stats": ("corpus statistics and histograms",
+              {"bundle": True, "out": False, "expect": False}),
+    "synth": ("generate the synthetic corpus", {"out": True}),
+    "train": ("fit a model on a bundle", {"bundle": True, "out": True}),
+    "eval": ("score a checkpoint on a split",
+             {"bundle": True, "checkpoint": True, "out": True}),
+    "perturb": ("graph-perturbation experiment",
+                {"bundle": True, "checkpoint": True, "out": True}),
+    "chat": ("interactive REPL with live graph edits",
+             {"checkpoint": True, "kg": False, "bundle": False}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,64 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="knowledge-grounded dialogue: corpus, training, "
                     "evaluation, graph-perturbation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # allow_abbrev=False: a flag is taken by its exact name only, as a
-    # config-file key is
-    p = sub.add_parser("ingest", help="preprocess a corpus into a bundle",
-                       allow_abbrev=False)
-    p.add_argument("--dialogues", required=True, metavar="JSONL")
-    p.add_argument("--kg", required=True, metavar="TSV")
-    p.add_argument("--lexicon", metavar="TSV",
-                   help="surface -> canonical entity aliases")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_ingest)
-    _add_config_options(p, "ingest")
-
-    p = sub.add_parser("stats", help="corpus statistics and histograms",
-                       allow_abbrev=False)
-    p.add_argument("--bundle", required=True, metavar="DIR")
-    p.add_argument("--out", metavar="DIR")
-    p.add_argument("--expect", choices=sorted(KNOWN_CORPUS_PROFILES),
-                   help="compare against a known corpus profile")
-    p.set_defaults(func=cmd_stats)
-    _add_config_options(p, "stats")
-
-    p = sub.add_parser("synth", help="generate the synthetic corpus",
-                       allow_abbrev=False)
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_synth)
-    _add_config_options(p, "synth")
-
-    p = sub.add_parser("train", help="fit a model on a bundle",
-                       allow_abbrev=False)
-    p.add_argument("--bundle", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_train)
-    _add_config_options(p, "train")
-
-    p = sub.add_parser("eval", help="score a checkpoint on a split",
-                       allow_abbrev=False)
-    p.add_argument("--bundle", required=True, metavar="DIR")
-    p.add_argument("--checkpoint", required=True, metavar="CKPT")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_eval)
-    _add_config_options(p, "eval")
-
-    p = sub.add_parser("perturb", help="graph-perturbation experiment",
-                       allow_abbrev=False)
-    p.add_argument("--bundle", required=True, metavar="DIR")
-    p.add_argument("--checkpoint", required=True, metavar="CKPT")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_perturb)
-    _add_config_options(p, "perturb")
-
-    p = sub.add_parser("chat", help="interactive REPL with live graph edits",
-                       allow_abbrev=False)
-    p.add_argument("--checkpoint", required=True, metavar="CKPT")
-    p.add_argument("--kg", metavar="TSV")
-    p.add_argument("--bundle", metavar="DIR")
-    p.set_defaults(func=cmd_chat)
-    _add_config_options(p, "chat")
+    for command, (text, flags) in COMMANDS.items():
+        # allow_abbrev=False: a flag is taken by its exact name only, as
+        # a config-file key is
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, required in flags.items():
+            p.add_argument(f"--{flag}", required=required, **FLAGS[flag])
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value config file")
+        for key in COMMAND_KEYS[command]:
+            kind, default, text, _ = CONFIG_KEYS[key]
+            p.add_argument(f"--{key}", type=kind, default=None,
+                           help=f"{text} (default {default})", metavar="V")
     return parser
 
 
@@ -560,7 +531,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         cfg = resolve_config(args)
-        return args.func(args, cfg)
+        code = globals()[f"cmd_{args.command}"](args, cfg)
+        if code == 0 and getattr(args, "out", None):
+            _write_config(cfg, args, Path(args.out))
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

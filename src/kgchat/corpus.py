@@ -276,20 +276,12 @@ def detokenize(tokens: Sequence[str], mode: str = "word") -> str:
 
 def load_lexicon(path) -> dict[str, str]:
     lex: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(_utf8_lines(fh, DataError), start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(p.strip() for p in parts):
-                raise DataError(f"{path}: line {lineno}: expected "
-                                f"surface<TAB>canonical, got {line!r}")
-            surface, canonical = parts[0].strip(), parts[1].strip()
-            if surface in lex and lex[surface] != canonical:
-                raise DataError(f"{path}: line {lineno}: surface {surface!r} "
-                                f"mapped to two canonicals")
-            lex[surface] = canonical
+    for lineno, (surface, canonical) in kgraph.read_tsv(
+            path, 2, DataError, "surface<TAB>canonical"):
+        if surface in lex and lex[surface] != canonical:
+            raise DataError(f"{path}: line {lineno}: surface {surface!r} "
+                            f"mapped to two canonicals")
+        lex[surface] = canonical
     return lex
 
 
@@ -574,13 +566,17 @@ def _check_turn_ids(turns: Sequence[DialogueTurn], where: str = "") -> None:
         seen.add(t.turn_id)
 
 
+# paths per (source, target) pair in a turn's subgraph
+SUBGRAPH_K = 5
+
+
 def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
            lexicon: Mapping[str, str] | None = None, *, mode: str = "word",
-           split_seed: int = 0, min_count: int = 1,
-           subgraph_k: int = 5) -> Bundle:
-    """Tokenize raw turns, attach per-turn subgraphs, split dialogues,
-    and build the vocabulary from the training split only. Two raw turns
-    with one (dialogue_id, turn) raise DataError."""
+           split_seed: int = 0, min_count: int = 1) -> Bundle:
+    """Tokenize raw turns, attach per-turn subgraphs (SUBGRAPH_K paths
+    per pair), split dialogues, and build the vocabulary from the
+    training split only. Two raw turns with one (dialogue_id, turn)
+    raise DataError."""
     lex = {e: e for e in graph.entities}
     for surface, canonical in (lexicon or {}).items():
         if canonical not in graph.entities:
@@ -605,7 +601,7 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
 
     requests = [t.grounding(entity_set) for t in turns]
     subgraphs = dict(zip((t.turn_id for t in turns),
-                         kgraph.sample_subgraphs(graph, requests, k=subgraph_k)))
+                         kgraph.sample_subgraphs(graph, requests, k=SUBGRAPH_K)))
 
     by_dialogue: dict[str, list] = {}
     for t in turns:
@@ -621,7 +617,7 @@ def ingest(raw_turns: Sequence[RawTurn], graph: KnowledgeGraph,
                          if t.dialogue_id in set(splits.train)],
                         min_count, sorted(graph.entities), sorted(graph.relations))
     meta = {"mode": mode, "split_seed": split_seed, "min_count": min_count,
-            "subgraph_k": subgraph_k, "n_turns": len(turns),
+            "subgraph_k": SUBGRAPH_K, "n_turns": len(turns),
             "n_dialogues": len(by_dialogue), "dropped_scene_entities": dropped_scene}
     return Bundle(turns=turns, vocab=vocab, graph=graph, subgraphs=subgraphs,
                   splits=splits, meta=meta)
@@ -651,7 +647,6 @@ def save_bundle(bundle: Bundle, out_dir) -> None:
         json.dump(bundle.meta, fh, indent=1)
 
 
-# The tokens inside the lists go unchecked: set-up reads every row.
 _TURN_TYPES = (("dialogue_id", str), ("turn", int), ("speaker", str),
                ("scene_entities", list), ("message", list), ("response", list))
 
@@ -661,6 +656,11 @@ def _turn_row(obj) -> DialogueTurn:
     for key, kind in _TURN_TYPES:
         if type(obj[key]) is not kind:
             raise TypeError(f"{key!r} is not {_JSON_NAMES[kind][0]}")
+        if kind is list:
+            try:   # every item a string, checked at C speed
+                "".join(obj[key])
+            except TypeError:
+                raise TypeError(f"{key!r} is not a list of strings") from None
     return DialogueTurn(
         dialogue_id=obj["dialogue_id"], turn=obj["turn"],
         speaker=obj["speaker"], scene_entities=tuple(obj["scene_entities"]),

@@ -146,20 +146,28 @@ def _utf8_lines(fh, error: type):
         raise error(f"{fh.name}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_triples_tsv(path, extra_entities: Iterable[str] = ()) -> KnowledgeGraph:
-    """The graph of a head/relation/tail TSV file, with `extra_entities`
-    added as nodes (the file holds no entity without a triple)."""
-    triples = []
+def read_tsv(path, n_fields: int, error: type, expected: str):
+    """(line number, fields) for each row of the UTF-8 TSV file at
+    `path`, skipping blank and `#` lines: `n_fields` non-empty fields,
+    stripped. Any other line raises `error` naming the path and line and
+    saying it `expected` that shape."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(_utf8_lines(fh, GraphError), start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh, error), start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                raise GraphError(f"{path}: line {lineno}: expected 3 tab-separated "
-                                 f"fields, got {line!r}")
-            triples.append(Triple(parts[0].strip(), parts[1].strip(), parts[2].strip()))
+            if len(parts) != n_fields or not all(p.strip() for p in parts):
+                raise error(f"{path}: line {lineno}: expected {expected}, "
+                            f"got {line!r}")
+            yield lineno, [p.strip() for p in parts]
+
+
+def load_triples_tsv(path, extra_entities: Iterable[str] = ()) -> KnowledgeGraph:
+    """The graph of a head/relation/tail TSV file, with `extra_entities`
+    added as nodes (the file holds no entity without a triple)."""
+    triples = [Triple(*fields) for _, fields in
+               read_tsv(path, 3, GraphError, "3 tab-separated fields")]
     return KnowledgeGraph(triples, extra_entities=extra_entities)
 
 

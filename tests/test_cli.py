@@ -365,16 +365,85 @@ def test_negative_seed_exits_2(ws, raw_corpus, bundle_dir, run_dir, capsys,
     command writes anything."""
     out = ws / f"negative_{command}_{key}_{how}"
     argv = _command_argv(command, out, raw_corpus, bundle_dir, run_dir)
+    _assert_refused(ws, capsys, argv, out, how, key, "-1",
+                    f"{key} must be >= 0, got -1")
+
+
+def _assert_refused(ws, capsys, argv, out, how, key, value, message):
+    """`argv` with `key` set to `value` by a flag or a config file exits
+    2 with `message` and writes nothing under `out`."""
     if how == "flag":
-        argv += [f"--{key}", "-1"]
+        argv = [*argv, f"--{key}", value]
     else:
-        cfg_file = ws / f"negative_{command}_{key}.cfg"
-        cfg_file.write_text(f"{key} = -1\n")
-        argv += ["--config", str(cfg_file)]
+        cfg_file = ws / f"refused_{out.name}.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        argv = [*argv, "--config", str(cfg_file)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == \
-        f"usage error: {key} must be >= 0, got -1\n"
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value, message", [
+    ("synth", "tokenize", "bogus",
+     "unknown tokenization mode 'bogus'; choose from word, char"),
+    ("ingest", "tokenize", "Word",
+     "unknown tokenization mode 'Word'; choose from word, char"),
+    ("chat", "tokenize", "bogus",
+     "unknown tokenization mode 'bogus'; choose from word, char"),
+    ("ingest", "min_count", "0", "min_count must be >= 1, got 0"),
+    ("synth", "min_count", "-3", "min_count must be >= 1, got -3"),
+    ("eval", "split", "bogus",
+     "unknown split 'bogus'; choose from train, valid, test"),
+    ("perturb", "mode", "sideways",
+     "unknown perturbation mode 'sideways'; choose from all, last1, last2"),
+    ("eval", "max_decode_len", "0", "max_decode_len must be >= 1, got 0"),
+    ("chat", "max_decode_len", "-1", "max_decode_len must be >= 1, got -1"),
+], ids=("synth_tokenize", "ingest_tokenize", "chat_kg_tokenize",
+        "ingest_min_count", "synth_min_count", "eval_split", "perturb_mode",
+        "eval_max_decode_len", "chat_max_decode_len"))
+def test_value_its_key_does_not_accept_exits_2(ws, raw_corpus, bundle_dir,
+                                               run_dir, capsys, how, command,
+                                               key, value, message):
+    """Each key CONFIG_KEYS gives accepted values refuses any other, from
+    a flag or a config file alike, before the command reads or writes
+    anything. chat takes its graph from --kg here, where it tokenizes
+    with the tokenize key."""
+    out = ws / f"refused_{command}_{key}_{value}_{how}"
+    if command == "chat":
+        argv = ["chat", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--kg", str(raw_corpus / "graph.tsv")]
+    else:
+        argv = _command_argv(command, out, raw_corpus, bundle_dir, run_dir)
+    _assert_refused(ws, capsys, argv, out, how, key, value, message)
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    """Each subcommand's options in order, a required one marked `*`."""
+    expected = {
+        "ingest": "--dialogues* --kg* --lexicon --out* --config --tokenize "
+                  "--min_count --split_seed",
+        "stats": "--bundle* --out --expect --config",
+        "synth": "--out* --config --seed --tokenize --min_count --split_seed "
+                 "--n_people --n_places --n_jobs --n_turns "
+                 "--turns_per_dialogue --chitchat_rate",
+        "train": "--bundle* --out* --config --model --hidden --embed --hops "
+                 "--lr --batch_size --epochs --patience --clip_norm --seed",
+        "eval": "--bundle* --checkpoint* --out* --config --split "
+                "--max_decode_len",
+        "perturb": "--bundle* --checkpoint* --out* --config --seed --split "
+                   "--mode --max_decode_len",
+        "chat": "--checkpoint* --kg --bundle --config --tokenize "
+                "--max_decode_len",
+    }
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(expected)
+    for command, parser in subparsers.choices.items():
+        shown = " ".join(a.option_strings[0] + "*" * a.required
+                         for a in parser._actions
+                         if a.option_strings != ["-h", "--help"])
+        assert shown == expected[command], command
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -503,7 +572,7 @@ def test_config_defaults_are_their_owners_defaults():
         Hyperparams()
     assert SyntheticConfig(**defaults(cli._WORLD_KEYS)) == SyntheticConfig()
     kwargs = {"tokenize": "mode", "min_count": "min_count",
-              "subgraph_k": "subgraph_k", "split_seed": "split_seed"}
+              "split_seed": "split_seed"}
     assert set(kwargs) == set(cli.COMMAND_KEYS["ingest"])
     params = inspect.signature(ingest).parameters
     assert {kwargs[key]: value for key, value in

@@ -19,7 +19,7 @@ from kgchat.corpus import (
     detokenize, generate_synthetic, ingest, load_bundle, load_dialogues_jsonl,
     load_lexicon, save_bundle, split_dialogues, tokenize,
 )
-from kgchat.kgraph import GraphError, KnowledgeGraph, Triple
+from kgchat.kgraph import KnowledgeGraph, Triple
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +422,6 @@ def test_ingest_drops_unknown_scene_entities(tmp_path, capsys):
     assert "dropped 22 scene entities not in the graph\n" in out
 
 
-def test_ingest_refuses_k_below_1_when_no_turn_grounds_a_pair():
-    # no turn names an entity, so no path search would notice k
-    raw = [RawTurn(f"d{i}", 0, "s", (), "hi", "ho") for i in range(22)]
-    with pytest.raises(GraphError, match="k must be >= 1"):
-        ingest(raw, _chain_graph(), subgraph_k=0)
-
-
 def test_ingest_rejects_alias_to_unknown_entity():
     with pytest.raises(DataError, match="unknown entity"):
         ingest(_raw_corpus(), _chain_graph(), lexicon={"Joe": "Nobody"})
@@ -631,6 +624,14 @@ def _second_turn_row(change):
      "turns.jsonl: line 2: 'dialogue_id' is not a string"),
     ("turns.jsonl", _second_turn_row(lambda r: r.update(scene_entities={})),
      "turns.jsonl: line 2: 'scene_entities' is not a list"),
+    ("turns.jsonl", _second_turn_row(
+        lambda r: r.update(message=[["x"], *r["message"]])),
+     "turns.jsonl: line 2: 'message' is not a list of strings"),
+    ("turns.jsonl", _second_turn_row(
+        lambda r: r.update(response=[*r["response"], 5])),
+     "turns.jsonl: line 2: 'response' is not a list of strings"),
+    ("turns.jsonl", _second_turn_row(lambda r: r.update(scene_entities=[None])),
+     "turns.jsonl: line 2: 'scene_entities' is not a list of strings"),
     ("turns.jsonl", lambda text: text.replace("\n", "\n[1, 2]\n", 1),
      "turns.jsonl: line 2: expected a JSON object"),
     ("vocab.json", lambda text: "[]", "vocab.json: expected a JSON object"),
@@ -650,7 +651,8 @@ def _second_turn_row(change):
      "splits.json: dialogue 'syn00000' of turns.jsonl is in no split"),
 ], ids=("vocab_relations", "vocab_counts", "vocab_undeclared", "splits_valid",
         "splits_seed", "turn_string", "message_text", "dialogue_id_number",
-        "scene_object", "turn_not_object", "vocab_not_object",
+        "scene_object", "message_token_list", "response_token_number",
+        "scene_entity_null", "turn_not_object", "vocab_not_object",
         "meta_not_object", "meta_key_value_pairs", "meta_mode",
         "splits_in_two", "splits_twice_in_one", "splits_unknown_dialogue",
         "splits_dialogue_left_out"))
