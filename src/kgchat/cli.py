@@ -11,7 +11,9 @@ One binary, seven subcommands:
             they derive from) and metrics.csv
   perturb   graph-edit experiment: decode, perturb, re-decode, rates
   chat      interactive REPL with live /swap graph edits; --bundle
-            reads only the bundle's graph.tsv and meta.json. Each
+            reads only the bundle's graph.tsv and meta.json, and takes
+            the tokenizer mode from meta.json (word when it names
+            none), so neither --kg nor tokenize goes with it. Each
             message binds the part of the graph the model's walk can
             reach from the message's entities (kgraph.out_neighbourhood)
 
@@ -146,19 +148,30 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """The keys `args.command` reads: defaults, then the --config file,
     then the flags. A value its key does not accept (CONFIG_KEYS) is
     refused here, the one place every command's flags and config file
-    meet."""
+    meet, and so is chat --bundle with --kg or a tokenize key, as the
+    bundle names its own graph and tokenizer mode."""
     keys = COMMAND_KEYS[args.command]
     cfg = {key: CONFIG_KEYS[key][1] for key in keys}
+    given = set()
     if args.config:
         for key, raw in _read_config_file(args.config):
             if key not in cfg:
                 raise UsageError(f"{args.command} reads no config key "
                                  f"{key!r} (in {args.config})")
             cfg[key] = _coerce(key, raw)
+            given.add(key)
     for key in keys:
         override = getattr(args, key)
         if override is not None:
             cfg[key] = override
+            given.add(key)
+    if args.command == "chat" and args.bundle:
+        if args.kg:
+            raise UsageError("chat takes --kg or --bundle, not both")
+        if "tokenize" in given:
+            raise UsageError("chat --bundle takes the tokenizer mode from "
+                             "the bundle's meta.json; tokenize is set only "
+                             "with --kg")
     for key, value in cfg.items():
         accepted = CONFIG_KEYS[key][3]
         if isinstance(accepted, int) and value < accepted:
@@ -381,13 +394,13 @@ CHAT_USAGE = ("commands: /swap HEAD RELATION OLD_TAIL NEW_TAIL, "
 
 def cmd_chat(args, cfg) -> int:
     model = load_checkpoint(args.checkpoint)
-    mode = cfg["tokenize"]
     if args.kg:
         graph = load_triples_tsv(args.kg)
+        mode = cfg["tokenize"]
     elif args.bundle:
         src = Path(args.bundle)
         graph = load_triples_tsv(src / "graph.tsv")
-        mode = load_meta(src / "meta.json").get("mode", mode)
+        mode = load_meta(src / "meta.json").get("mode", "word")
     else:
         raise DataError("chat needs --kg or --bundle for the knowledge graph")
     stray = (graph.entities - set(model.vocab.entities)) | \

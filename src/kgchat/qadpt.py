@@ -16,15 +16,14 @@ the heads and the walk run once over the real (turn, position) rows.
 Under teacher forcing every decoder input is the gold prefix, known up
 front, so training runs a whole padded batch, and teacher-forced
 evaluation a whole turn, as one step; greedy decoding runs the same
-step one position at a time (T=1) with a batch of one, on a tape that
-keeps values only. A greedy qadpt step runs its generic half (decoder
-GRU and generic head) first, and its walk (relation head, walk) only
-when an entity could win the step: an entity's output is the KB mass
-g[0] times its walk entry, and the walk keeps its mass, so a generic
-word above g[0] * (1 + SKIP_MARGIN) wins, and the walk then waits until
-the step's entity values are read. A step that runs its walk picks its
-token from g[0] * k and the best generic word, and builds its output
-row (the output mixture) only when that row is read.
+step's parts one position at a time (T=1) with a batch of one, on a
+tape that keeps values only, and takes each token from the values they
+computed, with no output mixture. A greedy qadpt step runs its generic
+half (decoder GRU and generic head) first, and its walk (relation head,
+walk) only when an entity could win the step: an entity's output is the
+KB mass g[0] times its walk entry, and the walk keeps its mass, so a
+generic word above g[0] * (1 + SKIP_MARGIN) wins. A step that runs its
+walk picks its token from g[0] * k and the best generic word.
 Each pass builds one tape. A decode returns its turn's encoder state,
 which teacher forcing takes instead of encoding the turn again; a
 re-decode on an edited graph takes the whole decode, and replays its
@@ -287,7 +286,9 @@ def make_examples(bundle: Bundle,
 # A _TurnState is one pass: its own tape, the parameters recorded on it
 # once, and the decoder state of a batch of turns. Its step takes (T, B)
 # decoder inputs: T is the whole gold prefix for the loss and
-# teacher_force (teacher_forced), and 1 for each greedy step. Training
+# teacher_force (teacher_forced), and 1 for each greedy step, which
+# decoder_step runs without the output mixture, and with its walk only
+# when an entity could win the step. Training
 # calls backward() on the assembled loss; evaluation and decoding run a
 # one-turn state on a non-recording tape and read node values off it.
 # greedy_decode hands the turn's encoder state on, so teacher_force
@@ -295,54 +296,22 @@ def make_examples(bundle: Bundle,
 # skips the encoder and the agreeing steps' generic halves.
 
 
+@dataclass
 class DecoderStep:
-    """Everything one decode step produced, as plain arrays: the decoder
-    state, the generic distribution (over emittable generic symbols),
-    the controller's mass routed to the entity branch, and the step's
-    greedy token (argmax of combined, ties to the lowest id). qadpt's
+    """What one greedy decode step computed, as plain arrays: the decoder
+    state, the generic head's softmax row (qadpt's KB mass g[0] first;
+    seq2seq's flat softmax over Vocabulary.seq2seq_output_ids) and the
+    emitted token. `state` and `softmax` let a decode of the same
+    message on another graph replay the step (greedy_decode's `prior`).
     entity (the walk result k) and path_matrix (the (L, R+1) relation
     choices) are over the turn's L subgraph entities, the rows of its
-    Example.adj; seq2seq's entity is its (E,) entity block and its
-    path_matrix None. combined is the full-vocabulary output
-    distribution.
-
-    entity and path_matrix come from `walk`, a function run the first
-    time one of them is read; combined comes from `output`, run after
-    the walk the first time combined is read (see
-    _TurnState.decoder_step). `state` and the generic head's softmax row
-    let a decode of the same message on another graph replay the step
-    (greedy_decode's `prior`)."""
-
-    def __init__(self, state: np.ndarray, softmax: np.ndarray,
-                 generic: np.ndarray, controller: float, walk, output):
-        self.state = state
-        self._softmax = softmax
-        self.generic = generic
-        self.controller = controller
-        self.token_id: int | None = None
-        self._walk, self._output = walk, output
-        self._entity = self._path_matrix = self._combined = None
-
-    def _run_walk(self) -> None:
-        if self._walk is not None:
-            (self._entity, self._path_matrix), self._walk = self._walk(), None
-
-    @property
-    def entity(self):
-        self._run_walk()
-        return self._entity
-
-    @property
-    def path_matrix(self):
-        self._run_walk()
-        return self._path_matrix
-
-    @property
-    def combined(self):
-        if self._output is not None:
-            self._run_walk()
-            self._combined, self._output = self._output(), None
-        return self._combined
+    Example.adj; they are set only on a qadpt step that ran its walk,
+    and None on any other step."""
+    state: np.ndarray
+    softmax: np.ndarray
+    token_id: int
+    entity: np.ndarray | None = None
+    path_matrix: np.ndarray | None = None
 
 
 def _padded(rows: Sequence[Sequence[int]]) -> tuple:
@@ -488,12 +457,11 @@ class _TurnState:
     def step(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """Decoder positions 0..T-1 of every turn from their input ids, a
         (T, B) array: the generic half (_generic_half), then the walk
-        (_walk_branch) and the output mixture (_output) over the same
-        rows. A one-position step (T=1, greedy decoding) reads every
-        turn's state, in turn order, and moves the state on to it. A
-        longer step is the teacher-forced pass over the padded gold
-        prefix: it reads the real target positions, `rows`, the (turn,
-        pos) index arrays turn by turn.
+        (_walk_branch) and the output mixture over the same rows. A
+        one-position step (T=1) reads every turn's state, in turn order,
+        and moves the state on to it. A longer step is the teacher-forced
+        pass over the padded gold prefix: it reads the real target
+        positions, `rows`, the (turn, pos) index arrays turn by turn.
 
         Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
         full-vocabulary output distribution. qadpt's generic softmax g
@@ -504,7 +472,13 @@ class _TurnState:
         """
         h, turn, g = self._generic_half(ids, rows)
         k, rhat = self._walk_branch(h, turn)
-        return self._output(g, turn, k), g, k, rhat
+        t, vocab = self.tape, self.vocab
+        if k is None:
+            o = t.mix_output(g, vocab.seq2seq_output_ids, vocab.size)
+        else:
+            o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
+                             self._walk_rows(turn)[2].at, vocab.n_entities)
+        return o, g, k, rhat
 
     def _generic_half(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """The decoder GRU over (T, B) input ids and the generic head:
@@ -545,18 +519,6 @@ class _TurnState:
             k = t.kg_hop(k, rhat, blk, self.hyper.n_hops)
         return k, rhat
 
-    def _output(self, g: int, turn: np.ndarray, k: int | None) -> int:
-        """The output mixture of rows of turns `turn`: qadpt's generic
-        softmax g with its KB mass over the walk result k, seq2seq's g
-        scattered into the vocabulary."""
-        vocab = self.vocab
-        if k is None:
-            return self.tape.mix_output(g, vocab.seq2seq_output_ids,
-                                        vocab.size)
-        return self.tape.mix_output(g, vocab.generic_output_ids[1:],
-                                    vocab.size, k, self._walk_rows(turn)[2].at,
-                                    vocab.n_entities)
-
     def teacher_forced(self) -> tuple:
         """The whole gold-prefix pass as one step(): the step nodes over
         every real target position (turn by turn), each row's gold id,
@@ -579,69 +541,50 @@ class _TurnState:
 
     def decoder_step(self, prev) -> DecoderStep:
         """The DecoderStep of a one-position step on a one-turn state,
-        with its greedy token. `prev` is the previous token id, or the
+        with its greedy token, the argmax of the step's output row (ties
+        to the lowest id) taken from the values the step computed, with
+        no output mixture. `prev` is the previous token id, or the
         DecoderStep of a decode of the same message on another graph
         whose tokens so far equal this decode's: its decoder state and
         generic softmax are then this step's too, and are recorded as
         two leaves instead of running the generic half, which never
         reads the graph.
 
-        A qadpt step whose best generic probability exceeds the KB mass
-        g[0] by more than SKIP_MARGIN emits that word, and its walk waits
-        until the step's entity, path_matrix or combined is read: it then
-        runs on this step's recorded nodes, so every value read is the
-        one an eager step gives. Otherwise the walk runs at once and the
-        token is picked from its values: an entity's output is g[0] *
-        k[j], and k follows the entities' ascending ids, so the first
-        argmax j is the lowest id among tied entities. The entity wins
-        only above the best generic probability; on a tie the word wins,
-        as every generic id lies below the entities'. The output mixture
-        runs only when combined is read, and that row decides the token
-        only when neither value is positive."""
+        seq2seq emits seq2seq_output_ids[argmax(softmax)]. A qadpt step
+        whose best generic probability exceeds the KB mass g[0] by more
+        than SKIP_MARGIN emits that word without running its walk.
+        Otherwise the walk runs: an entity's output is g[0] * k[j], and
+        k follows the entities' ascending ids, so the first argmax j is
+        the lowest id among tied entities. The entity wins only above
+        the best generic probability; on a tie the word wins, as every
+        generic id lies below the entities'. With neither positive the
+        output row is all zero, and the token is its argmax, PAD_ID."""
         t, vocab = self.tape, self.vocab
         if isinstance(prev, DecoderStep):
             h = self.h = t.leaf(prev.state[None], check=False)
-            g = t.leaf(prev._softmax[None], check=False)
-            turn = np.arange(1)
+            g = t.leaf(prev.softmax[None], check=False)
         else:
-            h, turn, g = self._generic_half(np.array([[prev]]))
+            h, _, g = self._generic_half(np.array([[prev]]))
         gv = t.value(g)[0]
-        n_gen = 2 + len(vocab.generic)   # seq2seq's generic columns
-        k = None
-
-        def walk():
-            nonlocal k
-            if self.model.kind == "seq2seq":
-                return gv[n_gen:].copy(), None
-            k, rhat = self._walk_branch(h, turn)
-            return t.value(k), t.value(rhat)
-
-        def output():
-            return t.value(self._output(g, turn, k))[0].copy()
-
-        state = t.value(h)[0]
+        # both output id lists ascend, so argmax's first index is the
+        # lowest id among ties, as on the output row
         if self.model.kind == "seq2seq":
-            step = DecoderStep(state, gv, gv[:n_gen].copy(),
-                               float(gv[n_gen:].sum()), walk, output)
-            step.token_id = int(np.argmax(step.combined))
+            return DecoderStep(t.value(h)[0], gv, int(
+                vocab.seq2seq_output_ids[np.argmax(gv)]))
+        best = 1 + int(np.argmax(gv[1:]))
+        word = gv[best]
+        step = DecoderStep(t.value(h)[0], gv,
+                           int(vocab.generic_output_ids[best]))
+        if word > gv[0] * (1.0 + SKIP_MARGIN):
             return step
-        step = DecoderStep(state, gv, gv[1:].copy(), float(gv[0]), walk,
-                           output)
-        # generic_output_ids[1:] ascend, so argmax's first index is the
-        # lowest id among tied words, as on the combined row
-        best = int(np.argmax(gv[1:]))
-        word = gv[1 + best]
-        if word <= gv[0] * (1.0 + SKIP_MARGIN):
-            mass = gv[0] * step.entity   # the entity columns of combined
-            top = mass.max(initial=0.0)
-            if top > word:
-                step.token_id = vocab.entity_base + int(
-                    self.examples[0].pos[np.argmax(mass)])
-                return step
-            if word <= 0.0:
-                step.token_id = int(np.argmax(step.combined))
-                return step
-        step.token_id = int(vocab.generic_output_ids[1 + best])
+        k, rhat = self._walk_branch(h, np.arange(1))
+        step.entity, step.path_matrix = t.value(k), t.value(rhat)
+        mass = gv[0] * step.entity   # the entity columns of the output row
+        if mass.max(initial=0.0) > word:
+            step.token_id = vocab.entity_base + int(
+                self.examples[0].pos[np.argmax(mass)])
+        elif word <= 0.0:
+            step.token_id = PAD_ID
         return step
 
 
@@ -707,14 +650,13 @@ def greedy_decode(model: QadptModel, example: Example,
                   prior: DecodeResult | None = None) -> DecodeResult:
     """Greedy free-running decoding from the example's message and
     subgraph, at most max_len tokens: each step emits its token_id, the
-    argmax of its combined row, ties to the lowest token id. A qadpt step
-    whose best generic probability exceeds the KB mass g[0] by more than
-    SKIP_MARGIN emits that word without running its walk (no entity's
-    g[0] * k[j] can reach it); the walk runs if the step's entity,
-    path_matrix or combined is read, with the values an eager step
-    gives. Any other step runs its walk and picks its token from g[0] * k
-    and the best generic word (DecoderStep docs the rule); the output
-    mixture behind combined runs when combined is read.
+    argmax of its output row, ties to the lowest token id, taken from
+    the values the step computed (_TurnState.decoder_step docs the
+    rule). A qadpt step whose best generic probability exceeds the KB
+    mass g[0] by more than SKIP_MARGIN emits that word without running
+    its walk (no entity's g[0] * k[j] can reach it), and its entity and
+    path_matrix are None. Any other qadpt step runs its walk and picks
+    its token from g[0] * k and the best generic word.
 
     `prior` is a DecodeResult of the same turn's message by the same
     model, on another graph: the decode takes its encoder state, and

@@ -4,9 +4,10 @@ first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The teacher-forced pass with the walk over every entity (the layout
 the model ran before its walk was cut to each turn's subgraph) and a
-decode step scattered back to every entity, the reference greedy decode
-that runs every step in full and the count of a re-decode's replayed
-steps, the differential of a decode bound to a message's
+decode step scattered back to every entity, the decoder step run in
+full (walk and output mixture) with the probe and the reference greedy
+decode built on it, the greedy decode's contract against that
+reference and the count of a re-decode's replayed steps, the differential of a decode bound to a message's
 out-neighbourhood against one bound to the whole graph, the relation
 mask, the
 finite-difference checker, the adjacency audit view, the lexicon
@@ -183,73 +184,88 @@ def random_subgraph(vocab, rng, n_triples=4, extra=None):
                           extra_entities=ents[:1] if extra is None else extra)
 
 
+def _eager_step(model, state, prev):
+    """One position of a one-turn state run as _TurnState.step in full,
+    qadpt's walk and output mixture included, after input `prev`: a
+    namespace of the decoder state, the generic head's softmax row, the
+    generic distribution and the controller's mass (qadpt's g[1:] and
+    g[0]; seq2seq's generic and entity columns), the entity distribution
+    (qadpt's walk result k over the turn's subgraph rows; seq2seq's
+    entity columns), the relation choices (None for seq2seq) and the
+    full-vocabulary output row `combined`, with its argmax (ties to the
+    lowest id) as token_id."""
+    t = state.tape
+    o, g, k, rhat = state.step(np.array([[prev]]))
+    gv, combined = t.value(g)[0], t.value(o)[0].copy()
+    if model.kind == "seq2seq":
+        n_gen = 2 + len(model.vocab.generic)
+        parts = dict(generic=gv[:n_gen].copy(),
+                     controller=float(gv[n_gen:].sum()),
+                     entity=gv[n_gen:].copy(), path_matrix=None)
+    else:
+        parts = dict(generic=gv[1:].copy(), controller=float(gv[0]),
+                     entity=t.value(k), path_matrix=t.value(rhat))
+    return SimpleNamespace(state=t.value(state.h)[0], softmax=gv,
+                           combined=combined,
+                           token_id=int(np.argmax(combined)), **parts)
+
+
 def decoder_steps(model, ex, prev_ids):
-    """Raw decoder steps for a fixed previous-token sequence."""
+    """Every decoder step for a fixed previous-token sequence, each run
+    in full (_eager_step)."""
     state = _TurnState(model, [ex])
-    return [state.decoder_step(p) for p in prev_ids]
+    return [_eager_step(model, state, p) for p in prev_ids]
 
 
 def eager_decode(model, ex, max_len=MAX_DECODE_LEN):
     """The reference greedy decode: every step runs _TurnState.step in
-    full, qadpt's walk and output mixture included, and its token is the
-    argmax of the combined row (ties to the lowest id). Steps are
-    namespaces of the DecoderStep fields."""
+    full (_eager_step), and emits the argmax of its combined row."""
     state = _TurnState(model, [ex], record=False)
-    t, vocab = state.tape, model.vocab
-    encoded = t.value(state.h)[0]
+    encoded = state.tape.value(state.h)[0]
     ids, steps, prev = [], [], BOS_ID
     for _ in range(max_len):
-        o, g, k, rhat = state.step(np.array([[prev]]))
-        combined, gv = t.value(o)[0].copy(), t.value(g)[0]
-        h = t.value(state.h)[0]
-        if model.kind == "seq2seq":
-            n_gen = 2 + len(vocab.generic)
-            steps.append(SimpleNamespace(
-                state=h, generic=gv[:n_gen].copy(),
-                controller=float(gv[n_gen:].sum()), entity=gv[n_gen:].copy(),
-                combined=combined, path_matrix=None))
-        else:
-            steps.append(SimpleNamespace(
-                state=h, generic=gv[1:].copy(), controller=float(gv[0]),
-                entity=t.value(k), combined=combined,
-                path_matrix=t.value(rhat)))
-        prev = int(np.argmax(combined))
+        steps.append(_eager_step(model, state, prev))
+        prev = steps[-1].token_id
         if prev == EOS_ID:
             break
         ids.append(prev)
     return SimpleNamespace(token_ids=tuple(ids), steps=tuple(steps),
-                           tokens=tuple(vocab.id_to_token[i] for i in ids),
+                           tokens=tuple(model.vocab.id_to_token[i]
+                                        for i in ids),
                            encoded=encoded)
 
 
-STEP_FIELDS = ("state", "generic", "controller", "entity", "combined",
-               "path_matrix")
+def _same_array(x, y) -> bool:
+    return x.shape == y.shape and x.dtype == y.dtype and \
+        x.tobytes() == y.tobytes()
 
 
-def assert_same_decode(got, want, rng=None):
-    """Tokens, encoder state and every DecoderStep field equal bit for
-    bit, and each step's token the argmax of want's combined row. With
-    an rng the steps, and each step's fields, are read in a random
-    order: a step that skipped its walk runs it at the first read of
-    entity, path_matrix or combined, and a step's output mixture runs at
-    the first read of combined."""
+def assert_same_decode(got, want, vocab):
+    """A greedy decode against eager_decode of the same turn, by a model
+    over `vocab`: equal tokens and encoder state, and per step the same
+    token, the decoder state and softmax row bit for bit, and entity and
+    path_matrix bit for bit wherever the greedy step set them. seq2seq
+    sets neither. A qadpt step that set neither skipped its walk: the
+    eager step's best entity output g[0] * max(k) then lies below the
+    emitted word's, and the token is no entity."""
     assert got.token_ids == want.token_ids
     assert got.tokens == want.tokens
-    assert got.encoded.tobytes() == want.encoded.tobytes()
+    assert _same_array(got.encoded, want.encoded)
     assert len(got.steps) == len(want.steps)
-    order = range(len(got.steps)) if rng is None \
-        else rng.permutation(len(got.steps))
-    for i in order:
-        a, b = got.steps[i], want.steps[i]
-        assert a.token_id == int(np.argmax(b.combined)), i
-        for field in STEP_FIELDS if rng is None else rng.permutation(
-                STEP_FIELDS):
-            x, y = getattr(a, field), getattr(b, field)
-            if y is None or type(y) is float:
-                assert x == y and type(x) is type(y), (i, field)
-                continue
-            assert x.shape == y.shape and x.dtype == y.dtype and \
-                x.tobytes() == y.tobytes(), (i, field)
+    for i, (a, b) in enumerate(zip(got.steps, want.steps)):
+        assert a.token_id == b.token_id, i
+        assert _same_array(a.state, b.state), i
+        assert _same_array(a.softmax, b.softmax), i
+        if b.path_matrix is None:   # seq2seq
+            assert a.entity is None and a.path_matrix is None, i
+        elif a.entity is not None:
+            assert _same_array(a.entity, b.entity), i
+            assert _same_array(a.path_matrix, b.path_matrix), i
+        else:
+            assert a.path_matrix is None, i
+            assert b.controller * b.entity.max(initial=0.0) < \
+                b.combined[a.token_id], i
+            assert not vocab.is_entity_id(a.token_id), i
 
 
 def replayed_steps(dec, prior) -> int:
@@ -269,10 +285,12 @@ def assert_neighbourhood_binding(model, turn, graph, max_len=MAX_DECODE_LEN):
     """A greedy decode of `turn` bound to the n_hops out-neighbourhood of
     its sources (kgraph.out_neighbourhood, as chat binds a message)
     against one bound to the whole `graph`, bit for bit: tokens, encoder
-    state, each step's token, decoder state, generic row, controller,
-    whether it skipped its walk, its entity mass scattered to every
-    entity and its combined row, and the inferred paths with their
-    probabilities. Returns the two bindings' entity counts (L, E)."""
+    state, each step's token, decoder state, softmax row, whether it ran
+    its walk and, where it did, its entity mass scattered to every
+    entity, and the inferred paths with their probabilities; and the two
+    bindings' eager references (eager_decode), each step's entity mass
+    scattered to every entity and its output row. Returns the two
+    bindings' entity counts (L, E)."""
     vocab = model.vocab
     near = make_example(turn, out_neighbourhood(
         graph, turn.grounding(vocab.entity_set)[0], model.hyper.n_hops),
@@ -282,22 +300,23 @@ def assert_neighbourhood_binding(model, turn, graph, max_len=MAX_DECODE_LEN):
     b = greedy_decode(model, whole, max_len=max_len)
     assert a.token_ids == b.token_ids, turn.turn_id
     assert _bits(a.encoded) == _bits(b.encoded)
-    for x, y in zip(a.steps, b.steps, strict=True):
+
+    def mass(step, ex):
+        if step.entity is None or model.kind == "seq2seq":
+            return None if step.entity is None else _bits(step.entity)
+        scattered = np.zeros(vocab.n_entities)
+        scattered[ex.pos] = step.entity
+        return _bits(scattered)
+
+    refs = (eager_decode(model, near, max_len).steps,
+            eager_decode(model, whole, max_len).steps)
+    for x, y, rx, ry in zip(a.steps, b.steps, *refs, strict=True):
         assert x.token_id == y.token_id
-        assert (x._walk is None) == (y._walk is None)
         assert _bits(x.state) == _bits(y.state)
-        assert _bits(x.generic) == _bits(y.generic)
-        assert _bits(x.controller) == _bits(y.controller)
-        if model.kind == "qadpt":
-            mass = []
-            for step, ex in ((x, near), (y, whole)):
-                scattered = np.zeros(vocab.n_entities)
-                scattered[ex.pos] = step.entity
-                mass.append(_bits(scattered))
-            assert mass[0] == mass[1]
-        else:
-            assert _bits(x.entity) == _bits(y.entity)
-        assert _bits(x.combined) == _bits(y.combined)
+        assert _bits(x.softmax) == _bits(y.softmax)
+        assert mass(x, near) == mass(y, whole)
+        assert mass(rx, near) == mass(ry, whole)
+        assert _bits(rx.combined) == _bits(ry.combined)
     paths = [_decode_paths(model, ex, dec) for ex, dec in ((near, a),
                                                            (whole, b))]
     assert paths[0] == paths[1]

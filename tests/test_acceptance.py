@@ -396,24 +396,19 @@ def test_criterion_9_determinism(pipeline, tmp_path):
 
 def test_default_run_decodes_match_the_eager_reference(pipeline):
     """Every test turn's greedy decode, by both kinds, against
-    oracles.eager_decode, which runs every step in full: equal tokens
-    and every DecoderStep field equal bit for bit, the steps and their
-    fields read in a random order. Some qadpt steps skip their walk
-    until read, and none of them emits an entity."""
-    rng = np.random.default_rng(0)
-    waiting = []
+    oracles.eager_decode, which runs every step in full
+    (oracles.assert_same_decode). Some qadpt steps skip their walk, and
+    some run it."""
+    skipped = []
     for model in (pipeline.qadpt, pipeline.seq2seq):
         for ex in pipeline.test:
             dec = greedy_decode(model, ex)
-            for step in dec.steps:
-                if step._walk is not None:
-                    assert model.kind == "qadpt"
-                    assert not model.vocab.is_entity_id(step.token_id)
-                waiting.append(step._walk is not None)
-            assert_same_decode(dec, eager_decode(model, ex), rng)
-    print(f"{sum(waiting)} of {len(waiting)} decode steps skipped their "
-          f"walk")
-    assert any(waiting) and not all(waiting)
+            if model.kind == "qadpt":
+                skipped += [step.entity is None for step in dec.steps]
+            assert_same_decode(dec, eager_decode(model, ex), model.vocab)
+    print(f"{sum(skipped)} of {len(skipped)} qadpt decode steps skipped "
+          f"their walk")
+    assert any(skipped) and not all(skipped)
 
 
 def test_default_run_re_decodes_replay_the_decodes(pipeline):
@@ -421,10 +416,9 @@ def test_default_run_re_decodes_replay_the_decodes(pipeline):
     and last2 (seed 13), by both kinds: perturb_and_decode's perturbed
     tokens are those of greedy_decode on the edited turn given the
     original decode as its prior, and that decode matches
-    oracles.eager_decode of the edited turn bit for bit, the steps and
-    their fields read in a random order. Some qadpt re-decodes replay a
-    step and some run every step after the first in full."""
-    rng = np.random.default_rng(1)
+    oracles.eager_decode of the edited turn (oracles.assert_same_decode).
+    Some qadpt re-decodes replay a step and some run every step after
+    the first in full."""
     counts = {kind: [0, 0] for kind in ("qadpt", "seq2seq")}
     for model in (pipeline.qadpt, pipeline.seq2seq):
         for mode in PERTURB_MODES:
@@ -438,7 +432,7 @@ def test_default_run_re_decodes_replay_the_decodes(pipeline):
                 prior = greedy_decode(model, ex)
                 dec = greedy_decode(model, new, prior=prior)
                 assert dec.tokens == run.perturbed_tokens, run.turn_id
-                assert_same_decode(dec, eager_decode(model, new), rng)
+                assert_same_decode(dec, eager_decode(model, new), model.vocab)
                 counts[model.kind][0] += replayed_steps(dec, prior)
                 counts[model.kind][1] += len(dec.steps)
     for kind, (replayed, total) in counts.items():

@@ -1373,9 +1373,9 @@ def test_splits_that_do_not_partition_the_dialogues_exit_3(ws, bundle_dir,
 
 def test_chat_bundle_reads_only_graph_and_meta(ws, tmp_path, monkeypatch,
                                                capsys):
-    """chat --bundle reads the bundle's graph.tsv and, when there is one,
-    the tokenizer mode in meta.json, which wins over --tokenize. A
-    corrupt turns.jsonl fails the commands that read it, not chat."""
+    """chat --bundle reads the bundle's graph.tsv and takes the tokenizer
+    mode from meta.json, word when there is none. A corrupt turns.jsonl
+    fails the commands that read it, not chat."""
     ckpt, kg = _golden_checkpoint(ws)
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -1395,9 +1395,36 @@ def test_chat_bundle_reads_only_graph_and_meta(ws, tmp_path, monkeypatch,
     word = chat("--kg", str(kg))
     char = chat("--kg", str(kg), "--tokenize", "char")
     assert "b b b b" in word and word != char
-    assert chat("--bundle", str(bundle), "--tokenize", "char") == word
+    assert chat("--bundle", str(bundle)) == word
+    write_json({"mode": "char"}, bundle / "meta.json")
+    assert chat("--bundle", str(bundle)) == char
     (bundle / "meta.json").unlink()
-    assert chat("--bundle", str(bundle), "--tokenize", "char") == char
+    assert chat("--bundle", str(bundle)) == word
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "kg"])
+def test_chat_bundle_with_tokenize_or_kg_exits_2(ws, raw_corpus, bundle_dir,
+                                                 monkeypatch, capsys, how):
+    """chat --bundle takes its graph and tokenizer mode from the bundle:
+    a tokenize key beside it, by flag or by config file (its default
+    value too), or a --kg, exits 2 before chat reads anything, even a
+    checkpoint that is not there."""
+    argv = ["chat", "--checkpoint", str(ws / "no_such.ckpt"), "--bundle",
+            str(bundle_dir)]
+    message = ("chat --bundle takes the tokenizer mode from the bundle's "
+               "meta.json; tokenize is set only with --kg")
+    if how == "flag":
+        argv += ["--tokenize", "char"]
+    elif how == "config":
+        cfg_file = ws / "chat_tokenize.cfg"
+        cfg_file.write_text("tokenize = word\n")
+        argv += ["--config", str(cfg_file)]
+    else:
+        argv += ["--kg", str(raw_corpus / "graph.tsv")]
+        message = "chat takes --kg or --bundle, not both"
+    monkeypatch.setattr("sys.stdin", io.StringIO("where does anna live\n"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_chat_requires_graph_source(ws):

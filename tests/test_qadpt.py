@@ -642,9 +642,12 @@ def test_empty_subgraph_trains_and_decodes(monkeypatch):
     assert hops == [] and tr.epochs_run == 2
     assert all(np.isfinite(p).all() for p in model.params.values())
     assert not any(v.is_entity_id(i) for i in dec.token_ids)
-    for step in dec.steps:
-        assert step.entity.shape == (0,)
-        assert step.path_matrix.shape == (0, len(v.relations) + 1)
+    # a greedy step that skipped its walk has neither; every eager step
+    # has both
+    for step in dec.steps + eager_decode(model, empty, max_len=5).steps:
+        if step.entity is not None:
+            assert step.entity.shape == (0,)
+            assert step.path_matrix.shape == (0, len(v.relations) + 1)
     assert teacher_force(model, empty).unreachable == 1
 
 
@@ -932,7 +935,7 @@ def test_infer_path_equals_per_edge_loop_on_decodes(trained_toy, n_hops):
     assert min(ex.pos.size for ex in exs) < v.n_entities
     checked = 0
     for ex in exs:
-        for step in greedy_decode(model, ex, max_len=4).steps:
+        for step in eager_decode(model, ex, max_len=4).steps:
             assert_infer_path_matches_per_edge(v, ex.adj, step.path_matrix,
                                                ex.source_vec, n_hops,
                                                dense_step(v, ex, step))
@@ -962,58 +965,67 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
 
 # ---------------------------------------------------------------------------
 # Greedy decoding runs a step's walk only when an entity can win the step,
-# and its output mixture only when the step's combined row is read
+# and takes its token from the values the step computed
 
 
-def _waiting(dec) -> list:
-    """Per step of a decode, whether its walk has yet to run."""
-    return [step._walk is not None for step in dec.steps]
+def _greedy_decode_counting_mixtures(monkeypatch):
+    """greedy_decode, and a list that each call of it clears and each
+    Tape.mix_output call it makes appends to."""
+    mixes = []
+    real = numkernel.Tape.mix_output
+    monkeypatch.setattr(numkernel.Tape, "mix_output",
+                        lambda self, *a: mixes.append(1) or real(self, *a))
+
+    def decode(*args, **kwargs):
+        mixes.clear()
+        return greedy_decode(*args, **kwargs)
+    return decode, mixes
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_greedy_decode_matches_the_eager_reference(trained_toy, seed):
+def test_greedy_decode_matches_the_eager_reference(trained_toy, seed,
+                                                   monkeypatch):
     """greedy_decode against oracles.eager_decode, which runs every
-    step in full: equal tokens and every DecoderStep field equal bit for
-    bit, the steps and their fields read in a random order. The turns
-    have L = E, L < E and L = 0; the qadpt models emit entities or not,
-    and seq2seq never defers. Both kinds of qadpt step occur: some wait
-    with their walk not run, some ran it."""
+    step in full (oracles.assert_same_decode), and no greedy step
+    records the output mixture. The turns have L = E, L < E and L = 0;
+    the qadpt models emit entities or not, and seq2seq never walks.
+    Both kinds of qadpt step occur: some skip their walk, some ran
+    it."""
     model, exs = trained_toy
     v = model.vocab
     exs = exs + list(_edge_turns(v)) + [
         example_for(v, "where a", "c yes", [Triple("a", "q", "b")])]
     assert {0, 2, v.n_entities} <= {ex.pos.size for ex in exs}
-    rng = np.random.default_rng(seed)
     models = [model, model_for(v, kind="seq2seq", seed=seed)]
     for kb in (-1.0, 1.0):   # a fresh model that emits entities or not
         models.append(model_for(v, seed=seed))
         models[-1].params["phi_b"][0] = kb
-    waiting = []
+    decode, mixes = _greedy_decode_counting_mixtures(monkeypatch)
+    skipped = []
     for m in models:
         for ex in exs:
             for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
-                dec = greedy_decode(m, ex, max_len=max_len)
+                dec = decode(m, ex, max_len=max_len)
+                assert mixes == []
                 if m.kind == "qadpt":
-                    waiting += _waiting(dec)
-                else:
-                    assert not any(_waiting(dec))
-                assert_same_decode(dec, eager_decode(m, ex, max_len), rng)
-    assert any(waiting) and not all(waiting)
+                    skipped += [step.entity is None for step in dec.steps]
+                assert_same_decode(dec, eager_decode(m, ex, max_len), v)
+    assert any(skipped) and not all(skipped)
 
 
-@pytest.mark.parametrize("gap, waits", [
+@pytest.mark.parametrize("gap, skips", [
     (0.0, False), (5e-7, False), (2e-6, True), (-1e-3, False), (1.0, True)])
-def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, waits):
+def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, skips):
     """With phi_w zero the generic softmax is softmax(phi_b) on every
     step. A generic word whose logit exceeds the KB symbol's by `gap`
     has probability g[0] * exp(gap): within SKIP_MARGIN of g[0] (a tie
-    included) or below it the step runs its walk at once, 10 tape nodes
-    (12 on the first step, which adds the walk's mask and source
-    leaves); beyond it the step records the generic half's 5 and the
-    walk's 5 or 7 when entity or path_matrix is first read. Either way
-    the output mixture is 1 node more, recorded when combined is first
-    read. The word wins either way, with the lowest id among tied
-    words."""
+    included) or below it the step runs its walk, 10 tape nodes (12 on
+    the first step, which adds the walk's mask and source leaves), and
+    sets entity and path_matrix; beyond it the step records the generic
+    half's 5 nodes (2 leaves when it replays a prior step's), sets
+    neither, and nothing is recorded afterwards. No step records the
+    output mixture. The word wins either way, with the lowest id among
+    tied words."""
     v = toy_vocab()
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     model = model_for(v)
@@ -1023,20 +1035,21 @@ def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, waits):
     model.params["phi_b"][[3, 4]] = gap   # "lives" and "in", tied
     want = v.token_to_id("lives")
     state = qadpt._TurnState(model, [ex], record=False)
+    replay = qadpt._TurnState(model, [ex], record=False,
+                              encoded=state.tape.value(state.h)[0])
     for first in (True, False):
-        before = len(state.tape)
-        step = state.decoder_step(want)
-        ran = len(state.tape) - before
-        walked = 10 + 2 * first
-        assert ran == (5 if waits else walked)
-        if gap >= 0.0:
-            assert step.token_id == want
-        step.path_matrix, step.entity
-        assert len(state.tape) - before == walked
-        assert step.token_id == int(np.argmax(step.combined))
-        assert len(state.tape) - before == walked + 1
-        step.path_matrix, step.entity, step.combined
-        assert len(state.tape) - before == walked + 1
+        prev = want
+        for st, head in ((state, 5), (replay, 2)):
+            before = len(st.tape)
+            step = prev = st.decoder_step(prev)
+            walk = 5 + 2 * first
+            assert len(st.tape) - before == head + walk * (not skips)
+            assert (step.entity is None) == (step.path_matrix is None) == \
+                skips
+            if gap >= 0.0:
+                assert step.token_id == want
+            step.token_id, step.softmax, step.entity, step.path_matrix
+            assert len(st.tape) - before == head + walk * (not skips)
 
 
 def _rule_model(v, kb, words=()):
@@ -1056,14 +1069,15 @@ def _rule_model(v, kb, words=()):
 @pytest.mark.parametrize("case", ["word_ties_entity", "tied_entities",
                                   "nothing_positive"])
 def test_an_eager_step_picks_its_token_from_the_walk(case):
-    """An eager qadpt step picks its token from g[0] * k and the best
-    generic word without building its combined row, and the token is
-    the combined row's argmax. On a graph with no edges the walk keeps
-    every entity's start mass: a source alone gets k = 1.0, so an
-    equally likely word ties the entity at g[0] exactly, and the word
-    (the lower id) wins; two sources tie at 0.5 and the lower entity id
-    wins. With nothing positive (no subgraph entity, every word at 0.0)
-    the step reads its combined row and takes its argmax."""
+    """A qadpt step that runs its walk picks its token from g[0] * k and
+    the best generic word, with no output row, and the token is the
+    argmax of the eager reference's output row. On a graph with no
+    edges the walk keeps every entity's start mass: a source alone gets
+    k = 1.0, so an equally likely word ties the entity at g[0] exactly,
+    and the word (the lower id) wins; two sources tie at 0.5 and the
+    lower entity id wins. With nothing positive (no subgraph entity,
+    every word at 0.0) the output row is all zero, and the token is its
+    argmax, PAD_ID."""
     v = toy_vocab()
     if case == "word_ties_entity":
         model, want = _rule_model(v, 0.0, ["yes"]), v.token_to_id("yes")
@@ -1076,19 +1090,18 @@ def test_an_eager_step_picks_its_token_from_the_walk(case):
         ex = example_for(v, "where", "yes", [])
     state = qadpt._TurnState(model, [ex], record=False)
     step = state.decoder_step(BOS_ID)
-    # the walk ran; the combined row was built only if it decided
-    assert step._walk is None
-    assert (step._output is None) == (case == "nothing_positive")
-    mass = step.controller * step.entity
+    g = step.softmax
+    mass = g[0] * step.entity   # the walk ran
     if case == "word_ties_entity":
-        assert mass.max() == step.generic.max() == step.controller
+        assert mass.max() == g[1:].max() == g[0]
     elif case == "tied_entities":
         assert np.count_nonzero(mass == mass.max()) == 2
     else:
-        assert mass.size == 0 and not step.generic.any()
-    assert step.token_id == want == int(np.argmax(step.combined))
+        assert mass.size == 0 and not g[1:].any()
+    ref = decoder_steps(model, ex, [BOS_ID])[0]
+    assert step.token_id == want == int(np.argmax(ref.combined))
     assert_same_decode(greedy_decode(model, ex, max_len=3),
-                       eager_decode(model, ex, max_len=3))
+                       eager_decode(model, ex, max_len=3), v)
 
 
 def _edited(v, exs, seed):
@@ -1128,17 +1141,16 @@ def _diverging_part_way(v):
 def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
                                                    monkeypatch):
     """greedy_decode of an edited turn given the decode of the original
-    as its prior against oracles.eager_decode of the edited turn: equal
-    tokens and every DecoderStep field equal bit for bit, the steps and
-    their fields read in a random order. The re-decode runs the decoder
-    GRU only on the steps after the first token that differs from the
-    prior's, and not at all when none does. Priors that diverge at step
+    as its prior against oracles.eager_decode of the edited turn
+    (oracles.assert_same_decode), and neither decode records the output
+    mixture. The re-decode runs the decoder GRU only on the steps after
+    the first token that differs from the prior's, and not at all when
+    none does. Priors that diverge at step
     0, part-way through and never all occur for qadpt; seq2seq never
     reads the graph, so its re-decodes replay every step."""
     model, exs = trained_toy
     v = model.vocab
     exs = exs + [example_for(v, "where a", "c yes", [Triple("a", "q", "b")])]
-    rng = np.random.default_rng(seed)
     models = [model, model_for(v, kind="seq2seq", seed=seed)]
     for kb in (-1.0, 1.0):
         models.append(model_for(v, seed=seed))
@@ -1150,12 +1162,15 @@ def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
     real = numkernel.Tape.gru
     monkeypatch.setattr(numkernel.Tape, "gru",
                         lambda self, *a: grus.append(1) or real(self, *a))
+    decode, mixes = _greedy_decode_counting_mixtures(monkeypatch)
     seen = set()
     for m, ex, new in cases:
         for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
-            prior = greedy_decode(m, ex, max_len=max_len)
+            prior = decode(m, ex, max_len=max_len)
+            assert mixes == []
             grus.clear()
-            dec = greedy_decode(m, new, max_len=max_len, prior=prior)
+            dec = decode(m, new, max_len=max_len, prior=prior)
+            assert mixes == []
             replayed = replayed_steps(dec, prior)
             assert len(grus) == len(dec.steps) - replayed
             if dec.steps[0].token_id != prior.steps[0].token_id:
@@ -1164,7 +1179,7 @@ def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
                 seen.add((m.kind, "part-way"))
             else:
                 seen.add((m.kind, "never"))
-            assert_same_decode(dec, eager_decode(m, new, max_len), rng)
+            assert_same_decode(dec, eager_decode(m, new, max_len), v)
     assert seen == {("qadpt", "at step 0"), ("qadpt", "part-way"),
                     ("qadpt", "never"), ("seq2seq", "never")}
 
@@ -1647,8 +1662,9 @@ def _encoder_examples(v, seed):
 def test_handed_in_encoder_state_is_bit_identical(kind, seed):
     """teacher_force given a decode's encoder state, and greedy_decode
     given a decode as its prior (one step long, and as long as the
-    re-decode), match the calls that encode the turn themselves, on the
-    turn's graph and on an edited one; perturb_and_decode's re-decodes
+    re-decode), match the calls that encode the turn themselves (the
+    eager reference, for the decodes), on the turn's graph and on an
+    edited one; perturb_and_decode's re-decodes
     match self-encoding decodes of the edited turns."""
     v = toy_vocab(entities=("a", "b", "c", "d", "e"))
     model = model_for(v, kind=kind, seed=seed)
@@ -1669,7 +1685,7 @@ def test_handed_in_encoder_state_is_bit_identical(kind, seed):
             for target in (ex, new):
                 assert_same_decode(greedy_decode(model, target, max_len=6,
                                                  prior=prior),
-                                   greedy_decode(model, target, max_len=6))
+                                   eager_decode(model, target, max_len=6), v)
     runs = perturb_and_decode(model, exs, "all", seed=seed, max_len=6)
     for run, ex, new in zip(runs, exs, edited):
         assert run.original_tokens == greedy_decode(model, ex, max_len=6).tokens
