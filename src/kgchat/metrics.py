@@ -5,7 +5,8 @@ reference responses: entity accuracy under teacher forcing (hard argmax
 and soft probability variants), micro precision/recall/F1 of the
 entity-vs-generic decision, token-level precision/recall/F1 over the
 entities a free-running decode actually produced, sentence BLEU-2,
-perplexity, and distinct-n. Adaptation metrics compare a decode against
+perplexity (qadpt.perplexity, the one validation reads), and
+distinct-n. Adaptation metrics compare a decode against
 a re-decode after the knowledge graph was edited: the change rate and
 the accurate change rate.
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from .corpus import EOS, UNK, JsonRecord, _load_json, atomic_open
 from .kgraph import PERTURB_MODES
-from .qadpt import (MAX_DECODE_LEN, PROB_FLOOR, InferredPath, QadptModel,
-                    _decode_paths, greedy_decode, teacher_force)
+from .qadpt import (MAX_DECODE_LEN, InferredPath, QadptModel, _decode_paths,
+                    greedy_decode, perplexity, teacher_force)
 
 __all__ = [
     "MetricError", "PRF", "TokenPRF", "kw_acc", "kw_acc_soft",
@@ -239,20 +240,6 @@ def bleu2_sentence(hypothesis: Sequence[str], reference: Sequence[str]) -> float
         score *= (clipped + 1.0) / (total + 1.0)
     bp = math.exp(min(0.0, 1.0 - len(ref) / len(hyp)))
     return math.sqrt(score) * bp
-
-
-def perplexity(prob_seqs: Sequence[Sequence[float]]) -> float:
-    """exp of mean token NLL over all recorded gold probabilities, each
-    floored at PROB_FLOOR."""
-    total = 0.0
-    tokens = 0
-    for probs in prob_seqs:
-        for p in probs:
-            total += -math.log(max(float(p), PROB_FLOOR))
-            tokens += 1
-    if tokens == 0:
-        raise MetricError("perplexity over zero tokens")
-    return math.exp(total / tokens)
 
 
 def distinct_n(outputs: Sequence[Sequence[str]], n: int) -> float:

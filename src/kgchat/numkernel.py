@@ -3,8 +3,9 @@
 Everything the dialogue models need and nothing more: a recorded-op
 reverse-accumulation gradient tape whose ops are exactly the ones the
 models record, each on (B, ...) rows (a stabilized softmax, a fused
-linear layer and the output mixture among them) or, for a GRU run over
-T steps and the embedding lookup that feeds it, on (T, B, ...) steps of
+linear layer, and the pick of each row's gold-token probability with
+its floored mean negative log among them) or, for a GRU run over T
+steps and the embedding lookup that feeds it, on (T, B, ...) steps of
 rows; the N-hop graph walk runs over the stacked entity rows of the
 turns' subgraphs, L rows per decoder row for a subgraph of L entities;
 and Adam with global-norm clipping. A GRU is the three tensors its
@@ -135,11 +136,10 @@ def _scatter_add(shape, flat_index, values) -> np.ndarray:
 # position of a turn where the heads read a teacher-forced pass; gru
 # takes (T, B, ...) steps of rows, and lookup_row an index of any shape;
 # kg_hop's walk mass is one flat vector of the B rows' subgraph entities,
-# each row's L entities stacked after the previous row's, and mix_output
-# takes those entries with their flat row * E + entity positions. Every
-# op validates its operands, and an op whose output can turn NaN or Inf
-# for finite operands checks it, so the recorded program is auditable
-# step by step. No operator overloading: callers name each op. A
+# each row's L entities stacked after the previous row's, and pick reads
+# one entry of it per row by its index there. Every op validates its
+# operands, and an op whose output can turn NaN or Inf for finite
+# operands checks it, so the recorded program is auditable step by step. No operator overloading: callers name each op. A
 # backprop closure maps the node's gradient to one gradient per parent
 # (None where none flows), each of its parent's shape.
 
@@ -193,15 +193,6 @@ class Tape:
         return self._push(values, (), None, "leaf" if check else None)
 
     # -- elementwise and linear ops
-
-    def scale(self, a: int, c: float) -> int:
-        va = self.value(a)
-        c = float(c)
-
-        def bwd(g):
-            return (g * c,)
-
-        return self._push(va * c, (a,), bwd, "scale")
 
     def linear(self, w: int, x: int, b: int) -> int:
         """x @ w.T + b: a (m, n) weight times each of the (B, n) rows x,
@@ -280,27 +271,6 @@ class Tape:
             return (_scatter_add(va.shape, flat, g),)
 
         return self._push(va.reshape(-1)[flat], (a,), bwd)
-
-    def log_floor(self, a: int, floor: float) -> int:
-        """log(max(a, floor)); zero gradient below the floor."""
-        va = self.value(a)
-        clipped = np.maximum(va, floor)
-
-        def bwd(g):
-            return (g * (va > floor) / clipped,)
-
-        return self._push(np.log(clipped), (a,), bwd, "log_floor")
-
-    def mean(self, a: int) -> int:
-        """Mean of all entries, as a scalar node."""
-        va = self.value(a)
-        if va.size == 0:
-            raise KernelError("mean: empty operand")
-
-        def bwd(g):
-            return (np.full(va.shape, g / va.size),)
-
-        return self._push(va.mean(), (a,), bwd, "mean")
 
     # -- fused model ops
 
@@ -391,48 +361,55 @@ class Tape:
 
         return self._push(walk[-1], (v, rhat), bwd)
 
-    def mix_output(self, g: int, cols, width: int, k: int | None = None,
-                   at=None, n: int = 0) -> int:
-        """Scatter a batch of distributions g (B, m) into output rows of
-        `width` columns.
+    def pick(self, g: int, cols, k: int | None = None, at=None) -> int:
+        """g[i, cols[i]] for each of the (B, m) rows of g: each row's
+        gold-token probability, as a (B,) node.
 
-        Without k, column j of g lands in output column cols[j]. With a
-        walk result k, column 0 of g is a gate: g[:, 1:] land in cols,
-        and g[:, 0] times the (B, n) entity block fills the last n
-        columns. k holds the block's entries at `at`, their flat
-        positions row * n + entity; every other entry of the block is 0.
+        With a flat walk result k, column cols[i] = 0 of an entity row
+        is the KB gate, and its value is multiplied by the walk entry
+        k[at[i]]. A generic row (at[i] = -1) keeps its value, and an
+        entity the walk holds no entry for (at[i] = -2) gets 0.
         """
         vg = self.value(g)
-        cols = np.asarray(cols, dtype=np.int64)
-        if vg.ndim != 2:
-            raise KernelError("mix_output: g must be (B, m) rows")
-        gen = vg if k is None else vg[:, 1:]
-        if gen.shape[1] != cols.size:
-            raise KernelError("mix_output: need one column per generic "
-                              "entry")
-        out = np.zeros((vg.shape[0], width))
-        out[:, cols] = gen
+        cols = np.asarray(cols)
+        if vg.ndim != 2 or cols.shape != vg.shape[:1] or \
+                cols.dtype.kind not in "iu" or \
+                cols.size and not 0 <= cols.min() <= cols.max() < vg.shape[1]:
+            raise KernelError("pick: need (B, m) rows and one in-range "
+                              "column per row")
+        flat = np.arange(cols.size) * vg.shape[1] + cols
+        val = vg.reshape(-1)[flat]
         if k is None:
-            return self._push(out, (g,), lambda gr: (gr[:, cols],))
+            return self._push(val, (g,), lambda gr: (
+                _scatter_add(vg.shape, flat, gr),))
         vk, at = self.value(k), np.asarray(at)
-        block = np.zeros(vg.shape[0] * n)
-        if not 0 <= n <= width or vk.ndim != 1 or at.shape != vk.shape or \
+        if vk.ndim != 1 or at.shape != cols.shape or \
                 at.dtype.kind not in "iu" or \
-                at.size and not 0 <= at.min() <= at.max() < block.size:
-            raise KernelError("mix_output: need a flat walk result and one "
-                              "in-range block position per entry")
-        block[at] = vk
-        kk = block.reshape(vg.shape[0], n)
-        lo = width - n
-        out[:, lo:] = vg[:, :1] * kk
+                at.size and not -2 <= at.min() <= at.max() < vk.size:
+            raise KernelError("pick: need a flat walk result and one "
+                              "walk index, -1 or -2 per row")
+        hit = np.flatnonzero(at >= 0)
+        factor = (at == -1).astype(np.float64)
+        factor[hit] = vk[at[hit]]
 
         def bwd(gr):
-            tail = gr[:, lo:]
-            gate = np.sum(tail * kk, axis=1, keepdims=True)
-            return (np.concatenate([gate, gr[:, cols]], axis=1),
-                    (tail * vg[:, :1]).reshape(-1)[at])
+            return (_scatter_add(vg.shape, flat, gr * factor),
+                    _scatter_add(vk.shape, at[hit], gr[hit] * val[hit]))
 
-        return self._push(out, (g, k), bwd, "mix_output")
+        return self._push(val * factor, (g, k), bwd, "pick")
+
+    def nll(self, p: int, floor: float) -> int:
+        """-mean(log(max(p, floor))) over every entry of p, as a scalar
+        node; an entry below the floor gets a zero gradient."""
+        vp = self.value(p)
+        if vp.size == 0:
+            raise KernelError("nll: empty operand")
+        clipped = np.maximum(vp, floor)
+
+        def bwd(g):
+            return (np.full(vp.shape, -g / vp.size) * (vp > floor) / clipped,)
+
+        return self._push(-np.log(clipped).mean(), (p,), bwd, "nll")
 
     # -- reverse pass
 

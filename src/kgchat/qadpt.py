@@ -15,15 +15,18 @@ step over (T, B) decoder inputs: one GRU node runs all T positions, then
 the heads and the walk run once over the real (turn, position) rows.
 Under teacher forcing every decoder input is the gold prefix, known up
 front, so training runs a whole padded batch, and teacher-forced
-evaluation a whole turn, as one step; greedy decoding runs the same
-step's parts one position at a time (T=1) with a batch of one, on a
-tape that keeps values only, and takes each token from the values they
-computed, with no output mixture. A greedy qadpt step runs its generic
-half (decoder GRU and generic head) first, and its walk (relation head,
-walk) only when an entity could win the step: an entity's output is the
-KB mass g[0] times its walk entry, and the walk keeps its mass, so a
-generic word above g[0] * (1 + SKIP_MARGIN) wins. A step that runs its
-walk picks its token from g[0] * k and the best generic word.
+evaluation a whole turn, as one step; each picks the gold token's
+probability from the step's values (Tape.pick), and no pass builds an
+output row over the vocabulary. Greedy decoding runs the same step's
+parts one position at a time (T=1) with a batch of one, on a tape that
+keeps values only, and takes each token from the values they computed,
+by the rule teacher forcing's argmax follows too. A greedy qadpt step
+runs its generic half (decoder GRU and generic head) first, and its
+walk (relation head, walk) only when an entity could win the step: an
+entity's output is the KB mass g[0] times its walk entry, and the walk
+keeps its mass, so a generic word above g[0] * (1 + SKIP_MARGIN) wins.
+A step that runs its walk picks its token from g[0] * k and the best
+generic word.
 Each pass builds one tape. A decode returns its turn's encoder state,
 which teacher forcing takes instead of encoding the turn again; a
 re-decode on an edited graph takes the whole decode, and replays its
@@ -287,8 +290,8 @@ def make_examples(bundle: Bundle,
 # once, and the decoder state of a batch of turns. Its step takes (T, B)
 # decoder inputs: T is the whole gold prefix for the loss and
 # teacher_force (teacher_forced), and 1 for each greedy step, which
-# decoder_step runs without the output mixture, and with its walk only
-# when an entity could win the step. Training
+# decoder_step runs with its walk only when an entity could win the
+# step. No step builds an output row over the vocabulary. Training
 # calls backward() on the assembled loss; evaluation and decoding run a
 # one-turn state on a non-recording tape and read node values off it.
 # greedy_decode hands the turn's encoder state on, so teacher_force
@@ -437,9 +440,8 @@ class _TurnState:
         always) and their source vector as leaves, and the block walk
         (_block_adjacency) of the rows' turns, with `theta`, the
         index of each stacked entity row's relation logits in the rows'
-        (rows, E * (R+1)) logits, and `at`, its flat row * E + entity
-        position. Kept for the next step that reads the same turns
-        (every greedy step does)."""
+        (rows, E * (R+1)) logits. Kept for the next step that reads the
+        same turns (every greedy step does)."""
         key = turn.tobytes()
         if key != self._walk_key:
             t = self.tape
@@ -449,7 +451,6 @@ class _TurnState:
             mask[blk.head, blk.rel] = 1.0
             blk.theta = (blk.row[:, None],
                          blk.pos[:, None] * n_rel + np.arange(n_rel))
-            blk.at = blk.row * self.vocab.n_entities + blk.pos
             self._walk = t.leaf(mask), t.leaf(blk.source), blk
             self._walk_key = key
         return self._walk
@@ -457,28 +458,20 @@ class _TurnState:
     def step(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """Decoder positions 0..T-1 of every turn from their input ids, a
         (T, B) array: the generic half (_generic_half), then the walk
-        (_walk_branch) and the output mixture over the same rows. A
-        one-position step (T=1) reads every turn's state, in turn order,
-        and moves the state on to it. A longer step is the teacher-forced
-        pass over the padded gold prefix: it reads the real target
-        positions, `rows`, the (turn, pos) index arrays turn by turn.
+        (_walk_branch) over the same rows. A one-position step (T=1)
+        reads every turn's state, in turn order, and moves the state on
+        to it. A longer step is the teacher-forced pass over the padded
+        gold prefix: it reads the real target positions, `rows`, the
+        (turn, pos) index arrays turn by turn.
 
-        Returns the nodes (o, g, k, rhat): o holds the rows of o_t, the
-        full-vocabulary output distribution. qadpt's generic softmax g
+        Returns the nodes (g, k, rhat). qadpt's generic softmax g
         splits its KB mass g[:, 0] over the walk result k; k and the
         relation choices rhat hold the stacked subgraph entity rows of
-        the step's rows (_walk_rows). seq2seq's flat softmax g is
-        scattered into the vocabulary, and its k and rhat are None.
+        the step's rows (_walk_rows). seq2seq's g is its flat softmax
+        over Vocabulary.seq2seq_output_ids, and its k and rhat are None.
         """
         h, turn, g = self._generic_half(ids, rows)
-        k, rhat = self._walk_branch(h, turn)
-        t, vocab = self.tape, self.vocab
-        if k is None:
-            o = t.mix_output(g, vocab.seq2seq_output_ids, vocab.size)
-        else:
-            o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
-                             self._walk_rows(turn)[2].at, vocab.n_entities)
-        return o, g, k, rhat
+        return (g, *self._walk_branch(h, turn))
 
     def _generic_half(self, ids: np.ndarray, rows: tuple = ()) -> tuple:
         """The decoder GRU over (T, B) input ids and the generic head:
@@ -520,35 +513,40 @@ class _TurnState:
         return k, rhat
 
     def teacher_forced(self) -> tuple:
-        """The whole gold-prefix pass as one step(): the step nodes over
-        every real target position (turn by turn), each row's gold id,
-        and per row whether that id is an entity the walk result gives no
-        mass. Only this pass reads the gold prefix, so only it pads the
+        """The whole gold-prefix pass as one step() over every real
+        target position (turn by turn): the Tape.pick node of each row's
+        gold-token probability, the step nodes (g, k, rhat), and per row
+        whether the gold id is an entity the walk result gives no mass.
+        Only this pass reads the gold prefix, so only it pads the
         decoder inputs and targets (_gold_rows)."""
         dec_in, targets, turn, pos = _gold_rows(self.examples)
-        nodes = self.step(dec_in.T, (turn, pos))
+        g, k, _ = nodes = self.step(dec_in.T, (turn, pos))
         y = targets[turn, pos]
-        if self.model.kind == "seq2seq":
-            return nodes, y, np.zeros(len(y), dtype=bool)
-        base = self.vocab.entity_base
+        t, vocab = self.tape, self.vocab
+        if k is None:
+            return (t.pick(g, np.searchsorted(vocab.seq2seq_output_ids, y)),
+                    nodes, np.zeros(len(y), dtype=bool))
+        entity = y >= vocab.entity_base
+        cols = np.where(entity, 0, 1 + np.searchsorted(
+            vocab.generic_output_ids[1:], y))
         blk = self._walk_rows(turn)[2]
-        # a walk entry at its row's gold entity, holding mass
-        hit = (blk.pos == (y - base)[blk.row]) & \
-            (self.tape.value(nodes[2]) > 0.0)
+        # a gold entity's walk entry; -2 outside its row's subgraph
+        match = np.flatnonzero(blk.pos == (y - vocab.entity_base)[blk.row])
+        at = np.where(entity, -2, -1)
+        at[blk.row[match]] = match
         reached = np.zeros(len(y), dtype=bool)
-        reached[blk.row[hit]] = True
-        return nodes, y, (y >= base) & ~reached
+        reached[blk.row[match]] = t.value(k)[match] > 0.0
+        return t.pick(g, cols, k, at), nodes, entity & ~reached
 
     def decoder_step(self, prev) -> DecoderStep:
         """The DecoderStep of a one-position step on a one-turn state,
-        with its greedy token, the argmax of the step's output row (ties
-        to the lowest id) taken from the values the step computed, with
-        no output mixture. `prev` is the previous token id, or the
-        DecoderStep of a decode of the same message on another graph
-        whose tokens so far equal this decode's: its decoder state and
-        generic softmax are then this step's too, and are recorded as
-        two leaves instead of running the generic half, which never
-        reads the graph.
+        with its greedy token, the most probable token (ties to the
+        lowest id) taken from the values the step computed. `prev` is
+        the previous token id, or the DecoderStep of a decode of the
+        same message on another graph whose tokens so far equal this
+        decode's: its decoder state and generic softmax are then this
+        step's too, and are recorded as two leaves instead of running
+        the generic half, which never reads the graph.
 
         seq2seq emits seq2seq_output_ids[argmax(softmax)]. A qadpt step
         whose best generic probability exceeds the KB mass g[0] by more
@@ -558,7 +556,8 @@ class _TurnState:
         the lowest id among tied entities. The entity wins only above
         the best generic probability; on a tie the word wins, as every
         generic id lies below the entities'. With neither positive the
-        output row is all zero, and the token is its argmax, PAD_ID."""
+        token is PAD_ID. teacher_force takes every position's token by
+        this rule at once."""
         t, vocab = self.tape, self.vocab
         if isinstance(prev, DecoderStep):
             h = self.h = t.leaf(prev.state[None], check=False)
@@ -597,11 +596,9 @@ def batch_loss(model: QadptModel, examples: Sequence[Example]) -> tuple:
     and the loss.
     """
     state = _TurnState(model, examples)
-    t = state.tape
-    nodes, y, unreachable = state.teacher_forced()
-    gold = t.gather(nodes[0], (np.arange(len(y)), y))
-    loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
-    return t, loss, len(y), int(unreachable.sum())
+    gold, _, unreachable = state.teacher_forced()
+    loss = state.tape.nll(gold, PROB_FLOOR)
+    return state.tape, loss, len(unreachable), int(unreachable.sum())
 
 
 def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
@@ -620,20 +617,35 @@ def param_grads(model: QadptModel, tape: Tape, loss: int) -> dict:
 @dataclass
 class TeacherResult:
     gold_probs: tuple      # o_t(y_t) per target position
-    argmax_ids: tuple      # full-vocabulary argmax per position
+    argmax_ids: tuple      # greedy token per position
     unreachable: int
 
 
 def teacher_force(model: QadptModel, example: Example,
                   encoded: np.ndarray | None = None) -> TeacherResult:
-    """Per target position, the probability of the gold token and the
-    argmax, with the gold prefix as decoder input. `encoded` is the
-    turn's DecodeResult.encoded, when the caller already has it."""
+    """Per target position, with the gold prefix as decoder input, the
+    probability of the gold token and the token a greedy step would
+    take from the same values, by _TurnState.decoder_step's rule.
+    `encoded` is the turn's DecodeResult.encoded, when the caller
+    already has it."""
     state = _TurnState(model, [example], record=False, encoded=encoded)
-    nodes, y, unreachable = state.teacher_forced()
-    o = state.tape.value(nodes[0])
-    return TeacherResult(gold_probs=tuple(o[np.arange(len(y)), y].tolist()),
-                         argmax_ids=tuple(o.argmax(axis=1).tolist()),
+    gold, (g, k, _), unreachable = state.teacher_forced()
+    t, vocab = state.tape, model.vocab
+    g = t.value(g)
+    if k is None:   # the output ids ascend: ties go to the lowest
+        ids = vocab.seq2seq_output_ids[np.argmax(g, axis=1)]
+    else:
+        rows = np.arange(len(g))
+        best = 1 + np.argmax(g[:, 1:], axis=1)
+        word = g[rows, best]
+        ids = np.where(word > 0.0, vocab.generic_output_ids[best], PAD_ID)
+        mass = g[:, :1] * t.value(k).reshape(len(g), -1)
+        if mass.size:   # an entity wins only above the best word
+            j = np.argmax(mass, axis=1)
+            ids = np.where(mass[rows, j] > word,
+                           vocab.entity_base + example.pos[j], ids)
+    return TeacherResult(gold_probs=tuple(t.value(gold).tolist()),
+                         argmax_ids=tuple(ids.tolist()),
                          unreachable=int(unreachable.sum()))
 
 
@@ -787,16 +799,23 @@ class TrainResult:
     unreachable_total: int
 
 
-def validation_perplexity(model: QadptModel, examples: Sequence[Example]) -> float:
+def perplexity(prob_seqs: Sequence[Sequence[float]]) -> float:
+    """exp of mean token NLL over all recorded gold probabilities, each
+    floored at PROB_FLOOR."""
     total = 0.0
     tokens = 0
-    for ex in examples:
-        res = teacher_force(model, ex)
-        total += -float(np.sum(np.log(np.maximum(res.gold_probs, PROB_FLOOR))))
-        tokens += len(res.gold_probs)
+    for probs in prob_seqs:
+        for p in probs:
+            total += -math.log(max(float(p), PROB_FLOOR))
+            tokens += 1
     if tokens == 0:
-        raise ModelError("no validation tokens")
-    return float(np.exp(total / tokens))
+        raise ModelError("perplexity over zero tokens")
+    return math.exp(total / tokens)
+
+
+def validation_perplexity(model: QadptModel, examples: Sequence[Example]) -> float:
+    return perplexity([teacher_force(model, ex).gold_probs
+                       for ex in examples])
 
 
 def train(model: QadptModel, train_examples: Sequence[Example],

@@ -4,10 +4,12 @@ first principles (dense matrices, exhaustive walk enumeration, one hop
 at a time, per-edge loops) without touching the model's own kernel ops.
 The teacher-forced pass with the walk over every entity (the layout
 the model ran before its walk was cut to each turn's subgraph) and a
-decode step scattered back to every entity, the decoder step run in
-full (walk and output mixture) with the probe and the reference greedy
-decode built on it, the greedy decode's contract against that
-reference and the count of a re-decode's replayed steps, the differential of a decode bound to a message's
+decode step scattered back to every entity, the full-vocabulary output
+rows built in NumPy from a step's values, the decoder step run in full
+(walk and output row) with the probe, the reference greedy decode and
+the reference teacher forcing built on them, the greedy decode's
+contract against that reference and the count of a re-decode's
+replayed steps, the differential of a decode bound to a message's
 out-neighbourhood against one bound to the whole graph, the relation
 mask, the
 finite-difference checker, the adjacency audit view, the lexicon
@@ -184,19 +186,38 @@ def random_subgraph(vocab, rng, n_triples=4, extra=None):
                           extra_entities=ents[:1] if extra is None else extra)
 
 
+def output_rows(vocab, g, k=None, pos=None):
+    """The full-vocabulary output rows of a step's values, in NumPy:
+    seq2seq's (rows, m) softmax g at Vocabulary.seq2seq_output_ids;
+    qadpt's generic softmax g[:, 1:] at generic_output_ids[1:], and the
+    KB mass g[:, 0] times the walk result k, (rows, L) entries, at the
+    ids of the subgraph entities at positions pos. Every other column,
+    PAD, BOS and KB among them, is 0."""
+    g = np.atleast_2d(g)
+    out = np.zeros((len(g), vocab.size))
+    if k is None:
+        out[:, vocab.seq2seq_output_ids] = g
+    else:
+        out[:, vocab.generic_output_ids[1:]] = g[:, 1:]
+        out[:, vocab.entity_base + pos] = g[:, :1] * k.reshape(len(g), -1)
+    return out
+
+
 def _eager_step(model, state, prev):
     """One position of a one-turn state run as _TurnState.step in full,
-    qadpt's walk and output mixture included, after input `prev`: a
-    namespace of the decoder state, the generic head's softmax row, the
+    qadpt's walk included, after input `prev`: a namespace of the
+    decoder state, the generic head's softmax row, the
     generic distribution and the controller's mass (qadpt's g[1:] and
     g[0]; seq2seq's generic and entity columns), the entity distribution
     (qadpt's walk result k over the turn's subgraph rows; seq2seq's
     entity columns), the relation choices (None for seq2seq) and the
-    full-vocabulary output row `combined`, with its argmax (ties to the
-    lowest id) as token_id."""
+    full-vocabulary output row `combined` (output_rows), with its
+    argmax (ties to the lowest id) as token_id."""
     t = state.tape
-    o, g, k, rhat = state.step(np.array([[prev]]))
-    gv, combined = t.value(g)[0], t.value(o)[0].copy()
+    g, k, rhat = state.step(np.array([[prev]]))
+    gv = t.value(g)[0]
+    combined = output_rows(model.vocab, gv, None if k is None else t.value(k),
+                           state.examples[0].pos)[0]
     if model.kind == "seq2seq":
         n_gen = 2 + len(model.vocab.generic)
         parts = dict(generic=gv[:n_gen].copy(),
@@ -208,6 +229,18 @@ def _eager_step(model, state, prev):
     return SimpleNamespace(state=t.value(state.h)[0], softmax=gv,
                            combined=combined,
                            token_id=int(np.argmax(combined)), **parts)
+
+
+def eager_teacher_force(model, ex):
+    """teacher_force read off full-vocabulary rows: the output_rows of
+    one teacher-forced pass's step values, and per target position the
+    row's gold entry and its argmax (ties to the lowest id)."""
+    state = _TurnState(model, [ex], record=False)
+    t, (g, k, _) = state.tape, state.teacher_forced()[1]
+    rows = output_rows(model.vocab, t.value(g),
+                       None if k is None else t.value(k), ex.pos)
+    y = np.array(ex.target_ids)
+    return rows[np.arange(len(y)), y], rows.argmax(axis=1)
 
 
 def decoder_steps(model, ex, prev_ids):
@@ -669,13 +702,15 @@ def all_entity_pass(model, examples, record=True) -> AllEntityPass:
         weight=np.concatenate([a.weight for a in adjs]))
     k = t.kg_hop(s, rhat, block, model.hyper.n_hops) if source.sum() > 0 \
         else s
-    o = t.mix_output(g, vocab.generic_output_ids[1:], vocab.size, k,
-                     np.arange(len(turn) * n), n)
     y = targets[turn, pos]
-    gold = t.gather(o, (np.arange(len(y)), y))
-    loss = t.scale(t.mean(t.log_floor(gold, PROB_FLOOR)), -1.0)
-    kk = t.value(k).reshape(len(y), n)
     entity = y >= vocab.entity_base
+    # a word reads its generic column, an entity the KB gate times its
+    # walk entry at row * E + entity
+    col = {int(i): c for c, i in enumerate(vocab.generic_output_ids)}
+    cols = [0 if e else col[int(i)] for i, e in zip(y, entity)]
+    at = np.where(entity, np.arange(len(y)) * n + y - vocab.entity_base, -1)
+    loss = t.nll(t.pick(g, np.array(cols), k, at), PROB_FLOOR)
+    kk = t.value(k).reshape(len(y), n)
     kpos = kk[np.arange(len(y)), np.where(entity, y - vocab.entity_base, 0)]
     return AllEntityPass(t, loss, kk, t.value(rhat).reshape(len(y), n, n_rel),
                          int((entity & (kpos <= 0.0)).sum()))

@@ -31,9 +31,10 @@ import pytest
 from oracles import (RECORD_SEED, assert_neighbourhood_binding,
                      assert_same_decode, brute_force_best_path,
                      decoder_steps, default_pipeline, dense_step,
-                     dense_transition, eager_decode, finite_diff_check,
-                     path_sum_oracle, pipeline_record, random_subgraph,
-                     record_diff, replayed_steps, walk_to_triples)
+                     dense_transition, eager_decode, eager_teacher_force,
+                     finite_diff_check, path_sum_oracle, pipeline_record,
+                     random_subgraph, record_diff, replayed_steps,
+                     walk_to_triples)
 from test_metrics import LAST1_FIXTURES
 from test_qadpt import _fd_setup, example_for, model_for, toy_vocab, turn
 
@@ -48,7 +49,7 @@ from kgchat.metrics import (accurate_change_rate, bleu2_sentence, change_rate,
 from kgchat.qadpt import (Hyperparams, ModelError, QadptModel, greedy_decode,
                           infer_path, load_checkpoint, make_example,
                           make_examples, perturb_and_decode, save_checkpoint,
-                          train)
+                          teacher_force, train)
 
 
 def _line(n: int, ok: bool, detail: str) -> None:
@@ -409,6 +410,18 @@ def test_default_run_decodes_match_the_eager_reference(pipeline):
     print(f"{sum(skipped)} of {len(skipped)} qadpt decode steps skipped "
           f"their walk")
     assert any(skipped) and not all(skipped)
+
+
+def test_default_run_teacher_forcing_matches_the_eager_row(pipeline):
+    """Every test turn's teacher_force, by both kinds, against the gold
+    entries and argmax of the full-vocabulary rows built from the same
+    pass's values (oracles.eager_teacher_force), bit for bit."""
+    for model in (pipeline.qadpt, pipeline.seq2seq):
+        for ex in pipeline.test:
+            got = teacher_force(model, ex)
+            probs, ids = eager_teacher_force(model, ex)
+            assert np.array(got.gold_probs).tobytes() == probs.tobytes()
+            assert got.argmax_ids == tuple(ids.tolist()), ex.turn_id
 
 
 def test_default_run_re_decodes_replay_the_decodes(pipeline):

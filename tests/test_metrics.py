@@ -16,8 +16,8 @@ from kgchat.metrics import (METRIC_NAMES, EvalReport, MetricError, PRF,
                             kw_acc, kw_acc_soft, kw_generic_prf,
                             load_perturb_report, load_report, perplexity,
                             perturbation_report, recompute_scalars)
-from kgchat.qadpt import (Hyperparams, PerturbedTurn, QadptModel, make_example,
-                          perturb_and_decode)
+from kgchat.qadpt import (Hyperparams, ModelError, PerturbedTurn, QadptModel,
+                          make_example, perturb_and_decode)
 
 ENTS = ("A", "B", "C", "D", "T", "T2")
 
@@ -197,9 +197,10 @@ def test_perplexity_hand_summed():
 
 
 def test_perplexity_zero_tokens_errors():
-    with pytest.raises(MetricError):
+    # the perplexity validation reads too: a model error
+    with pytest.raises(ModelError, match="zero tokens"):
         perplexity([])
-    with pytest.raises(MetricError):
+    with pytest.raises(ModelError, match="zero tokens"):
         perplexity([(), ()])
 
 

@@ -285,12 +285,6 @@ def test_batched_gru_rows_match_vector_steps():
 # tape
 
 
-def total(t, node):
-    """Scalar sum of a node's entries, as n times their mean: each
-    entry's gradient is n / n, exactly one."""
-    return t.scale(t.mean(node), t.value(node).size)
-
-
 def dot(t, a, b):
     """The scalar a . b over all entries of two same-size nodes: one
     linear op with a as a (1, n) weight and b as a (1, n) row."""
@@ -353,35 +347,126 @@ def test_tape_rejects_nonscalar_loss():
 
 def test_tape_rejects_nonfinite_result():
     t = nk.Tape()
-    a = t.leaf([1e308])
+    w = t.leaf([[1e308]])
     with np.errstate(over="ignore"), pytest.raises(nk.KernelError):
-        t.scale(a, 1e10)
+        t.linear(w, w, t.leaf([0.0]))
 
 
 def test_pick_and_log_floor():
     t = nk.Tape()
-    v = t.leaf([[0.2, 0.5, 0.3]])
-    p = t.gather(v, (np.array([0]), np.array([1])))
-    l = t.log_floor(p, 1e-12)
-    assert t.value(l)[0] == pytest.approx(math.log(0.5))
-    g = t.backward(l)
-    np.testing.assert_allclose(g[v], [[0.0, 2.0, 0.0]], atol=1e-12)
+    v = t.leaf([[0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+    p = t.pick(v, np.array([1, 2]))
+    np.testing.assert_array_equal(t.value(p), [0.5, 0.8])
+    loss = t.nll(p, 1e-12)
+    assert float(t.value(loss)) == pytest.approx(
+        -(math.log(0.5) + math.log(0.8)) / 2)
+    g = t.backward(loss)
+    np.testing.assert_allclose(g[v], [[0.0, -1.0, 0.0], [0.0, 0.0, -0.625]],
+                               atol=1e-12)
 
 
 def test_log_floor_zero_gradient_below_floor():
+    """nll floors each entry at `floor`: an entry below it reads
+    -log(floor) and gets exactly zero gradient, one above it
+    -1 / (n p)."""
     t = nk.Tape()
-    v = t.leaf([[0.0]])
-    l = t.log_floor(t.gather(v, (np.array([0]), np.array([0]))), 1e-12)
-    assert t.value(l)[0] == pytest.approx(math.log(1e-12))
-    g = t.backward(l)
-    assert g[v][0, 0] == 0.0
+    p = t.leaf([0.0, 1e-13, 0.5])
+    loss = t.nll(p, 1e-12)
+    assert float(t.value(loss)) == pytest.approx(
+        -(2 * math.log(1e-12) + math.log(0.5)) / 3)
+    g = t.backward(loss)[p]
+    assert g[0] == g[1] == 0.0 and g[2] == pytest.approx(-2.0 / 3)
+
+
+def pick_case(seed):
+    """(g, k, cols, at): three softmax rows of 4 columns, a walk result
+    of 5 entries, and rows that read a walk entry (at >= 0) behind the
+    gate column 0, a word (at = -1) and an entity outside the walk
+    (at = -2)."""
+    r = rng(seed)
+    g = np.exp(r.normal(size=(3, 4)))
+    g /= g.sum(axis=1, keepdims=True)
+    return g, r.random(5) + 0.05, np.array([0, 2, 0]), np.array([3, -1, -2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("form", ["walk", "no_walk"])
+def test_pick_matches_finite_differences(seed, form):
+    """pick's gradients against central differences, with k (rows with
+    at >= 0, -1 and -2) and without it."""
+    g, k, cols, at = pick_case(seed)
+    c = rng(seed + 10).normal(size=3)
+    params = {"g": g, "k": k} if form == "walk" else {"g": g}
+
+    def build(params):
+        t = nk.Tape()
+        nodes = {name: t.leaf(value) for name, value in params.items()}
+        walk = (nodes["k"], at) if form == "walk" else ()
+        return t, dot(t, t.leaf(c), t.pick(nodes["g"], cols, *walk)), nodes
+
+    report = finite_diff_check(build, params)
+    assert report.passed, f"worst {report.worst_param}: {report.max_rel_err}"
+
+
+def test_pick_reads_one_entry_per_row():
+    """The gate times the walk entry, the word as it is, and 0 for an
+    entity outside the walk, which passes no gradient to its gate; only
+    the walk entry a row reads gets a gradient."""
+    g, k, cols, at = pick_case(0)
+    t = nk.Tape()
+    gn, kn = t.leaf(g), t.leaf(k)
+    p = t.pick(gn, cols, kn, at)
+    np.testing.assert_array_equal(t.value(p), [g[0, 0] * k[3], g[1, 2], 0.0])
+    grads = t.backward(dot(t, t.leaf(np.ones(3)), p))
+    assert np.flatnonzero(grads[kn]).tolist() == [3]
+    assert not grads[gn][2].any()
+    np.testing.assert_array_equal(t.value(t.pick(gn, cols)),
+                                  g[[0, 1, 2], cols])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nll_matches_finite_differences(seed):
+    """nll's gradient against central differences on entries above the
+    floor, and exactly zero on entries below it, which finite
+    differences also see as flat."""
+    r = rng(seed)
+    p = np.concatenate([r.random(4) + 0.05, [1e-9, 3e-9]])
+
+    def build(params):
+        t = nk.Tape()
+        node = t.leaf(params["p"])
+        return t, t.nll(node, 1e-6), {"p": node}
+
+    report = finite_diff_check(build, {"p": p}, step=1e-10)
+    assert report.passed, f"worst {report.worst_param}: {report.max_rel_err}"
+    t, loss, nodes = build({"p": p})
+    np.testing.assert_array_equal(t.backward(loss)[nodes["p"]][4:], 0.0)
+
+
+def test_pick_and_nll_refuse_bad_operands():
+    t = nk.Tape()
+    g, k = t.leaf(np.full((2, 3), 0.5)), t.leaf(np.ones(4))
+    calls = {"pick: need \\(B": (lambda: t.pick(g, np.array([0, 3])),
+                                lambda: t.pick(g, np.array([0])),
+                                lambda: t.pick(g, np.array([0.0, 1.0]))),
+             "pick: need a flat": (lambda: t.pick(g, np.array([0, 1]), k,
+                                                  np.array([4, -1])),
+                                   lambda: t.pick(g, np.array([0, 1]), k,
+                                                  np.array([-3, -1])),
+                                   lambda: t.pick(g, np.array([0, 1]), k,
+                                                  np.array([0]))),
+             "nll: empty": (lambda: t.nll(t.leaf(np.zeros(0)), 1e-12),)}
+    for what, bad in calls.items():
+        for call in bad:
+            with pytest.raises(nk.KernelError, match=what):
+                call()
 
 
 def _composed_loss(params):
     """A loss touching every op class the models use: a (T, B) embedding
     lookup, a 3-step GRU over two rows, the states read at every step of
     the first row and at two of the second, a linear projection,
-    softmax, gather, log and mean."""
+    softmax, and the gold-token pick and its nll."""
     t = nk.Tape()
     nodes = {name: t.leaf(value) for name, value in params.items()}
     x = t.lookup_row(nodes["embed"], np.array([[0, 2], [2, 1], [1, 0]]))
@@ -389,9 +474,8 @@ def _composed_loss(params):
     pos, row = np.array([0, 1, 2, 0, 2]), np.array([0, 0, 0, 1, 1])
     h = t.gather(states, (pos[:, None], row[:, None], np.arange(4)))
     probs = t.softmax(t.linear(nodes["proj"], h, nodes["proj_b"]))
-    gold = t.gather(probs, (np.arange(5), np.array([1, 0, 4, 2, 1])))
-    loss = t.scale(t.mean(t.log_floor(gold, 1e-12)), -1.0)
-    return t, loss, nodes
+    gold = t.pick(probs, np.array([1, 0, 4, 2, 1]))
+    return t, t.nll(gold, 1e-12), nodes
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -420,7 +504,7 @@ def test_mask_renorm_rows_forward_and_grad():
     out = t.mask_renorm_rows(r, mask)
     np.testing.assert_allclose(t.value(out)[0], [0.2 / 0.7, 0.0, 0.5 / 0.7], atol=1e-15)
     np.testing.assert_allclose(t.value(out)[1], [0.25, 0.25, 0.5], atol=1e-15)
-    loss = total(t, t.log_floor(out, 1e-12))
+    loss = t.nll(out, 1e-12)
     g = t.backward(loss)
     assert g[r].shape == (2, 3)
     assert g[r][0][1] == 0.0  # masked column gets no gradient
@@ -488,12 +572,11 @@ def op_calls(r, scale=1.0):
                           tail=np.array([1, 2, 0, 3, 2]), weight=r.random(5))
     gates = [0.5 * r.normal(size=s) for s in ((n, d), (n, n), (n,)) * 3]
     gru = [np.concatenate(gates[i::3]) for i in range(3)]   # w, u, b
-    mix = np.exp(r.normal(size=(b, 3)))
-    mix /= mix.sum(axis=1, keepdims=True)
+    probs = np.exp(r.normal(size=(b + 1, 3)))
+    probs /= probs.sum(axis=1, keepdims=True)
     return {
         "leaf": [((), lambda t: t.leaf(rows)),
                  ((), lambda t: t.leaf(rows, check=False))],
-        "scale": [((rows,), lambda t, a: t.scale(a, -1.5))],
         "linear": [((mat, rows, scale * r.normal(size=d)),
                     lambda t, w, x, c: t.linear(w, x, c))],
         "softmax": [((rows,), lambda t, a: t.softmax(a))],
@@ -506,18 +589,17 @@ def op_calls(r, scale=1.0):
                                                        np.array([3, 1])))),
                    ((mat,), lambda t, a: t.gather(a, (np.array([[2], [0]]),
                                                       np.arange(n))))],
-        "log_floor": [((pos - 0.3,), lambda t, a: t.log_floor(a, 0.1))],
-        "mean": [((mat,), lambda t, a: t.mean(a))],
         "gru": [((scale * r.normal(size=(3, b, d)), rows, *gru),
                  lambda t, *nodes: t.gru(*nodes))],
         "mask_renorm_rows": [((r.random((n, d)) + 0.05, mask),
                               lambda t, a, c: t.mask_renorm_rows(a, c))],
         "kg_hop": [((pos, r.random((n, d))),
                     lambda t, a, c: t.kg_hop(a, c, adj, 3))],
-        "mix_output": [((mix,), lambda t, g: t.mix_output(g, [4, 0, 2], 6)),
-                       ((mix, r.random(3)),
-                        lambda t, g, k: t.mix_output(g, [3, 1], 7, k,
-                                                     np.array([0, 3, 2]), 2))],
+        "pick": [((probs,), lambda t, g: t.pick(g, np.array([2, 0, 2]))),
+                 ((probs, r.random(3)),
+                  lambda t, g, k: t.pick(g, np.array([0, 1, 0]), k,
+                                         np.array([2, -1, -2])))],
+        "nll": [((pos - 0.3,), lambda t, a: t.nll(a, 0.1))],
     }
 
 
@@ -565,8 +647,8 @@ def test_every_public_tape_op_records_exactly_one_node(record):
 
 def test_value_only_tape_has_no_backward():
     t = nk.Tape(record=False)
-    loss = t.mean(t.leaf([1.0, 2.0]))
-    assert float(t.value(loss)) == 1.5
+    loss = t.nll(t.leaf([1.0, 0.5]), 1e-12)
+    assert float(t.value(loss)) == pytest.approx(math.log(2.0) / 2)
     with pytest.raises(nk.KernelError, match="backward"):
         t.backward(loss)
 
@@ -575,15 +657,15 @@ def test_value_only_tape_checks_leaves_and_results():
     t = nk.Tape(record=False)
     with pytest.raises(nk.KernelError, match="non-finite values in leaf"):
         t.leaf([1.0, float("nan")])
-    a = t.leaf([1e308])
+    g, k = t.leaf([[1e200]]), t.leaf([1e200])
     with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
                                                    match="non-finite"):
-        t.scale(a, 1e10)
+        t.pick(g, np.array([0]), k, np.array([0]))
     w, c = t.leaf([[1e308]]), t.leaf([1e308])
     with np.errstate(over="ignore"), pytest.raises(nk.KernelError,
                                                    match="non-finite"):
         t.linear(w, w, c)
-    assert len(t) == 3
+    assert len(t) == 4
 
 
 def test_leaf_check_false_records_without_the_check():

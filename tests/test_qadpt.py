@@ -26,9 +26,9 @@ import pytest
 from oracles import (GATE_FIELDS, PIN_KINDS, PIN_SEEDS, all_entity_pass,
                      assert_neighbourhood_binding, assert_same_decode, brute_force_best_path,
                      checkpoint_parts, decoder_steps, dense_step,
-                     dense_transition, eager_decode, finite_diff_check,
-                     gru_per_gate, infer_path_per_edge, kg_hop,
-                     loss_and_grads, path_sum_oracle, random_subgraph,
+                     dense_transition, eager_decode, eager_teacher_force,
+                     finite_diff_check, gru_per_gate, infer_path_per_edge,
+                     kg_hop, loss_and_grads, path_sum_oracle, random_subgraph,
                      relation_mask, renorm_rows, replayed_steps,
                      rewrite_checkpoint, save_manifest_checkpoint,
                      seal_checkpoint, split_gru, tensor_offsets, toy_batch,
@@ -577,14 +577,14 @@ def assert_matches_all_entity_walk(model, batch):
         assert got[name].tobytes() == want[name].tobytes(), name
 
     state = qadpt._TurnState(model, batch, record=False)
-    nodes = state.teacher_forced()[0]
+    _, k_node, rhat_node = state.teacher_forced()[1]
     blk = state._walk[2]
     k = np.zeros_like(ref.k)
-    k[blk.row, blk.pos] = state.tape.value(nodes[2])
+    k[blk.row, blk.pos] = state.tape.value(k_node)
     assert k.tobytes() == ref.k.tobytes()
     rhat = np.zeros_like(ref.rhat)
     rhat[..., -1] = 1.0
-    rhat[blk.row, blk.pos] = state.tape.value(nodes[3])
+    rhat[blk.row, blk.pos] = state.tape.value(rhat_node)
     assert rhat.tobytes() == ref.rhat.tobytes()
 
     n_rel = len(model.vocab.relations) + 1
@@ -968,29 +968,13 @@ def test_infer_path_equals_per_edge_loop_on_random_and_tied_rhat(seed):
 # and takes its token from the values the step computed
 
 
-def _greedy_decode_counting_mixtures(monkeypatch):
-    """greedy_decode, and a list that each call of it clears and each
-    Tape.mix_output call it makes appends to."""
-    mixes = []
-    real = numkernel.Tape.mix_output
-    monkeypatch.setattr(numkernel.Tape, "mix_output",
-                        lambda self, *a: mixes.append(1) or real(self, *a))
-
-    def decode(*args, **kwargs):
-        mixes.clear()
-        return greedy_decode(*args, **kwargs)
-    return decode, mixes
-
-
 @pytest.mark.parametrize("seed", range(3))
-def test_greedy_decode_matches_the_eager_reference(trained_toy, seed,
-                                                   monkeypatch):
+def test_greedy_decode_matches_the_eager_reference(trained_toy, seed):
     """greedy_decode against oracles.eager_decode, which runs every
-    step in full (oracles.assert_same_decode), and no greedy step
-    records the output mixture. The turns have L = E, L < E and L = 0;
-    the qadpt models emit entities or not, and seq2seq never walks.
-    Both kinds of qadpt step occur: some skip their walk, some ran
-    it."""
+    step in full (oracles.assert_same_decode). The turns have L = E,
+    L < E and L = 0; the qadpt models emit entities or not, and seq2seq
+    never walks. Both kinds of qadpt step occur: some skip their walk,
+    some ran it."""
     model, exs = trained_toy
     v = model.vocab
     exs = exs + list(_edge_turns(v)) + [
@@ -1000,13 +984,11 @@ def test_greedy_decode_matches_the_eager_reference(trained_toy, seed,
     for kb in (-1.0, 1.0):   # a fresh model that emits entities or not
         models.append(model_for(v, seed=seed))
         models[-1].params["phi_b"][0] = kb
-    decode, mixes = _greedy_decode_counting_mixtures(monkeypatch)
     skipped = []
     for m in models:
         for ex in exs:
             for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
-                dec = decode(m, ex, max_len=max_len)
-                assert mixes == []
+                dec = greedy_decode(m, ex, max_len=max_len)
                 if m.kind == "qadpt":
                     skipped += [step.entity is None for step in dec.steps]
                 assert_same_decode(dec, eager_decode(m, ex, max_len), v)
@@ -1023,9 +1005,8 @@ def test_a_step_within_the_margin_runs_the_entity_branch_at_once(gap, skips):
     the first step, which adds the walk's mask and source leaves), and
     sets entity and path_matrix; beyond it the step records the generic
     half's 5 nodes (2 leaves when it replays a prior step's), sets
-    neither, and nothing is recorded afterwards. No step records the
-    output mixture. The word wins either way, with the lowest id among
-    tied words."""
+    neither, and nothing is recorded afterwards. The word wins either
+    way, with the lowest id among tied words."""
     v = toy_vocab()
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     model = model_for(v)
@@ -1104,6 +1085,60 @@ def test_an_eager_step_picks_its_token_from_the_walk(case):
                        eager_decode(model, ex, max_len=3), v)
 
 
+@pytest.mark.parametrize("case", ["entity_outside", "empty_subgraph",
+                                  "nothing_positive", "word_ties_entity",
+                                  "tied_entities"])
+def test_teacher_force_takes_each_token_by_the_greedy_rule(case):
+    """teacher_force's gold probabilities and argmax ids equal, bit for
+    bit, the gold entries and argmax of the full-vocabulary rows
+    (oracles.eager_teacher_force). A gold entity outside the subgraph,
+    or on an empty one, has probability 0.0. With nothing positive
+    every position takes PAD_ID; a word tied with an entity wins, and
+    of two tied entities the lower id wins."""
+    v = toy_vocab()
+    model, want = model_for(v), None
+    if case == "entity_outside":
+        ex = example_for(v, "a lives", "c yes", [Triple("a", "q", "b")])
+    elif case == "empty_subgraph":
+        ex = example_for(v, "where a", "b yes", [])
+    elif case == "nothing_positive":
+        model, want = _rule_model(v, 0.0), PAD_ID
+        ex = example_for(v, "where", "yes", [])
+    elif case == "word_ties_entity":
+        model, want = _rule_model(v, 0.0, ["yes"]), v.token_to_id("yes")
+        ex = example_for(v, "where b", "yes", [], extra=("a", "b"))
+    else:
+        model, want = _rule_model(v, 5.0), v.token_to_id("b")
+        ex = example_for(v, "c b", "b", [], extra=v.entities)
+    got = teacher_force(model, ex)
+    probs, ids = eager_teacher_force(model, ex)
+    assert np.array(got.gold_probs).tobytes() == probs.tobytes()
+    assert got.argmax_ids == tuple(ids.tolist())
+    if want is not None:
+        assert set(got.argmax_ids) == {want}
+    if case in ("entity_outside", "empty_subgraph"):
+        assert got.gold_probs[0] == 0.0 and got.unreachable == 1
+
+
+@pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
+def test_no_tape_node_spans_the_vocabulary(kind):
+    """Neither batch_loss's tape nor a one-turn teacher-forced pass
+    records a node whose last axis is the vocabulary: the loss and
+    teacher forcing read each gold probability off the step's values.
+    V = 12 is no other width here (embed 6, hidden 8, heads 7 and 9,
+    9 relation logits, R + 1 = 3, 5 gold rows, 10 stacked entities)."""
+    v = toy_vocab(generic=("lives", "in", "yes", "where"))
+    model = model_for(v, kind=kind)
+    exs = [example_for(v, "a lives", "b yes", [Triple("a", "q", "b")]),
+           example_for(v, "in b", "c", [Triple("b", "r", "c")])]
+    state = qadpt._TurnState(model, exs[:1], record=False)
+    state.teacher_forced()
+    assert v.size == 12
+    for t in (batch_loss(model, exs)[0], state.tape):
+        assert all(np.shape(t.value(i))[-1:] != (v.size,)
+                   for i in range(len(t)))
+
+
 def _edited(v, exs, seed):
     """Each example on other graphs: the graph perturb_all gives it,
     a random one, an empty one, one that holds every entity, and its
@@ -1142,10 +1177,9 @@ def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
                                                    monkeypatch):
     """greedy_decode of an edited turn given the decode of the original
     as its prior against oracles.eager_decode of the edited turn
-    (oracles.assert_same_decode), and neither decode records the output
-    mixture. The re-decode runs the decoder GRU only on the steps after
-    the first token that differs from the prior's, and not at all when
-    none does. Priors that diverge at step
+    (oracles.assert_same_decode). The re-decode runs the decoder GRU
+    only on the steps after the first token that differs from the
+    prior's, and not at all when none does. Priors that diverge at step
     0, part-way through and never all occur for qadpt; seq2seq never
     reads the graph, so its re-decodes replay every step."""
     model, exs = trained_toy
@@ -1162,15 +1196,12 @@ def test_a_re_decode_replays_its_prior_bit_for_bit(trained_toy, seed,
     real = numkernel.Tape.gru
     monkeypatch.setattr(numkernel.Tape, "gru",
                         lambda self, *a: grus.append(1) or real(self, *a))
-    decode, mixes = _greedy_decode_counting_mixtures(monkeypatch)
     seen = set()
     for m, ex, new in cases:
         for max_len in (1, 6, qadpt.MAX_DECODE_LEN):
-            prior = decode(m, ex, max_len=max_len)
-            assert mixes == []
+            prior = greedy_decode(m, ex, max_len=max_len)
             grus.clear()
-            dec = decode(m, new, max_len=max_len, prior=prior)
-            assert mixes == []
+            dec = greedy_decode(m, new, max_len=max_len, prior=prior)
             replayed = replayed_steps(dec, prior)
             assert len(grus) == len(dec.steps) - replayed
             if dec.steps[0].token_id != prior.steps[0].token_id:
@@ -1214,14 +1245,14 @@ def test_neighbourhood_binding_decodes_as_the_whole_graph(kind, seed):
 @pytest.mark.parametrize("n_hops", [1, 6])
 @pytest.mark.parametrize("record", [True, False], ids=["recording", "value_only"])
 def test_decoder_step_node_counts(record, n_hops):
-    """A one-position (T=1) qadpt step records 11 tape nodes whatever the
+    """A one-position (T=1) qadpt step records 10 tape nodes whatever the
     hop count (the walk is one kg_hop node), and the first step 2 more:
     the walk's mask and source leaves, which later steps reuse. A seq2seq
-    step records 6."""
+    step records 5."""
     v = toy_vocab()
     ex = example_for(v, "a lives", "b yes", [Triple("a", "q", "b")])
     assert ex.source_vec.sum() > 0
-    for kind, want in (("qadpt", (13, 11, 11)), ("seq2seq", (6, 6, 6))):
+    for kind, want in (("qadpt", (12, 10, 10)), ("seq2seq", (5, 5, 5))):
         model = model_for(v, kind=kind, n_hops=n_hops)
         state = qadpt._TurnState(model, [ex], record)
         got = []
@@ -1236,8 +1267,9 @@ def test_decoder_step_node_counts(record, n_hops):
 @pytest.mark.parametrize("kind", ["qadpt", "seq2seq"])
 def test_teacher_forced_pass_node_count_ignores_target_length(kind, record):
     """A teacher-forced pass records one node per op whatever the length
-    of the target, for one turn and for a ragged batch; batch_loss adds
-    its 4 loss nodes."""
+    of the target, for one turn and for a ragged batch, and batch_loss's
+    tape adds the parameters and one nll node: 29 nodes for qadpt's 11
+    parameters, 20 for seq2seq's 9."""
     v = toy_vocab()
     model = model_for(v, kind=kind)
     counts = set()
@@ -1252,7 +1284,7 @@ def test_teacher_forced_pass_node_count_ignores_target_length(kind, record):
             if record:
                 tape, _, n_tok, _ = batch_loss(model, batch)
                 assert n_tok == sum(len(ex.target_ids) for ex in batch)
-                counts.add(len(tape) - len(model.params) - 4)
+                assert len(tape) == (29 if kind == "qadpt" else 20)
     assert counts == {17 if kind == "qadpt" else 10}
 
 
